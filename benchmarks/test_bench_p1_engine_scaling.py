@@ -2,19 +2,19 @@
 
 Runs the workqueue (section 2.7) and FFT-pipeline (section 4) node
 programs at nprocs in {8, 64, 256}, measuring wall-clock and effects/sec
-on the indexed engine **and live against the seed-reference engine** (a
-faithful reimplementation of the pre-rewrite O(P)-scan hot path).
-Because the baseline runs on the same machine in the same process, the
-recorded speedups are machine-independent.
+on the engine's single scheduling loop.
 
-The sweep doubles as a semantics regression: both engines must agree
-exactly on virtual makespan, message counts, and effect counts
-(``run_engine_bench`` raises otherwise).
+The sweep doubles as a semantics regression: every case's virtual
+makespan, message count and effect count must equal the committed
+record's (the check the deleted seed-reference engine used to make
+live; tier-1 pins the same goldens at P in {8, 64}).
 
 Results are recorded to ``BENCH_engine.json`` at the repo root; compare a
-later engine against it with ``python -m repro bench --diff``.
+later engine against it with ``python -m repro bench --diff``.  Host-time
+claims are read off ``benchmarks/e2e``, not this file.
 """
 
+import json
 from pathlib import Path
 
 from conftest import emit
@@ -25,118 +25,63 @@ from repro.apps.enginebench import format_bench, run_engine_bench
 
 BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
-#: Acceptance bar: the indexed engine must process effects at least this
-#: many times faster than the seed engine on the workqueue at P=256.
-REQUIRED_SPEEDUP_AT_256 = 2.0
-
-#: Acceptance bar for the batched columnar core: at least this many times
-#: the scalar seed-reference baseline's throughput on the workqueue at
-#: P=64 (the ~40k effects/sec dispatch ceiling the rewrite breaks).
-REQUIRED_BATCHED_RATIO_AT_64 = 5.0
-
 
 def _emit_results(results: dict) -> None:
     rows = [
-        [c["program"], c["nprocs"], c["engine"], f"{c['wall_s']:.3f}",
+        [c["program"], c["nprocs"], f"{c['wall_s']:.3f}",
          c["effects"], c["effects_per_sec"], f"{c['makespan']:.0f}"]
         for c in results["cases"]
     ]
     emit(
-        "P1 — engine hot-path scaling (indexed vs seed reference)",
-        ["program", "P", "engine", "wall_s", "effects", "eff/sec", "makespan"],
+        "P1 — engine hot-path scaling",
+        ["program", "P", "wall_s", "effects", "eff/sec", "makespan"],
         rows,
     )
 
 
-def test_p1_smoke_small_scale(benchmark):
-    """Quick CI-friendly check: both engines agree and the harness runs."""
-    results = run_engine_bench((8,), ("workqueue", "fft"), jobs_per_proc=8)
-    _emit_results(results)
-    by_engine = {}
+def _assert_virtual_results_match_record(results: dict) -> None:
+    recorded = {
+        (c["program"], c["nprocs"]): (c["makespan"], c["messages"], c["effects"])
+        for c in json.loads(BENCH_FILE.read_text())["cases"]
+        if c["engine"] == "indexed"
+    }
     for c in results["cases"]:
-        by_engine.setdefault((c["program"], c["nprocs"]), {})[c["engine"]] = c
-    for (prog, p), engines in by_engine.items():
-        assert {"indexed", "seed-reference"} <= set(engines), (prog, p)
-        assert engines["indexed"]["makespan"] == engines["seed-reference"]["makespan"]
-        assert engines["indexed"]["effects"] > 0
+        assert (c["makespan"], c["messages"], c["effects"]) == recorded[
+            (c["program"], c["nprocs"])
+        ], c
+
+
+def test_p1_smoke_small_scale(benchmark):
+    """Quick CI-friendly check: the harness runs and reproduces the record."""
+    results = run_engine_bench((8,), ("workqueue", "fft"), jobs_per_proc=16)
+    _emit_results(results)
+    _assert_virtual_results_match_record(results)
     benchmark.pedantic(
         lambda: run_engine_bench((8,), ("workqueue",), jobs_per_proc=8,
-                                 seed_reference=False),
+                                 classify=False),
         rounds=1, iterations=1,
     )
 
 
-def test_p1_batched_dispatch_ratio():
-    """CI ratio gate: batched core >= 5x the scalar baseline on wq@64.
-
-    The denominator is the :class:`SeedReferenceEngine` — the scalar
-    engine with the seed's matching path, i.e. the recorded pre-rewrite
-    dispatch ceiling this PR's columnar core is meant to break.  Both
-    sides run live in this process, interleaved best-of-three, so the
-    gate measures the algorithmic ratio rather than host speed.  The
-    batched/indexed-scalar mode ratio is printed for context but not
-    gated (it sits lower because the indexed scalar engine shares most
-    transport/symtab improvements).
-    """
-    from repro.apps.enginebench import (
-        SeedReferenceEngine, _batched_engine, _run_case,
-    )
-    from repro.machine.engine import Engine as IndexedEngine
-
-    # Warm both paths before timing.
-    for cls in (IndexedEngine, _batched_engine, SeedReferenceEngine):
-        _run_case("workqueue", 2, "warmup", cls, jobs_per_proc=2)
-
-    best: dict[str, int] = {}
-    for _ in range(3):  # interleaved so drift hits all variants equally
-        for name, cls in (
-            ("batched", _batched_engine),
-            ("scalar", IndexedEngine),
-            ("seed", SeedReferenceEngine),
-        ):
-            case = _run_case("workqueue", 64, name, cls, jobs_per_proc=16)
-            best[name] = max(best.get(name, 0), case.effects_per_sec)
-
-    assert best["seed"] > 0
-    ratio = best["batched"] / best["seed"]
-    print(
-        f"\nwq@64 effects/sec — batched {best['batched']}, "
-        f"indexed-scalar {best['scalar']}, seed-reference {best['seed']}; "
-        f"batched/seed {ratio:.2f}x, "
-        f"batched/indexed {best['batched'] / max(best['scalar'], 1):.2f}x"
-    )
-    assert ratio >= REQUIRED_BATCHED_RATIO_AT_64, (
-        f"batched core is only {ratio:.2f}x the scalar seed baseline on "
-        f"workqueue@64 (need >= {REQUIRED_BATCHED_RATIO_AT_64}x)"
-    )
-
-
 def test_p1_engine_scaling_full(benchmark):
-    """The full sweep: records BENCH_engine.json, asserts the 2x bar."""
+    """The full sweep: checks the goldens, records BENCH_engine.json."""
     results = run_engine_bench((8, 64, 256), ("workqueue", "fft"),
                                jobs_per_proc=16)
     _emit_results(results)
     print(format_bench(results))
+    _assert_virtual_results_match_record(results)
 
-    speedup = results["speedups"]["workqueue@256"]
-    assert speedup >= REQUIRED_SPEEDUP_AT_256, (
-        f"indexed engine is only {speedup}x the seed engine at P=256 "
-        f"(need >= {REQUIRED_SPEEDUP_AT_256}x)"
-    )
-    # Throughput must not collapse with P: the indexed engine at P=256
-    # should sustain at least half its P=8 effects/sec (the seed engine
+    # Throughput must not collapse with P: the engine at P=256 should
+    # sustain at least half its P=8 effects/sec (an O(P) scan per effect
     # drops to well under that).
-    rate = {
-        (c["program"], c["nprocs"]): c["effects_per_sec"]
-        for c in results["cases"] if c["engine"] == "indexed"
-    }
+    rate = {(c["program"], c["nprocs"]): c["effects_per_sec"]
+            for c in results["cases"]}
     assert rate[("workqueue", 256)] >= 0.5 * rate[("workqueue", 8)]
 
     write_json_atomic(BENCH_FILE, results)
-    benchmark.extra_info["speedups"] = results["speedups"]
     benchmark.extra_info["bench_file"] = str(BENCH_FILE)
     benchmark.pedantic(
         lambda: run_engine_bench((64,), ("workqueue",), jobs_per_proc=16,
-                                 seed_reference=False),
+                                 classify=False),
         rounds=1, iterations=1,
     )

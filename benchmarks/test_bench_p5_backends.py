@@ -13,18 +13,10 @@ for Jacobi and the 3-D FFT at P in {4, 16}:
   that would drive a real binding choice);
 * wall-clock per backend (the simulator's own overhead).
 
-A second section guards the scheduler/transport refactor itself: the
-``msg`` backend re-runs the P1 workqueue sweep at P=256 against the
-in-process seed-reference engine and the live speedup must stay within
-5% of the one recorded in ``BENCH_engine.json`` before the split.  The
-ratio-of-ratios is machine-independent: both live engines run on the
-same host, so a slower machine cancels out.
-
 Results are recorded to ``BENCH_backends.json`` at the repo root.
 """
 
 import hashlib
-import json
 import time
 from pathlib import Path
 
@@ -39,13 +31,8 @@ from repro.machine.transport import SIM_BACKENDS
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_FILE = ROOT / "BENCH_backends.json"
-ENGINE_BENCH_FILE = ROOT / "BENCH_engine.json"
 
 NPROCS = (4, 16)
-
-#: The msg backend's live indexed-vs-seed speedup at workqueue P=256 must
-#: stay within 5% of the committed pre-refactor number.
-REFACTOR_OVERHEAD_TOLERANCE = 0.05
 
 
 def _sha(arr: np.ndarray) -> str:
@@ -127,8 +114,7 @@ def test_p5_smoke_transparency(benchmark):
 
 
 def test_p5_backends_full(benchmark):
-    """The full sweep: records BENCH_backends.json, asserts transparency
-    and the refactor-overhead bar."""
+    """The full sweep: records BENCH_backends.json, asserts transparency."""
     results = run_backend_bench()
     _emit_results(results)
 
@@ -142,39 +128,10 @@ def test_p5_backends_full(benchmark):
         r != 1.0 for r in results["makespan_ratio_shmem_over_msg"].values()
     )
 
-    # Refactor overhead: live msg-backend speedup vs the committed one.
-    from repro.apps.enginebench import run_engine_bench
-
-    committed = json.loads(ENGINE_BENCH_FILE.read_text())
-    committed_speedup = committed["speedups"]["workqueue@256"]
-    live = run_engine_bench((256,), ("workqueue",), jobs_per_proc=16)
-    live_speedup = live["speedups"]["workqueue@256"]
-    ratio = live_speedup / committed_speedup
-    results["refactor_overhead"] = {
-        "program": "workqueue",
-        "nprocs": 256,
-        "committed_speedup": committed_speedup,
-        "live_speedup": live_speedup,
-        "ratio": round(ratio, 3),
-        "tolerance": REFACTOR_OVERHEAD_TOLERANCE,
-    }
-    emit(
-        "P5 — refactor overhead (msg backend vs pre-split recording)",
-        ["program", "P", "committed", "live", "ratio"],
-        [["workqueue", 256, committed_speedup, live_speedup,
-          f"{ratio:.3f}"]],
-    )
-    assert ratio >= 1.0 - REFACTOR_OVERHEAD_TOLERANCE, (
-        f"msg backend speedup {live_speedup}x is more than "
-        f"{REFACTOR_OVERHEAD_TOLERANCE:.0%} below the committed "
-        f"{committed_speedup}x"
-    )
-
     write_json_atomic(BENCH_FILE, results)
     benchmark.extra_info["makespan_ratios"] = (
         results["makespan_ratio_shmem_over_msg"]
     )
-    benchmark.extra_info["refactor_overhead_ratio"] = ratio
     benchmark.extra_info["bench_file"] = str(BENCH_FILE)
     benchmark.pedantic(
         lambda: run_backend_bench(nprocs_list=(4,)), rounds=1, iterations=1,

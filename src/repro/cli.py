@@ -529,8 +529,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         nprocs,
         programs,
         jobs_per_proc=args.jobs_per_proc,
-        seed_reference=not args.no_seed_reference,
-        batched=not args.no_batched,
         classify=not args.no_classify,
     )
     print(format_bench(results))
@@ -774,10 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated bench programs (workqueue, fft)")
     b.add_argument("--jobs-per-proc", type=int, default=16,
                    help="workqueue jobs per processor")
-    b.add_argument("--no-seed-reference", action="store_true",
-                   help="skip the (slow) seed-engine baseline runs")
-    b.add_argument("--no-batched", action="store_true",
-                   help="skip the batched columnar-core runs")
     b.add_argument("--no-classify", action="store_true",
                    help="skip the profiled bottleneck classification")
     b.add_argument("--proc", action="store_true",

@@ -4,13 +4,11 @@ effects, per-processor memory, statistics, and the discrete-event engine."""
 from .effects import Compute, Effect, Log, RecvInit, Send, WaitAccessible
 from .engine import (
     BACKENDS,
-    ENGINE_MODES,
     HEADER_BYTES,
     SIM_BACKENDS,
     Engine,
     NodeProgram,
     ProcessorContext,
-    default_engine_mode,
 )
 from .scheduler import Scheduler
 from .transport import (
@@ -42,8 +40,6 @@ __all__ = [
     "HEADER_BYTES",
     "BACKENDS",
     "SIM_BACKENDS",
-    "ENGINE_MODES",
-    "default_engine_mode",
     "Scheduler",
     "Transport",
     "MessagePassingTransport",

@@ -63,15 +63,7 @@ from __future__ import annotations
 from .faults import FaultModel
 from .model import MachineModel
 from .reliable import ReliableTransport
-from .scheduler import (  # noqa: F401  (re-exported: public API + bench shims)
-    ENGINE_MODES,
-    NodeProgram,
-    ProcessorContext,
-    Scheduler,
-    _Completion,
-    _Proc,
-    default_engine_mode,
-)
+from .scheduler import NodeProgram, ProcessorContext, Scheduler
 from .transport import (
     BACKENDS,
     SIM_BACKENDS,
@@ -81,19 +73,15 @@ from .transport import (
     default_backend,
     make_transport,
 )
-from .transport.base import PendingRecv as _PendingRecv  # noqa: F401 (bench shim)
-from .transport.base import RecvIndex as _RecvIndex  # noqa: F401 (bench shim)
 from .transport.msg import HEADER_BYTES  # noqa: F401  (re-export)
 
 __all__ = [
     "BACKENDS",
     "SIM_BACKENDS",
-    "ENGINE_MODES",
     "Engine",
     "HEADER_BYTES",
     "NodeProgram",
     "ProcessorContext",
-    "default_engine_mode",
 ]
 
 
@@ -108,12 +96,8 @@ class Engine(Scheduler):
     in the corresponding middleware exactly as the monolithic engine
     behaved: reliable delivery *replaces* the raw lossy path.
 
-    ``engine`` selects the execution core (``"scalar"`` or ``"batched"``;
-    default: the ``REPRO_ENGINE_MODE`` environment variable, else
-    ``scalar``).  Both cores are virtual-time bit-identical; the batched
-    core is the columnar fast path of :mod:`repro.machine.batched` and
-    silently defers to the scalar oracle whenever faults, reliable
-    delivery, tracing, or a middleware-wrapped ``transport`` are active.
+    There is one execution core — the scheduler's min-``(clock, pid)``
+    loop — whatever the transport, middleware, fault model or tracing.
 
     ``backend="proc"`` resolves — via ``__new__`` — to the
     :class:`~repro.machine.procrt.ProcEngine` subclass, which executes
@@ -159,7 +143,6 @@ class Engine(Scheduler):
         reliable: ReliableTransport | None = None,
         backend: str | None = None,
         transport: Transport | None = None,
-        engine: str | None = None,
     ):
         if transport is None:
             transport = make_transport(backend)
@@ -182,7 +165,6 @@ class Engine(Scheduler):
             seed=seed,
             faults=faults,
             reliable=reliable,
-            engine=engine,
         )
 
     @property

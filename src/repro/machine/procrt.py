@@ -67,7 +67,6 @@ import numpy as np
 from ..core.errors import (
     DegradedRunError,
     OracleMismatchError,
-    OwnershipError,
     ProtocolError,
     TransportError,
 )
@@ -136,19 +135,17 @@ def digest_symtabs(symtabs) -> str:
 
 
 def _strip_caches(st) -> None:
-    """Drop id-keyed / rebuildable caches so a table pickles soundly.
+    """Drop rebuildable caches so a table pickles soundly.
 
-    ``VariableEntry._resolve_cache`` is keyed by ``id(Section)`` — object
-    identity does not survive pickling (and freed ids can be recycled in
-    the receiving process), so it must be empty in any shipped table.
-    The interval-index columns are derived state; dropping them keeps
-    blobs lean and they rebuild on first use.
+    Resolution records hold *views* of segment chunks — pickled, they
+    would come back as detached copies — so ``_resolve_cache`` must be
+    empty in any shipped table.  The interval-index columns are derived
+    state; dropping them keeps blobs lean and they rebuild on first use.
     """
     for entry in st.variables():
         entry.invalidate_index()
         entry._index_descs = []
         entry._index_los = []
-        entry._index_exact = {}
         entry._index_maxspan = 0
 
 
@@ -295,11 +292,7 @@ class _Worker:
     def _do_send(self, eff: Send) -> None:
         st = self.st
         if eff.kind is TransferKind.VALUE:
-            if not st.iown(eff.var, eff.sec):
-                raise OwnershipError(
-                    f"P{self.wid + 1} sends unowned section {eff.var}{eff.sec}"
-                )
-            payload = st.read(eff.var, eff.sec)
+            payload = st.read_owned(eff.var, eff.sec)
         else:
             payload = st.release_ownership(
                 eff.var, eff.sec, with_value=eff.kind is TransferKind.OWN_VALUE
@@ -530,10 +523,10 @@ class ProcEngine(Engine):
 
     Construction sites never name this class: ``Engine(n,
     backend="proc")`` dispatches here via ``Engine.__new__``.  The
-    in-process simulation always runs on the scalar core so the recorded
-    completion order is the semantic oracle's.  ``last_real_wall`` holds
-    the wall-clock seconds of the most recent real pass (fork to join) —
-    the number the real-speedup bench reports.
+    in-process simulation's recorded completion order is the semantic
+    oracle's.  ``last_real_wall`` holds the wall-clock seconds of the
+    most recent real pass (fork to join) — the number the real-speedup
+    bench reports.
     """
 
     def __init__(
@@ -551,11 +544,6 @@ class ProcEngine(Engine):
         self._run_counter = 0
         self.last_real_wall: float | None = None
         self.last_oracle_digest: str | None = None
-
-    def _use_batched_core(self) -> bool:
-        # The oracle pass must be the scalar loop: the batched core's
-        # completion-creation order is not the recorded crank order.
-        return False
 
     def _base_transport(self) -> ProcTransport:
         t = self.transport

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -56,34 +55,10 @@ from .stats import ProcStats, RunStats, TraceEvent
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .transport.base import PendingRecv, Transport
 
-__all__ = [
-    "ENGINE_MODES",
-    "NodeProgram",
-    "ProcessorContext",
-    "Scheduler",
-    "default_engine_mode",
-]
+__all__ = ["NodeProgram", "ProcessorContext", "Scheduler"]
 
 # Verdicts of the per-processor fault check at scheduling time.
 _STEP, _REQUEUE, _CRASHED = "step", "requeue", "crashed"
-
-#: Execution cores of the scheduler.  ``scalar`` is the one-heap-pop-per-
-#: effect loop below — the semantic oracle; ``batched`` is the columnar
-#: ready-frontier core of :mod:`repro.machine.batched`, which must be
-#: virtual-time bit-identical and falls back to scalar whenever faults,
-#: reliable delivery, or tracing are active.
-ENGINE_MODES = ("scalar", "batched")
-
-
-def default_engine_mode() -> str:
-    """Engine mode selected by ``REPRO_ENGINE_MODE`` (default: scalar)."""
-    mode = os.environ.get("REPRO_ENGINE_MODE", "scalar")
-    if mode not in ENGINE_MODES:
-        raise ValueError(
-            f"REPRO_ENGINE_MODE={mode!r} is not one of {ENGINE_MODES}"
-        )
-    return mode
-
 
 @dataclass
 class _Completion:
@@ -152,18 +127,12 @@ class Scheduler:
         seed: int = 0,
         faults: FaultModel | None = None,
         reliable: ReliableTransport | None = None,
-        engine: str | None = None,
     ):
         self.nprocs = nprocs
         self.model = model if model is not None else MachineModel()
         self.strict = strict
         self.trace_enabled = trace
         self.max_effects = max_effects
-        self.engine_mode = default_engine_mode() if engine is None else engine
-        if self.engine_mode not in ENGINE_MODES:
-            raise ValueError(
-                f"engine={self.engine_mode!r} is not one of {ENGINE_MODES}"
-            )
         #: One seed governs every stochastic behavior of a run (fault
         #: schedules included); the run rng is rebuilt from it each run.
         self.seed = seed
@@ -178,16 +147,6 @@ class Scheduler:
             RuntimeSymbolTable(pid, LocalMemory(pid), strict=strict)
             for pid in range(nprocs)
         ]
-        if self.engine_mode == "batched":
-            # The columnar core resolves the same few sections against the
-            # same segment geometry millions of times; the memoized
-            # resolution tables are its explicit-placement lookup columns.
-            for st in self.symtabs:
-                st.enable_section_cache()
-            # Let the transport take cache-aware shortcuts (fused
-            # ownership-checked reads); scalar mode keeps the two-step
-            # paper-shaped sequence.
-            transport.enable_fast_path()
         self._reset_run_state()
 
     def _reset_run_state(self) -> None:
@@ -200,7 +159,6 @@ class Scheduler:
         transport drops all of its private per-run state here too.
         """
         self._seq = itertools.count()
-        self._bstate = None  # live BatchedState while the columnar core runs
         self._trace: list[TraceEvent] = []
         self._logs: list[tuple[float, int, str]] = []
         self._effects = 0
@@ -251,18 +209,17 @@ class Scheduler:
             procs.append(_Proc(pid, ctx, program(ctx)))
         self._procs = procs
         try:
-            if self._use_batched_core():
-                from .batched import run_batched
-
-                run_batched(self, procs)
-            else:
+            try:
                 self._run_loop(procs)
-        except BaseException:
-            self._close_generators(procs)
-            raise
+            except BaseException:
+                self._close_generators(procs)
+                raise
+            stats = self._collect_stats(procs)
         finally:
-            self._bstate = None
-        stats = self._collect_stats(procs)
+            # Resolution records live for one run: a long-lived engine
+            # never accumulates the sections of programs it has finished.
+            for st in self.symtabs:
+                st.forget_resolutions()
         if self._crashed:
             self._close_generators(procs)
             crashed = tuple(self._crashed)
@@ -279,27 +236,6 @@ class Scheduler:
                 },
             )
         return stats
-
-    def _use_batched_core(self) -> bool:
-        """Whether this run executes on the columnar batched core.
-
-        The batched core is only engaged on clean runs: faults, reliable
-        delivery, middleware-wrapped transports, and tracing all divert
-        to the scalar loop (the semantic oracle), so chaos semantics and
-        trace streams are untouched by the fast path.  The middleware
-        check matters for hand-stacked transports (``transport=
-        ReliableDelivery(FaultInjection(...))``) that arrive without the
-        ``faults=``/``reliable=`` constructor arguments.
-        """
-        from .transport.middleware import TransportMiddleware
-
-        return (
-            self.engine_mode == "batched"
-            and self.faults is None
-            and self.reliable is None
-            and not self.trace_enabled
-            and not isinstance(self.transport, TransportMiddleware)
-        )
 
     def _run_loop(self, procs: list[_Proc]) -> None:
         # The run queue holds one (clock, pid) entry per runnable
@@ -504,15 +440,7 @@ class Scheduler:
         both transfer kinds (value vs. ownership differ only in which
         symtab completion routine runs), pushes the
         :class:`_Completion`, and eagerly re-examines a blocked receiver.
-
-        While the columnar core runs, the completion is recorded in its
-        per-processor deadline columns instead (same validation, same
-        (time, seq) ordering, no closure).
         """
-        bs = self._bstate
-        if bs is not None:
-            bs.complete(self, msg, recv, ctime)
-            return
         receiver = self._procs[recv.pid]
         st = receiver.ctx.symtab
         msg.claimed = True

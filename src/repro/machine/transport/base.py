@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from ...core.errors import OwnershipError
 from ...core.sections import Section
 from ..effects import RecvInit, Send
 from ..message import Message, MessageName, MessagePool, TransferKind
@@ -128,23 +127,10 @@ class Transport:
     def __init__(self) -> None:
         self.core: "Scheduler | None" = None
         self.injector: "Transport" = self
-        self._fast = False
 
     def bind(self, core: "Scheduler") -> None:
         """Attach to the scheduler core (seq numbers, rng, model, emit)."""
         self.core = core
-
-    def enable_fast_path(self) -> None:
-        """Opt in to semantically identical cache-aware shortcuts.
-
-        The batched engine mode enables this together with the symbol
-        tables' section caches; transports may then fuse intrinsic
-        sequences (e.g. the value-send ownership check + gather) through
-        the cached resolution records.  Observable behaviour — clocks,
-        matching, errors and their texts — is unchanged.  Survives
-        :meth:`reset`.
-        """
-        self._fast = True
 
     # -- per-run lifecycle --------------------------------------------- #
 
@@ -211,18 +197,10 @@ class TagTransport(Transport):
         self._unclaimed: dict[tuple, MessagePool] = {}
         self._pending: dict[tuple, RecvIndex] = {}
         self._names: dict[tuple, MessageName] = {}
-        # Fast-path memos (populated only under ``enable_fast_path``):
-        # ``_effmemo`` caches per-effect-object derived values, keyed by
-        # ``id(eff)`` — sound because the record holds the effect itself,
-        # so a live entry's id can never be recycled.  ``_costmemo`` caches
-        # ``(wire_bytes, send_occupancy, transit)`` per payload byte size;
+        # ``(wire_bytes, send_occupancy, transit)`` per payload byte size:
         # both backends' cost hooks are pure in the byte count and the
         # model constants snapshotted at reset.
-        # ``_keymemo`` maps an interned MessageName's id to its route key;
-        # interning is per ``(kind, var, sec)``, so the mapping is 1:1.
-        self._effmemo: dict[int, tuple] = {}
         self._costmemo: dict[int, tuple] = {}
-        self._keymemo: dict[int, tuple] = {}
 
     # -- binding hooks -------------------------------------------------- #
 
@@ -243,34 +221,16 @@ class TagTransport(Transport):
     def send(self, proc: "_Proc", eff: Send) -> None:
         core = self.core
         st = proc.ctx.symtab
-        if self._fast:
-            memo = self._effmemo.get(id(eff))
-            if memo is None:
-                nk = (eff.kind, eff.var, eff.sec)
-                name = self._names.get(nk)
-                if name is None:
-                    name = self._names[nk] = MessageName(eff.var, eff.sec)
-                self._effmemo[id(eff)] = (eff, name)
-            else:
-                name = memo[1]
-        else:
-            nk = (eff.kind, eff.var, eff.sec)
-            name = self._names.get(nk)
-            if name is None:
-                name = self._names[nk] = MessageName(eff.var, eff.sec)
+        nk = (eff.kind, eff.var, eff.sec)
+        name = self._names.get(nk)
+        if name is None:
+            name = self._names[nk] = MessageName(eff.var, eff.sec)
         if eff.kind is TransferKind.VALUE:
             # "E ->": E must be an exclusive section owned by p.  No
             # accessibility check — XDP does not test state automatically.
-            if self._fast:
-                # One resolution-record probe covers both the ownership
-                # check and the gather (identical semantics and errors).
-                payload: np.ndarray | None = st.read_owned(eff.var, eff.sec)
-            else:
-                if not st.iown(eff.var, eff.sec):
-                    raise OwnershipError(
-                        f"P{proc.pid + 1} sends unowned section {name}"
-                    )
-                payload = st.read(eff.var, eff.sec)
+            # One resolution record answers the ownership check and the
+            # gather.
+            payload: np.ndarray | None = st.read_owned(eff.var, eff.sec)
         else:
             # Owner sends block until accessible; the program yields a
             # WaitAccessible first, and release_ownership re-validates.
@@ -297,19 +257,14 @@ class TagTransport(Transport):
         trace = core.trace_enabled
         seq = core._seq
         inject = self.injector.inject
-        if self._fast:
-            pbytes = 0 if payload is None else payload.nbytes
-            costs = self._costmemo.get(pbytes)
-            if costs is None:
-                nbytes = self.wire_bytes(payload)
-                costs = self._costmemo[pbytes] = (
-                    nbytes, self.send_occupancy(nbytes), self.transit(nbytes),
-                )
-            nbytes, occupancy, transit = costs
-        else:
+        pbytes = 0 if payload is None else payload.nbytes
+        costs = self._costmemo.get(pbytes)
+        if costs is None:
             nbytes = self.wire_bytes(payload)
-            occupancy = self.send_occupancy(nbytes)
-            transit = self.transit(nbytes)
+            costs = self._costmemo[pbytes] = (
+                nbytes, self.send_occupancy(nbytes), self.transit(nbytes),
+            )
+        nbytes, occupancy, transit = costs
         kind = eff.kind
         pid = proc.pid
         for dst in dests:
@@ -336,23 +291,11 @@ class TagTransport(Transport):
         occupancy = self._recv_occ
         proc.clock += occupancy
         proc.stats.recv_overhead += occupancy
-        if self._fast:
-            memo = self._effmemo.get(id(eff))
-            if memo is None:
-                into_var, into_sec = eff.destination()
-                nk = (eff.kind, eff.var, eff.sec)
-                name = self._names.get(nk)
-                if name is None:
-                    name = self._names[nk] = MessageName(eff.var, eff.sec)
-                self._effmemo[id(eff)] = (eff, name, nk, into_var, into_sec)
-            else:
-                _, name, nk, into_var, into_sec = memo
-        else:
-            into_var, into_sec = eff.destination()
-            nk = (eff.kind, eff.var, eff.sec)
-            name = self._names.get(nk)
-            if name is None:
-                name = self._names[nk] = MessageName(eff.var, eff.sec)
+        into_var, into_sec = eff.destination()
+        nk = (eff.kind, eff.var, eff.sec)
+        name = self._names.get(nk)
+        if name is None:
+            name = self._names[nk] = MessageName(eff.var, eff.sec)
         if eff.kind is TransferKind.VALUE:
             st.begin_value_receive(into_var, into_sec)
         else:
@@ -390,14 +333,7 @@ class TagTransport(Transport):
 
     def route(self, msg: Message) -> None:
         name = msg.name
-        if self._fast:
-            # Interned names are pinned in ``_names`` for the whole run,
-            # so their ids are stable route-key handles.
-            key = self._keymemo.get(id(name))
-            if key is None:
-                key = self._keymemo[id(name)] = (msg.kind, name.var, name.sec)
-        else:
-            key = (msg.kind, name.var, name.sec)
+        key = (msg.kind, name.var, name.sec)
         index = self._pending.get(key)
         if index is not None:
             if index.__class__ is RecvIndex:

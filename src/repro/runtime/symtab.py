@@ -15,7 +15,11 @@ The intrinsics ``iown()``, ``accessible()``, ``await()``, ``mylb()`` and
 the algorithm of section 3.1: intersect the queried section with every
 segment of the variable, and return true iff the union of the non-null
 intersections equals the query and none of the intersecting segments is
-unowned.
+unowned.  That intersection is computed in one place,
+:meth:`RuntimeSymbolTable._resolve`; every intrinsic, read, write and
+receive transition answers from the *resolution record* it returns, which
+is memoized by section value until the variable's geometry changes or the
+run ends.
 
 Design choices documented against the paper:
 
@@ -44,7 +48,7 @@ from typing import Iterator
 import numpy as np
 
 from ..core.errors import OwnershipError, UnknownVariableError
-from ..core.sections import Section, disjoint_cover_equal, section_difference
+from ..core.sections import Section, section_difference
 from ..core.states import SegmentState
 from ..distributions.segmentation import Segmentation
 from .memory import LocalMemory
@@ -98,21 +102,11 @@ class VariableEntry:
     )
     _index_los: list[int] = field(default_factory=list, repr=False, compare=False)
     _index_maxspan: int = field(default=0, repr=False, compare=False)
-    # Exact-match arm of the index: segment Section -> its descriptor.
-    # Segments in one table are disjoint, so a query equal to a segment
-    # overlaps that segment alone — one dict probe replaces the bisect,
-    # bbox and triplet-intersection chain for whole-segment queries.
-    _index_exact: dict = field(default_factory=dict, repr=False, compare=False)
     _index_dirty: bool = field(default=True, repr=False, compare=False)
-    # Memoized section resolution (see RuntimeSymbolTable.enable_section_cache):
-    # id(Section) -> (overlap pairs, covers?, exact-hit descriptor, its
-    # chunk, shape, the Section itself).  Keyed by object identity — a
-    # C-int probe instead of a structural Section hash — which is sound
-    # because the record's last slot pins the key object alive (two equal
-    # sections merely produce two identical records).  None unless the
-    # owning table opted in; cleared with the index on any geometry change
-    # (state-only changes never invalidate it).
-    _resolve_cache: dict | None = field(default=None, repr=False, compare=False)
+    # Memoized resolution records (see RuntimeSymbolTable._resolve), keyed
+    # by the queried Section's *value*.  Cleared with the index on any
+    # geometry change; state-only changes never invalidate it.
+    _resolve_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     #: Below this many segments a linear scan beats the index.
     INDEX_THRESHOLD = 8
@@ -129,15 +123,12 @@ class VariableEntry:
         """Must be called whenever segment *geometry* changes (segments
         added, removed, or rebound) — state-only changes don't need it."""
         self._index_dirty = True
-        cache = self._resolve_cache
-        if cache:
-            cache.clear()
+        self._resolve_cache.clear()
 
     def _rebuild_index(self) -> None:
         order = sorted(self.segdescs, key=lambda d: d.segment.dims[0].lo)
         self._index_descs = order
         self._index_los = [d.segment.dims[0].lo for d in order]
-        self._index_exact = {d.segment: d for d in order}
         self._index_maxspan = max(
             (d.segment.dims[0].hi - d.segment.dims[0].lo for d in order),
             default=0,
@@ -189,69 +180,60 @@ class VariableEntry:
 
 
 class RuntimeSymbolTable:
-    """One processor's run-time view of all exclusive variables."""
+    """One processor's run-time view of all exclusive variables.
+
+    Every intrinsic turns ``(variable, section)`` into the same
+    *resolution record* through :meth:`_resolve` and answers from it, so
+    the section-3.1 intersection algorithm exists once.
+    """
 
     def __init__(self, pid: int, memory: LocalMemory | None = None, *, strict: bool = False):
         self.pid = pid
         self.memory = memory if memory is not None else LocalMemory(pid)
         self.strict = strict
         self._entries: dict[str, VariableEntry] = {}
-        self._cache_enabled = False
-
-    def enable_section_cache(self) -> None:
-        """Opt in to memoized section resolution on every entry.
-
-        SPMD programs resolve the *same* few sections against the same
-        segment geometry over and over (every send, receive and await of
-        a loop body names sections from a small static set).  With the
-        cache on, each entry memoizes ``overlapping`` results keyed by
-        the *identity* of the queried
-        :class:`~repro.core.sections.Section` (programs reuse hoisted
-        section objects; each record pins its key alive, so identities
-        are stable) — along with the coverage verdict, the exact-hit
-        descriptor and its storage chunk — so the intrinsics become
-        dict hits.  Any geometry change
-        invalidates via :meth:`VariableEntry.invalidate_index` (already
-        called at every such site); state-only transitions keep the
-        cache, since resolutions record no state.
-
-        Off by default: the scalar engine keeps the paper-shaped
-        uncached lookup path, which doubles as the semantic oracle for
-        the batched engine (the only opted-in user).
-        """
-        self._cache_enabled = True
-        for e in self._entries.values():
-            if e._resolve_cache is None:
-                e._resolve_cache = {}
 
     def _resolve(self, entry: VariableEntry, sec: Section) -> tuple:
-        """Build and memoize one resolution record for ``sec``."""
-        if entry._index_dirty:
-            entry._rebuild_index()
-        d = entry._index_exact.get(sec)
-        if d is not None:
-            # Whole-segment query: the record the generic path below would
-            # build, without running overlapping() at all.
-            res = (
-                [(d, sec)], True, d, self.memory.get(d.handle), sec.shape,
-                sec,
-            )
-            entry._resolve_cache[id(sec)] = res
+        """The resolution record of ``sec`` against ``entry``'s segments:
+        ``(overlap pairs, covers?, exact-hit descriptor, its chunk)``.
+
+        ``pairs`` holds ``(descriptor, intersection)`` for every owned
+        segment meeting ``sec``; ``covers`` is the section-3.1 verdict
+        (the disjoint intersections add up to the query); ``exact`` and
+        ``chunk`` are set when ``sec`` *is* one segment, whose storage
+        then serves reads and writes without any index arithmetic.
+
+        SPMD programs resolve the same few sections against the same
+        geometry over and over, so records are memoized per entry, keyed
+        by the section's value (a compiled program builds a fresh, equal
+        ``Section`` per evaluation).  A record describes geometry only:
+        :meth:`VariableEntry.invalidate_index` drops it on any geometry
+        change and state-only transitions keep it.  The engine empties
+        the memo when ``run()`` returns (:meth:`forget_resolutions`), so
+        it never outgrows the distinct sections of one run.
+        """
+        cache = entry._resolve_cache
+        res = cache.get(sec)
+        if res is not None:
             return res
         pairs = entry.overlapping(sec)
-        covered = 0
-        for _, inter in pairs:
-            covered += inter.size
-        covers = covered == sec.size
+        covers = sum(inter.size for _, inter in pairs) == sec.size
         exact = chunk = None
-        if len(pairs) == 1:
+        if covers and len(pairs) == 1:
+            # Wholly inside one segment: the intersection equals the
+            # query, so keep the key object and let the copy go.
             d = pairs[0][0]
+            pairs = [(d, sec)]
             if d.segment == sec:
-                exact = d
-                chunk = self.memory.get(d.handle)
-        res = (pairs, covers, exact, chunk, sec.shape, sec)
-        entry._resolve_cache[id(sec)] = res
+                exact, chunk = d, self.memory.get(d.handle)
+        res = (tuple(pairs), covers, exact, chunk)
+        cache[sec] = res
         return res
+
+    def forget_resolutions(self) -> None:
+        """Empty every entry's record memo (the engine's end-of-run rule)."""
+        for entry in self._entries.values():
+            entry._resolve_cache.clear()
 
     # ------------------------------------------------------------------ #
     # declaration
@@ -312,8 +294,6 @@ class RuntimeSymbolTable:
             segment_shape=segment_shape or (1,) * index_space.rank,
             dtype=np.dtype(dtype),
         )
-        if self._cache_enabled:
-            entry._resolve_cache = {}
         self._entries[name] = entry
         return entry
 
@@ -338,75 +318,45 @@ class RuntimeSymbolTable:
 
     def iown(self, name: str, sec: Section) -> bool:
         """Section-3.1 algorithm: intersect with all segments, test coverage."""
-        entry = self._entries.get(name)
-        if entry is None:
-            entry = self.entry(name)
-        cache = entry._resolve_cache
-        if cache is not None:
-            res = cache.get(id(sec))
-            if res is None:
-                res = self._resolve(entry, sec)
-            return res[1]
-        inters = [inter for _, inter in entry.overlapping(sec)]
-        return disjoint_cover_equal(sec, inters) if inters else sec.size == 0
+        return self._resolve(self.entry(name), sec)[1]
 
     def accessible(self, name: str, sec: Section) -> bool:
         """True iff owned and no intersecting segment is transitional."""
-        entry = self._entries.get(name)
-        if entry is None:
-            entry = self.entry(name)
-        cache = entry._resolve_cache
-        if cache is not None:
-            res = cache.get(id(sec))
-            if res is None:
-                res = self._resolve(entry, sec)
-            exact = res[2]
-            if exact is not None:
-                return exact.state is not SegmentState.TRANSITIONAL
-            pairs = res[0]
-            if not pairs:
-                return False
-            for d, _ in pairs:
-                if d.state is SegmentState.TRANSITIONAL:
-                    return False
-            return res[1]
-        inters = []
-        for d, inter in entry.overlapping(sec):
+        pairs, covers, _, _ = self._resolve(self.entry(name), sec)
+        for d, _ in pairs:
             if d.state is SegmentState.TRANSITIONAL:
                 return False
-            inters.append(inter)
-        return disjoint_cover_equal(sec, inters) if inters else False
+        return covers
 
     def state_of(self, name: str, sec: Section) -> SegmentState:
         """Composite Figure-1 state of a section on this processor."""
-        entry = self.entry(name)
-        inters = []
-        transitional = False
-        for d, inter in entry.overlapping(sec):
-            transitional = transitional or d.state is SegmentState.TRANSITIONAL
-            inters.append(inter)
-        if not inters or not disjoint_cover_equal(sec, inters):
+        pairs, covers, _, _ = self._resolve(self.entry(name), sec)
+        if not covers:
             return SegmentState.UNOWNED
-        return SegmentState.TRANSITIONAL if transitional else SegmentState.ACCESSIBLE
+        for d, _ in pairs:
+            if d.state is SegmentState.TRANSITIONAL:
+                return SegmentState.TRANSITIONAL
+        return SegmentState.ACCESSIBLE
+
+    def _owned_parts(self, name: str, sec: Section | None) -> list[Section]:
+        entry = self.entry(name)
+        query = sec if sec is not None else entry.index_space
+        return [inter for _, inter in self._resolve(entry, query)[0]]
 
     def mylb(self, name: str, dim: int, sec: Section | None = None) -> int:
         """Smallest owned index in dimension ``dim`` (1-based per the paper's
         Fortran flavour), or MAXINT when nothing is owned."""
-        entry = self.entry(name)
-        query = sec if sec is not None else entry.index_space
-        best = MAXINT
-        for _, inter in entry.overlapping(query):
-            best = min(best, inter.dims[dim - 1].lo)
-        return best
+        return min(
+            (p.dims[dim - 1].lo for p in self._owned_parts(name, sec)),
+            default=MAXINT,
+        )
 
     def myub(self, name: str, dim: int, sec: Section | None = None) -> int:
         """Largest owned index in dimension ``dim``, or MININT."""
-        entry = self.entry(name)
-        query = sec if sec is not None else entry.index_space
-        best = MININT
-        for _, inter in entry.overlapping(query):
-            best = max(best, inter.dims[dim - 1].hi)
-        return best
+        return max(
+            (p.dims[dim - 1].hi for p in self._owned_parts(name, sec)),
+            default=MININT,
+        )
 
     # ------------------------------------------------------------------ #
     # value access (gather / scatter across segments)
@@ -421,43 +371,24 @@ class RuntimeSymbolTable:
             idx.append((members - ct.lo) // ct.step)
         return tuple(idx)
 
-    def read(self, name: str, sec: Section) -> np.ndarray:
-        """Gather the value of an owned section into a dense array.
+    def _short_of(self, verb: str, name: str, sec: Section, pairs) -> OwnershipError:
+        covered = sum(inter.size for _, inter in pairs)
+        return OwnershipError(
+            f"P{self.pid + 1} {verb} {name}{sec} but owns only {covered} of "
+            f"{sec.size} elements"
+        )
 
-        XDP does not auto-check state: reading a transitional section is
-        allowed (its value is unpredictable) unless ``strict`` is set.
-        """
-        entry = self._entries.get(name)
-        if entry is None:
-            entry = self.entry(name)
-        cache = entry._resolve_cache
-        if cache is not None:
-            res = cache.get(id(sec))
-            if res is None:
-                res = self._resolve(entry, sec)
-            exact = res[2]
-            if exact is not None:
-                if exact.state is SegmentState.TRANSITIONAL and self.strict:
-                    raise OwnershipError(
-                        f"P{self.pid + 1} read of transitional section {name}{sec}"
-                    )
-                return res[3].copy()
-            over = res[0]
-        else:
-            over = entry.overlapping(sec)
-            # Exact-hit fast path: the query is a whole segment.  Avoids the
-            # generic per-dimension position arithmetic and np.ix_ gather —
-            # the dominant cost of fine-grained (segment-sized) transfers.
-            if len(over) == 1 and over[0][0].segment == sec:
-                d = over[0][0]
-                if d.state is SegmentState.TRANSITIONAL and self.strict:
-                    raise OwnershipError(
-                        f"P{self.pid + 1} read of transitional section {name}{sec}"
-                    )
-                return self.memory.get(d.handle).copy()
+    def _gather(self, entry: VariableEntry, name: str, sec: Section, res: tuple) -> np.ndarray:
+        pairs, covers, exact, chunk = res
+        if exact is not None:
+            # Whole-segment query: copy the chunk, no np.ix_ gather.
+            if exact.state is SegmentState.TRANSITIONAL and self.strict:
+                raise OwnershipError(
+                    f"P{self.pid + 1} read of transitional section {name}{sec}"
+                )
+            return chunk.copy()
         out = np.zeros(sec.shape, dtype=entry.dtype)
-        covered = 0
-        for d, inter in over:
+        for d, inter in pairs:
             if d.state is SegmentState.TRANSITIONAL and self.strict:
                 raise OwnershipError(
                     f"P{self.pid + 1} read of transitional section {name}{inter}"
@@ -465,99 +396,47 @@ class RuntimeSymbolTable:
             chunk = self.memory.get(d.handle)
             src = chunk[np.ix_(*self._positions(d.segment, inter))]
             out[np.ix_(*self._positions(sec, inter))] = src
-            covered += inter.size
-        if covered != sec.size:
-            raise OwnershipError(
-                f"P{self.pid + 1} reads {name}{sec} but owns only {covered} of "
-                f"{sec.size} elements"
-            )
+        if not covers:
+            raise self._short_of("reads", name, sec, pairs)
         return out
 
-    def read_owned(self, name: str, sec: Section) -> np.ndarray:
-        """Ownership-checked gather: :meth:`iown` + :meth:`read` fused.
+    def read(self, name: str, sec: Section) -> np.ndarray:
+        """Gather the value of an owned section into a dense array.
 
-        The transport's value-send path performs exactly this sequence;
-        with the section cache enabled both intrinsics hit the same
-        resolution record, so one probe answers both.  Error conditions
-        and their texts match the two-step sequence bit for bit.
+        XDP does not auto-check state: reading a transitional section is
+        allowed (its value is unpredictable) unless ``strict`` is set.
         """
-        entry = self._entries.get(name)
-        if entry is None:
-            entry = self.entry(name)
-        cache = entry._resolve_cache
-        if cache is not None:
-            res = cache.get(id(sec))
-            if res is None:
-                res = self._resolve(entry, sec)
-            if not res[1]:
-                raise OwnershipError(
-                    f"P{self.pid + 1} sends unowned section {name}{sec}"
-                )
-            exact = res[2]
-            if exact is not None:
-                if exact.state is SegmentState.TRANSITIONAL and self.strict:
-                    raise OwnershipError(
-                        f"P{self.pid + 1} read of transitional section {name}{sec}"
-                    )
-                return res[3].copy()
-            return self.read(name, sec)
-        if not self.iown(name, sec):
+        entry = self.entry(name)
+        return self._gather(entry, name, sec, self._resolve(entry, sec))
+
+    def read_owned(self, name: str, sec: Section) -> np.ndarray:
+        """Ownership-checked gather: :meth:`iown` + :meth:`read` on one
+        resolution record — the transport's value-send sequence."""
+        entry = self.entry(name)
+        res = self._resolve(entry, sec)
+        if not res[1]:
             raise OwnershipError(
                 f"P{self.pid + 1} sends unowned section {name}{sec}"
             )
-        return self.read(name, sec)
+        return self._gather(entry, name, sec, res)
 
     def write(self, name: str, sec: Section, values: np.ndarray | float) -> None:
         """Scatter values into an owned section."""
-        entry = self._entries.get(name)
-        if entry is None:
-            entry = self.entry(name)
-        cache = entry._resolve_cache
-        if cache is not None:
-            res = cache.get(id(sec))
-            if res is None:
-                res = self._resolve(entry, sec)
-            exact = res[2]
-            if exact is not None:
-                # Whole-segment store: numpy casts scalars and matching
-                # arrays on assignment, so the asarray/reshape
-                # normalization below is only needed for mismatches.
-                chunk = res[3]
-                cls = values.__class__
-                if cls is float or cls is int:
-                    chunk[...] = values
-                    return
-                vals = np.asarray(values, dtype=entry.dtype)
-                vshape = vals.shape
-                if vshape != res[4] and vshape != ():
-                    vals = vals.reshape(res[4])
-                chunk[...] = vals
-                return
-            vals = np.asarray(values, dtype=entry.dtype)
-            if vals.shape not in ((), sec.shape):
-                vals = vals.reshape(sec.shape)
-            over = res[0]
-        else:
-            vals = np.asarray(values, dtype=entry.dtype)
-            if vals.shape not in ((), sec.shape):
-                vals = vals.reshape(sec.shape)
-            over = entry.overlapping(sec)
-            # Exact-hit fast path mirroring read(): whole-segment scatter.
-            if len(over) == 1 and over[0][0].segment == sec:
-                self.memory.get(over[0][0].handle)[...] = vals
-                return
-        covered = 0
-        for d, inter in over:
+        entry = self.entry(name)
+        pairs, covers, exact, chunk = self._resolve(entry, sec)
+        vals = np.asarray(values, dtype=entry.dtype)
+        if vals.shape not in ((), sec.shape):
+            vals = vals.reshape(sec.shape)
+        if exact is not None:
+            chunk[...] = vals
+            return
+        for d, inter in pairs:
             chunk = self.memory.get(d.handle)
             pos = self._positions(sec, inter)
             src = vals if vals.shape == () else vals[np.ix_(*pos)]
             chunk[np.ix_(*self._positions(d.segment, inter))] = src
-            covered += inter.size
-        if covered != sec.size:
-            raise OwnershipError(
-                f"P{self.pid + 1} writes {name}{sec} but owns only {covered} of "
-                f"{sec.size} elements"
-            )
+        if not covers:
+            raise self._short_of("writes", name, sec, pairs)
 
     # ------------------------------------------------------------------ #
     # receive state transitions (paper section 2.7)
@@ -566,34 +445,11 @@ class RuntimeSymbolTable:
     def begin_value_receive(self, name: str, sec: Section) -> None:
         """Initiation of ``E <- X``: every intersecting segment becomes
         transitional until the matching completion."""
-        entry = self._entries.get(name)
-        if entry is None:
-            entry = self.entry(name)
-        cache = entry._resolve_cache
-        if cache is not None:
-            res = cache.get(id(sec))
-            if res is None:
-                res = self._resolve(entry, sec)
-            exact = res[2]
-            if exact is not None:
-                exact.pending_receives += 1
-                exact.state = SegmentState.TRANSITIONAL
-                return
-            for d, _ in res[0]:
-                d.pending_receives += 1
-                d.state = SegmentState.TRANSITIONAL
-            if not res[1]:
-                raise OwnershipError(
-                    f"P{self.pid + 1} initiates receive into unowned "
-                    f"section {name}{sec}"
-                )
-            return
-        touched = 0
-        for d, inter in entry.overlapping(sec):
+        pairs, covers, _, _ = self._resolve(self.entry(name), sec)
+        for d, _ in pairs:
             d.pending_receives += 1
             d.state = SegmentState.TRANSITIONAL
-            touched += inter.size
-        if touched != sec.size:
+        if not covers:
             raise OwnershipError(
                 f"P{self.pid + 1} initiates receive into unowned section {name}{sec}"
             )
@@ -601,45 +457,8 @@ class RuntimeSymbolTable:
     def complete_value_receive(self, name: str, sec: Section, data: np.ndarray) -> None:
         """Completion of ``E <- X``: store the value, return segments whose
         last outstanding receive this was to ``accessible``."""
-        entry = self._entries.get(name)
-        if entry is None:
-            entry = self.entry(name)
-        cache = entry._resolve_cache
-        if cache is not None:
-            res = cache.get(id(sec))
-            if res is None:
-                res = self._resolve(entry, sec)
-            exact = res[2]
-            if exact is not None:
-                chunk = res[3]
-                shape = res[4]
-                if (
-                    data.__class__ is np.ndarray
-                    and data.shape == shape
-                    and data.dtype == entry.dtype
-                ):
-                    chunk[...] = data
-                else:
-                    vals = np.asarray(data, dtype=entry.dtype)
-                    vshape = vals.shape
-                    if vshape != shape and vshape != ():
-                        vals = vals.reshape(shape)
-                    chunk[...] = vals
-                if exact.pending_receives > 1:
-                    exact.pending_receives -= 1
-                else:
-                    exact.pending_receives = 0
-                    exact.state = SegmentState.ACCESSIBLE
-                return
-            self.write(name, sec, data)
-            for d, _ in res[0]:
-                d.pending_receives -= 1
-                if d.pending_receives <= 0:
-                    d.pending_receives = 0
-                    d.state = SegmentState.ACCESSIBLE
-            return
         self.write(name, sec, data)
-        for d, _ in entry.overlapping(sec):
+        for d, _ in self._resolve(self.entry(name), sec)[0]:
             d.pending_receives -= 1
             if d.pending_receives <= 0:
                 d.pending_receives = 0
@@ -692,7 +511,7 @@ class RuntimeSymbolTable:
         completes (paper: 'Upon initiation of a receive of a section on a
         processor, the section must be put in state transitional')."""
         entry = self.entry(name)
-        for d, inter in entry.overlapping(sec):
+        for d, _ in self._resolve(entry, sec)[0]:
             raise OwnershipError(
                 f"P{self.pid + 1} acquires {name}{sec} overlapping owned "
                 f"segment {d.segment} (ownership can only be received if the "
@@ -715,18 +534,14 @@ class RuntimeSymbolTable:
         """Completion of ``U <=-`` / ``U <=``: install the value (if any) and
         mark the segment accessible."""
         entry = self.entry(name)
-        target = None
-        for d, _ in entry.overlapping(sec):
-            if d.segment == sec:
-                target = d
-                break
+        _, _, target, chunk = self._resolve(entry, sec)
         if target is None:
             raise OwnershipError(
                 f"P{self.pid + 1} completes ownership receive of {name}{sec} "
                 "with no matching initiation"
             )
         if data is not None:
-            self.memory.get(target.handle)[...] = np.asarray(data, dtype=entry.dtype).reshape(sec.shape)
+            chunk[...] = np.asarray(data, dtype=entry.dtype).reshape(sec.shape)
         target.pending_receives = 0
         target.state = SegmentState.ACCESSIBLE
 

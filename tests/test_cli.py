@@ -125,33 +125,42 @@ class TestBench:
             "--jobs-per-proc", "2", "--out", str(out_file),
         ]) == 0
         out = capsys.readouterr().out
-        assert "speedup vs seed engine" in out
         data = json.loads(out_file.read_text())
-        assert data["schema"] == 2
-        engines = {c["engine"] for c in data["cases"]}
-        assert engines == {"indexed", "batched", "seed-reference"}
-        assert "workqueue@2" in data["speedups"]
-        assert "workqueue@2" in data["batched_speedups"]
-        assert {e["engine"] for e in data["classifier"]} == {"indexed", "batched"}
-        assert "batched core vs scalar mode" in out
+        assert data["schema"] == 3
+        assert [(c["nprocs"], c["engine"]) for c in data["cases"]] == [
+            (2, "indexed"), (4, "indexed"),
+        ]
+        assert "speedups" not in data and "batched_speedups" not in data
+        assert [e["nprocs"] for e in data["classifier"]] == [4]
+        assert "overhead_inert_pct" in data["faults_off"]
         assert "bottleneck workqueue@4" in out
 
     def test_bench_diff_mode(self, tmp_path, capsys):
+        import json
+
         out_file = tmp_path / "bench.json"
-        assert main([
-            "bench", "--nprocs", "2", "--programs", "workqueue",
-            "--jobs-per-proc", "2", "--no-seed-reference",
-            "--out", str(out_file),
-        ]) == 0
+        bench = ["bench", "--nprocs", "2", "--programs", "workqueue",
+                 "--jobs-per-proc", "2"]
+        assert main([*bench, "--out", str(out_file)]) == 0
         capsys.readouterr()
-        assert main([
-            "bench", "--nprocs", "2", "--programs", "workqueue",
-            "--jobs-per-proc", "2", "--no-seed-reference",
-            "--diff", str(out_file),
-        ]) == 0
+        assert main([*bench, "--diff", str(out_file)]) == 0
         out = capsys.readouterr().out
         assert f"vs {out_file}" in out
         assert "old eff/s" in out and "x" in out
+        # A schema-2 base also holds seed-reference and batched rows and
+        # speedup tables; only the rows both schemas share are compared.
+        base = json.loads(out_file.read_text())
+        row = base["cases"][0]
+        base.update(
+            schema=2, speedups={"workqueue@2": 1.0},
+            cases=[row, {**row, "engine": "batched"},
+                   {**row, "engine": "seed-reference"}],
+        )
+        out_file.write_text(json.dumps(base))
+        assert main([*bench, "--diff", str(out_file)]) == 0
+        diffed = capsys.readouterr().out.split(f"vs {out_file}")[1]
+        assert "workqueue@2 (indexed)" in diffed
+        assert "batched" not in diffed and "seed-reference" not in diffed
 
     @pytest.mark.msg_timing
     def test_bench_fft_program(self, tmp_path, capsys):

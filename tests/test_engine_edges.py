@@ -1,9 +1,16 @@
 """Engine and end-to-end edge cases: self-messages, effect budgets,
-strict modes, exotic dtypes/bounds/distributions."""
+strict modes, exotic dtypes/bounds/distributions, run-queue and
+completion-order laws of the scheduler loop."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.apps.enginebench import _run_case
 from repro.core.errors import DeadlockError, OwnershipError, ProtocolError
 from repro.core.interp import Interpreter
 from repro.core.ir.parser import parse_program
@@ -25,6 +32,102 @@ FAST = MachineModel(o_send=1, o_recv=1, alpha=10, per_byte=0.0)
 def linear(extent, nprocs, seg=1):
     dist = Distribution(section((1, extent)), (Block(),), ProcessorGrid((nprocs,)))
     return Segmentation(dist, (seg,))
+
+
+#: The committed ``repro bench`` record: its virtual results are goldens.
+BENCH_RECORD = json.loads(
+    (Path(__file__).resolve().parent.parent / "BENCH_engine.json").read_text()
+)
+
+
+def delivery_program(send_gaps, recv_gaps):
+    """Sender ships values 1..N with compute gaps; receiver posts all
+    receives up front, then awaits slots in order after its own gaps."""
+    n = len(send_gaps)
+    base = n + 2  # receiver-owned half of the index space
+    eng = Engine(2, FAST)
+    eng.declare("X", linear(2 * (n + 1), 2))
+
+    def prog(ctx):
+        if ctx.pid == 0:
+            for i, gap in enumerate(send_gaps):
+                if gap:
+                    yield Compute(gap)
+                ctx.symtab.write("X", section(1), float(i + 1))
+                yield Send(TransferKind.VALUE, "X", section(1), dests=(1,))
+        else:
+            for i in range(n):
+                yield RecvInit(
+                    TransferKind.VALUE, "X", section(1),
+                    into_var="X", into_sec=section(base + i),
+                )
+            for i, gap in enumerate(recv_gaps):
+                if gap:
+                    yield Compute(gap)
+                yield WaitAccessible("X", section(base + i))
+
+    def slots():
+        return [eng.symtabs[1].read("X", section(base + i))[0] for i in range(n)]
+
+    return eng, prog, slots
+
+
+class TestRunqInvalidation:
+    """The scheduling loop leaves invalidated ``(clock, pid)`` heap entries
+    behind and discards them lazily on pop (``nqueued`` tracking).  A bug
+    there double-steps or skips a processor, which changes the number of
+    effects processed before it changes the makespan — so the bench
+    programs' virtual results are pinned exactly to the committed record
+    (which the deleted seed-reference engine used to cross-check live)."""
+
+    @pytest.mark.msg_timing
+    @pytest.mark.parametrize("program,nprocs", [
+        ("workqueue", 8), ("workqueue", 64), ("fft", 8), ("fft", 64),
+    ])
+    def test_bench_virtual_results_pinned(self, program, nprocs):
+        want = next(
+            c for c in BENCH_RECORD["cases"]
+            if (c["program"], c["nprocs"], c["engine"]) == (program, nprocs, "indexed")
+        )
+        got = _run_case(
+            program, nprocs,
+            jobs_per_proc=BENCH_RECORD["config"]["jobs_per_proc"],
+        )
+        assert (got.makespan, got.messages, got.effects) == (
+            want["makespan"], want["messages"], want["effects"]
+        )
+
+    def test_rerun_same_engine_same_counts(self):
+        """A second run on the same instance replays the same schedule —
+        leftover stale keys from run one must not leak into run two."""
+        eng, prog, _ = delivery_program([3.0, 0.0, 25.0], [0.0, 40.0, 1.0])
+        first, second = eng.run(prog), eng.run(prog)
+        assert first.effects_processed == second.effects_processed
+        assert first.makespan == second.makespan
+
+
+class TestCompletionDeliveryOrder:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        gaps=st.lists(
+            st.tuples(
+                st.floats(0.0, 40.0, allow_nan=False, width=32),
+                st.floats(0.0, 40.0, allow_nan=False, width=32),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_fifo_by_initiation(self, gaps):
+        """``_apply_due_completions`` pops due completions off the heap
+        until the head lies in the future; whatever the timing
+        interleaving, same-tag completions must apply in (time, seq)
+        order, so slots fill FIFO-by-initiation."""
+        eng, prog, slots = delivery_program(
+            [g[0] for g in gaps], [g[1] for g in gaps]
+        )
+        eng.run(prog)
+        assert slots() == [float(i + 1) for i in range(len(gaps))]
 
 
 class TestSelfMessages:

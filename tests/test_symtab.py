@@ -304,3 +304,78 @@ class TestSegmentIndex:
         st.release_ownership("A", section((1, 8)), with_value=False)
         assert st.mylb("A", 1) == 9
         assert st.myub("A", 1) == 64
+
+
+class TestResolutionRecords:
+    """Every intrinsic answers from one memoized record per (entry,
+    section value); geometry changes drop it, the end of a run empties it."""
+
+    def test_equal_sections_share_one_record(self, p3):
+        a, b = section((1, 2), (5, 6)), section((1, 2), (5, 6))
+        assert a is not b
+        entry = p3.entry("C")
+        assert p3.iown("C", a)
+        p3.read("C", b)
+        p3.mylb("C", 1, section((1, 2), (5, 6)))
+        assert len(entry._resolve_cache) == 1
+        assert p3._resolve(entry, a) is p3._resolve(entry, b)
+
+    def test_record_not_served_after_geometry_change(self, p3):
+        sec = section((1, 2), (5, 6))  # two whole 2x1 segments
+        p3.write("C", sec, np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert p3.iown("C", sec)
+        assert p3.state_of("C", sec) is SegmentState.ACCESSIBLE
+        assert p3.read("C", sec).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        # Splitting a segment changes both the verdict and the data path.
+        p3.release_ownership("C", section(1, 5), with_value=False)
+        assert not p3.iown("C", sec)
+        assert p3.state_of("C", sec) is SegmentState.UNOWNED
+        assert p3.mylb("C", 1, section((1, 2), 5)) == 2
+        with pytest.raises(OwnershipError, match="owns only 3 of 4"):
+            p3.read("C", sec)
+        # Adding a segment flips them back; the new element reads as the
+        # fresh (zeroed) chunk, not the value cached before the split.
+        p3.acquire_ownership("C", section(1, 5), transitional=False)
+        assert p3.iown("C", sec)
+        assert p3.read("C", sec).tolist() == [[0.0, 2.0], [3.0, 4.0]]
+
+    def test_compiled_run_records_bounded_by_distinct_sections(self, monkeypatch):
+        import gc
+        from collections import Counter, defaultdict
+
+        from repro.apps.jacobi import jacobi_source
+        from repro.core.codegen import lower
+        from repro.machine import RecvInit, Send
+
+        def live_effects():
+            gc.collect()
+            return sum(isinstance(o, (Send, RecvInit)) for o in gc.get_objects())
+
+        runner = lower(jacobi_source(64, 4, 3, "halo-overlap"), 4)
+        runner.write_global("A", np.arange(64.0))
+        runner.write_global("B", np.zeros(64))
+        effects_before = live_effects()
+
+        calls, peak, distinct = Counter(), Counter(), defaultdict(set)
+        resolve = RuntimeSymbolTable._resolve
+
+        def spy(table, entry, sec):
+            res = resolve(table, entry, sec)
+            calls[id(entry)] += 1
+            distinct[id(entry)].add(sec)
+            peak[id(entry)] = max(peak[id(entry)], len(entry._resolve_cache))
+            return res
+
+        monkeypatch.setattr(RuntimeSymbolTable, "_resolve", spy)
+        runner.run()
+
+        # The VM builds a fresh Section per evaluation: records are bounded
+        # by the distinct sections queried, not by the number of calls.
+        for key, sections in distinct.items():
+            assert peak[key] <= len(sections)
+        assert sum(calls.values()) > 5 * sum(map(len, distinct.values()))
+        # Lifetime: nothing per-run survives run() — no records in any
+        # table, and no effect object pinned by the transport.
+        for table in runner.engine.symtabs:
+            assert all(not e._resolve_cache for e in table.variables())
+        assert live_effects() == effects_before
