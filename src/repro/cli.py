@@ -90,6 +90,7 @@ from pathlib import Path
 import numpy as np
 
 from .core.codegen import lower
+from .core.errors import ParseError, VerificationError
 from .core.interp import Interpreter
 from .core.ir.nodes import CollectiveStmt, Guarded, RecvStmt, SendStmt
 from .core.ir.parser import parse_program
@@ -112,8 +113,19 @@ _MODELS = {
 
 
 def _load(path: str):
-    text = Path(path).read_text()
-    return parse_program(text)
+    """Parse and verify FILE; malformed input is ``FILE:line:col: message``
+    on stderr and exit status 2, not a traceback."""
+    try:
+        program = parse_program(Path(path).read_text())
+        verify_program(program)
+    except ParseError as exc:
+        where = "".join(f":{n}" for n in (exc.line, exc.col) if n is not None)
+        print(f"{path}{where}: {exc.message}", file=sys.stderr)
+        raise SystemExit(2) from None
+    except VerificationError as exc:
+        print(f"{path}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+    return program
 
 
 def _is_sequential(program) -> bool:
@@ -127,7 +139,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     from .core.analysis.verify_comm import CommVerificationError
 
     program = _load(args.file)
-    verify_program(program)
     if _is_sequential(program):
         program = translate(
             program,
@@ -213,7 +224,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if not args.file:
         raise SystemExit("need a FILE to run (or --app)")
     program = _load(args.file)
-    verify_program(program)
     if _is_sequential(program):
         program = translate(program, args.nprocs, strategy=args.strategy)
     backend = args.backend or default_backend()

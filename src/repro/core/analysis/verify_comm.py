@@ -39,6 +39,7 @@ failure must land on an error *or* a waiver warning.  See docs/VERIFIER.md.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from ...distributions import ProcessorGrid
@@ -51,7 +52,10 @@ from ..ir.nodes import (
     SendStmt, Stmt, UnaryOp, VarRef, XferOp,
 )
 from ..ir.printer import print_stmt
-from ..sections import Section, Triplet, disjoint_cover_equal, section_difference
+from ..ir.visitor import walk_exprs
+from ..sections import Section, Triplet, section_difference
+from ..segtable import SegmentTable
+from ..states import SegmentState
 from .layouts import build_layouts
 
 __all__ = [
@@ -80,6 +84,8 @@ class _Unknown:
 
 
 _UNKNOWN = _Unknown()
+_UNOWNED = SegmentState.UNOWNED
+_TRANSITIONAL = SegmentState.TRANSITIONAL
 
 #: Placeholder for "no previous scalar binding" during binder injection.
 _ABSENT = object()
@@ -182,7 +188,7 @@ class _PendRecv:
     """A posted receive: transitional marker until matched *and* awaited."""
 
     __slots__ = ("seq", "pid1", "kind", "var", "sec", "into_var", "into_sec",
-                 "matched", "applied", "loc")
+                 "matched", "loc")
 
     def __init__(self, seq, pid1, kind, var, sec, into_var, into_sec, loc):
         self.seq = seq
@@ -193,7 +199,6 @@ class _PendRecv:
         self.into_var = into_var
         self.into_sec = into_sec
         self.matched = False
-        self.applied = False
         self.loc = loc
 
     @property
@@ -204,10 +209,9 @@ class _PendRecv:
 class _Msg:
     """An in-flight abstract message."""
 
-    __slots__ = ("seq", "kind", "var", "sec", "src1", "dst1", "claimed", "loc")
+    __slots__ = ("kind", "var", "sec", "src1", "dst1", "claimed", "loc")
 
-    def __init__(self, seq, kind, var, sec, src1, dst1, loc):
-        self.seq = seq
+    def __init__(self, kind, var, sec, src1, dst1, loc):
         self.kind = kind
         self.var = var
         self.sec = sec
@@ -216,23 +220,20 @@ class _Msg:
         self.claimed = False
         self.loc = loc
 
-    @property
-    def tag(self) -> str:
-        return f"{self.kind} {self.var}{self.sec}"
-
 
 class _ASeg:
-    """One owned segment: a section plus its outstanding receives.
+    """One owned segment — a :class:`SegmentTable` descriptor: a section
+    plus its outstanding receives.
 
     State is derived, mirroring the run-time table at segment granularity:
     ``pending`` non-empty ⇒ TRANSITIONAL (a receive was initiated and no
     ``await`` has covered this segment since), empty ⇒ ACCESSIBLE.
     """
 
-    __slots__ = ("section", "pending")
+    __slots__ = ("segment", "pending")
 
-    def __init__(self, section: Section):
-        self.section = section
+    def __init__(self, segment: Section):
+        self.segment = segment
         self.pending: list[_PendRecv] = []
 
 
@@ -254,17 +255,14 @@ class _CollBarrier:
     of a given statement.  Members must all arrive with the same resolved
     signature (group, root, chunk sections) before any may proceed."""
 
-    __slots__ = ("stmt", "members", "root", "signature", "first_pid1", "loc",
-                 "arrived")
+    __slots__ = ("stmt", "members", "signature", "first_pid1", "arrived")
 
-    def __init__(self, stmt, members, root, signature, first_pid1, loc):
+    def __init__(self, stmt, members, signature, first_pid1):
         self.stmt = stmt
         self.members = members
-        self.root = root
         self.signature = signature
         self.first_pid1 = first_pid1
-        self.loc = loc
-        self.arrived: dict[int, object] = {}
+        self.arrived: set[int] = set()
 
 
 class _CollWait:
@@ -290,7 +288,7 @@ class _AProc:
         self.done = False
         self.doomed = False
         self.scalars: dict = {}
-        self.stack: list[str] = []
+        self.stack: list[Stmt] = []   # enclosing guards/branches/loops
 
 
 class _RuleUnowned(Exception):
@@ -305,9 +303,16 @@ class _Budget(Exception):
     """Abstract step budget exhausted."""
 
 
-def _head(stmt: Stmt, limit: int = 64) -> str:
+def _head(node: Stmt | Expr, limit: int = 64) -> str:
+    stmt = node if isinstance(node, Stmt) else ExprStmt(node)
     text = print_stmt(stmt, 0)[0].strip()
     return text if len(text) <= limit else text[: limit - 1] + "…"
+
+
+#: Expression nodes whose value depends on table state, not scalars alone.
+_TABLE_READS = (ArrayRef, Iown, Accessible, Await, Mylb, Myub)
+#: Scalar value types an environment key may hold (None: no binding).
+_KEYABLE = frozenset({int, type(None)})
 
 
 # ---------------------------------------------------------------------- #
@@ -338,16 +343,17 @@ class _Machine:
         self.decls: dict[str, ArrayDecl | ScalarDecl] = {
             d.name: d for d in program.decls
         }
-        # (pid1, var) -> owned segments
-        self.tables: dict[tuple[int, str], list[_ASeg]] = {}
+        # (pid1, var) -> owned segments in the engine's table type (empty
+        # for a name nobody tabulates): ownership questions are record lookups.
+        self.tables: dict[tuple[int, str], SegmentTable] = defaultdict(SegmentTable)
         layouts = build_layouts(program, self.grid)
         for d in program.array_decls():
             if d.universal:
                 continue
             for pid1 in range(1, nprocs + 1):
-                self.tables[(pid1, d.name)] = [
+                self.tables[(pid1, d.name)] = SegmentTable(segdescs=[
                     _ASeg(s) for s in layouts[d.name].segments(pid1 - 1)
-                ]
+                ])
         # key = (kind, var, Section)
         self.unclaimed: dict[tuple, list[_Msg]] = {}
         self.pending: dict[tuple, list[_PendRecv]] = {}
@@ -360,12 +366,20 @@ class _Machine:
         self.waived: set[str] = set()
         self._findings: dict[tuple, Finding] = {}
         self._order: list[tuple] = []
+        self._flags = 0                          # flag() calls so far
+        # Per-run memos; all die with this instance.
+        self._ref_facts: dict[int, tuple] = {}   # id(ArrayRef) -> _env facts
+        self._sections: dict[tuple, Section] = {}  # _env key -> resolution
+        self._interned: dict[Section, Section] = {}
+        self._coll_maps: dict[tuple, tuple] = {}  # rendezvous -> chunk map
 
     # -------------------------------------------------------------- #
     # findings
     # -------------------------------------------------------------- #
 
     def flag(self, severity, code, message, loc, pid1=None) -> None:
+        self._flags += 1
+        loc = self.loc_text(loc)
         key = (severity, code, loc, message)
         f = self._findings.get(key)
         if f is None:
@@ -376,11 +390,15 @@ class _Machine:
                 f.severity, f.code, f.message, f.loc, f.pid1, f.count + 1
             )
 
-    def loc(self, p: _AProc, stmt: Stmt | None = None) -> str:
-        parts = list(p.stack)
-        if stmt is not None:
-            parts.append(_head(stmt))
-        return " > ".join(parts) if parts else "<program>"
+    def loc(self, p: _AProc, node: Stmt | Expr | None = None) -> tuple:
+        """A structural location (enclosing IL nodes, then ``node``);
+        rendered only when a finding needs it (:meth:`loc_text`)."""
+        return (*p.stack, node) if node is not None else tuple(p.stack)
+
+    def loc_text(self, loc: tuple | str) -> str:
+        if isinstance(loc, str):
+            return loc
+        return " > ".join(map(_head, loc)) or "<program>"
 
     def waive_block(self, block: Block) -> None:
         """Record every transfer variable under an unanalyzable region."""
@@ -411,53 +429,41 @@ class _Machine:
     # abstract ownership table
     # -------------------------------------------------------------- #
 
-    def segs(self, pid1: int, var: str) -> list[_ASeg]:
-        return self.tables.get((pid1, var), [])
-
-    def overlapping(self, pid1: int, var: str, sec: Section) -> list[tuple[_ASeg, Section]]:
-        out = []
-        for seg in self.segs(pid1, var):
-            inter = seg.section.intersect(sec)
-            if inter is not None:
-                out.append((seg, inter))
-        return out
+    def overlapping(self, pid1: int, var: str, sec: Section) -> tuple:
+        """``(segment, intersection)`` pairs of the resolution record."""
+        return self.tables[(pid1, var)].resolve(sec)[0]
 
     def iown(self, pid1: int, var: str, sec: Section) -> bool:
-        inters = [i for _, i in self.overlapping(pid1, var, sec)]
-        return disjoint_cover_equal(sec, inters) if inters else False
+        return self.tables[(pid1, var)].resolve(sec)[1]
 
-    def transitional(self, pid1: int, var: str, sec: Section) -> bool:
-        """Any overlapping segment with an un-awaited receive (segment
-        granularity, like the run-time table)."""
-        return any(seg.pending for seg, _ in self.overlapping(pid1, var, sec))
+    def state_of(self, pid1: int, var: str, sec: Section) -> SegmentState:
+        """Composite Figure-1 state from one record; TRANSITIONAL is any
+        overlapping segment with an un-awaited receive."""
+        pairs, covers, _ = self.tables[(pid1, var)].resolve(sec)
+        if not covers:
+            return _UNOWNED
+        for seg, _ in pairs:
+            if seg.pending:
+                return _TRANSITIONAL
+        return SegmentState.ACCESSIBLE
 
     def release(self, pid1: int, var: str, sec: Section) -> None:
         """Drop ``sec`` from the table, splitting partially covered
         segments (callers have established accessibility)."""
+        table = self.tables[(pid1, var)]
         keep: list[_ASeg] = []
-        for seg in self.segs(pid1, var):
-            inter = seg.section.intersect(sec)
+        for seg in table.segdescs:
+            inter = seg.segment.intersect(sec)
             if inter is None:
                 keep.append(seg)
                 continue
-            for piece in section_difference(seg.section, inter):
+            for piece in section_difference(seg.segment, inter):
                 ns = _ASeg(piece)
                 ns.pending = [r for r in seg.pending
                               if r.into_sec.intersect(piece) is not None]
                 keep.append(ns)
-        self.tables[(pid1, var)] = keep
-
-    def mylb(self, pid1: int, var: str, dim: int, sec: Section) -> int:
-        best = MAXINT
-        for _, inter in self.overlapping(pid1, var, sec):
-            best = min(best, inter.dims[dim - 1].lo)
-        return best
-
-    def myub(self, pid1: int, var: str, dim: int, sec: Section) -> int:
-        best = MININT
-        for _, inter in self.overlapping(pid1, var, sec):
-            best = max(best, inter.dims[dim - 1].hi)
-        return best
+        table.segdescs = keep
+        table.invalidate_index()
 
     # -------------------------------------------------------------- #
     # message matching (the engine's FIFO discipline, §2.7)
@@ -497,9 +503,8 @@ class _Machine:
         """"ready" | "blocked" | "never" for one WaitAccessible."""
         if isinstance(w, _CollWait):
             return self._coll_status(p, w)
-        over = self.overlapping(p.pid1, w.var, w.sec)
-        inters = [i for _, i in over]
-        if not inters or not disjoint_cover_equal(w.sec, inters):
+        over, covers, _ = self.tables[(p.pid1, w.var)].resolve(w.sec)
+        if not covers:
             return "never"
         if all(r.matched for seg, _ in over for r in seg.pending):
             return "ready"
@@ -540,8 +545,8 @@ class _Machine:
             self.apply_recv(r)
 
     def apply_recv(self, r: _PendRecv) -> None:
-        r.applied = True
-        for seg in self.segs(r.pid1, r.into_var):
+        # release() keeps ``r`` only on pieces meeting its destination.
+        for seg, _ in self.overlapping(r.pid1, r.into_var, r.into_sec):
             if r in seg.pending:
                 seg.pending.remove(r)
         if r.kind != "value":
@@ -552,12 +557,13 @@ class _Machine:
         for other in range(1, self.nprocs + 1):
             if other == pid1:
                 continue
-            for seg, inter in self.overlapping(other, var, sec):
+            # One-shot query: scanned, not memoized on the other's table.
+            for seg, _ in self.tables[(other, var)].overlapping(sec):
                 if self.settled(seg):
                     self.flag(
                         "error", "ownership-race",
                         f"P{pid1} completes ownership of {var}{sec} while "
-                        f"P{other} still owns {seg.section}", loc, pid1,
+                        f"P{other} still owns {seg.segment}", loc, pid1,
                     )
                     return
 
@@ -601,7 +607,7 @@ class _Machine:
                     )
                     self.waive_block(body)
                 elif ok:
-                    p.stack.append(_head(stmt))
+                    p.stack.append(stmt)
                     try:
                         yield from self._exec_block(body, p)
                     finally:
@@ -626,7 +632,7 @@ class _Machine:
                     self.waive_block(then)
                     self.waive_block(orelse)
                 else:
-                    p.stack.append(_head(stmt))
+                    p.stack.append(stmt)
                     try:
                         yield from self._exec_block(then if c else orelse, p)
                     finally:
@@ -656,7 +662,7 @@ class _Machine:
             self.flag("error", "zero-step", "do-loop step of 0",
                       self.loc(p, stmt), p.pid1)
             return
-        p.stack.append(_head(stmt))
+        p.stack.append(stmt)
         try:
             i = int(lo)
             while (i <= hi) if step > 0 else (i >= hi):
@@ -680,11 +686,12 @@ class _Machine:
                       "ownership of the write is unchecked",
                       self.loc(p, stmt), p.pid1)
             return
-        if not self.iown(p.pid1, target.var, sec):
+        state = self.state_of(p.pid1, target.var, sec)
+        if state is _UNOWNED:
             self.flag("error", "unowned-write",
                       f"write to unowned section {target.var}{sec}",
                       self.loc(p, stmt), p.pid1)
-        elif self.transitional(p.pid1, target.var, sec):
+        elif state is _TRANSITIONAL:
             self.flag("warning", "transitional-write",
                       f"write to {target.var}{sec} with a receive in flight; "
                       "the arriving message may overwrite it",
@@ -726,12 +733,13 @@ class _Machine:
                 dests.append(int(v))
         kind = _KIND[stmt.op]
         if stmt.op is XferOp.SEND_VALUE:
-            if not self.iown(p.pid1, stmt.ref.var, sec):
+            state = self.state_of(p.pid1, stmt.ref.var, sec)
+            if state is _UNOWNED:
                 self.flag("error", "send-unowned",
                           f"value send of unowned section "
                           f"{stmt.ref.var}{sec}", loc, p.pid1)
                 return
-            if self.transitional(p.pid1, stmt.ref.var, sec):
+            if state is _TRANSITIONAL:
                 self.flag("error", "stale-read",
                           f"value send gathers {stmt.ref.var}{sec} with a "
                           "receive initiated and no await since", loc, p.pid1)
@@ -750,8 +758,7 @@ class _Machine:
                 return  # wait_status() reported "never"; defensive
             self.release(p.pid1, stmt.ref.var, sec)
         for dst1 in (dests if dests is not None else [None]):
-            self.route(_Msg(next(self.seq), kind, stmt.ref.var, sec,
-                            p.pid1, dst1, loc))
+            self.route(_Msg(kind, stmt.ref.var, sec, p.pid1, dst1, loc))
 
     def _exec_recv(self, stmt: RecvStmt, p: _AProc):
         loc = self.loc(p, stmt)
@@ -808,7 +815,7 @@ class _Machine:
             for seg, _ in self.overlapping(p.pid1, stmt.into.var, into_sec):
                 self.flag("error", "acquire-overlap",
                           f"ownership receive of {stmt.into.var}{into_sec} "
-                          f"overlaps locally owned segment {seg.section} "
+                          f"overlaps locally owned segment {seg.segment} "
                           "(ownership can only be received if unowned)",
                           loc, p.pid1)
                 return
@@ -817,23 +824,10 @@ class _Machine:
                              stmt.into.var, into_sec, loc)
             seg = _ASeg(into_sec)
             seg.pending.append(recv)
-            self.tables.setdefault((p.pid1, stmt.into.var), []).append(seg)
+            table = self.tables[(p.pid1, stmt.into.var)]
+            table.segdescs.append(seg)
+            table.invalidate_index()
             self.post_recv(recv)
-
-    def _coll_resolve(self, ref: ArrayRef, bindings: dict[str, int],
-                      p: _AProc, stmt: Stmt):
-        """Resolve a collective operand with binder values in scope."""
-        saved = {k: p.scalars.get(k, _ABSENT) for k in bindings}
-        p.scalars.update(bindings)
-        try:
-            decl, sec = yield from self._resolve(ref, p, stmt)
-        finally:
-            for k, v in saved.items():
-                if v is _ABSENT:
-                    p.scalars.pop(k, None)
-                else:
-                    p.scalars[k] = v
-        return decl, sec
 
     def _exec_collective(self, stmt: CollectiveStmt, p: _AProc):
         """A collective is a typed rendezvous of the whole group: every
@@ -894,112 +888,36 @@ class _Machine:
         if p.pid1 not in members:
             return
 
-        # Resolve the full chunk map (flat-schedule transfer set).  The
-        # binders never reference mypid, so members should resolve the
-        # same map — the signature comparison below checks that they do.
-        gb, db = stmt.g_binder, stmt.d_binder
-
-        def bind(g=None, d=None):
-            b = {}
-            if gb is not None and g is not None:
-                b[gb] = g
-            if d is not None:
-                b[db] = d
-            return b
-
-        unresolved = False
-        universal = False
-
-        def note(decl, sec):
-            nonlocal unresolved, universal
-            if decl is None:
-                unresolved = True
-                return None
-            if isinstance(decl, ArrayDecl) and decl.universal:
-                universal = True
-                return None
-            if sec is None:
-                unresolved = True
-            return sec
-
+        # One chunk map per rendezvous, not per member: members whose
+        # environments agree share it; one that differs resolves its own and
+        # the signature comparison below still decides the mismatch.
+        envs = [self._env(ref, p) for ref in (stmt.src, stmt.dst, stmt.scratch)
+                if ref is not None]
+        key = None if None in envs else (members, root_v, *envs)
+        cmap = self._coll_maps.get(key)
+        if cmap is None:
+            flags = self._flags
+            cmap = yield from self._coll_map(stmt, members, root_v, p)
+            if cmap == "universal":
+                self.flag("error", "collective-universal",
+                          "collective over a universal array: only "
+                          "exclusive arrays have owners to exchange between",
+                          loc, p.pid1)
+                return
+            if cmap == "unresolved":
+                waive("collective section depends on run-time data")
+                return
+            if key is not None and self._flags == flags:
+                self._coll_maps[key] = cmap
+        transfers, scratches, sigtail, reads, lands = cmap
         op = stmt.op
-        transfers: list[tuple[int, int, Section, Section]] = []
-        scratches: dict[int, Section] = {}
-        if op is CollOp.BROADCAST:
-            d0, s0 = yield from self._coll_resolve(stmt.src, {}, p, stmt)
-            src_sec = note(d0, s0)
-            for d in members:
-                dd, ds = yield from self._coll_resolve(
-                    stmt.dst, bind(d=d), p, stmt)
-                dsec = note(dd, ds)
-                if src_sec is not None and dsec is not None:
-                    transfers.append((root_v, d, src_sec, dsec))
-        elif op is CollOp.ALLGATHER:
-            srcs: dict[int, Section | None] = {}
-            for g in members:
-                sd, ss = yield from self._coll_resolve(
-                    stmt.src, bind(g=g), p, stmt)
-                srcs[g] = note(sd, ss)
-            for g in members:
-                for d in members:
-                    dd, ds = yield from self._coll_resolve(
-                        stmt.dst, bind(g=g, d=d), p, stmt)
-                    dsec = note(dd, ds)
-                    if srcs[g] is not None and dsec is not None:
-                        transfers.append((g, d, srcs[g], dsec))
-        elif op is CollOp.ALL_TO_ALL:
-            for g in members:
-                for d in members:
-                    sd, ss = yield from self._coll_resolve(
-                        stmt.src, bind(g=g, d=d), p, stmt)
-                    dd, ds = yield from self._coll_resolve(
-                        stmt.dst, bind(g=g, d=d), p, stmt)
-                    ssec = note(sd, ss)
-                    dsec = note(dd, ds)
-                    if ssec is not None and dsec is not None:
-                        transfers.append((g, d, ssec, dsec))
-        else:  # REDUCE_SCATTER
-            dsts: dict[int, Section | None] = {}
-            for d in members:
-                dd, ds = yield from self._coll_resolve(
-                    stmt.dst, bind(d=d), p, stmt)
-                dsts[d] = note(dd, ds)
-                sd, ss = yield from self._coll_resolve(
-                    stmt.scratch, bind(d=d), p, stmt)
-                sc = note(sd, ss)
-                if sc is not None:
-                    scratches[d] = sc
-            for g in members:
-                for d in members:
-                    sd, ss = yield from self._coll_resolve(
-                        stmt.src, bind(g=g, d=d), p, stmt)
-                    ssec = note(sd, ss)
-                    if ssec is not None and dsts[d] is not None:
-                        transfers.append((g, d, ssec, dsts[d]))
-        if universal:
-            self.flag("error", "collective-universal",
-                      "collective over a universal array: only exclusive "
-                      "arrays have owners to exchange between", loc, p.pid1)
-            return
-        if unresolved:
-            waive("collective section depends on run-time data")
-            return
-
-        def canon(sec: Section):
-            return tuple((t.lo, t.hi, t.step) for t in sec.dims)
-
-        signature = (
-            op.value, members, root_v, stmt.reduce_op,
-            tuple((g, d, canon(ss), canon(ds))
-                  for g, d, ss, ds in transfers),
-            tuple((d, canon(s)) for d, s in sorted(scratches.items())),
-        )
+        signature = (op.value, members, root_v, stmt.reduce_op, *sigtail)
         site = id(stmt)
         occ = self.coll_counts.get((site, p.pid1), 0)
         self.coll_counts[(site, p.pid1)] = occ + 1
         bar = self.coll_barriers.get((site, occ))
         if bar is None:
-            bar = _CollBarrier(stmt, members, root_v, signature, p.pid1, loc)
+            bar = _CollBarrier(stmt, members, signature, p.pid1)
             self.coll_barriers[(site, occ)] = bar
             # Chunk-shape sanity is group-global and identical on every
             # member; check it once, at first arrival.
@@ -1026,39 +944,125 @@ class _Machine:
                       f"P{p.pid1} reaches this {op.value} with a different "
                       f"group/root/section resolution than P{bar.first_pid1}"
                       " (all participants must agree)", loc, p.pid1)
-        bar.arrived[p.pid1] = signature
+        bar.arrived.add(p.pid1)
 
         # My contributions: value-send semantics (gathered immediately).
-        my_reads = dict.fromkeys(
-            (stmt.src.var, ss) for g, _, ss, _ in transfers if g == p.pid1)
-        for var, sec in my_reads:
-            if not self.iown(p.pid1, var, sec):
+        for var, sec in reads.get(p.pid1, ()):
+            state = self.state_of(p.pid1, var, sec)
+            if state is _UNOWNED:
                 self.flag("error", "collective-send-unowned",
                           f"collective contribution {var}{sec} is not owned "
                           f"by P{p.pid1}", loc, p.pid1)
-            elif self.transitional(p.pid1, var, sec):
+            elif state is _TRANSITIONAL:
                 self.flag("error", "stale-read",
                           f"collective gathers {var}{sec} with a receive "
                           "initiated and no await since", loc, p.pid1)
 
         # My landings: destination (and scratch) must be owned, like a
         # value receive's destination gate.
-        landings = dict.fromkeys(
-            (stmt.dst.var, ds) for _, d, _, ds in transfers if d == p.pid1)
-        if p.pid1 in scratches and len(members) > 1:
-            landings[(stmt.scratch.var, scratches[p.pid1])] = None
-        blocked_forever = False
+        landings = lands.get(p.pid1, ())
         for var, sec in landings:
             if not self.iown(p.pid1, var, sec):
                 self.flag("error", "collective-recv-unowned",
                           f"collective lands in {var}{sec}, not owned by "
                           f"P{p.pid1}: its landing fence blocks forever",
                           loc, p.pid1)
-                blocked_forever = True
-        if blocked_forever:
-            p.doomed = True
+                p.doomed = True
+        if p.doomed:
             return
         yield _CollWait(bar, tuple(landings), coll_vars, loc)
+
+    def _coll_map(self, stmt: CollectiveStmt, members: tuple, root_v,
+                  p: _AProc):
+        """Resolve a collective's chunk map (flat-schedule transfer set) in
+        ``p``'s environment → ``(transfers, scratches, signature tail,
+        reads by contributor, landings by destination)``, or the string
+        ``"universal"`` / ``"unresolved"``."""
+        gb, db = stmt.g_binder, stmt.d_binder
+        unresolved = universal = False
+
+        def sec_of(ref: ArrayRef, g=None, d=None):
+            """Resolve an operand with the binder values in scope."""
+            nonlocal unresolved, universal
+            bindings = {k: v for k, v in ((gb, g), (db, d))
+                        if k is not None and v is not None}
+            saved = {k: p.scalars.get(k, _ABSENT) for k in bindings}
+            p.scalars.update(bindings)
+            try:
+                decl, sec = yield from self._resolve(ref, p, stmt)
+            finally:
+                for k, v in saved.items():
+                    if v is _ABSENT:
+                        p.scalars.pop(k, None)
+                    else:
+                        p.scalars[k] = v
+            if isinstance(decl, ArrayDecl) and decl.universal:
+                universal = True
+                return None
+            unresolved = unresolved or sec is None
+            return sec
+
+        op = stmt.op
+        transfers: list[tuple[int, int, Section, Section]] = []
+        scratches: dict[int, Section] = {}
+        if op is CollOp.BROADCAST:
+            ssec = yield from sec_of(stmt.src)
+            for d in members:
+                dsec = yield from sec_of(stmt.dst, d=d)
+                if ssec is not None and dsec is not None:
+                    transfers.append((root_v, d, ssec, dsec))
+        elif op is CollOp.ALLGATHER:
+            srcs: dict[int, Section | None] = {}
+            for g in members:
+                srcs[g] = yield from sec_of(stmt.src, g)
+            for g in members:
+                for d in members:
+                    dsec = yield from sec_of(stmt.dst, g, d)
+                    if srcs[g] is not None and dsec is not None:
+                        transfers.append((g, d, srcs[g], dsec))
+        elif op is CollOp.ALL_TO_ALL:
+            for g in members:
+                for d in members:
+                    ssec = yield from sec_of(stmt.src, g, d)
+                    dsec = yield from sec_of(stmt.dst, g, d)
+                    if ssec is not None and dsec is not None:
+                        transfers.append((g, d, ssec, dsec))
+        else:  # REDUCE_SCATTER
+            dsts: dict[int, Section | None] = {}
+            for d in members:
+                dsts[d] = yield from sec_of(stmt.dst, d=d)
+                sc = yield from sec_of(stmt.scratch, d=d)
+                if sc is not None:
+                    scratches[d] = sc
+            for g in members:
+                for d in members:
+                    ssec = yield from sec_of(stmt.src, g, d)
+                    if ssec is not None and dsts[d] is not None:
+                        transfers.append((g, d, ssec, dsts[d]))
+        if universal:
+            return "universal"
+        if unresolved:
+            return "unresolved"
+
+        def canon(sec: Section):
+            return tuple((t.lo, t.hi, t.step) for t in sec.dims)
+
+        sigtail = (
+            tuple((g, d, canon(ss), canon(ds))
+                  for g, d, ss, ds in transfers),
+            tuple((d, canon(s)) for d, s in sorted(scratches.items())),
+        )
+        # Each member's contributions and landings, deduplicated in
+        # transfer order.
+        reads: dict[int, dict] = {}
+        lands: dict[int, dict] = {}
+        for g, d, ss, ds in transfers:
+            reads.setdefault(g, {})[(stmt.src.var, ss)] = None
+            lands.setdefault(d, {})[(stmt.dst.var, ds)] = None
+        if len(members) > 1:
+            for d, sc in scratches.items():
+                lands.setdefault(d, {})[(stmt.scratch.var, sc)] = None
+        return transfers, scratches, sigtail, reads, lands
 
     def _exec_call(self, stmt: CallStmt, p: _AProc):
         # Kernels read and write their section arguments through the
@@ -1098,7 +1102,8 @@ class _Machine:
                           self.loc(p, stmt), p.pid1)
                 return _UNKNOWN
             raise _RuleUnknown()
-        if not self.iown(p.pid1, ref.var, sec):
+        state = self.state_of(p.pid1, ref.var, sec)
+        if state is _UNOWNED:
             if rule:
                 # §2.4: an unowned reference makes the rule false.
                 raise _RuleUnowned()
@@ -1106,7 +1111,7 @@ class _Machine:
                       f"read of unowned section {ref.var}{sec}",
                       self.loc(p, stmt), p.pid1)
             return _UNKNOWN
-        if self.transitional(p.pid1, ref.var, sec):
+        if state is _TRANSITIONAL:
             if rule:
                 # Whether the message has arrived is timing-dependent: the
                 # strict engine makes the rule false, a non-strict run reads
@@ -1121,8 +1126,43 @@ class _Machine:
                       "no await since", self.loc(p, stmt), p.pid1)
         return _UNKNOWN
 
+    def _env(self, ref: ArrayRef, p: _AProc) -> tuple | None:
+        """What resolving ``ref`` depends on in ``p``'s environment, as a
+        key: the values of the scalars its subscripts mention, and ``mypid``
+        only if they mention it.  ``None`` — never shared — when a subscript
+        reads table state or a value is neither an int nor absent (``/``
+        floors ints only; a binder is absent until its collective binds it)."""
+        facts = self._ref_facts.get(id(ref))
+        if facts is None:
+            subs = [e for e in walk_exprs(ref) if e is not ref]
+            names = tuple(sorted({e.name for e in subs if isinstance(e, VarRef)}))
+            # (serial number, ...); ``ref`` is held so its id() stays unique.
+            facts = self._ref_facts[id(ref)] = (
+                None if any(isinstance(e, _TABLE_READS) for e in subs)
+                else len(self._ref_facts),
+                any(isinstance(e, Mypid) for e in subs), names, ref)
+        serial, mypid, names, _ = facts
+        vals = tuple(map(p.scalars.get, names))
+        if serial is None or not all(map(_KEYABLE.__contains__, map(type, vals))):
+            return None
+        return (serial, mypid and p.pid1, *vals)
+
     def _resolve(self, ref: ArrayRef, p: _AProc, stmt: Stmt):
-        """→ (decl, Section | None); (None, None) for undeclared names."""
+        """→ (decl, Section | None); (None, None) for undeclared names.
+        Memoized per :meth:`_env` unless unresolved or a finding was raised."""
+        key = self._env(ref, p)
+        sec = self._sections.get(key)
+        if sec is not None:
+            return self.decls[ref.var], sec
+        flags = self._flags
+        res = yield from self._resolve_fresh(ref, p, stmt)
+        if key is not None and res[1] is not None and self._flags == flags:
+            sec = self._interned.setdefault(res[1], res[1])  # one per value
+            self._sections[key] = sec
+            return res[0], sec
+        return res
+
+    def _resolve_fresh(self, ref: ArrayRef, p: _AProc, stmt: Stmt):
         decl = self.decls.get(ref.var)
         if decl is None or isinstance(decl, ScalarDecl):
             self.flag("error", "unknown-variable",
@@ -1208,42 +1248,39 @@ class _Machine:
             case BinOp(op, lhs, rhs):
                 return (yield from self._eval_binop(op, lhs, rhs, p, rule))
             case ArrayRef():
-                return (yield from self._read(e, p, e_stmt(e), rule=rule))
+                return (yield from self._read(e, p, e, rule=rule))
             case Iown(ref):
-                sec = yield from self._intrinsic_ref(ref, p, e_stmt(e))
+                sec = yield from self._intrinsic_ref(ref, p, e)
                 if sec is None:
                     return _UNKNOWN
                 return self.iown(p.pid1, ref.var, sec)
             case Accessible(ref):
-                sec = yield from self._intrinsic_ref(ref, p, e_stmt(e))
+                sec = yield from self._intrinsic_ref(ref, p, e)
                 if sec is None:
                     return _UNKNOWN
-                if not self.iown(p.pid1, ref.var, sec):
-                    return False
-                if self.transitional(p.pid1, ref.var, sec):
+                state = self.state_of(p.pid1, ref.var, sec)
+                if state is _TRANSITIONAL:
                     # Arrival timing decides; never a constant.
                     return _UNKNOWN
-                return True
+                return state is not _UNOWNED
             case Await(ref):
-                sec = yield from self._intrinsic_ref(ref, p, e_stmt(e))
+                sec = yield from self._intrinsic_ref(ref, p, e)
                 if sec is None:
                     return _UNKNOWN
                 if not self.iown(p.pid1, ref.var, sec):
                     return False
-                yield _Wait(ref.var, sec, "await", self.loc(p, e_stmt(e)))
+                yield _Wait(ref.var, sec, "await", self.loc(p, e))
                 return True
-            case Mylb(ref, dim):
-                sec = yield from self._intrinsic_ref(ref, p, e_stmt(e))
+            case Mylb(ref, dim) | Myub(ref, dim):
+                sec = yield from self._intrinsic_ref(ref, p, e)
                 d = yield from self._eval(dim, p, rule=rule)
                 if sec is None or d is _UNKNOWN:
                     return _UNKNOWN
-                return self.mylb(p.pid1, ref.var, int(d), sec)
-            case Myub(ref, dim):
-                sec = yield from self._intrinsic_ref(ref, p, e_stmt(e))
-                d = yield from self._eval(dim, p, rule=rule)
-                if sec is None or d is _UNKNOWN:
-                    return _UNKNOWN
-                return self.myub(p.pid1, ref.var, int(d), sec)
+                owned = [i.dims[int(d) - 1]
+                         for _, i in self.overlapping(p.pid1, ref.var, sec)]
+                if isinstance(e, Mylb):
+                    return min((t.lo for t in owned), default=MAXINT)
+                return max((t.hi for t in owned), default=MININT)
             case _:  # pragma: no cover - exhaustive over Expr
                 raise TypeError(f"cannot evaluate {e!r}")
 
@@ -1401,9 +1438,9 @@ class _Machine:
             if isinstance(w, _CollWait):
                 bar = w.barrier
                 involved.update(w.vars)
-                missing = sorted(set(bar.members) - set(bar.arrived))
+                missing = sorted(set(bar.members) - bar.arrived)
                 line = (f"P{p.pid1} blocked in {bar.stmt.op.value} "
-                        f"collective at [{w.loc}]")
+                        f"collective at [{self.loc_text(w.loc)}]")
                 if missing:
                     line += (" awaiting member(s) "
                              + ", ".join(f"P{m}" for m in missing))
@@ -1426,7 +1463,8 @@ class _Machine:
                 for seg, _ in self.overlapping(p.pid1, w.var, w.sec)
                 for r in seg.pending if not r.matched
             })
-            line = f"P{p.pid1} blocked on {w.var}{w.sec} at [{w.loc}]"
+            line = (f"P{p.pid1} blocked on {w.var}{w.sec} "
+                    f"at [{self.loc_text(w.loc)}]")
             if unmatched:
                 line += " waiting for: " + ", ".join(unmatched)
                 involved.update(t.split(" ", 1)[1].split("[", 1)[0]
@@ -1483,16 +1521,18 @@ class _Machine:
         for d in self.program.array_decls():
             if d.universal:
                 continue
-            owned = []
-            for pid1 in range(1, self.nprocs + 1):
-                for seg in self.segs(pid1, d.name):
-                    if self.settled(seg):
-                        owned.append((pid1, seg.section))
-            for (pa, sa), (pb, sb) in itertools.combinations(owned, 2):
-                if pa != pb and sa.intersect(sb) is not None:
-                    self.flag("error", "ownership-race",
-                              f"run ends with P{pa} and P{pb} both owning "
-                              f"{d.name}{sa.intersect(sb)}", "<end of run>")
+            for pa in range(1, self.nprocs):
+                for seg in self.tables[(pa, d.name)].segdescs:
+                    if not self.settled(seg):
+                        continue
+                    for pb in range(pa + 1, self.nprocs + 1):
+                        for other, inter in self.tables[
+                                (pb, d.name)].overlapping(seg.segment):
+                            if self.settled(other):
+                                self.flag(
+                                    "error", "ownership-race",
+                                    f"run ends with P{pa} and P{pb} both "
+                                    f"owning {d.name}{inter}", "<end of run>")
 
     def _mode_warnings(self) -> None:
         for (kind, var, sec), modes in sorted(
@@ -1504,11 +1544,6 @@ class _Machine:
                           "unspecified-recipient sends: which receive each "
                           "message completes is schedule-dependent",
                           "<program>")
-
-
-def e_stmt(e: Expr) -> Stmt:
-    """Wrap an expression for location rendering."""
-    return ExprStmt(e)
 
 
 def verify_communication(

@@ -36,6 +36,7 @@ class ParseError(XDPError):
     """Raised by the IL+XDP / mini-language parser on malformed input."""
 
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
+        self.message = message
         self.line = line
         self.col = col
         loc = f" at line {line}" if line is not None else ""

@@ -140,13 +140,11 @@ def _strip_caches(st) -> None:
     Resolution records hold *views* of segment chunks — pickled, they
     would come back as detached copies — so ``_resolve_cache`` must be
     empty in any shipped table.  The interval-index columns are derived
-    state; dropping them keeps blobs lean and they rebuild on first use.
+    state; ``invalidate_index`` drops them too, which keeps blobs lean,
+    and they rebuild on first use.
     """
     for entry in st.variables():
         entry.invalidate_index()
-        entry._index_descs = []
-        entry._index_los = []
-        entry._index_maxspan = 0
 
 
 def _ship_table(st) -> bytes:

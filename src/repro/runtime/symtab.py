@@ -15,11 +15,12 @@ The intrinsics ``iown()``, ``accessible()``, ``await()``, ``mylb()`` and
 the algorithm of section 3.1: intersect the queried section with every
 segment of the variable, and return true iff the union of the non-null
 intersections equals the query and none of the intersecting segments is
-unowned.  That intersection is computed in one place,
-:meth:`RuntimeSymbolTable._resolve`; every intrinsic, read, write and
-receive transition answers from the *resolution record* it returns, which
-is memoized by section value until the variable's geometry changes or the
-run ends.
+unowned.  That intersection lives in one place, the
+:class:`~repro.core.segtable.SegmentTable` every entry is (shared with the
+static verifier and the tuner); every intrinsic, read, write and receive
+transition answers from the *resolution record*
+:meth:`RuntimeSymbolTable._resolve` builds on it, memoized by section value
+until the variable's geometry changes or the run ends.
 
 Design choices documented against the paper:
 
@@ -41,14 +42,13 @@ Design choices documented against the paper:
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
 from ..core.errors import OwnershipError, UnknownVariableError
 from ..core.sections import Section, section_difference
+from ..core.segtable import SegmentTable
 from ..core.states import SegmentState
 from ..distributions.segmentation import Segmentation
 from .memory import LocalMemory
@@ -82,8 +82,9 @@ class SegmentDesc:
 
 
 @dataclass
-class VariableEntry:
-    """Symbol-table row for one exclusive variable (Figure 2's columns)."""
+class VariableEntry(SegmentTable):
+    """Symbol-table row for one exclusive variable (Figure 2's columns);
+    descriptors, index and record memo are the inherited segment table."""
 
     index: int
     name: str
@@ -92,24 +93,7 @@ class VariableEntry:
     partitioning: str
     segment_shape: tuple[int, ...]
     dtype: np.dtype
-    segdescs: list[SegmentDesc] = field(default_factory=list)
     released: list[Section] = field(default_factory=list)
-    # Dim-0 interval index over segdescs, rebuilt lazily after geometry
-    # changes (see invalidate_index).  Only consulted past a size
-    # threshold; small tables scan linearly, which is faster.
-    _index_descs: list[SegmentDesc] = field(
-        default_factory=list, repr=False, compare=False
-    )
-    _index_los: list[int] = field(default_factory=list, repr=False, compare=False)
-    _index_maxspan: int = field(default=0, repr=False, compare=False)
-    _index_dirty: bool = field(default=True, repr=False, compare=False)
-    # Memoized resolution records (see RuntimeSymbolTable._resolve), keyed
-    # by the queried Section's *value*.  Cleared with the index on any
-    # geometry change; state-only changes never invalidate it.
-    _resolve_cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    #: Below this many segments a linear scan beats the index.
-    INDEX_THRESHOLD = 8
 
     @property
     def global_shape(self) -> tuple[int, ...]:
@@ -118,65 +102,6 @@ class VariableEntry:
     @property
     def segment_count(self) -> int:
         return len(self.segdescs)
-
-    def invalidate_index(self) -> None:
-        """Must be called whenever segment *geometry* changes (segments
-        added, removed, or rebound) — state-only changes don't need it."""
-        self._index_dirty = True
-        self._resolve_cache.clear()
-
-    def _rebuild_index(self) -> None:
-        order = sorted(self.segdescs, key=lambda d: d.segment.dims[0].lo)
-        self._index_descs = order
-        self._index_los = [d.segment.dims[0].lo for d in order]
-        self._index_maxspan = max(
-            (d.segment.dims[0].hi - d.segment.dims[0].lo for d in order),
-            default=0,
-        )
-        self._index_dirty = False
-
-    def _candidates(self, sec: Section) -> list[SegmentDesc]:
-        """A superset of the descriptors whose dim-0 bounds meet ``sec``'s.
-
-        Descriptors are sorted by dim-0 lower bound; any descriptor with
-        ``lo > query.hi`` cannot overlap, and any with
-        ``lo < query.lo - maxspan`` has ``hi < query.lo`` so cannot either.
-        The slice between those two bisection points therefore contains
-        every true overlap (plus possibly a few bbox-rejected extras).
-        """
-        if self._index_dirty:
-            self._rebuild_index()
-        q0 = sec.dims[0]
-        start = bisect_left(self._index_los, q0.lo - self._index_maxspan)
-        stop = bisect_right(self._index_los, q0.hi)
-        return self._index_descs[start:stop]
-
-    def overlapping(self, sec: Section) -> list[tuple[SegmentDesc, Section]]:
-        """``(descriptor, intersection)`` for segments meeting ``sec``.
-
-        The hot path of every intrinsic and transfer transition.  A cheap
-        per-dimension bounding-box test rejects non-overlapping segments
-        before the exact (extended-Euclid) triplet intersection runs, and
-        large tables are pre-filtered through the dim-0 interval index so
-        point/blocked queries touch O(log n + answer) descriptors instead
-        of all n.
-        """
-        descs = (
-            self._candidates(sec)
-            if len(self.segdescs) >= self.INDEX_THRESHOLD
-            else self.segdescs
-        )
-        qdims = sec.dims
-        out: list[tuple[SegmentDesc, Section]] = []
-        for d in descs:
-            for qd, sd in zip(qdims, d.segment.dims):
-                if qd.lo > sd.hi or sd.lo > qd.hi:
-                    break
-            else:
-                inter = d.segment.intersect(sec)
-                if inter is not None:
-                    out.append((d, inter))
-        return out
 
 
 class RuntimeSymbolTable:
@@ -195,39 +120,25 @@ class RuntimeSymbolTable:
 
     def _resolve(self, entry: VariableEntry, sec: Section) -> tuple:
         """The resolution record of ``sec`` against ``entry``'s segments:
-        ``(overlap pairs, covers?, exact-hit descriptor, its chunk)``.
+        ``(overlap pairs, covers?, exact-hit descriptor, its chunk)`` — the
+        entry's :meth:`~repro.core.segtable.SegmentTable.geometry` plus the
+        storage of ``exact``, which then serves reads and writes without
+        index arithmetic.
 
-        ``pairs`` holds ``(descriptor, intersection)`` for every owned
-        segment meeting ``sec``; ``covers`` is the section-3.1 verdict
-        (the disjoint intersections add up to the query); ``exact`` and
-        ``chunk`` are set when ``sec`` *is* one segment, whose storage
-        then serves reads and writes without any index arithmetic.
-
-        SPMD programs resolve the same few sections against the same
-        geometry over and over, so records are memoized per entry, keyed
-        by the section's value (a compiled program builds a fresh, equal
-        ``Section`` per evaluation).  A record describes geometry only:
-        :meth:`VariableEntry.invalidate_index` drops it on any geometry
-        change and state-only transitions keep it.  The engine empties
-        the memo when ``run()`` returns (:meth:`forget_resolutions`), so
-        it never outgrows the distinct sections of one run.
+        Memoized per entry by the section's value (a compiled program
+        builds a fresh, equal ``Section`` per evaluation).  A record
+        describes geometry only: ``invalidate_index`` drops it, state-only
+        transitions keep it, and the engine empties the memo when ``run()``
+        returns (:meth:`forget_resolutions`), so it never outgrows the
+        distinct sections of one run.
         """
         cache = entry._resolve_cache
         res = cache.get(sec)
         if res is not None:
             return res
-        pairs = entry.overlapping(sec)
-        covers = sum(inter.size for _, inter in pairs) == sec.size
-        exact = chunk = None
-        if covers and len(pairs) == 1:
-            # Wholly inside one segment: the intersection equals the
-            # query, so keep the key object and let the copy go.
-            d = pairs[0][0]
-            pairs = [(d, sec)]
-            if d.segment == sec:
-                exact, chunk = d, self.memory.get(d.handle)
-        res = (tuple(pairs), covers, exact, chunk)
-        cache[sec] = res
+        pairs, covers, exact = entry.geometry(sec)
+        chunk = None if exact is None else self.memory.get(exact.handle)
+        res = cache[sec] = (pairs, covers, exact, chunk)
         return res
 
     def forget_resolutions(self) -> None:

@@ -55,7 +55,8 @@ from ..core.ir.nodes import (
     Mylb, Mypid, Myub, NumProcs, Program, Range, RecvStmt, SendStmt, Stmt,
     UnaryOp, VarRef, XferOp,
 )
-from ..core.sections import Section, Triplet, disjoint_cover_equal, section_difference
+from ..core.sections import Section, Triplet, section_difference
+from ..core.segtable import SegmentTable
 from ..distributions import ProcessorGrid, RedistributionPlan
 from ..machine.engine import HEADER_BYTES
 from ..machine.message import TransferKind
@@ -554,67 +555,51 @@ class _AbsSeg:
     completions at each step boundary).
     """
 
-    __slots__ = ("sec", "unmatched", "ready")
+    __slots__ = ("segment", "unmatched", "ready")
 
-    def __init__(self, sec: Section, unmatched: int = 0, ready: float = 0.0):
-        self.sec = sec
+    def __init__(self, segment: Section, unmatched: int = 0, ready: float = 0.0):
+        self.segment = segment
         self.unmatched = unmatched
         self.ready = ready
 
 
-class _AbsVar:
-    __slots__ = ("itemsize", "segs")
+class _AbsVar(SegmentTable):
+    """One processor's tracker for one array: the engine's segment table
+    (memoized resolution records included) over :class:`_AbsSeg`."""
 
     def __init__(self, itemsize: int, segs: list[_AbsSeg]):
+        super().__init__(segdescs=segs)
         self.itemsize = itemsize
-        self.segs = segs
-
-    def overlapping(self, sec: Section) -> list[tuple[_AbsSeg, Section]]:
-        out = []
-        for s in self.segs:
-            inter = s.sec.intersect(sec)
-            if inter is not None:
-                out.append((s, inter))
-        return out
 
     def iown(self, sec: Section) -> bool:
-        inters = [i for _, i in self.overlapping(sec)]
-        return disjoint_cover_equal(sec, inters) if inters else sec.size == 0
+        return self.resolve(sec)[1]
 
     def accessible(self, sec: Section, now: float) -> bool:
-        over = self.overlapping(sec)
-        for s, _ in over:
-            if s.unmatched or s.ready > now:
-                return False
-        inters = [i for _, i in over]
-        return disjoint_cover_equal(sec, inters) if inters else False
+        pairs, covers, _ = self.resolve(sec)
+        return covers and not any(s.unmatched or s.ready > now for s, _ in pairs)
 
     def wake_time(self, sec: Section) -> float | None:
         """Earliest time ``sec`` becomes accessible, or None if some
         delivery is still unmatched (must block)."""
         wake = 0.0
-        for s, _ in self.overlapping(sec):
+        for s, _ in self.resolve(sec)[0]:
             if s.unmatched:
                 return None
             wake = max(wake, s.ready)
         return wake
 
     def mylb(self, dim: int, sec: Section) -> int:
-        best = MAXINT
-        for _, inter in self.overlapping(sec):
-            best = min(best, inter.dims[dim - 1].lo)
-        return best
+        return min((i.dims[dim - 1].lo for _, i in self.resolve(sec)[0]),
+                   default=MAXINT)
 
     def myub(self, dim: int, sec: Section) -> int:
-        best = MININT
-        for _, inter in self.overlapping(sec):
-            best = max(best, inter.dims[dim - 1].hi)
-        return best
+        return max((i.dims[dim - 1].hi for _, i in self.resolve(sec)[0]),
+                   default=MININT)
 
     def release(self, sec: Section) -> None:
         keep: list[_AbsSeg] = []
-        for s in self.segs:
-            inter = s.sec.intersect(sec)
+        for s in self.segdescs:
+            inter = s.segment.intersect(sec)
             if inter is None:
                 keep.append(s)
                 continue
@@ -622,39 +607,39 @@ class _AbsVar:
                 raise EstimateError(
                     f"release of section {sec} with an undelivered receive"
                 )
-            for piece in section_difference(s.sec, inter):
+            for piece in section_difference(s.segment, inter):
                 keep.append(_AbsSeg(piece, 0, s.ready))
-        self.segs = keep
+        self.segdescs = keep
+        self.invalidate_index()
 
     def acquire(self, sec: Section) -> _AbsSeg:
-        if self.overlapping(sec):
+        if self.resolve(sec)[0]:
             raise EstimateError(
                 f"ownership receive into already-owned section {sec}"
             )
         seg = _AbsSeg(sec, unmatched=1, ready=-math.inf)
-        self.segs.append(seg)
+        self.segdescs.append(seg)
+        self.invalidate_index()
         return seg
 
     def begin_value_recv(self, sec: Section) -> None:
-        touched = 0
-        for s, inter in self.overlapping(sec):
+        pairs, covers, _ = self.resolve(sec)
+        for s, _ in pairs:
             s.unmatched += 1
-            touched += inter.size
-        if touched != sec.size:
+        if not covers:
             raise _Unowned(f"receive into unowned section {sec}")
 
     def complete_value(self, sec: Section, ctime: float) -> None:
-        for s, _ in self.overlapping(sec):
+        for s, _ in self.resolve(sec)[0]:
             s.unmatched -= 1
             s.ready = max(s.ready, ctime)
 
     def complete_own(self, sec: Section, ctime: float) -> None:
-        for s in self.segs:
-            if s.sec == sec:
-                s.unmatched = 0
-                s.ready = ctime
-                return
-        raise EstimateError(f"ownership completion of {sec} with no initiation")
+        s = self.resolve(sec)[2]
+        if s is None:
+            raise EstimateError(f"ownership completion of {sec} with no initiation")
+        s.unmatched = 0
+        s.ready = ctime
 
 
 # ---------------------------------------------------------------------- #

@@ -85,6 +85,43 @@ class TestRun:
             main(["run", program_file, "--init", "A=bogus"])
 
 
+class TestBadInput:
+    """Malformed FILE input: ``FILE:line:col: message`` on stderr and exit
+    status 2 — never a traceback (ROADMAP aim 3)."""
+
+    @pytest.mark.parametrize("cmd", ["check", "run", "compile"])
+    def test_syntax_error_has_location_and_exit_2(self, cmd, tmp_path, capsys):
+        p = tmp_path / "bad.xdp"
+        p.write_text("array A[1:4] dist (BLOCK) seg (1)\n"
+                     "do i = 1, 4\n  A[i] = = 3\nenddo\n")
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, str(p), "--nprocs", "2"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert err == f"{p}:3:10: unexpected token '='\n"
+        assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize("cmd", ["check", "run", "compile"])
+    def test_verify_program_error_names_file_and_exits_2(
+            self, cmd, tmp_path, capsys):
+        p = tmp_path / "dup.xdp"
+        p.write_text("array A[1:4] dist (BLOCK) seg (1)\n"
+                     "array A[1:4] dist (BLOCK) seg (1)\nA[1] = 0\n")
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, str(p), "--nprocs", "2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            f"{p}: duplicate declaration of 'A'\n")
+
+    def test_findings_still_exit_1(self, tmp_path, capsys):
+        # A communication *finding* is a verdict, not bad input.
+        p = tmp_path / "unowned.xdp"
+        p.write_text("array A[1:4] dist (BLOCK) seg (1)\n"
+                     "mypid == 1 : { A[4] = 0 }\n")
+        assert main(["check", str(p), "--nprocs", "2"]) == 1
+        assert "unowned-write" in capsys.readouterr().out
+
+
 class TestFigures:
     @pytest.mark.parametrize("which,marker", [
         ("1", "rules governing execution"),

@@ -339,6 +339,92 @@ class TestResolutionRecords:
         assert p3.iown("C", sec)
         assert p3.read("C", sec).tolist() == [[0.0, 2.0], [3.0, 4.0]]
 
+    # The same type is the static verifier's and the tuner's abstract
+    # table (repro.core.segtable.SegmentTable): same memo, same rules.
+
+    def test_run_time_entry_is_the_shared_type(self, p3):
+        from repro.core.segtable import SegmentTable
+        from repro.tune.cost import _AbsVar
+
+        assert isinstance(p3.entry("C"), SegmentTable)
+        assert issubclass(_AbsVar, SegmentTable)
+
+    def test_abstract_tables_share_records_by_section_value(self):
+        from repro.core.analysis.verify_comm import _Machine
+        from repro.core.ir.parser import parse_program
+
+        m = _Machine(parse_program("array A[1:8] dist (BLOCK) seg (2)\n"),
+                     4, None, 1000)
+        a, b = section((1, 2)), section((1, 2))
+        assert a is not b
+        table = m.tables[(1, "A")]
+        assert m.iown(1, "A", a) and m.overlapping(1, "A", b)
+        assert m.state_of(1, "A", b) is SegmentState.ACCESSIBLE
+        assert len(table._resolve_cache) == 1
+        assert table.resolve(a) is table.resolve(b)
+        # An abstract release is a geometry change: the record goes, and
+        # the verdict with it.
+        m.release(1, "A", section(1))
+        assert not table._resolve_cache
+        assert not m.iown(1, "A", a) and m.iown(1, "A", section(2))
+        assert m.state_of(1, "A", a) is SegmentState.UNOWNED
+
+    def test_abstract_ownership_receive_drops_the_record(self):
+        from repro.core.analysis.verify_comm import verify_communication
+        from repro.core.ir.parser import parse_program
+
+        # P1 asks about A[5:6] (unowned: memoized), then acquires it.  A
+        # stale record would flag the write below as unowned; P3's guarded
+        # write after its release would be flagged if *its* record stayed.
+        report = verify_communication(parse_program("""
+array A[1:8] dist (BLOCK) seg (2)
+scalar x = 0
+mypid == 1 : {
+  iown(A[5:6]) : { x = 1 }
+  A[5:6] <=-
+  await(A[5:6])
+  A[5] = 1
+}
+mypid == 3 : {
+  iown(A[5:6]) : { x = 1 }
+  A[5:6] -=> {1}
+  iown(A[5:6]) : { A[5] = 2 }
+}
+"""), 4)
+        assert report.clean, report.format()
+
+    def test_tuner_tracker_records_follow_geometry(self):
+        from repro.tune.cost import EstimateError, _AbsSeg, _AbsVar
+
+        v = _AbsVar(8, [_AbsSeg(section((1, 2))), _AbsSeg(section((3, 4)))])
+        assert v.iown(section((1, 4))) and v.iown(section((1, 4)))
+        assert len(v._resolve_cache) == 1
+        v.release(section((3, 4)))
+        assert not v._resolve_cache and not v.iown(section((1, 4)))
+        seg = v.acquire(section((3, 4)))
+        assert v.iown(section((1, 4))) and not v.accessible(section((1, 4)), 0.0)
+        v.complete_own(section((3, 4)), 5.0)
+        assert seg.ready == 5.0 and v.wake_time(section((1, 4))) == 5.0
+        with pytest.raises(EstimateError, match="no initiation"):
+            v.complete_own(section((3, 3)), 6.0)
+
+    def test_overlapping_is_in_table_order_past_the_index_threshold(self):
+        from repro.core.segtable import SegmentTable
+
+        class Desc:
+            def __init__(self, segment):
+                self.segment = segment
+
+        # Descending lower bounds: index order is the reverse of table order.
+        descs = [Desc(section((lo, lo + 1))) for lo in range(19, 0, -2)]
+        table = SegmentTable(segdescs=descs)
+        assert len(descs) >= table.INDEX_THRESHOLD
+        hit = [d for d, _ in table.overlapping(section((4, 9)))]
+        assert hit == [d for d in descs
+                       if d.segment.dims[0].hi >= 4 and d.segment.dims[0].lo <= 9]
+        pairs, covers, exact = table.resolve(section((5, 6)))
+        assert covers and exact is descs[7] and pairs == ((descs[7], section((5, 6))),)
+
     def test_compiled_run_records_bounded_by_distinct_sections(self, monkeypatch):
         import gc
         from collections import Counter, defaultdict

@@ -1,5 +1,8 @@
 """Unit tests for the static communication-safety verifier."""
 
+import functools
+import hashlib
+
 import pytest
 
 from repro.core.analysis.verify_comm import (
@@ -357,3 +360,241 @@ enddo
         become accessible: flagged as blocked-forever, not a deadlock."""
         r = verify(DECLS + "mypid == 1 : { A[1:3] => {2} }")
         assert "blocked-forever" in codes(r) and not r.ok
+
+
+# --------------------------------------------------------------------- #
+# report identity: the verifier's cost may change, its reports may not
+# --------------------------------------------------------------------- #
+
+
+@functools.lru_cache(maxsize=None)
+def _pinned_programs() -> dict[str, tuple[str, int]]:
+    """The benchmark's compiled programs, from the app generators at the
+    benchmark's sizes (plus FFT stage 3): name -> (IL text, nprocs)."""
+    from repro.apps.fft3d import fft3d_source
+    from repro.apps.jacobi import jacobi_source
+    from repro.apps.matmul import VARIANTS, matmul_source
+    from repro.core.ir.printer import print_program
+    from repro.tune import LayoutCandidate, detect_phases, generate_phased_program
+
+    out = {f"matmul-{v}": (matmul_source(64, 16, v), 16) for v in VARIANTS}
+    out["jacobi-halo-overlap"] = (
+        print_program(jacobi_source(1024, 16, 8, "halo-overlap")), 16)
+    for stage in (0, 2, 3):
+        out[f"fft3d-s{stage}"] = (fft3d_source(16, 16, stage), 16)
+    base = parse_program(fft3d_source(16, 4, 0))
+    layouts = [LayoutCandidate(s) for s in
+               ("(*, *, CYCLIC)", "(*, *, CYCLIC)", "(*, CYCLIC, *)")]
+    out["fft3d-cyclic"] = (generate_phased_program(
+        base, detect_phases(base), layouts, 4, realization="bulk"), 4)
+    return out
+
+
+def _mutant(text: str) -> tuple[str, str]:
+    """One receive-side mutant: the first point-to-point receive deleted,
+    or — in a program whose only receives are collective landings — the
+    first collective skipped by P1."""
+    lines = text.splitlines()
+    for i, l in enumerate(lines):
+        if " <- " in l or l.rstrip().endswith(("<=-", "<=")):
+            del lines[i]
+            return "no-recv", "\n".join(lines) + "\n"
+    i = next(i for i, l in enumerate(lines) if l.lstrip().startswith("coll "))
+    lines[i] = "mypid != 1 : { " + lines[i].strip() + " }"
+    return "coll-skipped", "\n".join(lines) + "\n"
+
+
+def _report_digest(report: CommReport) -> str:
+    doc = (report.nprocs,
+           [(f.severity, f.code, f.message, f.loc, f.pid1, f.count)
+            for f in report.findings],
+           report.events, report.complete, report.waived)
+    return hashlib.sha256(repr(doc).encode()).hexdigest()[:16]
+
+
+#: sha256[:16] of the full report tuple, recorded at the commit *before*
+#: the verifier moved onto the shared segment table (PR 14's parent).
+PINNED_REPORTS = {
+    "fft3d-cyclic/clean/msg": "95fd5fb5ce3f1b55",
+    "fft3d-cyclic/clean/shmem": "95fd5fb5ce3f1b55",
+    "fft3d-cyclic/no-recv/msg": "119450d2c514ef5e",
+    "fft3d-cyclic/no-recv/shmem": "15408a7f44581959",
+    "fft3d-s0/clean/msg": "a0d1400f3bd14034",
+    "fft3d-s0/clean/shmem": "a0d1400f3bd14034",
+    "fft3d-s0/no-recv/msg": "40e98d3c49f15253",
+    "fft3d-s0/no-recv/shmem": "54bf02b860504c2c",
+    "fft3d-s2/clean/msg": "e20e93ec9ac9f28b",
+    "fft3d-s2/clean/shmem": "e20e93ec9ac9f28b",
+    "fft3d-s2/no-recv/msg": "f2d5c944ccc61487",
+    "fft3d-s2/no-recv/shmem": "790b7bec4e7b51fc",
+    "fft3d-s3/clean/msg": "ceeaf1a717664de6",
+    "fft3d-s3/clean/shmem": "ceeaf1a717664de6",
+    "fft3d-s3/no-recv/msg": "366fa82abe72c043",
+    "fft3d-s3/no-recv/shmem": "312226f866a70ac6",
+    "jacobi-halo-overlap/clean/msg": "452f967d07c57a60",
+    "jacobi-halo-overlap/clean/shmem": "452f967d07c57a60",
+    "jacobi-halo-overlap/no-recv/msg": "7c07f4af9702e58b",
+    "jacobi-halo-overlap/no-recv/shmem": "a1474f346e4814bc",
+    "matmul-cannon/clean/msg": "8d53301d49bcde4b",
+    "matmul-cannon/clean/shmem": "8d53301d49bcde4b",
+    "matmul-cannon/no-recv/msg": "8198e553b99d9dfc",
+    "matmul-cannon/no-recv/shmem": "aedeb9ad92bd716e",
+    "matmul-gather/clean/msg": "d10bc8f6baa911bd",
+    "matmul-gather/clean/shmem": "d10bc8f6baa911bd",
+    "matmul-gather/coll-skipped/msg": "d2d60df6efaae854",
+    "matmul-gather/coll-skipped/shmem": "d2d60df6efaae854",
+    "matmul-outer/clean/msg": "d10bc8f6baa911bd",
+    "matmul-outer/clean/shmem": "d10bc8f6baa911bd",
+    "matmul-outer/coll-skipped/msg": "09cac937cfe228ac",
+    "matmul-outer/coll-skipped/shmem": "09cac937cfe228ac",
+    "matmul-summa/clean/msg": "adb76ee6dd2e1870",
+    "matmul-summa/clean/shmem": "adb76ee6dd2e1870",
+    "matmul-summa/coll-skipped/msg": "ac5042f4122b695e",
+    "matmul-summa/coll-skipped/shmem": "eebb2fbf6a5b9981",
+}
+
+
+class TestReportIdentity:
+    @pytest.mark.parametrize("name", sorted(
+        {k.split("/")[0] for k in PINNED_REPORTS}))
+    def test_reports_byte_identical_to_parent(self, name):
+        text, nprocs = _pinned_programs()[name]
+        tag, mutant = _mutant(text)
+        got = {
+            f"{name}/{variant}/{backend}": _report_digest(
+                verify(src, nprocs, backend=backend))
+            for variant, src in (("clean", text), (tag, mutant))
+            for backend in ("msg", "shmem")
+        }
+        assert got == {k: v for k, v in PINNED_REPORTS.items()
+                       if k.startswith(name + "/")}
+
+    def test_mutants_are_rejected_and_clean_programs_clean(self):
+        for name, (text, nprocs) in _pinned_programs().items():
+            if not name.startswith("matmul"):
+                continue  # the cheap ones; digests cover the rest
+            assert verify(text, nprocs).clean, name
+            assert not verify(_mutant(text)[1], nprocs).ok, name
+
+
+# --------------------------------------------------------------------- #
+# one chunk map per rendezvous: what the memo must not mask
+# --------------------------------------------------------------------- #
+
+COLL_DECLS = """
+array A[1:8] dist (BLOCK) seg (2)
+array W[1:4,1:8] dist (BLOCK, *) seg (1, 8)
+array IX[1:4] dist (BLOCK) seg (1)
+scalar k = 0
+"""
+
+
+def _summary(report: CommReport):
+    return [(f.severity, f.code, f.pid1, f.count) for f in report.findings]
+
+
+class TestCollectiveChunkMapSharing:
+    """`_exec_collective` resolves a site's chunk map once per rendezvous
+    and shares it between members whose environments agree; members whose
+    environments differ resolve their own and still disagree loudly."""
+
+    @pytest.mark.parametrize("backend", ["msg", "shmem"])
+    def test_subscripts_mentioning_mypid_still_mismatch(self, backend):
+        # P4 resolves a shorter landing than P1..P3 (mypid/4 is 1 only there).
+        r = verify(COLL_DECLS + "coll allgather(g, d in 1:4) A[(g-1)*2+1:g*2] "
+                   "into W[d, (g-1)*2+1:g*2-(mypid/4)]\n", backend=backend)
+        assert _summary(r) == [("error", "collective-mismatch", 4, 1)]
+
+    @pytest.mark.parametrize("backend", ["msg", "shmem"])
+    def test_per_processor_scalar_still_mismatches(self, backend):
+        r = verify(COLL_DECLS + "k = mypid / 4\n"
+                   "coll allgather(g, d in 1:4) A[(g-1)*2+1:g*2] "
+                   "into W[d, (g-1)*2+1:g*2-k]\n", backend=backend)
+        assert _summary(r) == [("error", "collective-mismatch", 4, 1)]
+        assert r.events == 8
+
+    def test_int_and_float_scalars_do_not_share_a_map(self):
+        # `/` floors ints only: (-3/2)*2 is -4, (-3.0/2)*2 is -3.0.  Equal
+        # as dict keys, different as subscripts.
+        src = (COLL_DECLS + "scalar h = 0\n"
+               "h = -3\nmypid == 4 : { h = 0.0 - 3 }\n"
+               "coll allgather(g, d in 1:4) A[(g-1)*2+1:g*2] "
+               "into W[d, (g-1)*2+1+(h/2)*2+4:g*2]\n")
+        assert _summary(verify(src)) == [("error", "collective-mismatch", 4, 1)]
+
+    @pytest.fixture
+    def resolved(self, monkeypatch):
+        """pid1 of every member that resolved a chunk map of its own."""
+        from repro.core.analysis import verify_comm as vc
+
+        resolved = []
+        inner = vc._Machine._coll_map
+
+        def spy(self, stmt, members, root_v, p):
+            resolved.append(p.pid1)
+            return (yield from inner(self, stmt, members, root_v, p))
+
+        monkeypatch.setattr(vc._Machine, "_coll_map", spy)
+        return resolved
+
+    def test_agreeing_members_share_one_resolution(self, resolved):
+        from repro.apps.matmul import matmul_source
+
+        assert verify(matmul_source(64, 16, "summa"), 16).clean
+        # One all_to_all + 16 broadcasts (the root `k` is in the key):
+        # 17 rendezvous, 17 chunk maps — not 17 x 16.
+        assert len(resolved) == 17
+        resolved.clear()
+        # mypid in a subscript: every member resolves its own.
+        verify(COLL_DECLS + "coll allgather(g, d in 1:4) A[(g-1)*2+1:g*2] "
+               "into W[d, (g-1)*2+1:g*2+mypid-mypid]\n")
+        assert sorted(resolved) == [1, 2, 3, 4]
+
+    def test_subscript_reading_an_array_is_waived_never_shared(
+            self, resolved):
+        r = verify(COLL_DECLS + "coll allgather(g, d in 1:4) A[(g-1)*2+1:g*2] "
+                   "into W[d, (g-1)*2+1+IX[mypid]*0:g*2]\n")
+        assert _summary(r) == [("warning", "unresolved-collective", 1, 4)]
+        assert r.waived == ("A", "W") and r.ok
+        assert sorted(resolved) == [1, 2, 3, 4]
+
+
+# --------------------------------------------------------------------- #
+# deterministic work guard
+# --------------------------------------------------------------------- #
+
+
+class TestWorkGuard:
+    """`Section.intersect` calls during one verification repeat exactly,
+    so a ceiling catches the O(S^2) end-of-run scan or per-query rescans
+    of the segment list coming back (parent commit: 5,768 and 153,696)."""
+
+    @staticmethod
+    def intersects_during(monkeypatch, text: str, nprocs: int) -> int:
+        from repro.core.sections import Section
+
+        calls = 0
+        inner = Section.intersect
+
+        def counting(self, other):
+            nonlocal calls
+            calls += 1
+            return inner(self, other)
+
+        program = parse_program(text)
+        monkeypatch.setattr(Section, "intersect", counting)
+        assert verify_communication(program, nprocs).clean
+        monkeypatch.undo()
+        return calls
+
+    def test_summa_intersect_ceiling(self, monkeypatch):
+        from repro.apps.matmul import matmul_source
+
+        n = self.intersects_during(monkeypatch, matmul_source(64, 16, "summa"), 16)
+        assert n <= 560
+
+    def test_fft3d_stage2_intersect_ceiling(self, monkeypatch):
+        from repro.apps.fft3d import fft3d_source
+
+        n = self.intersects_during(monkeypatch, fft3d_source(16, 16, 2), 16)
+        assert n <= 11_136
