@@ -274,13 +274,15 @@ class RuntimeSymbolTable:
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def _positions(container: Section, part: Section) -> tuple[np.ndarray, ...]:
-        """Per-dimension positions of ``part``'s members within ``container``."""
-        idx: list[np.ndarray] = []
-        for ct, pt in zip(container.dims, part.dims):
-            members = np.arange(pt.lo, pt.hi + 1, pt.step)
-            idx.append((members - ct.lo) // ct.step)
-        return tuple(idx)
+    def _positions(container: Section, part: Section) -> tuple[slice, ...]:
+        """Per-dimension positions of ``part``'s members within ``container``:
+        ``part`` is a subset (an overlap with it or a piece of it), so they
+        form an arithmetic progression — one basic slice, no index arrays."""
+        return tuple(
+            slice((pt.lo - ct.lo) // ct.step, (pt.hi - ct.lo) // ct.step + 1,
+                  pt.step // ct.step or 1)
+            for ct, pt in zip(container.dims, part.dims)
+        )
 
     def _short_of(self, verb: str, name: str, sec: Section, pairs) -> OwnershipError:
         covered = sum(inter.size for _, inter in pairs)
@@ -292,7 +294,7 @@ class RuntimeSymbolTable:
     def _gather(self, entry: VariableEntry, name: str, sec: Section, res: tuple) -> np.ndarray:
         pairs, covers, exact, chunk = res
         if exact is not None:
-            # Whole-segment query: copy the chunk, no np.ix_ gather.
+            # Whole-segment query: copy the chunk, no position arithmetic.
             if exact.state is SegmentState.TRANSITIONAL and self.strict:
                 raise OwnershipError(
                     f"P{self.pid + 1} read of transitional section {name}{sec}"
@@ -305,8 +307,7 @@ class RuntimeSymbolTable:
                     f"P{self.pid + 1} read of transitional section {name}{inter}"
                 )
             chunk = self.memory.get(d.handle)
-            src = chunk[np.ix_(*self._positions(d.segment, inter))]
-            out[np.ix_(*self._positions(sec, inter))] = src
+            out[self._positions(sec, inter)] = chunk[self._positions(d.segment, inter)]
         if not covers:
             raise self._short_of("reads", name, sec, pairs)
         return out
@@ -343,9 +344,8 @@ class RuntimeSymbolTable:
             return
         for d, inter in pairs:
             chunk = self.memory.get(d.handle)
-            pos = self._positions(sec, inter)
-            src = vals if vals.shape == () else vals[np.ix_(*pos)]
-            chunk[np.ix_(*self._positions(d.segment, inter))] = src
+            src = vals if vals.shape == () else vals[self._positions(sec, inter)]
+            chunk[self._positions(d.segment, inter)] = src
         if not covers:
             raise self._short_of("writes", name, sec, pairs)
 
@@ -406,7 +406,7 @@ class RuntimeSymbolTable:
             chunk = self.memory.get(d.handle)
             for piece in remainder:
                 handle, arr = self.memory.allocate(piece.shape, entry.dtype)
-                arr[...] = chunk[np.ix_(*self._positions(d.segment, piece))]
+                arr[...] = chunk[self._positions(d.segment, piece)]
                 new.append(SegmentDesc(piece, SegmentState.ACCESSIBLE, handle))
             self.memory.free(d.handle)
         entry.segdescs = keep + new

@@ -119,6 +119,30 @@ class TestReadWrite:
         p3.write("C", section((1, 2), (5, 8)), 7.5)
         assert np.all(p3.read("C", section((1, 2), (5, 8))) == 7.5)
 
+    def test_strided_segments_match_dense_mirror(self):
+        # CYCLIC-style segments: every position inside a segment is a
+        # strided progression of a strided progression.
+        st = RuntimeSymbolTable(0)
+        st.declare_empty("A", section((1, 16), (1, 12)))
+        for lo in (1, 3):
+            st.acquire_ownership(
+                "A", section((lo, 16, 4), (1, 12, 3)), transitional=False
+            )
+        mirror = np.zeros((16, 12))
+        whole = section((1, 16, 2), (1, 12, 3))  # both segments, interleaved
+        vals = np.arange(32.0).reshape(8, 4)
+        st.write("A", whole, vals)
+        mirror[0:16:2, 0:12:3] = vals
+        st.write("A", section((3, 16, 8), (4, 10, 6)), -1.0)
+        mirror[2:16:8, 3:10:6] = -1.0
+        for sec, want in [
+            (whole, mirror[0:16:2, 0:12:3]),
+            (section((5, 13, 4), (4, 10, 3)), mirror[4:13:4, 3:10:3]),
+            (section((3, 15, 2), 7), mirror[2:15:2, 6:7]),
+            (section(11, 10), mirror[10:11, 9:10]),
+        ]:
+            assert np.array_equal(st.read("A", sec), want), sec
+
     def test_read_unowned_raises(self, p3):
         with pytest.raises(OwnershipError):
             p3.read("C", section(1, (1, 8)))
