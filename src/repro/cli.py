@@ -411,8 +411,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         src = fft3d_source(args.n, args.nprocs, args.stage)
         what = f"fft3d n={args.n} stage={args.stage}"
     model = _MODELS[args.model]()
-    if args.knobs and args.realizations:
-        raise SystemExit("pass either --knobs or --realizations, not both")
     store = args.store
     if args.shards and store is None:
         # Sharded workers need a shared store; a throwaway one will do.
@@ -425,8 +423,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         args.nprocs,
         model=model,
         top_k=args.top_k,
-        realizations=(tuple(args.realizations.split(","))
-                      if args.realizations else None),
         knobs=_parse_knobs(args.knobs) if args.knobs else None,
         budget_s=args.budget,
         shards=args.shards,
@@ -730,9 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
     u.add_argument("--model", default="default", choices=sorted(_MODELS))
     u.add_argument("--top-k", type=int, default=4,
                    help="first engine wave size (waves then halve)")
-    u.add_argument("--realizations", default=None,
-                   help="legacy: redistribution realizations to consider "
-                        "(default: the full knob space)")
     u.add_argument("--knobs", default=None, metavar="SPEC",
                    help="pass-level knob space, e.g. "
                         "'bulk,pipelined,planner@0.25,planner@0.5'")

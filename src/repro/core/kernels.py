@@ -88,8 +88,6 @@ def _gemm_acc(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> int:
     Sections arrive with collapsed unit dimensions (e.g. ``(1, m, k)``), so
     factor shapes are recovered from sizes alone: for ``c(m, n) += a(m, k)
     @ b(k, n)`` the products satisfy ``a.size * c.size / b.size = m**2``.
-    The analytic twin (tune/cost.py ``KERNEL_FLOPS``) recovers shapes the
-    same way, so estimated and executed flops agree exactly.
     """
     m = max(1, math.isqrt(max(1, (a.size * c.size) // b.size)))
     k = max(1, a.size // m)

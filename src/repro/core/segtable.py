@@ -2,10 +2,10 @@
 
 ``iown()`` "intersects the queried section with every segment of the
 variable" and tests coverage.  That scan and the memo of its results live
-here once, for the run-time symbol table (``runtime.symtab.VariableEntry``),
-the static verifier's abstract tables (``core.analysis.verify_comm``) and
-the tuner's trackers (``tune.cost``).  A descriptor is any object with a
-``segment`` Section; segments of one table are pairwise disjoint.
+here once, for the run-time symbol table (``runtime.symtab.VariableEntry``)
+and the static verifier's abstract tables (``core.analysis.verify_comm``).
+A descriptor is any object with a ``segment`` Section; segments of one
+table are pairwise disjoint.
 """
 
 from __future__ import annotations

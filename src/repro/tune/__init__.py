@@ -2,17 +2,15 @@
 
 The paper optimizes the 3-D FFT's distributions and segmentations *by
 hand*, in three stages.  XDP's explicit representation is what makes that
-optimization mechanical — so this package performs it automatically:
-
-XDP's explicit representation is what makes that optimization mechanical
-— so this package performs it automatically, as a four-stage pipeline:
+optimization mechanical — so this package performs it automatically, as a
+four-stage pipeline:
 
 * :mod:`~repro.tune.space` — **space**: lazy enumeration of candidate
   placements (distribution-spec x segmentation x grid-shape) per phase,
   crossed with pass-level knobs, described by :class:`SpaceSpec` without
   materializing;
 * :mod:`~repro.tune.prefilter` — **ranking**: every space point scored by
-  the analytic cost model (:mod:`~repro.tune.cost`), deduplicated by
+  the closed-form costs (:mod:`~repro.tune.cost`), deduplicated by
   emission identity, vetted by the communication verifier, cut to a
   shortlist under an explicit candidate budget;
 * :mod:`~repro.tune.evaluate` — **evaluation**: shortlisted candidates run
@@ -28,12 +26,8 @@ See docs/TUNING.md for the full design.
 """
 
 from .cost import (
-    CALIBRATION_RTOL,
-    ProgramCostEstimate,
     SharedAddressCosts,
     TransportCosts,
-    estimate_program,
-    estimate_workqueue,
     phase_compute_cost,
     redistribution_cost,
     transport_costs,
@@ -61,7 +55,6 @@ from .space import (
 )
 
 __all__ = [
-    "CALIBRATION_RTOL",
     "EvalCache",
     "EvalResult",
     "EvalTask",
@@ -70,7 +63,6 @@ __all__ = [
     "LayoutCandidate",
     "PhaseSpec",
     "PrefilterResult",
-    "ProgramCostEstimate",
     "RankedCandidate",
     "SharedAddressCosts",
     "SpaceSpec",
@@ -81,8 +73,6 @@ __all__ = [
     "candidate_segmentation",
     "detect_phases",
     "enumerate_layouts",
-    "estimate_program",
-    "estimate_workqueue",
     "evaluate_candidates",
     "evaluate_sharded",
     "generate_phased_program",

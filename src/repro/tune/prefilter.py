@@ -14,8 +14,9 @@ node costs are cached per (placement, candidate, knob), and selection
 keeps a bounded top-N, so memory is O(shortlist), not O(space).
 
 The shortlist is then *realized*: each surviving path is regenerated as
-program text, textual duplicates collapse (different knobs can emit the
-same program, e.g. any realization of an all-local path), and candidates
+program text, duplicates collapse (different knobs or layout names can
+emit the same program, e.g. any realization of an all-local path —
+compared comment-free, on the printed parse), and candidates
 the communication verifier rejects are demoted — recorded with their
 knob tuple and the :class:`~repro.core.analysis.verify_comm.CommReport`
 summary, never silently dropped, never sent to the engine.  An empty
@@ -32,11 +33,14 @@ import numpy as np
 from ..core.analysis.verify_comm import verify_communication
 from ..core.ir.nodes import ArrayDecl, Program
 from ..core.ir.parser import parse_program
+from ..core.ir.printer import print_program
 from ..core.collectives.planner import plan_bounded_redistribution
 from ..distributions import Distribution, plan_redistribution
 from ..machine.model import MachineModel
 from .cost import phase_compute_cost, redistribution_cost
-from .rewrite import PhaseSpec, TuneError, generate_phased_program
+from .rewrite import (
+    PhaseSpec, TuneError, edge_realization, generate_phased_program,
+)
 from .space import KnobPoint, LayoutCandidate, SpaceSpec, candidate_segmentation
 
 __all__ = ["PrefilterResult", "RankedCandidate", "prefilter"]
@@ -129,47 +133,27 @@ class _EdgeCosts:
             self.plans[key] = plan
         return plan
 
-    def effective(
+    def price(
         self,
         source: Distribution,
         cand: LayoutCandidate,
         knob: KnobPoint,
         *,
         first_edge: bool,
-    ) -> str:
-        """The realization the generator will actually build on this edge:
-        it cannot pipeline into a non-existent producing loop, needs a
-        single source loop axis to fuse on, and an edge with no moves
-        emits nothing at all."""
-        if not self.plan(source, cand).moves:
-            return "none"
-        real = knob.realization
-        if real == "pipelined":
-            src_axes = [
-                a for a, s in enumerate(source.specs) if not s.collapsed
-            ]
-            if first_edge or len(src_axes) != 1:
-                real = "bulk"
-        return real
-
-    def cost(
-        self,
-        source: Distribution,
-        cand: LayoutCandidate,
-        knob: KnobPoint,
-        *,
-        first_edge: bool,
-    ) -> float:
-        src_axes = [a for a, s in enumerate(source.specs) if not s.collapsed]
-        real = self.effective(source, cand, knob, first_edge=first_edge)
-        if real == "none":
-            return 0.0
+    ) -> tuple[str | None, float]:
+        """The realization the generator builds on this edge (``None``:
+        no moves, nothing emitted) and its analytic cost."""
+        plan = self.plan(source, cand)
+        real, src_axis = edge_realization(
+            knob.realization, source, plan, first_edge=first_edge
+        )
+        if real is None:
+            return None, 0.0
         frac = knob.max_temp_frac
         key = (source, cand, real, frac)
         hit = self.costs.get(key)
         if hit is not None:
-            return hit
-        plan = self.plan(source, cand)
+            return real, hit
         schedule = None
         if real == "planner":
             skey = (source, cand, frac)
@@ -183,11 +167,10 @@ class _EdgeCosts:
                 self.schedules[skey] = schedule
         out = redistribution_cost(
             plan, self.model, itemsize=self.itemsize, realization=real,
-            outer_axis=src_axes[0] if len(src_axes) == 1 else None,
-            backend=self.backend, schedule=schedule,
+            outer_axis=src_axis, backend=self.backend, schedule=schedule,
         )
         self.costs[key] = out
-        return out
+        return real, out
 
 
 def prefilter(
@@ -244,10 +227,11 @@ def prefilter(
             reals = []
             prev = initial
             for li, cand in enumerate(path):
-                score += edges.cost(prev, cand, knob, first_edge=(li == 0))
-                reals.append(
-                    edges.effective(prev, cand, knob, first_edge=(li == 0))
+                real, cost = edges.price(
+                    prev, cand, knob, first_edge=(li == 0)
                 )
+                score += cost
+                reals.append(real)
                 prev = edges.dist(cand)
             scored += 1
             rc = RankedCandidate(score, tuple(path), knob)
@@ -255,7 +239,6 @@ def prefilter(
                 tuple((c.dist, c.grid_shape) for c in path),
                 tuple(reals),
                 knob.max_temp_frac if "planner" in reals else None,
-                knob.coll_schedule,
             )
             old = best.get(emission)
             if old is None:
@@ -295,15 +278,17 @@ def prefilter(
             max_temp_frac=(rc.knob.max_temp_frac
                            if rc.knob.max_temp_frac is not None else 0.5),
         )
-        if src in seen_sources:
-            # The emission key is a conservative prediction; the generated
-            # text is the ground truth for duplicate detection.
+        parsed = parse_program(src)
+        # The emission key is a conservative prediction; the generated
+        # program is the ground truth for duplicate detection — printed
+        # back from its parse, so the layout *name* in the phase comments
+        # (CYCLIC(2) that is BLOCK at this n/P) cannot tell clones apart.
+        text = print_program(parsed)
+        if text in seen_sources:
             deduped += 1
             continue
-        seen_sources.add(src)
-        report = verify_communication(
-            parse_program(src), space.nprocs, backend=backend
-        )
+        seen_sources.add(text)
+        report = verify_communication(parsed, space.nprocs, backend=backend)
         if not report.ok:
             # A rejected rewrite is a rewriter bug, not a bad score —
             # demote it with enough context to debug from the CLI.

@@ -48,7 +48,9 @@ from ..core.ir.nodes import (
     Program, Stmt,
 )
 from ..core.sections import Section, Triplet
-from ..distributions import ProcessorGrid, plan_redistribution
+from ..distributions import (
+    Distribution, ProcessorGrid, RedistributionPlan, plan_redistribution,
+)
 from .space import LayoutCandidate, candidate_segmentation
 
 __all__ = [
@@ -56,6 +58,7 @@ __all__ = [
     "REALIZATIONS",
     "TuneError",
     "detect_phases",
+    "edge_realization",
     "generate_phased_program",
     "planner_redistribution_text",
 ]
@@ -261,6 +264,32 @@ def _dedup_moves(moves: Iterable) -> list:
     return out
 
 
+def edge_realization(
+    realization: str,
+    source: Distribution,
+    plan: RedistributionPlan,
+    *,
+    first_edge: bool,
+) -> tuple[str | None, int | None]:
+    """What :func:`generate_phased_program` builds on one phase edge, and
+    the source loop axis a pipelined edge fuses on.
+
+    An edge with no moves emits nothing (``None``); ``pipelined`` needs a
+    producing loop (not the first edge) and a single distributed source
+    axis to fuse on, else it degrades to ``bulk``.  The prefilter prices
+    edges through this same function, so the static score is of the
+    program that is actually generated.
+    """
+    if not plan.moves:
+        return None, None
+    if realization != "pipelined":
+        return realization, None
+    src_axes = [a for a, s in enumerate(source.specs) if not s.collapsed]
+    if first_edge or len(src_axes) != 1:
+        return "bulk", None
+    return "pipelined", src_axes[0]
+
+
 def _planner_rounds(
     var: str,
     current,
@@ -371,19 +400,18 @@ def generate_phased_program(
         target = candidate_segmentation(decl, cand, nprocs).distribution
         plan = plan_redistribution(current, target)
         guard = "iown"
-        moves = _dedup_moves(plan.moves)
-        if moves:
-            src_axes = [
-                a for a, s in enumerate(current.specs) if not s.collapsed
-            ]
-            src_axis = src_axes[0] if len(src_axes) == 1 else None
-            if realization == "planner":
+        real, src_axis = edge_realization(
+            realization, current, plan, first_edge=(idx == 0)
+        )
+        if real is not None:
+            moves = _dedup_moves(plan.moves)
+            if real == "planner":
                 blocks.append(_planner_rounds(
                     var, current, target, plan, decl,
                     max_temp_frac=max_temp_frac,
                 ))
                 guard = "await"
-            elif realization == "pipelined" and idx > 0 and src_axis is not None:
+            elif real == "pipelined":
                 ov = _VARS[src_axis]
                 send_pairs: list[tuple[str, str]] = []
                 recv_pairs: list[tuple[str, str]] = []

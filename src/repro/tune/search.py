@@ -50,9 +50,7 @@ from .evaluate import (
 )
 from .prefilter import PrefilterResult, RankedCandidate, prefilter
 from .rewrite import PhaseSpec, TuneError, detect_phases
-from .space import (
-    KnobSpec, LayoutCandidate, PHASE_SEGS, PHASE_SPECS, SpaceSpec,
-)
+from .space import KnobSpec, LayoutCandidate, SpaceSpec
 
 __all__ = ["TuneError", "TuneResult", "tune"]
 
@@ -199,11 +197,7 @@ def tune(
     *,
     model: MachineModel | None = None,
     top_k: int = 4,
-    realizations: Sequence[str] | None = None,
     knobs: KnobSpec | None = None,
-    specs: Sequence[str] | None = None,
-    seg_choices: Sequence[str] | None = None,
-    shortlist: int | None = None,
     budget_s: float | None = 60.0,
     shards: int | None = None,
     parallel: bool = True,
@@ -221,16 +215,16 @@ def tune(
     next engine wave starts, never reorders one.
 
     ``top_k`` sizes the first engine wave (waves then halve, so at most
-    ``2 * top_k - 1`` candidates are engine-validated); ``shortlist``
-    caps the ranked shortlist (default ``max(2 * top_k, 8)``);
+    ``2 * top_k - 1`` candidates are engine-validated) and the ranked
+    shortlist (``max(2 * top_k, 8)`` entries);
     ``budget_s`` is the wall-clock budget checked between waves (``None``
     = unbounded).  ``shards`` switches engine validation to that many
     supervised worker processes — it requires ``store``, which also
     memoizes evaluations across processes and runs.
 
-    ``realizations`` is the legacy knob form (a tuple of realization
-    names); ``knobs`` a full :class:`~repro.tune.space.KnobSpec`.  If no
-    generated candidate beats the input program on the engine, the result
+    ``knobs`` is the :class:`~repro.tune.space.KnobSpec` the layout paths
+    are crossed with (default: every realization and planner budget).  If
+    no generated candidate beats the input program on the engine, the result
     keeps the original placement (``realization == "baseline"``, speedup
     1.0) — tuning never returns something worse than its input.
     """
@@ -243,10 +237,7 @@ def tune(
     if shards is not None and store is None:
         raise TuneError("sharded evaluation (shards=...) needs a store")
     if knobs is None:
-        knobs = (KnobSpec(realizations=tuple(realizations))
-                 if realizations is not None else KnobSpec())
-    elif realizations is not None:
-        raise TuneError("pass either realizations or knobs, not both")
+        knobs = KnobSpec()
 
     phases = detect_phases(program)
     names = {p.var for p in phases}
@@ -262,21 +253,17 @@ def tune(
 
     # -- stage 1+2: lazy space, static ranking, verified shortlist ----- #
     space = SpaceSpec(
-        decl, nprocs, tuple(p.axis for p in phases),
-        specs=tuple(specs) if specs is not None else PHASE_SPECS,
-        seg_choices=(tuple(seg_choices) if seg_choices is not None
-                     else PHASE_SEGS),
-        knobs=knobs,
+        decl, nprocs, tuple(p.axis for p in phases), knobs=knobs,
     )
     for i, size in enumerate(space.layer_sizes):
         if size == 0:
             raise TuneError(
                 f"no realizable layout for phase [{phases[i]}] at P={nprocs}"
             )
-    budget = shortlist if shortlist is not None else max(2 * top_k, 8)
     pf: PrefilterResult = prefilter(
         program, phases, space,
-        initial=initial, model=model, backend=backend, budget=budget,
+        initial=initial, model=model, backend=backend,
+        budget=max(2 * top_k, 8),
     )
 
     def _evaluate(tasks: Sequence[EvalTask]) -> list[EvalResult]:

@@ -31,9 +31,8 @@ Two enumerators cover the same space:
 
 :class:`SpaceSpec` bundles the per-phase layout generators with the
 pass-level knob axes (:class:`KnobSpec`: redistribution realization
-``bulk`` / ``pipelined`` / ``planner`` with its ``max_temp_frac`` budget,
-and the collective schedule family where the program makes it legal) and
-can count or describe the full search space without materializing it.
+``bulk`` / ``pipelined`` / ``planner`` with its ``max_temp_frac`` budget)
+and can count or describe the full search space without materializing it.
 
 Construction goes through :func:`~repro.core.analysis.layouts`'s
 machinery (:func:`parse_dist_spec` / :func:`build_segmentation`) so the
@@ -379,22 +378,17 @@ class KnobPoint:
 
     ``realization`` picks how inter-phase redistribution is emitted
     (``bulk`` / ``pipelined`` / ``planner``); ``max_temp_frac`` is the
-    bounded planner's per-round temp-memory budget (planner only);
-    ``coll_schedule`` the collective schedule family (``staged`` /
-    ``flat``), present only when the program contains collectives.
+    bounded planner's per-round temp-memory budget (planner only).
     """
 
     realization: str
     max_temp_frac: float | None = None
-    coll_schedule: str | None = None
 
     @property
     def key(self) -> str:
         out = self.realization
         if self.max_temp_frac is not None:
             out += f"@{self.max_temp_frac:g}"
-        if self.coll_schedule is not None:
-            out += f"+coll:{self.coll_schedule}"
         return out
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
@@ -403,32 +397,21 @@ class KnobPoint:
 
 @dataclass(frozen=True)
 class KnobSpec:
-    """The knob *axes*: which realizations, planner budgets and collective
-    schedule families the space crosses the layout paths with."""
+    """The knob *axes*: which realizations and planner budgets the space
+    crosses the layout paths with."""
 
     realizations: tuple[str, ...] = ("bulk", "pipelined", "planner")
     max_temp_fracs: tuple[float, ...] = (0.25, 0.5)
-    coll_schedules: tuple[str, ...] = ("staged", "flat")
 
-    def points(self, *, has_collectives: bool = False) -> tuple[KnobPoint, ...]:
-        """Every legal knob assignment, in canonical order.
-
-        The planner realization crosses with its budget axis; the
-        collective schedule family only exists when the program has
-        collectives to schedule (otherwise the knob is degenerate and is
-        dropped rather than multiplying the space by a no-op axis).
-        """
-        colls: tuple[str | None, ...] = (
-            tuple(self.coll_schedules) if has_collectives else (None,)
-        )
+    def points(self) -> tuple[KnobPoint, ...]:
+        """Every legal knob assignment, in canonical order (the planner
+        realization crosses with its budget axis)."""
         out: list[KnobPoint] = []
         for real in self.realizations:
             fracs: tuple[float | None, ...] = (
                 tuple(self.max_temp_fracs) if real == "planner" else (None,)
             )
-            for frac in fracs:
-                for coll in colls:
-                    out.append(KnobPoint(real, frac, coll))
+            out.extend(KnobPoint(real, frac) for frac in fracs)
         return tuple(out)
 
 
@@ -450,7 +433,6 @@ class SpaceSpec:
     specs: tuple[str, ...] = PHASE_SPECS
     seg_choices: tuple[str, ...] = PHASE_SEGS
     knobs: KnobSpec = field(default_factory=KnobSpec)
-    has_collectives: bool = False
     _layer_sizes: tuple[int, ...] | None = field(default=None, repr=False)
 
     def layer(self, i: int) -> Iterator[LayoutCandidate]:
@@ -469,7 +451,7 @@ class SpaceSpec:
         return self._layer_sizes
 
     def knob_points(self) -> tuple[KnobPoint, ...]:
-        return self.knobs.points(has_collectives=self.has_collectives)
+        return self.knobs.points()
 
     def path_count(self) -> int:
         return math.prod(self.layer_sizes) if self.phase_axes else 0

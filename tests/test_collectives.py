@@ -426,57 +426,3 @@ class TestPlannerProperties:
         got = cover(sched.all_moves())
         want = cover(m for m in direct.moves if m.src != m.dst)
         assert got == want  # every element moved exactly once, same edges
-
-
-# --------------------------------------------------------------------- #
-# analytic cost model
-# --------------------------------------------------------------------- #
-
-
-class TestCostModel:
-    @pytest.mark.parametrize("backend", ["msg", "shmem"])
-    def test_collective_calibration(self, backend):
-        from repro.tune.cost import CALIBRATION_RTOL, estimate_program
-
-        program = parse_program(COLL_SRC)
-        est = estimate_program(program, 4, backend=backend)
-        runner = lower(program, 4, backend=backend, collectives="native")
-        real = runner.run()
-        assert est.makespan == pytest.approx(
-            real.makespan, rel=CALIBRATION_RTOL
-        )
-        assert est.total_messages == real.total_messages
-        assert est.total_bytes == real.total_bytes
-
-    def test_collective_cost_closed_form(self):
-        from repro.tune.cost import collective_cost
-
-        for op in ("broadcast", "allgather", "all_to_all",
-                   "reduce_scatter"):
-            for backend in ("msg", "shmem"):
-                assert collective_cost(op, 1, 64, backend=backend) == 0.0
-                c4 = collective_cost(op, 4, 64, backend=backend)
-                c16 = collective_cost(op, 16, 64, backend=backend)
-                assert 0.0 < c4 < c16, (op, backend)
-        # reduction pays the combine on top of the gather traffic
-        assert collective_cost("reduce_scatter", 8, 64, backend="msg") > \
-            collective_cost("allgather", 8, 64, backend="msg")
-        # both schedule families priced, and they differ
-        staged = collective_cost("broadcast", 8, 64, backend="msg",
-                                 style="staged")
-        flat = collective_cost("broadcast", 8, 64, backend="msg",
-                               style="flat")
-        assert staged != flat
-
-    def test_gemm_flops_parity_with_kernel(self):
-        from repro.core.kernels import default_registry
-        from repro.tune.cost import KERNEL_FLOPS
-
-        kernel = default_registry().get("gemm_acc").fn
-        for m, k, n in ((2, 8, 8), (4, 4, 4), (1, 8, 2)):
-            a = np.ones((m, k))
-            b = np.ones((k, n))
-            c = np.zeros((m, n))
-            real = kernel(c, a, b)
-            est = KERNEL_FLOPS["gemm_acc"]((a.size, b.size, c.size), ())
-            assert real == est == 2 * m * n * k

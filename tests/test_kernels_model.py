@@ -47,6 +47,23 @@ class TestKernels:
         x = np.array([0.0, 3.0, 0.0, 3.0, 0.0])
         default_registry().get("smooth").fn(x.reshape(1, 5))
 
+    def test_gemm_acc_flops(self):
+        kernel = default_registry().get("gemm_acc").fn
+        for m, k, n in ((2, 8, 8), (4, 4, 4), (1, 8, 2)):
+            c = np.zeros((m, n))
+            assert kernel(c, np.ones((m, k)), np.ones((k, n))) == 2 * m * n * k
+            assert (c == k).all()
+
+    def test_tuner_flop_table_matches_kernels(self):
+        from repro.tune.cost import KERNEL_FLOPS
+
+        reg = default_registry()
+        for name, flops in KERNEL_FLOPS.items():
+            extra = (2.0,) if name == "scale" else ()
+            for n in (1, 2, 8):
+                x = np.ones((1, n), dtype=complex)
+                assert reg.get(name).fn(x, *extra) == flops(n), (name, n)
+
     def test_custom_registration(self):
         reg = KernelRegistry()
 

@@ -363,15 +363,13 @@ class TestResolutionRecords:
         assert p3.iown("C", sec)
         assert p3.read("C", sec).tolist() == [[0.0, 2.0], [3.0, 4.0]]
 
-    # The same type is the static verifier's and the tuner's abstract
-    # table (repro.core.segtable.SegmentTable): same memo, same rules.
+    # The same type is the static verifier's abstract table
+    # (repro.core.segtable.SegmentTable): same memo, same rules.
 
     def test_run_time_entry_is_the_shared_type(self, p3):
         from repro.core.segtable import SegmentTable
-        from repro.tune.cost import _AbsVar
 
         assert isinstance(p3.entry("C"), SegmentTable)
-        assert issubclass(_AbsVar, SegmentTable)
 
     def test_abstract_tables_share_records_by_section_value(self):
         from repro.core.analysis.verify_comm import _Machine
@@ -416,21 +414,6 @@ mypid == 3 : {
 }
 """), 4)
         assert report.clean, report.format()
-
-    def test_tuner_tracker_records_follow_geometry(self):
-        from repro.tune.cost import EstimateError, _AbsSeg, _AbsVar
-
-        v = _AbsVar(8, [_AbsSeg(section((1, 2))), _AbsSeg(section((3, 4)))])
-        assert v.iown(section((1, 4))) and v.iown(section((1, 4)))
-        assert len(v._resolve_cache) == 1
-        v.release(section((3, 4)))
-        assert not v._resolve_cache and not v.iown(section((1, 4)))
-        seg = v.acquire(section((3, 4)))
-        assert v.iown(section((1, 4))) and not v.accessible(section((1, 4)), 0.0)
-        v.complete_own(section((3, 4)), 5.0)
-        assert seg.ready == 5.0 and v.wake_time(section((1, 4))) == 5.0
-        with pytest.raises(EstimateError, match="no initiation"):
-            v.complete_own(section((3, 3)), 6.0)
 
     def test_overlapping_is_in_table_order_past_the_index_threshold(self):
         from repro.core.segtable import SegmentTable

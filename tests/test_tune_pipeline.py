@@ -7,7 +7,7 @@ end-to-end contract):
 * same-seed searches are bit-reproducible for any shard count — the
   canonical result document and the BENCH row derived from it are
   byte-identical across ``shards in {1, 2, 4}``;
-* prefilter demotions carry the candidate and the verifier's report.
+* the prefilter's shortlist holds no two copies of one program.
 """
 
 import json
@@ -17,9 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.fft3d import fft3d_source
+from repro.core.analysis.layouts import build_segmentation
 from repro.core.ir.parser import parse_program
+from repro.core.ir.printer import print_program
+from repro.distributions import ProcessorGrid
+from repro.machine.model import MachineModel
 from repro.tune import (
-    KnobSpec, SpaceSpec, enumerate_layouts, iter_layouts, tune,
+    SpaceSpec, enumerate_layouts, iter_layouts, prefilter, tune,
 )
 from repro.tune.rewrite import detect_phases
 
@@ -73,12 +77,24 @@ class TestLazyEagerParity:
         for i, size in enumerate(space.layer_sizes):
             assert size == len(list(space.layer(i)))
 
-    def test_knob_axis_dropped_without_collectives(self):
-        ks = KnobSpec()
-        plain = ks.points(has_collectives=False)
-        coll = ks.points(has_collectives=True)
-        assert all(p.coll_schedule is None for p in plain)
-        assert len(coll) == len(plain) * len(ks.coll_schedules)
+
+class TestPrefilter:
+    def test_shortlist_has_no_clones(self):
+        # At n=8/P=4 CYCLIC(2) *is* BLOCK: the generated programs differ
+        # only in the layout name inside a comment and must collapse.
+        program = parse_program(fft3d_source(N, P, 0))
+        phases = detect_phases(program)
+        decl = program.array_decls()[0]
+        pf = prefilter(
+            program, phases,
+            SpaceSpec(decl, P, tuple(p.axis for p in phases)),
+            initial=build_segmentation(decl, ProcessorGrid((P,))).distribution,
+            model=MachineModel(), backend="msg", budget=8,
+        )
+        printed = [
+            print_program(parse_program(rc.source)) for rc in pf.shortlist
+        ]
+        assert len(set(printed)) == len(printed)
 
 
 class TestShardDeterminism:
