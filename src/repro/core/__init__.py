@@ -13,7 +13,7 @@ from .errors import (
     VerificationError,
     XDPError,
 )
-from .sections import Section, Triplet, covers, disjoint_cover_equal, section, triplet
+from .sections import Section, Triplet, disjoint_cover_equal, section, triplet
 from .states import SegmentState
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "Section",
     "triplet",
     "section",
-    "covers",
     "disjoint_cover_equal",
     "SegmentState",
 ]

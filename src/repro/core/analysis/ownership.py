@@ -1,12 +1,13 @@
-"""Static ownership analysis by compile-time enumeration.
+"""Static ownership analysis on sections and iteration spaces.
 
 Because the paper's setting fixes the processor grid, the HPF partitioning
 and (in its examples) the loop bounds at compile time, ownership questions
 ("which processor owns ``B[i]`` for each ``i`` in this loop?") can be
-decided exactly by evaluating subscripts over the iteration space and
-asking the distribution.  That is what this module does, with explicit
-caps so that the compiler degrades to *conservative* (communication kept,
-optimization skipped) rather than slow on large or symbolic programs.
+decided exactly: in closed form from the distribution's owned triplets
+where possible, otherwise by evaluating subscripts over the *iteration*
+space (never the array's elements) under an explicit cap, so that the
+compiler degrades to *conservative* (optimization skipped, and reported)
+rather than slow on large or symbolic programs.
 
 All pids here are the engine's 0-based ids; ``mypid``-pinning uses the
 paper's 1-based ids via :class:`~repro.core.analysis.consteval.ConstEnv`.
@@ -19,8 +20,10 @@ from typing import Iterator
 
 from ...distributions import ProcessorGrid, Segmentation
 from ..errors import CompilationError
-from ..ir.nodes import ArrayDecl, ArrayRef, DoLoop, Program, ScalarDecl
-from ..sections import Section
+from ..ir.nodes import (
+    ArrayDecl, ArrayRef, DoLoop, Full, Index, Program, ScalarDecl, VarRef,
+)
+from ..sections import Section, Triplet, disjoint_cover_equal
 from .consteval import ConstEnv, const_eval, program_constants, resolve_section_const
 from .layouts import build_layouts
 
@@ -73,6 +76,10 @@ class CompilerContext:
     def note(self, message: str) -> None:
         self.reports.append(message)
 
+    def decline(self, pass_name: str, reason: str) -> None:
+        """Report that a pass met its pattern but could not decide it."""
+        self.note(f"{pass_name}: declined — {reason}")
+
 
 class OwnershipAnalysis:
     """Answer ownership questions about references under loop bindings."""
@@ -107,13 +114,7 @@ class OwnershipAnalysis:
         if sec is None:
             return None
         dist = self.ctx.layouts[ref.var].distribution
-        owned = dist.owned_sections(pid)
-        covered = 0
-        for piece in owned:
-            inter = sec.intersect(piece)
-            if inter is not None:
-                covered += inter.size
-        return covered == sec.size
+        return disjoint_cover_equal(sec, dist.owned_sections(pid))
 
     # ------------------------------------------------------------------ #
     # loops
@@ -203,19 +204,34 @@ class OwnershipAnalysis:
     def guard_true_iterations(
         self, loop: DoLoop, guard_ref: ArrayRef, env: ConstEnv, pid: int
     ) -> list[int] | None:
-        """Iteration values of ``loop`` at which ``iown(guard_ref)`` holds
-        on ``pid`` (by initial ownership), or ``None`` if unresolvable."""
+        """Iteration values of ``loop``, in order, at which
+        ``iown(guard_ref)`` holds on ``pid`` by *initial* ownership, or
+        ``None`` if unresolvable.  Closed form: the owned region is a
+        product of per-dimension triplets, so a dimension subscripted by
+        the bare loop variable admits the iterations inside its owned
+        triplets and every other dimension is owned or not for the whole
+        loop.  The variable must not occur in ``guard_ref`` otherwise."""
         vals = self.iteration_values(loop, env)
-        if vals is None:
+        if not vals:
+            return vals  # symbolic (None) or zero-trip ([])
+        on_var = [sub == Index(VarRef(loop.var)) for sub in guard_ref.subs]
+        rest = self.resolve(
+            ArrayRef(guard_ref.var, tuple(
+                Full() if v else sub for v, sub in zip(on_var, guard_ref.subs))),
+            env.at_pid(pid + 1))
+        if rest is None:
             return None
-        out: list[int] = []
-        for v in vals:
-            owned = self.owned_by(guard_ref, env.at_pid(pid + 1).bind(**{loop.var: v}), pid)
-            if owned is None:
-                return None
-            if owned:
-                out.append(v)
-        return out
+        step = vals[1] - vals[0] if len(vals) > 1 else 1
+        runs = [Triplet(vals[0], vals[-1], step)]
+        pieces = self.ctx.layouts[guard_ref.var].distribution.owned_pieces(pid)
+        for v, t, owned in zip(on_var, rest.dims, pieces):
+            if v:
+                runs = [m for r in runs for o in owned
+                        if (m := r.intersect(o)) is not None]
+            elif t.size != sum(
+                    m.size for o in owned if (m := t.intersect(o)) is not None):
+                return []
+        return sorted((i for r in runs for i in r), reverse=step < 0)
 
 
 class _Symbolic(Exception):

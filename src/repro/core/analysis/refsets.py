@@ -21,21 +21,27 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..ir.nodes import (
-    Accessible, ArrayRef, Assign, Await, CallStmt, DoLoop, Expr, ExprStmt,
-    Guarded, IfStmt, Iown, Mylb, Myub, RecvStmt, SendStmt, Stmt, VarRef,
-    XferOp,
+    Accessible, ArrayRef, Assign, Await, BinOp, Block, CallStmt, DoLoop, Expr,
+    ExprStmt, Guarded, IfStmt, Index, Iown, MaxIntConst, MinIntConst, Mylb,
+    Myub, Range, RecvStmt, SendStmt, Stmt, UnaryOp, VarRef, XferOp,
 )
-from ..ir.visitor import walk_exprs
+from ..ir.visitor import subscript_exprs, walk_exprs
 from ..sections import Section
-from .consteval import ConstEnv
+from .consteval import ConstEnv, const_eval
+from .layouts import decl_index_space
 from .ownership import CompilerContext, OwnershipAnalysis
 
-__all__ = ["RefSets", "stmt_refsets"]
+__all__ = ["RefSets", "LoopSection", "stmt_refsets"]
+
+
+def _intersects(a: Section, b: Section) -> bool:
+    return a.intersect(b) is not None
 
 
 @dataclass
 class RefSets:
-    """Named concrete sections touched by a statement, by category."""
+    """Named sections touched by a statement, by category (``Section``s,
+    or ``LoopSection``s when collected with a loop variable symbolic)."""
 
     reads: list[tuple[str, Section]] = field(default_factory=list)
     writes: list[tuple[str, Section]] = field(default_factory=list)
@@ -44,33 +50,20 @@ class RefSets:
     queried: list[tuple[str, Section]] = field(default_factory=list)
     unknown: bool = False
 
-    def merge(self, other: "RefSets") -> None:
-        self.reads.extend(other.reads)
-        self.writes.extend(other.writes)
-        self.released.extend(other.released)
-        self.acquired.extend(other.acquired)
-        self.queried.extend(other.queried)
-        self.unknown = self.unknown or other.unknown
-
-    # -- intersection helpers ------------------------------------------- #
-
-    @staticmethod
-    def _meets(
-        a: list[tuple[str, Section]], b: list[tuple[str, Section]]
-    ) -> bool:
-        for name_a, sec_a in a:
-            for name_b, sec_b in b:
-                if name_a == name_b and sec_a.intersect(sec_b) is not None:
-                    return True
-        return False
-
-    def conflicts_with(self, other: "RefSets") -> bool:
+    def conflicts_with(self, other: "RefSets", meet=_intersects) -> bool:
         """True if reordering these two statement instances could change
         behaviour: write/write, read/write, any ownership-transfer overlap
-        with the other's accesses or queries, or unknown references."""
+        with the other's accesses or queries, or unknown references.
+        ``meet(mine, theirs)`` decides whether two same-array entries
+        overlap."""
         if self.unknown or other.unknown:
             return True
-        m = RefSets._meets
+
+        def m(mine: list, theirs: list) -> bool:
+            return any(
+                name_a == name_b and meet(a, b)
+                for name_a, a in mine for name_b, b in theirs)
+
         touched_self = self.reads + self.writes + self.queried
         touched_other = other.reads + other.writes + other.queried
         moves_self = self.released + self.acquired
@@ -80,142 +73,156 @@ class RefSets:
             or m(self.writes, other.reads)
             or m(self.reads, other.writes)
             or m(moves_self, touched_other + moves_other)
-            or m(moves_other, touched_self)
+            or m(touched_self, moves_other)
         )
 
 
-def _refs_in_expr(
-    e: Expr, analysis: OwnershipAnalysis, env: ConstEnv, out: RefSets
-) -> None:
-    for sub in walk_exprs(e):
-        match sub:
-            case Iown(ref) | Accessible(ref) | Await(ref):
-                _record(analysis, env, ref, out.queried, out)
-            case Mylb(ref, _) | Myub(ref, _):
-                _record(analysis, env, ref, out.queried, out)
-            case ArrayRef():
-                pass  # handled by the parent that knows its position
-    # Value reads: ArrayRefs not in intrinsic-name position.
-    _value_reads(e, analysis, env, out)
+@dataclass(frozen=True)
+class LoopSection:
+    """A section with one loop variable left symbolic: dimension ``d`` is
+    the single index ``var + offsets[d]`` where that is an int, and the
+    constant triplet ``sec.dims[d]`` where it is ``None``."""
+
+    sec: Section
+    offsets: tuple[int | None, ...]
 
 
-def _value_reads(
-    e: Expr, analysis: OwnershipAnalysis, env: ConstEnv, out: RefSets
-) -> None:
+_ANY_INDEX = Range(MinIntConst(), MaxIntConst())
+
+
+def _loop_offset(e: Expr, var: str, env: ConstEnv) -> int | None:
+    """``c`` when ``e`` is ``var + c`` with ``c`` a compile-time integer
+    (``env`` must not bind ``var``)."""
     match e:
-        case ArrayRef():
-            _record(analysis, env, e, out.reads, out)
-        case Iown(_) | Accessible(_) | Await(_):
-            return  # name position only
-        case Mylb(_, dim) | Myub(_, dim):
-            _value_reads(dim, analysis, env, out)
-        case _:
-            for child in _children(e):
-                _value_reads(child, analysis, env, out)
+        case VarRef(name) if name == var:
+            return 0
+        case BinOp("+" | "-" as op, lhs, rhs):
+            # var + c, c + var, var - c; not c - var
+            for sym, const in [(lhs, rhs)] + [(rhs, lhs)] * (op == "+"):
+                off, c = _loop_offset(sym, var, env), const_eval(const, env)
+                if off is not None and isinstance(c, int):
+                    return off + c if op == "+" else off - c
+    return None
 
 
-def _children(e: Expr) -> list[Expr]:
-    from ..ir.nodes import BinOp, Index, Range, UnaryOp
+class _Collector:
+    """One walk over a statement subtree filling a :class:`RefSets`."""
 
-    match e:
-        case BinOp(_, lhs, rhs):
-            return [lhs, rhs]
-        case UnaryOp(_, operand):
-            return [operand]
-        case _:
-            return []
+    def __init__(self, ctx: CompilerContext, loop_var: str | None):
+        self.analysis = OwnershipAnalysis(ctx)
+        self.var = loop_var
+        self.out = RefSets()
 
-
-def _record(
-    analysis: OwnershipAnalysis,
-    env: ConstEnv,
-    ref: ArrayRef,
-    bucket: list[tuple[str, Section]],
-    out: RefSets,
-) -> None:
-    if not analysis.ctx.is_exclusive(ref.var):
-        # Universal data is private per processor: no cross-statement
-        # communication hazard, but still a local value dependence.  We
-        # track it like any other section over its declared space.
-        decl = analysis.ctx.array_decl(ref.var)
+    def record(self, ref: ArrayRef, bucket: list, env: ConstEnv) -> None:
+        decl = self.analysis.ctx.array_decl(ref.var)
         if decl is None:
             return  # scalar or unknown name: handled via free_scalars elsewhere
-    sec = analysis.resolve(ref, env)
-    if sec is None:
-        decl = analysis.ctx.array_decl(ref.var)
-        if decl is not None:
-            from .layouts import decl_index_space
+        # Universal data is private per processor and unresolvable
+        # subscripts could be anything: both count as the whole array.
+        whole = decl_index_space(decl)
+        if self.var is None:
+            sec = self.analysis.resolve(ref, env)
+            bucket.append((ref.var, whole if sec is None else sec))
+            return
+        # A dimension using the loop variable in any other shape than
+        # ``var + c`` could be any index at all.
+        uses = [VarRef(self.var) in subscript_exprs(sub) for sub in ref.subs]
+        sec = self.analysis.resolve(
+            ArrayRef(ref.var, tuple(
+                _ANY_INDEX if u else sub for u, sub in zip(uses, ref.subs))), env)
+        if sec is None:
+            uses, sec = [False] * decl.rank, whole
+        bucket.append((ref.var, LoopSection(sec, tuple(
+            _loop_offset(sub.expr, self.var, env)
+            if u and isinstance(sub, Index) else None
+            for u, sub in zip(uses, ref.subs)))))
 
-            # Unresolvable subscripts: assume the whole array.
-            bucket.append((ref.var, decl_index_space(decl)))
-        else:
-            out.unknown = True
-        return
-    bucket.append((ref.var, sec))
+    def expr(self, e: Expr, env: ConstEnv) -> None:
+        for sub in walk_exprs(e):
+            match sub:
+                case Iown(ref) | Accessible(ref) | Await(ref) | Mylb(ref, _) | Myub(ref, _):
+                    self.record(ref, self.out.queried, env)
+        self.value_reads(e, env)
+
+    def value_reads(self, e: Expr, env: ConstEnv) -> None:
+        """ArrayRefs not in intrinsic-name position."""
+        match e:
+            case ArrayRef():
+                self.record(e, self.out.reads, env)
+            case Mylb(_, dim) | Myub(_, dim):
+                self.value_reads(dim, env)
+            case BinOp(_, lhs, rhs):
+                self.value_reads(lhs, env)
+                self.value_reads(rhs, env)
+            case UnaryOp(_, operand):
+                self.value_reads(operand, env)
+
+    def stmt(self, stmt: Stmt | Block, env: ConstEnv) -> None:
+        out = self.out
+        match stmt:
+            case Block(stmts):
+                for s in stmts:
+                    self.stmt(s, env)
+            case Guarded(rule, body):
+                self.expr(rule, env)
+                self.stmt(body, env)
+            case Assign(target, expr):
+                if isinstance(target, ArrayRef):
+                    self.record(target, out.writes, env)
+                self.expr(expr, env)
+            case SendStmt(ref, op, dests):
+                if op is XferOp.SEND_VALUE:
+                    self.record(ref, out.reads, env)
+                else:
+                    self.record(ref, out.released, env)
+                    if op is XferOp.SEND_OWNER_VALUE:
+                        self.record(ref, out.reads, env)
+                for d in dests or ():
+                    self.expr(d, env)
+            case RecvStmt(into, op, _):
+                self.record(into, out.writes, env)
+                if op is not XferOp.RECV_VALUE:
+                    self.record(into, out.acquired, env)
+            case CallStmt(_, args):
+                for a in args:
+                    if isinstance(a, ArrayRef) and not a.is_element():
+                        self.record(a, out.reads, env)
+                        self.record(a, out.writes, env)
+                    else:
+                        self.expr(a, env)
+            case ExprStmt(expr):
+                self.expr(expr, env)
+            case IfStmt(cond, then, orelse):
+                self.expr(cond, env)
+                self.stmt(then, env)
+                self.stmt(orelse, env)
+            case DoLoop() as loop:
+                vals = self.analysis.iteration_values(loop, env)
+                if vals is None:
+                    out.unknown = True
+                    return
+                for v in vals:
+                    self.stmt(loop.body, env.bind(**{loop.var: v}))
+            case _:
+                out.unknown = True
 
 
 def stmt_refsets(
-    stmt: Stmt, ctx: CompilerContext, env: ConstEnv
+    stmt: Stmt | Block, ctx: CompilerContext, env: ConstEnv,
+    loop_var: str | None = None,
 ) -> RefSets:
-    """Reference sets of one statement instance under ``env``.
+    """Reference sets of one statement (or block) instance under ``env``.
 
     Nested loops are enumerated when bounds are compile-time constants;
-    otherwise the result is marked ``unknown``.
+    otherwise the result is marked ``unknown``.  With ``loop_var`` that
+    variable stays symbolic whatever ``env`` binds it to, and every entry
+    is a ``(name, LoopSection)``: the references of *all* iterations of
+    the enclosing loop at once.
     """
-    analysis = OwnershipAnalysis(ctx)
-    out = RefSets()
-    _collect(stmt, analysis, env, out)
-    return out
-
-
-def _collect(
-    stmt: Stmt, analysis: OwnershipAnalysis, env: ConstEnv, out: RefSets
-) -> None:
-    match stmt:
-        case Guarded(rule, body):
-            _refs_in_expr(rule, analysis, env, out)
-            for s in body:
-                _collect(s, analysis, env, out)
-        case Assign(target, expr):
-            if isinstance(target, ArrayRef):
-                _record(analysis, env, target, out.writes, out)
-                for sub in target.subs:
-                    pass  # subscript reads are scalar-only; ignore
-            _refs_in_expr(expr, analysis, env, out)
-        case SendStmt(ref, op, dests):
-            if op is XferOp.SEND_VALUE:
-                _record(analysis, env, ref, out.reads, out)
-            else:
-                _record(analysis, env, ref, out.released, out)
-                if op is XferOp.SEND_OWNER_VALUE:
-                    _record(analysis, env, ref, out.reads, out)
-            for d in dests or ():
-                _refs_in_expr(d, analysis, env, out)
-        case RecvStmt(into, op, source):
-            _record(analysis, env, into, out.writes, out)
-            if op is not XferOp.RECV_VALUE:
-                _record(analysis, env, into, out.acquired, out)
-        case CallStmt(_, args):
-            for a in args:
-                if isinstance(a, ArrayRef) and not a.is_element():
-                    _record(analysis, env, a, out.reads, out)
-                    _record(analysis, env, a, out.writes, out)
-                else:
-                    _refs_in_expr(a, analysis, env, out)
-        case ExprStmt(expr):
-            _refs_in_expr(expr, analysis, env, out)
-        case IfStmt(cond, then, orelse):
-            _refs_in_expr(cond, analysis, env, out)
-            for s in list(then) + list(orelse):
-                _collect(s, analysis, env, out)
-        case DoLoop() as loop:
-            vals = analysis.iteration_values(loop, env)
-            if vals is None:
-                out.unknown = True
-                return
-            for v in vals:
-                inner = env.bind(**{loop.var: v})
-                for s in loop.body:
-                    _collect(s, analysis, inner, out)
-        case _:
-            out.unknown = True
+    if loop_var is not None:
+        env = ConstEnv(
+            env.nprocs,
+            {k: v for k, v in env.scalars.items() if k != loop_var}, env.pid1)
+    collector = _Collector(ctx, loop_var)
+    collector.stmt(stmt, env)
+    return collector.out

@@ -25,7 +25,8 @@ from .nodes import (
 
 __all__ = [
     "map_expr", "map_stmt", "map_block", "substitute", "substitute_stmt",
-    "walk_exprs", "walk_stmts", "array_refs", "free_scalars", "loop_depth",
+    "walk_exprs", "subscript_exprs", "walk_stmts", "array_refs",
+    "free_scalars", "loop_depth",
 ]
 
 
@@ -198,20 +199,23 @@ def walk_exprs(e: Expr) -> Iterator[Expr]:
             yield from walk_exprs(operand)
         case ArrayRef(_, subs):
             for s in subs:
-                match s:
-                    case Index(expr):
-                        yield from walk_exprs(expr)
-                    case Range(lo, hi, step):
-                        for part in (lo, hi, step):
-                            if part is not None:
-                                yield from walk_exprs(part)
-                    case Full():
-                        pass
+                yield from subscript_exprs(s)
         case Iown(ref) | Accessible(ref) | Await(ref):
             yield from walk_exprs(ref)
         case Mylb(ref, dim) | Myub(ref, dim):
             yield from walk_exprs(ref)
             yield from walk_exprs(dim)
+
+
+def subscript_exprs(sub: Subscript) -> Iterator[Expr]:
+    """Every expression inside one subscript (pre-order)."""
+    match sub:
+        case Index(expr):
+            yield from walk_exprs(expr)
+        case Range(lo, hi, step):
+            for part in (lo, hi, step):
+                if part is not None:
+                    yield from walk_exprs(part)
 
 
 def _stmt_exprs(s: Stmt) -> Iterator[Expr]:

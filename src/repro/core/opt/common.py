@@ -10,33 +10,35 @@ Two recurring needs:
 
 * **Dynamic guard simulation** — the FFT redistribution loop (paper
   section 4) changes ownership *inside* the guarded loop, so deciding
-  which iterations a processor executes requires simulating the ownership
-  set across iterations.  :func:`dynamic_guard_true_iterations` does this
-  by enumerating element sets, using the per-iteration released/acquired
-  sections from the reference-set analysis.
+  which iterations a processor executes means carrying its ownership
+  across iterations.  :func:`dynamic_guard_true_iterations` does so on
+  sections, like the paper's section 3.1 ``iown()``: ownership is a list
+  of disjoint sections, the guard a disjoint-cover test, a release a
+  section difference (and a body that leaves the guard's array alone gets
+  the closed form of :meth:`OwnershipAnalysis.guard_true_iterations`).
 """
 
 from __future__ import annotations
 
 from ..analysis.consteval import ConstEnv
-from ..analysis.ownership import CompilerContext, OwnershipAnalysis
+from ..analysis.ownership import (
+    ITERATION_CAP, CompilerContext, OwnershipAnalysis,
+)
 from ..analysis.refsets import stmt_refsets
 from ..ir.nodes import (
-    ArrayRef, Block, DoLoop, Guarded, IfStmt, Program, RecvStmt, SendStmt,
-    Stmt,
+    ArrayRef, Block, DoLoop, Guarded, IfStmt, Index, Program, RecvStmt,
+    SendStmt, Stmt, VarRef,
 )
-from ..ir.visitor import walk_stmts
+from ..ir.printer import print_ref
+from ..ir.visitor import subscript_exprs, walk_stmts
+from ..sections import disjoint_cover_equal, section_difference
 
 __all__ = [
     "OrderedRewriter",
     "ownership_ops",
+    "loop_var_dims",
     "dynamic_guard_true_iterations",
-    "ELEMENT_SIM_CAP",
 ]
-
-#: Maximum number of array elements the dynamic ownership simulation will
-#: materialise before giving up conservatively.
-ELEMENT_SIM_CAP = 65536
 
 
 def ownership_ops(stmt: Stmt | Block) -> set[str]:
@@ -51,6 +53,17 @@ def ownership_ops(stmt: Stmt | Block) -> set[str]:
                 if op.moves_ownership:
                     out.add(into.var)
     return out
+
+
+def loop_var_dims(ref: ArrayRef, var: str) -> list[int] | None:
+    """Dimensions of ``ref`` subscripted by exactly ``var``, or ``None`` if
+    the variable occurs in any other form — the guard shape that
+    :meth:`OwnershipAnalysis.guard_true_iterations` decides."""
+    dims = [d for d, sub in enumerate(ref.subs) if sub == Index(VarRef(var))]
+    if any(VarRef(var) in subscript_exprs(sub)
+           for d, sub in enumerate(ref.subs) if d not in dims):
+        return None
+    return dims
 
 
 class OrderedRewriter:
@@ -89,6 +102,13 @@ class OrderedRewriter:
     def visit(self, stmt: Stmt, loops: list[DoLoop]) -> Stmt | list[Stmt] | None:
         return self.recurse(stmt, loops)
 
+    def decline_guard(self, pass_name: str, loop: DoLoop, ref: ArrayRef) -> None:
+        self.ctx.decline(
+            pass_name,
+            f"iown({print_ref(ref)}) in the loop over {loop.var} is not "
+            "decidable at compile time (symbolic bounds or subscripts, or "
+            f"more than {ITERATION_CAP} iterations)")
+
     def recurse(self, stmt: Stmt, loops: list[DoLoop]) -> Stmt:
         match stmt:
             case Guarded(rule, body):
@@ -105,18 +125,6 @@ class OrderedRewriter:
                 return stmt
 
 
-def _owned_points(
-    ctx: CompilerContext, name: str, pid: int
-) -> set[tuple[int, ...]] | None:
-    dist = ctx.layouts[name].distribution
-    if dist.index_space.size > ELEMENT_SIM_CAP:
-        return None
-    out: set[tuple[int, ...]] = set()
-    for sec in dist.owned_sections(pid):
-        out.update(sec)
-    return out
-
-
 def dynamic_guard_true_iterations(
     loop: DoLoop,
     guard_ref: ArrayRef,
@@ -129,50 +137,41 @@ def dynamic_guard_true_iterations(
     earlier iterations.
 
     Returns ``None`` when anything is unresolvable (symbolic bounds,
-    unresolvable sections, oversized arrays) — callers must then keep the
-    guard.  Acquired sections count as owned immediately (a transitional
-    section is owned, Figure 1)."""
+    unresolvable sections) — callers must then keep the guard.  Acquired
+    sections count as owned immediately (a transitional section is owned,
+    Figure 1)."""
     analysis = OwnershipAnalysis(ctx)
+    if guard_ref.var not in ownership_ops(loop.body):
+        return analysis.guard_true_iterations(loop, guard_ref, env, pid)
     vals = analysis.iteration_values(loop, env)
     if vals is None:
         return None
-    owned = _owned_points(ctx, guard_ref.var, pid)
-    if owned is None:
-        return None
-    # Other arrays' ownership the body might move, tracked lazily.
-    other_owned: dict[str, set[tuple[int, ...]]] = {guard_ref.var: owned}
-
-    def points_of(name: str) -> set[tuple[int, ...]] | None:
-        if name not in other_owned:
-            pts = _owned_points(ctx, name, pid)
-            if pts is None:
-                return None
-            other_owned[name] = pts
-        return other_owned[name]
-
+    # What pid owns of the guard's array, as pairwise-disjoint sections.
+    owned = ctx.layouts[guard_ref.var].distribution.owned_sections(pid)
     true_iters: list[int] = []
     for v in vals:
         env_v = env.at_pid(pid + 1).bind(**{loop.var: v})
         sec = analysis.resolve(guard_ref, env_v)
         if sec is None:
             return None
-        guard_pts = set(sec)
-        if guard_pts <= other_owned[guard_ref.var]:
-            true_iters.append(v)
-            # Apply this iteration's ownership effects before testing the
-            # next one.
-            for s in loop.body:
-                rs = stmt_refsets(s, ctx, env_v)
-                if rs.unknown:
-                    return None
-                for name, rsec in rs.released:
-                    pts = points_of(name)
-                    if pts is None:
-                        return None
-                    pts.difference_update(rsec)
-                for name, asec in rs.acquired:
-                    pts = points_of(name)
-                    if pts is None:
-                        return None
-                    pts.update(asec)
+        if not disjoint_cover_equal(sec, owned):
+            continue
+        true_iters.append(v)
+        # Apply this iteration's ownership effects before testing the
+        # next one.
+        for s in loop.body:
+            rs = stmt_refsets(s, ctx, env_v)
+            if rs.unknown:
+                return None
+            for name, released in rs.released:
+                if name == guard_ref.var:
+                    owned = [piece for o in owned
+                             for piece in section_difference(o, released)]
+            for name, acquired in rs.acquired:
+                if name == guard_ref.var:
+                    new = [acquired]
+                    for o in owned:
+                        new = [piece for n in new
+                               for piece in section_difference(n, o)]
+                    owned.extend(new)
     return true_iters

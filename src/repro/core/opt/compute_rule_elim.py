@@ -19,10 +19,11 @@ and applies, in order of preference:
    ``do v = max(lo, mylb(A[..,*,..], d)), min(hi, myub(..., d))`` with the
    guard removed.
 
-Both rewrites are validated by exact compile-time enumeration, including a
-dynamic ownership simulation when the guarded body itself transfers
-ownership (the FFT redistribution loop does).  If anything is symbolic the
-guard is kept — correct, just unoptimized.
+Both rewrites are validated exactly at compile time by intersecting
+sections with the distribution (never by listing array elements), carrying
+the ownership across iterations when the guarded body itself transfers it
+(the FFT redistribution loop does).  If anything is symbolic the guard is
+kept — correct, just unoptimized — and the pass report says so.
 """
 
 from __future__ import annotations
@@ -30,12 +31,14 @@ from __future__ import annotations
 from ..analysis.consteval import const_eval
 from ..analysis.ownership import CompilerContext
 from ..ir.nodes import (
-    ArrayRef, BinOp, DoLoop, Full, Guarded, Index, IntConst, Iown, Mylb,
-    Mypid, Myub, Program, Stmt, Subscript, VarRef,
+    ArrayRef, BinOp, DoLoop, Full, Guarded, IntConst, Iown, Mylb, Mypid,
+    Myub, Program, Stmt,
 )
 from ..ir.printer import print_ref
-from ..ir.visitor import substitute_stmt, walk_exprs
-from .common import OrderedRewriter, dynamic_guard_true_iterations, ownership_ops
+from ..ir.visitor import substitute_stmt
+from .common import (
+    OrderedRewriter, dynamic_guard_true_iterations, loop_var_dims,
+)
 
 __all__ = ["ComputeRuleElimination"]
 
@@ -66,9 +69,10 @@ class _Rewriter(OrderedRewriter):
         ref = guarded.rule.ref
         if ref.var in self.dirty or not self.ctx.is_exclusive(ref.var):
             return None
-        dim = self._loop_var_dim(ref, loop.var)
-        if dim is None:
+        dims = loop_var_dims(ref, loop.var)
+        if dims is None or len(dims) != 1:
             return None
+        (dim,) = dims
         if const_eval(loop.step, self.ctx.consts) != 1:
             return None
 
@@ -77,6 +81,7 @@ class _Rewriter(OrderedRewriter):
         for pid in range(self.ctx.nprocs):
             t = dynamic_guard_true_iterations(loop, ref, self.ctx, env, pid)
             if t is None:
+                self.decline_guard(ComputeRuleElimination.name, loop, ref)
                 return None
             true_sets.append(t)
 
@@ -111,25 +116,6 @@ class _Rewriter(OrderedRewriter):
             self.rewrite_block(guarded.body, loops + [loop]),
         )
 
-    @staticmethod
-    def _loop_var_dim(ref: ArrayRef, var: str) -> int | None:
-        """Dimension where the subscript is exactly ``Index(var)``; the
-        variable must not occur anywhere else in the reference."""
-        dim = None
-        for i, sub in enumerate(ref.subs):
-            if sub == Index(VarRef(var)):
-                if dim is not None:
-                    return None
-                dim = i
-            else:
-                used = any(
-                    isinstance(e, VarRef) and e.name == var
-                    for e in _sub_exprs(sub)
-                )
-                if used:
-                    return None
-        return dim
-
     def _runs_match_static_bounds(
         self, loop: DoLoop, star_ref: ArrayRef, dim: int, true_sets, env
     ) -> bool:
@@ -159,16 +145,3 @@ class _Rewriter(OrderedRewriter):
                 return False
         return True
 
-
-def _sub_exprs(sub: Subscript):
-    from ..ir.nodes import Range
-
-    match sub:
-        case Index(e):
-            yield from walk_exprs(e)
-        case Range(lo, hi, step):
-            for part in (lo, hi, step):
-                if part is not None:
-                    yield from walk_exprs(part)
-        case Full():
-            return

@@ -7,84 +7,109 @@ no ownership queries are performed on the associated data, and that these
 data are not accessed by computation in the interim."
 
 Fusing ``do v { A } ; do w { B }`` interleaves ``B(i)`` before ``A(j)`` for
-``j > i`` on each processor.  The pass proves legality by enumeration: for
-every processor and every iteration pair ``i < j``, the reference sets of
-``B`` at ``i`` and of ``A`` at ``j`` must not conflict — where
+``j`` later than ``i`` on each processor, so no reference of ``B(i)`` may
+conflict with one of ``A(j)`` — where
 :class:`~repro.core.analysis.refsets.RefSets` counts value accesses,
 ownership releases/acquisitions *and* ownership queries, which is exactly
-the paper's extra XDP condition.  The benefit is pipelining: the transfer
-of one iteration's data overlaps the computation of the next.
+the paper's extra XDP condition.  The pass decides this on sections, not on
+iterations: each body is resolved once per processor with its loop variable
+symbolic (:class:`~repro.core.analysis.refsets.LoopSection`), and whether
+two references can meet at some ``i`` before ``j`` is a per-dimension
+triplet test (:func:`_meets_later`).  The benefit is pipelining: the
+transfer of one iteration's data overlaps the computation of the next.
 """
 
 from __future__ import annotations
 
-from ..analysis.ownership import CompilerContext
-from ..analysis.refsets import stmt_refsets
-from ..ir.nodes import Block, DoLoop, Program, Stmt
-from ..ir.visitor import substitute_stmt
+from ..analysis.ownership import (
+    ITERATION_CAP, CompilerContext, OwnershipAnalysis,
+)
+from ..analysis.refsets import LoopSection, stmt_refsets
+from ..ir.nodes import Block, DoLoop, Program, Stmt, VarRef
+from ..ir.visitor import free_scalars, substitute_stmt
+from ..sections import Triplet
 from .common import OrderedRewriter
 
 __all__ = ["LoopFusion", "can_fuse"]
 
-#: Iteration-pair budget for the legality enumeration.
-_PAIR_CAP = 4096
+
+def _meets_later(b: LoopSection, a: LoopSection, run: Triplet, down: bool) -> bool:
+    """Does ``b`` at some iteration ``i`` overlap ``a`` at a *later*
+    iteration ``j`` of the loop whose values are ``run`` (descending when
+    ``down``)?  Every dimension narrows the ``i`` that can take part, the
+    ``j`` that can, or — the variable on both sides — fixes ``j - i``."""
+    i_set: Triplet | None = run
+    j_set: Triplet | None = run
+    gap = None
+    for tb, ob, ta, oa in zip(b.sec.dims, b.offsets, a.sec.dims, a.offsets):
+        if ob is None and oa is None:
+            if tb.intersect(ta) is None:
+                return False
+        elif oa is None:  # i + ob in ta
+            i_set = i_set.intersect(Triplet(ta.lo - ob, ta.hi - ob, ta.step))
+        elif ob is None:  # j + oa in tb
+            j_set = j_set.intersect(Triplet(tb.lo - oa, tb.hi - oa, tb.step))
+        elif gap not in (None, ob - oa):
+            return False
+        else:  # i + ob == j + oa
+            gap = ob - oa
+        if i_set is None or j_set is None:
+            return False
+    if gap is None:
+        return i_set.hi > j_set.lo if down else i_set.lo < j_set.hi
+    if gap == 0 or (gap < 0) != down:
+        return False  # the same iteration, or an earlier one
+    return i_set.intersect(
+        Triplet(j_set.lo - gap, j_set.hi - gap, j_set.step)) is not None
 
 
 def can_fuse(a: DoLoop, b: DoLoop, ctx: CompilerContext) -> bool:
     """Decide whether two adjacent loops may be fused (see module doc)."""
-    from ..analysis.ownership import OwnershipAnalysis
-
-    analysis = OwnershipAnalysis(ctx)
     env = ctx.consts
+    analysis = OwnershipAnalysis(ctx)
     va = analysis.iteration_values(a, env)
     vb = analysis.iteration_values(b, env)
-    if va is None or vb is None or va != vb:
+    if va is None or vb is None:
+        ctx.decline(
+            LoopFusion.name,
+            f"the loops over {a.var} and {b.var} have symbolic bounds or "
+            f"more than {ITERATION_CAP} iterations")
         return False
-    if len(va) * len(va) > _PAIR_CAP:
+    if va != vb:
         return False
+    if not va:
+        return True
+    run = Triplet(va[0], va[-1], va[1] - va[0] if len(va) > 1 else 1)
+    down = va[0] > va[-1]
+
+    def meet(sb: LoopSection, sa: LoopSection) -> bool:
+        return _meets_later(sb, sa, run, down)
+
+    # Processors whose mypid-dependent subscripts resolve alike share a verdict.
+    decided = set()
     for pid in range(ctx.nprocs):
         penv = env.at_pid(pid + 1)
-        sets_a = []
-        sets_b = []
-        for v in va:
-            ea = penv.bind(**{a.var: v})
-            eb = penv.bind(**{b.var: v})
-            ra = stmt_refsets(_as_stmt(a.body), ctx, ea)
-            rb = stmt_refsets(_as_stmt(b.body), ctx, eb)
-            if ra.unknown or rb.unknown:
+        ra = stmt_refsets(a.body, ctx, penv, a.var)
+        rb = stmt_refsets(b.body, ctx, penv, b.var)
+        if ra.unknown or rb.unknown:
+            ctx.decline(
+                LoopFusion.name,
+                f"the bodies of the loops over {a.var} and {b.var} hold a "
+                "collective or an inner loop with symbolic bounds")
+            return False
+        key = tuple(tuple(bucket) for r in (ra, rb) for bucket in (
+            r.reads, r.writes, r.released, r.acquired, r.queried))
+        if key not in decided:
+            decided.add(key)
+            if rb.conflicts_with(ra, meet):
                 return False
-            sets_a.append(ra)
-            sets_b.append(rb)
-        for i_idx in range(len(va)):
-            for j_idx in range(i_idx + 1, len(va)):
-                # After fusion B(i) runs before A(j) (i < j): they must be
-                # independent.
-                if sets_b[i_idx].conflicts_with(sets_a[j_idx]):
-                    return False
     return True
-
-
-def _as_stmt(body: Block) -> Stmt:
-    # stmt_refsets takes one statement; wrap a block in a trivial loop-less
-    # container by summing over its statements.
-    from ..ir.nodes import IfStmt, BoolConst
-
-    return IfStmt(BoolConst(True), body)
 
 
 def fuse(a: DoLoop, b: DoLoop) -> DoLoop:
     """Textually fuse two loops (legality must be established first)."""
-    if b.var == a.var:
-        renamed = list(b.body.stmts)
-    else:
-        renamed = [substitute_stmt(s, {b.var: _var(a.var)}) for s in b.body]
+    renamed = [substitute_stmt(s, {b.var: VarRef(a.var)}) for s in b.body]
     return DoLoop(a.var, a.lo, a.hi, a.step, Block(tuple(a.body.stmts) + tuple(renamed)))
-
-
-def _var(name: str):
-    from ..ir.nodes import VarRef
-
-    return VarRef(name)
 
 
 class LoopFusion:
@@ -101,15 +126,8 @@ class _Rewriter(OrderedRewriter):
         i = 0
         while i < len(stmts):
             s = stmts[i]
-            if (
-                isinstance(s, DoLoop)
-                and i + 1 < len(stmts)
-                and isinstance(stmts[i + 1], DoLoop)
-            ):
-                nxt = stmts[i + 1]
-                assert isinstance(nxt, DoLoop)
-                from ..ir.visitor import free_scalars
-
+            nxt = stmts[i + 1] if i + 1 < len(stmts) else None
+            if isinstance(s, DoLoop) and isinstance(nxt, DoLoop):
                 capture_hazard = (
                     nxt.var != s.var and s.var in free_scalars(nxt.body)
                 )
@@ -117,8 +135,8 @@ class _Rewriter(OrderedRewriter):
                     fused = fuse(s, nxt)
                     self.ctx.note(
                         f"{LoopFusion.name}: fused loops over {s.var} and "
-                        f"{nxt.var} (XDP ownership legality verified by "
-                        "enumeration)"
+                        f"{nxt.var} (XDP ownership legality verified on "
+                        "sections)"
                     )
                     stmts[i] = fused
                     del stmts[i + 1]

@@ -8,7 +8,7 @@ per call.  This pass performs that widening::
       ==>
     iown(A[.., *, ..]) : { do v { body } }
 
-legal when compile-time enumeration shows that, on every processor, the
+legal when the distribution's owned triplets show that, on every processor, the
 per-iteration guard has the same truth value for all iterations and that
 value equals the widened guard's — i.e. ownership of the array is
 all-or-nothing across the loop (true for the collapsed dimensions of HPF
@@ -18,14 +18,12 @@ instead of once per iteration.
 
 from __future__ import annotations
 
-from ..analysis.consteval import const_eval
 from ..analysis.ownership import CompilerContext
 from ..ir.nodes import (
-    ArrayRef, Block, DoLoop, Full, Guarded, Index, Iown, Program, Stmt,
-    VarRef,
+    ArrayRef, Block, DoLoop, Full, Guarded, Iown, Program, Stmt,
 )
 from ..ir.printer import print_ref
-from .common import OrderedRewriter, ownership_ops
+from .common import OrderedRewriter, loop_var_dims, ownership_ops
 
 __all__ = ["GuardHoisting"]
 
@@ -49,39 +47,26 @@ class _Rewriter(OrderedRewriter):
     def _try_hoist(self, loop: DoLoop, ref: ArrayRef, g_body: Block) -> Stmt | None:
         if ref.var in self.dirty or ref.var in ownership_ops(g_body):
             return None
-        dims = [
-            d for d, sub in enumerate(ref.subs) if sub == Index(VarRef(loop.var))
-        ]
+        dims = loop_var_dims(ref, loop.var)
         if not dims:
             return None
-        # No other use of the loop variable in the guard.
-        for d, sub in enumerate(ref.subs):
-            if d in dims:
-                continue
-            from .compute_rule_elim import _sub_exprs
-
-            if any(
-                isinstance(e, VarRef) and e.name == loop.var
-                for e in _sub_exprs(sub)
-            ):
-                return None
         widened = ArrayRef(
             ref.var,
             tuple(Full() if d in dims else sub for d, sub in enumerate(ref.subs)),
         )
         env = self.ctx.consts
         vals = self.analysis.iteration_values(loop, env)
-        if vals is None or not vals:
+        if vals == []:
             return None
+        # All-or-nothing on every processor, agreeing with the widened guard.
         for pid in range(self.ctx.nprocs):
-            penv = env.at_pid(pid + 1)
-            widened_owned = self.analysis.owned_by(widened, penv, pid)
-            if widened_owned is None:
+            true = self.analysis.guard_true_iterations(loop, ref, env, pid)
+            widened_owned = self.analysis.owned_by(widened, env.at_pid(pid + 1), pid)
+            if true is None or widened_owned is None:
+                self.decline_guard(GuardHoisting.name, loop, ref)
                 return None
-            for v in vals:
-                per_iter = self.analysis.owned_by(ref, penv.bind(**{loop.var: v}), pid)
-                if per_iter is None or per_iter != widened_owned:
-                    return None
+            if true != (vals if widened_owned else []):
+                return None
         self.ctx.note(
             f"{GuardHoisting.name}: hoisted iown({print_ref(ref)}) out of the "
             f"loop over {loop.var} as iown({print_ref(widened)})"

@@ -32,7 +32,6 @@ __all__ = [
     "triplet",
     "section",
     "unit_sections_1d",
-    "covers",
     "disjoint_cover_equal",
     "triplet_difference",
     "section_difference",
@@ -351,9 +350,6 @@ def section(*dims: Triplet | int | tuple[int, int] | tuple[int, int, int]) -> Se
 # union-coverage: the heart of the section-3.1 iown() algorithm
 # ---------------------------------------------------------------------- #
 
-_ENUMERATION_LIMIT = 1 << 20
-
-
 def disjoint_cover_equal(query: Section, parts: Iterable[Section]) -> bool:
     """Coverage test for *pairwise-disjoint* parts (e.g. symbol-table segments).
 
@@ -372,28 +368,6 @@ def disjoint_cover_equal(query: Section, parts: Iterable[Section]) -> bool:
             if got > want:
                 raise ValueError("parts passed to disjoint_cover_equal overlap")
     return got == want
-
-
-def covers(query: Section, parts: Sequence[Section], *, disjoint: bool = False) -> bool:
-    """General union-coverage test: do *parts* jointly contain *query*?
-
-    With ``disjoint=True`` (segments of a run-time symbol table are disjoint
-    by construction) this delegates to the O(#parts) counting test.  The
-    general case enumerates the query's elements, bounded by an internal
-    limit to keep worst-case behaviour predictable.
-    """
-    if disjoint:
-        return disjoint_cover_equal(query, parts)
-    if query.size > _ENUMERATION_LIMIT:
-        raise ValueError(
-            f"query too large ({query.size} elements) for general coverage test; "
-            "pass disjoint=True if the parts are pairwise disjoint"
-        )
-    relevant = [p for p in parts if query.intersect(p) is not None]
-    for point in query:
-        if not any(point in p for p in relevant):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------- #
@@ -426,27 +400,29 @@ def group_into_triplets(members: Sequence[int]) -> list[Triplet]:
     return out
 
 
-_DIFFERENCE_LIMIT = 1 << 16
-
-
 def triplet_difference(t: Triplet, cut: Triplet) -> list[Triplet]:
     """Members of ``t`` not in ``cut``, as disjoint triplets.
 
-    The per-dimension extent of a run-time segment is small by construction
-    (segments are the compiler's transfer granularity), so enumeration is
-    acceptable; a guard protects against misuse on huge progressions.
+    ``t ∩ cut`` is a run of every ``k``-th member of ``t``
+    (``k = lcm(steps) / t.step``).  Of the ``k`` residue classes of ``t``
+    with that stride, the ``k - 1`` the cut misses survive whole and the
+    one it hits keeps what lies below and above the run: at most ``k + 1``
+    progressions, found by arithmetic whatever the size of ``t``.
     """
     inter = t.intersect(cut)
     if inter is None:
         return [t]
-    if inter.size == t.size:
-        return []
-    if t.size > _DIFFERENCE_LIMIT:
-        raise ValueError(
-            f"triplet too large ({t.size} members) for difference computation"
-        )
-    kept = [m for m in t if m not in inter]
-    return group_into_triplets(kept)
+    stride = inter.step if inter.size > 1 else t.step
+    out: list[Triplet] = []
+    for first in range(t.lo, min(t.hi, t.lo + stride - t.step) + 1, t.step):
+        if (inter.lo - first) % stride:
+            out.append(Triplet(first, t.hi, stride))
+            continue
+        if first < inter.lo:
+            out.append(Triplet(first, inter.lo - stride, stride))
+        if inter.hi + stride <= t.hi:
+            out.append(Triplet(inter.hi + stride, t.hi, stride))
+    return out
 
 
 def section_difference(a: Section, b: Section) -> list[Section]:

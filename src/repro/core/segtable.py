@@ -23,9 +23,10 @@ class SegmentTable:
     """Disjoint segment descriptors plus memoized section resolution."""
 
     segdescs: list = field(default_factory=list)
-    # Dim-0 interval index (positions sorted by lower bound), rebuilt
-    # lazily after geometry changes.  Only consulted past a size
+    # Interval index (positions sorted by lower bound on ``_index_dim``),
+    # rebuilt lazily after geometry changes.  Only consulted past a size
     # threshold; small tables scan linearly, which is faster.
+    _index_dim: int = field(default=0, repr=False, compare=False)
     _index_pos: list[int] | None = field(default=None, repr=False, compare=False)
     _index_los: list[int] | None = field(default=None, repr=False, compare=False)
     _index_maxspan: int = field(default=0, repr=False, compare=False)
@@ -43,20 +44,25 @@ class SegmentTable:
         self._resolve_cache.clear()
 
     def _candidates(self, sec: Section) -> list:
-        """A superset, in table order, of the descriptors whose dim-0
-        bounds meet ``sec``'s: one with ``lo > query.hi`` cannot overlap,
-        nor can one with ``lo < query.lo - maxspan`` (its ``hi`` is below
-        ``query.lo``), so two bisections bracket every true overlap."""
+        """A superset, in table order, of the descriptors whose bounds on
+        the indexed dimension meet ``sec``'s: one with ``lo > query.hi``
+        cannot overlap, nor can one with ``lo < query.lo - maxspan`` (its
+        ``hi`` is below ``query.lo``), so two bisections bracket every true
+        overlap.  The dimension is the one with most distinct lower
+        bounds: ``(*,*,BLOCK)`` segments all span dim 0."""
         descs = self.segdescs
         if self._index_los is None:
-            los = [d.segment.dims[0].lo for d in descs]
+            rank = descs[0].segment.rank
+            self._index_dim = k = 0 if rank == 1 else max(
+                range(rank), key=lambda k: len({d.segment.dims[k].lo for d in descs}))
+            los = [d.segment.dims[k].lo for d in descs]
             self._index_pos = sorted(range(len(los)), key=los.__getitem__)
             self._index_los = [los[i] for i in self._index_pos]
             self._index_maxspan = max(
-                d.segment.dims[0].hi - d.segment.dims[0].lo for d in descs)
-        q0 = sec.dims[0]
-        start = bisect_left(self._index_los, q0.lo - self._index_maxspan)
-        stop = bisect_right(self._index_los, q0.hi)
+                d.segment.dims[k].hi - d.segment.dims[k].lo for d in descs)
+        q = sec.dims[self._index_dim]
+        start = bisect_left(self._index_los, q.lo - self._index_maxspan)
+        stop = bisect_right(self._index_los, q.hi)
         pos = self._index_pos[start:stop]
         if len(pos) > 1:
             pos.sort()

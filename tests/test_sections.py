@@ -5,7 +5,6 @@ import pytest
 from repro.core.sections import (
     Section,
     Triplet,
-    covers,
     disjoint_cover_equal,
     section,
     triplet,
@@ -192,20 +191,13 @@ class TestCoverage:
                 section((1, 4)), [section((1, 3)), section((2, 4))]
             )
 
-    def test_general_covers_with_overlap(self):
-        assert covers(section((1, 4)), [section((1, 3)), section((2, 4))])
-
     def test_general_covers_gap(self):
-        assert not covers(section((1, 5)), [section((1, 2)), section((4, 5))])
+        assert not disjoint_cover_equal(
+            section((1, 5)), [section((1, 2)), section((4, 5))])
 
     def test_covers_disjoint_flag(self):
         segs = [section((i, i + 1)) for i in range(1, 9, 2)]
-        assert covers(section((1, 8)), segs, disjoint=True)
-
-    def test_covers_refuses_huge_general_query(self):
-        huge = section((1, 3000), (1, 3000))
-        with pytest.raises(ValueError):
-            covers(huge, [huge])
+        assert disjoint_cover_equal(section((1, 8)), segs)
 
     def test_exact_cover_of_strided_query(self):
         query = section((1, 9, 2))  # {1,3,5,7,9}

@@ -1,8 +1,6 @@
 """Additional unit tests for section algebra: difference, grouping,
 rendering, and corner geometries."""
 
-import pytest
-
 from repro.core.sections import (
     Section,
     Triplet,
@@ -36,10 +34,20 @@ class TestTripletDifference:
         out = triplet_difference(Triplet(1, 10, 3), Triplet(4, 7))
         assert sorted(m for t in out for m in t) == [1, 10]
 
-    def test_size_guard(self):
-        big = Triplet(0, 10**6)
-        with pytest.raises(ValueError, match="too large"):
-            triplet_difference(big, Triplet(5, 5))
+    def test_huge_progression_is_cut_by_arithmetic(self):
+        big = Triplet(0, 10**9)
+        assert triplet_difference(big, Triplet(5, 5)) == [
+            Triplet(0, 4), Triplet(6, 10**9)]
+        assert triplet_difference(big, Triplet(0, 10**9, 3)) == [
+            Triplet(1, 10**9, 3), Triplet(2, 10**9, 3)]
+
+    def test_residue_classes_bound_the_piece_count(self):
+        # A stride-k cut leaves at most k + 1 progressions.
+        t, cut = Triplet(3, 99, 2), Triplet(9, 81, 6)
+        out = triplet_difference(t, cut)
+        assert len(out) <= 6 // 2 + 1
+        assert sorted(m for p in out for m in p) == [
+            m for m in t if m not in cut]
 
 
 class TestGroupIntoTriplets:

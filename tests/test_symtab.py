@@ -432,6 +432,29 @@ mypid == 3 : {
         pairs, covers, exact = table.resolve(section((5, 6)))
         assert covers and exact is descs[7] and pairs == ((descs[7], section((5, 6))),)
 
+    def test_index_is_on_the_dimension_that_partitions_the_segments(self):
+        from repro.core.segtable import SegmentTable
+
+        class Desc:
+            def __init__(self, segment):
+                self.segment = segment
+
+        # (*,*,BLOCK) seg (n,1,1): every segment spans dim 0, so an index
+        # there would hand back the whole table for any query.
+        descs = [Desc(section((1, 8), j, k))
+                 for k in range(1, 9) for j in range(1, 3)]
+        table = SegmentTable(segdescs=descs)
+        query = section((1, 8), (1, 2), 3)
+        want = [d for d in descs if d.segment.dims[2].lo == 3]
+        assert table._candidates(query) == want
+        assert [d for d, _ in table.overlapping(query)] == want
+        # Geometry changes re-pick the dimension.
+        table.segdescs = [Desc(section(i, (1, 8), (1, 4))) for i in range(1, 9)]
+        table.invalidate_index()
+        assert [d for d, _ in table.overlapping(section(2, 3, 3))] == [
+            table.segdescs[1]]
+        assert table._index_dim == 0
+
     def test_compiled_run_records_bounded_by_distinct_sections(self, monkeypatch):
         import gc
         from collections import Counter, defaultdict
