@@ -400,7 +400,7 @@ def _parse_knobs(spec: str):
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    from .tune import tune
+    from .tune import TuneError, tune
 
     if args.file:
         src = Path(args.file).read_text()
@@ -418,19 +418,23 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
         store = tempfile.mkdtemp(prefix="repro-tune-store-")
         print(f"note: --shards without --store, using throwaway {store}")
-    res = tune(
-        src,
-        args.nprocs,
-        model=model,
-        top_k=args.top_k,
-        knobs=_parse_knobs(args.knobs) if args.knobs else None,
-        budget_s=args.budget,
-        shards=args.shards,
-        parallel=not args.serial,
-        seed=args.seed,
-        backend=args.backend or default_backend(),
-        store=store,
-    )
+    try:
+        res = tune(
+            src,
+            args.nprocs,
+            model=model,
+            top_k=args.top_k,
+            knobs=_parse_knobs(args.knobs) if args.knobs else None,
+            budget_s=args.budget,
+            shards=args.shards,
+            parallel=not args.serial,
+            seed=args.seed,
+            backend=args.backend or default_backend(),
+            store=store,
+        )
+    except TuneError as exc:
+        print(f"repro tune: {exc}", file=sys.stderr)
+        return 2
     print(f"tuning {what} at P={args.nprocs} ({args.model} model)")
     print(res.summary())
     if not args.file and args.compare_hand:
@@ -733,7 +737,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="wall-clock budget checked between engine waves")
     u.add_argument("--shards", type=int, default=None,
                    help="evaluate candidates across this many supervised "
-                        "worker processes (uses --store, or a throwaway one)")
+                        "worker processes (uses --store, or a throwaway "
+                        "one); 0 evaluates in-process")
     u.add_argument("--explain", action="store_true",
                    help="print the ranked shortlist with static scores, "
                         "engine makespans, and demotions")

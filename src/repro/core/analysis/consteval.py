@@ -48,6 +48,11 @@ class ConstEnv:
     def at_pid(self, pid1: int) -> "ConstEnv":
         return ConstEnv(self.nprocs, self.scalars, pid1)
 
+    def without(self, name: str) -> "ConstEnv":
+        """This environment with ``name`` unknown (a loop rebinds it)."""
+        scalars = {k: v for k, v in self.scalars.items() if k != name}
+        return ConstEnv(self.nprocs, scalars, self.pid1)
+
 
 def const_eval(e: Expr, env: ConstEnv) -> int | float | bool | None:
     """Evaluate ``e`` to a constant, or ``None`` when it depends on

@@ -19,19 +19,22 @@ reference sets ``unknown`` and forces clients to be conservative.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 from ..ir.nodes import (
     Accessible, ArrayRef, Assign, Await, BinOp, Block, CallStmt, DoLoop, Expr,
-    ExprStmt, Guarded, IfStmt, Index, Iown, MaxIntConst, MinIntConst, Mylb,
-    Myub, Range, RecvStmt, SendStmt, Stmt, UnaryOp, VarRef, XferOp,
+    ExprStmt, Full, Guarded, IfStmt, Index, Iown, MaxIntConst, MinIntConst, Mylb,
+    Mypid, Myub, Range, RecvStmt, SendStmt, Stmt, UnaryOp, VarRef, XferOp,
 )
-from ..ir.visitor import subscript_exprs, walk_exprs
+from ..ir.visitor import all_exprs, subscript_exprs, subscript_parts, walk_exprs
 from ..sections import Section
 from .consteval import ConstEnv, const_eval
 from .layouts import decl_index_space
 from .ownership import CompilerContext, OwnershipAnalysis
 
-__all__ = ["RefSets", "LoopSection", "stmt_refsets"]
+__all__ = [
+    "RefSets", "LoopSection", "loop_offset", "stmt_refsets", "refsets_by_class",
+]
 
 
 def _intersects(a: Section, b: Section) -> bool:
@@ -90,7 +93,7 @@ class LoopSection:
 _ANY_INDEX = Range(MinIntConst(), MaxIntConst())
 
 
-def _loop_offset(e: Expr, var: str, env: ConstEnv) -> int | None:
+def loop_offset(e: Expr, var: str, env: ConstEnv) -> int | None:
     """``c`` when ``e`` is ``var + c`` with ``c`` a compile-time integer
     (``env`` must not bind ``var``)."""
     match e:
@@ -99,7 +102,7 @@ def _loop_offset(e: Expr, var: str, env: ConstEnv) -> int | None:
         case BinOp("+" | "-" as op, lhs, rhs):
             # var + c, c + var, var - c; not c - var
             for sym, const in [(lhs, rhs)] + [(rhs, lhs)] * (op == "+"):
-                off, c = _loop_offset(sym, var, env), const_eval(const, env)
+                off, c = loop_offset(sym, var, env), const_eval(const, env)
                 if off is not None and isinstance(c, int):
                     return off + c if op == "+" else off - c
     return None
@@ -117,23 +120,26 @@ class _Collector:
         decl = self.analysis.ctx.array_decl(ref.var)
         if decl is None:
             return  # scalar or unknown name: handled via free_scalars elsewhere
-        # Universal data is private per processor and unresolvable
-        # subscripts could be anything: both count as the whole array.
-        whole = decl_index_space(decl)
-        if self.var is None:
-            sec = self.analysis.resolve(ref, env)
-            bucket.append((ref.var, whole if sec is None else sec))
-            return
-        # A dimension using the loop variable in any other shape than
-        # ``var + c`` could be any index at all.
-        uses = [VarRef(self.var) in subscript_exprs(sub) for sub in ref.subs]
+        # A subscript written with the loop variable in any other shape
+        # than ``var + c`` could be any index at all; one written with
+        # anything else unknown here (an enclosing loop's variable), any
+        # index of its dimension.
+        uses = [self.var is not None and VarRef(self.var) in subscript_exprs(sub)
+                for sub in ref.subs]
         sec = self.analysis.resolve(
             ArrayRef(ref.var, tuple(
-                _ANY_INDEX if u else sub for u, sub in zip(uses, ref.subs))), env)
+                _ANY_INDEX if u else sub if all(
+                    const_eval(p, env) is not None for p in subscript_parts(sub))
+                else Full() for u, sub in zip(uses, ref.subs))), env)
         if sec is None:
-            uses, sec = [False] * decl.rank, whole
+            # Universal data is private per processor (and a range may be
+            # empty under these constants): the whole array.
+            uses, sec = [False] * decl.rank, decl_index_space(decl)
+        if self.var is None:
+            bucket.append((ref.var, sec))
+            return
         bucket.append((ref.var, LoopSection(sec, tuple(
-            _loop_offset(sub.expr, self.var, env)
+            loop_offset(sub.expr, self.var, env)
             if u and isinstance(sub, Index) else None
             for u, sub in zip(uses, ref.subs)))))
 
@@ -220,9 +226,25 @@ def stmt_refsets(
     the enclosing loop at once.
     """
     if loop_var is not None:
-        env = ConstEnv(
-            env.nprocs,
-            {k: v for k, v in env.scalars.items() if k != loop_var}, env.pid1)
+        env = env.without(loop_var)
     collector = _Collector(ctx, loop_var)
     collector.stmt(stmt, env)
     return collector.out
+
+
+def refsets_by_class(
+    stmts: Sequence[tuple[Stmt | Block, str]], ctx: CompilerContext
+) -> Iterator[list[RefSets]]:
+    """The loop-symbolic reference sets of each ``(statement, loop
+    variable)`` on every processor, once per class of processors whose
+    ``mypid``-dependent subscripts resolve alike."""
+    seen = set()
+    on_pid = any(isinstance(e, Mypid) for s, _ in stmts for e in all_exprs(s))
+    for pid in range(ctx.nprocs if on_pid else 1):
+        penv = ctx.consts.at_pid(pid + 1)
+        sets = [stmt_refsets(s, ctx, penv, var) for s, var in stmts]
+        key = tuple((r.unknown, *map(tuple, (
+            r.reads, r.writes, r.released, r.acquired, r.queried))) for r in sets)
+        if key not in seen:
+            seen.add(key)
+            yield sets

@@ -241,34 +241,10 @@ class CompiledProgram:
         if decl.universal:
             self._universal_init[name] = values.copy()
             return
-        offs = tuple(lo for lo, _ in decl.bounds)
-        for st in self.engine.symtabs:
-            for desc in st.entry(name).segdescs:
-                idx = tuple(
-                    np.arange(t.lo, t.hi + 1, t.step) - off
-                    for t, off in zip(desc.segment.dims, offs)
-                )
-                st.memory.get(desc.handle)[...] = values[np.ix_(*idx)]
+        self.engine.write_global(name, values)
 
     def read_global(self, name: str) -> np.ndarray:
-        decl = self.program.decl(name)
-        assert isinstance(decl, ArrayDecl)
-        out = np.zeros(decl.shape, dtype=np.dtype(decl.dtype))
-        seen = np.zeros(decl.shape, dtype=bool)
-        offs = tuple(lo for lo, _ in decl.bounds)
-        for st in self.engine.symtabs:
-            for desc in st.entry(name).segdescs:
-                idx = tuple(
-                    np.arange(t.lo, t.hi + 1, t.step) - off
-                    for t, off in zip(desc.segment.dims, offs)
-                )
-                out[np.ix_(*idx)] = st.memory.get(desc.handle)
-                seen[np.ix_(*idx)] = True
-        if not seen.all():
-            raise OwnershipError(
-                f"{name}: {int((~seen).sum())} elements currently unowned everywhere"
-            )
-        return out
+        return self.engine.read_global(name)
 
     # -- execution ------------------------------------------------------- #
 
@@ -561,9 +537,6 @@ def _compile_subscript(sub, bounds: tuple[int, int]):
                 )
             return run
     raise CompilationError(f"cannot lower subscript {sub!r}")
-
-
-_DECLS: dict[int, dict[str, ArrayDecl]] = {}
 
 
 def _compile_section(ref: ArrayRef) -> Callable[[_VMEnv], Section]:

@@ -172,14 +172,7 @@ class Interpreter:
             self._universal_init = getattr(self, "_universal_init", {})
             self._universal_init[name] = values.copy()
             return
-        offs = tuple(lo for lo, _ in d.bounds)
-        for st in self.engine.symtabs:
-            for desc in st.entry(name).segdescs:
-                idx = tuple(
-                    np.arange(t.lo, t.hi + 1, t.step) - off
-                    for t, off in zip(desc.segment.dims, offs)
-                )
-                st.memory.get(desc.handle)[...] = values[np.ix_(*idx)]
+        self.engine.write_global(name, values)
 
     def read_global(self, name: str) -> np.ndarray:
         """Assemble the global array from current owners.
@@ -190,22 +183,7 @@ class Interpreter:
         assert isinstance(d, ArrayDecl)
         if d.universal:
             raise ValueError(f"{name} is universal; copies differ per processor")
-        out = np.zeros(d.shape, dtype=np.dtype(d.dtype))
-        seen = np.zeros(d.shape, dtype=bool)
-        offs = tuple(lo for lo, _ in d.bounds)
-        for st in self.engine.symtabs:
-            for desc in st.entry(name).segdescs:
-                idx = tuple(
-                    np.arange(t.lo, t.hi + 1, t.step) - off
-                    for t, off in zip(desc.segment.dims, offs)
-                )
-                out[np.ix_(*idx)] = st.memory.get(desc.handle)
-                seen[np.ix_(*idx)] = True
-        if not seen.all():
-            raise OwnershipError(
-                f"{name}: {int((~seen).sum())} elements currently unowned everywhere"
-            )
-        return out
+        return self.engine.read_global(name)
 
     def ownership_map(self, name: str) -> dict[int, int]:
         """pid → number of elements of ``name`` currently owned."""

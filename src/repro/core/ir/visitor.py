@@ -25,7 +25,8 @@ from .nodes import (
 
 __all__ = [
     "map_expr", "map_stmt", "map_block", "substitute", "substitute_stmt",
-    "walk_exprs", "subscript_exprs", "walk_stmts", "array_refs",
+    "walk_exprs", "subscript_parts", "subscript_exprs", "walk_stmts", "all_exprs",
+    "array_refs",
     "free_scalars", "loop_depth",
 ]
 
@@ -207,15 +208,20 @@ def walk_exprs(e: Expr) -> Iterator[Expr]:
             yield from walk_exprs(dim)
 
 
-def subscript_exprs(sub: Subscript) -> Iterator[Expr]:
-    """Every expression inside one subscript (pre-order)."""
+def subscript_parts(sub: Subscript) -> list[Expr]:
+    """The expressions a subscript is written with (none for ``*``)."""
     match sub:
         case Index(expr):
-            yield from walk_exprs(expr)
+            return [expr]
         case Range(lo, hi, step):
-            for part in (lo, hi, step):
-                if part is not None:
-                    yield from walk_exprs(part)
+            return [part for part in (lo, hi, step) if part is not None]
+    return []
+
+
+def subscript_exprs(sub: Subscript) -> Iterator[Expr]:
+    """Every expression inside one subscript (pre-order)."""
+    for part in subscript_parts(sub):
+        yield from walk_exprs(part)
 
 
 def _stmt_exprs(s: Stmt) -> Iterator[Expr]:
@@ -274,18 +280,19 @@ def walk_stmts(s: Stmt | Block) -> Iterator[Stmt]:
             yield from walk_stmts(orelse)
 
 
-def array_refs(node: Stmt | Block | Expr) -> Iterator[ArrayRef]:
-    """All array references in a subtree (both value and name positions)."""
+def all_exprs(node: Stmt | Block | Expr) -> Iterator[Expr]:
+    """Every expression and sub-expression in a subtree."""
     if isinstance(node, Block) or _is_stmt(node):
         for st in walk_stmts(node):
             for e in _stmt_exprs(st):
-                for sub in walk_exprs(e):
-                    if isinstance(sub, ArrayRef):
-                        yield sub
+                yield from walk_exprs(e)
     else:
-        for sub in walk_exprs(node):
-            if isinstance(sub, ArrayRef):
-                yield sub
+        yield from walk_exprs(node)
+
+
+def array_refs(node: Stmt | Block | Expr) -> Iterator[ArrayRef]:
+    """All array references in a subtree (both value and name positions)."""
+    return (e for e in all_exprs(node) if isinstance(e, ArrayRef))
 
 
 def _is_stmt(node) -> bool:

@@ -5,7 +5,8 @@ IR statements, they participate in classical transformations: the passes
 here reproduce every optimization the paper performs or names —
 compute-rule elimination via loop-bounds localization, transfer
 elimination, message vectorization, loop fusion with XDP ownership
-legality, await sinking, guard hoisting, and receive hoisting."""
+legality, await sinking, guard hoisting, receive hoisting, and the rewriting
+of localized element loops as section assignments."""
 
 from .await_motion import AwaitSinking
 from .binding import DestinationBinding
@@ -13,6 +14,7 @@ from .cleanup import Cleanup
 from .compute_rule_elim import ComputeRuleElimination
 from .fusion import LoopFusion
 from .guard_motion import GuardHoisting
+from .loop_to_section import LoopToSection
 from .passmanager import PassManager, optimize
 from .recv_motion import ReceiveHoisting
 from .transfer_elim import TransferElimination
@@ -29,5 +31,6 @@ __all__ = [
     "AwaitSinking",
     "GuardHoisting",
     "ReceiveHoisting",
+    "LoopToSection",
     "Cleanup",
 ]

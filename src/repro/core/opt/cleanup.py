@@ -21,6 +21,8 @@ class Cleanup:
 
     def run(self, program: Program, ctx: CompilerContext) -> Program:
         body = _prune_empty(program.body)
+        if body != program.body:
+            ctx.note(f"{self.name}: removed empty control structure")
         used_arrays = {r.var for r in array_refs(body)}
         used_scalars = free_scalars(body)
         decls = []

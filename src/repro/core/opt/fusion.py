@@ -24,7 +24,7 @@ from __future__ import annotations
 from ..analysis.ownership import (
     ITERATION_CAP, CompilerContext, OwnershipAnalysis,
 )
-from ..analysis.refsets import LoopSection, stmt_refsets
+from ..analysis.refsets import LoopSection, refsets_by_class
 from ..ir.nodes import Block, DoLoop, Program, Stmt, VarRef
 from ..ir.visitor import free_scalars, substitute_stmt
 from ..sections import Triplet
@@ -65,10 +65,9 @@ def _meets_later(b: LoopSection, a: LoopSection, run: Triplet, down: bool) -> bo
 
 def can_fuse(a: DoLoop, b: DoLoop, ctx: CompilerContext) -> bool:
     """Decide whether two adjacent loops may be fused (see module doc)."""
-    env = ctx.consts
     analysis = OwnershipAnalysis(ctx)
-    va = analysis.iteration_values(a, env)
-    vb = analysis.iteration_values(b, env)
+    va = analysis.iteration_values(a, ctx.consts)
+    vb = analysis.iteration_values(b, ctx.consts)
     if va is None or vb is None:
         ctx.decline(
             LoopFusion.name,
@@ -85,24 +84,15 @@ def can_fuse(a: DoLoop, b: DoLoop, ctx: CompilerContext) -> bool:
     def meet(sb: LoopSection, sa: LoopSection) -> bool:
         return _meets_later(sb, sa, run, down)
 
-    # Processors whose mypid-dependent subscripts resolve alike share a verdict.
-    decided = set()
-    for pid in range(ctx.nprocs):
-        penv = env.at_pid(pid + 1)
-        ra = stmt_refsets(a.body, ctx, penv, a.var)
-        rb = stmt_refsets(b.body, ctx, penv, b.var)
+    for ra, rb in refsets_by_class([(a.body, a.var), (b.body, b.var)], ctx):
         if ra.unknown or rb.unknown:
             ctx.decline(
                 LoopFusion.name,
                 f"the bodies of the loops over {a.var} and {b.var} hold a "
                 "collective or an inner loop with symbolic bounds")
             return False
-        key = tuple(tuple(bucket) for r in (ra, rb) for bucket in (
-            r.reads, r.writes, r.released, r.acquired, r.queried))
-        if key not in decided:
-            decided.add(key)
-            if rb.conflicts_with(ra, meet):
-                return False
+        if rb.conflicts_with(ra, meet):
+            return False
     return True
 
 

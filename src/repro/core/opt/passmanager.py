@@ -4,7 +4,8 @@ A pass is an object with a ``name`` and ``run(program, ctx) -> Program``;
 it records human-readable notes on the shared
 :class:`~repro.core.analysis.ownership.CompilerContext` (``ctx.note``),
 which the pass manager collects into a report — the compiler's explanation
-of what it did to the data movement."""
+of what it did to the data movement.  A pass that notes nothing, or only
+``ctx.decline`` lines, returns a program equal to the one it was given."""
 
 from __future__ import annotations
 
@@ -35,7 +36,8 @@ class PassResult:
 
 
 class PassManager:
-    """Runs a pipeline of passes, re-verifying the IR after each."""
+    """Runs a pipeline of passes, re-verifying the IR after each one that
+    changed it."""
 
     def __init__(self, passes: Sequence[Pass], *, verify: bool = True):
         self.passes = list(passes)
@@ -53,11 +55,12 @@ class PassManager:
         current = program
         for p in self.passes:
             before = len(ctx.reports)
-            ctx.program = current
+            ctx.program = previous = current
             current = p.run(current, ctx)
             if len(ctx.reports) == before:
                 ctx.note(f"{p.name}: no opportunities")
-            if self.verify:
+            # Comparing two trees costs a hundredth of walking one.
+            if self.verify and current != previous:
                 verify_program(current)
         return PassResult(current, ctx.reports)
 
@@ -76,7 +79,8 @@ def optimize(
     * level 0 — verification only;
     * level 1 — transfer elimination + compute-rule elimination + cleanup;
     * level 2 — level 1 plus message vectorization, guard hoisting, loop
-      fusion, await sinking and receive hoisting (the full paper pipeline).
+      fusion, await sinking, receive hoisting and loop-to-section (the
+      full paper pipeline).
 
     With ``verify_comm`` the optimized program additionally goes through
     the static communication-safety verifier
@@ -97,6 +101,7 @@ def optimize(
     from .compute_rule_elim import ComputeRuleElimination
     from .fusion import LoopFusion
     from .guard_motion import GuardHoisting
+    from .loop_to_section import LoopToSection
     from .recv_motion import ReceiveHoisting
     from .transfer_elim import TransferElimination
     from .vectorize import MessageVectorization
@@ -116,6 +121,7 @@ def optimize(
             LoopFusion(),
             AwaitSinking(),
             ReceiveHoisting(),
+            LoopToSection(),
             Cleanup(),
         ]
     result = PassManager(passes).run(program, nprocs, grid)

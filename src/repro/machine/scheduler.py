@@ -39,6 +39,7 @@ from ..core.errors import (
     BudgetExhaustedError,
     DeadlockError,
     DegradedRunError,
+    OwnershipError,
     ProtocolError,
 )
 from ..core.sections import Section
@@ -193,6 +194,24 @@ class Scheduler:
     def declare_empty(self, name: str, index_space: Section, **kw) -> None:
         for st in self.symtabs:
             st.declare_empty(name, index_space, **kw)
+
+    def write_global(self, name: str, values: np.ndarray) -> None:
+        """Stage a global array in: each processor keeps what it owns."""
+        for st in self.symtabs:
+            st.stage_in(name, values)
+
+    def read_global(self, name: str) -> np.ndarray:
+        """Assemble a global array from its current owners; raises unless
+        ownership is a total cover (it is not mid-redistribution)."""
+        entry = self.symtabs[0].entry(name)
+        out = np.zeros(entry.global_shape, dtype=entry.dtype)
+        for st in self.symtabs:
+            st.stage_out(name, out)
+        owned = sum(st.owned_elements(name) for st in self.symtabs)
+        if owned != out.size:
+            raise OwnershipError(
+                f"{name}: {out.size - owned} elements currently unowned everywhere")
+        return out
 
     def run(self, program: NodeProgram) -> RunStats:
         """Load ``program`` onto every processor and run to completion.

@@ -462,6 +462,21 @@ class RuntimeSymbolTable:
         """Total elements of ``name`` currently owned here."""
         return sum(d.segment.size for d in self.entry(name).segdescs)
 
+    def stage_in(self, name: str, whole: np.ndarray) -> None:
+        """Fill every segment owned here from ``whole``, an array laid out
+        over the variable's declared index space."""
+        entry = self.entry(name)
+        for d in entry.segdescs:
+            self.memory.get(d.handle)[...] = whole[
+                self._positions(entry.index_space, d.segment)]
+
+    def stage_out(self, name: str, whole: np.ndarray) -> None:
+        """Copy every segment owned here into its place in ``whole``."""
+        entry = self.entry(name)
+        for d in entry.segdescs:
+            whole[self._positions(entry.index_space, d.segment)] = (
+                self.memory.get(d.handle))
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         lines = [f"run-time symbol table of P{self.pid + 1}:"]
         for e in self.variables():

@@ -219,8 +219,8 @@ def tune(
     shortlist (``max(2 * top_k, 8)`` entries);
     ``budget_s`` is the wall-clock budget checked between waves (``None``
     = unbounded).  ``shards`` switches engine validation to that many
-    supervised worker processes — it requires ``store``, which also
-    memoizes evaluations across processes and runs.
+    supervised worker processes (``None`` or 0: in-process) — it requires
+    ``store``, which also memoizes evaluations across processes and runs.
 
     ``knobs`` is the :class:`~repro.tune.space.KnobSpec` the layout paths
     are crossed with (default: every realization and planner budget).  If
@@ -234,7 +234,7 @@ def tune(
     model = model if model is not None else MachineModel()
     cache = cache if cache is not None else EvalCache()
     backend = backend if backend is not None else default_backend()
-    if shards is not None and store is None:
+    if shards and store is None:
         raise TuneError("sharded evaluation (shards=...) needs a store")
     if knobs is None:
         knobs = KnobSpec()
@@ -267,7 +267,7 @@ def tune(
     )
 
     def _evaluate(tasks: Sequence[EvalTask]) -> list[EvalResult]:
-        if shards is not None:
+        if shards:
             return evaluate_sharded(tasks, store=store, shards=shards,
                                     cache=cache)
         return evaluate_candidates(tasks, cache=cache, store=store,

@@ -113,6 +113,17 @@ class TestBadInput:
         assert capsys.readouterr().err == (
             f"{p}: duplicate declaration of 'A'\n")
 
+    def test_tune_error_is_a_message_and_shards_0_is_in_process(
+            self, program_file, capsys):
+        # `--shards 0` used to die in tune() with "needs a store"; it means
+        # in-process, so the real complaint (nothing to tune) surfaces,
+        # as a message rather than a TuneError traceback.
+        assert main(["tune", "--file", program_file, "--nprocs", "2",
+                     "--shards", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert err == "repro tune: no kernel calls found; nothing to tune\n"
+        assert "needs a store" not in err and "Traceback" not in out + err
+
     def test_findings_still_exit_1(self, tmp_path, capsys):
         # A communication *finding* is a verdict, not bad input.
         p = tmp_path / "unowned.xdp"
