@@ -114,10 +114,14 @@ _MODELS = {
 
 def _load(path: str):
     """Parse and verify FILE; malformed input is ``FILE:line:col: message``
-    on stderr and exit status 2, not a traceback."""
+    (an unreadable file ``FILE: reason``) on stderr and exit status 2, not
+    a traceback."""
     try:
         program = parse_program(Path(path).read_text())
         verify_program(program)
+    except OSError as exc:
+        print(f"{path}: {exc.strerror}", file=sys.stderr)
+        raise SystemExit(2) from None
     except ParseError as exc:
         where = "".join(f":{n}" for n in (exc.line, exc.col) if n is not None)
         print(f"{path}{where}: {exc.message}", file=sys.stderr)
@@ -403,12 +407,16 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     from .tune import TuneError, tune
 
     if args.file:
-        src = Path(args.file).read_text()
+        program = _load(args.file)
         what = args.file
     else:
         from .apps.fft3d import fft3d_source
 
-        src = fft3d_source(args.n, args.nprocs, args.stage)
+        try:
+            program = fft3d_source(args.n, args.nprocs, args.stage)
+        except ValueError as exc:
+            print(f"repro tune: {exc}", file=sys.stderr)
+            return 2
         what = f"fft3d n={args.n} stage={args.stage}"
     model = _MODELS[args.model]()
     store = args.store
@@ -420,7 +428,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         print(f"note: --shards without --store, using throwaway {store}")
     try:
         res = tune(
-            src,
+            program,
             args.nprocs,
             model=model,
             top_k=args.top_k,

@@ -5,13 +5,14 @@ hand*, in three stages.  XDP's explicit representation is what makes that
 optimization mechanical — so this package performs it automatically, as a
 four-stage pipeline:
 
-* :mod:`~repro.tune.space` — **space**: lazy enumeration of candidate
-  placements (distribution-spec x segmentation x grid-shape) per phase,
-  crossed with pass-level knobs, described by :class:`SpaceSpec` without
-  materializing;
-* :mod:`~repro.tune.prefilter` — **ranking**: every space point scored by
-  the closed-form costs (:mod:`~repro.tune.cost`), deduplicated by
-  emission identity, vetted by the communication verifier, cut to a
+* :mod:`~repro.tune.space` — **space**: candidate placements
+  (distribution-spec x segmentation x grid-shape) per phase, crossed
+  with pass-level knobs; :class:`SpaceSpec` holds the layers and counts
+  their product without building it;
+* :mod:`~repro.tune.prefilter` — **ranking**: the whole space ranked
+  exactly by the closed-form costs (:mod:`~repro.tune.cost`) as a lazy
+  best-first search of the layered (phase, layout) graph, deduplicated
+  by emission identity, vetted by the communication verifier, cut to a
   shortlist under an explicit candidate budget;
 * :mod:`~repro.tune.evaluate` — **evaluation**: shortlisted candidates run
   on the real :class:`~repro.machine.engine.Engine`, in-process or sharded
@@ -50,8 +51,6 @@ from .space import (
     SpaceSpec,
     candidate_segmentation,
     enumerate_layouts,
-    iter_layouts,
-    iter_phase_layouts,
     phase_layouts,
 )
 
@@ -92,8 +91,6 @@ __all__ = [
     "evaluate_candidates",
     "evaluate_sharded",
     "generate_phased_program",
-    "iter_layouts",
-    "iter_phase_layouts",
     "phase_compute_cost",
     "phase_layouts",
     "prefilter",

@@ -7,13 +7,14 @@ edge weight the analytic cost of the compiler-planned redistribution
 between consecutive layouts under each pass-level knob.  The tuner walks
 that space in four stages:
 
-1. **space** (:mod:`~repro.tune.space`) — a :class:`SpaceSpec` describes
-   the per-phase layout families crossed with the knob axes, counted and
-   streamed lazily, never materialized;
-2. **ranking** (:mod:`~repro.tune.prefilter`) — every space point gets a
-   static score from the analytic cost model; the top of the ranking is
-   realized as program text, deduplicated, vetted by the communication
-   verifier, and becomes the shortlist;
+1. **space** (:mod:`~repro.tune.space`) — a :class:`SpaceSpec` holds the
+   per-phase layout layers and the knob axes; their product is counted,
+   never built;
+2. **ranking** (:mod:`~repro.tune.prefilter`) — that shortest path, k
+   times over: an exact lazy best-first ranking of the whole space by
+   the analytic cost model; the top of the ranking is realized as
+   program text, deduplicated, vetted by the communication verifier,
+   and becomes the shortlist;
 3. **evaluation** (:mod:`~repro.tune.evaluate`) — shortlisted candidates
    run on the real engine, in-process or sharded across supervised
    worker processes over the content-addressed artifact store;
@@ -208,7 +209,7 @@ def tune(
 ) -> TuneResult:
     """Search the placement space of a phased program.
 
-    Deterministic for a fixed (program, nprocs, model, seed): enumeration
+    Deterministic for a fixed (program, nprocs, model, seed): layer
     order is canonical, scores are exact arithmetic on model constants,
     every tie-break is lexicographic, and sharded evaluation merges by
     submission order — the wall-clock budget only gates *whether* the
@@ -251,7 +252,7 @@ def tune(
     grid = ProcessorGrid((nprocs,))
     initial = build_segmentation(decl, grid).distribution
 
-    # -- stage 1+2: lazy space, static ranking, verified shortlist ----- #
+    # -- stage 1+2: space, static ranking, verified shortlist ---------- #
     space = SpaceSpec(
         decl, nprocs, tuple(p.axis for p in phases), knobs=knobs,
     )
@@ -350,7 +351,7 @@ def tune(
     common = dict(
         phases=tuple(phases),
         baseline_makespan=baseline.makespan,
-        candidates_considered=pf.scored,
+        candidates_considered=pf.space_size,
         evaluated=len(measured) + 1,
         analytic=analytic,
         results=[measured[i] for i in sorted(measured)],

@@ -18,21 +18,17 @@ tie-breaks are reproducible — and pruned:
   equal to the processor count) are kept — they differ in segmentation
   and message shapes — but textual duplicates are deduplicated.
 
-Two enumerators cover the same space:
+One enumerator, :func:`enumerate_layouts`, covers it: materialize,
+dedup, sort.  A layer of the phased space is a handful of candidates, so
+there is nothing to stream — what is never built is the *product* of the
+layers.
 
-* :func:`enumerate_layouts` — the eager reference: materialize, dedup,
-  sort.  Kept deliberately independent of the lazy path so the
-  property tests can cross-check one against the other.
-* :func:`iter_layouts` — a generator yielding the *identical* sequence
-  (order, dedup and pruning parity are pinned by tests) while holding at
-  most one distribution's group in memory.  This is what the staged
-  search pipeline consumes: wide spaces are described and ranked without
-  ever being materialized.
-
-:class:`SpaceSpec` bundles the per-phase layout generators with the
-pass-level knob axes (:class:`KnobSpec`: redistribution realization
-``bulk`` / ``pipelined`` / ``planner`` with its ``max_temp_frac`` budget)
-and can count or describe the full search space without materializing it.
+:class:`SpaceSpec` bundles the per-phase layers (each enumerated once,
+cached) with the pass-level knob axes (:class:`KnobSpec`: redistribution
+realization ``bulk`` / ``pipelined`` / ``planner`` with its
+``max_temp_frac`` budget) and counts or describes the full search space;
+:mod:`~repro.tune.prefilter` ranks it as a layered graph without walking
+the cross product.
 
 Construction goes through :func:`~repro.core.analysis.layouts`'s
 machinery (:func:`parse_dist_spec` / :func:`build_segmentation`) so the
@@ -43,9 +39,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from ..core.analysis.layouts import build_segmentation, split_dist_spec
+from ..core.errors import XDPError
 from ..core.ir.nodes import ArrayDecl
 from ..distributions import (
     Distribution,
@@ -61,7 +59,6 @@ __all__ = [
     "SpaceSpec",
     "candidate_segmentation",
     "enumerate_layouts",
-    "iter_layouts",
     "phase_layouts",
     "rewrite_decl",
 ]
@@ -208,15 +205,12 @@ def enumerate_layouts(
     allow_idle_procs: bool = False,
     collapsed_axes: Sequence[int] = (),
 ) -> list[LayoutCandidate]:
-    """All pruned candidates for one array, in canonical order (eager).
+    """All pruned candidates for one array, in canonical order.
 
     ``collapsed_axes`` forces ``*`` on the given dimensions (a phase's
     compute axis must stay local).  ``seg_choices`` picks segmentation
     styles: ``"coarse"`` (one segment per owned piece), ``"pencil"`` (the
     hand-FFT style) and/or ``"slab"`` (whole owned slabs).
-
-    This is the eager reference enumeration — materialize, dedup, sort.
-    :func:`iter_layouts` yields the identical sequence lazily.
     """
     rank = decl.rank
     extents = decl.shape
@@ -247,73 +241,10 @@ def enumerate_layouts(
                 cand = LayoutCandidate(dist, seg, grid_shape)
                 try:
                     candidate_segmentation(decl, cand, nprocs)
-                except Exception:
+                except XDPError:
                     continue  # unbuildable corner (prune, don't crash)
                 out.add(cand)
     return sorted(out)
-
-
-def iter_layouts(
-    decl: ArrayDecl,
-    nprocs: int,
-    *,
-    specs: Sequence[str] = ("*", "BLOCK", "CYCLIC"),
-    max_dist_dims: int | None = None,
-    seg_choices: Sequence[str] = ("coarse",),
-    allow_idle_procs: bool = False,
-    collapsed_axes: Sequence[int] = (),
-) -> Iterator[LayoutCandidate]:
-    """Lazy twin of :func:`enumerate_layouts`: same candidates, same
-    order, same dedup and pruning, yielded one at a time.
-
-    Candidates group naturally by distribution spec (the leading sort
-    component), so the generator walks the spec strings in sorted order
-    and materializes only one spec's group — factorizations x
-    segmentation styles, a handful of candidates — at a time.  Memory is
-    bounded by the largest group, not the space.
-    """
-    rank = decl.rank
-    extents = decl.shape
-    forced = set(collapsed_axes)
-    limit = rank if max_dist_dims is None else max_dist_dims
-
-    def assignments(axis: int) -> Iterator[tuple[str, ...]]:
-        if axis == rank:
-            yield ()
-            return
-        choices = ("*",) if axis in forced else specs
-        for rest in assignments(axis + 1):
-            for s in choices:
-                yield (s,) + rest
-
-    # The dist string is the leading sort-key component, so sorting the
-    # (small) set of spec assignments up front fixes the global order;
-    # everything per-spec streams.
-    dists: list[tuple[str, tuple[int, ...]]] = []
-    for parts in assignments(0):
-        dist_axes = tuple(i for i, s in enumerate(parts) if s != "*")
-        if not dist_axes or len(dist_axes) > limit:
-            continue
-        dists.append(("(" + ", ".join(parts) + ")", dist_axes))
-    dists.sort(key=lambda d: d[0])
-
-    for dist, dist_axes in dists:
-        group: set[LayoutCandidate] = set()
-        for shape in _factorizations(nprocs, len(dist_axes)):
-            if not allow_idle_procs and any(
-                extents[a] < f for a, f in zip(dist_axes, shape)
-            ):
-                continue
-            grid_shape = None if len(dist_axes) == 1 else shape
-            for style in seg_choices:
-                seg = _seg_for(style, rank, extents, dist_axes)
-                cand = LayoutCandidate(dist, seg, grid_shape)
-                try:
-                    candidate_segmentation(decl, cand, nprocs)
-                except Exception:
-                    continue
-                group.add(cand)
-        yield from sorted(group)
 
 
 #: Default per-phase dimension specs for the widened space: plain block
@@ -334,7 +265,7 @@ def phase_layouts(
     specs: Sequence[str] = ("BLOCK", "CYCLIC"),
     seg_choices: Sequence[str] = ("pencil",),
 ) -> list[LayoutCandidate]:
-    """Realizable layouts for a compute phase along ``axis`` (eager list).
+    """Realizable layouts for a compute phase along ``axis``.
 
     The phase's pencils (full extent along ``axis``) must be local, so
     ``axis`` is collapsed; exactly one other dimension is distributed
@@ -343,21 +274,7 @@ def phase_layouts(
     transfers (the IL's declarations cannot carry a multi-axis grid
     shape, so wider grids are not expressible in generated text).
     """
-    return list(iter_phase_layouts(
-        decl, nprocs, axis, specs=specs, seg_choices=seg_choices
-    ))
-
-
-def iter_phase_layouts(
-    decl: ArrayDecl,
-    nprocs: int,
-    axis: int,
-    *,
-    specs: Sequence[str] = ("BLOCK", "CYCLIC"),
-    seg_choices: Sequence[str] = ("pencil",),
-) -> Iterator[LayoutCandidate]:
-    """Lazy per-phase layout family (see :func:`phase_layouts`)."""
-    return iter_layouts(
+    return enumerate_layouts(
         decl,
         nprocs,
         specs=("*",) + tuple(specs),
@@ -418,13 +335,11 @@ class KnobSpec:
 @dataclass
 class SpaceSpec:
     """The assembled search space of one phased program: per-phase layout
-    generators x pass-level knobs, countable without materialization.
+    layers x pass-level knobs.
 
-    ``layer(i)`` streams phase ``i``'s candidates; ``iter_paths()``
-    streams the cross product; ``size()`` multiplies layer sizes by knob
-    points.  Layer *sizes* are counted by draining the generators once
-    (O(1) memory) and cached; the path space itself — the exponential
-    part — is never materialized.
+    ``layer(i)`` is phase ``i``'s candidates in canonical order, enumerated
+    once; ``size()`` multiplies layer sizes by knob points.  The path
+    space itself — the exponential part — is counted, never built.
     """
 
     decl: ArrayDecl
@@ -433,22 +348,24 @@ class SpaceSpec:
     specs: tuple[str, ...] = PHASE_SPECS
     seg_choices: tuple[str, ...] = PHASE_SEGS
     knobs: KnobSpec = field(default_factory=KnobSpec)
-    _layer_sizes: tuple[int, ...] | None = field(default=None, repr=False)
 
-    def layer(self, i: int) -> Iterator[LayoutCandidate]:
-        return iter_phase_layouts(
-            self.decl, self.nprocs, self.phase_axes[i],
-            specs=self.specs, seg_choices=self.seg_choices,
-        )
+    @cached_property
+    def _layers(self) -> tuple[tuple[LayoutCandidate, ...], ...]:
+        by_axis = {
+            axis: tuple(phase_layouts(
+                self.decl, self.nprocs, axis,
+                specs=self.specs, seg_choices=self.seg_choices,
+            ))
+            for axis in dict.fromkeys(self.phase_axes)
+        }
+        return tuple(by_axis[axis] for axis in self.phase_axes)
+
+    def layer(self, i: int) -> tuple[LayoutCandidate, ...]:
+        return self._layers[i]
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
-        if self._layer_sizes is None:
-            self._layer_sizes = tuple(
-                sum(1 for _ in self.layer(i))
-                for i in range(len(self.phase_axes))
-            )
-        return self._layer_sizes
+        return tuple(len(layer) for layer in self._layers)
 
     def knob_points(self) -> tuple[KnobPoint, ...]:
         return self.knobs.points()
@@ -458,18 +375,6 @@ class SpaceSpec:
 
     def size(self) -> int:
         return self.path_count() * len(self.knob_points())
-
-    def iter_paths(self) -> Iterator[tuple[LayoutCandidate, ...]]:
-        """Stream the per-phase layout cross product in canonical order."""
-
-        def rec(i: int, prefix: tuple[LayoutCandidate, ...]) -> Iterator[tuple]:
-            if i == len(self.phase_axes):
-                yield prefix
-                return
-            for cand in self.layer(i):
-                yield from rec(i + 1, prefix + (cand,))
-
-        return rec(0, ())
 
     def describe(self) -> dict:
         return {

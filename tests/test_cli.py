@@ -124,6 +124,31 @@ class TestBadInput:
         assert err == "repro tune: no kernel calls found; nothing to tune\n"
         assert "needs a store" not in err and "Traceback" not in out + err
 
+    def test_tune_file_syntax_error_goes_through_load(self, tmp_path, capsys):
+        # `tune --file` used to read the file itself: raw ParseError traceback.
+        p = tmp_path / "bad.xdp"
+        p.write_text("array A[1:4] dist (BLOCK) seg (1)\nA[1] = = 2\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["tune", "--file", str(p), "--nprocs", "2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"{p}:2:8: unexpected token '='\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["tune", "--file"], ["check"], ["run"], ["compile"],
+    ])
+    def test_missing_file_is_a_message_and_exit_2(self, argv, tmp_path, capsys):
+        p = tmp_path / "missing.xdp"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, str(p), "--nprocs", "2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"{p}: No such file or directory\n"
+
+    def test_tune_rejects_n_not_a_multiple_of_nprocs(self, capsys):
+        assert main(["tune", "--n", "8", "--nprocs", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert err == "repro tune: n (8) must be a multiple of nprocs (3)\n"
+        assert "Traceback" not in out + err
+
     def test_findings_still_exit_1(self, tmp_path, capsys):
         # A communication *finding* is a verdict, not bad input.
         p = tmp_path / "unowned.xdp"
