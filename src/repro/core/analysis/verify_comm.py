@@ -430,7 +430,7 @@ class _Machine:
     # -------------------------------------------------------------- #
 
     def overlapping(self, pid1: int, var: str, sec: Section) -> tuple:
-        """``(segment, intersection)`` pairs of the resolution record."""
+        """The segments meeting ``sec``, from its resolution record."""
         return self.tables[(pid1, var)].resolve(sec)[0]
 
     def iown(self, pid1: int, var: str, sec: Section) -> bool:
@@ -439,10 +439,10 @@ class _Machine:
     def state_of(self, pid1: int, var: str, sec: Section) -> SegmentState:
         """Composite Figure-1 state from one record; TRANSITIONAL is any
         overlapping segment with an un-awaited receive."""
-        pairs, covers, _ = self.tables[(pid1, var)].resolve(sec)
+        segs, covers, _ = self.tables[(pid1, var)].resolve(sec)
         if not covers:
             return _UNOWNED
-        for seg, _ in pairs:
+        for seg in segs:
             if seg.pending:
                 return _TRANSITIONAL
         return SegmentState.ACCESSIBLE
@@ -451,13 +451,13 @@ class _Machine:
         """Drop ``sec`` from the table, splitting partially covered
         segments (callers have established accessibility)."""
         table = self.tables[(pid1, var)]
+        split = {id(seg) for seg in table.resolve(sec)[0]}
         keep: list[_ASeg] = []
         for seg in table.segdescs:
-            inter = seg.segment.intersect(sec)
-            if inter is None:
+            if id(seg) not in split:
                 keep.append(seg)
                 continue
-            for piece in section_difference(seg.segment, inter):
+            for piece in section_difference(seg.segment, sec):
                 ns = _ASeg(piece)
                 ns.pending = [r for r in seg.pending
                               if r.into_sec.intersect(piece) is not None]
@@ -506,7 +506,7 @@ class _Machine:
         over, covers, _ = self.tables[(p.pid1, w.var)].resolve(w.sec)
         if not covers:
             return "never"
-        if all(r.matched for seg, _ in over for r in seg.pending):
+        if all(r.matched for seg in over for r in seg.pending):
             return "ready"
         return "blocked"
 
@@ -521,7 +521,7 @@ class _Machine:
         # Every member arrived: the landing fences still need any in-flight
         # point-to-point receive on the landing sections to be satisfied.
         for var, sec in w.landings:
-            for seg, _ in self.overlapping(p.pid1, var, sec):
+            for seg in self.overlapping(p.pid1, var, sec):
                 if any(not r.matched for r in seg.pending):
                     return "blocked"
         return "ready"
@@ -538,7 +538,7 @@ class _Machine:
                 self.apply_wait(p, _Wait(var, sec, "await", w.loc))
             return
         recvs: dict[int, _PendRecv] = {}
-        for seg, _ in self.overlapping(p.pid1, w.var, w.sec):
+        for seg in self.overlapping(p.pid1, w.var, w.sec):
             for r in seg.pending:
                 recvs[r.seq] = r
         for r in recvs.values():
@@ -546,7 +546,7 @@ class _Machine:
 
     def apply_recv(self, r: _PendRecv) -> None:
         # release() keeps ``r`` only on pieces meeting its destination.
-        for seg, _ in self.overlapping(r.pid1, r.into_var, r.into_sec):
+        for seg in self.overlapping(r.pid1, r.into_var, r.into_sec):
             if r in seg.pending:
                 seg.pending.remove(r)
         if r.kind != "value":
@@ -558,7 +558,7 @@ class _Machine:
             if other == pid1:
                 continue
             # One-shot query: scanned, not memoized on the other's table.
-            for seg, _ in self.tables[(other, var)].overlapping(sec):
+            for seg in self.tables[(other, var)].geometry(sec)[0]:
                 if self.settled(seg):
                     self.flag(
                         "error", "ownership-race",
@@ -808,11 +808,11 @@ class _Machine:
             recv = _PendRecv(next(self.seq), p.pid1, kind,
                              stmt.source.var, src_sec,
                              stmt.into.var, into_sec, loc)
-            for seg, _ in self.overlapping(p.pid1, stmt.into.var, into_sec):
+            for seg in self.overlapping(p.pid1, stmt.into.var, into_sec):
                 seg.pending.append(recv)
             self.post_recv(recv)
         else:
-            for seg, _ in self.overlapping(p.pid1, stmt.into.var, into_sec):
+            for seg in self.overlapping(p.pid1, stmt.into.var, into_sec):
                 self.flag("error", "acquire-overlap",
                           f"ownership receive of {stmt.into.var}{into_sec} "
                           f"overlaps locally owned segment {seg.segment} "
@@ -1276,8 +1276,9 @@ class _Machine:
                 d = yield from self._eval(dim, p, rule=rule)
                 if sec is None or d is _UNKNOWN:
                     return _UNKNOWN
-                owned = [i.dims[int(d) - 1]
-                         for _, i in self.overlapping(p.pid1, ref.var, sec)]
+                k = int(d) - 1
+                owned = [seg.segment.dims[k].intersect(sec.dims[k])
+                         for seg in self.overlapping(p.pid1, ref.var, sec)]
                 if isinstance(e, Mylb):
                     return min((t.lo for t in owned), default=MAXINT)
                 return max((t.hi for t in owned), default=MININT)
@@ -1448,7 +1449,7 @@ class _Machine:
                     tags = sorted({
                         r.tag
                         for var, sec in w.landings
-                        for seg, _ in self.overlapping(p.pid1, var, sec)
+                        for seg in self.overlapping(p.pid1, var, sec)
                         for r in seg.pending if not r.matched
                     })
                     if tags:
@@ -1460,7 +1461,7 @@ class _Machine:
             involved.add(w.var)
             unmatched = sorted({
                 r.tag
-                for seg, _ in self.overlapping(p.pid1, w.var, w.sec)
+                for seg in self.overlapping(p.pid1, w.var, w.sec)
                 for r in seg.pending if not r.matched
             })
             line = (f"P{p.pid1} blocked on {w.var}{w.sec} "
@@ -1526,9 +1527,10 @@ class _Machine:
                     if not self.settled(seg):
                         continue
                     for pb in range(pa + 1, self.nprocs + 1):
-                        for other, inter in self.tables[
-                                (pb, d.name)].overlapping(seg.segment):
+                        for other in self.tables[
+                                (pb, d.name)].geometry(seg.segment)[0]:
                             if self.settled(other):
+                                inter = other.segment.intersect(seg.segment)
                                 self.flag(
                                     "error", "ownership-race",
                                     f"run ends with P{pa} and P{pb} both "

@@ -6,6 +6,12 @@ here once, for the run-time symbol table (``runtime.symtab.VariableEntry``)
 and the static verifier's abstract tables (``core.analysis.verify_comm``).
 A descriptor is any object with a ``segment`` Section; segments of one
 table are pairwise disjoint.
+
+Sections are Cartesian products of triplets, so the scan needs no
+intersection ``Section``: whether a segment meets the query, and how many
+elements they share, are products of per-dimension counts.  Callers that
+need an intersection's bounds (``mylb``, a finding's text, a release's
+split) compute it for the descriptors the record names.
 """
 
 from __future__ import annotations
@@ -23,13 +29,15 @@ class SegmentTable:
     """Disjoint segment descriptors plus memoized section resolution."""
 
     segdescs: list = field(default_factory=list)
-    # Interval index (positions sorted by lower bound on ``_index_dim``),
-    # rebuilt lazily after geometry changes.  Only consulted past a size
-    # threshold; small tables scan linearly, which is faster.
+    # Interval index (positions sorted by lower bound on ``_index_dim``)
+    # and the table's bounding box, rebuilt lazily after geometry changes.
+    # Only consulted past a size threshold; small tables scan linearly,
+    # which is faster.
     _index_dim: int = field(default=0, repr=False, compare=False)
     _index_pos: list[int] | None = field(default=None, repr=False, compare=False)
     _index_los: list[int] | None = field(default=None, repr=False, compare=False)
     _index_maxspan: int = field(default=0, repr=False, compare=False)
+    _index_box: tuple | None = field(default=None, repr=False, compare=False)
     # Resolution records keyed by the queried Section's *value*; cleared
     # with the index on any geometry change, never by a state change.
     _resolve_cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -40,7 +48,7 @@ class SegmentTable:
     def invalidate_index(self) -> None:
         """Must be called whenever segment *geometry* changes (segments
         added, removed, or rebound) — state-only changes don't need it."""
-        self._index_pos = self._index_los = None
+        self._index_pos = self._index_los = self._index_box = None
         self._resolve_cache.clear()
 
     def _candidates(self, sec: Section) -> list:
@@ -49,7 +57,8 @@ class SegmentTable:
         cannot overlap, nor can one with ``lo < query.lo - maxspan`` (its
         ``hi`` is below ``query.lo``), so two bisections bracket every true
         overlap.  The dimension is the one with most distinct lower
-        bounds: ``(*,*,BLOCK)`` segments all span dim 0."""
+        bounds: ``(*,*,BLOCK)`` segments all span dim 0.  A query outside
+        the table's bounding box gets ``[]`` after one test per dimension."""
         descs = self.segdescs
         if self._index_los is None:
             rank = descs[0].segment.rank
@@ -60,6 +69,12 @@ class SegmentTable:
             self._index_los = [los[i] for i in self._index_pos]
             self._index_maxspan = max(
                 d.segment.dims[k].hi - d.segment.dims[k].lo for d in descs)
+            self._index_box = tuple(
+                (min(d.segment.dims[j].lo for d in descs),
+                 max(d.segment.dims[j].hi for d in descs)) for j in range(rank))
+        for q, (lo, hi) in zip(sec.dims, self._index_box):
+            if q.lo > hi or q.hi < lo:
+                return []
         q = sec.dims[self._index_dim]
         start = bisect_left(self._index_los, q.lo - self._index_maxspan)
         stop = bisect_right(self._index_los, q.hi)
@@ -68,42 +83,39 @@ class SegmentTable:
             pos.sort()
         return [descs[i] for i in pos]
 
-    def overlapping(self, sec: Section) -> list[tuple[object, Section]]:
-        """``(descriptor, intersection)`` for segments meeting ``sec``, in
-        table order.  Large tables are pre-filtered through the index, and
-        a per-dimension bounding-box test rejects the rest before the
-        exact (extended-Euclid) triplet intersection runs."""
+    def geometry(self, sec: Section) -> tuple:
+        """``(descriptors, covers?, exact-hit descriptor)``, computed
+        afresh: the descriptors meeting ``sec`` in table order; ``covers``
+        is the section-3.1 verdict (the disjoint overlaps add up to the
+        query), counted per dimension — interval arithmetic on unit-stride
+        pairs, a triplet intersection on strided ones; ``exact`` is set
+        when ``sec`` *is* one segment."""
         descs = self.segdescs
         if len(descs) >= self.INDEX_THRESHOLD:
             descs = self._candidates(sec)
         qdims = sec.dims
-        out: list[tuple[object, Section]] = []
+        hit = []
+        total = 0
         for d in descs:
+            n = 1
             for qd, sd in zip(qdims, d.segment.dims):
-                if qd.lo > sd.hi or sd.lo > qd.hi:
+                lo = qd.lo if qd.lo >= sd.lo else sd.lo
+                hi = qd.hi if qd.hi <= sd.hi else sd.hi
+                if lo > hi:
                     break
+                if qd.step == 1 and sd.step == 1:
+                    n *= hi - lo + 1
+                else:
+                    t = qd.intersect(sd)
+                    if t is None:
+                        break
+                    n *= t.size
             else:
-                inter = d.segment.intersect(sec)
-                if inter is not None:
-                    out.append((d, inter))
-        return out
-
-    def geometry(self, sec: Section) -> tuple:
-        """``(overlap pairs, covers?, exact-hit descriptor)``, computed
-        afresh: ``covers`` is the section-3.1 verdict (the disjoint
-        intersections add up to the query), ``exact`` is set when ``sec``
-        *is* one segment."""
-        pairs = self.overlapping(sec)
-        covers = sum(inter.size for _, inter in pairs) == sec.size
-        exact = None
-        if covers and len(pairs) == 1:
-            # Wholly inside one segment: the intersection equals the
-            # query, so keep the key object and let the copy go.
-            d = pairs[0][0]
-            pairs = [(d, sec)]
-            if d.segment == sec:
-                exact = d
-        return tuple(pairs), covers, exact
+                hit.append(d)
+                total += n
+        covers = total == sec.size
+        exact = hit[0] if covers and len(hit) == 1 and hit[0].segment == sec else None
+        return tuple(hit), covers, exact
 
     def resolve(self, sec: Section) -> tuple:
         """Memoized :meth:`geometry`.  (The run-time table keeps wider

@@ -535,11 +535,13 @@ class Scheduler:
                 proc.clock = max(proc.clock, c.time)
                 proc.stats.idle_time += proc.clock - t0
                 proc.send_value = True
-                self._emit(proc.clock, proc.pid, "awake", f"{eff.var}{eff.sec}")
+                if self.trace_enabled:
+                    self._emit(proc.clock, proc.pid, "awake", f"{eff.var}{eff.sec}")
                 return
         # Nothing scheduled can wake us: block until a new match appears.
         proc.blocked_on = (eff.var, eff.sec)
-        self._emit(proc.clock, proc.pid, "block", f"{eff.var}{eff.sec}")
+        if self.trace_enabled:
+            self._emit(proc.clock, proc.pid, "block", f"{eff.var}{eff.sec}")
 
     def _try_unblock(self, blocked: list[_Proc]) -> bool:
         """Re-examine blocked processors after state changed; True if any woke.
@@ -560,7 +562,8 @@ class Scheduler:
                     proc.stats.idle_time += proc.clock - t0
                     proc.blocked_on = None
                     proc.send_value = True
-                    self._emit(proc.clock, proc.pid, "awake", f"{var}{sec}")
+                    if self.trace_enabled:
+                        self._emit(proc.clock, proc.pid, "awake", f"{var}{sec}")
                     self._push_runnable(proc)
                     woke = True
                     break

@@ -15,10 +15,11 @@ The intrinsics ``iown()``, ``accessible()``, ``await()``, ``mylb()`` and
 the algorithm of section 3.1: intersect the queried section with every
 segment of the variable, and return true iff the union of the non-null
 intersections equals the query and none of the intersecting segments is
-unowned.  That intersection lives in one place, the
+unowned.  That scan lives in one place, the
 :class:`~repro.core.segtable.SegmentTable` every entry is (shared with the
-static verifier and the tuner); every intrinsic, read, write and receive
-transition answers from the *resolution record*
+static verifier and the tuner), and counts overlaps per dimension instead
+of building intersections; every intrinsic, read, write, receive
+transition and release answers from the *resolution record*
 :meth:`RuntimeSymbolTable._resolve` builds on it, memoized by section value
 until the variable's geometry changes or the run ends.
 
@@ -47,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.errors import OwnershipError, UnknownVariableError
-from ..core.sections import Section, section_difference
+from ..core.sections import Section, Triplet, section_difference
 from ..core.segtable import SegmentTable
 from ..core.states import SegmentState
 from ..distributions.segmentation import Segmentation
@@ -104,6 +105,17 @@ class VariableEntry(SegmentTable):
         return len(self.segdescs)
 
 
+_ALL = slice(None)
+
+
+def _span(t: Triplet, lo: int, hi: int, step: int) -> slice:
+    """Positions within ``t`` of its members ``lo:hi:step``: an arithmetic
+    progression, so one basic slice, shared when it is all of ``t``."""
+    if lo == t.lo and hi == t.hi and step == t.step:
+        return _ALL
+    return slice((lo - t.lo) // t.step, (hi - t.lo) // t.step + 1, step // t.step or 1)
+
+
 class RuntimeSymbolTable:
     """One processor's run-time view of all exclusive variables.
 
@@ -118,12 +130,13 @@ class RuntimeSymbolTable:
         self.strict = strict
         self._entries: dict[str, VariableEntry] = {}
 
-    def _resolve(self, entry: VariableEntry, sec: Section) -> tuple:
+    def _resolve(self, entry: VariableEntry, sec: Section) -> list:
         """The resolution record of ``sec`` against ``entry``'s segments:
-        ``(overlap pairs, covers?, exact-hit descriptor, its chunk)`` — the
-        entry's :meth:`~repro.core.segtable.SegmentTable.geometry` plus the
-        storage of ``exact``, which then serves reads and writes without
-        index arithmetic.
+        ``[descriptors, covers?, exact-hit descriptor, its chunk, plan]`` —
+        the entry's :meth:`~repro.core.segtable.SegmentTable.geometry`, the
+        storage of ``exact`` (which then serves reads and writes without
+        index arithmetic) and the gather/scatter plan, built on the first
+        read or write that needs it (:meth:`_plan`).
 
         Memoized per entry by the section's value (a compiled program
         builds a fresh, equal ``Section`` per evaluation).  A record
@@ -136,10 +149,33 @@ class RuntimeSymbolTable:
         res = cache.get(sec)
         if res is not None:
             return res
-        pairs, covers, exact = entry.geometry(sec)
+        descs, covers, exact = entry.geometry(sec)
         chunk = None if exact is None else self.memory.get(exact.handle)
-        res = cache[sec] = (pairs, covers, exact, chunk)
+        res = cache[sec] = [descs, covers, exact, chunk, None]
         return res
+
+    def _plan(self, sec: Section, res: list) -> tuple:
+        """The record's gather/scatter plan: per overlapping descriptor,
+        ``(descriptor, chunk, positions in sec, positions in the chunk)``,
+        by per-dimension arithmetic (:func:`_span`)."""
+        plan = res[4]
+        if plan is None:
+            plan = []
+            for d in res[0]:
+                qpos, cpos = [], []
+                for qt, st in zip(sec.dims, d.segment.dims):
+                    if qt.step == 1 and st.step == 1:
+                        lo = qt.lo if qt.lo >= st.lo else st.lo
+                        hi = qt.hi if qt.hi <= st.hi else st.hi
+                        step = 1
+                    else:
+                        t = qt.intersect(st)
+                        lo, hi, step = t.lo, t.hi, t.step
+                    qpos.append(_span(qt, lo, hi, step))
+                    cpos.append(_span(st, lo, hi, step))
+                plan.append((d, self.memory.get(d.handle), tuple(qpos), tuple(cpos)))
+            res[4] = plan = tuple(plan)
+        return plan
 
     def forget_resolutions(self) -> None:
         """Empty every entry's record memo (the engine's end-of-run rule)."""
@@ -233,41 +269,41 @@ class RuntimeSymbolTable:
 
     def accessible(self, name: str, sec: Section) -> bool:
         """True iff owned and no intersecting segment is transitional."""
-        pairs, covers, _, _ = self._resolve(self.entry(name), sec)
-        for d, _ in pairs:
+        descs, covers = self._resolve(self.entry(name), sec)[:2]
+        for d in descs:
             if d.state is SegmentState.TRANSITIONAL:
                 return False
         return covers
 
     def state_of(self, name: str, sec: Section) -> SegmentState:
         """Composite Figure-1 state of a section on this processor."""
-        pairs, covers, _, _ = self._resolve(self.entry(name), sec)
+        descs, covers = self._resolve(self.entry(name), sec)[:2]
         if not covers:
             return SegmentState.UNOWNED
-        for d, _ in pairs:
+        for d in descs:
             if d.state is SegmentState.TRANSITIONAL:
                 return SegmentState.TRANSITIONAL
         return SegmentState.ACCESSIBLE
 
-    def _owned_parts(self, name: str, sec: Section | None) -> list[Section]:
+    def _owned_parts(self, name: str, dim: int, sec: Section | None) -> list:
+        """Dimension ``dim`` of each owned part of the query: overlapping
+        descriptors meet it in every dimension, so one triplet each."""
         entry = self.entry(name)
         query = sec if sec is not None else entry.index_space
-        return [inter for _, inter in self._resolve(entry, query)[0]]
+        q = query.dims[dim - 1]
+        return [d.segment.dims[dim - 1].intersect(q)
+                for d in self._resolve(entry, query)[0]]
 
     def mylb(self, name: str, dim: int, sec: Section | None = None) -> int:
         """Smallest owned index in dimension ``dim`` (1-based per the paper's
         Fortran flavour), or MAXINT when nothing is owned."""
-        return min(
-            (p.dims[dim - 1].lo for p in self._owned_parts(name, sec)),
-            default=MAXINT,
-        )
+        return min((t.lo for t in self._owned_parts(name, dim, sec)),
+                   default=MAXINT)
 
     def myub(self, name: str, dim: int, sec: Section | None = None) -> int:
         """Largest owned index in dimension ``dim``, or MININT."""
-        return max(
-            (p.dims[dim - 1].hi for p in self._owned_parts(name, sec)),
-            default=MININT,
-        )
+        return max((t.hi for t in self._owned_parts(name, dim, sec)),
+                   default=MININT)
 
     # ------------------------------------------------------------------ #
     # value access (gather / scatter across segments)
@@ -275,24 +311,20 @@ class RuntimeSymbolTable:
 
     @staticmethod
     def _positions(container: Section, part: Section) -> tuple[slice, ...]:
-        """Per-dimension positions of ``part``'s members within ``container``:
-        ``part`` is a subset (an overlap with it or a piece of it), so they
-        form an arithmetic progression — one basic slice, no index arrays."""
-        return tuple(
-            slice((pt.lo - ct.lo) // ct.step, (pt.hi - ct.lo) // ct.step + 1,
-                  pt.step // ct.step or 1)
-            for ct, pt in zip(container.dims, part.dims)
-        )
+        """Per-dimension positions of ``part``'s members within ``container``
+        (a superset): one basic slice each, no index arrays."""
+        return tuple(_span(ct, pt.lo, pt.hi, pt.step)
+                     for ct, pt in zip(container.dims, part.dims))
 
-    def _short_of(self, verb: str, name: str, sec: Section, pairs) -> OwnershipError:
-        covered = sum(inter.size for _, inter in pairs)
+    def _short_of(self, verb: str, name: str, sec: Section, descs) -> OwnershipError:
+        covered = sum(d.segment.intersect(sec).size for d in descs)
         return OwnershipError(
             f"P{self.pid + 1} {verb} {name}{sec} but owns only {covered} of "
             f"{sec.size} elements"
         )
 
-    def _gather(self, entry: VariableEntry, name: str, sec: Section, res: tuple) -> np.ndarray:
-        pairs, covers, exact, chunk = res
+    def _gather(self, entry: VariableEntry, name: str, sec: Section, res: list) -> np.ndarray:
+        descs, covers, exact, chunk, _ = res
         if exact is not None:
             # Whole-segment query: copy the chunk, no position arithmetic.
             if exact.state is SegmentState.TRANSITIONAL and self.strict:
@@ -300,16 +332,15 @@ class RuntimeSymbolTable:
                     f"P{self.pid + 1} read of transitional section {name}{sec}"
                 )
             return chunk.copy()
-        out = np.zeros(sec.shape, dtype=entry.dtype)
-        for d, inter in pairs:
+        # Every element is written unless the query is short, which raises.
+        out = np.empty(sec.shape, dtype=entry.dtype)
+        for d, chunk, qpos, cpos in self._plan(sec, res):
             if d.state is SegmentState.TRANSITIONAL and self.strict:
-                raise OwnershipError(
-                    f"P{self.pid + 1} read of transitional section {name}{inter}"
-                )
-            chunk = self.memory.get(d.handle)
-            out[self._positions(sec, inter)] = chunk[self._positions(d.segment, inter)]
+                raise OwnershipError(f"P{self.pid + 1} read of transitional "
+                                     f"section {name}{d.segment.intersect(sec)}")
+            out[qpos] = chunk[cpos]
         if not covers:
-            raise self._short_of("reads", name, sec, pairs)
+            raise self._short_of("reads", name, sec, descs)
         return out
 
     def read(self, name: str, sec: Section) -> np.ndarray:
@@ -335,19 +366,19 @@ class RuntimeSymbolTable:
     def write(self, name: str, sec: Section, values: np.ndarray | float) -> None:
         """Scatter values into an owned section."""
         entry = self.entry(name)
-        pairs, covers, exact, chunk = self._resolve(entry, sec)
+        res = self._resolve(entry, sec)
+        descs, covers, exact, chunk, _ = res
         vals = np.asarray(values, dtype=entry.dtype)
         if vals.shape not in ((), sec.shape):
             vals = vals.reshape(sec.shape)
         if exact is not None:
             chunk[...] = vals
             return
-        for d, inter in pairs:
-            chunk = self.memory.get(d.handle)
-            src = vals if vals.shape == () else vals[self._positions(sec, inter)]
-            chunk[self._positions(d.segment, inter)] = src
+        scalar = vals.shape == ()
+        for _, chunk, qpos, cpos in self._plan(sec, res):
+            chunk[cpos] = vals if scalar else vals[qpos]
         if not covers:
-            raise self._short_of("writes", name, sec, pairs)
+            raise self._short_of("writes", name, sec, descs)
 
     # ------------------------------------------------------------------ #
     # receive state transitions (paper section 2.7)
@@ -356,8 +387,8 @@ class RuntimeSymbolTable:
     def begin_value_receive(self, name: str, sec: Section) -> None:
         """Initiation of ``E <- X``: every intersecting segment becomes
         transitional until the matching completion."""
-        pairs, covers, _, _ = self._resolve(self.entry(name), sec)
-        for d, _ in pairs:
+        descs, covers = self._resolve(self.entry(name), sec)[:2]
+        for d in descs:
             d.pending_receives += 1
             d.state = SegmentState.TRANSITIONAL
         if not covers:
@@ -369,7 +400,7 @@ class RuntimeSymbolTable:
         """Completion of ``E <- X``: store the value, return segments whose
         last outstanding receive this was to ``accessible``."""
         self.write(name, sec, data)
-        for d, _ in self._resolve(self.entry(name), sec)[0]:
+        for d in self._resolve(self.entry(name), sec)[0]:
             d.pending_receives -= 1
             if d.pending_receives <= 0:
                 d.pending_receives = 0
@@ -395,16 +426,13 @@ class RuntimeSymbolTable:
                 f"{self.state_of(name, sec)}"
             )
         values = self.read(name, sec) if with_value else None
-        keep: list[SegmentDesc] = []
+        hit = self._resolve(entry, sec)[0]
+        gone = {id(d) for d in hit}
+        keep = [d for d in entry.segdescs if id(d) not in gone]
         new: list[SegmentDesc] = []
-        for d in entry.segdescs:
-            inter = d.segment.intersect(sec)
-            if inter is None:
-                keep.append(d)
-                continue
-            remainder = section_difference(d.segment, inter)
+        for d in hit:
             chunk = self.memory.get(d.handle)
-            for piece in remainder:
+            for piece in section_difference(d.segment, sec):
                 handle, arr = self.memory.allocate(piece.shape, entry.dtype)
                 arr[...] = chunk[self._positions(d.segment, piece)]
                 new.append(SegmentDesc(piece, SegmentState.ACCESSIBLE, handle))
@@ -422,7 +450,7 @@ class RuntimeSymbolTable:
         completes (paper: 'Upon initiation of a receive of a section on a
         processor, the section must be put in state transitional')."""
         entry = self.entry(name)
-        for d, _ in self._resolve(entry, sec)[0]:
+        for d in self._resolve(entry, sec)[0]:
             raise OwnershipError(
                 f"P{self.pid + 1} acquires {name}{sec} overlapping owned "
                 f"segment {d.segment} (ownership can only be received if the "
@@ -445,7 +473,7 @@ class RuntimeSymbolTable:
         """Completion of ``U <=-`` / ``U <=``: install the value (if any) and
         mark the segment accessible."""
         entry = self.entry(name)
-        _, _, target, chunk = self._resolve(entry, sec)
+        _, _, target, chunk, _ = self._resolve(entry, sec)
         if target is None:
             raise OwnershipError(
                 f"P{self.pid + 1} completes ownership receive of {name}{sec} "

@@ -287,7 +287,7 @@ class TestFullyCollapsedDim:
 
 
 class TestSegmentIndex:
-    """The dim-0 interval index used by overlapping() past INDEX_THRESHOLD
+    """The interval index used by geometry() past INDEX_THRESHOLD
     segments must give the same answers as the linear scan, and must be
     invalidated by every geometry change (release / acquire / declare)."""
 
@@ -426,11 +426,14 @@ mypid == 3 : {
         descs = [Desc(section((lo, lo + 1))) for lo in range(19, 0, -2)]
         table = SegmentTable(segdescs=descs)
         assert len(descs) >= table.INDEX_THRESHOLD
-        hit = [d for d, _ in table.overlapping(section((4, 9)))]
-        assert hit == [d for d in descs
-                       if d.segment.dims[0].hi >= 4 and d.segment.dims[0].lo <= 9]
-        pairs, covers, exact = table.resolve(section((5, 6)))
-        assert covers and exact is descs[7] and pairs == ((descs[7], section((5, 6))),)
+        hit, covers, exact = table.geometry(section((4, 9)))
+        assert hit == tuple(d for d in descs
+                            if d.segment.dims[0].hi >= 4 and d.segment.dims[0].lo <= 9)
+        assert covers and exact is None
+        # A record names descriptors only; coverage is an element count.
+        assert table.resolve(section((5, 6))) == ((descs[7],), True, descs[7])
+        assert table.resolve(section((5, 7))) == ((descs[6], descs[7]), True, None)
+        assert table.resolve(section((0, 6)))[1:] == (False, None)
 
     def test_index_is_on_the_dimension_that_partitions_the_segments(self):
         from repro.core.segtable import SegmentTable
@@ -447,12 +450,11 @@ mypid == 3 : {
         query = section((1, 8), (1, 2), 3)
         want = [d for d in descs if d.segment.dims[2].lo == 3]
         assert table._candidates(query) == want
-        assert [d for d, _ in table.overlapping(query)] == want
+        assert list(table.geometry(query)[0]) == want
         # Geometry changes re-pick the dimension.
         table.segdescs = [Desc(section(i, (1, 8), (1, 4))) for i in range(1, 9)]
         table.invalidate_index()
-        assert [d for d, _ in table.overlapping(section(2, 3, 3))] == [
-            table.segdescs[1]]
+        assert table.geometry(section(2, 3, 3))[0] == (table.segdescs[1],)
         assert table._index_dim == 0
 
     def test_compiled_run_records_bounded_by_distinct_sections(self, monkeypatch):

@@ -66,3 +66,38 @@ class TestTrace:
         assert "block" in kinds and "awake" in kinds
         # Blocked time counted as idle.
         assert stats.procs[1].idle_time > 400
+
+
+class TestUntracedWaits:
+    """With tracing off the scheduler formats no event text: a blocked or
+    woken wait used to render ``f"{var}{sec}"`` only for ``_emit`` to drop
+    it."""
+
+    @staticmethod
+    def events(trace):
+        from functools import partial
+
+        from repro.apps.workqueue import run_workqueue
+        from repro.machine import Engine
+
+        return run_workqueue(64, 8, engine_cls=partial(Engine, trace=trace)).stats.trace
+
+    def test_untraced_run_formats_no_section(self, monkeypatch):
+        from repro.core.sections import Section
+
+        def refuse(self):
+            raise AssertionError("Section formatted with tracing off")
+
+        monkeypatch.setattr(Section, "__str__", refuse)
+        assert self.events(False) == []
+
+    @pytest.mark.msg_timing
+    def test_traced_events_unchanged(self):
+        import hashlib
+        from collections import Counter
+
+        trace = self.events(True)
+        assert Counter(e.kind for e in trace)["block"] == 5
+        text = repr([(e.time, e.pid, e.kind, e.detail) for e in trace])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e8e3c2d788a31b1610ee7237181515de2bc1abe4f4bf1ef9fd816db29b13341a")
