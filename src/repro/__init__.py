@@ -11,9 +11,10 @@ The package provides, from the bottom up:
 * :mod:`repro.runtime` — the per-processor run-time XDP symbol table of
   paper section 3;
 * :mod:`repro.core` — the IL+XDP intermediate representation (parser,
-  printer, verifier), the reference interpreter, the owner-computes /
-  ownership-migration translator, the optimization passes, and the VM
-  code generator with delayed communication binding;
+  printer, verifier), the owner-computes / ownership-migration
+  translator, the optimization passes, and the code generator whose
+  lowered VM (``Interpreter``) executes every program, with delayed
+  communication binding;
 * :mod:`repro.apps` — the paper's 3-D FFT, a Jacobi solver, dynamic load
   balancing, and ownership-based monitoring;
 * :mod:`repro.report` — regeneration of the paper's figures.
@@ -52,8 +53,7 @@ from .core import (
     section,
     triplet,
 )
-from .core.codegen import CompiledProgram, lower
-from .core.interp import Interpreter, run_program
+from .core.codegen import CompiledProgram, Interpreter, lower, run_program
 from .core.ir.parser import parse_expression, parse_program, parse_statements
 from .core.ir.printer import print_program
 from .core.ir.verify import verify_program

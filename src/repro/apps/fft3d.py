@@ -39,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.codegen import lower
-from ..core.interp import Interpreter
 from ..core.ir.parser import parse_program
 from ..machine.model import MachineModel
 from ..machine.stats import RunStats
@@ -401,7 +400,6 @@ def run_fft3d(
     stage: int,
     *,
     model: MachineModel | None = None,
-    path: str = "vm",
     seed: int = 7,
     backend: str | None = None,
 ) -> FFTResult:
@@ -410,12 +408,7 @@ def run_fft3d(
     program = parse_program(src)
     rng = np.random.default_rng(seed)
     a0 = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
-    if path == "vm":
-        runner = lower(program, nprocs, model=model, backend=backend)
-    elif path == "interp":
-        runner = Interpreter(program, nprocs, model=model, backend=backend)
-    else:
-        raise ValueError(f"unknown path {path!r}")
+    runner = lower(program, nprocs, model=model, backend=backend)
     runner.write_global("A", a0)
     stats = runner.run()
     got = runner.read_global("A")

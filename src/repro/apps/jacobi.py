@@ -17,8 +17,7 @@ Three variants of ``B[i] = (A[i-1] + A[i] + A[i+1]) / 3`` sweeps over a
   are computed *before* awaiting the halos, overlapping communication
   with computation (the separation the paper's key idea 1 enables).
 
-All variants are IL+XDP programs built as text and runnable on either
-execution path.
+All variants are IL+XDP programs built as text.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.codegen import lower
-from ..core.interp import Interpreter
 from ..core.ir.parser import parse_program
 from ..core.translate import translate
 from ..machine.model import MachineModel
@@ -194,7 +192,6 @@ def run_jacobi(
     variant: str,
     *,
     model: MachineModel | None = None,
-    path: str = "vm",
     seed: int = 11,
     backend: str | None = None,
 ) -> JacobiResult:
@@ -202,10 +199,7 @@ def run_jacobi(
     program = jacobi_source(n, nprocs, sweeps, variant)
     rng = np.random.default_rng(seed)
     a0 = rng.standard_normal(n)
-    if path == "vm":
-        runner = lower(program, nprocs, model=model, backend=backend)
-    else:
-        runner = Interpreter(program, nprocs, model=model, backend=backend)
+    runner = lower(program, nprocs, model=model, backend=backend)
     runner.write_global("A", a0)
     runner.write_global("B", np.zeros(n))
     stats = runner.run()

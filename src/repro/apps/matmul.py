@@ -37,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.codegen import lower
-from ..core.interp import Interpreter
 from ..machine.model import MachineModel
 from ..machine.stats import RunStats
 from ..core.ir.parser import parse_program
@@ -157,7 +156,6 @@ def run_matmul(
     variant: str = "summa",
     *,
     model: MachineModel | None = None,
-    path: str = "vm",
     seed: int = 11,
     backend: str | None = None,
     collectives: str = "native",
@@ -168,15 +166,10 @@ def run_matmul(
     rng = np.random.default_rng(seed)
     a0 = rng.standard_normal((n, n))
     b0 = rng.standard_normal((n, n))
-    if path == "vm":
-        runner = lower(
-            program, nprocs, model=model, backend=backend,
-            collectives=collectives,
-        )
-    elif path == "interp":
-        runner = Interpreter(program, nprocs, model=model, backend=backend)
-    else:
-        raise ValueError(f"unknown path {path!r}")
+    runner = lower(
+        program, nprocs, model=model, backend=backend,
+        collectives=collectives,
+    )
     bsz = n // nprocs
     if variant == "cannon":
         runner.write_global("A", a0)

@@ -58,7 +58,7 @@ def workqueue_source(njobs: int, nprocs: int) -> str:
     the same section ``JOB[1]``, so matching is the engine's FIFO pool
     discipline.  Being static IL, it parses, verifies
     (:func:`~repro.core.analysis.verify_comm.verify_communication`) and
-    runs on both execution paths.
+    lowers.
     """
     if nprocs < 2:
         raise ValueError("need at least one master and one worker")

@@ -91,7 +91,6 @@ import numpy as np
 
 from .core.codegen import lower
 from .core.errors import ParseError, VerificationError
-from .core.interp import Interpreter
 from .core.ir.nodes import CollectiveStmt, Guarded, RecvStmt, SendStmt
 from .core.ir.parser import parse_program
 from .core.ir.printer import print_program
@@ -175,21 +174,20 @@ def _run_app(args: argparse.Namespace) -> int:
         from .apps.jacobi import run_jacobi
 
         r = run_jacobi(4 * nprocs, nprocs, 3, "halo-overlap",
-                       model=model, path=args.path, backend=args.backend)
+                       model=model, backend=args.backend)
         label, ok, arr = f"jacobi/halo-overlap n={4 * nprocs}", r.correct, r.result
         stats = r.stats
     elif args.app == "fft3d":
         from .apps.fft3d import run_fft3d
 
-        r = run_fft3d(nprocs, nprocs, 2, model=model, path=args.path,
-                      backend=args.backend)
+        r = run_fft3d(nprocs, nprocs, 2, model=model, backend=args.backend)
         label, ok, arr = f"fft3d/stage2 n={nprocs}", r.correct, r.result
         stats = r.stats
     elif args.app == "matmul":
         from .apps.matmul import run_matmul
 
         n = 2 * nprocs
-        r = run_matmul(n, nprocs, args.variant, model=model, path=args.path,
+        r = run_matmul(n, nprocs, args.variant, model=model,
                        backend=args.backend, collectives=args.collectives)
         label, ok, arr = f"matmul/{args.variant} n={n}", r.correct, r.result
         stats = r.stats
@@ -243,13 +241,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 1
     model = _MODELS[args.model]()
     trace = args.trace or bool(args.trace_json)
-    if args.path == "vm":
-        runner = lower(program, args.nprocs, model=model,
-                       binding=args.binding, trace=trace,
-                       backend=args.backend)
-    else:
-        runner = Interpreter(program, args.nprocs, model=model, trace=trace,
-                             backend=args.backend)
+    runner = lower(program, args.nprocs, model=model, binding=args.binding,
+                   trace=trace, backend=args.backend)
     for spec in args.init or ():
         name, _, kind = spec.partition("=")
         decl = program.decl(name)
@@ -514,7 +507,7 @@ def _cmd_fft(args: argparse.Namespace) -> int:
         return 0
     model = _MODELS[args.model]()
     r = run_fft3d(args.n, args.nprocs, args.stage, model=model,
-                  path=args.path, backend=args.backend)
+                  backend=args.backend)
     print(
         f"3-D FFT n={args.n} P={args.nprocs} stage={args.stage}: "
         f"correct={r.correct} makespan={r.makespan:.1f} "
@@ -693,7 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="statically verify communication safety before "
                         "running; exit 1 on errors")
     r.add_argument("--model", default="default", choices=sorted(_MODELS))
-    r.add_argument("--path", default="vm", choices=("vm", "interp"))
     r.add_argument("--binding", default="nonblocking",
                    choices=("nonblocking", "blocking"))
     r.add_argument("--trace", action="store_true")
@@ -776,7 +768,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--nprocs", type=int, default=4)
     t.add_argument("--stage", type=int, default=2, choices=(0, 1, 2, 3))
     t.add_argument("--model", default="default", choices=sorted(_MODELS))
-    t.add_argument("--path", default="vm", choices=("vm", "interp"))
     t.add_argument("--print-source", action="store_true")
     backend_arg(t)
     t.set_defaults(fn=_cmd_fft)

@@ -1,4 +1,4 @@
-"""Layout construction shared by the compiler and the interpreter.
+"""Layout construction shared by the compiler and the VM.
 
 Both the compile-time ownership analysis and the run-time setup need the
 same mapping from an :class:`~repro.core.ir.nodes.ArrayDecl` to a

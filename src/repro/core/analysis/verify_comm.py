@@ -4,9 +4,9 @@ XDP's premise is that explicit data placement lets the *compiler* reason
 about movement — yet a mismatched ``->``/``<-`` pair, a read of
 TRANSITIONAL data or an ownership-transfer race is only caught at run time
 by the engine.  :func:`verify_communication` closes that gap: it runs every
-processor through an *abstract* machine — the operational semantics of
-:mod:`repro.core.interp` with data values erased and virtual time removed —
-and reports, with IL locations and severities:
+processor through an *abstract* machine — the lowered VM of
+:mod:`repro.core.codegen.lower` with data values erased and virtual time
+removed — and reports, with IL locations and severities:
 
 * **tag / cardinality mismatches** — a receive whose destination section
   size differs from its message tag's, sends that no receive ever claims,

@@ -1,4 +1,4 @@
-"""Lowering IL+XDP to a flat SPMD instruction stream.
+"""Lowering IL+XDP to a flat SPMD instruction stream, and the VM that runs it.
 
 Paper section 3.2: "After the optimization phase is complete, the IL+XDP
 program is translated to executable code by the compiler's back end.  The
@@ -7,9 +7,29 @@ target computer's hardware and operating system."  Here the "hardware"
 is the simulated machine of :mod:`repro.machine`, and the back end emits a
 flat list of instructions (branches, loop control, communication ops) with
 every expression compiled to a Python closure — threaded code rather than
-tree walking.  This is the production execution path; the reference
-interpreter (:mod:`repro.core.interp`) defines the semantics, and the two
-are property-tested for agreement.
+tree walking.  This is the one executor of IL+XDP; ``Interpreter`` is its
+public alias.  The semantics follow Figure 1 of the paper:
+
+* every processor executes every statement it reaches (SPMD); compute
+  rules decide *where* a guarded statement takes effect;
+* a compute rule that references an unowned section (outside the first
+  argument of an intrinsic) is **false** as a whole rather than an error
+  (section 2.4), so rules can run anywhere;
+* ``await(X)`` is false immediately when X is unowned, otherwise blocks
+  until X is accessible.  It is a guard, not a value: it may appear in a
+  compute rule, an ``if`` condition or an expression statement, combined
+  by ``and``/``or``/``not``, which compile to branch code;
+* owner sends (``=>``, ``-=>``) block until the section is accessible;
+  value receives (``E <- X``) block until E is accessible, then initiate;
+* XDP performs **no automatic state checks**: reading a transitional
+  section yields whatever has been delivered so far (section 2.1).
+
+Processor ids: the paper numbers processors 1-based (``P1..Pn``), so the
+``mypid`` intrinsic and the pid sets of ``E -> S`` use **1-based** values
+in IL+XDP programs; the engine's internal pids are 0-based.
+
+Virtual time charges the per-construct flop constants below, so the
+benefit of optimizations like compute-rule elimination is measurable.
 
 Delayed communication binding appears as the ``binding`` parameter:
 
@@ -20,11 +40,6 @@ Delayed communication binding appears as the ``binding`` parameter:
   completion, modelling a target library with only blocking primitives
   (the paper warns the optimizer must then beware of deadlock; the engine
   detects any it causes).
-
-Lowering restriction: ``await(...)`` may appear as a whole compute rule,
-as one top-level conjunct of a rule, or as an expression statement — the
-positions the paper uses — because it compiles to a WAIT instruction, not
-to a value.  Richer uses run under the reference interpreter.
 """
 
 from __future__ import annotations
@@ -43,7 +58,6 @@ from ...machine.stats import RunStats
 from ...runtime.symtab import MAXINT, MININT
 from ..analysis.layouts import build_layouts
 from ..errors import CompilationError, OwnershipError, XDPError
-from ..interp import CALL_BASE_FLOPS, ELEM_FLOPS, INTRINSIC_FLOPS, ITER_FLOPS
 from ..collectives.schedule import (
     CollInstance, collective_ops, execute_ops, group_members,
 )
@@ -54,10 +68,23 @@ from ..ir.nodes import (
     Mypid, Myub, NumProcs, Program, Range, RecvStmt, SendStmt, Stmt, UnaryOp,
     VarRef, XferOp,
 )
+from ..ir.visitor import walk_exprs
 from ..kernels import KernelRegistry, default_registry
 from ..sections import Section, Triplet
 
-__all__ = ["CompiledProgram", "lower"]
+__all__ = [
+    "CALL_BASE_FLOPS", "CompiledProgram", "ELEM_FLOPS", "INTRINSIC_FLOPS",
+    "ITER_FLOPS", "Interpreter", "lower", "run_program",
+]
+
+#: Cost constants (virtual flops).  One memory access = one flop; an
+#: intrinsic is a run-time symbol-table lookup (several comparisons per
+#: segment descriptor — flat-rated); a loop iteration pays increment+test.
+#: ``and``/``or`` and branch-code ``not`` are control flow and cost nothing.
+ELEM_FLOPS = 1
+INTRINSIC_FLOPS = 5
+ITER_FLOPS = 1
+CALL_BASE_FLOPS = 10
 
 _XFER_TO_KIND = {
     XferOp.SEND_VALUE: TransferKind.VALUE,
@@ -98,10 +125,13 @@ class _Exec:
 
 @dataclass
 class _Branch:
-    """Jump to ``target`` when the rule closure evaluates false."""
+    """Jump to ``target`` when the rule closure evaluates false, and to
+    ``unowned`` when it reads an unowned section (the false exit of the
+    whole rule, section 2.4)."""
 
     rule: Callable[[_VMEnv], bool]
     target: int
+    unowned: int
 
 
 @dataclass
@@ -154,12 +184,13 @@ class _RecvI:
 
 @dataclass
 class _Wait:
-    """await(X) as a statement/rule conjunct: skip to ``on_false`` when X is
-    unowned, otherwise wait until accessible."""
+    """await(X): jump to ``false_target`` when X is unowned, otherwise wait
+    until X is accessible and jump to ``true_target``."""
 
     var: str
     sec: Callable[[_VMEnv], Section]
-    on_false: int
+    false_target: int
+    true_target: int
 
 
 @dataclass
@@ -188,7 +219,28 @@ _Instr = _Exec | _Branch | _Jump | _LoopInit | _LoopTest | _LoopInc | _SendI | _
 
 
 class CompiledProgram:
-    """A lowered IL+XDP program, executable on the simulated machine."""
+    """A lowered IL+XDP program, executable on the simulated machine.
+
+    Parameters
+    ----------
+    program:
+        The IL+XDP program (see :func:`repro.core.ir.parser.parse_program`).
+    nprocs:
+        Processor count; a linear grid unless ``grid`` is given.
+    grid:
+        Explicit processor grid for multi-dimensional distributions.
+    model:
+        Machine cost model (default: the message-passing preset).
+    kernels:
+        Kernel registry for ``call`` statements.
+    binding:
+        Communication binding, ``"nonblocking"`` or ``"blocking"``.
+    strict:
+        Propagated to engine/symtabs: turn "unpredictable" situations
+        (transitional reads, unmatched traffic) into errors.
+    collectives:
+        ``"native"`` (per-backend schedules) or ``"p2p"`` (flat everywhere).
+    """
 
     def __init__(
         self,
@@ -215,6 +267,10 @@ class CompiledProgram:
         self.program = program
         self.nprocs = nprocs
         self.grid = grid if grid is not None else ProcessorGrid((nprocs,))
+        if self.grid.size != nprocs:
+            raise CompilationError(
+                f"grid {self.grid.shape} does not have {nprocs} processors"
+            )
         self.model = model if model is not None else MachineModel()
         self.kernels = kernels if kernels is not None else default_registry()
         self.binding = binding
@@ -232,19 +288,37 @@ class CompiledProgram:
         self.code: list[_Instr] = lowerer.lower_body()
         self.scalar_inits = lowerer.scalar_inits
 
-    # -- data staging (same API as the interpreter) ---------------------- #
+    # -- global data access (test / example convenience) ----------------- #
 
     def write_global(self, name: str, values: np.ndarray) -> None:
+        """Scatter a global array to its owners (or all copies if universal)."""
         decl = self.program.decl(name)
         assert isinstance(decl, ArrayDecl)
         values = np.asarray(values, dtype=np.dtype(decl.dtype))
+        if values.shape != decl.shape:
+            raise ValueError(f"{name} expects shape {decl.shape}, got {values.shape}")
         if decl.universal:
             self._universal_init[name] = values.copy()
             return
         self.engine.write_global(name, values)
 
     def read_global(self, name: str) -> np.ndarray:
+        """Assemble the global array from current owners.
+
+        Raises if ownership is not a total cover (e.g. mid-redistribution).
+        """
+        decl = next((d for d in self.program.decls if d.name == name), None)
+        if isinstance(decl, ArrayDecl) and decl.universal:
+            raise ValueError(f"{name} is universal; copies differ per processor")
         return self.engine.read_global(name)
+
+    def ownership_map(self, name: str) -> dict[int, int]:
+        """pid → number of elements of ``name`` currently owned."""
+        return {
+            st.pid: st.owned_elements(name)
+            for st in self.engine.symtabs
+            if name in st
+        }
 
     # -- execution ------------------------------------------------------- #
 
@@ -255,8 +329,6 @@ class CompiledProgram:
 
         def node(ctx: ProcessorContext) -> Generator[Effect, Any, None]:
             env = _VMEnv(ctx, self.nprocs)
-            for d in program.scalar_decls():
-                env.scalars[d.name] = 0
             for name, fn in self.scalar_inits:
                 env.scalars[name] = fn(env)
             for d in program.array_decls():
@@ -277,11 +349,10 @@ class CompiledProgram:
                         yield Compute(float(env.flops), flops=env.flops)
                         env.flops = 0
                     try:
-                        ok = ins.rule(env)
+                        pc = pc + 1 if ins.rule(env) else ins.target
                     except OwnershipError:
                         env.flops += INTRINSIC_FLOPS
-                        ok = False
-                    pc = pc + 1 if ok else ins.target
+                        pc = ins.unowned
                 elif tp is _LoopInit:
                     env.scalars[ins.var] = ins.lo(env)
                     env.scalars[ins.limit_slot] = (ins.hi(env), ins.step(env))
@@ -330,13 +401,13 @@ class CompiledProgram:
                     sec = ins.sec(env)
                     env.flops += INTRINSIC_FLOPS
                     if not env.ctx.symtab.iown(ins.var, sec):
-                        pc = ins.on_false
+                        pc = ins.false_target
                         continue
                     if env.flops:
                         yield Compute(float(env.flops), flops=env.flops)
                         env.flops = 0
                     yield WaitAccessible(ins.var, sec)
-                    pc += 1
+                    pc = ins.true_target
                 elif tp is _CallI:
                     env.flops += CALL_BASE_FLOPS + ins.fn(env)
                     if env.flops:
@@ -355,9 +426,28 @@ class CompiledProgram:
         return self.engine.run(node)
 
 
+#: The public name of the executor (the paper's "IL+XDP interpreter").
+Interpreter = CompiledProgram
+
+
 def lower(program: Program, nprocs: int, **kw: Any) -> CompiledProgram:
     """Convenience: lower a program for a machine of ``nprocs`` processors."""
     return CompiledProgram(program, nprocs, **kw)
+
+
+def run_program(
+    text_or_program: str | Program, nprocs: int, **kw: Any
+) -> tuple[CompiledProgram, RunStats]:
+    """Parse (if needed), lower and run a program; returns (program, stats)."""
+    from ..ir.parser import parse_program
+
+    program = (
+        parse_program(text_or_program)
+        if isinstance(text_or_program, str)
+        else text_or_program
+    )
+    compiled = CompiledProgram(program, nprocs, **kw)
+    return compiled, compiled.run()
 
 
 _MISSING = object()
@@ -400,7 +490,7 @@ def _run_collective(ins: _CollI, env: _VMEnv) -> Generator[Effect, Any, None]:
 
 
 def _compile_expr_static(e: Expr) -> Callable[[_VMEnv], Any]:
-    """Compile an expression that contains no Await (checked by caller)."""
+    """Compile an expression that contains no ``await`` to a closure."""
     match e:
         case IntConst(v) | FloatConst(v) | BoolConst(v):
             return lambda env: v
@@ -460,9 +550,9 @@ def _compile_expr_static(e: Expr) -> Callable[[_VMEnv], Any]:
             return myub_fn
         case Await(_):
             raise CompilationError(
-                "await() may only appear as a compute rule (or top-level "
-                "conjunct) or as an expression statement in lowered code; "
-                "run richer forms under the reference interpreter"
+                "await() is a guard, not a value: it may appear only in a "
+                "compute rule, an if condition or an expression statement, "
+                "combined by and/or/not"
             )
         case _:
             raise CompilationError(f"cannot lower expression {e!r}")
@@ -590,6 +680,8 @@ class _Lowerer:
         self.compiled = compiled
         self.program = compiled.program
         self.code: list[_Instr] = []
+        #: Every scalar in declaration order (uninitialized ones are 0), so
+        #: an initializer sees only the scalars declared before it.
         self.scalar_inits: list[tuple[str, Callable[[_VMEnv], Any]]] = []
         self._loop_counter = 0
 
@@ -609,8 +701,8 @@ class _Lowerer:
         _CURRENT_LOWERER = self
         try:
             for d in self.program.scalar_decls():
-                if d.init is not None:
-                    self.scalar_inits.append((d.name, _compile_expr_static(d.init)))
+                init = IntConst(0) if d.init is None else d.init
+                self.scalar_inits.append((d.name, _compile_expr_static(init)))
             for s in self.program.body:
                 self.lower_stmt(s)
         finally:
@@ -623,6 +715,46 @@ class _Lowerer:
         self.code.append(ins)
         return len(self.code) - 1
 
+    def _place(self, label: list[tuple[int, str]]) -> None:
+        """Point every jump recorded in ``label`` at the next instruction."""
+        for at, field_name in label:
+            setattr(self.code[at], field_name, len(self.code))
+
+    def _lower_test(self, e: Expr, jump_if: bool, label: list, unowned: list) -> None:
+        """Emit code that jumps to ``label`` when ``e`` is ``jump_if`` and
+        falls through otherwise; a read of an unowned section jumps to
+        ``unowned``.
+
+        An expression without ``await`` is one branching closure.  Over an
+        ``await``, ``and``/``or`` short-circuit left to right and ``not``
+        swaps the targets."""
+        match e:
+            case Await(ref):
+                at = self._emit(_Wait(ref.var, _compile_section(ref),
+                                      len(self.code) + 1, len(self.code) + 1))
+                label.append((at, "true_target" if jump_if else "false_target"))
+            case _ if not _has_await(e):
+                fn = _compile_expr_static(e)
+                if jump_if:
+                    fn = lambda env, fn=fn: not fn(env)
+                at = self._emit(_Branch(fn, -1, -1))
+                label.append((at, "target"))
+                unowned.append((at, "unowned"))
+            case UnaryOp("not", operand):
+                self._lower_test(operand, not jump_if, label, unowned)
+            case BinOp("and" | "or" as op, lhs, rhs):
+                if (op == "and") != jump_if:
+                    # both sides exit to the same place
+                    self._lower_test(lhs, jump_if, label, unowned)
+                    self._lower_test(rhs, jump_if, label, unowned)
+                else:
+                    decided: list[tuple[int, str]] = []
+                    self._lower_test(lhs, not jump_if, decided, unowned)
+                    self._lower_test(rhs, jump_if, label, unowned)
+                    self._place(decided)
+            case _:
+                _compile_expr_static(e)  # raises on the nested await
+
     def lower_stmt(self, s: Stmt) -> None:
         match s:
             case Guarded(rule, body):
@@ -631,6 +763,10 @@ class _Lowerer:
                 self._lower_assign(s)
             case SendStmt(ref, op, dests):
                 sec_fn = _compile_section(ref)
+                if self.decl(ref.var).universal:
+                    sec_fn = _universal_transfer(sec_fn, lambda sec, v=ref.var: (
+                        f"transfer of universal section {v}{sec}: copy it to "
+                        "an exclusive section first (paper section 2.6)"))
                 if dests is None:
                     dests_fn = lambda env: None
                 else:
@@ -648,6 +784,11 @@ class _Lowerer:
                 ))
             case RecvStmt(into, op, source):
                 into_fn = _compile_section(into)
+                if self.decl(into.var).universal:
+                    into_fn = _universal_transfer(into_fn, lambda sec, v=into.var: (
+                        f"receive into universal section {v}: XDP restricts "
+                        "receive left-hand sides to exclusive sections "
+                        "(section 2.7)"))
                 if op is XferOp.RECV_VALUE:
                     assert source is not None
                     self._emit(_RecvI(
@@ -678,24 +819,24 @@ class _Lowerer:
                 self._emit(_LoopInc(var, slot, back_target=test_at))
                 self.code[test_at].exit_target = len(self.code)
             case IfStmt(cond, then, orelse):
-                cond_fn = _compile_expr_static(cond)
-                br_at = self._emit(_Branch(cond_fn, target=-1))
+                otherwise: list[tuple[int, str]] = []
+                self._lower_test(cond, False, otherwise, otherwise)
                 for st in then:
                     self.lower_stmt(st)
                 if len(orelse):
                     jmp_at = self._emit(_Jump(target=-1))
-                    self.code[br_at].target = len(self.code)
+                    self._place(otherwise)
                     for st in orelse:
                         self.lower_stmt(st)
                     self.code[jmp_at].target = len(self.code)
                 else:
-                    self.code[br_at].target = len(self.code)
+                    self._place(otherwise)
             case CallStmt():
                 self._lower_call(s)
-            case ExprStmt(Await(ref)):
-                sec_fn = _compile_section(ref)
-                at = self._emit(_Wait(ref.var, sec_fn, on_false=-1))
-                self.code[at].on_false = len(self.code)
+            case ExprStmt(expr) if _has_await(expr):
+                done: list[tuple[int, str]] = []
+                self._lower_test(expr, False, done, done)
+                self._place(done)
             case ExprStmt(expr):
                 fn = _compile_expr_static(expr)
                 self._emit(_Exec(lambda env, fn=fn: (fn(env), None)[1]))
@@ -705,31 +846,14 @@ class _Lowerer:
                 raise CompilationError(f"cannot lower statement {type(s).__name__}")
 
     def _lower_guarded(self, rule: Expr, body: Block) -> None:
-        """Compile ``rule : { body }``.
-
-        ``await(X)`` conjuncts become WAIT instructions (false-when-unowned
-        branches to the guard's exit); all other conjuncts compile to a
-        single branching closure with unowned-reference-is-false semantics
-        handled by the VM's OwnershipError catch."""
-        conjuncts = _split_conjunction(rule)
-        patch_sites: list[tuple[str, int]] = []
-        for c in conjuncts:
-            if isinstance(c, Await):
-                sec_fn = _compile_section(c.ref)
-                at = self._emit(_Wait(c.ref.var, sec_fn, on_false=-1))
-                patch_sites.append(("wait", at))
-            else:
-                fn = _compile_expr_static(c)
-                at = self._emit(_Branch(fn, target=-1))
-                patch_sites.append(("branch", at))
+        """Compile ``rule : { body }``: one test per top-level conjunct,
+        every false exit (and every unowned read) skipping the body."""
+        skip: list[tuple[int, str]] = []
+        for c in _split_conjunction(rule):
+            self._lower_test(c, False, skip, skip)
         for st in body:
             self.lower_stmt(st)
-        end = len(self.code)
-        for kind, at in patch_sites:
-            if kind == "wait":
-                self.code[at].on_false = end
-            else:
-                self.code[at].target = end
+        self._place(skip)
 
     def _lower_assign(self, s: Assign) -> None:
         rhs = _compile_expr_static(s.expr)
@@ -863,6 +987,18 @@ def _split_conjunction(e: Expr) -> list[Expr]:
             return _split_conjunction(lhs) + _split_conjunction(rhs)
         case _:
             return [e]
+
+
+def _has_await(e: Expr) -> bool:
+    return any(isinstance(sub, Await) for sub in walk_exprs(e))
+
+
+def _universal_transfer(sec_fn, message: Callable[[Section], str]):
+    """A section closure for a transfer that names a universal array:
+    XDP transfers only exclusive sections, so running it is an error."""
+    def run(env):
+        raise OwnershipError(message(sec_fn(env)))
+    return run
 
 
 def _as_int(fn: Callable[[_VMEnv], Any]) -> Callable[[_VMEnv], int]:

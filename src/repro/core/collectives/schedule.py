@@ -35,12 +35,12 @@ import numpy as np
 from ...machine.effects import Compute, Effect, Send, RecvInit, WaitAccessible
 from ...machine.message import TransferKind
 from ..errors import ProtocolError, XDPError
-from ..ir.nodes import ArrayRef, CollOp, CollectiveStmt, Expr
+from ..ir.nodes import ArrayRef, CollOp, CollectiveStmt
 from ..sections import Section
 
 __all__ = [
     "LocalCopy", "LocalReduce", "SendChunk", "RecvChunk", "Fence", "ChunkOp",
-    "CollInstance", "build_instance", "collective_ops", "execute_ops",
+    "CollInstance", "collective_ops", "execute_ops",
     "reduce_order", "group_members",
 ]
 
@@ -201,22 +201,6 @@ class CollInstance:
     def scratch(self, d: int):
         assert self.stmt.scratch is not None
         return self._get("scratch", self.stmt.scratch, None, d)
-
-
-def build_instance(
-    stmt: CollectiveStmt,
-    nprocs: int,
-    eval_expr: Callable[[Expr], Any],
-    resolve: Callable[[ArrayRef, dict[str, int]], tuple[str, Section]],
-) -> CollInstance:
-    """Resolve group and root with the caller's evaluator."""
-    lo, hi, step = stmt.group
-    lo_v = int(eval_expr(lo))
-    hi_v = int(eval_expr(hi))
-    st_v = 1 if step is None else int(eval_expr(step))
-    members = group_members(lo_v, hi_v, st_v, nprocs)
-    root = int(eval_expr(stmt.root)) if stmt.root is not None else None
-    return CollInstance(stmt, members, root, resolve)
 
 
 def reduce_order(members: tuple[int, ...], d: int) -> list[int]:
@@ -453,8 +437,8 @@ _COMBINE = {
 def execute_ops(ops: Iterator[ChunkOp], env) -> Generator[Effect, Any, None]:
     """Drive a chunk-op stream against a processor's symbol table.
 
-    ``env`` is a per-processor execution environment (the interpreter's or
-    the VM's): it carries ``ctx.symtab`` and a pending-``flops`` counter
+    ``env`` is the VM's per-processor execution environment: it carries
+    ``ctx.symtab`` and a pending-``flops`` counter
     that is flushed as a :class:`Compute` effect before anything that can
     block or communicate."""
     symtab = env.ctx.symtab

@@ -3,21 +3,23 @@
 XDP places static obligations on the compiler rather than the run-time
 (paper sections 2.4–2.7): compute rules must be side-effect-free, receive
 left-hand sides must be exclusive sections, transfers may not name
-universal data, and every referenced variable must be declared with
-matching rank.  The verifier enforces what is checkable structurally;
-dynamic obligations (matching sends/receives, deadlock freedom) are
-diagnosed by the engine.
+universal data, ``await`` is a guard rather than a value, and every
+referenced variable must be declared with matching rank.  The verifier
+enforces what is checkable structurally; dynamic obligations (matching
+sends/receives, deadlock freedom) are diagnosed by the engine.
 """
 
 from __future__ import annotations
 
 from ..errors import VerificationError
 from .nodes import (
-    ArrayDecl, ArrayRef, Assign, Block, CallStmt, CollOp, CollectiveStmt,
-    DoLoop, Expr, ExprStmt, Full, Guarded, IfStmt, Index, Mypid, Program,
-    Range, RecvStmt, ScalarDecl, SendStmt, Stmt, VarRef, XferOp,
+    ArrayDecl, ArrayRef, Assign, Await, BinOp, Block, CallStmt, CollOp,
+    CollectiveStmt, DoLoop, Expr, ExprStmt, Full, Guarded, IfStmt, Index,
+    Mypid, Program, Range, RecvStmt, ScalarDecl, SendStmt, Stmt, UnaryOp,
+    VarRef, XferOp,
 )
-from .visitor import array_refs, free_scalars, walk_exprs, walk_stmts
+from .printer import print_stmt
+from .visitor import _stmt_exprs, array_refs, free_scalars, walk_exprs, walk_stmts
 
 __all__ = ["verify_program"]
 
@@ -78,6 +80,7 @@ def verify_program(program: Program) -> None:
     def visit(s: Stmt) -> None:
         for ref in array_refs(s):
             check_ref(ref, type(s).__name__)
+        _check_await_positions(s)
         match s:
             case Guarded(rule, body):
                 _check_rule_pure(rule)
@@ -222,6 +225,34 @@ def _check_collective(
                 raise VerificationError(
                     f"{what} {role}: binder {sub.name!r} may not appear "
                     f"here (allowed: {sorted(n for n in allowed[role] if n)})"
+                )
+
+
+def _check_await_positions(s: Stmt) -> None:
+    """``await`` blocks and yields a truth value, so it is a guard: it may
+    appear in a compute rule, an ``if`` condition or an expression
+    statement, combined only by ``and``/``or``/``not``."""
+    guards: set[int] = set()
+
+    def mark(e: Expr) -> None:
+        match e:
+            case Await():
+                guards.add(id(e))
+            case BinOp("and" | "or", lhs, rhs):
+                mark(lhs)
+                mark(rhs)
+            case UnaryOp("not", operand):
+                mark(operand)
+
+    if isinstance(s, (Guarded, IfStmt, ExprStmt)):
+        mark(next(_stmt_exprs(s)))
+    for e in _stmt_exprs(s):
+        for sub in walk_exprs(e):
+            if isinstance(sub, Await) and id(sub) not in guards:
+                raise VerificationError(
+                    f"'{print_stmt(s)[0].strip()}': await() is a guard, not a "
+                    "value; use it only in a compute rule, an if condition or "
+                    "an expression statement, combined by and/or/not"
                 )
 
 

@@ -32,7 +32,7 @@ class Kernel:
 
 
 class KernelRegistry:
-    """Name → kernel mapping used by the interpreter and the VM."""
+    """Name → kernel mapping used by the VM for ``call`` statements."""
 
     def __init__(self) -> None:
         self._kernels: dict[str, Kernel] = {}

@@ -11,11 +11,11 @@ Fortran-90 triplets precisely so that the compiler can treat them whole:
 ``B[514:575] = (A[513:574] + A[514:575] + A[515:576]) / 3.0`` — one
 statement per body statement, innermost loop first, so a rank-2 nest
 collapses into one assignment.  It is an IL-to-IL rewrite, not a back-end
-kernel: the interpreter, the lowered code and the communication verifier
-all execute section assignments already, so all three stop walking
-elements.  Symbolic bounds (compute-rule elimination's ``max(lo,
-mylb(..))``) keep their expressions under a ``lo <= hi`` guard, because an
-empty trip must not name an empty triplet.
+kernel: the lowered code and the communication verifier both execute
+section assignments already, so both stop walking elements.  Symbolic
+bounds (compute-rule elimination's ``max(lo, mylb(..))``) keep their
+expressions under a ``lo <= hi`` guard, because an empty trip must not
+name an empty triplet.
 
 Legality is decided on sections by the machinery loop fusion uses.  A
 section assignment gathers its right-hand side before it scatters, so a

@@ -1,8 +1,8 @@
 """Effects: the interface between node programs and the engine.
 
-A node program (the reference interpreter of :mod:`repro.core.interp` or
-the lowered instruction stream of :mod:`repro.core.codegen`) runs as a
-Python generator that *yields* effects; the discrete-event engine consumes
+A node program (the lowered instruction stream of
+:mod:`repro.core.codegen`, or a prebuilt effect program) runs as a Python
+generator that *yields* effects; the discrete-event engine consumes
 them, advances virtual time, performs communication, and resumes the
 generator.  This realises the paper's central separation: local computation
 (``Compute``) is a different effect from data transfer (``Send`` /

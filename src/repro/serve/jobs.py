@@ -234,7 +234,6 @@ def artifact_key(spec: JobSpec | Mapping[str, Any]) -> ArtifactKey:
         doc = {
             "kind": "eval",
             "nprocs": nprocs,
-            "path": options.get("path", "vm"),
             "seed": seed,
         }
     return ArtifactKey.make(source, doc, backend, model)
@@ -358,10 +357,8 @@ def _job_eval(spec: Mapping[str, Any], model: MachineModel) -> dict:
     """
     from ..tune.evaluate import EvalTask, _run_task, _store_payload
 
-    options = dict(tuple(o) for o in (spec.get("options") or ()))
     task = EvalTask(
-        spec["source"], spec["nprocs"], model,
-        path=options.get("path", "vm"), seed=spec["seed"],
+        spec["source"], spec["nprocs"], model, seed=spec["seed"],
         backend=spec["backend"],
     )
     return _store_payload(_run_task(task))

@@ -18,7 +18,7 @@ import math
 from collections import Counter
 from typing import Callable
 
-from ..core.interp import CALL_BASE_FLOPS, INTRINSIC_FLOPS, ITER_FLOPS
+from ..core.codegen.lower import CALL_BASE_FLOPS, INTRINSIC_FLOPS, ITER_FLOPS
 from ..core.ir.nodes import ArrayDecl
 from ..distributions import RedistributionPlan
 from ..machine.engine import HEADER_BYTES
@@ -143,8 +143,7 @@ def phase_compute_cost(
 
     A phase applies ``kernel`` to every pencil along ``axis``; the slowest
     processor (most owned pencils under the candidate's distribution)
-    bounds the phase.  Loop/call overheads use the interpreter's
-    documented constants.
+    bounds the phase.  Loop/call overheads use the VM's flop constants.
     """
     from .space import candidate_segmentation
 

@@ -4,7 +4,7 @@ The analytic model ranks placements; the oracle *validates* the top
 candidates by running them on the real machine (the VM pipeline feeding
 :class:`~repro.machine.engine.Engine`).  Evaluations are memoized in an
 :class:`EvalCache` keyed on a digest of (program, processor count,
-machine model, path, seed) — identical candidates across tuning calls
+machine model, seed, backend) — identical candidates across tuning calls
 never re-simulate — and independent candidates evaluate in parallel via
 :mod:`concurrent.futures`.  Every task is a pure function of its digest
 inputs, so parallel evaluation is bit-identical to serial.
@@ -63,7 +63,6 @@ class EvalTask:
     program: Program | str
     nprocs: int
     model: MachineModel
-    path: str = "vm"
     seed: int = 7
     label: str = ""
     backend: str = "msg"
@@ -82,7 +81,7 @@ class EvalTask:
     def digest(self) -> str:
         key = repr((self.source_text(), self.nprocs,
                     sorted(asdict(self.model).items()),
-                    self.path, self.seed, self.backend))
+                    self.seed, self.backend))
         return hashlib.sha256(key.encode()).hexdigest()
 
     def parsed(self) -> Program:
@@ -217,7 +216,6 @@ def _store_key(task: EvalTask):
     config = {
         "kind": "eval",
         "nprocs": task.nprocs,
-        "path": task.path,
         "seed": task.seed,
     }
     return ArtifactKey.make(src, config, task.backend, task.model)
@@ -388,10 +386,7 @@ def evaluate_sharded(
                 nprocs=tasks[i].nprocs,
                 backend=tasks[i].backend,
                 seed=tasks[i].seed,
-                options=(
-                    ("model_json", model_to_json(tasks[i].model)),
-                    ("path", tasks[i].path),
-                ),
+                options=(("model_json", model_to_json(tasks[i].model)),),
                 label=tasks[i].label,
                 timeout_s=timeout_s,
             )

@@ -69,9 +69,6 @@ class TestRun:
         assert "A =" in out
         assert "2." in out  # 1+1
 
-    def test_run_interp_path(self, program_file, capsys):
-        assert main(["run", program_file, "--path", "interp"]) == 0
-
     def test_run_blocking_binding(self, program_file, capsys):
         assert main(["run", program_file, "--binding", "blocking"]) == 0
 

@@ -2,7 +2,7 @@
 
 Covers the IL surface (parse/print/verify), the backend schedule
 families and their bit-identity guarantee (native vs the point-to-point
-desugaring, msg vs shmem, VM vs interpreter), the memory-bounded
+desugaring, msg vs shmem), the memory-bounded
 redistribution planner, and the analytic cost model's collective terms.
 """
 
@@ -20,12 +20,12 @@ from repro.core.collectives.planner import (
 )
 from repro.core.collectives.schedule import (
     CollInstance, Fence, LocalCopy, LocalReduce, RecvChunk, SendChunk,
-    build_instance, collective_ops, group_members, reduce_order,
+    collective_ops, group_members, reduce_order,
 )
 from repro.core.errors import (
     DistributionError, ProtocolError, VerificationError, XDPError,
 )
-from repro.core.interp import Interpreter
+from repro import Interpreter
 from repro.core.ir.nodes import CollectiveStmt, Full, Index, Range
 from repro.core.ir.parser import parse_program
 from repro.core.ir.printer import print_program
@@ -73,14 +73,10 @@ true : {
 ARRAYS = ("A", "W", "D", "T", "V", "S")
 
 
-def _run_all_arrays(src: str, nprocs: int, *, path="vm", backend=None,
+def _run_all_arrays(src: str, nprocs: int, *, backend=None,
                     collectives="native"):
-    program = parse_program(src)
-    if path == "vm":
-        runner = lower(program, nprocs, backend=backend,
-                       collectives=collectives)
-    else:
-        runner = Interpreter(program, nprocs, backend=backend)
+    runner = lower(parse_program(src), nprocs, backend=backend,
+                   collectives=collectives)
     runner.run()
     return {name: runner.read_global(name) for name in ARRAYS}
 
@@ -143,7 +139,13 @@ class TestScheduleUnits:
                     dims.append(Triplet(lo, hi, 1))
             return ref.var, Section(tuple(dims))
 
-        return build_instance(stmt, 4, lambda e: static_eval(e, 4), resolve)
+        lo, hi, step = stmt.group
+        members = group_members(
+            static_eval(lo, 4), static_eval(hi, 4),
+            1 if step is None else static_eval(step, 4), 4,
+        )
+        root = None if stmt.root is None else static_eval(stmt.root, 4)
+        return CollInstance(stmt, members, root, resolve)
 
     def test_staged_allgather_is_a_ring(self):
         inst = self._instance(
@@ -234,12 +236,11 @@ class TestParsePrintVerify:
 
 class TestBitIdentity:
     def test_all_paths_bit_identical(self):
-        reference = _run_all_arrays(COLL_SRC, 4, path="interp")
+        reference = _run_all_arrays(COLL_SRC, 4, backend="msg")
         paths = [
-            dict(path="vm", backend="msg", collectives="native"),
-            dict(path="vm", backend="msg", collectives="p2p"),
-            dict(path="vm", backend="shmem", collectives="native"),
-            dict(path="vm", backend="shmem", collectives="p2p"),
+            dict(backend="msg", collectives="p2p"),
+            dict(backend="shmem", collectives="native"),
+            dict(backend="shmem", collectives="p2p"),
         ]
         for kw in paths:
             got = _run_all_arrays(COLL_SRC, 4, **kw)
@@ -249,7 +250,7 @@ class TestBitIdentity:
                 )
 
     def test_reference_values(self):
-        got = _run_all_arrays(COLL_SRC, 4, path="interp")
+        got = _run_all_arrays(COLL_SRC, 4)
         # allgather overwrote the broadcast chunk: W rows all equal A
         a = np.array([1, 2, 2, 3, 3, 4, 4, 5], dtype=float)
         assert np.array_equal(got["A"], a)
@@ -272,7 +273,7 @@ class TestBitIdentity:
         flat = desugar_program(program, 4)
         assert not any(isinstance(s, CollectiveStmt)
                        for s in walk_stmts(flat.body))
-        native = _run_all_arrays(COLL_SRC, 4, path="interp")
+        native = _run_all_arrays(COLL_SRC, 4)
         it = Interpreter(flat, 4)
         it.run()
         for name in ARRAYS:

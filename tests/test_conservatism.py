@@ -6,7 +6,7 @@ the engine must be bit-deterministic run to run.
 
 import numpy as np
 
-from repro.core.interp import Interpreter
+from repro import Interpreter
 from repro.core.ir.parser import parse_program
 from repro.core.opt import (
     AwaitSinking, ComputeRuleElimination, GuardHoisting, LoopFusion,

@@ -331,7 +331,7 @@ class TestDeadlockDetection:
         """The deadlock diagnosis is a deterministic function of the
         deadlocked state: pids, pending tags and the pool listing are all
         sorted, so the full text can be pinned byte-for-byte."""
-        from repro.core.interp import run_program
+        from repro import run_program
 
         src = (
             "array A[1:4] dist (BLOCK) seg (1)\n"

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.apps.enginebench import _run_case
 from repro.core.errors import DeadlockError, OwnershipError, ProtocolError
-from repro.core.interp import Interpreter
+from repro import Interpreter
 from repro.core.ir.parser import parse_program
 from repro.core.sections import section
 from repro.distributions import Block, Distribution, ProcessorGrid, Segmentation

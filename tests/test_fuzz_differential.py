@@ -25,7 +25,7 @@ import pytest
 
 from repro.core.analysis.verify_comm import CommReport, verify_communication
 from repro.core.errors import XDPError
-from repro.core.interp import run_program
+from repro import run_program
 from repro.core.ir.parser import parse_program
 
 from .fuzz.gen_programs import (

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.codegen import lower
-from repro.core.interp import Interpreter
+from repro import Interpreter
 from repro.core.ir.parser import parse_program
 from repro.distributions import ProcessorGrid
 from repro.machine import MachineModel
@@ -17,13 +17,10 @@ from repro.machine import MachineModel
 FAST = MachineModel(o_send=1, o_recv=1, alpha=10, per_byte=0.0)
 
 
-def run(src, grid_shape, init=None, path="interp"):
+def run(src, grid_shape, init=None, backend=None):
     grid = ProcessorGrid(grid_shape)
-    prog = parse_program(src)
-    if path == "vm":
-        runner = lower(prog, grid.size, grid=grid, model=FAST)
-    else:
-        runner = Interpreter(prog, grid.size, grid=grid, model=FAST)
+    runner = lower(parse_program(src), grid.size, grid=grid, model=FAST,
+                   backend=backend)
     for name, arr in (init or {}).items():
         runner.write_global(name, np.asarray(arr, dtype=float))
     stats = runner.run()
@@ -51,9 +48,10 @@ iown(A[3:4,5:8]) : { A[3:4,5:8] = mypid }
         assert np.all(A[2:4, 4:8] == 4)
 
     def test_vm_agrees(self):
-        a, _ = run(self.SRC, (2, 2))
-        b, _ = run(self.SRC, (2, 2), path="vm")
-        assert np.array_equal(a.read_global("A"), b.read_global("A"))
+        """Across transports on a 2-D grid the results are bit-identical."""
+        a, _ = run(self.SRC, (2, 2), backend="msg")
+        b, _ = run(self.SRC, (2, 2), backend="shmem")
+        assert a.read_global("A").tobytes() == b.read_global("A").tobytes()
 
 
 class TestTranspose2D:

@@ -1,11 +1,11 @@
-"""Integration tests for the reference interpreter: whole IL+XDP programs
+"""Integration tests for the interpreter (the lowered VM): whole IL+XDP programs
 executed on the simulated machine, checked against the paper's semantics."""
 
 import numpy as np
 import pytest
 
 from repro.core.errors import OwnershipError, XDPError
-from repro.core.interp import Interpreter, run_program
+from repro import Interpreter, run_program
 from repro.core.ir.parser import parse_program
 from repro.machine import MachineModel
 

@@ -9,8 +9,7 @@ checked to actually convert waiting time into useful work.
 import numpy as np
 import pytest
 
-from repro.core.codegen import lower
-from repro.core.interp import Interpreter
+from repro import Interpreter
 from repro.core.ir.parser import parse_program
 from repro.machine import MachineModel
 
@@ -48,12 +47,9 @@ mypid == 2 : {{
 """
 
 
-def run(background: bool, path: str = "interp"):
+def run(background: bool, binding: str = "nonblocking"):
     prog = parse_program(polling_source(background))
-    if path == "vm":
-        runner = lower(prog, 2, model=MODEL)
-    else:
-        runner = Interpreter(prog, 2, model=MODEL)
+    runner = Interpreter(prog, 2, model=MODEL, binding=binding)
     stats = runner.run()
     assert runner.read_global("X")[1] == 100.0
     return stats
@@ -87,8 +83,10 @@ class TestAccessiblePolling:
         assert poll.makespan < plain.makespan * 1.35
 
     def test_vm_path_agrees(self):
-        a = run(True, "interp")
-        b = run(True, "vm")
+        """The polling program is correct under either binding, with the
+        same traffic."""
+        a = run(True, "nonblocking")
+        b = run(True, "blocking")
         assert a.total_messages == b.total_messages
 
 

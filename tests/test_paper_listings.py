@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.apps.fft3d import fft3d_source
-from repro.core.interp import Interpreter
+from repro import Interpreter
 from repro.core.ir.nodes import (
     Await, CallStmt, DoLoop, ExprStmt, Guarded, Mypid, RecvStmt, SendStmt,
     Index,

@@ -30,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import DegradedRunError
-from repro.core.interp import run_program
+from repro import run_program
 from repro.core.sections import Section, Triplet, section
 from repro.distributions import (
     Block, Distribution, ProcessorGrid, Segmentation,
@@ -67,10 +67,10 @@ def _clean_battery():
 
 
 def _digest(fp, backend: str) -> str:
-    interp, _stats = run_program(
+    runner, _stats = run_program(
         fp.source, fp.nprocs, strict=True, backend=backend
     )
-    return digest_symtabs(interp.engine.symtabs)
+    return digest_symtabs(runner.engine.symtabs)
 
 
 @pytest.mark.parametrize(

@@ -253,7 +253,7 @@ class TestParserRoundTrip:
 # ---------------------------------------------------------------------- #
 
 from repro.core.codegen import lower
-from repro.core.interp import Interpreter
+from repro import Interpreter
 from repro.core.opt import optimize
 from repro.core.translate import translate
 from repro.machine import MachineModel

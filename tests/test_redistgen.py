@@ -8,7 +8,7 @@ from repro.core.ir.nodes import (
     ArrayDecl, Block, Guarded, Program, RecvStmt, SendStmt, XferOp,
 )
 from repro.core.ir.verify import verify_program
-from repro.core.interp import Interpreter
+from repro import Interpreter
 from repro.core.redistgen import redistribution_statements, section_to_subscripts
 from repro.core.sections import section
 from repro.distributions import (

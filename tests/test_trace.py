@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.interp import Interpreter
+from repro import Interpreter
 from repro.core.ir.parser import parse_program
 from repro.machine import MachineModel
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import CompilationError
-from repro.core.interp import Interpreter
+from repro import Interpreter
 from repro.core.ir.nodes import (
     Assign, DoLoop, ExprStmt, Guarded, Iown, RecvStmt, SendStmt, XferOp,
 )

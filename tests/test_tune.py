@@ -14,7 +14,7 @@ import pytest
 
 from repro.apps.fft3d import fft3d_source, run_fft3d
 from repro.core.codegen import lower
-from repro.core.interp import INTRINSIC_FLOPS
+from repro.core.codegen.lower import INTRINSIC_FLOPS
 from repro.core.ir.parser import parse_program
 from repro.distributions import plan_redistribution
 from repro.machine.engine import HEADER_BYTES
