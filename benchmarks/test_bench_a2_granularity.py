@@ -39,12 +39,12 @@ def plan_for(seg_size: int):
 def program_for(seg_size: int):
     """Compiler-generated redistribution via repro.core.redistgen."""
     from repro.core.ir.nodes import ArrayDecl, Block as IRBlock, Program
-    from repro.core.redistgen import redistribution_statements
+    from repro.core.redistgen import plan_transfers
 
     plan = plan_for(seg_size)
     decl = ArrayDecl("A", ((1, N),), dist="(BLOCK)", segment_shape=(seg_size,))
     return Program(
-        (decl,), IRBlock(tuple(redistribution_statements("A", plan)))
+        (decl,), IRBlock(tuple(plan_transfers("A", plan).statements))
     )
 
 

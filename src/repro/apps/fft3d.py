@@ -4,32 +4,27 @@ A complex cube ``A[1:n,1:n,1:n]`` starts distributed ``(*,*,BLOCK)`` over a
 linear array of processors: processor ``p`` owns whole ``k``-planes.  The
 3-D FFT applies a 1-D FFT along ``j``, then ``i`` (both local), then must
 redistribute to ``(*,BLOCK,*)`` so the ``k``-direction FFTs are local too.
-The paper walks this program through three optimization stages:
+The paper walks this program through optimization stages:
 
 * **stage 0 — naive**: every loop guarded by ``iown``/``await`` compute
-  rules; redistribution as a separate guarded loop of ``-=>``/``<=-``
-  ownership transfers (the paper's first listing);
+  rules, the redistribution a separate loop of ``-=>``/``<=-`` ownership
+  transfers (the paper's first listing);
 * **stage 1 — localized**: compute rules eliminated, loops collapsed to
-  the iterations each processor owns (``mypid`` substitution — second
-  listing);
-* **stage 2 — pipelined**: the ``i``-direction FFT loop fused with the
-  ownership sends, and the final ``await`` sunk into the ``k``-direction
-  loop, so redistribution latency is overlapped with computation (third
-  listing);
-* **stage 3 — memory-bounded**: stage 1 with the repartition routed
-  through the bounded redistribution planner
-  (:func:`~repro.core.collectives.planner.plan_bounded_redistribution`):
-  the exchange runs in rounds fenced by ``await`` epilogues, capping each
+  the iterations each processor owns (second listing);
+* **stage 2 — pipelined**: the sends fused into the ``i``-direction loop
+  and the final ``await`` sunk into the ``k``-direction loop, overlapping
+  redistribution with computation (third listing);
+* **stage 3 — memory-bounded**: the exchange in rounds fenced by
+  ``await`` epilogues (:mod:`repro.core.collectives.planner`), capping each
   receiver's temp memory at a third of the all-at-once peak.
 
-For ``n == nprocs`` the generated programs are exactly the paper's
-listings.  For ``n`` a multiple of ``nprocs`` a generalized form is
-produced: localization uses run-time ``mylb``/``myub`` bounds, and the
-redistribution statements are generated pairwise from the compile-time
-:class:`~repro.distributions.RedistributionPlan` with bound destinations —
-the "auxiliary data structure created by the compiler that links the
-``-=>`` and ``<=-`` statements" which the paper says is used for
-communication binding.
+For ``n == nprocs`` stages 0-2 are exactly the paper's listings.  For
+``n`` a multiple of ``nprocs`` the compiler generalizes them: stage 0's
+Loop3 is :mod:`repro.core.redistgen`'s closed-form output for the
+compile-time :class:`~repro.distributions.RedistributionPlan` (the paper's
+"auxiliary data structure … that links the ``-=>`` and ``<=-``
+statements"), and stages 1, 2 and 3 are the tuner's ``bulk``,
+``pipelined`` and ``planner`` programs for ``PAPER_LAYOUTS``.
 """
 
 from __future__ import annotations
@@ -53,21 +48,51 @@ __all__ = [
 
 STAGES = (0, 1, 2, 3)
 
+#: The tuner realization of each generated stage.
+_REALIZATION = {1: "bulk", 2: "pipelined", 3: "planner"}
+
 #: Stage 3's per-round temp-memory budget, as a fraction of the largest
 #: per-processor footprint.  0.25 packs the FFT repartition into rounds
 #: whose receive windows peak at one third of the all-at-once exchange.
 STAGE3_TEMP_FRAC = 0.25
 
 
-def _decl(n: int, seg_n: int) -> str:
-    return (
-        f"array A[1:{n},1:{n},1:{n}] dist (*, *, BLOCK) "
-        f"seg ({seg_n},1,1) dtype complex128\n"
-    )
+#: The section-4 placement of each phase (the j-, i- and k-direction
+#: FFTs): the repartition comes before the k-direction FFT.
+PAPER_LAYOUTS = ("(*, *, BLOCK)", "(*, *, BLOCK)", "(*, BLOCK, *)")
 
 
-def _paper_stage0(n: int) -> str:
-    return f"""{_decl(n, n)}
+def _decl(n: int) -> str:
+    return (f"array A[1:{n},1:{n},1:{n}] dist (*, *, BLOCK) "
+            f"seg ({n},1,1) dtype complex128\n")
+
+
+def _loop3(n: int, nprocs: int) -> str:
+    """Stage 0's redistribution: the paper's loop at n == P, else the
+    emitter's statements for the compile-time plan."""
+    if n == nprocs:
+        return f"""// Loop3: redistribute A as (*,BLOCK,*)
+do p = 1, {n}
+  iown(A[*,*,p]) : {{
+    do m = 1, {n}
+      A[*,m,p] -=>
+    enddo
+    do m = 1, {n}
+      A[*,p,m] <=-
+    enddo
+  }}
+enddo"""
+    from ..core.redistgen import plan_transfers
+    from ..distributions import plan_redistribution
+
+    plan = plan_redistribution(*_fft_distributions(n, nprocs))
+    return "\n".join(
+        ["// Loop3: redistribute A as (*,BLOCK,*) (compiler-generated)"]
+        + plan_transfers("A", plan).text())
+
+
+def _stage0(n: int, nprocs: int) -> str:
+    return f"""{_decl(n)}
 // Loop1: 1-D FFT in the j direction
 do k = 1, {n}
   iown(A[*,*,k]) : {{
@@ -84,17 +109,7 @@ do k = 1, {n}
     enddo
   }}
 enddo
-// Loop3: redistribute A as (*,BLOCK,*)
-do p = 1, {n}
-  iown(A[*,*,p]) : {{
-    do m = 1, {n}
-      A[*,m,p] -=>
-    enddo
-    do m = 1, {n}
-      A[*,p,m] <=-
-    enddo
-  }}
-enddo
+{_loop3(n, nprocs)}
 // Loop4: 1-D FFT in the k direction
 do j = 1, {n}
   await(A[*,j,*]) : {{
@@ -107,7 +122,7 @@ enddo
 
 
 def _paper_stage1(n: int) -> str:
-    return f"""{_decl(n, n)}
+    return f"""{_decl(n)}
 // 1-D FFT in the j direction
 do i = 1, {n}
   call fft1D(A[i,*,mypid])
@@ -133,7 +148,7 @@ await(A[*,mypid,*]) : {{
 
 
 def _paper_stage2(n: int) -> str:
-    return f"""{_decl(n, n)}
+    return f"""{_decl(n)}
 // 1-D FFT in the j direction
 do i = 1, {n}
   call fft1D(A[i,*,mypid])
@@ -156,152 +171,28 @@ enddo
 """
 
 
-# ---------------------------------------------------------------------- #
-# generalized forms (n a multiple of nprocs)
-# ---------------------------------------------------------------------- #
+def _tuned_stage(n: int, nprocs: int, stage: int) -> str:
+    """The tuner's ``bulk``, ``pipelined`` or ``planner`` program (stage
+    1, 2 or 3) for the section-4 placements."""
+    from ..tune.rewrite import detect_phases, generate_phased_program
+    from ..tune.space import LayoutCandidate
 
-
-def _rows_of(pid1: int, n: int, nprocs: int) -> tuple[int, int]:
-    """The (*,BLOCK,*) rows of 1-based processor ``pid1``."""
-    bs = -(-n // nprocs)
-    lo = 1 + (pid1 - 1) * bs
-    hi = min(n, lo + bs - 1)
-    return lo, hi
-
-
-def _planes_of(pid1: int, n: int, nprocs: int) -> tuple[int, int]:
-    """The initial (*,*,BLOCK) planes of processor ``pid1``."""
-    return _rows_of(pid1, n, nprocs)
-
-
-def _pairwise_redistribution(
-    n: int, nprocs: int, *, pipelined: bool = False
-) -> tuple[str, str]:
-    """Generate bound ``-=>``/``<=-`` pairs for (*,*,BLOCK) → (*,BLOCK,*).
-
-    Returns (send_block, recv_block).  With ``pipelined=True`` the send
-    statements are meant to sit *inside* the fused compute loops over
-    planes ``k`` and columns ``j``: receiver ``d``'s slab of plane ``k``
-    consists of columns ``rlo..rhi``, complete as soon as the ``j`` loop
-    passes ``rhi`` — so the guard fires at ``j == rhi`` and the transfer
-    overlaps the remaining columns' computation (the paper's pipelining).
-    """
-    sends: list[str] = []
-    recvs: list[str] = []
-    for s in range(1, nprocs + 1):
-        plo, phi = _planes_of(s, n, nprocs)
-        for d in range(1, nprocs + 1):
-            if s == d:
-                continue
-            rlo, rhi = _rows_of(d, n, nprocs)
-            if pipelined:
-                sends.append(
-                    f"mypid == {s} and j == {rhi} : "
-                    f"{{ A[*,{rlo}:{rhi},k] -=> {{{d}}} }}"
-                )
-            else:
-                for k in range(plo, phi + 1):
-                    sends.append(
-                        f"mypid == {s} : {{ A[*,{rlo}:{rhi},{k}] -=> {{{d}}} }}"
-                    )
-            for k in range(plo, phi + 1):
-                recvs.append(f"mypid == {d} : {{ A[*,{rlo}:{rhi},{k}] <=- }}")
-    return "\n".join(sends), "\n".join(recvs)
-
-
-def _general_stage0(n: int, nprocs: int) -> str:
-    sends, recvs = _pairwise_redistribution(n, nprocs)
-    return f"""{_decl(n, n)}
-// Loop1: 1-D FFT in the j direction
-do k = 1, {n}
-  iown(A[*,*,k]) : {{
-    do i = 1, {n}
-      call fft1D(A[i,*,k])
-    enddo
-  }}
-enddo
-// Loop2: 1-D FFT in the i direction
-do k = 1, {n}
-  iown(A[*,*,k]) : {{
-    do j = 1, {n}
-      call fft1D(A[*,j,k])
-    enddo
-  }}
-enddo
-// Loop3: redistribute A as (*,BLOCK,*) (compiler-generated pairs)
-{sends}
-{recvs}
-// Loop4: 1-D FFT in the k direction
-do j = 1, {n}
-  await(A[*,j,*]) : {{
-    do i = 1, {n}
-      call fft1D(A[i,j,*])
-    enddo
-  }}
-enddo
-"""
-
-
-def _general_stage1(n: int, nprocs: int) -> str:
-    sends, recvs = _pairwise_redistribution(n, nprocs)
-    return f"""{_decl(n, n)}
-do k = max(1, mylb(A[*,*,*], 3)), min({n}, myub(A[*,*,*], 3))
-  do i = 1, {n}
-    call fft1D(A[i,*,k])
-  enddo
-  do j = 1, {n}
-    call fft1D(A[*,j,k])
-  enddo
-enddo
-{sends}
-{recvs}
-do j = max(1, mylb(A[*,*,*], 2)), min({n}, myub(A[*,*,*], 2))
-  await(A[*,j,*]) : {{
-    do i = 1, {n}
-      call fft1D(A[i,j,*])
-    enddo
-  }}
-enddo
-"""
-
-
-def _general_stage2(n: int, nprocs: int) -> str:
-    sends, recvs = _pairwise_redistribution(n, nprocs, pipelined=True)
-    send_lines = "\n".join("    " + line for line in sends.splitlines())
-    return f"""{_decl(n, n)}
-do k = max(1, mylb(A[*,*,*], 3)), min({n}, myub(A[*,*,*], 3))
-  do i = 1, {n}
-    call fft1D(A[i,*,k])
-  enddo
-  do j = 1, {n}
-    call fft1D(A[*,j,k])
-{send_lines}
-  enddo
-enddo
-{recvs}
-do j = max(1, mylb(A[*,*,*], 2)), min({n}, myub(A[*,*,*], 2))
-  do i = 1, {n}
-    await(A[i,j,*]) : {{
-      call fft1D(A[i,j,*])
-    }}
-  enddo
-enddo
-"""
+    naive = parse_program(_stage0(n, nprocs))
+    return generate_phased_program(
+        naive, detect_phases(naive),
+        [LayoutCandidate(spec) for spec in PAPER_LAYOUTS], nprocs,
+        realization=_REALIZATION[stage], max_temp_frac=STAGE3_TEMP_FRAC,
+    )
 
 
 def _fft_distributions(n: int, nprocs: int):
-    """(decl, source dist, target dist) of the §4 repartition
-    ``(*,*,BLOCK) → (*,BLOCK,*)``."""
-    from ..core.analysis.layouts import build_segmentation
+    """Source and target distribution of the §4 repartition."""
+    from ..core.collectives.planner import dist_from_spec
     from ..distributions import ProcessorGrid
-    from ..tune.space import LayoutCandidate, candidate_segmentation
 
-    decl = parse_program(_decl(n, n)).array_decls()[0]
-    source = build_segmentation(decl, ProcessorGrid((nprocs,))).distribution
-    target = candidate_segmentation(
-        decl, LayoutCandidate("(*, BLOCK, *)"), nprocs
-    ).distribution
-    return decl, source, target
+    grid = ProcessorGrid((nprocs,))
+    return tuple(dist_from_spec(spec, ((1, n),) * 3, grid)
+                 for spec in PAPER_LAYOUTS[1:])
 
 
 def fft3d_redistribution_schedule(
@@ -310,67 +201,33 @@ def fft3d_redistribution_schedule(
     """Stage 3's bounded repartition schedule (for memory accounting)."""
     from ..core.collectives.planner import plan_bounded_redistribution
 
-    decl, source, target = _fft_distributions(n, nprocs)
     return plan_bounded_redistribution(
-        source, target,
-        max_temp_frac=max_temp_frac,
-        elem_bytes=int(np.dtype(decl.dtype).itemsize),
+        *_fft_distributions(n, nprocs), max_temp_frac=max_temp_frac,
+        elem_bytes=np.dtype("complex128").itemsize,
     )
-
-
-def _general_stage3(n: int, nprocs: int) -> str:
-    """Stage 1's localized compute, with the repartition routed through
-    the bounded redistribution planner: the all-at-once pairwise exchange
-    becomes temp-memory-bounded rounds, each fenced by its ``await``
-    epilogue, trading a little latency for a third of the peak."""
-    from ..tune.rewrite import planner_redistribution_text
-
-    decl, source, target = _fft_distributions(n, nprocs)
-    rounds = planner_redistribution_text(
-        "A", source, target, decl, max_temp_frac=STAGE3_TEMP_FRAC,
-    )
-    return f"""{_decl(n, n)}
-do k = max(1, mylb(A[*,*,*], 3)), min({n}, myub(A[*,*,*], 3))
-  do i = 1, {n}
-    call fft1D(A[i,*,k])
-  enddo
-  do j = 1, {n}
-    call fft1D(A[*,j,k])
-  enddo
-enddo
-// redistribute A as (*,BLOCK,*): planner-bounded rounds
-{rounds}
-do j = max(1, mylb(A[*,*,*], 2)), min({n}, myub(A[*,*,*], 2))
-  await(A[*,j,*]) : {{
-    do i = 1, {n}
-      call fft1D(A[i,j,*])
-    enddo
-  }}
-enddo
-"""
 
 
 def fft3d_source(n: int, nprocs: int, stage: int) -> str:
     """IL+XDP source of the 3-D FFT at one optimization stage.
 
     ``n == nprocs`` yields the paper's exact listings for stages 0-2;
-    otherwise ``n`` must be a multiple of ``nprocs`` and the generalized
-    forms are produced.  Stage 3 (always generalized) is stage 1 with the
-    repartition routed through the bounded redistribution planner.
+    otherwise ``n`` must be a multiple of ``nprocs``.  The generalized
+    stage 0 is the naive program with Loop3 emitted from the compile-time
+    plan; stages 1, 2 and 3 (stage 3 at every size) are the tuner's
+    ``bulk``, ``pipelined`` and ``planner`` programs for the section-4
+    placements, generated from stage 0.
     """
     if stage not in STAGES:
         raise ValueError(f"stage must be one of {STAGES}")
-    if stage == 3:
-        if n % nprocs != 0:
-            raise ValueError(f"n ({n}) must be a multiple of nprocs ({nprocs})")
-        return _general_stage3(n, nprocs)
-    if n == nprocs:
-        return (_paper_stage0, _paper_stage1, _paper_stage2)[stage](n)
+    if n < 1 or nprocs < 1:
+        raise ValueError(f"n ({n}) and nprocs ({nprocs}) must be positive")
     if n % nprocs != 0:
         raise ValueError(f"n ({n}) must be a multiple of nprocs ({nprocs})")
-    return (
-        _general_stage0, _general_stage1, _general_stage2
-    )[stage](n, nprocs)
+    if stage == 0:
+        return _stage0(n, nprocs)
+    if n == nprocs and stage < 3:
+        return (_paper_stage1, _paper_stage2)[stage - 1](n)
+    return _tuned_stage(n, nprocs, stage)
 
 
 @dataclass

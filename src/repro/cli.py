@@ -84,6 +84,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -341,17 +342,25 @@ def _cmd_redist(args: argparse.Namespace) -> int:
     from .core.collectives.planner import (
         dist_from_spec, plan_bounded_redistribution,
     )
+    from .core.errors import CompilationError, DistributionError
     from .distributions import ProcessorGrid
 
-    shape = tuple(int(x) for x in args.shape.split(","))
-    bounds = tuple((1, n) for n in shape)
-    grid = ProcessorGrid((args.nprocs,))
-    src = dist_from_spec(args.src_spec, bounds, grid)
-    dst = dist_from_spec(args.dst_spec, bounds, grid)
-    sched = plan_bounded_redistribution(
-        src, dst, max_temp_frac=args.max_temp_frac,
-        elem_bytes=args.elem_bytes,
-    )
+    try:
+        if not re.fullmatch(r"[1-9]\d*(,[1-9]\d*)*", args.shape):
+            raise ValueError(f"--shape {args.shape!r} is not a comma-separated "
+                             f"list of positive extents")
+        shape = tuple(int(x) for x in args.shape.split(","))
+        bounds = tuple((1, n) for n in shape)
+        grid = ProcessorGrid((args.nprocs,))
+        src = dist_from_spec(args.src_spec, bounds, grid)
+        dst = dist_from_spec(args.dst_spec, bounds, grid)
+        sched = plan_bounded_redistribution(
+            src, dst, max_temp_frac=args.max_temp_frac,
+            elem_bytes=args.elem_bytes,
+        )
+    except (ValueError, CompilationError, DistributionError) as exc:
+        print(f"repro redist: {exc}", file=sys.stderr)
+        return 2
     doc = sched.summary()
     shape_str = "x".join(str(n) for n in shape)
     print(f"redistribute {shape_str} over P={args.nprocs}: "
@@ -502,8 +511,13 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 def _cmd_fft(args: argparse.Namespace) -> int:
     from .apps.fft3d import fft3d_source, run_fft3d
 
+    try:
+        source = fft3d_source(args.n, args.nprocs, args.stage)
+    except ValueError as exc:
+        print(f"repro fft: {exc}", file=sys.stderr)
+        return 2
     if args.print_source:
-        print(fft3d_source(args.n, args.nprocs, args.stage))
+        print(source)
         return 0
     model = _MODELS[args.model]()
     r = run_fft3d(args.n, args.nprocs, args.stage, model=model,

@@ -1,11 +1,11 @@
 """Memory-bounded redistribution planning.
 
-The legacy path (:func:`repro.core.redistgen.redistribution_statements`
-over a full :class:`~repro.distributions.RedistributionPlan`) materialises
-*every* transfer at once: each processor posts all its receives up-front,
-so peak per-processor temporary memory equals its total incoming volume.
-For a repartitioning like the FFT's ``(*, *, BLOCK) → (*, BLOCK, *)``
-that is ``(P-1)/P`` of the local array — all of it buffered simultaneously.
+Realising a full :class:`~repro.distributions.RedistributionPlan` all at
+once (:func:`repro.core.redistgen.plan_transfers`) posts every receive
+up-front, so peak per-processor temporary memory equals its total incoming
+volume.  For a repartitioning like the FFT's
+``(*, *, BLOCK) → (*, BLOCK, *)`` that is ``(P-1)/P`` of the local array —
+all of it buffered simultaneously.
 
 This planner decomposes the same move set into *rounds* — bounded
 all-to-all steps — such that no processor sends or receives more than a
@@ -14,7 +14,8 @@ fence (await) after each round's receives.  Moves larger than the budget
 are split along their longest axis until they fit (the budget never drops
 below one element).  Because the rounds partition the direct plan's moves
 exactly, composing them is equivalent to the direct redistribution —
-the round-trip property the tests pin down."""
+the round-trip property the tests pin down.  The planner only decides the
+rounds; :func:`repro.core.redistgen.schedule_transfers` emits them."""
 
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ from ...distributions.redistribute import (
     Move, RedistributionPlan, plan_redistribution,
 )
 from ..errors import DistributionError
-from ..ir.nodes import Stmt
 from ..sections import Section, Triplet
 
 __all__ = [
@@ -109,23 +109,6 @@ class RedistSchedule:
                 total[pid] = total.get(pid, 0) + b
         return max(total.values(), default=0)
 
-    def statements(self, var: str, *, with_value: bool = True) -> list[Stmt]:
-        """IL+XDP statements realising the schedule: each round is the
-        legacy linked send/receive pairs plus per-receiver awaits, so a
-        processor fences its round-``r`` receives before touching round
-        ``r+1``."""
-        from ..redistgen import redistribution_statements
-
-        out: list[Stmt] = []
-        for r in self.rounds:
-            plan = RedistributionPlan(self.source, self.target, r.moves)
-            out.extend(
-                redistribution_statements(
-                    var, plan, with_value=with_value, awaits=True
-                )
-            )
-        return out
-
     def summary(self) -> dict:
         naive = self.naive_peak_bytes
         peak = self.peak_temp_bytes
@@ -195,6 +178,8 @@ def plan_bounded_redistribution(
         raise DistributionError(
             f"max_temp_frac must be in (0, 1], got {max_temp_frac}"
         )
+    if elem_bytes < 1:
+        raise DistributionError(f"elem_bytes must be positive, got {elem_bytes}")
     if plan is None:
         plan = plan_redistribution(source, target, segmentation=segmentation)
 

@@ -217,10 +217,6 @@ class XferOp(enum.Enum):
     RECV_OWNER_VALUE = "<=-" # U <=-
 
     @property
-    def is_send(self) -> bool:
-        return self in (XferOp.SEND_VALUE, XferOp.SEND_OWNER, XferOp.SEND_OWNER_VALUE)
-
-    @property
     def moves_ownership(self) -> bool:
         return self not in (XferOp.SEND_VALUE, XferOp.RECV_VALUE)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from ..core.errors import DistributionError
 
@@ -87,11 +86,6 @@ class ProcessorGrid:
         return tuple(
             (pid // self._strides[ax]) % self.shape[ax] for ax in range(self.rank)
         )
-
-    def iter_coords(self) -> Iterator[tuple[int, ...]]:
-        """All coordinates, in pid order."""
-        for pid in self.pids():
-            yield self.coords_of(pid)
 
     def reshaped(self, shape: tuple[int, ...]) -> "ProcessorGrid":
         """A grid over the same processors with a different logical shape.

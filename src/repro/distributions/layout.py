@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from ..core.errors import DistributionError
 from ..core.sections import Section, Triplet
@@ -351,12 +351,6 @@ class Distribution:
     def local_count(self, pid: int) -> int:
         """Number of elements owned by ``pid``."""
         return sum(s.size for s in self.owned_sections(pid))
-
-    def iter_owners(self) -> Iterator[tuple[int, Section]]:
-        """Yield ``(pid, owned_section)`` for all processors."""
-        for pid in self.grid.pids():
-            for sec in self.owned_sections(pid):
-                yield pid, sec
 
     # ------------------------------------------------------------------ #
     # presentation

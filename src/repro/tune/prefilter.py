@@ -87,24 +87,6 @@ class PrefilterResult:
     expanded: int
     demoted: list[dict] = field(default_factory=list)
 
-    def explain_rows(self) -> list[dict]:
-        rows = [
-            {
-                "rank": i + 1,
-                "label": rc.label,
-                "static_score": rc.score,
-            }
-            for i, rc in enumerate(self.shortlist)
-        ]
-        for d in self.demoted:
-            rows.append({
-                "rank": None,
-                "label": d["label"],
-                "static_score": d["static_score"],
-                "demoted": d["reason"],
-            })
-        return rows
-
 
 class _EdgeCosts:
     """Memoized analytic redistribution costs between distributions.

@@ -9,29 +9,22 @@ kernel calls); :func:`generate_phased_program` re-emits the program from
 scratch under a chosen per-phase placement, with compiler-planned
 redistribution between phases.
 
-Generated code uses the idioms of the paper's hand stages:
+Generated code uses the idioms of the paper's hand stages: compute loops
+localized with ``mylb``/``myub`` over the layout's distributed axis and
+slab-guarded with ``iown`` (exact for ``BLOCK``, a filter for ``CYCLIC``),
+and one of three redistribution realizations per phase edge:
 
-* compute loops localized with ``mylb``/``myub`` over the layout's
-  distributed axis, slab-guarded with ``iown`` (exact for ``BLOCK``,
-  a filter for ``CYCLIC``);
-* ``bulk`` redistribution: one destination-bound ``-=>``/``<=-`` pair per
-  element-exact :class:`~repro.distributions.RedistributionPlan` move
-  after the producing phase, consuming phase guarded by hoisted per-slab
-  ``await`` (the stage-1 shape, with vectorized messages);
-* ``pipelined`` redistribution: each move split along the producing
-  phase's loop axis and fused into that loop, so transfer overlaps the
-  remaining slabs' computation; the consuming ``await`` is sunk to
-  per-pencil granularity (the stage-2 shape);
-* ``planner`` redistribution: the moves are packed into bounded rounds by
-  :func:`~repro.core.collectives.planner.plan_bounded_redistribution`
-  under a ``max_temp_frac`` temp-memory budget, each round closed by its
-  ``await`` epilogue before the next round's sends (the memory-bounded
-  shape of the ``repro redist`` planner, here as a tuning knob).
+* ``bulk`` — the element-exact plan all at once after the producing
+  phase, the consumer guarded by hoisted per-slab ``await`` (stage 1);
+* ``pipelined`` — each move split along the producing loop's axis, the
+  sends at the end of that loop's body so transfer overlaps the remaining
+  slabs, the consuming ``await`` sunk per pencil (stage 2);
+* ``planner`` — the moves packed into rounds under a ``max_temp_frac``
+  temp-memory budget, each closed by its ``await`` epilogue (stage 3).
 
-Transfer statements that share a guard are emitted as one guarded block:
-every processor evaluates every top-level guard, so at P processors a
-flat per-move emission charges P × moves guard evaluations — enough to
-erase a repartitioning's win at n=16/P=16.  Grouping charges P × senders.
+The transfer statements come from :mod:`repro.core.redistgen`: in closed
+form in ``mypid`` whenever the plan has one, else one guarded block per
+processor under a ``//`` comment giving the reason.
 """
 
 from __future__ import annotations
@@ -47,7 +40,8 @@ from ..core.ir.nodes import (
     ArrayDecl, ArrayRef, Block, CallStmt, DoLoop, Full, Guarded, IfStmt,
     Program, Stmt,
 )
-from ..core.sections import Section, Triplet
+from ..core.ir.printer import print_program, print_stmt
+from ..core.redistgen import plan_transfers, schedule_transfers
 from ..distributions import (
     Distribution, ProcessorGrid, RedistributionPlan, plan_redistribution,
 )
@@ -60,7 +54,6 @@ __all__ = [
     "detect_phases",
     "edge_realization",
     "generate_phased_program",
-    "planner_redistribution_text",
 ]
 
 REALIZATIONS = ("bulk", "pipelined", "planner")
@@ -137,25 +130,6 @@ def detect_phases(program: Program) -> list[PhaseSpec]:
 # ---------------------------------------------------------------------- #
 
 
-def _sub_text(t: Triplet) -> str:
-    if t.size == 1:
-        return str(t.lo)
-    base = f"{t.lo}:{t.hi}"
-    return base if t.step == 1 else f"{base}:{t.step}"
-
-
-def _sec_text(var: str, sec: Section) -> str:
-    return f"{var}[{', '.join(_sub_text(t) for t in sec.dims)}]"
-
-
-def _decl_text(decl: ArrayDecl) -> str:
-    bounds = ",".join(f"{lo}:{hi}" for lo, hi in decl.bounds)
-    out = f"array {decl.name}[{bounds}] dist {decl.dist}"
-    if decl.segment_shape is not None:
-        out += f" seg ({','.join(map(str, decl.segment_shape))})"
-    return out + f" dtype {decl.dtype}"
-
-
 def _ref(var: str, rank: int, parts: dict[int, str]) -> str:
     subs = [parts.get(a, "*") for a in range(rank)]
     return f"{var}[{', '.join(subs)}]"
@@ -177,16 +151,15 @@ def _phase_loop(
     cand: LayoutCandidate,
     *,
     guard: str,
-    fused: Sequence[str] = (),
+    fused: Sequence[Stmt] = (),
 ) -> list[str]:
     """The compute loop of one phase under one layout.
 
     ``guard`` is ``"iown"`` (no incoming data), ``"await"`` (hoisted
-    per-slab wait) or ``"await-sunk"`` (per-pencil wait).  ``fused`` lines
-    are appended inside the outer loop body (pipelined sends).
+    per-slab wait) or ``"await-sunk"`` (per-pencil wait).  ``fused`` are
+    the next edge's pipelined sends, appended to the outer loop body.
     """
     rank = decl.rank
-    n = decl.shape
     d = _single_dist_axis(cand)
     if d == phase.axis:
         raise TuneError("phase axis cannot be distributed")
@@ -218,50 +191,7 @@ def _phase_loop(
             f"    enddo",
             f"  }}",
         ]
-    lines += [f"  {line}" for line in fused]
-    lines.append("enddo")
-    return lines
-
-
-def _emit_grouped(pairs: Sequence[tuple[str, str]]) -> list[str]:
-    """Render ``(guard, statement)`` pairs, merging consecutive runs that
-    share a guard into one guarded block.
-
-    Guards at statement level are evaluated by *every* processor, so a
-    run of k statements under the same guard costs P × k evaluations flat
-    but only P when grouped — the difference between a repartitioning
-    that beats the naive program and one that loses to it.
-    """
-    out: list[str] = []
-    i = 0
-    while i < len(pairs):
-        guard = pairs[i][0]
-        j = i
-        while j < len(pairs) and pairs[j][0] == guard:
-            j += 1
-        body = [p[1] for p in pairs[i:j]]
-        if len(body) == 1:
-            out.append(f"{guard} : {{ {body[0]} }}")
-        else:
-            out.append(f"{guard} : {{")
-            out.extend(f"  {b}" for b in body)
-            out.append("}")
-        i = j
-    return out
-
-
-def _dedup_moves(moves: Iterable) -> list:
-    """Sorted, deduplicated moves with degenerate self-sends dropped (a
-    processor messaging itself deadlocks; the data is already in place)."""
-    seen: set[tuple[int, int, str]] = set()
-    out = []
-    for m in sorted(moves, key=lambda m: (m.src, m.dst, str(m.section))):
-        key = (m.src, m.dst, str(m.section))
-        if m.src == m.dst or key in seen:
-            continue
-        seen.add(key)
-        out.append(m)
-    return out
+    return lines + [line for s in fused for line in print_stmt(s, 1)] + ["enddo"]
 
 
 def edge_realization(
@@ -290,76 +220,6 @@ def edge_realization(
     return "pipelined", src_axes[0]
 
 
-def _planner_rounds(
-    var: str,
-    current,
-    target,
-    plan,
-    decl: ArrayDecl,
-    *,
-    max_temp_frac: float,
-) -> list[str]:
-    """Bounded-round redistribution text: per round, grouped sends, then
-    grouped receives, then the ``await`` epilogue that closes the round —
-    receivers drain a round before the program order reaches the next
-    round's transfers, which is what bounds their temp memory."""
-    schedule = plan_bounded_redistribution(
-        current,
-        target,
-        max_temp_frac=max_temp_frac,
-        elem_bytes=np.dtype(decl.dtype).itemsize,
-        plan=plan,
-    )
-    lines: list[str] = []
-    for r, rnd in enumerate(schedule.rounds):
-        moves = _dedup_moves(rnd.moves)
-        if not moves:
-            continue
-        lines.append(
-            f"// redistribution round {r + 1}/{schedule.round_count} "
-            f"(peak temp {schedule.peak_temp_bytes} B "
-            f"of naive {schedule.naive_peak_bytes} B)"
-        )
-        lines += _emit_grouped([
-            (f"mypid == {m.src + 1}",
-             f"{_sec_text(var, m.section)} -=> {{{m.dst + 1}}}")
-            for m in moves
-        ])
-        recv_order = sorted(moves, key=lambda m: (m.dst, m.src, str(m.section)))
-        lines += _emit_grouped([
-            (f"mypid == {m.dst + 1}", f"{_sec_text(var, m.section)} <=-")
-            for m in recv_order
-        ])
-        lines += _emit_grouped([
-            (f"mypid == {m.dst + 1}", f"await({_sec_text(var, m.section)})")
-            for m in recv_order
-        ])
-    return lines
-
-
-def planner_redistribution_text(
-    var: str,
-    current,
-    target,
-    decl: ArrayDecl,
-    *,
-    max_temp_frac: float = 0.5,
-) -> str:
-    """IL text of a temp-memory-bounded redistribution ``current → target``.
-
-    The rounds come from the collective planner
-    (:func:`~repro.core.collectives.planner.plan_bounded_redistribution`);
-    each round is grouped sends, grouped receives, and an ``await``
-    epilogue fencing the round, so no receiver ever buffers more than the
-    planner's budget.  Used by applications (the section-4 FFT's bounded
-    repartition stage) as well as the tuner's ``planner`` realization.
-    """
-    plan = plan_redistribution(current, target)
-    return "\n".join(_planner_rounds(
-        var, current, target, plan, decl, max_temp_frac=max_temp_frac,
-    ))
-
-
 def generate_phased_program(
     program: Program,
     phases: Sequence[PhaseSpec],
@@ -373,10 +233,11 @@ def generate_phased_program(
 
     ``layouts[p]`` is the placement for ``phases[p]``; the initial
     placement is the declaration's.  Redistribution between differing
-    placements is planned element-exactly and emitted after the producing
-    phase (``bulk``), fused into it per outer slab (``pipelined``), or
-    packed into temp-memory-bounded rounds (``planner``, budgeted by
-    ``max_temp_frac`` of the largest per-processor footprint).
+    placements is planned element-exactly and emitted by
+    :mod:`repro.core.redistgen` after the producing phase (``bulk``),
+    fused into it per outer slab (``pipelined``), or packed into
+    temp-memory-bounded rounds (``planner``, budgeted by ``max_temp_frac``
+    of the largest per-processor footprint).
     """
     if realization not in REALIZATIONS:
         raise TuneError(
@@ -392,84 +253,55 @@ def generate_phased_program(
         raise TuneError(f"{decl.name} has no placement to tune")
     grid = ProcessorGrid((nprocs,))
     var = decl.name
+    dists = [build_segmentation(decl, grid).distribution] + [
+        candidate_segmentation(decl, cand, nprocs).distribution
+        for cand in layouts
+    ]
 
-    current = build_segmentation(decl, grid).distribution
-    out: list[str] = [_decl_text(decl), ""]
-    blocks: list[list[str]] = []
-    for idx, (phase, cand) in enumerate(zip(phases, layouts)):
-        target = candidate_segmentation(decl, cand, nprocs).distribution
+    # Per phase: the transfer text before its loop, its loop's guard, and
+    # the sends of the next edge when that edge is fused into the loop.
+    before: list[list[str]] = []
+    guards: list[str] = []
+    fused: list[tuple[Stmt, ...]] = [() for _ in phases]
+    for idx in range(len(phases)):
+        current, target = dists[idx], dists[idx + 1]
         plan = plan_redistribution(current, target)
-        guard = "iown"
         real, src_axis = edge_realization(
             realization, current, plan, first_edge=(idx == 0)
         )
-        if real is not None:
-            moves = _dedup_moves(plan.moves)
-            if real == "planner":
-                blocks.append(_planner_rounds(
-                    var, current, target, plan, decl,
-                    max_temp_frac=max_temp_frac,
-                ))
-                guard = "await"
-            elif real == "pipelined":
-                ov = _VARS[src_axis]
-                send_pairs: list[tuple[str, str]] = []
-                recv_pairs: list[tuple[str, str]] = []
-                frags = []
-                for m in moves:
-                    for coord in m.section.dims[src_axis]:
-                        frag = Section(tuple(
-                            Triplet(coord, coord, 1) if a == src_axis else t
-                            for a, t in enumerate(m.section.dims)
-                        ))
-                        frags.append((m.src, coord, m.dst, frag))
-                # Group sends by (source, loop coordinate): one fused
-                # guard per produced slab, fanning out to every consumer.
-                frags.sort(key=lambda f: (f[0], f[1], f[2], str(f[3])))
-                for src, coord, dst, frag in frags:
-                    send_pairs.append((
-                        f"mypid == {src + 1} and {ov} == {coord}",
-                        f"{_sec_text(var, frag)} -=> {{{dst + 1}}}",
-                    ))
-                for src, coord, dst, frag in sorted(
-                    frags, key=lambda f: (f[2], f[0], f[1], str(f[3]))
-                ):
-                    recv_pairs.append((
-                        f"mypid == {dst + 1}", f"{_sec_text(var, frag)} <=-"
-                    ))
-                blocks[-1] = _rebuild_with_fused(
-                    blocks[-1], _emit_grouped(send_pairs)
+        lines: list[str] = []
+        guard = "iown" if real is None else "await"
+        if real == "planner":
+            schedule = plan_bounded_redistribution(
+                current, target,
+                max_temp_frac=max_temp_frac,
+                elem_bytes=np.dtype(decl.dtype).itemsize,
+                plan=plan,
+            )
+            for r, t in enumerate(schedule_transfers(var, schedule), 1):
+                lines.append(
+                    f"// redistribution round {r}/{schedule.round_count} "
+                    f"(peak temp {schedule.peak_temp_bytes} B "
+                    f"of naive {schedule.naive_peak_bytes} B)"
                 )
-                blocks.append(_emit_grouped(recv_pairs))
-                guard = "await-sunk"
-            else:
-                blocks.append(_emit_grouped([
-                    (f"mypid == {m.src + 1}",
-                     f"{_sec_text(var, m.section)} -=> {{{m.dst + 1}}}")
-                    for m in moves
-                ]))
-                blocks.append(_emit_grouped([
-                    (f"mypid == {m.dst + 1}",
-                     f"{_sec_text(var, m.section)} <=-")
-                    for m in sorted(
-                        moves, key=lambda m: (m.dst, m.src, str(m.section))
-                    )
-                ]))
-                guard = "await"
-        comment = f"// phase {idx + 1}: {phase.kernel} along axis " \
-                  f"{phase.axis + 1} under {cand.dist}"
-        blocks.append([comment] + _phase_loop(decl, phase, cand, guard=guard))
-        current = target
+                lines += t.text()
+        elif real == "pipelined":
+            t = plan_transfers(var, plan, fuse=(src_axis, _VARS[src_axis]))
+            fused[idx - 1] = t.sends
+            lines = t.text(t.recvs)
+            guard = "await-sunk"
+        elif real == "bulk":
+            lines = plan_transfers(var, plan).text()
+        before.append(lines)
+        guards.append(guard)
 
-    for b in blocks:
-        out.extend(b)
+    out = [print_program(Program((decl,), Block())).rstrip("\n"), ""]
+    for idx, (phase, cand) in enumerate(zip(phases, layouts)):
+        if before[idx]:
+            out += before[idx] + [""]
+        out.append(f"// phase {idx + 1}: {phase.kernel} along axis "
+                   f"{phase.axis + 1} under {cand.dist}")
+        out += _phase_loop(decl, phase, cand, guard=guards[idx],
+                           fused=fused[idx])
         out.append("")
     return "\n".join(out)
-
-
-def _rebuild_with_fused(loop_lines: list[str], fused: list[str]) -> list[str]:
-    """Insert fused send lines just before the closing ``enddo`` of the
-    previous phase's outer loop."""
-    if not loop_lines or loop_lines[-1] != "enddo":
-        raise TuneError("cannot fuse sends: previous phase has no outer loop")
-    return loop_lines[:-1] + [f"  {line}" for line in fused] + ["enddo"]

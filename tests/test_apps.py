@@ -12,9 +12,15 @@ from repro.apps import (
     run_monitor,
     run_workqueue,
 )
+from repro.apps.fft3d import STAGES
+from repro.core.analysis.verify_comm import verify_communication
+from repro.core.codegen import lower
 from repro.core.ir.parser import parse_program
 from repro.core.ir.verify import verify_program
+from repro.core.opt.passmanager import optimize
 from repro.machine import MachineModel
+
+from .fft_goldens import hand_run
 
 FAST = MachineModel(o_send=1, o_recv=1, alpha=10, per_byte=0.0)
 
@@ -46,12 +52,37 @@ class TestFFT3D:
         assert s1.makespan < s0.makespan
 
     def test_stage2_improves_mean_finish_under_latency(self):
+        # The paper's claim, on the hand listings (the generated stages 1
+        # and 2 at n != P are the tuner's realizations).
         m = MachineModel(alpha=2000, per_byte=5.0, o_send=50, o_recv=50)
-        s1 = run_fft3d(16, 4, 1, model=m)
-        s2 = run_fft3d(16, 4, 2, model=m)
-        mean1 = np.mean([p.finish_time for p in s1.stats.procs])
-        mean2 = np.mean([p.finish_time for p in s2.stats.procs])
+        s1 = hand_run(16, 4, 1, model=m)
+        s2 = hand_run(16, 4, 2, model=m)
+        mean1 = np.mean([p.finish_time for p in s1.procs])
+        mean2 = np.mean([p.finish_time for p in s2.procs])
         assert mean2 < mean1
+
+    @pytest.mark.parametrize("n,P", [(8, 4), (16, 4)])
+    def test_generated_stages_clean_and_equal_at_O0_and_O2(self, n, P):
+        rng = np.random.default_rng(7)
+        a0 = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+        for stage in STAGES:
+            for level in (0, 2):
+                prog = optimize(parse_program(fft3d_source(n, P, stage)), P,
+                                level=level).program
+                assert verify_communication(prog, P).clean, (stage, level)
+                vm = lower(prog, P)
+                vm.write_global("A", a0)
+                vm.run()
+                np.testing.assert_allclose(
+                    vm.read_global("A"), np.fft.fftn(a0), atol=1e-9 * n**3)
+
+    def test_generated_stages_send_the_plan_moves(self):
+        # Stage 1 sends one message per processor pair (the plan's moves),
+        # stage 2 one per plane fragment; the hand listings split stage 1
+        # per plane as well.
+        assert run_fft3d(8, 4, 1).messages == 12
+        assert run_fft3d(8, 4, 2).messages == 24
+        assert hand_run(8, 4, 1).total_messages == 24
 
     def test_sources_verify(self):
         for n, P in [(4, 4), (8, 4)]:
@@ -63,6 +94,10 @@ class TestFFT3D:
             fft3d_source(7, 4, 0)
         with pytest.raises(ValueError):
             fft3d_source(8, 4, 9)
+        with pytest.raises(ValueError, match="must be positive"):
+            fft3d_source(0, 4, 2)
+        with pytest.raises(ValueError, match="must be positive"):
+            fft3d_source(4, 0, 2)
 
 
 class TestFFT3DStage3:

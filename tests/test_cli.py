@@ -178,6 +178,17 @@ class TestFFT:
         out = capsys.readouterr().out
         assert "correct=True" in out
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--n", "7", "--nprocs", "4"], "n (7) must be a multiple of nprocs (4)"),
+        (["--n", "0"], "n (0) and nprocs (4) must be positive"),
+        (["--n", "7", "--print-source"], "n (7) must be a multiple of nprocs (4)"),
+    ])
+    def test_fft_bad_sizes_are_a_message_and_exit_2(self, argv, message, capsys):
+        assert main(["fft", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"repro fft: {message}\n"
+        assert "Traceback" not in out + err
+
     def test_fft_print_source(self, capsys):
         assert main(["fft", "--print-source", "--stage", "0"]) == 0
         out = capsys.readouterr().out
@@ -297,10 +308,24 @@ class TestRedist:
         assert data["peak_temp_bytes"] / data["naive_peak_bytes"] <= 0.5
 
     def test_redist_rejects_bad_frac(self, capsys):
-        from repro.core.errors import DistributionError
+        assert main(["redist", "--max-temp-frac", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "repro redist: max_temp_frac must be in (0, 1], got 0.0\n")
 
-        with pytest.raises(DistributionError):
-            main(["redist", "--max-temp-frac", "0"])
+    @pytest.mark.parametrize("argv,message", [
+        (["--shape", "8,x"], "--shape '8,x' is not a comma-separated list "
+                             "of positive extents"),
+        (["--shape", "0,8"], "--shape '0,8' is not a comma-separated list "
+                             "of positive extents"),
+        (["--from", "BOGUS"], "distribution spec 'BOGUS' must be parenthesised"),
+        (["--to", "(*, FOO, *)"], "unknown distribution spec 'FOO'"),
+        (["--nprocs", "0"], "invalid grid shape (0,)"),
+    ])
+    def test_redist_bad_input_is_a_message_and_exit_2(self, argv, message, capsys):
+        assert main(["redist", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"repro redist: {message}\n"
+        assert "Traceback" not in out + err
 
 
 class TestServe:

@@ -16,6 +16,7 @@ from repro.apps.fft3d import fft3d_source, run_fft3d
 from repro.core.codegen import lower
 from repro.core.codegen.lower import INTRINSIC_FLOPS
 from repro.core.ir.parser import parse_program
+from repro.core.ir.printer import print_program
 from repro.distributions import plan_redistribution
 from repro.machine.engine import HEADER_BYTES
 from repro.machine.model import MachineModel
@@ -33,6 +34,8 @@ from repro.tune import (
     tune,
 )
 from repro.tune.rewrite import TuneError
+
+from .fft_goldens import hand_run
 
 N, P = 8, 4
 PAPER_LAYOUTS = [
@@ -54,7 +57,10 @@ def tuned(naive_src):
 
 @pytest.fixture(scope="module")
 def hand_makespans():
-    return {s: run_fft3d(N, P, s).makespan for s in (0, 1, 2)}
+    """Stage 0 is the tuner's input; stages 1 and 2 are the hand listings
+    (``tests/fft_goldens.py``), not the tuner's own realizations."""
+    return {0: run_fft3d(N, P, 0).makespan,
+            **{s: hand_run(N, P, s).makespan for s in (1, 2)}}
 
 
 class TestHeadline:
@@ -212,6 +218,53 @@ class TestRewrite:
         assert np.allclose(
             runner.read_global("A"), np.fft.fftn(a0), atol=1e-9 * N**3
         )
+
+    @staticmethod
+    def _section4_program(kind, n, p, realization):
+        """The section-4 placements, all BLOCK or all CYCLIC, printed back
+        from a parse with the layout name blanked out."""
+        specs = [s.replace("BLOCK", kind) for s in
+                 ("(*, *, BLOCK)", "(*, *, BLOCK)", "(*, BLOCK, *)")]
+        program = parse_program(
+            fft3d_source(n, p, 0).replace("(*, *, BLOCK)", specs[0]))
+        src = generate_phased_program(
+            program, detect_phases(program),
+            [LayoutCandidate(s) for s in specs], p, realization=realization,
+        )
+        assert "redistgen:" not in src and "mypid ==" not in src
+        return print_program(parse_program(src)).replace(kind, "X")
+
+    @pytest.mark.parametrize("realization", ["bulk", "pipelined"])
+    @pytest.mark.parametrize("kind", ["BLOCK", "CYCLIC"])
+    def test_program_size_is_independent_of_n_and_p(self, kind, realization):
+        # Transfers come out in closed form in mypid — no per-processor
+        # guard, no fallback note — so the text does not grow with n or P.
+        sizes = {
+            (n, p): self._section4_program(kind, n, p, realization).count("\n")
+            for n, p in [(8, 4), (16, 4), (32, 16)]
+        }
+        assert len(set(sizes.values())) == 1, sizes
+        # At n == P, CYCLIC is BLOCK, and emits BLOCK's program (whose
+        # pipelined receives walk the other slabs without a source loop).
+        at_p = self._section4_program(kind, 16, 16, realization)
+        assert at_p == self._section4_program("BLOCK", 16, 16, realization)
+        if kind == "BLOCK":
+            assert at_p.count("\n") == sizes[8, 4]
+
+    def test_fallback_is_reported(self, naive_src):
+        # BLOCK -> CYCLIC along one axis at n=8, P=4 moves planes between
+        # 6 of the 12 processor pairs: no closed form, and the program
+        # says so where the guards are.
+        program = parse_program(naive_src)
+        src = generate_phased_program(
+            program, detect_phases(program),
+            [LayoutCandidate("(*, *, CYCLIC)")] * 2
+            + [LayoutCandidate("(*, CYCLIC, *)")], P,
+        )
+        note = ("// redistgen: one guarded block per processor "
+                "(moves pair 6 of the 12 ordered processor pairs)")
+        assert src.count(note) == 1
+        assert src.index(note) < src.index("mypid == 1 : {")
 
     def test_rejects_non_pencil_programs(self):
         src = """array A[1:4,1:4] dist (BLOCK, *) seg (1,4)

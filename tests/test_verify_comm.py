@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,10 @@ from repro.core.analysis.verify_comm import (
 from repro.core.ir.parser import parse_program
 from repro.core.opt.passmanager import optimize
 from repro.core.translate import translate
+
+
+DATA = Path(__file__).resolve().parent / "data"
+BENCH_PROGRAMS = DATA.parent.parent / "benchmarks" / "e2e" / "programs"
 
 
 def verify(src: str, nprocs: int = 4, **kw) -> CommReport:
@@ -367,27 +372,25 @@ enddo
 # --------------------------------------------------------------------- #
 
 
+#: The pinned programs, frozen: eight are the benchmark's compiled
+#: programs, the ninth the FFT stage 3 (n=16, P=16) as generated when the
+#: digests were recorded.  name -> (file, nprocs).
+PINNED_FILES = {
+    **{f"matmul-{v}": (f"{BENCH_PROGRAMS}/matmul_{v}.xdp", 16)
+       for v in ("cannon", "gather", "outer", "summa")},
+    "jacobi-halo-overlap": (f"{BENCH_PROGRAMS}/jacobi_halo.xdp", 16),
+    "fft3d-s0": (f"{BENCH_PROGRAMS}/fft3d_own_s0.xdp", 16),
+    "fft3d-s2": (f"{BENCH_PROGRAMS}/fft3d_own_s2.xdp", 16),
+    "fft3d-s3": (f"{DATA}/fft3d_s3_n16_p16.xdp", 16),
+    "fft3d-cyclic": (f"{BENCH_PROGRAMS}/fft3d_cyclic.xdp", 4),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def _pinned_programs() -> dict[str, tuple[str, int]]:
-    """The benchmark's compiled programs, from the app generators at the
-    benchmark's sizes (plus FFT stage 3): name -> (IL text, nprocs)."""
-    from repro.apps.fft3d import fft3d_source
-    from repro.apps.jacobi import jacobi_source
-    from repro.apps.matmul import VARIANTS, matmul_source
-    from repro.core.ir.printer import print_program
-    from repro.tune import LayoutCandidate, detect_phases, generate_phased_program
-
-    out = {f"matmul-{v}": (matmul_source(64, 16, v), 16) for v in VARIANTS}
-    out["jacobi-halo-overlap"] = (
-        print_program(jacobi_source(1024, 16, 8, "halo-overlap")), 16)
-    for stage in (0, 2, 3):
-        out[f"fft3d-s{stage}"] = (fft3d_source(16, 16, stage), 16)
-    base = parse_program(fft3d_source(16, 4, 0))
-    layouts = [LayoutCandidate(s) for s in
-               ("(*, *, CYCLIC)", "(*, *, CYCLIC)", "(*, CYCLIC, *)")]
-    out["fft3d-cyclic"] = (generate_phased_program(
-        base, detect_phases(base), layouts, 4, realization="bulk"), 4)
-    return out
+    """name -> (IL text, nprocs) of every pinned program."""
+    return {name: (Path(path).read_text(), nprocs)
+            for name, (path, nprocs) in PINNED_FILES.items()}
 
 
 def _mutant(text: str) -> tuple[str, str]:
@@ -475,6 +478,38 @@ class TestReportIdentity:
                 continue  # the cheap ones; digests cover the rest
             assert verify(text, nprocs).clean, name
             assert not verify(_mutant(text)[1], nprocs).ok, name
+
+
+def _generated(case) -> tuple[str, int]:
+    from repro.apps.fft3d import fft3d_source
+    from repro.tune import LayoutCandidate, detect_phases, generate_phased_program
+
+    kind, *args = case
+    if kind == "fft3d":
+        n, nprocs, stage = args
+        return fft3d_source(n, nprocs, stage), nprocs
+    base = parse_program(fft3d_source(16, 4, 0))
+    layouts = [LayoutCandidate(s) for s in
+               ("(*, *, CYCLIC)", "(*, *, CYCLIC)", "(*, CYCLIC, *)")]
+    return generate_phased_program(
+        base, detect_phases(base), layouts, 4, realization=args[0]), 4
+
+
+class TestGeneratedPrograms:
+    """What the generators emit today (closed-form transfers) is clean,
+    and losing its first receive is caught."""
+
+    @pytest.mark.parametrize("case", [
+        *(("fft3d", n, p, stage) for n, p in ((8, 4), (16, 16))
+          for stage in range(4)),
+        *(("cyclic", real) for real in ("bulk", "pipelined", "planner")),
+    ], ids=str)
+    def test_clean_and_no_recv_mutant_rejected(self, case):
+        text, nprocs = _generated(case)
+        assert verify(text, nprocs).clean
+        tag, mutant = _mutant(text)
+        assert tag == "no-recv"
+        assert not verify(mutant, nprocs).ok
 
 
 # --------------------------------------------------------------------- #
