@@ -4,9 +4,10 @@ XDP's premise is that explicit data placement lets the *compiler* reason
 about movement — yet a mismatched ``->``/``<-`` pair, a read of
 TRANSITIONAL data or an ownership-transfer race is only caught at run time
 by the engine.  :func:`verify_communication` closes that gap: it runs every
-processor through an *abstract* machine — the lowered VM of
-:mod:`repro.core.codegen.lower` with data values erased and virtual time
-removed — and reports, with IL locations and severities:
+processor through an *abstract* machine — a walker of its own over the IL
+tree, separate from the lowered VM of :mod:`repro.core.codegen.lower`, with
+data values erased and virtual time removed — and reports, with IL
+locations and severities:
 
 * **tag / cardinality mismatches** — a receive whose destination section
   size differs from its message tag's, sends that no receive ever claims,
@@ -279,7 +280,8 @@ class _CollWait:
 
 
 class _AProc:
-    __slots__ = ("pid1", "gen", "wait", "done", "doomed", "scalars", "stack")
+    __slots__ = ("pid1", "gen", "wait", "done", "doomed", "scalars", "stack",
+                 "decided")
 
     def __init__(self, pid1, gen):
         self.pid1 = pid1
@@ -289,6 +291,7 @@ class _AProc:
         self.doomed = False
         self.scalars: dict = {}
         self.stack: list[Stmt] = []   # enclosing guards/branches/loops
+        self.decided: dict[int, object] = {}  # id(condition) -> _decided()
 
 
 class _RuleUnowned(Exception):
@@ -303,6 +306,73 @@ class _Budget(Exception):
     """Abstract step budget exhausted."""
 
 
+def _drain(gen):
+    """The value of an evaluation generator that never yields."""
+    try:
+        next(gen)
+    except StopIteration as done:
+        return done.value
+    raise AssertionError("evaluation yielded")  # pragma: no cover
+
+
+def _element_refs(loop: DoLoop):
+    """→ (every array reference in ``loop``'s body, the scalars other than
+    the loop variable it reads), or None unless the body is only array
+    assignments and kernel calls over scalars and constants whose
+    subscripts are ``*``, loop-invariant, or ``v ± c`` / ``c ± v`` with
+    ``c`` loop-invariant."""
+    var = loop.var
+    refs: list[ArrayRef] = []
+    names: set[str] = set()
+
+    def invariant(e: Expr) -> bool:
+        for x in walk_exprs(e):
+            if isinstance(x, VarRef) and x.name != var:
+                names.add(x.name)
+            elif not isinstance(x, _PID_ONLY):
+                return False
+        return True
+
+    def subscript_ok(sub) -> bool:
+        match sub:
+            case Full():
+                return True
+            case Index(VarRef(name)) if name == var:
+                return True
+            case Index(BinOp("+" | "-", VarRef(name), c)) if name == var:
+                return invariant(c)
+            case Index(BinOp("+" | "-", c, VarRef(name))) if name == var:
+                return invariant(c)
+            case Index(e):
+                return invariant(e)
+        return False
+
+    def expr_ok(e: Expr) -> bool:
+        for x in walk_exprs(e):
+            if isinstance(x, ArrayRef):
+                if not all(map(subscript_ok, x.subs)):
+                    return False
+                refs.append(x)
+            elif isinstance(x, VarRef):
+                if x.name != var:
+                    names.add(x.name)
+            elif not isinstance(x, _PID_ONLY):
+                return False
+        return True
+
+    for s in loop.body:
+        match s:
+            case Assign(ArrayRef() as target, expr):
+                operands = (target, expr)
+            case CallStmt(_, args):
+                operands = args
+            case _:
+                return None
+        if not all(map(expr_ok, operands)):
+            return None
+    return refs, names
+
+
 def _head(node: Stmt | Expr, limit: int = 64) -> str:
     stmt = node if isinstance(node, Stmt) else ExprStmt(node)
     text = print_stmt(stmt, 0)[0].strip()
@@ -311,6 +381,10 @@ def _head(node: Stmt | Expr, limit: int = 64) -> str:
 
 #: Expression nodes whose value depends on table state, not scalars alone.
 _TABLE_READS = (ArrayRef, Iown, Accessible, Await, Mylb, Myub)
+#: Expression nodes whose value is fixed per processor: no scalar (it may
+#: change), no table state.
+_PID_ONLY = (IntConst, FloatConst, BoolConst, MaxIntConst, MinIntConst,
+             Mypid, NumProcs, UnaryOp, BinOp)
 #: Scalar value types an environment key may hold (None: no binding).
 _KEYABLE = frozenset({int, type(None)})
 
@@ -372,6 +446,8 @@ class _Machine:
         self._sections: dict[tuple, Section] = {}  # _env key -> resolution
         self._interned: dict[Section, Section] = {}
         self._coll_maps: dict[tuple, tuple] = {}  # rendezvous -> chunk map
+        self._loop_shapes: dict[int, tuple] = {}  # id(DoLoop) -> _element_refs
+        self._pid_only: dict[int, tuple] = {}     # id(condition) -> pid-only?
 
     # -------------------------------------------------------------- #
     # findings
@@ -591,14 +667,20 @@ class _Machine:
             raise _Budget()
 
     def _exec_block(self, block: Block, p: _AProc):
+        decided = p.decided
         for stmt in block:
+            if type(stmt) is Guarded and decided.get(id(stmt.rule)) is False:
+                self._tick()  # another processor's block: one event, no walk
+                continue
             yield from self._exec(stmt, p)
 
     def _exec(self, stmt: Stmt, p: _AProc):
         self._tick()
         match stmt:
             case Guarded(rule, body):
-                ok = yield from self._eval_rule(rule, p, stmt)
+                ok = self._decided(rule, p)
+                if ok is None:
+                    ok = yield from self._eval_rule(rule, p, stmt)
                 if ok is _UNKNOWN:
                     self.flag(
                         "warning", "data-dependent-rule",
@@ -621,7 +703,9 @@ class _Machine:
             case DoLoop():
                 yield from self._exec_loop(stmt, p)
             case IfStmt(cond, then, orelse):
-                c = yield from self._eval(cond, p, rule=False)
+                c = self._decided(cond, p)
+                if c is None:
+                    c = yield from self._eval(cond, p, rule=False)
                 if c is _UNKNOWN:
                     self.flag(
                         "warning", "data-dependent-branch",
@@ -658,19 +742,107 @@ class _Machine:
             )
             self.waive_block(stmt.body)
             return
+        # The VM truncates all three bounds.
+        lo, hi, step = int(lo), int(hi), int(step)
         if step == 0:
             self.flag("error", "zero-step", "do-loop step of 0",
                       self.loc(p, stmt), p.pid1)
             return
+        if self._footprint(stmt, p, lo, hi, step):
+            return
         p.stack.append(stmt)
         try:
-            i = int(lo)
+            i = lo
             while (i <= hi) if step > 0 else (i >= hi):
                 p.scalars[stmt.var] = i
                 yield from self._exec_block(stmt.body, p)
-                i += int(step)
+                i += step
         finally:
             p.stack.pop()
+
+    def _footprint(self, loop: DoLoop, p: _AProc, lo: int, hi: int,
+                   step: int) -> bool:
+        """Check an element loop by the sections its iterations span.
+
+        For a body of array assignments and kernel calls (:func:`_element_refs`)
+        no iteration changes a table, and each iteration's section of a
+        reference lies inside the reference's span over the whole index
+        set.  So when every span is ACCESSIBLE (or universal) no iteration
+        can raise a finding: count the events the walk would, leave the loop
+        variable at its last value, and return True.  False — walk the
+        iterations — when any span is not, or the budget would run out
+        inside the loop."""
+        trip = (hi - lo) // step + 1
+        if trip <= 0 or self.events + trip * len(loop.body) > self.max_events:
+            return False
+        if id(loop) not in self._loop_shapes:
+            # ``loop`` is held so its id() stays unique.
+            self._loop_shapes[id(loop)] = (_element_refs(loop), loop)
+        shape = self._loop_shapes[id(loop)][0]
+        if shape is None:
+            return False
+        refs, names = shape
+        if not all(name in p.scalars for name in names):
+            return False
+        last = lo + (trip - 1) * step
+        for ref in refs:
+            decl = self.decls.get(ref.var)
+            if not isinstance(decl, ArrayDecl) or len(ref.subs) != decl.rank:
+                return False
+            sec = self._span(ref, decl, loop.var, (lo, last, abs(step)), p)
+            if sec is None:
+                return False
+            if not decl.universal and (self.state_of(p.pid1, ref.var, sec)
+                                       is not SegmentState.ACCESSIBLE):
+                return False
+        self.events += trip * len(loop.body)
+        p.scalars[loop.var] = last
+        return True
+
+    def _span(self, ref: ArrayRef, decl: ArrayDecl, var: str, index: tuple,
+              p: _AProc) -> Section | None:
+        """The section ``ref`` touches while ``var`` runs over ``index`` =
+        (first, last, |step|): each subscript is evaluated at both ends
+        (binding ``var``, which the loop rebinds before any use).  None when
+        a subscript is not an int."""
+        first, last, step = index
+        dims: list[Triplet] = []
+        for sub, (lo_b, hi_b) in zip(ref.subs, decl.bounds):
+            if isinstance(sub, Full):
+                dims.append(Triplet(lo_b, hi_b, 1))
+                continue
+            ends = []
+            for v in (first, last):
+                p.scalars[var] = v
+                ends.append(self._int_value(sub.expr, p))
+            if None in ends:
+                return None
+            dims.append(Triplet(min(ends), max(ends), step))
+        return Section(tuple(dims))
+
+    def _int_value(self, e: Expr, p: _AProc) -> int | None:
+        """The value of a scalar expression that cannot yield or flag (its
+        scalars are bound), when it is an int."""
+        v = _drain(self._eval(e, p, rule=False))
+        return v if type(v) is int else None
+
+    def _decided(self, cond: Expr, p: _AProc):
+        """``cond``'s value on ``p`` (a bool or ⊤) when it reads only
+        ``mypid``, ``nprocs`` and constants; None — evaluate it — otherwise.
+        Nothing such a condition reads changes during a run and evaluating
+        it raises no finding, so it is evaluated once per (condition,
+        processor)."""
+        key = id(cond)
+        if key not in p.decided:
+            if key not in self._pid_only:
+                self._pid_only[key] = (
+                    all(isinstance(e, _PID_ONLY) for e in walk_exprs(cond)), cond)
+            v = None
+            if self._pid_only[key][0]:
+                v = _drain(self._eval(cond, p, rule=False))
+                v = v if v is _UNKNOWN else bool(v)
+            p.decided[key] = v
+        return p.decided[key]
 
     def _exec_assign(self, target, expr, p: _AProc, stmt: Stmt):
         value = yield from self._eval(expr, p, rule=False)

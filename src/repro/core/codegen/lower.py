@@ -127,11 +127,15 @@ class _Exec:
 class _Branch:
     """Jump to ``target`` when the rule closure evaluates false, and to
     ``unowned`` when it reads an unowned section (the false exit of the
-    whole rule, section 2.4)."""
+    whole rule, section 2.4).  Only a rule that ``observes`` table state
+    flushes the pending flops first, so that it reads the table at the
+    right virtual time; a rule over scalars, ``mypid`` and constants
+    takes no scheduler step."""
 
     rule: Callable[[_VMEnv], bool]
     target: int
     unowned: int
+    observes: bool
 
 
 @dataclass
@@ -345,7 +349,7 @@ class CompiledProgram:
                     ins.fn(env)
                     pc += 1
                 elif tp is _Branch:
-                    if env.flops:
+                    if ins.observes and env.flops:
                         yield Compute(float(env.flops), flops=env.flops)
                         env.flops = 0
                     try:
@@ -489,8 +493,9 @@ def _run_collective(ins: _CollI, env: _VMEnv) -> Generator[Effect, Any, None]:
 # ---------------------------------------------------------------------- #
 
 
-def _compile_expr_static(e: Expr) -> Callable[[_VMEnv], Any]:
-    """Compile an expression that contains no ``await`` to a closure."""
+def _compile_expr_static(e: Expr, lw: "_Lowerer") -> Callable[[_VMEnv], Any]:
+    """Compile an expression that contains no ``await`` to a closure;
+    ``lw`` is the lowerer whose declarations the references name."""
     match e:
         case IntConst(v) | FloatConst(v) | BoolConst(v):
             return lambda env: v
@@ -510,39 +515,39 @@ def _compile_expr_static(e: Expr) -> Callable[[_VMEnv], Any]:
                     raise XDPError(f"undefined scalar {name!r} on P{env.pid1}") from None
             return var_read
         case UnaryOp(op, operand):
-            inner = _compile_expr_static(operand)
+            inner = _compile_expr_static(operand, lw)
             if op == "not":
                 return lambda env: (env.__setattr__("flops", env.flops + 1), not inner(env))[1]
             return lambda env: (env.__setattr__("flops", env.flops + 1), -inner(env))[1]
         case BinOp(op, lhs, rhs):
-            return _compile_binop(op, lhs, rhs)
+            return _compile_binop(op, lhs, rhs, lw)
         case ArrayRef():
-            return _compile_array_read(e)
+            return _compile_array_read(e, lw)
         case Iown(ref):
-            sec_fn = _compile_section(ref)
+            sec_fn = _compile_section(ref, lw)
             var = ref.var
             def iown_fn(env, var=var, sec_fn=sec_fn):
                 env.flops += INTRINSIC_FLOPS
                 return env.ctx.symtab.iown(var, sec_fn(env))
             return iown_fn
         case Accessible(ref):
-            sec_fn = _compile_section(ref)
+            sec_fn = _compile_section(ref, lw)
             var = ref.var
             def acc_fn(env, var=var, sec_fn=sec_fn):
                 env.flops += INTRINSIC_FLOPS
                 return env.ctx.symtab.accessible(var, sec_fn(env))
             return acc_fn
         case Mylb(ref, dim):
-            sec_fn = _compile_section(ref)
-            dim_fn = _compile_expr_static(dim)
+            sec_fn = _compile_section(ref, lw)
+            dim_fn = _compile_expr_static(dim, lw)
             var = ref.var
             def mylb_fn(env, var=var, sec_fn=sec_fn, dim_fn=dim_fn):
                 env.flops += INTRINSIC_FLOPS
                 return env.ctx.symtab.mylb(var, int(dim_fn(env)), sec_fn(env))
             return mylb_fn
         case Myub(ref, dim):
-            sec_fn = _compile_section(ref)
-            dim_fn = _compile_expr_static(dim)
+            sec_fn = _compile_section(ref, lw)
+            dim_fn = _compile_expr_static(dim, lw)
             var = ref.var
             def myub_fn(env, var=var, sec_fn=sec_fn, dim_fn=dim_fn):
                 env.flops += INTRINSIC_FLOPS
@@ -558,9 +563,9 @@ def _compile_expr_static(e: Expr) -> Callable[[_VMEnv], Any]:
             raise CompilationError(f"cannot lower expression {e!r}")
 
 
-def _compile_binop(op: str, lhs: Expr, rhs: Expr) -> Callable[[_VMEnv], Any]:
-    l_fn = _compile_expr_static(lhs)
-    r_fn = _compile_expr_static(rhs)
+def _compile_binop(op: str, lhs: Expr, rhs: Expr, lw: "_Lowerer") -> Callable[[_VMEnv], Any]:
+    l_fn = _compile_expr_static(lhs, lw)
+    r_fn = _compile_expr_static(rhs, lw)
     if op == "and":
         return lambda env: bool(l_fn(env)) and bool(r_fn(env))
     if op == "or":
@@ -606,19 +611,19 @@ def _pair_size(l: Any, r: Any) -> int:
     return size
 
 
-def _compile_subscript(sub, bounds: tuple[int, int]):
+def _compile_subscript(sub, bounds: tuple[int, int], lw: "_Lowerer"):
     lo_b, hi_b = bounds
     match sub:
         case Full():
             t = Triplet(lo_b, hi_b, 1)
             return lambda env: t
         case Index(expr):
-            fn = _compile_expr_static(expr)
+            fn = _compile_expr_static(expr, lw)
             return lambda env: (lambda v: Triplet(v, v, 1))(int(fn(env)))
         case Range(lo, hi, step):
-            lo_fn = _compile_expr_static(lo) if lo is not None else None
-            hi_fn = _compile_expr_static(hi) if hi is not None else None
-            st_fn = _compile_expr_static(step) if step is not None else None
+            lo_fn = _compile_expr_static(lo, lw) if lo is not None else None
+            hi_fn = _compile_expr_static(hi, lw) if hi is not None else None
+            st_fn = _compile_expr_static(step, lw) if step is not None else None
             def run(env):
                 return Triplet(
                     lo_b if lo_fn is None else int(lo_fn(env)),
@@ -629,23 +634,23 @@ def _compile_subscript(sub, bounds: tuple[int, int]):
     raise CompilationError(f"cannot lower subscript {sub!r}")
 
 
-def _compile_section(ref: ArrayRef) -> Callable[[_VMEnv], Section]:
-    decl = _CURRENT_LOWERER.decl(ref.var)
+def _compile_section(ref: ArrayRef, lw: "_Lowerer") -> Callable[[_VMEnv], Section]:
+    decl = lw.decl(ref.var)
     if len(ref.subs) != decl.rank:
         raise CompilationError(
             f"{ref.var} has rank {decl.rank}, reference has {len(ref.subs)} subscripts"
         )
     sub_fns = [
-        _compile_subscript(s, b) for s, b in zip(ref.subs, decl.bounds)
+        _compile_subscript(s, b, lw) for s, b in zip(ref.subs, decl.bounds)
     ]
     def run(env):
         return Section(tuple(fn(env) for fn in sub_fns))
     return run
 
 
-def _compile_array_read(ref: ArrayRef) -> Callable[[_VMEnv], Any]:
-    decl = _CURRENT_LOWERER.decl(ref.var)
-    sec_fn = _compile_section(ref)
+def _compile_array_read(ref: ArrayRef, lw: "_Lowerer") -> Callable[[_VMEnv], Any]:
+    decl = lw.decl(ref.var)
+    sec_fn = _compile_section(ref, lw)
     name = ref.var
     elementwise = ref.is_element()
     if decl.universal:
@@ -672,9 +677,6 @@ def _compile_array_read(ref: ArrayRef) -> Callable[[_VMEnv], Any]:
 # statement lowering
 # ---------------------------------------------------------------------- #
 
-_CURRENT_LOWERER: "_Lowerer" = None  # type: ignore[assignment]
-
-
 class _Lowerer:
     def __init__(self, compiled: CompiledProgram):
         self.compiled = compiled
@@ -684,29 +686,21 @@ class _Lowerer:
         #: an initializer sees only the scalars declared before it.
         self.scalar_inits: list[tuple[str, Callable[[_VMEnv], Any]]] = []
         self._loop_counter = 0
+        # name -> its first declaration, array or scalar.
+        self._decls = {d.name: d for d in reversed(self.program.decls)}
 
     def decl(self, name: str) -> ArrayDecl:
-        d = None
-        for cand in self.program.decls:
-            if cand.name == name:
-                d = cand
-                break
-        if d is None or not isinstance(d, ArrayDecl):
+        d = self._decls.get(name)
+        if not isinstance(d, ArrayDecl):
             raise CompilationError(f"{name!r} is not a declared array")
         return d
 
     def lower_body(self) -> list[_Instr]:
-        global _CURRENT_LOWERER
-        prev = _CURRENT_LOWERER
-        _CURRENT_LOWERER = self
-        try:
-            for d in self.program.scalar_decls():
-                init = IntConst(0) if d.init is None else d.init
-                self.scalar_inits.append((d.name, _compile_expr_static(init)))
-            for s in self.program.body:
-                self.lower_stmt(s)
-        finally:
-            _CURRENT_LOWERER = prev
+        for d in self.program.scalar_decls():
+            init = IntConst(0) if d.init is None else d.init
+            self.scalar_inits.append((d.name, _compile_expr_static(init, self)))
+        for s in self.program.body:
+            self.lower_stmt(s)
         return self.code
 
     # -- helpers -------------------------------------------------------- #
@@ -730,14 +724,17 @@ class _Lowerer:
         swaps the targets."""
         match e:
             case Await(ref):
-                at = self._emit(_Wait(ref.var, _compile_section(ref),
+                at = self._emit(_Wait(ref.var, _compile_section(ref, self),
                                       len(self.code) + 1, len(self.code) + 1))
                 label.append((at, "true_target" if jump_if else "false_target"))
             case _ if not _has_await(e):
-                fn = _compile_expr_static(e)
+                fn = _compile_expr_static(e, self)
                 if jump_if:
                     fn = lambda env, fn=fn: not fn(env)
-                at = self._emit(_Branch(fn, -1, -1))
+                # An array element or a table intrinsic (iown, accessible,
+                # mylb, myub), each of which names an ArrayRef.
+                observes = any(isinstance(x, ArrayRef) for x in walk_exprs(e))
+                at = self._emit(_Branch(fn, -1, -1, observes))
                 label.append((at, "target"))
                 unowned.append((at, "unowned"))
             case UnaryOp("not", operand):
@@ -753,7 +750,7 @@ class _Lowerer:
                     self._lower_test(rhs, jump_if, label, unowned)
                     self._place(decided)
             case _:
-                _compile_expr_static(e)  # raises on the nested await
+                _compile_expr_static(e, self)  # raises on the nested await
 
     def lower_stmt(self, s: Stmt) -> None:
         match s:
@@ -762,7 +759,7 @@ class _Lowerer:
             case Assign():
                 self._lower_assign(s)
             case SendStmt(ref, op, dests):
-                sec_fn = _compile_section(ref)
+                sec_fn = _compile_section(ref, self)
                 if self.decl(ref.var).universal:
                     sec_fn = _universal_transfer(sec_fn, lambda sec, v=ref.var: (
                         f"transfer of universal section {v}{sec}: copy it to "
@@ -770,7 +767,7 @@ class _Lowerer:
                 if dests is None:
                     dests_fn = lambda env: None
                 else:
-                    d_fns = [_compile_expr_static(d) for d in dests]
+                    d_fns = [_compile_expr_static(d, self) for d in dests]
                     nprocs = self.compiled.nprocs
                     def dests_fn(env, d_fns=d_fns, nprocs=nprocs):
                         out = tuple(int(fn(env)) - 1 for fn in d_fns)
@@ -783,7 +780,7 @@ class _Lowerer:
                     wait_first=op is not XferOp.SEND_VALUE,
                 ))
             case RecvStmt(into, op, source):
-                into_fn = _compile_section(into)
+                into_fn = _compile_section(into, self)
                 if self.decl(into.var).universal:
                     into_fn = _universal_transfer(into_fn, lambda sec, v=into.var: (
                         f"receive into universal section {v}: XDP restricts "
@@ -793,7 +790,7 @@ class _Lowerer:
                     assert source is not None
                     self._emit(_RecvI(
                         TransferKind.VALUE, source.var,
-                        _compile_section(source), into.var, into_fn,
+                        _compile_section(source, self), into.var, into_fn,
                         wait_dest_first=True,
                         blocking=self.compiled.binding == "blocking",
                     ))
@@ -808,9 +805,9 @@ class _Lowerer:
                 slot = f"__limit{self._loop_counter}"
                 self._emit(_LoopInit(
                     var,
-                    _as_int(_compile_expr_static(lo)),
-                    _as_int(_compile_expr_static(hi)),
-                    _as_int_nonzero(_compile_expr_static(step)),
+                    _as_int(_compile_expr_static(lo, self)),
+                    _as_int(_compile_expr_static(hi, self)),
+                    _as_int_nonzero(_compile_expr_static(step, self)),
                     slot,
                 ))
                 test_at = self._emit(_LoopTest(var, slot, exit_target=-1))
@@ -838,7 +835,7 @@ class _Lowerer:
                 self._lower_test(expr, False, done, done)
                 self._place(done)
             case ExprStmt(expr):
-                fn = _compile_expr_static(expr)
+                fn = _compile_expr_static(expr, self)
                 self._emit(_Exec(lambda env, fn=fn: (fn(env), None)[1]))
             case CollectiveStmt():
                 self._lower_collective(s)
@@ -856,7 +853,7 @@ class _Lowerer:
         self._place(skip)
 
     def _lower_assign(self, s: Assign) -> None:
-        rhs = _compile_expr_static(s.expr)
+        rhs = _compile_expr_static(s.expr, self)
         target = s.target
         if isinstance(target, VarRef):
             name = target.name
@@ -867,7 +864,7 @@ class _Lowerer:
             return
         assert isinstance(target, ArrayRef)
         decl = self.decl(target.var)
-        sec_fn = _compile_section(target)
+        sec_fn = _compile_section(target, self)
         name = target.var
         if decl.universal:
             offs = tuple(lo for lo, _ in decl.bounds)
@@ -921,12 +918,12 @@ class _Lowerer:
             style = "flat"
         self._emit(_CollI(
             stmt=s,
-            lo=_compile_expr_static(lo),
-            hi=_compile_expr_static(hi),
-            step=None if step is None else _compile_expr_static(step),
-            root=None if s.root is None else _compile_expr_static(s.root),
+            lo=_compile_expr_static(lo, self),
+            hi=_compile_expr_static(hi, self),
+            step=None if step is None else _compile_expr_static(step, self),
+            root=None if s.root is None else _compile_expr_static(s.root, self),
             sec_fns={
-                id(ref): (ref.var, _compile_section(ref)) for ref in refs
+                id(ref): (ref.var, _compile_section(ref, self)) for ref in refs
             },
             style=style,
         ))
@@ -939,10 +936,10 @@ class _Lowerer:
                 decl = self.decl(a.var)
                 arg_plans.append(
                     ("usec" if decl.universal else "xsec",
-                     (a.var, _compile_section(a), decl))
+                     (a.var, _compile_section(a, self), decl))
                 )
             else:
-                arg_plans.append(("val", _compile_expr_static(a)))
+                arg_plans.append(("val", _compile_expr_static(a, self)))
 
         def run(env, kernel=kernel, arg_plans=arg_plans):
             args = []

@@ -21,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
@@ -183,11 +182,6 @@ def seed_arrays(program: Program, seed: int) -> dict[str, np.ndarray]:
     return out
 
 
-# The VM lowerer publishes itself through a module global while compiling,
-# so compilation must be serialized; the engine runs stay concurrent.
-_COMPILE_LOCK = threading.Lock()
-
-
 def _as_store(store):
     """Coerce ``store`` (ArtifactStore | path | None) to a store or None.
 
@@ -248,9 +242,7 @@ def _result_from_store(task: EvalTask, payload: Mapping) -> EvalResult:
 
 def _run_task(task: EvalTask) -> EvalResult:
     program = task.parsed()
-    with _COMPILE_LOCK:
-        runner = lower(program, task.nprocs, model=task.model,
-                       backend=task.backend)
+    runner = lower(program, task.nprocs, model=task.model, backend=task.backend)
     for name, arr in seed_arrays(program, task.seed).items():
         runner.write_global(name, arr)
     stats = runner.run()

@@ -1,5 +1,8 @@
 """Unit tests for the code generator / VM path (paper section 3.2)."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -259,3 +262,54 @@ mypid == 1 : { A[1] -=> }
                                  "A[1] = a\n"), 1)
         cp.run()
         assert cp.read_global("A")[0] == 3
+
+
+class TestReentrantLowering:
+    """Lowering keeps its declarations on the lowerer, not in a module
+    global, so two threads may lower different programs at once."""
+
+    @staticmethod
+    def source(n: int) -> str:
+        # Same names, different bounds: a lowerer that looked up the other
+        # program's declarations would compile other `*` triplets.
+        body = "".join(
+            f"iown(A[*]) : {{ B[mylb(B[*], 1):myub(B[*], 1)] = "
+            f"A[mylb(A[*], 1):myub(A[*], 1)] + {k} }}\n" for k in range(30))
+        return (f"array A[1:{n}] dist (BLOCK) seg (1)\n"
+                f"array B[1:{n}] dist (BLOCK) seg (1)\n" + body)
+
+    @staticmethod
+    def observe(cp):
+        shape = [(type(ins).__name__,
+                  *(v for v in vars(ins).values() if isinstance(v, (int, str))))
+                 for ins in cp.code]
+        cp.write_global("A", np.arange(cp.program.decl("A").shape[0], dtype=float))
+        stats = cp.run()
+        return shape, stats.makespan, cp.read_global("B").tobytes()
+
+    def test_threads_lower_like_serial_lowering(self):
+        programs = [parse_program(self.source(n)) for n in (8, 12)]
+        serial = [self.observe(lower(p, 4)) for p in programs]
+        # Two threads per program, more threads than this host has cores.
+        lowered: list[list] = [[] for _ in range(4)]
+        start = threading.Barrier(4)
+
+        def work(k):
+            start.wait(timeout=60)
+            for _ in range(10):
+                lowered[k].append(lower(programs[k % 2], 4))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k in range(4):
+            assert len(lowered[k]) == 10
+            assert all(self.observe(cp) == serial[k % 2] for cp in lowered[k])

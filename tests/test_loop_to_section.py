@@ -407,9 +407,14 @@ class TestValue:
         # The shared-address binding charges no per-message latency.
         vt = {"msg": (8168.0, 6368.0), "shmem": (7596.0, 5796.0)}[cp.engine.backend]
         assert seen == {0: (vt[0], 240, 247), 2: (vt[1], 240, 231)}
+        # 13,136 when every `mypid == k` branch yielded a Compute: a rule
+        # that reads no table state takes no scheduler step.
+        assert stats.effects_processed <= 2_000
         report = verify_communication(opt.program, 16)
-        # 29,120 for the loop form; what is left is every processor
-        # evaluating every `mypid == k` guard, not elements.
+        # 29,120 for the loop form.  Each of the 13,136 events left is a
+        # statement some processor reaches, mostly another processor's
+        # `mypid == k` block; each such rule is decided once per processor
+        # and its block skipped without a walk.
         assert report.ok and report.events <= 14_000
 
 

@@ -2,13 +2,16 @@
 
 import functools
 import hashlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from repro import run_program
 from repro.core.analysis.verify_comm import (
     CommReport, CommVerificationError, Finding, verify_communication,
 )
+from repro.core.errors import ProtocolError
 from repro.core.ir.parser import parse_program
 from repro.core.opt.passmanager import optimize
 from repro.core.translate import translate
@@ -343,6 +346,38 @@ enddo
 """)
         assert "zero-step" in codes(r)
 
+    def test_step_truncating_to_zero_is_a_zero_step(self):
+        r = verify(DECLS + """
+scalar h = 0.5
+do i = 1, 4, h
+  mypid == 1 : { A[1] = A[1] + 1 }
+enddo
+""")
+        assert "zero-step" in codes(r)
+
+    @pytest.mark.parametrize("lo,clean", [("0 - 1", False), ("0", True)])
+    def test_fractional_bounds_truncate_like_the_vm(self, lo, clean):
+        """``hi = -0.5`` runs to ``i = 0`` on the VM: from -1 that is two
+        sends for one receive (an unclaimed message), from 0 one send."""
+        src = DECLS + f"""
+scalar h = 0.0 - 0.5
+do i = {lo}, h
+  mypid == 1 : {{ A[1] -> {{2}} }}
+enddo
+mypid == 2 : {{
+  B[5] <- A[1]
+  await(B[5])
+}}
+"""
+        r = verify(src, 2)
+        assert r.clean == clean
+        if clean:
+            run_program(src, 2, strict=True)
+        else:
+            assert codes(r) == {"unmatched-send"}
+            with pytest.raises(ProtocolError, match="1 unclaimed"):
+                run_program(src, 2, strict=True)
+
     def test_undefined_scalar(self):
         r = verify(DECLS + "mypid == 1 : { A[1] = A[1] + q }")
         assert "undefined-scalar" in codes(r)
@@ -633,3 +668,114 @@ class TestWorkGuard:
 
         n = self.intersects_during(monkeypatch, fft3d_source(16, 16, 2), 16)
         assert n <= 11_136
+
+
+# --------------------------------------------------------------------- #
+# per-processor cost: decided guards and footprint loops are exact
+# --------------------------------------------------------------------- #
+
+
+def _full_report(report: CommReport) -> tuple:
+    return (report.nprocs,
+            [(f.severity, f.code, f.message, f.loc, f.pid1, f.count)
+             for f in report.findings],
+            report.events, report.complete, report.waived)
+
+
+def _exactness_programs(battery: str):
+    from .fuzz.gen_programs import (
+        COLLECTIVE_FAMILIES, SHMEM_FAMILIES, generate_battery,
+    )
+
+    if battery == "pinned":
+        for text, nprocs in _pinned_programs().values():
+            yield parse_program(text), nprocs
+            yield parse_program(_mutant(text)[1]), nprocs
+        return
+    size, families = {"fuzz": (220, None), "shmem": (120, SHMEM_FAMILIES),
+                      "coll": (60, COLLECTIVE_FAMILIES)}[battery]
+    for fp in generate_battery(size, 0, families=families):
+        yield parse_program(fp.source), fp.nprocs
+
+
+class TestShortcutsAreExact:
+    """`_decided` (a condition over mypid, nprocs and constants, evaluated
+    once per processor) and `_footprint` (an element loop checked by the
+    sections it spans) change what verification costs, never what it
+    reports: with both declining, the walk they stand for gives the same
+    full report — events, completeness and waivers included — on both
+    bindings and at budgets that run out inside loops."""
+
+    @pytest.mark.parametrize("battery", ["fuzz", "shmem", "coll", "pinned"])
+    def test_reports_equal_the_walk(self, battery, monkeypatch):
+        from repro.core.analysis import verify_comm as vc
+
+        programs = list(_exactness_programs(battery))
+
+        def reports():
+            return [_full_report(verify_communication(
+                        program, nprocs, backend=backend, max_events=budget))
+                    for program, nprocs in programs
+                    for backend in ("msg", "shmem")
+                    for budget in (vc.MAX_EVENTS, 50, 500, 3000)]
+
+        taken = Counter()
+        decided, footprint = vc._Machine._decided, vc._Machine._footprint
+
+        def spy_decided(self, cond, p):
+            v = decided(self, cond, p)
+            taken["decided"] += v is not None
+            return v
+
+        def spy_footprint(self, *args):
+            ok = footprint(self, *args)
+            taken["footprint"] += ok
+            return ok
+
+        monkeypatch.setattr(vc._Machine, "_decided", spy_decided)
+        monkeypatch.setattr(vc._Machine, "_footprint", spy_footprint)
+        fast = reports()
+        # The fuzz families with element loops are in the default battery.
+        assert taken["decided"] and (taken["footprint"] or battery in ("shmem", "coll"))
+        monkeypatch.setattr(vc._Machine, "_decided", lambda self, cond, p: None)
+        monkeypatch.setattr(vc._Machine, "_footprint", lambda self, *args: False)
+        assert reports() == fast
+
+    def test_loop_variable_keeps_its_last_value(self):
+        # P1 owns A[1:4]: the loop leaves i = 4 behind, not 7.
+        r = verify(DECLS + """
+mypid == 1 : {
+  do i = 1, 6, 3
+    A[i] = B[i]
+  enddo
+  A[i] = 0
+}
+""", 2)
+        # Events: P1's guard, loop, two iterations and write; P2's guard.
+        assert r.clean and r.events == 5 + 1
+
+
+class TestPerProcessorWork:
+    def test_pid_only_rules_are_evaluated_once_per_processor(self, monkeypatch):
+        from repro.apps.jacobi import jacobi_source
+        from repro.core.analysis import verify_comm as vc
+        from repro.core.ir.nodes import Guarded
+        from repro.core.ir.visitor import walk_exprs, walk_stmts
+
+        program = jacobi_source(4096, 64, 2, "halo-overlap")
+        rules = {id(s.rule) for s in walk_stmts(program.body)
+                 if isinstance(s, Guarded)
+                 and all(isinstance(e, vc._PID_ONLY) for e in walk_exprs(s.rule))}
+        evaluated = Counter()
+        inner = vc._Machine._eval
+
+        def spy(self, e, p, *, rule):
+            if id(e) in rules:
+                evaluated[id(e), p.pid1] += 1
+            return (yield from inner(self, e, p, rule=rule))
+
+        monkeypatch.setattr(vc._Machine, "_eval", spy)
+        assert verify_communication(program, 64).clean
+        # 380 `mypid == k` rules, each reached twice by every processor.
+        assert len(rules) == 380 and len(evaluated) == 380 * 64
+        assert max(evaluated.values()) == 1

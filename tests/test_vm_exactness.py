@@ -1,0 +1,130 @@
+"""The VM's host-side shortcuts move no simulated quantity.
+
+A branch whose rule reads no table state yields no ``Compute`` of its own
+(docs/ENGINE.md, "When a branch flushes"): its flop rides to the next real
+effect.  Every ledger and app program, at O0 and O2 on both bindings, must
+still give the makespan, message and byte counts, per-processor finish
+times and result bytes recorded in ``golden/vm_runs.json`` — recorded
+before that change, with ``python tests/test_vm_exactness.py --record``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.apps.fft3d import fft3d_source
+from repro.apps.jacobi import jacobi_source
+from repro.apps.matmul import matmul_source
+from repro.apps.workqueue import workqueue_source
+from repro.core.codegen.lower import lower
+from repro.core.ir.parser import parse_program
+from repro.core.opt.passmanager import optimize
+from repro.tune.evaluate import seed_arrays
+
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden" / "vm_runs.json"
+LEDGER = HERE.parent / "benchmarks" / "e2e" / "programs"
+
+
+def _ledger(stem: str):
+    return lambda: parse_program((LEDGER / f"{stem}.xdp").read_text())
+
+
+def _text(fn, *args):
+    return lambda: parse_program(fn(*args))
+
+
+#: name -> (program factory, nprocs): the ledger's clean programs, then
+#: every app generator at a small size.
+CASES = {
+    **{stem: (_ledger(stem), 4 if stem in ("fft3d_cyclic", "tune_fft3d_s0") else 16)
+       for stem in ("fft3d_cyclic", "fft3d_own_s0", "fft3d_own_s2",
+                    "jacobi_halo", "matmul_cannon", "matmul_gather",
+                    "matmul_outer", "matmul_summa", "tune_fft3d_s0")},
+    **{f"jacobi-{v}": (lambda v=v: jacobi_source(32, 4, 2, v), 4)
+       for v in ("naive", "halo", "halo-overlap")},
+    **{f"fft3d-s{s}": (_text(fft3d_source, 4, 4, s), 4) for s in range(4)},
+    **{f"matmul-{v}": (_text(matmul_source, 8, 4, v), 4)
+       for v in ("cannon", "summa", "gather", "outer")},
+    "workqueue": (_text(workqueue_source, 12, 4), 4),
+}
+
+
+def observe(name: str, level: int, backend: str) -> dict:
+    """One run's simulated outcome, in JSON-exact form."""
+    make, nprocs = CASES[name]
+    program = optimize(make(), nprocs, level=level).program
+    cp = lower(program, nprocs, backend=backend)
+    for var, values in seed_arrays(program, 11).items():
+        cp.write_global(var, values)
+    stats = cp.run()
+    digest = hashlib.sha256()
+    for d in program.array_decls():
+        if not d.universal:
+            digest.update(cp.read_global(d.name).tobytes())
+    return {
+        "makespan": stats.makespan,
+        "messages": stats.total_messages,
+        "bytes": stats.total_bytes,
+        "finish": [p.finish_time for p in stats.procs],
+        "result": digest.hexdigest(),
+    }
+
+
+KEYS = [f"{name}/O{level}/{backend}" for name in CASES
+        for level in (0, 2) for backend in ("msg", "shmem")]
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_goldens_cover_every_case(golden):
+    assert sorted(golden) == sorted(KEYS)
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_run_equals_golden(key, golden):
+    name, level, backend = key.split("/")
+    assert observe(name, int(level[1:]), backend) == golden[key]
+
+
+#: On the message backend A[1] lands on P2 at t=127.  P2's kernel call
+#: ends at t=117 and its ten scalar updates charge 20 flops more; only if
+#: they are flushed before the rule does ``accessible()`` read the table
+#: at t=137, after the arrival.
+ACCESSIBLE_AFTER_KERNEL = """
+array A[1:2] dist (BLOCK) seg (1)
+array B[1:2] dist (BLOCK) seg (1)
+array C[1:2] dist (BLOCK) seg (1)
+scalar s = 0
+mypid == 1 : { A[1] -> {2} }
+mypid == 2 : {
+  B[2] <- A[1]
+  call work(85)
+""" + "  s = s + 1\n" * 10 + """  accessible(B[2]) : { C[2] = 1 }
+}
+"""
+
+
+def test_accessible_rule_after_a_kernel_call_sees_the_flushed_time():
+    cp = lower(parse_program(ACCESSIBLE_AFTER_KERNEL), 2, backend="msg")
+    stats = cp.run()
+    assert cp.read_global("C")[1] == 1.0 and stats.makespan == 143.0
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    out = {}
+    for key in KEYS:
+        name, level, backend = key.split("/")
+        out[key] = observe(name, int(level[1:]), backend)
+    GOLDEN.write_text("{\n" + ",\n".join(
+        f" {json.dumps(k)}: {json.dumps(v, sort_keys=True)}"
+        for k, v in sorted(out.items())) + "\n}\n")
+    print(f"recorded {len(out)} runs to {GOLDEN}")
