@@ -132,6 +132,15 @@ def _load(path: str):
     return program
 
 
+def _bad_nprocs(cmd: str, nprocs: int) -> bool:
+    """A processor count below one is ``repro CMD: ...`` on stderr (the
+    caller exits 2), not a traceback."""
+    if nprocs >= 1:
+        return False
+    print(f"repro {cmd}: nprocs ({nprocs}) must be positive", file=sys.stderr)
+    return True
+
+
 def _is_sequential(program) -> bool:
     return not any(
         isinstance(s, (SendStmt, RecvStmt, Guarded, CollectiveStmt))
@@ -142,6 +151,8 @@ def _is_sequential(program) -> bool:
 def _cmd_compile(args: argparse.Namespace) -> int:
     from .core.analysis.verify_comm import CommVerificationError
 
+    if _bad_nprocs("compile", args.nprocs):
+        return 2
     program = _load(args.file)
     if _is_sequential(program):
         program = translate(
@@ -220,6 +231,8 @@ def _run_app(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if _bad_nprocs("run", args.nprocs):
+        return 2
     if args.app:
         if args.file:
             raise SystemExit("give either FILE or --app, not both")
@@ -315,6 +328,8 @@ def _check_targets(target: str, nprocs: int) -> list[tuple[str, object]]:
 def _cmd_check(args: argparse.Namespace) -> int:
     from .core.analysis import verify_communication
 
+    if _bad_nprocs("check", args.nprocs):
+        return 2
     backend = args.backend or default_backend()
     failed = False
     for target in args.targets:

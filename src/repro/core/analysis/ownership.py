@@ -23,7 +23,7 @@ from ..errors import CompilationError
 from ..ir.nodes import (
     ArrayDecl, ArrayRef, DoLoop, Full, Index, Program, ScalarDecl, VarRef,
 )
-from ..sections import Section, Triplet, disjoint_cover_equal
+from ..sections import Section, Triplet
 from .consteval import ConstEnv, const_eval, program_constants, resolve_section_const
 from .layouts import build_layouts
 
@@ -106,15 +106,6 @@ class OwnershipAnalysis:
         if sec is None:
             return None
         return self.ctx.layouts[ref.var].distribution.owner_of_section(sec)
-
-    def owned_by(self, ref: ArrayRef, env: ConstEnv, pid: int) -> bool | None:
-        """Does (0-based) ``pid`` initially own all of ``ref``?  ``None``
-        when the section is not compile-time resolvable."""
-        sec = self.resolve(ref, env)
-        if sec is None:
-            return None
-        dist = self.ctx.layouts[ref.var].distribution
-        return disjoint_cover_equal(sec, dist.owned_sections(pid))
 
     # ------------------------------------------------------------------ #
     # loops
@@ -202,10 +193,12 @@ class OwnershipAnalysis:
         return out
 
     def guard_true_iterations(
-        self, loop: DoLoop, guard_ref: ArrayRef, env: ConstEnv, pid: int
+        self, loop: DoLoop, guard_ref: ArrayRef, env: ConstEnv, pid: int,
+        pieces: tuple[tuple[Triplet, ...], ...] | None = None,
     ) -> list[int] | None:
         """Iteration values of ``loop``, in order, at which
-        ``iown(guard_ref)`` holds on ``pid`` by *initial* ownership, or
+        ``iown(guard_ref)`` holds on ``pid`` when it owns the product of
+        per-dimension ``pieces`` (by default its *initial* ownership), or
         ``None`` if unresolvable.  Closed form: the owned region is a
         product of per-dimension triplets, so a dimension subscripted by
         the bare loop variable admits the iterations inside its owned
@@ -223,7 +216,8 @@ class OwnershipAnalysis:
             return None
         step = vals[1] - vals[0] if len(vals) > 1 else 1
         runs = [Triplet(vals[0], vals[-1], step)]
-        pieces = self.ctx.layouts[guard_ref.var].distribution.owned_pieces(pid)
+        if pieces is None:
+            pieces = self.ctx.layouts[guard_ref.var].distribution.owned_pieces(pid)
         for v, t, owned in zip(on_var, rest.dims, pieces):
             if v:
                 runs = [m for r in runs for o in owned

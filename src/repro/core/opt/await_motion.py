@@ -50,7 +50,7 @@ class _Rewriter(OrderedRewriter):
                     )
                     inner = Guarded(
                         Await(narrowed),
-                        self.rewrite_block(loop.body, loops + [loop]),
+                        self.rewrite_inside(loop, loop.body, loops + [loop]),
                     )
                     return DoLoop(
                         loop.var, loop.lo, loop.hi, loop.step, Block((inner,))

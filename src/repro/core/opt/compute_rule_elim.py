@@ -5,8 +5,12 @@ compute rule that always evaluates to true.  Compute rule elimination can
 often be performed after the loop bounds are adjusted so that the
 computation within the loop only references owned sections."
 
-This pass handles the canonical shape ``do v { iown(A[.., v, ..]) : body }``
-and applies, in order of preference:
+This pass handles the canonical shape ``do v { rule : body }`` with
+``rule`` an ``iown(A[.., v, ..])`` or an ``await(A[.., v, ..])``, decided on
+the owned sections the ownership flow (:mod:`.common`) carries to the loop
+— so a loop after a redistribution is decided on what the redistribution
+left each processor, as the paper does by hand for its Loop 4.  It
+applies, in order of preference:
 
 1. **mypid substitution** — when every processor's true set is exactly the
    single iteration ``v == mypid``, the loop disappears and ``v`` is
@@ -19,11 +23,18 @@ and applies, in order of preference:
    ``do v = max(lo, mylb(A[..,*,..], d)), min(hi, myub(..., d))`` with the
    guard removed.
 
+An ``await`` rule is false only where the section is unowned, so the same
+two rewrites drop exactly the iterations that would not wait; the guard
+itself stays, because it is what waits for the data (stage 0's
+``do j { await(A[*,j,*]) : ... }`` becomes ``await(A[*,mypid,*]) : ...``).
+
 Both rewrites are validated exactly at compile time by intersecting
-sections with the distribution (never by listing array elements), carrying
-the ownership across iterations when the guarded body itself transfers it
-(the FFT redistribution loop does).  If anything is symbolic the guard is
-kept — correct, just unoptimized — and the pass report says so.
+sections with the owned sections (never by listing array elements),
+carrying the ownership across iterations when the guarded body itself
+transfers it (the FFT redistribution loop does).  If anything is symbolic
+the guard is kept — correct, just unoptimized — and the pass report says
+so; where the flow could not resolve an earlier transfer of the array, the
+pass leaves the loop alone.
 """
 
 from __future__ import annotations
@@ -31,10 +42,10 @@ from __future__ import annotations
 from ..analysis.consteval import const_eval
 from ..analysis.ownership import CompilerContext
 from ..ir.nodes import (
-    ArrayRef, BinOp, DoLoop, Full, Guarded, IntConst, Iown, Mylb, Mypid,
-    Myub, Program, Stmt,
+    ArrayRef, Await, BinOp, DoLoop, Full, Guarded, IntConst, Iown, Mylb,
+    Mypid, Myub, Program, Stmt,
 )
-from ..ir.printer import print_ref
+from ..ir.printer import print_expr, print_ref
 from ..ir.visitor import substitute_stmt
 from .common import (
     OrderedRewriter, dynamic_guard_true_iterations, loop_var_dims,
@@ -64,10 +75,10 @@ class _Rewriter(OrderedRewriter):
         if len(loop.body) != 1 or not isinstance(loop.body.stmts[0], Guarded):
             return None
         guarded = loop.body.stmts[0]
-        if not isinstance(guarded.rule, Iown):
+        if not isinstance(guarded.rule, (Iown, Await)):
             return None
         ref = guarded.rule.ref
-        if ref.var in self.dirty or not self.ctx.is_exclusive(ref.var):
+        if not self.ctx.is_exclusive(ref.var) or not self.flow.known(ref.var):
             return None
         dims = loop_var_dims(ref, loop.var)
         if dims is None or len(dims) != 1:
@@ -79,21 +90,29 @@ class _Rewriter(OrderedRewriter):
         env = self.ctx.consts
         true_sets: list[list[int]] = []
         for pid in range(self.ctx.nprocs):
-            t = dynamic_guard_true_iterations(loop, ref, self.ctx, env, pid)
+            t = dynamic_guard_true_iterations(
+                loop, ref, self.ctx, env, pid, self.flow)
             if t is None:
-                self.decline_guard(ComputeRuleElimination.name, loop, ref)
+                self.decline_guard(ComputeRuleElimination.name, loop, guarded.rule)
                 return None
             true_sets.append(t)
+        # An await guard stays (it waits for the data); with every
+        # iteration true everywhere there is nothing to drop.
+        waits = isinstance(guarded.rule, Await)
+        rule = print_expr(guarded.rule)
+        if waits and all(t == self.analysis.iteration_values(loop, env)
+                         for t in true_sets):
+            return None
 
         # Case 1: exactly one iteration per processor, equal to its pid.
         if all(t == [pid + 1] for pid, t in enumerate(true_sets)):
             self.ctx.note(
                 f"{ComputeRuleElimination.name}: removed loop over {loop.var} "
-                f"guarded by iown({print_ref(ref)}); replaced {loop.var} by mypid"
+                f"guarded by {rule}; replaced {loop.var} by mypid"
+                + (", kept the await" if waits else "")
             )
-            return [
-                substitute_stmt(s, {loop.var: Mypid()}) for s in guarded.body
-            ]
+            kept = [guarded] if waits else guarded.body
+            return [substitute_stmt(s, {loop.var: Mypid()}) for s in kept]
 
         # Case 2: contiguous per-processor runs matching mylb/myub bounds.
         star_ref = ArrayRef(
@@ -108,13 +127,12 @@ class _Rewriter(OrderedRewriter):
         hi = BinOp("min", loop.hi, Myub(star_ref, IntConst(dim + 1)))
         self.ctx.note(
             f"{ComputeRuleElimination.name}: localized loop over {loop.var} "
-            f"to owned bounds of {print_ref(star_ref)} and removed the "
-            "iown guard"
+            f"to owned bounds of {print_ref(star_ref)} and "
+            + ("kept the await guard" if waits else "removed the iown guard")
         )
-        return DoLoop(
-            loop.var, lo, hi, loop.step,
-            self.rewrite_block(guarded.body, loops + [loop]),
-        )
+        localized = DoLoop(loop.var, lo, hi, loop.step,
+                           loop.body if waits else guarded.body)
+        return self.recurse(localized, loops)
 
     def _runs_match_static_bounds(
         self, loop: DoLoop, star_ref: ArrayRef, dim: int, true_sets, env
@@ -129,9 +147,8 @@ class _Rewriter(OrderedRewriter):
             sec = self.analysis.resolve(star_ref, env.at_pid(pid + 1))
             if sec is None:
                 return False
-            dist = self.ctx.layouts[star_ref.var].distribution
             mylb_v, myub_v = None, None
-            for owned in dist.owned_sections(pid):
+            for owned in self.flow.sections(star_ref.var, pid):
                 inter = owned.intersect(sec)
                 if inter is not None:
                     d = inter.dims[dim]
@@ -144,4 +161,3 @@ class _Rewriter(OrderedRewriter):
             if run != t:
                 return False
         return True
-

@@ -17,6 +17,12 @@ symbolic (:class:`~repro.core.analysis.refsets.LoopSection`), and whether
 two references can meet at some ``i`` before ``j`` is a per-dimension
 triplet test (:func:`_meets_later`).  The benefit is pipelining: the
 transfer of one iteration's data overlaps the computation of the next.
+
+Legal is not always profitable: the pass declines (``declined — ...``) to
+fuse a loop that only initiates receives into a loop that sends.  Fused,
+iteration ``i``'s receive initiation delays the send of every later
+iteration, and a receive has no computation to hide behind — which is why
+section 4 fuses Loops 2 and 3a and never 3b.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ from ..analysis.ownership import (
     ITERATION_CAP, CompilerContext, OwnershipAnalysis,
 )
 from ..analysis.refsets import LoopSection, refsets_by_class
-from ..ir.nodes import Block, DoLoop, Program, Stmt, VarRef
-from ..ir.visitor import free_scalars, substitute_stmt
+from ..ir.nodes import Block, DoLoop, Program, RecvStmt, SendStmt, Stmt, VarRef
+from ..ir.visitor import free_scalars, substitute_stmt, walk_stmts
 from ..sections import Triplet
 from .common import OrderedRewriter
 
@@ -121,7 +127,8 @@ class _Rewriter(OrderedRewriter):
                 capture_hazard = (
                     nxt.var != s.var and s.var in free_scalars(nxt.body)
                 )
-                if not capture_hazard and can_fuse(s, nxt, self.ctx):
+                if (not capture_hazard and can_fuse(s, nxt, self.ctx)
+                        and not self._receives_after_sends(s, nxt)):
                     fused = fuse(s, nxt)
                     self.ctx.note(
                         f"{LoopFusion.name}: fused loops over {s.var} and "
@@ -134,3 +141,17 @@ class _Rewriter(OrderedRewriter):
             out.append(s)
             i += 1
         return super().rewrite_block(Block(tuple(out)), loops)
+
+    def _receives_after_sends(self, a: DoLoop, b: DoLoop) -> bool:
+        """Decline (out loud) to fuse a loop that only initiates receives
+        into one that sends: iteration ``i``'s receive would then delay the
+        send of every later iteration, and nothing is overlapped."""
+        if not (b.body.stmts and all(isinstance(s, RecvStmt) for s in b.body)
+                and any(isinstance(s, SendStmt) for s in walk_stmts(a.body))):
+            return False
+        self.ctx.decline(
+            LoopFusion.name,
+            f"the loop over {b.var} only initiates receives; fused into the "
+            f"sends of the loop over {a.var}, each receive would delay every "
+            "later send and overlap nothing")
+        return True

@@ -8,9 +8,10 @@ per call.  This pass performs that widening::
       ==>
     iown(A[.., *, ..]) : { do v { body } }
 
-legal when the distribution's owned triplets show that, on every processor, the
-per-iteration guard has the same truth value for all iterations and that
-value equals the widened guard's — i.e. ownership of the array is
+legal when the owned sections at that point (the ownership flow of
+:mod:`.common`) show that, on every processor, the per-iteration guard has
+the same truth value for all iterations and that value equals the widened
+guard's — i.e. ownership of the array is
 all-or-nothing across the loop (true for the collapsed dimensions of HPF
 distributions).  Hoisting pays the symbol-table lookup once per loop
 instead of once per iteration.
@@ -23,7 +24,9 @@ from ..ir.nodes import (
     ArrayRef, Block, DoLoop, Full, Guarded, Iown, Program, Stmt,
 )
 from ..ir.printer import print_ref
-from .common import OrderedRewriter, loop_var_dims, ownership_ops
+from .common import (
+    OrderedRewriter, dynamic_guard_true_iterations, loop_var_dims, ownership_ops,
+)
 
 __all__ = ["GuardHoisting"]
 
@@ -45,7 +48,7 @@ class _Rewriter(OrderedRewriter):
         return self.recurse(stmt, loops)
 
     def _try_hoist(self, loop: DoLoop, ref: ArrayRef, g_body: Block) -> Stmt | None:
-        if ref.var in self.dirty or ref.var in ownership_ops(g_body):
+        if ref.var in ownership_ops(g_body) or not self.flow.known(ref.var):
             return None
         dims = loop_var_dims(ref, loop.var)
         if not dims:
@@ -60,10 +63,11 @@ class _Rewriter(OrderedRewriter):
             return None
         # All-or-nothing on every processor, agreeing with the widened guard.
         for pid in range(self.ctx.nprocs):
-            true = self.analysis.guard_true_iterations(loop, ref, env, pid)
-            widened_owned = self.analysis.owned_by(widened, env.at_pid(pid + 1), pid)
+            true = dynamic_guard_true_iterations(
+                loop, ref, self.ctx, env, pid, self.flow)
+            widened_owned = self.flow.owns(widened, env, pid)
             if true is None or widened_owned is None:
-                self.decline_guard(GuardHoisting.name, loop, ref)
+                self.decline_guard(GuardHoisting.name, loop, Iown(ref))
                 return None
             if true != (vals if widened_owned else []):
                 return None

@@ -73,7 +73,7 @@ class _Rewriter(OrderedRewriter):
         l_ref, temp_ref, source_ref, rest = recv
         if source_ref != r_ref:
             return None
-        if r_ref.var in self.dirty or l_ref.var in self.dirty:
+        if not (self.flow.initial(r_ref.var) and self.flow.initial(l_ref.var)):
             return None
         if not self.analysis.same_owner_forall(r_ref, l_ref, loops, self.ctx.consts):
             return None

@@ -79,7 +79,7 @@ class _Rewriter(OrderedRewriter):
         if pat is None:
             return None
         r_ref, l_ref, temp_ref, rest = pat
-        if r_ref.var in self.dirty or l_ref.var in self.dirty:
+        if not (self.flow.initial(r_ref.var) and self.flow.initial(l_ref.var)):
             return None
         env = self.ctx.consts
         vals = self.analysis.iteration_values(loop, env)

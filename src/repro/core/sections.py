@@ -432,8 +432,9 @@ def section_difference(a: Section, b: Section) -> list[Section]:
     ``d``'s piece combines the kept part of ``a.dims[d]`` with the
     already-cut prefix dims and the untouched suffix dims.  Returns ``[a]``
     when the sections are disjoint and ``[]`` when ``b`` covers ``a``.
+    A ``b`` inside ``a`` is its own intersection (none is built).
     """
-    inter = a.intersect(b)
+    inter = b if a.contains_section(b) else a.intersect(b)
     if inter is None:
         return [a]
     out: list[Section] = []

@@ -22,6 +22,7 @@ from repro.core.analysis.ownerexpr import owner_pid1_expr
 from repro.core.errors import CompilationError
 from repro.core.ir.nodes import ArrayDecl, ArrayRef, Index, VarRef
 from repro.core.ir.parser import parse_expression, parse_program, parse_statements
+from repro.core.opt.common import OwnershipFlow
 from repro.core.sections import section
 from repro.distributions import ProcessorGrid
 
@@ -173,11 +174,12 @@ scalar n = 8
         assert oa.owner_of(parse_expression("W[1]"), ctx.consts) is None
 
     def test_owned_by(self):
+        # Before any transfer the ownership flow is the distribution.
         ctx = make_ctx(self.SRC)
-        oa = OwnershipAnalysis(ctx)
+        flow = OwnershipFlow(ctx)
         ref = parse_expression("B[3]")
-        assert oa.owned_by(ref, ctx.consts, 2) is True  # cyclic: 3 -> pid 2
-        assert oa.owned_by(ref, ctx.consts, 0) is False
+        assert flow.owns(ref, ctx.consts, 2) is True  # cyclic: 3 -> pid 2
+        assert flow.owns(ref, ctx.consts, 0) is False
 
     def test_iteration_values(self):
         ctx = make_ctx(self.SRC)

@@ -189,6 +189,15 @@ class TestFFT:
         assert err == f"repro fft: {message}\n"
         assert "Traceback" not in out + err
 
+    @pytest.mark.parametrize("cmd", ["compile", "check", "run"])
+    @pytest.mark.parametrize("nprocs", ["0", "-3"])
+    def test_nonpositive_nprocs_is_a_message_and_exit_2(
+            self, cmd, nprocs, program_file, capsys):
+        assert main([cmd, program_file, "--nprocs", nprocs]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"repro {cmd}: nprocs ({nprocs}) must be positive\n"
+        assert "Traceback" not in out + err
+
     def test_fft_print_source(self, capsys):
         assert main(["fft", "--print-source", "--stage", "0"]) == 0
         out = capsys.readouterr().out

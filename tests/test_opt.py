@@ -10,6 +10,7 @@ from repro.core.ir.nodes import (
 from repro.core.ir.parser import parse_program, parse_statements
 from repro.core.ir.printer import print_program
 from repro.core.ir.verify import verify_program
+from repro.core.ir.visitor import walk_stmts
 from repro.core.opt import (
     AwaitSinking, Cleanup, ComputeRuleElimination, GuardHoisting, LoopFusion,
     MessageVectorization, PassManager, ReceiveHoisting, TransferElimination,
@@ -132,22 +133,31 @@ enddo
         for p in range(4):
             assert np.all(A[:, p] == p + 1)
 
-    def test_ownership_dirty_blocks_rewrite(self):
+    def test_ownership_moved_before_the_loop_flows_into_the_rewrite(self):
         src = """
-array A[1:4] dist (BLOCK) seg (1)
+array A[1:8] dist (BLOCK) seg (1)
 
-A[1] =>
-do i = 1, 4
+mypid == 1 : { A[1:2] -=> {2} }
+mypid == 2 : {
+  A[1:2] <=-
+  await(A[1:2])
+}
+do i = 1, 8
   iown(A[i]) : {
-    A[i] = 1
+    A[i] = mypid
   }
 enddo
 """
         prog = parse_program(src)
         res = PassManager([ComputeRuleElimination()]).run(prog, 4)
-        # A's ownership was moved before the loop: initial distribution is
-        # not trustworthy, guard must stay.
-        assert any("no opportunities" in r for r in res.reports)
+        # The flow knows P1 gave A[1:2] to P2 before the loop: each
+        # processor's run is still contiguous, so the guard goes.
+        assert any("localized loop over i" in r for r in res.reports)
+        assert not any(isinstance(s, Guarded) and isinstance(s.rule, Iown)
+                       for s in walk_stmts(res.program.body))
+        it = Interpreter(res.program, 4, model=FAST)
+        it.run()
+        assert it.read_global("A").tolist() == [2, 2, 2, 2, 3, 3, 4, 4]
 
     def test_redistribution_loop_gets_mypid(self):
         """The FFT redistribution loop (ownership ops *inside* the guarded

@@ -8,13 +8,18 @@ steps between them.  Here we start from the stage-0 listing and check that
 * compute-rule elimination turns every ``do k { iown(A[*,*,k]) : body }``
   into ``body[k := mypid]`` (including the redistribution loop, whose own
   body moves ownership — the dynamic-simulation case);
+* the ownership flow carries each processor's owned sections past the
+  exchange, so Loop4's ``await(A[*,j,*])`` loses its loop too (the guard
+  stays: it waits for the data);
 * loop fusion merges the i-direction FFT loop with the ownership-send
   loop ("Dependence analysis of Loops 2 and 3a indicates that they can be
-  fused together");
+  fused together"), and declines to fuse the receive loop 3b;
 * await sinking moves ``await(A[*,mypid,*])`` into the final loop as
   ``await(A[i,mypid,*])``.
 
-Every intermediate program is executed and validated against numpy's FFT.
+-O1 and -O2 print the paper's stage-1 and stage-2 listings exactly (the
+goldens in ``tests/data``, comment lines aside).  Every intermediate
+program is executed and validated against numpy's FFT.
 """
 
 import numpy as np
@@ -23,15 +28,17 @@ import pytest
 from repro.apps.fft3d import fft3d_source
 from repro import Interpreter
 from repro.core.ir.nodes import (
-    Await, CallStmt, DoLoop, ExprStmt, Guarded, Mypid, RecvStmt, SendStmt,
-    Index,
+    CallStmt, DoLoop, Index, Mypid, RecvStmt, SendStmt,
 )
 from repro.core.ir.parser import parse_program
 from repro.core.ir.printer import print_program
 from repro.core.opt import (
     AwaitSinking, Cleanup, ComputeRuleElimination, LoopFusion, PassManager,
+    optimize,
 )
 from repro.machine import MachineModel
+
+from .fft_goldens import DATA, code_lines
 
 FAST = MachineModel(o_send=1, o_recv=1, alpha=10, per_byte=0.0)
 N = 4
@@ -60,7 +67,11 @@ def derived_stage1(stage0):
 class TestStage0ToStage1:
     def test_all_three_guarded_loops_localized(self, derived_stage1):
         mypid_notes = [r for r in derived_stage1.reports if "mypid" in r]
-        assert len(mypid_notes) == 3  # loop1, loop2, loop3
+        assert sum("iown" in r for r in mypid_notes) == 3  # loop1, loop2, loop3
+        # ... and Loop4's await rule, after the exchange (ownership flow).
+        assert [r for r in mypid_notes if "await" in r] == [
+            "compute-rule-elimination: removed loop over j guarded by "
+            "await(A[*,j,*]); replaced j by mypid, kept the await"]
 
     def test_structure_matches_paper_listing(self, derived_stage1):
         body = list(derived_stage1.program.body)
@@ -77,15 +88,10 @@ class TestStage0ToStage1:
         recvs = [s for s in body if isinstance(s, DoLoop)
                  and any(isinstance(x, RecvStmt) for x in s.body)]
         assert len(sends) == 1 and len(recvs) == 1
-        # Loop4's await guard survives (its array's ownership moved, so the
-        # pass correctly leaves it alone).
-        awaits = [
-            s for s in body
-            if isinstance(s, DoLoop)
-            and any(isinstance(x, Guarded) and isinstance(x.rule, Await)
-                    for x in s.body)
-        ]
-        assert len(awaits) == 1
+        # Loop4's await rule, over the ownership the exchange left behind,
+        # loses its loop but keeps its guard: the paper's stage-1 listing.
+        assert code_lines(print_program(derived_stage1.program)) == code_lines(
+            golden(1, N))
 
     def test_derived_stage1_runs_correctly(self, derived_stage1):
         run_fft_program(derived_stage1.program)
@@ -119,6 +125,31 @@ class TestStage1ToStage2:
             [ComputeRuleElimination(), LoopFusion(), AwaitSinking(), Cleanup()]
         ).run(program, N)
         run_fft_program(result.program)
+
+
+def golden(stage: int, n: int) -> str:
+    return (DATA / f"fft3d_s{stage}_n{n}_p{n}.xdp").read_text()
+
+
+class TestListingsAreDerived:
+    """At n = P, -O1 and -O2 of the stage-0 listing print the paper's
+    stage-1 and stage-2 listings (comment lines aside), and -O2 leaves
+    stage 2 as it is."""
+
+    @pytest.mark.parametrize("n", [4, 16])
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_optimizer_output_is_the_listing(self, n, level):
+        stage0 = parse_program(fft3d_source(n, n, 0))
+        out = print_program(optimize(stage0, n, level=level).program)
+        assert code_lines(out) == code_lines(golden(level, n))
+        assert fft3d_source(n, n, level) == out
+
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_stage2_is_a_fixed_point_of_O2(self, n):
+        result = optimize(parse_program(golden(2, n)), n, level=2)
+        assert code_lines(print_program(result.program)) == code_lines(golden(2, n))
+        assert any("loop-fusion: declined — the loop over m only initiates "
+                   "receives" in r for r in result.reports)
 
 
 class TestSimpleExampleListing:

@@ -6,6 +6,12 @@ effect.  Every ledger and app program, at O0 and O2 on both bindings, must
 still give the makespan, message and byte counts, per-processor finish
 times and result bytes recorded in ``golden/vm_runs.json`` — recorded
 before that change, with ``python tests/test_vm_exactness.py --record``.
+(The O2 entries of the FFT cases whose optimized program changed when
+ownership began to flow across statements were re-recorded then: each
+makespan fell or stayed, with the same result bytes.)
+
+The same file is the O2-never-worse gate: O2 computes what O0 computes,
+and is no slower except on a pinned set of known losers.
 """
 
 from __future__ import annotations
@@ -93,6 +99,52 @@ def test_goldens_cover_every_case(golden):
 def test_run_equals_golden(key, golden):
     name, level, backend = key.split("/")
     assert observe(name, int(level[1:]), backend) == golden[key]
+
+
+#: name/backend -> why -O2's makespan is above -O0's there.  The gate fails
+#: when a case joins this set and when a member stops losing.
+O2_LOSERS = {
+    **{f"fft3d-s1/{b}": "O2 turns the stage-1 listing into stage 2 (sends "
+       "fused into Loop 2, the await sunk into the k loop): at n = P = 4 "
+       "the per-iteration awaits cost more than the overlap buys; keeping "
+       "or reverting the trade needs a static clock (ROADMAP item 5(c))"
+       for b in ("msg", "shmem")},
+    **{f"fft3d-s3/{b}": "await sinking is O2's only change: the rounds' "
+       "await epilogues have already made each slab accessible, so one "
+       "await per i-pencil is pure overhead; the same static-clock trade"
+       for b in ("msg", "shmem")},
+    **{f"fft3d_cyclic/{b}": "await sinking into both CYCLIC phases' inner "
+       "loops after a bulk exchange; the same static-clock trade"
+       for b in ("msg", "shmem")},
+    "jacobi-halo-overlap/msg": "loop-to-section under symbolic bounds "
+    "loses below ~38 iterations per processor (EXPERIMENTS.md C2); here "
+    "each processor has 8 (on shmem it wins, 299 -> 297)",
+}
+
+#: name -> why the O2 result digest differs from O0's with equal arrays.
+O2_FEWER_ARRAYS = {
+    "jacobi-naive": "transfer elimination deletes the temp _T4, so O2's "
+    "digest covers one array fewer; A, B and _T1-_T3 are equal",
+}
+
+
+def test_o2_is_never_worse_than_o0_but_for_pinned_losers(golden):
+    losers = set()
+    for name in CASES:
+        for backend in ("msg", "shmem"):
+            o0, o2 = (golden[f"{name}/O{lvl}/{backend}"] for lvl in (0, 2))
+            assert (o2["result"] == o0["result"]) != (name in O2_FEWER_ARRAYS), name
+            if o2["makespan"] > o0["makespan"]:
+                losers.add(f"{name}/{backend}")
+    assert losers == set(O2_LOSERS)
+
+
+def test_o2_drops_only_compiler_temps():
+    for name in O2_FEWER_ARRAYS:
+        make, nprocs = CASES[name]
+        arrays = [{d.name for d in optimize(make(), nprocs, level=lvl).program
+                   .array_decls()} for lvl in (0, 2)]
+        assert arrays[0] - arrays[1] == {"_T4"} and arrays[1] <= arrays[0]
 
 
 #: On the message backend A[1] lands on P2 at t=127.  P2's kernel call
