@@ -69,7 +69,6 @@ def _run_config(n: int, nprocs: int, store_root: str) -> dict:
         "n": n,
         "nprocs": nprocs,
         "wall_s": round(wall, 3),
-        "shards": res.shards,
         "hand_stage1_makespan": hand[1],
         "hand_stage2_makespan": hand[2],
         "cache_hits": res.cache.hits,

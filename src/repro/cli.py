@@ -397,7 +397,9 @@ def _cmd_redist(args: argparse.Namespace) -> int:
 def _parse_knobs(spec: str):
     """Parse a ``--knobs`` spec like ``bulk,pipelined,planner@0.25`` into a
     :class:`~repro.tune.space.KnobSpec` (``planner@F`` adds F to the
-    planner's temp-memory fractions; bare ``planner`` keeps the defaults)."""
+    planner's temp-memory fractions; bare ``planner`` keeps the defaults).
+    A spec naming no realization, or a fraction that is not a number in
+    (0, 1], is a ``ValueError`` with a one-line reason."""
     from .tune import KnobSpec
 
     reals: list[str] = []
@@ -407,13 +409,23 @@ def _parse_knobs(spec: str):
         if not part:
             continue
         if part.startswith("planner@"):
-            if "planner" not in reals:
-                reals.append("planner")
-            fracs.append(float(part.split("@", 1)[1]))
-        elif part not in reals:
+            text = part.split("@", 1)[1]
+            try:
+                frac = float(text)
+            except ValueError:
+                raise ValueError(
+                    f"--knobs: planner fraction {text!r} is not a number"
+                ) from None
+            if not 0.0 < frac <= 1.0:
+                raise ValueError(
+                    f"--knobs: planner fraction {text} must be in (0, 1]"
+                )
+            fracs.append(frac)
+            part = "planner"
+        if part not in reals:
             reals.append(part)
     if not reals:
-        raise SystemExit(f"--knobs {spec!r} names no realizations")
+        raise ValueError(f"--knobs {spec!r} names no realizations")
     return KnobSpec(
         realizations=tuple(reals),
         max_temp_fracs=tuple(fracs) if fracs else (0.25, 0.5),
@@ -423,39 +435,35 @@ def _parse_knobs(spec: str):
 def _cmd_tune(args: argparse.Namespace) -> int:
     from .tune import TuneError, tune
 
-    if args.file:
-        program = _load(args.file)
-        what = args.file
-    else:
-        from .apps.fft3d import fft3d_source
+    try:
+        if args.top_k < 1:
+            raise ValueError(f"--top-k ({args.top_k}) must be positive")
+        if not args.budget >= 0:
+            raise ValueError(f"--budget ({args.budget}) must be >= 0")
+        knobs = None if args.knobs is None else _parse_knobs(args.knobs)
+        if args.file:
+            program = _load(args.file)
+            what = args.file
+        else:
+            from .apps.fft3d import fft3d_source
 
-        try:
             program = fft3d_source(args.n, args.nprocs, args.stage)
-        except ValueError as exc:
-            print(f"repro tune: {exc}", file=sys.stderr)
-            return 2
-        what = f"fft3d n={args.n} stage={args.stage}"
+            what = f"fft3d n={args.n} stage={args.stage}"
+    except ValueError as exc:
+        print(f"repro tune: {exc}", file=sys.stderr)
+        return 2
     model = _MODELS[args.model]()
-    store = args.store
-    if args.shards and store is None:
-        # Sharded workers need a shared store; a throwaway one will do.
-        import tempfile
-
-        store = tempfile.mkdtemp(prefix="repro-tune-store-")
-        print(f"note: --shards without --store, using throwaway {store}")
     try:
         res = tune(
             program,
             args.nprocs,
             model=model,
             top_k=args.top_k,
-            knobs=_parse_knobs(args.knobs) if args.knobs else None,
+            knobs=knobs,
             budget_s=args.budget,
-            shards=args.shards,
-            parallel=not args.serial,
             seed=args.seed,
             backend=args.backend or default_backend(),
-            store=store,
+            store=args.store,
         )
     except TuneError as exc:
         print(f"repro tune: {exc}", file=sys.stderr)
@@ -490,7 +498,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         doc.update({
             "nprocs": args.nprocs,
             "model": args.model,
-            "shards": res.shards,
             "budget_s": res.budget_s,
             "wall_s": res.wall_s,
             "cache_hits": res.cache.hits,
@@ -764,15 +771,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "'bulk,pipelined,planner@0.25,planner@0.5'")
     u.add_argument("--budget", type=float, default=60.0, metavar="SECONDS",
                    help="wall-clock budget checked between engine waves")
-    u.add_argument("--shards", type=int, default=None,
-                   help="evaluate candidates across this many supervised "
-                        "worker processes (uses --store, or a throwaway "
-                        "one); 0 evaluates in-process")
     u.add_argument("--explain", action="store_true",
                    help="print the ranked shortlist with static scores, "
                         "engine makespans, and demotions")
-    u.add_argument("--serial", action="store_true",
-                   help="evaluate candidates serially")
     u.add_argument("--seed", type=int, default=7)
     u.add_argument("--compare-hand", action="store_true",
                    help="also run the paper's hand stages for comparison "

@@ -12,7 +12,9 @@ deadline-tightened job still hits the same cache entry.
 shared :class:`~repro.serve.store.ArtifactStore` first (cross-process
 cache), computes on a miss, and publishes the result.  It is a pure
 function of the spec's key fields, so concurrent workers racing on the
-same key write identical records.
+same key write identical records.  A ``tune`` job also hands the store to
+the tuner's in-process candidate oracle, so engine runs are shared across
+tune jobs as well as whole results.
 
 Chaos plans (``chaos_kill_attempts`` / ``chaos_stall_attempts``) are
 honored *inside* the worker: on a listed attempt the worker SIGKILLs
@@ -45,7 +47,7 @@ __all__ = [
     "execute_job",
 ]
 
-JOB_KINDS = ("compile", "check", "run", "tune", "eval")
+JOB_KINDS = ("compile", "check", "run", "tune")
 
 #: Machine-model presets by CLI name (mirrors ``repro run --model``).
 MODELS: dict[str, Callable[[], MachineModel]] = {
@@ -185,38 +187,16 @@ def _fp(v: Any) -> Any:
 
 
 def _spec_model(spec: JobSpec | Mapping[str, Any]) -> MachineModel:
-    """The machine model a job runs under.
-
-    Presets resolve through :data:`MODELS`; an explicit ``model_json``
-    option (the eval-job wire form — arbitrary models cannot be named)
-    takes precedence.
-    """
-    if isinstance(spec, JobSpec):
-        options, model_name = dict(spec.options), spec.model
-    else:
-        options = dict(tuple(o) for o in (spec.get("options") or ()))
-        model_name = spec["model"]
-    mj = options.get("model_json")
-    if mj is not None:
-        from ..tune.evaluate import model_from_json
-
-        return model_from_json(mj)
-    return MODELS[model_name]()
+    """The machine model a job runs under: its :data:`MODELS` preset."""
+    name = spec.model if isinstance(spec, JobSpec) else spec["model"]
+    return MODELS[name]()
 
 
 def artifact_key(spec: JobSpec | Mapping[str, Any]) -> ArtifactKey:
-    """The content address of a job's artifact (spec or its dict form).
-
-    ``eval`` jobs are addressed exactly like the tuner's in-process
-    oracle (:func:`repro.tune.evaluate` evaluations): same config
-    document, same model canonicalization — so a sharded tune and a
-    local one share every engine-run artifact.
-    """
+    """The content address of a job's artifact (spec or its dict form):
+    source, :meth:`JobSpec.key_doc`, backend and machine model."""
     if isinstance(spec, JobSpec):
-        doc, source = spec.key_doc(), spec.source
-        backend = spec.backend
-        options = dict(spec.options)
-        kind, nprocs, seed = spec.kind, spec.nprocs, spec.seed
+        doc, source, backend = spec.key_doc(), spec.source, spec.backend
     else:
         doc = {
             "kind": spec["kind"],
@@ -227,16 +207,7 @@ def artifact_key(spec: JobSpec | Mapping[str, Any]) -> ArtifactKey:
             "options": sorted(tuple(o) for o in (spec.get("options") or ())),
         }
         source, backend = spec["source"], spec["backend"]
-        options = dict(tuple(o) for o in (spec.get("options") or ()))
-        kind, nprocs, seed = spec["kind"], spec["nprocs"], spec["seed"]
-    model = _spec_model(spec)
-    if kind == "eval":
-        doc = {
-            "kind": "eval",
-            "nprocs": nprocs,
-            "seed": seed,
-        }
-    return ArtifactKey.make(source, doc, backend, model)
+    return ArtifactKey.make(source, doc, backend, _spec_model(spec))
 
 
 # ---------------------------------------------------------------------- #
@@ -313,7 +284,6 @@ def _job_tune(spec: Mapping[str, Any], model: MachineModel) -> dict:
         spec["source"], spec["nprocs"], model=model,
         top_k=int(options.get("top_k", 2)),
         seed=spec["seed"], backend=spec["backend"],
-        parallel=False,
         store=spec.get("_store_root"),
     )
     # The canonical doc is exactly the deterministic portion of the
@@ -331,11 +301,10 @@ def degraded_tune_result(spec: Mapping[str, Any]) -> dict:
     """
     from ..tune.evaluate import EvalTask, evaluate_candidates
 
-    model = MODELS[spec["model"]]()
+    model = _spec_model(spec)
     baseline = evaluate_candidates(
         [EvalTask(spec["source"], spec["nprocs"], model, seed=spec["seed"],
                   label="baseline", backend=spec["backend"])],
-        parallel=False,
     )[0]
     return {
         "makespan": baseline.makespan,
@@ -348,28 +317,11 @@ def degraded_tune_result(spec: Mapping[str, Any]) -> dict:
     }
 
 
-def _job_eval(spec: Mapping[str, Any], model: MachineModel) -> dict:
-    """One tuner-candidate engine run (the sharded oracle's work unit).
-
-    Returns exactly the payload the in-process oracle publishes for the
-    same task, so the artifact is interchangeable with one written by
-    :func:`repro.tune.evaluate.evaluate_candidates`.
-    """
-    from ..tune.evaluate import EvalTask, _run_task, _store_payload
-
-    task = EvalTask(
-        spec["source"], spec["nprocs"], model, seed=spec["seed"],
-        backend=spec["backend"],
-    )
-    return _store_payload(_run_task(task))
-
-
 _BODIES = {
     "compile": _job_compile,
     "check": _job_check,
     "run": _job_run,
     "tune": _job_tune,
-    "eval": _job_eval,
 }
 
 

@@ -15,9 +15,9 @@ four-stage pipeline:
   by emission identity, vetted by the communication verifier, cut to a
   shortlist under an explicit candidate budget;
 * :mod:`~repro.tune.evaluate` — **evaluation**: shortlisted candidates run
-  on the real :class:`~repro.machine.engine.Engine`, in-process or sharded
-  across supervised workers, memoized through the content-addressed
-  artifact store;
+  on the real :class:`~repro.machine.engine.Engine`, in-process and
+  serially, memoized in memory and through the content-addressed artifact
+  store;
 * :mod:`~repro.tune.search` — **search**: budgeted successive halving over
   the ranked shortlist with a baseline-fallback safety net;
 * :mod:`~repro.tune.rewrite` — phase detection and regeneration of the
@@ -34,13 +34,7 @@ from .cost import (
     redistribution_cost,
     transport_costs,
 )
-from .evaluate import (
-    EvalCache,
-    EvalResult,
-    EvalTask,
-    evaluate_candidates,
-    evaluate_sharded,
-)
+from .evaluate import EvalCache, EvalResult, EvalTask, evaluate_candidates
 from .prefilter import PrefilterResult, RankedCandidate, prefilter
 from .rewrite import PhaseSpec, detect_phases, generate_phased_program
 from .search import TUNE_SCHEMA, TuneError, TuneResult, tune
@@ -89,7 +83,6 @@ __all__ = [
     "detect_phases",
     "enumerate_layouts",
     "evaluate_candidates",
-    "evaluate_sharded",
     "generate_phased_program",
     "phase_compute_cost",
     "phase_layouts",

@@ -2,12 +2,11 @@
 
 The analytic model ranks placements; the oracle *validates* the top
 candidates by running them on the real machine (the VM pipeline feeding
-:class:`~repro.machine.engine.Engine`).  Evaluations are memoized in an
+:class:`~repro.machine.engine.Engine`).  There is one evaluation path,
+:func:`evaluate_candidates`: in-process and serial, memoized in an
 :class:`EvalCache` keyed on a digest of (program, processor count,
-machine model, seed, backend) — identical candidates across tuning calls
-never re-simulate — and independent candidates evaluate in parallel via
-:mod:`concurrent.futures`.  Every task is a pure function of its digest
-inputs, so parallel evaluation is bit-identical to serial.
+machine model, seed, backend), so identical candidates across tuning
+calls never re-simulate.
 
 Passing ``store`` (an :class:`~repro.serve.store.ArtifactStore` or a
 directory path) extends the memo across *processes and runs*: results
@@ -18,11 +17,8 @@ published after, so a re-tune in a fresh process — or a tune job under
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
-import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -38,21 +34,8 @@ __all__ = [
     "EvalResult",
     "EvalTask",
     "evaluate_candidates",
-    "evaluate_sharded",
-    "model_from_json",
-    "model_to_json",
     "seed_arrays",
 ]
-
-
-def model_to_json(model: MachineModel) -> str:
-    """Canonical JSON wire form of a machine model (sorted keys, so the
-    string — and everything keyed on it — is stable across processes)."""
-    return json.dumps(dict(sorted(asdict(model).items())))
-
-
-def model_from_json(text: str) -> MachineModel:
-    return MachineModel(**json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -68,9 +51,8 @@ class EvalTask:
 
     def source_text(self) -> str:
         """Canonical source form: parsed programs print through the IR
-        printer, so a :class:`Program` and its printed text — and an
-        in-process task and the serve job carrying it — share one
-        identity (digest, store key, artifact)."""
+        printer, so a :class:`Program` and its printed text share one
+        identity (digest, store key)."""
         return (
             self.program if isinstance(self.program, str)
             else print_program(self.program)
@@ -202,13 +184,13 @@ def _store_key(task: EvalTask):
 
     Same identity fields as :attr:`EvalTask.digest`, but hashed through
     the store's canonical key form (program source, pass config, backend,
-    machine model) so serve jobs and in-process tunes share entries.
+    machine model), so every tune sharing a store shares its entries.
     """
     from ..serve.store import ArtifactKey
 
     src = task.source_text()
     config = {
-        "kind": "eval",
+        "kind": "candidate",
         "nprocs": task.nprocs,
         "seed": task.seed,
     }
@@ -266,154 +248,37 @@ def evaluate_candidates(
     *,
     cache: EvalCache | None = None,
     store=None,
-    parallel: bool = True,
-    max_workers: int | None = None,
 ) -> list[EvalResult]:
-    """Run candidate tasks on the real engine, memoized and in parallel.
+    """Run candidate tasks on the real engine, in order, memoized.
 
-    Results come back in task order.  Cached digests are served without
-    re-simulation (marked ``from_cache``); the rest run concurrently when
-    ``parallel`` is set.  Each task is pure, so the results are
-    bit-identical between parallel and serial evaluation.
-
-    ``store`` (an :class:`~repro.serve.store.ArtifactStore` or a path)
-    adds a second, cross-process memo level: in-memory ``cache`` first,
-    then the shared on-disk store, then the engine — fresh results are
-    published to both.
+    Results come back in task order.  Each task is looked up in the
+    in-memory ``cache`` first, then in ``store`` (an
+    :class:`~repro.serve.store.ArtifactStore` or a path: the
+    cross-process memo level), and only then runs on the engine; fresh
+    results are published to both.  Memo hits are marked ``from_cache``.
     """
+    cache = cache if cache is not None else EvalCache()
     shared = _as_store(store)
-    results: list[EvalResult | None] = [None] * len(tasks)
-    todo: list[int] = []
-    for i, task in enumerate(tasks):
-        if cache is not None:
-            hit = cache.get(task.digest)
-            if hit is not None:
-                results[i] = EvalResult(
-                    label=task.label, digest=hit.digest, makespan=hit.makespan,
-                    total_messages=hit.total_messages,
-                    total_bytes=hit.total_bytes, total_flops=hit.total_flops,
-                    arrays=hit.arrays, from_cache=True,
-                )
-                continue
-        if shared is not None:
-            payload = shared.get(_store_key(task))
-            if payload is not None:
-                if cache is not None:
-                    cache.store_hits += 1
-                r = _result_from_store(task, payload)
-                results[i] = r
-                if cache is not None:
-                    cache.put(r)
-                continue
-            if cache is not None:
-                cache.store_misses += 1
-        todo.append(i)
-    if todo:
-        if parallel and len(todo) > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                fresh = list(pool.map(_run_task, [tasks[i] for i in todo]))
-        else:
-            fresh = [_run_task(tasks[i]) for i in todo]
-        for i, r in zip(todo, fresh):
-            results[i] = r
-            if cache is not None:
-                cache.engine_runs += 1
-                cache.put(r)
-            if shared is not None:
-                shared.put(_store_key(tasks[i]), _store_payload(r))
-    return [r for r in results if r is not None]
-
-
-def evaluate_sharded(
-    tasks: Sequence[EvalTask],
-    *,
-    store,
-    shards: int,
-    cache: EvalCache | None = None,
-    timeout_s: float = 300.0,
-) -> list[EvalResult]:
-    """Evaluate candidates in ``shards`` supervised worker *processes*.
-
-    Each uncached task becomes a ``kind="eval"`` job dispatched through
-    the :class:`~repro.serve.supervisor.Supervisor`; the content-addressed
-    artifact store is both the cross-process memo (the worker consults it
-    before simulating, under exactly the key
-    :func:`evaluate_candidates` uses, so sharded and in-process
-    evaluations share entries) and the durable record.
-
-    The merge is deterministic: results are matched back to tasks by
-    submission order, never by completion order, and any task whose job
-    does not come back ``ok``/``cached`` (a crashed, poisoned or shed
-    worker) is re-run in-process — so for a fixed seed the returned
-    results are bit-identical for any shard count, 1 included.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1 (got {shards})")
-    shared = _as_store(store)
-    if shared is None:
-        raise ValueError("sharded evaluation needs an artifact store")
-    from ..serve.jobs import JobSpec
-    from ..serve.supervisor import Supervisor, SupervisorConfig
-
-    results: list[EvalResult | None] = [None] * len(tasks)
-    todo: list[int] = []
-    for i, task in enumerate(tasks):
-        if cache is not None:
-            hit = cache.get(task.digest)
-            if hit is not None:
-                results[i] = EvalResult(
-                    label=task.label, digest=hit.digest, makespan=hit.makespan,
-                    total_messages=hit.total_messages,
-                    total_bytes=hit.total_bytes, total_flops=hit.total_flops,
-                    arrays=hit.arrays, from_cache=True,
-                )
-                continue
-        todo.append(i)
-
-    if todo:
-        specs = [
-            JobSpec(
-                kind="eval",
-                source=tasks[i].source_text(),
-                nprocs=tasks[i].nprocs,
-                backend=tasks[i].backend,
-                seed=tasks[i].seed,
-                options=(("model_json", model_to_json(tasks[i].model)),),
-                label=tasks[i].label,
-                timeout_s=timeout_s,
+    results: list[EvalResult] = []
+    for task in tasks:
+        hit = cache.get(task.digest)
+        if hit is not None:
+            results.append(
+                replace(hit, label=task.label, from_cache=True)
             )
-            for i in todo
-        ]
-        config = SupervisorConfig(
-            workers=shards,
-            queue_capacity=max(64, len(specs) + 8),
-            timeout_s=timeout_s,
-        )
-        with Supervisor(store_root=shared.root, config=config) as sup:
-            outcomes = sup.run_jobs(specs)
-        for i, outcome in zip(todo, outcomes):
-            task = tasks[i]
-            if outcome.status in ("ok", "cached") and outcome.value is not None:
-                if cache is not None:
-                    if outcome.status == "cached":
-                        cache.store_hits += 1
-                    else:
-                        cache.store_misses += 1
-                        cache.engine_runs += 1
-                r = dataclasses.replace(
-                    _result_from_store(task, outcome.value),
-                    from_cache=(outcome.status == "cached"),
-                )
-            else:
-                # Worker lost (crash/poison/shed): recompute in-process so
-                # the merged results stay deterministic, and publish what
-                # the worker failed to.
-                r = _run_task(task)
-                if cache is not None:
-                    cache.store_misses += 1
-                    cache.engine_runs += 1
-                shared.put(_store_key(task), _store_payload(r))
-            results[i] = r
-            if cache is not None:
-                cache.put(r)
-    return [r for r in results if r is not None]
+            continue
+        key = None if shared is None else _store_key(task)
+        payload = None if key is None else shared.get(key)
+        if payload is not None:
+            cache.store_hits += 1
+            r = _result_from_store(task, payload)
+        else:
+            if key is not None:
+                cache.store_misses += 1
+            r = _run_task(task)
+            cache.engine_runs += 1
+            if key is not None:
+                shared.put(key, _store_payload(r))
+        cache.put(r)
+        results.append(r)
+    return results

@@ -16,14 +16,14 @@ that space in four stages:
    program text, deduplicated, vetted by the communication verifier,
    and becomes the shortlist;
 3. **evaluation** (:mod:`~repro.tune.evaluate`) — shortlisted candidates
-   run on the real engine, in-process or sharded across supervised
-   worker processes over the content-addressed artifact store;
+   run on the real engine, in-process and serially, memoized in memory
+   and (optionally) in the content-addressed artifact store;
 4. **search** (this module) — budgeted successive halving over the
    shortlist: engine waves of halving size walk the static ranking,
    re-ranking the remainder after each wave by the observed
    engine/static bias of each realization family, under a wall-clock
    budget checked between (never inside) waves, so a fixed seed gives a
-   bit-identical result for any shard count.
+   bit-identical result however warm the memo is.
 
 The engine's makespan picks the winner, ties broken by the canonical
 candidate order — which is how the tuner lands on the paper's
@@ -46,9 +46,7 @@ from ..distributions import ProcessorGrid
 from ..core.analysis.layouts import build_segmentation
 from ..machine.model import MachineModel
 from ..machine.transport import default_backend
-from .evaluate import (
-    EvalCache, EvalResult, EvalTask, evaluate_candidates, evaluate_sharded,
-)
+from .evaluate import EvalCache, EvalResult, EvalTask, evaluate_candidates
 from .prefilter import PrefilterResult, RankedCandidate, prefilter
 from .rewrite import PhaseSpec, TuneError, detect_phases
 from .space import KnobSpec, LayoutCandidate, SpaceSpec
@@ -115,7 +113,6 @@ class TuneResult:
     shortlist_size: int = 0
     demoted: list[dict] = field(default_factory=list)
     rank_correlation: float | None = None
-    shards: int = 0
     waves: int = 0
     budget_s: float | None = None
     wall_s: float = 0.0
@@ -129,7 +126,7 @@ class TuneResult:
         engine measurement, no wall clocks and no memo-level counters
         (those depend on what happened to be warm, not on the search).
         A fixed (program, nprocs, model, seed) must yield byte-identical
-        canonical docs for any shard count."""
+        canonical docs whether the memo was cold or warm."""
         return {
             "schema": TUNE_SCHEMA,
             "phases": [str(p) for p in self.phases],
@@ -171,7 +168,6 @@ class TuneResult:
             f"oracle cache: {self.cache.hits} hits / {self.cache.misses} "
             f"misses in-memory; store: {self.cache.store_hits} hits / "
             f"{self.cache.store_misses} misses"
-            + (f"; {self.shards} shard(s)" if self.shards else "")
         )
         if self.demoted:
             lines.append(
@@ -200,8 +196,7 @@ def tune(
     top_k: int = 4,
     knobs: KnobSpec | None = None,
     budget_s: float | None = 60.0,
-    shards: int | None = None,
-    parallel: bool = True,
+    parallel: bool = False,
     seed: int = 7,
     cache: EvalCache | None = None,
     store=None,
@@ -211,17 +206,20 @@ def tune(
 
     Deterministic for a fixed (program, nprocs, model, seed): layer
     order is canonical, scores are exact arithmetic on model constants,
-    every tie-break is lexicographic, and sharded evaluation merges by
-    submission order — the wall-clock budget only gates *whether* the
-    next engine wave starts, never reorders one.
+    every tie-break is lexicographic, and candidates evaluate in-process
+    in ranked order — the wall-clock budget only gates *whether* the next
+    engine wave starts, never reorders one.
 
     ``top_k`` sizes the first engine wave (waves then halve, so at most
     ``2 * top_k - 1`` candidates are engine-validated) and the ranked
     shortlist (``max(2 * top_k, 8)`` entries);
     ``budget_s`` is the wall-clock budget checked between waves (``None``
-    = unbounded).  ``shards`` switches engine validation to that many
-    supervised worker processes (``None`` or 0: in-process) — it requires
-    ``store``, which also memoizes evaluations across processes and runs.
+    = unbounded).  ``store`` (an artifact store or a directory) memoizes
+    engine evaluations across processes and runs, beside ``cache``.
+
+    ``parallel`` is accepted and ignored: evaluation is serial.  It stays
+    only because the frozen ledger (``benchmarks/e2e/workloads.py``)
+    passes ``parallel=False``.
 
     ``knobs`` is the :class:`~repro.tune.space.KnobSpec` the layout paths
     are crossed with (default: every realization and planner budget).  If
@@ -235,8 +233,6 @@ def tune(
     model = model if model is not None else MachineModel()
     cache = cache if cache is not None else EvalCache()
     backend = backend if backend is not None else default_backend()
-    if shards and store is None:
-        raise TuneError("sharded evaluation (shards=...) needs a store")
     if knobs is None:
         knobs = KnobSpec()
 
@@ -268,11 +264,7 @@ def tune(
     )
 
     def _evaluate(tasks: Sequence[EvalTask]) -> list[EvalResult]:
-        if shards:
-            return evaluate_sharded(tasks, store=store, shards=shards,
-                                    cache=cache)
-        return evaluate_candidates(tasks, cache=cache, store=store,
-                                   parallel=parallel)
+        return evaluate_candidates(tasks, cache=cache, store=store)
 
     def _task(rc: RankedCandidate) -> EvalTask:
         return EvalTask(rc.source, nprocs, model, seed=seed, backend=backend,
@@ -361,7 +353,6 @@ def tune(
         shortlist_size=len(pf.shortlist),
         demoted=pf.demoted,
         rank_correlation=rank_corr,
-        shards=shards or 0,
         waves=waves,
         budget_s=budget_s,
     )
@@ -383,8 +374,7 @@ def tune(
 
     # Winner confirmation goes through the cache — by construction a hit,
     # which is also what keeps repeated tuning calls cheap.
-    confirmed = evaluate_candidates([_task(best_rc)], cache=cache,
-                                    store=store, parallel=False)[0]
+    confirmed = _evaluate([_task(best_rc)])[0]
     return TuneResult(
         phase_layouts=best_rc.layouts,
         realization=best_rc.knob.realization,

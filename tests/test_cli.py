@@ -110,16 +110,40 @@ class TestBadInput:
         assert capsys.readouterr().err == (
             f"{p}: duplicate declaration of 'A'\n")
 
-    def test_tune_error_is_a_message_and_shards_0_is_in_process(
-            self, program_file, capsys):
-        # `--shards 0` used to die in tune() with "needs a store"; it means
-        # in-process, so the real complaint (nothing to tune) surfaces,
-        # as a message rather than a TuneError traceback.
-        assert main(["tune", "--file", program_file, "--nprocs", "2",
-                     "--shards", "0"]) == 2
+    def test_tune_error_is_a_message(self, program_file, capsys):
+        # A TuneError (nothing to tune) is a message, not a traceback.
+        assert main(["tune", "--file", program_file, "--nprocs", "2"]) == 2
         out, err = capsys.readouterr()
         assert err == "repro tune: no kernel calls found; nothing to tune\n"
-        assert "needs a store" not in err and "Traceback" not in out + err
+        assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize("argv,reason", [
+        (["--knobs", "planner@abc"],
+         "--knobs: planner fraction 'abc' is not a number"),
+        (["--knobs", "planner@0"],
+         "--knobs: planner fraction 0 must be in (0, 1]"),
+        (["--knobs", "planner@2"],
+         "--knobs: planner fraction 2 must be in (0, 1]"),
+        (["--knobs", ""], "--knobs '' names no realizations"),
+        (["--top-k", "0"], "--top-k (0) must be positive"),
+        (["--top-k", "-2"], "--top-k (-2) must be positive"),
+        (["--budget", "-1"], "--budget (-1.0) must be >= 0"),
+    ])
+    def test_tune_bad_option_is_a_message_and_exit_2(
+            self, argv, reason, capsys):
+        # These used to print a ValueError/DistributionError traceback
+        # (exit 1), or run silently (top-k, budget, empty knobs).
+        assert main(["tune", "--n", "8", "--nprocs", "4", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"repro tune: {reason}\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("flag", [["--shards", "2"], ["--serial"]])
+    def test_tune_has_one_evaluation_path(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["tune", "--n", "8", "--nprocs", "4", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_tune_file_syntax_error_goes_through_load(self, tmp_path, capsys):
         # `tune --file` used to read the file itself: raw ParseError traceback.

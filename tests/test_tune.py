@@ -100,17 +100,6 @@ class TestOracle:
             for s in (0, 1, 2)
         ]
 
-    def test_parallel_bit_identical_to_serial(self):
-        model = MachineModel()
-        serial = evaluate_candidates(self._tasks(model), parallel=False)
-        par = evaluate_candidates(self._tasks(model), parallel=True)
-        assert [r.digest for r in serial] == [r.digest for r in par]
-        assert [r.makespan for r in serial] == [r.makespan for r in par]
-        for a, b in zip(serial, par):
-            assert set(a.arrays) == set(b.arrays)
-            for k in a.arrays:
-                assert np.array_equal(a.arrays[k], b.arrays[k])
-
     def test_cache_avoids_resimulation(self):
         model = MachineModel()
         cache = EvalCache()

@@ -7,20 +7,24 @@ end-to-end contract):
   (``tests/tune_oracles.py``), entry for entry, and ``tune()`` on top of
   either returns the same canonical document;
 * the ranking's work does not grow with the product of the layers;
-* same-seed searches are bit-reproducible for any shard count — the
-  canonical result document and the BENCH row derived from it are
-  byte-identical across ``shards in {1, 2, 4}``;
+* the artifact store is the cross-process memo: a fresh process replays
+  a tune from it with no engine run and a byte-identical canonical
+  document;
 * the prefilter's shortlist holds no two copies of one program.
 """
 
 import itertools
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import repro
 import repro.tune.space as space_mod
 from repro.apps.fft3d import fft3d_source
 from repro.core.analysis.layouts import build_segmentation
@@ -187,8 +191,7 @@ class TestRankingMatchesSweep:
         src = fft3d_source(n, nprocs, 0)
         # One memo for both sides: the engine results are keyed by program
         # text, and the document holds no memo counters.
-        kw = dict(parallel=False, budget_s=None, cache=EvalCache(),
-                  backend=backend)
+        kw = dict(budget_s=None, cache=EvalCache(), backend=backend)
         lazy = tune(src, nprocs, **kw).canonical_doc()
 
         class SweepRanking:
@@ -270,39 +273,44 @@ class TestPrefilter:
         assert len(set(printed)) == len(printed)
 
 
-class TestShardDeterminism:
-    """Same seed, same program: the shard count must be invisible in the
-    result — the merge is by submission order, never completion order."""
+class TestStoreMemo:
+    """The artifact store is the tuner's cross-process memo: a fresh
+    process with a fresh in-memory cache replays a tune from the store
+    alone, with no engine run, and lands on the same document."""
 
-    @pytest.fixture(scope="class")
-    def docs(self, tmp_path_factory):
-        src = fft3d_source(N, P, 0)
-        out = {}
-        for shards in (1, 2, 4):
-            store = tmp_path_factory.mktemp(f"store-{shards}")
-            res = tune(src, P, shards=shards, store=str(store))
-            out[shards] = res.canonical_doc()
-        return out
+    REPLAY = (
+        "import json, sys\n"
+        "from repro.apps.fft3d import fft3d_source\n"
+        "from repro.tune import EvalCache, tune\n"
+        "store, n, p = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])\n"
+        "res = tune(fft3d_source(n, p, 0), p, budget_s=None,\n"
+        "           cache=EvalCache(), store=store)\n"
+        "c = res.cache\n"
+        "print(json.dumps(res.canonical_doc(), sort_keys=True))\n"
+        "print(json.dumps({'engine_runs': c.engine_runs,\n"
+        "                  'store_hits': c.store_hits,\n"
+        "                  'store_misses': c.store_misses}))\n"
+    )
 
-    def test_canonical_docs_byte_identical(self, docs):
-        blobs = {
-            s: json.dumps(d, sort_keys=True).encode()
-            for s, d in docs.items()
+    def test_fresh_process_replays_from_the_store(self, tmp_path):
+        store = str(tmp_path / "store")
+        first = tune(fft3d_source(N, P, 0), P, budget_s=None,
+                     cache=EvalCache(), store=store)
+        assert first.cache.engine_runs == first.cache.store_misses > 0
+
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        child = subprocess.run(
+            [sys.executable, "-c", self.REPLAY, store, str(N), str(P)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert child.returncode == 0, child.stderr
+        doc, counters = child.stdout.splitlines()
+        assert doc == json.dumps(first.canonical_doc(), sort_keys=True)
+        assert json.loads(counters) == {
+            "engine_runs": 0,
+            "store_hits": first.cache.store_misses,
+            "store_misses": 0,
         }
-        assert blobs[1] == blobs[2] == blobs[4]
-
-    def test_bench_rows_byte_identical(self, docs):
-        # The BENCH row is the canonical doc plus per-run context; the
-        # deterministic portion must not vary with the shard count.
-        rows = {
-            s: json.dumps(
-                {**d, "n": N, "nprocs": P}, sort_keys=True
-            ).encode()
-            for s, d in docs.items()
-        }
-        assert rows[1] == rows[2] == rows[4]
-
-    def test_sharded_matches_in_process(self, docs, tmp_path):
-        res = tune(fft3d_source(N, P, 0), P)
-        assert json.dumps(res.canonical_doc(), sort_keys=True) == \
-            json.dumps(docs[1], sort_keys=True)
