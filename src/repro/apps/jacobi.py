@@ -4,15 +4,17 @@ Three variants of ``B[i] = (A[i-1] + A[i] + A[i+1]) / 3`` sweeps over a
 ``BLOCK``-distributed vector:
 
 * **naive** — the sequential loop put through the owner-computes
-  translator: one message per non-local right-hand-side element reference
-  per sweep (three temporaries; mostly self-transfers that transfer
-  elimination would remove, plus genuine boundary traffic);
-* **halo** — compiler-style halo exchange: each processor sends its
-  boundary elements to its neighbours once per sweep (2 messages per
-  interior processor), receives into per-processor halo slots, and
-  computes locally — the end point of the paper's transfer-elimination +
-  message-vectorization pipeline, generated here directly with bound
-  destinations;
+  translator: one message per right-hand-side element reference per
+  sweep (three temporaries, mostly self-transfers).  At -O1/-O2
+  communication sets (:mod:`repro.core.opt.comm_sets`) read ``A[i]`` in
+  place and receive only β∖α, the one halo element per neighbour, into
+  two buffers before each sweep: the halo variant's 2(P-1) messages per
+  sweep, at n=256 P=4 within 1.4x its makespan;
+* **halo** — compiler-style halo exchange written by hand: each processor
+  sends its boundary elements to its neighbours once per sweep (2
+  messages per interior processor), receives into per-processor halo
+  slots, and computes locally, interior and boundary iterations split
+  (the index-set splitting the optimizer does not do yet);
 * **halo-overlap** — the same exchange, but the strictly-interior points
   are computed *before* awaiting the halos, overlapping communication
   with computation (the separation the paper's key idea 1 enables).

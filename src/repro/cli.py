@@ -591,12 +591,37 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _chaos_args(args: argparse.Namespace) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """``--programs`` and ``--procs`` as tuples; a bad item is a
+    ``ValueError`` naming it."""
+    programs = tuple(args.programs.split(","))
+    for name in programs:
+        if name not in ("workqueue", "fft"):
+            raise ValueError(
+                f"--programs: unknown program {name!r} (pick from workqueue, fft)")
+    procs = []
+    for item in args.procs.split(","):
+        try:
+            procs.append(int(item))
+        except ValueError:
+            raise ValueError(f"--procs: {item!r} is not an integer") from None
+        if procs[-1] < 2:
+            raise ValueError(
+                f"--procs: {procs[-1]} is below 2 (one master and one worker)")
+    return programs, tuple(procs)
+
+
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from .apps.chaos import format_chaos, run_chaos
 
+    try:
+        programs, procs = _chaos_args(args)
+    except ValueError as exc:
+        print(f"repro chaos: {exc}", file=sys.stderr)
+        return 2
     report = run_chaos(
-        programs=tuple(args.programs.split(",")),
-        nprocs_list=tuple(int(x) for x in args.procs.split(",")),
+        programs=programs,
+        nprocs_list=procs,
         seed=args.seed,
         jobs_per_proc=args.jobs_per_proc,
         include_crash=args.crash,
@@ -614,6 +639,12 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .report.record import write_json_atomic
 
+    if _bad_nprocs("serve", args.nprocs):
+        return 2
+    for flag, value in (("--workers", args.workers), ("--timeout", args.timeout)):
+        if not value > 0:
+            print(f"repro serve: {flag} ({value}) must be positive", file=sys.stderr)
+            return 2
     if args.chaos:
         from .serve import format_serve_chaos, run_serve_chaos
 

@@ -16,7 +16,6 @@ paper's 1-based ids via :class:`~repro.core.analysis.consteval.ConstEnv`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from ...distributions import ProcessorGrid, Segmentation
 from ..errors import CompilationError
@@ -97,16 +96,6 @@ class OwnershipAnalysis:
             return None
         return resolve_section_const(ref, decl, env)
 
-    def owner_of(self, ref: ArrayRef, env: ConstEnv) -> int | None:
-        """The unique 0-based owner pid of ``ref`` under ``env``, or ``None``
-        if unknown / spanning several processors."""
-        if not self.ctx.is_exclusive(ref.var):
-            return None
-        sec = self.resolve(ref, env)
-        if sec is None:
-            return None
-        return self.ctx.layouts[ref.var].distribution.owner_of_section(sec)
-
     # ------------------------------------------------------------------ #
     # loops
     # ------------------------------------------------------------------ #
@@ -126,71 +115,6 @@ class OwnershipAnalysis:
         if count > ITERATION_CAP:
             return None
         return list(range(lo_i, hi_i + (1 if step_i > 0 else -1), step_i))
-
-    def iteration_space(
-        self, loops: list[DoLoop], env: ConstEnv
-    ) -> Iterator[dict[str, int]] | None:
-        """Cartesian product of nested loop values as binding dicts, or
-        ``None`` if any loop is symbolic or the product exceeds the cap.
-
-        Inner loop bounds may reference outer induction variables.
-        """
-        # Validate sizes first with outermost bindings where possible.
-        def gen(idx: int, bound: dict[str, int], budget: list[int]):
-            if idx == len(loops):
-                yield dict(bound)
-                return
-            vals = self.iteration_values(loops[idx], env.bind(**bound))
-            if vals is None:
-                raise _Symbolic()
-            for v in vals:
-                budget[0] -= 1
-                if budget[0] < 0:
-                    raise _Symbolic()
-                bound[loops[idx].var] = v
-                yield from gen(idx + 1, bound, budget)
-            bound.pop(loops[idx].var, None)
-
-        try:
-            return list(gen(0, {}, [ITERATION_CAP]))
-        except _Symbolic:
-            return None
-
-    def same_owner_forall(
-        self,
-        ref_a: ArrayRef,
-        ref_b: ArrayRef,
-        loops: list[DoLoop],
-        env: ConstEnv,
-    ) -> bool:
-        """True iff for every point of the (fully constant) iteration space
-        the owners of both references are known, unique, and equal."""
-        space = self.iteration_space(loops, env)
-        if space is None:
-            return False
-        for bindings in space:
-            e = env.bind(**bindings)
-            oa = self.owner_of(ref_a, e)
-            ob = self.owner_of(ref_b, e)
-            if oa is None or ob is None or oa != ob:
-                return False
-        return True
-
-    def owner_table(
-        self, ref: ArrayRef, loops: list[DoLoop], env: ConstEnv
-    ) -> dict[tuple[int, ...], int] | None:
-        """Map from iteration tuple to owning pid, or ``None`` if any point
-        is unresolvable."""
-        space = self.iteration_space(loops, env)
-        if space is None:
-            return None
-        out: dict[tuple[int, ...], int] = {}
-        for bindings in space:
-            owner = self.owner_of(ref, env.bind(**bindings))
-            if owner is None:
-                return None
-            out[tuple(bindings[l.var] for l in loops)] = owner
-        return out
 
     def guard_true_iterations(
         self, loop: DoLoop, guard_ref: ArrayRef, env: ConstEnv, pid: int,
@@ -226,7 +150,3 @@ class OwnershipAnalysis:
                     m.size for o in owned if (m := t.intersect(o)) is not None):
                 return []
         return sorted((i for r in runs for i in r), reverse=step < 0)
-
-
-class _Symbolic(Exception):
-    pass

@@ -77,10 +77,11 @@ def optimize(
     """The default pipeline at an optimization level.
 
     * level 0 — verification only;
-    * level 1 — transfer elimination + compute-rule elimination + cleanup;
-    * level 2 — level 1 plus message vectorization, guard hoisting, loop
-      fusion, await sinking, receive hoisting and loop-to-section (the
-      full paper pipeline).
+    * level 1 — communication sets (transfer elimination and message
+      vectorization as one pass), destination binding, compute-rule
+      elimination and cleanup;
+    * level 2 — level 1 plus guard hoisting, loop fusion, await sinking,
+      receive hoisting and loop-to-section (the full paper pipeline).
 
     With ``verify_comm`` the optimized program additionally goes through
     the static communication-safety verifier
@@ -98,23 +99,21 @@ def optimize(
     from .await_motion import AwaitSinking
     from .binding import DestinationBinding
     from .cleanup import Cleanup
+    from .comm_sets import CommunicationSets
     from .compute_rule_elim import ComputeRuleElimination
     from .fusion import LoopFusion
     from .guard_motion import GuardHoisting
     from .loop_to_section import LoopToSection
     from .recv_motion import ReceiveHoisting
-    from .transfer_elim import TransferElimination
-    from .vectorize import MessageVectorization
 
     if level <= 0:
         passes: list[Pass] = []
     elif level == 1:
-        passes = [TransferElimination(), DestinationBinding(target=backend),
+        passes = [CommunicationSets(), DestinationBinding(target=backend),
                   ComputeRuleElimination(), Cleanup()]
     else:
         passes = [
-            TransferElimination(),
-            MessageVectorization(),
+            CommunicationSets(),
             DestinationBinding(target=backend),
             ComputeRuleElimination(),
             GuardHoisting(),

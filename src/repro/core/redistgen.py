@@ -7,7 +7,9 @@ only code that turns its moves into destination-bound statements, in
 three shapes: all at once (:func:`plan_transfers`), memory-bounded rounds
 each fenced by its awaits (:func:`schedule_transfers`), and fragments
 split along a producing loop's axis, the sends fused into that loop
-(``plan_transfers(..., fuse=...)``).
+(``plan_transfers(..., fuse=...)``).  The same moves can carry values
+instead of ownership (``plan_transfers(..., value_of=...)``): the
+communication sets of :mod:`repro.core.opt.comm_sets`.
 
 Every triplet bound of every move is fitted as an integer-affine function
 of the 1-based (source, destination) pair, re-expanded for every pair
@@ -205,7 +207,8 @@ def _blocks(items: Iterable[tuple[Expr, Stmt]]) -> tuple[Stmt, ...]:
 
 
 def _per_pid(var: str, pieces: dict[_Pair, list[_Dims]], ops, reason: str,
-             awaits: bool, axis: int | None, loop_var: str) -> Transfers:
+             awaits: bool, axis: int | None, loop_var: str,
+             value_of: tuple[str, tuple[int, ...]] | None) -> Transfers:
     """The fallback: one guarded block per processor, and for sends split
     along ``axis`` one per processor and loop coordinate."""
     send_op, recv_op = ops
@@ -220,6 +223,13 @@ def _per_pid(var: str, pieces: dict[_Pair, list[_Dims]], ops, reason: str,
     def ref(dims: _Dims) -> ArrayRef:
         return ArrayRef(var, section_to_subscripts(Section(dims)))
 
+    def sent(dims: _Dims) -> ArrayRef:
+        if value_of is None:
+            return ref(dims)
+        src, shift = value_of
+        return ArrayRef(src, section_to_subscripts(Section(tuple(
+            Triplet(t.lo + c, t.hi + c, t.step) for t, c in zip(dims, shift)))))
+
     def send_rule(s: int, dims: _Dims) -> Expr:
         return _on(s) if axis is None else BinOp(
             "and", _on(s), BinOp("==", VarRef(loop_var), IntConst(dims[axis].lo)))
@@ -228,9 +238,10 @@ def _per_pid(var: str, pieces: dict[_Pair, list[_Dims]], ops, reason: str,
     by_src = sorted(items, key=lambda i: (i[0], *at(i[2]), i[1], _dims_key(i[2])))
     by_dst = sorted(items, key=lambda i: (i[1], i[0], *at(i[2]), _dims_key(i[2])))
     return Transfers(
-        _blocks((send_rule(s, dims), SendStmt(ref(dims), send_op, (IntConst(d + 1),)))
+        _blocks((send_rule(s, dims), SendStmt(sent(dims), send_op, (IntConst(d + 1),)))
                 for s, d, dims in by_src),
-        _blocks((_on(d), RecvStmt(ref(dims), recv_op)) for _, d, dims in by_dst),
+        _blocks((_on(d), RecvStmt(ref(dims), recv_op, sent(dims) if value_of else None))
+                for _, d, dims in by_dst),
         _blocks((_on(d), ExprStmt(Await(ref(dims)))) for _, d, dims in by_dst)
         if awaits else (),
         f"redistgen: one guarded block per processor ({reason})",
@@ -249,12 +260,17 @@ def plan_transfers(
     with_value: bool = True,
     awaits: bool = False,
     fuse: tuple[int, str] | None = None,
+    value_of: tuple[str, tuple[int, ...]] | None = None,
 ) -> Transfers:
     """Statements realising ``plan`` for array ``var``.
 
     All at once by default.  ``with_value=False`` emits pure ownership
     moves (``=>`` / ``<=``); ``awaits=True`` adds one ``await`` per
     received section, so following statements may rely on accessibility.
+    ``value_of=(src, shift)`` moves values and no ownership: for each
+    planned section ``sec`` of ``var`` the sender sends
+    ``src[sec + shift]`` (``->``) and the receiver receives it into
+    ``var[sec]`` (``<-``).
 
     ``fuse=(axis, loop_var)`` splits every move into one fragment per
     coordinate along ``axis`` (0-based).  The sends then go at the end of
@@ -264,7 +280,8 @@ def plan_transfers(
     receives follow the loop, by source, then coordinate.
     """
     send_op, recv_op = ops = (
-        (XferOp.SEND_OWNER_VALUE, XferOp.RECV_OWNER_VALUE) if with_value
+        (XferOp.SEND_VALUE, XferOp.RECV_VALUE) if value_of
+        else (XferOp.SEND_OWNER_VALUE, XferOp.RECV_OWNER_VALUE) if with_value
         else (XferOp.SEND_OWNER, XferOp.RECV_OWNER))
     pieces = _pieces(plan)
     if not pieces:
@@ -278,19 +295,27 @@ def plan_transfers(
             set(dims[axis]) != owned[s] for (s, _), v in pieces.items() for dims in v):
         fits = f"a move does not span its source's slabs along axis {axis + 1}"
     if isinstance(fits, str):
-        return _per_pid(var, pieces, ops, fits, awaits, axis, loop_var)
+        return _per_pid(var, pieces, ops, fits, awaits, axis, loop_var, value_of)
 
-    def refs(s: Expr, d: Expr, at: Expr | None = None) -> list[ArrayRef]:
-        return [ArrayRef(var, tuple(Index(at) if ax == axis else f.subscript(s, d)
-                                    for ax, f in enumerate(row)))
-                for row in fits]
+    def refs(s: Expr, d: Expr, at: Expr | None = None, name: str = var,
+             rows: list[list[_TripletFit]] = fits) -> list[ArrayRef]:
+        return [ArrayRef(name, tuple(Index(at) if ax == axis else f.subscript(s, d)
+                                     for ax, f in enumerate(row)))
+                for row in rows]
 
-    dn, sn = ("d", "s") if var not in ("d", "s") else ("dd", "ss")
+    src, src_rows = var, fits  # what the sender names
+    if value_of is not None:
+        src, shift = value_of
+        src_rows = [[_TripletFit(_Affine(f.lo.const + c, f.lo.src, f.lo.dst),
+                                 _Affine(f.hi.const + c, f.hi.src, f.hi.dst), f.step)
+                     for f, c in zip(row, shift)] for row in fits]
+    dn, sn = ("d", "s") if not {var, src} & {"d", "s"} else ("dd", "ss")
     me, k = Mypid(), VarRef(loop_var)
     partners = (IntConst(1), BinOp("-", me, IntConst(1)),
                 BinOp("+", me, IntConst(1)), IntConst(nprocs))
     sends = _around(dn, partners, lambda d: [
-        SendStmt(r, send_op, (d,)) for r in refs(me, d, k if fuse else None)])
+        SendStmt(r, send_op, (d,))
+        for r in refs(me, d, k if fuse else None, src, src_rows)])
     if any(len(c) != max(c) - min(c) + 1 for c in owned if c):
         # mylb..myub passes coordinates this processor does not own
         slab = ArrayRef(var, tuple(Index(k) if ax == axis else Full()
@@ -300,7 +325,8 @@ def plan_transfers(
         return Transfers(
             sends,
             _around(sn, partners, lambda s: [
-                RecvStmt(r, recv_op) for r in refs(s, me)]),
+                RecvStmt(r, recv_op, x if value_of else None)
+                for r, x in zip(refs(s, me), refs(s, me, None, src, src_rows))]),
             _around(sn, partners, lambda s: [
                 ExprStmt(Await(r)) for r in refs(s, me)]) if awaits else (),
         )

@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import product
 
 __all__ = [
     "FuzzProgram", "generate_battery", "FAMILIES", "SHMEM_FAMILIES",
-    "COLLECTIVE_FAMILIES",
+    "COLLECTIVE_FAMILIES", "translated_family",
 ]
 
 
@@ -327,10 +328,6 @@ def _t_translated(rng: random.Random) -> tuple[list[_L], int]:
     tests establish independently.  No fault sites: mutants come from the
     hand-built templates, whose structure the mutations understand.
     """
-    from repro.core.ir.parser import parse_program
-    from repro.core.ir.printer import print_program
-    from repro.core.translate import translate
-
     P = rng.randint(2, 4)
     n = rng.choice([8, 12])
     sa = rng.choice([1, 2])
@@ -338,6 +335,19 @@ def _t_translated(rng: random.Random) -> tuple[list[_L], int]:
     db = rng.choice(["BLOCK", "CYCLIC"])
     k = rng.randint(1, 2)
     strategy = rng.choice(["owner-computes", "migrate"])
+    out = translated_program(P, n, sa, sb, db, k, strategy)
+    return [_L(ln) for ln in out.splitlines()], P
+
+
+def translated_program(P: int, n: int, sa: int, sb: int, db: str, k: int,
+                       strategy: str) -> str:
+    """One member of the ``translated`` family: ``A[i] = A[i] + B[i-k]``
+    over ``n`` elements, segments ``sa``/``sb``, ``B`` distributed ``db``,
+    translated for ``P`` processors with ``strategy``."""
+    from repro.core.ir.parser import parse_program
+    from repro.core.ir.printer import print_program
+    from repro.core.translate import translate
+
     seq = (
         f"array A[1:{n}] dist (BLOCK) seg ({sa})\n"
         f"array B[1:{n}] dist ({db}) seg ({sb})\n"
@@ -346,8 +356,14 @@ def _t_translated(rng: random.Random) -> tuple[list[_L], int]:
         f"  A[i] = A[i] + B[i-{k}]\n"
         f"enddo\n"
     )
-    out = print_program(translate(parse_program(seq), P, strategy=strategy))
-    return [_L(ln) for ln in out.splitlines()], P
+    return print_program(translate(parse_program(seq), P, strategy=strategy))
+
+
+def translated_family() -> list[tuple[str, int]]:
+    """Every ``(source, nprocs)`` the ``translated`` family can draw (192)."""
+    return [(translated_program(*params), params[0]) for params in product(
+        (2, 3, 4), (8, 12), (1, 2), (1, 2), ("BLOCK", "CYCLIC"), (1, 2),
+        ("owner-computes", "migrate"))]
 
 
 def _t_shmem_fence(rng: random.Random) -> tuple[list[_L], int]:

@@ -156,22 +156,25 @@ scalar n = 8
 
     def test_owner_of_element(self):
         ctx = make_ctx(self.SRC)
-        oa = OwnershipAnalysis(ctx)
+        flow = OwnershipFlow(ctx)
         ref = parse_expression("A[i]")
-        assert oa.owner_of(ref, ctx.consts.bind(i=1)) == 0
-        assert oa.owner_of(ref, ctx.consts.bind(i=8)) == 3
-        assert oa.owner_of(ref, ctx.consts) is None  # i unknown
+        assert flow.owns(ref, ctx.consts.bind(i=1), 0) is True
+        assert flow.owns(ref, ctx.consts.bind(i=8), 3) is True
+        assert flow.owns(ref, ctx.consts.bind(i=8), 0) is False
+        assert flow.owns(ref, ctx.consts, 0) is None  # i unknown
 
     def test_owner_of_spanning_section_none(self):
         ctx = make_ctx(self.SRC)
-        oa = OwnershipAnalysis(ctx)
-        assert oa.owner_of(parse_expression("A[1:4]"), ctx.consts) is None
-        assert oa.owner_of(parse_expression("A[1:2]"), ctx.consts) == 0
+        flow = OwnershipFlow(ctx)
+        assert not any(flow.owns(parse_expression("A[1:4]"), ctx.consts, p)
+                       for p in range(4))
+        assert flow.owns(parse_expression("A[1:2]"), ctx.consts, 0) is True
 
     def test_universal_has_no_owner(self):
         ctx = make_ctx(self.SRC)
-        oa = OwnershipAnalysis(ctx)
-        assert oa.owner_of(parse_expression("W[1]"), ctx.consts) is None
+        flow = OwnershipFlow(ctx)
+        assert all(flow.owns(parse_expression("W[1]"), ctx.consts, p) is None
+                   for p in range(4))
 
     def test_owned_by(self):
         # Before any transfer the ownership flow is the distribution.
@@ -190,31 +193,6 @@ scalar n = 8
         assert oa.iteration_values(down, ctx.consts) == [8, 6, 4, 2]
         (sym,) = parse_statements("do i = 1, m\nenddo").stmts
         assert oa.iteration_values(sym, ctx.consts) is None
-
-    def test_same_owner_forall(self):
-        ctx = make_ctx(self.SRC)
-        oa = OwnershipAnalysis(ctx)
-        (loop,) = parse_statements("do i = 1, n\nenddo").stmts
-        a = parse_expression("A[i]")
-        a2 = parse_expression("A[i]")
-        b = parse_expression("B[i]")
-        assert oa.same_owner_forall(a, a2, [loop], ctx.consts)
-        assert not oa.same_owner_forall(a, b, [loop], ctx.consts)
-
-    def test_owner_table(self):
-        ctx = make_ctx(self.SRC)
-        oa = OwnershipAnalysis(ctx)
-        (loop,) = parse_statements("do i = 1, 4\nenddo").stmts
-        table = oa.owner_table(parse_expression("B[i]"), [loop], ctx.consts)
-        assert table == {(1,): 0, (2,): 1, (3,): 2, (4,): 3}
-
-    def test_nested_iteration_space(self):
-        ctx = make_ctx(self.SRC)
-        oa = OwnershipAnalysis(ctx)
-        outer, = parse_statements("do i = 1, 2\nenddo").stmts
-        inner, = parse_statements("do j = 1, i\nenddo").stmts
-        space = oa.iteration_space([outer, inner], ctx.consts)
-        assert space == [{"i": 1, "j": 1}, {"i": 2, "j": 1}, {"i": 2, "j": 2}]
 
 
 class TestRefSets:

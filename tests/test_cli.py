@@ -28,8 +28,9 @@ class TestCompile:
         assert main(["compile", program_file, "--nprocs", "4"]) == 0
         out = capsys.readouterr().out
         assert "translated (owner-computes)" in out
-        # At -O2 the guards are gone: vectorized pair messages + localized loop.
-        assert "mylb(" in out and "message-vectorization" in out
+        # At -O2 the guards are gone: pair messages hoisted out of the loop
+        # (communication sets) + localized loop.
+        assert "mylb(" in out and "communication-sets: moved the transfers" in out
         assert "optimization report" in out
 
     def test_compile_O0_keeps_paper_shape(self, program_file, capsys):
@@ -137,6 +138,32 @@ class TestBadInput:
         out, err = capsys.readouterr()
         assert err == f"repro tune: {reason}\n"
         assert out == ""
+
+    @pytest.mark.parametrize("argv,reason", [
+        (["serve", "--store", "STORE", "--workers", "0"],
+         "--workers (0) must be positive"),
+        (["serve", "--store", "STORE", "--nprocs", "0"],
+         "nprocs (0) must be positive"),
+        (["serve", "--store", "STORE", "--timeout", "-1"],
+         "--timeout (-1.0) must be positive"),
+        (["chaos", "--procs", "0"],
+         "--procs: 0 is below 2 (one master and one worker)"),
+        (["chaos", "--procs", "1"],
+         "--procs: 1 is below 2 (one master and one worker)"),
+        (["chaos", "--procs", "x"], "--procs: 'x' is not an integer"),
+        (["chaos", "--programs", "bogus"],
+         "--programs: unknown program 'bogus' (pick from workqueue, fft)"),
+    ])
+    def test_serve_and_chaos_bad_option_is_a_message_and_exit_2(
+            self, argv, reason, tmp_path, capsys):
+        # These used to hang (--workers 0), print a ZeroDivisionError or
+        # ValueError traceback, or run and report FAIL (--timeout -1).
+        argv = [str(tmp_path / "store") if a == "STORE" else a for a in argv]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err == f"repro {argv[0]}: {reason}\n"
+        assert out == ""
+        assert not (tmp_path / "store").exists()
 
     @pytest.mark.parametrize("flag", [["--shards", "2"], ["--serial"]])
     def test_tune_has_one_evaluation_path(self, flag, capsys):

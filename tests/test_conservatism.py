@@ -9,8 +9,8 @@ import numpy as np
 from repro import Interpreter
 from repro.core.ir.parser import parse_program
 from repro.core.opt import (
-    AwaitSinking, ComputeRuleElimination, GuardHoisting, LoopFusion,
-    MessageVectorization, PassManager, TransferElimination,
+    AwaitSinking, CommunicationSets, ComputeRuleElimination, GuardHoisting,
+    LoopFusion, PassManager,
 )
 from repro.core.translate import translate
 from repro.machine import MachineModel
@@ -63,17 +63,20 @@ enddo
         reps = reports_of(src, [ComputeRuleElimination()])
         assert any("no opportunities" in r for r in reps)
 
-    def test_vectorize_skips_multidim(self):
+    def test_comm_sets_skips_loop_var_in_two_subscripts(self):
         src = """
 array A[1:4,1:4] dist (*, BLOCK) seg (4,1)
 array B[1:4,1:4] dist (*, CYCLIC) seg (4,1)
 
 do i = 1, 4
-  A[1,i] = A[1,i] + B[1,i]
+  A[1,i] = A[1,i] + B[i,i]
 enddo
 """
-        reps = reports_of(src, [MessageVectorization()], translate_first=True)
-        assert any("no opportunities" in r for r in reps)
+        # B[i,i] names a diagonal, not a section: said, not silent.
+        reps = reports_of(src, [CommunicationSets()], translate_first=True)
+        assert reps == ["communication-sets: declined — B[i,i] in the loop "
+                        "over i is not subscripted by i + c or compile-time "
+                        "constants"]
 
     def test_fusion_skips_different_trip_counts(self):
         src = """
@@ -139,21 +142,23 @@ enddo
         src = """
 array A[1:8] dist (BLOCK) seg (1)
 array B[1:8] dist (BLOCK) seg (1)
+array T[1:4] dist (BLOCK) seg (1)
 
 B[1] =>
 do i = 2, 8
   iown(B[i]) : { B[i] -> }
   iown(A[i]) : {
-    A[i] <- B[i]
-    await(A[i])
-    A[i] = A[i] + 1
+    T[mypid] <- B[i]
+    await(T[mypid])
+    A[i] = A[i] + T[mypid]
   }
 enddo
 """
         # B's ownership moved before the loop: initial-distribution
         # reasoning is invalid, so the pair must stay.
-        reps = reports_of(src, [TransferElimination()])
-        assert all("removed transfer" not in r for r in reps)
+        reps = reports_of(src, [CommunicationSets()])
+        assert reps == ["communication-sets: declined — ownership of B moves "
+                        "before the loop over i"]
 
 
 class TestDeterminism:

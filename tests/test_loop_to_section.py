@@ -26,9 +26,9 @@ from repro.core.ir.nodes import DoLoop
 from repro.core.ir.printer import print_program
 from repro.core.ir.visitor import walk_stmts
 from repro.core.opt import (
-    AwaitSinking, Cleanup, ComputeRuleElimination, DestinationBinding,
-    GuardHoisting, LoopFusion, LoopToSection, MessageVectorization,
-    ReceiveHoisting, TransferElimination, optimize,
+    AwaitSinking, Cleanup, CommunicationSets, ComputeRuleElimination,
+    DestinationBinding, GuardHoisting, LoopFusion, LoopToSection,
+    ReceiveHoisting, optimize,
 )
 from repro.core.translate import translate
 
@@ -446,7 +446,7 @@ def test_a_pass_that_reports_no_rewrite_returns_an_equal_program(
     """The report is honest: whatever changes the program says so.
     (``PassManager`` itself compares trees before re-verifying.)"""
     ctx = CompilerContext.create(program, nprocs)
-    for p in (TransferElimination(), MessageVectorization(),
+    for p in (CommunicationSets(),
               DestinationBinding(target="msg"), ComputeRuleElimination(),
               GuardHoisting(), LoopFusion(), AwaitSinking(),
               ReceiveHoisting(), LoopToSection(), Cleanup()):
