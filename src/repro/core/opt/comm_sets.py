@@ -161,7 +161,10 @@ class _Rewriter(OrderedRewriter):
         lo, hi, step = (const_eval(e, env) for e in (loop.lo, loop.hi, loop.step))
         if not all(type(b) is int for b in (lo, hi, step)) or step == 0:
             return self._decline(f"the loop over {var} has symbolic bounds")
-        iters = [Triplet(lo, hi, step)] if (hi - lo) * step >= 0 else []
+        # The values the loop runs through, to the last one it reaches:
+        # ``do i = 10, 2, -3`` runs 10, 7, 4, not Triplet(10, 2, -3)'s 2, 5, 8.
+        iters = ([Triplet(lo, lo + (hi - lo) // step * step, step)]
+                 if (hi - lo) * step >= 0 else [])
         shapes = {}
         for ref in (lhs, *reads):
             if not ctx.is_exclusive(ref.var) or (shape := _shape(ref, var, env)) is None:

@@ -9,7 +9,8 @@ each fenced by its awaits (:func:`schedule_transfers`), and fragments
 split along a producing loop's axis, the sends fused into that loop
 (``plan_transfers(..., fuse=...)``).  The same moves can carry values
 instead of ownership (``plan_transfers(..., value_of=...)``): the
-communication sets of :mod:`repro.core.opt.comm_sets`.
+communication sets of :mod:`repro.core.opt.comm_sets`, which always take
+the per-processor form below (see :func:`plan_transfers`).
 
 Every triplet bound of every move is fitted as an integer-affine function
 of the 1-based (source, destination) pair, re-expanded for every pair
@@ -234,15 +235,19 @@ def _per_pid(var: str, pieces: dict[_Pair, list[_Dims]], ops, reason: str,
         return _on(s) if axis is None else BinOp(
             "and", _on(s), BinOp("==", VarRef(loop_var), IntConst(dims[axis].lo)))
 
-    # sends by source then coordinate, receives by receiver then source
+    # sends by source then coordinate, receives by receiver then source;
+    # awaits by when the receiver's last piece is sent, so the processor
+    # whose data leaves last tests no guard after it arrives
     by_src = sorted(items, key=lambda i: (i[0], *at(i[2]), i[1], _dims_key(i[2])))
     by_dst = sorted(items, key=lambda i: (i[1], i[0], *at(i[2]), _dims_key(i[2])))
+    last_sent = {d: k for k, (_, d, _) in enumerate(by_src)}
+    by_arrival = sorted(by_dst, key=lambda i: last_sent[i[1]])
     return Transfers(
         _blocks((send_rule(s, dims), SendStmt(sent(dims), send_op, (IntConst(d + 1),)))
                 for s, d, dims in by_src),
         _blocks((_on(d), RecvStmt(ref(dims), recv_op, sent(dims) if value_of else None))
                 for _, d, dims in by_dst),
-        _blocks((_on(d), ExprStmt(Await(ref(dims)))) for _, d, dims in by_dst)
+        _blocks((_on(d), ExprStmt(Await(ref(dims)))) for _, d, dims in by_arrival)
         if awaits else (),
         f"redistgen: one guarded block per processor ({reason})",
     )
@@ -270,7 +275,10 @@ def plan_transfers(
     ``value_of=(src, shift)`` moves values and no ownership: for each
     planned section ``sec`` of ``var`` the sender sends
     ``src[sec + shift]`` (``->``) and the receiver receives it into
-    ``var[sec]`` (``<-``).
+    ``var[sec]`` (``<-``).  Value moves are re-sent on every pass of the
+    loop around them, so they always take the per-processor form: there a
+    processor pays one comparison per guard, where the partner loops pay
+    an iteration and the affine subscripts for every partner.
 
     ``fuse=(axis, loop_var)`` splits every move into one fragment per
     coordinate along ``axis`` (0-based).  The sends then go at the end of
@@ -290,32 +298,25 @@ def plan_transfers(
     axis, loop_var = fuse or (None, "")
     owned = [{c for sec in plan.source.owned_sections(p) for c in sec.dims[axis]}
              for p in range(nprocs)] if fuse else []
-    fits = _fit_pieces(pieces, nprocs)
+    fits = ("values are cheaper per processor unrolled" if value_of
+            else _fit_pieces(pieces, nprocs))
     if fuse and not isinstance(fits, str) and any(
             set(dims[axis]) != owned[s] for (s, _), v in pieces.items() for dims in v):
         fits = f"a move does not span its source's slabs along axis {axis + 1}"
     if isinstance(fits, str):
         return _per_pid(var, pieces, ops, fits, awaits, axis, loop_var, value_of)
 
-    def refs(s: Expr, d: Expr, at: Expr | None = None, name: str = var,
-             rows: list[list[_TripletFit]] = fits) -> list[ArrayRef]:
-        return [ArrayRef(name, tuple(Index(at) if ax == axis else f.subscript(s, d)
-                                     for ax, f in enumerate(row)))
-                for row in rows]
+    def refs(s: Expr, d: Expr, at: Expr | None = None) -> list[ArrayRef]:
+        return [ArrayRef(var, tuple(Index(at) if ax == axis else f.subscript(s, d)
+                                    for ax, f in enumerate(row)))
+                for row in fits]
 
-    src, src_rows = var, fits  # what the sender names
-    if value_of is not None:
-        src, shift = value_of
-        src_rows = [[_TripletFit(_Affine(f.lo.const + c, f.lo.src, f.lo.dst),
-                                 _Affine(f.hi.const + c, f.hi.src, f.hi.dst), f.step)
-                     for f, c in zip(row, shift)] for row in fits]
-    dn, sn = ("d", "s") if not {var, src} & {"d", "s"} else ("dd", "ss")
+    dn, sn = ("d", "s") if var not in ("d", "s") else ("dd", "ss")
     me, k = Mypid(), VarRef(loop_var)
     partners = (IntConst(1), BinOp("-", me, IntConst(1)),
                 BinOp("+", me, IntConst(1)), IntConst(nprocs))
     sends = _around(dn, partners, lambda d: [
-        SendStmt(r, send_op, (d,))
-        for r in refs(me, d, k if fuse else None, src, src_rows)])
+        SendStmt(r, send_op, (d,)) for r in refs(me, d, k if fuse else None)])
     if any(len(c) != max(c) - min(c) + 1 for c in owned if c):
         # mylb..myub passes coordinates this processor does not own
         slab = ArrayRef(var, tuple(Index(k) if ax == axis else Full()
@@ -325,8 +326,7 @@ def plan_transfers(
         return Transfers(
             sends,
             _around(sn, partners, lambda s: [
-                RecvStmt(r, recv_op, x if value_of else None)
-                for r, x in zip(refs(s, me), refs(s, me, None, src, src_rows))]),
+                RecvStmt(r, recv_op) for r in refs(s, me)]),
             _around(sn, partners, lambda s: [
                 ExprStmt(Await(r)) for r in refs(s, me)]) if awaits else (),
         )

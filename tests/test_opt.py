@@ -210,16 +210,18 @@ enddo
             # One message per ordered processor pair, not per element.
             assert stats.total_messages == (16 if label == "naive" else 12)
 
-    def test_pair_moves_are_closed_form_at_any_n(self):
-        # The moves are affine in (source, destination): redistgen emits
-        # do-loops over the partner, the same statements at n=16 and 256,
-        # and no transfer under a per-processor guard.
-        listings = [print_program(self.variant(n)[1].program) for n in (16, 256)]
-        for text in listings:
-            assert "do d = 1, mypid - 1" in text and "redistgen" not in text
-            sends = [s for s in walk_stmts(parse_program(text).body)
+    def test_pair_moves_are_per_processor_at_any_n(self):
+        # Value moves take redistgen's per-processor form (cheaper on every
+        # processor than partner loops): one send, one receive and one
+        # await per ordered pair, the same statements at n=16 and 256.
+        results = [self.variant(n)[1] for n in (16, 256)]
+        listings = [print_program(res.program) for res in results]
+        for res, text in zip(results, listings):
+            assert any("redistgen: one guarded block" in r for r in res.reports)
+            assert "do d =" not in text
+            xfers = [s for s in walk_stmts(parse_program(text).body)
                      if isinstance(s, (SendStmt, RecvStmt))]
-            assert len(sends) == 4
+            assert len(xfers) == 24
         assert len(listings[0].splitlines()) == len(listings[1].splitlines())
 
     def test_buffer_distributed_like_lhs(self):
@@ -285,6 +287,57 @@ enddo
             out.append(it.read_global("A"))
         assert np.array_equal(out[0], out[1])
         assert np.array_equal(out[0], 1 + np.cumsum(np.arange(16.0)))
+
+
+    def run_o0_o2(self, src, nprocs, init):
+        naive = translate(parse_program(src), nprocs)
+        res = optimize(naive, nprocs)
+        out = []
+        for p in (naive, res.program):
+            it = Interpreter(p, nprocs, model=FAST)
+            for name, arr in init.items():
+                it.write_global(name, arr)
+            it.run()
+            out.append(it.read_global("A"))
+        return res, out
+
+    def test_negative_step_uses_the_values_the_loop_runs(self):
+        # do i = 10, 2, -3 runs 10, 7, 4 (not 2, 5, 8, where A[i] and
+        # B[i-1] share an owner): at i = 10, P4 needs B[9] from P3.
+        src = """
+array A[1:12] dist (BLOCK) seg (1)
+array B[1:12] dist (BLOCK) seg (1)
+
+do i = 10, 2, -3
+  A[i] = B[i-1]
+enddo
+"""
+        res, (o0, o2) = self.run_o0_o2(src, 4, {"A": np.zeros(12),
+                                                "B": np.arange(1.0, 13.0)})
+        assert any("moved the transfers of B[i - 1]" in r for r in res.reports)
+        assert np.array_equal(o0, o2)
+        assert list(o2[[3, 6, 9]]) == [3.0, 6.0, 9.0]
+
+    def test_inside_loops_and_scalars_named_like_partners(self):
+        # The transfers land inside ``do s`` next to a scalar ``d``: they
+        # introduce no loop variable of their own.
+        src = """
+array A[1:16] dist (BLOCK) seg (1)
+array B[1:16] dist (CYCLIC) seg (1)
+scalar d = 2
+
+do s = 1, 2
+  do i = 1, 16
+    A[i] = A[i] + d * B[i]
+  enddo
+enddo
+"""
+        res, (o0, o2) = self.run_o0_o2(src, 4, {"A": np.zeros(16),
+                                                "B": np.arange(16.0)})
+        assert any("moved the transfers of B[i]" in r for r in res.reports)
+        verify_program(res.program)
+        assert np.array_equal(o0, o2)
+        assert np.array_equal(o2, 4 * np.arange(16.0))
 
 
 class TestNaiveJacobi:

@@ -253,6 +253,21 @@ class TestClosedForm:
             "enddo",
         ]
 
+    def test_value_moves_take_the_per_processor_form(self):
+        # The same all-pairs plan: ownership in closed form, values one
+        # block per processor (cheaper per processor than partner loops),
+        # awaits in the order each receiver's last piece is sent.
+        _, _, plan = make_plan()
+        assert plan_transfers("A", plan).note is None
+        t = plan_transfers("V", plan, awaits=True, value_of=("B", (1,)))
+        assert t.note == ("redistgen: one guarded block per processor "
+                          "(values are cheaper per processor unrolled)")
+        assert text(t.sends)[:4] == [
+            "mypid == 1 : {", "  B[3] -> {2}", "  B[4] -> {3}", "  B[5] -> {4}"]
+        assert text(t.recvs)[:2] == ["mypid == 1 : {", "  V[5] <- B[6]"]
+        assert [text([g])[0] for g in t.waits] == [
+            f"mypid == {p} : {{" for p in (4, 1, 2, 3)]
+
     def test_no_closed_form_falls_back_with_a_note(self):
         # CYCLIC(2) owns two slab runs per processor: fragments have no
         # single loop triplet, so the sends stay per (pid, slab).
