@@ -27,7 +27,7 @@ from repro.report.record import write_json_atomic
 
 from repro.apps.fft3d import run_fft3d
 from repro.apps.jacobi import run_jacobi
-from repro.machine.transport import SIM_BACKENDS
+from repro.machine.transport import BACKENDS
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_FILE = ROOT / "BENCH_backends.json"
@@ -64,7 +64,7 @@ def run_backend_bench(nprocs_list=NPROCS) -> dict:
         _run_case(app, p, backend)
         for app in ("jacobi", "fft3d")
         for p in nprocs_list
-        for backend in SIM_BACKENDS
+        for backend in BACKENDS
     ]
     by_key: dict = {}
     for c in cases:
@@ -81,7 +81,7 @@ def run_backend_bench(nprocs_list=NPROCS) -> dict:
         "config": {
             "apps": ["jacobi", "fft3d"],
             "nprocs": list(nprocs_list),
-            "backends": list(SIM_BACKENDS),
+            "backends": list(BACKENDS),
         },
         "cases": cases,
         "result_transparent": transparency,

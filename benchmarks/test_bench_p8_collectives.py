@@ -28,7 +28,7 @@ from repro.core.collectives.planner import (
     dist_from_spec, plan_bounded_redistribution,
 )
 from repro.distributions import ProcessorGrid
-from repro.machine.transport import SIM_BACKENDS
+from repro.machine.transport import BACKENDS
 from repro.report.record import write_json_atomic
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,7 +90,7 @@ def run_matmul_bench(nprocs_list=NPROCS) -> dict:
         _run_case(v, p, backend)
         for v in VARIANTS
         for p in nprocs_list
-        for backend in SIM_BACKENDS
+        for backend in BACKENDS
     ]
     by_key: dict = {}
     for c in cases:

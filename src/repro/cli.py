@@ -141,6 +141,17 @@ def _bad_nprocs(cmd: str, nprocs: int) -> bool:
     return True
 
 
+def _bad_backend_env(cmd: str) -> bool:
+    """An exported ``REPRO_BACKEND`` that names no backend is ``repro CMD:
+    ...`` on stderr (the caller exits 2), not a traceback."""
+    value = default_backend()
+    if value in BACKENDS:
+        return False
+    print(f"repro {cmd}: REPRO_BACKEND={value!r} is not a backend "
+          f"(choose from {', '.join(BACKENDS)})", file=sys.stderr)
+    return True
+
+
 def _is_sequential(program) -> bool:
     return not any(
         isinstance(s, (SendStmt, RecvStmt, Guarded, CollectiveStmt))
@@ -557,20 +568,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from .apps.enginebench import diff_bench, format_bench, run_engine_bench
 
     nprocs = tuple(int(x) for x in args.nprocs.split(","))
-    if args.proc:
-        from .apps.procbench import format_proc_bench, run_proc_bench
-        from .report.record import write_json_atomic
-
-        # The scaling default (8,64,256) is a fork bomb on real cores;
-        # proc mode has its own small default sweep.
-        if args.nprocs == "8,64,256":
-            nprocs = (1, 2, 4)
-        results = run_proc_bench(nprocs)
-        print(format_proc_bench(results))
-        out = args.out if args.out != "BENCH_engine.json" else "BENCH_proc.json"
-        write_json_atomic(out, results)
-        print(f"wrote {out}")
-        return 0
     programs = tuple(args.programs.split(","))
     results = run_engine_bench(
         nprocs,
@@ -842,11 +839,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="workqueue jobs per processor")
     b.add_argument("--no-classify", action="store_true",
                    help="skip the profiled bottleneck classification")
-    b.add_argument("--proc", action="store_true",
-                   help="real-wall-clock mode: run the fixed-size Jacobi "
-                        "speedup sweep on the proc backend (default sweep "
-                        "1,2,4; records BENCH_proc.json; honestly skips on "
-                        "single-core hosts)")
     b.add_argument("--out", default="BENCH_engine.json",
                    help="where to record results")
     b.add_argument("--diff", metavar="FILE",
@@ -905,6 +897,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "backend", None) is None and _bad_backend_env(args.command):
+        return 2
     try:
         return args.fn(args)
     except BrokenPipeError:  # piping into `head` etc.

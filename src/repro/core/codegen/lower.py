@@ -260,6 +260,12 @@ class CompiledProgram:
         backend: str | None = None,
         collectives: str = "native",
     ):
+        if backend == "proc":
+            # The retired real-process backend runs as msg only because the
+            # frozen ledger (``benchmarks/e2e/worker.py::alt_runs``) still
+            # lowers fft3d-cyclic with ``backend="proc"``; ROADMAP item 7's
+            # harness change drops that row and this alias with it.
+            backend = "msg"
         if binding not in ("nonblocking", "blocking"):
             raise CompilationError(f"unknown communication binding {binding!r}")
         if collectives not in ("native", "p2p"):
@@ -911,9 +917,7 @@ class _Lowerer:
                 )
         lo, hi, step = s.group
         if self.compiled.collectives == "native":
-            # proc is message passing executed for real; it shares the
-            # msg family so its oracle pass records the same schedule.
-            style = "staged" if self.compiled.engine.backend in ("msg", "proc") else "flat"
+            style = "staged" if self.compiled.engine.backend == "msg" else "flat"
         else:
             style = "flat"
         self._emit(_CollI(

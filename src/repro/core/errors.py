@@ -16,7 +16,6 @@ __all__ = [
     "DeadlockError",
     "BudgetExhaustedError",
     "TransportError",
-    "OracleMismatchError",
     "DegradedRunError",
     "DistributionError",
     "CompilationError",
@@ -121,21 +120,6 @@ class TransportError(XDPError):
         self.dst = dst
         self.attempts = attempts
         super().__init__(message)
-
-
-class OracleMismatchError(XDPError):
-    """Raised by the ``proc`` backend when a real-parallel execution's
-    final data diverges from the in-process simulation of the identical
-    compiled program.
-
-    The simulator is the semantic oracle of the real-parallelism backend
-    (ROADMAP: delayed binding taken to actual cores): every ``proc`` run
-    re-executes the program on forked workers and cross-checks a sha256
-    digest of every processor's final symbol table against the simulated
-    run.  A mismatch means the replay of the oracle's rendezvous schedule
-    broke down — always a backend bug, never a user-program error — so it
-    is surfaced loudly instead of returning silently wrong arrays.
-    """
 
 
 class DegradedRunError(XDPError):

@@ -49,12 +49,9 @@ class DestinationBinding:
     name = "destination-binding"
 
     def __init__(self, target: str = "msg"):
-        # proc executes the message-passing binding on real processes;
-        # its annotation vocabulary is msg's.
-        if target not in ("msg", "shmem", "proc"):
+        if target not in ("msg", "shmem"):
             raise ValueError(
-                f"unknown binding target {target!r} "
-                "(choose 'msg', 'shmem' or 'proc')"
+                f"unknown binding target {target!r} (choose 'msg' or 'shmem')"
             )
         self.target = target
 

@@ -5,7 +5,6 @@ from .effects import Compute, Effect, Log, RecvInit, Send, WaitAccessible
 from .engine import (
     BACKENDS,
     HEADER_BYTES,
-    SIM_BACKENDS,
     Engine,
     NodeProgram,
     ProcessorContext,
@@ -14,7 +13,6 @@ from .scheduler import Scheduler
 from .transport import (
     FaultInjection,
     MessagePassingTransport,
-    ProcTransport,
     ReliableDelivery,
     SharedAddressTransport,
     Transport,
@@ -39,12 +37,10 @@ __all__ = [
     "NodeProgram",
     "HEADER_BYTES",
     "BACKENDS",
-    "SIM_BACKENDS",
     "Scheduler",
     "Transport",
     "MessagePassingTransport",
     "SharedAddressTransport",
-    "ProcTransport",
     "FaultInjection",
     "ReliableDelivery",
     "make_transport",

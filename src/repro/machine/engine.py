@@ -66,18 +66,15 @@ from .reliable import ReliableTransport
 from .scheduler import NodeProgram, ProcessorContext, Scheduler
 from .transport import (
     BACKENDS,
-    SIM_BACKENDS,
     FaultInjection,
     ReliableDelivery,
     Transport,
-    default_backend,
     make_transport,
 )
 from .transport.msg import HEADER_BYTES  # noqa: F401  (re-export)
 
 __all__ = [
     "BACKENDS",
-    "SIM_BACKENDS",
     "Engine",
     "HEADER_BYTES",
     "NodeProgram",
@@ -98,37 +95,7 @@ class Engine(Scheduler):
 
     There is one execution core — the scheduler's min-``(clock, pid)``
     loop — whatever the transport, middleware, fault model or tracing.
-
-    ``backend="proc"`` resolves — via ``__new__`` — to the
-    :class:`~repro.machine.procrt.ProcEngine` subclass, which executes
-    the program on real forked OS processes with this in-process
-    simulation retained as the semantic oracle; construction sites keep
-    writing ``Engine(n, backend=...)`` for every backend.
     """
-
-    def __new__(
-        cls,
-        nprocs: int = 1,
-        model: MachineModel | None = None,
-        *,
-        backend: str | None = None,
-        transport: Transport | None = None,
-        **_kw,
-    ):
-        # Only bare Engine construction dispatches on the backend name;
-        # subclasses (ProcEngine itself, bench harness stubs) are built
-        # as written.
-        if cls is Engine:
-            name = (
-                transport.name if transport is not None
-                else backend if backend is not None
-                else default_backend()
-            )
-            if name == "proc":
-                from .procrt import ProcEngine
-
-                return super().__new__(ProcEngine)
-        return super().__new__(cls)
 
     def __init__(
         self,

@@ -13,12 +13,6 @@ that binding point at run time:
 * :class:`SharedAddressTransport` (``shmem``) — sends become non-blocking
   ``poststore`` operations into a global address space, receives become
   ``prefetch`` operations, and ``await`` binds to a completion *fence*;
-* :class:`ProcTransport` (``proc``) — the same message-passing binding,
-  but executed for real: the engine facade forks one OS process per
-  simulated processor and moves data over pipes and
-  ``multiprocessing.shared_memory`` segments, with the in-process
-  simulation retained as the semantic oracle (see
-  :mod:`repro.machine.procrt`);
 * :class:`FaultInjection` / :class:`ReliableDelivery` — middleware that
   wraps any backend to make the network lossy or to restore exact
   delivery over a lossy network.
@@ -37,17 +31,14 @@ import os
 from .base import PendingRecv, RecvIndex, TagTransport, Transport
 from .middleware import FaultInjection, ReliableDelivery, TransportMiddleware
 from .msg import HEADER_BYTES, MessagePassingTransport
-from .proc import ProcTransport
 from .shmem import SharedAddressTransport
 
 __all__ = [
     "BACKENDS",
-    "SIM_BACKENDS",
     "HEADER_BYTES",
     "FaultInjection",
     "MessagePassingTransport",
     "PendingRecv",
-    "ProcTransport",
     "RecvIndex",
     "ReliableDelivery",
     "SharedAddressTransport",
@@ -59,13 +50,7 @@ __all__ = [
 ]
 
 #: The backend names accepted everywhere a backend can be chosen.
-BACKENDS = ("msg", "shmem", "proc")
-
-#: The purely simulated backends — benchmarks and tests that measure or
-#: inspect *simulator* behavior (virtual-time makespans, transport-private
-#: state) iterate these; ``proc`` executes on real processes and is
-#: exercised by its own contract/differential suites.
-SIM_BACKENDS = ("msg", "shmem")
+BACKENDS = ("msg", "shmem")
 
 
 def default_backend() -> str:
@@ -81,8 +66,6 @@ def make_transport(backend: str | None = None) -> Transport:
         return MessagePassingTransport()
     if backend == "shmem":
         return SharedAddressTransport()
-    if backend == "proc":
-        return ProcTransport()
     raise ValueError(
         f"unknown backend {backend!r} (choose from {', '.join(BACKENDS)})"
     )

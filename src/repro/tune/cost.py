@@ -92,9 +92,6 @@ class SharedAddressCosts(TransportCosts):
 _TRANSPORT_COSTS: dict[str, TransportCosts] = {
     "msg": TransportCosts(),
     "shmem": SharedAddressCosts(),
-    # proc is the message-passing binding executed on real processes;
-    # its virtual-time accounting (the tuner's subject) is msg's.
-    "proc": TransportCosts(),
 }
 
 

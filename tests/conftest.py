@@ -6,36 +6,11 @@ pass on both; tests that pin message-passing *timing* (makespans, golden
 figures, deadlock-report text, trace event kinds) are marked
 ``msg_timing`` and skipped on the shared-address binding, where the same
 programs legally finish at different virtual times.
-
-The session-level ``_no_leaked_proc_shm`` guard asserts that the ``proc``
-backend's real-parallelism runs — including interrupted and SIGKILLed
-ones — reclaimed every ``/dev/shm`` segment they created.
 """
 
 import os
 
 import pytest
-
-
-@pytest.fixture(autouse=True, scope="session")
-def _no_leaked_proc_shm():
-    """Fail the session if any proc-backend shared-memory segment leaks.
-
-    Every segment the ``proc`` backend creates is named under a known
-    prefix precisely so this sweep can see it; receivers unlink on
-    delivery, the parent sweeps its run prefix in a ``finally``, and a
-    registry ``atexit`` covers interpreter death — so any name still
-    alive at teardown is a genuine leak in that chain.
-    """
-    from repro.machine.transport.proc import leaked_shm_segments
-
-    before = set(leaked_shm_segments())
-    yield
-    leaked = sorted(set(leaked_shm_segments()) - before)
-    assert not leaked, (
-        f"proc backend leaked {len(leaked)} shared-memory segment(s) "
-        f"into /dev/shm: {leaked}"
-    )
 
 
 def pytest_collection_modifyitems(config, items):

@@ -197,6 +197,19 @@ class TestBadInput:
         assert err == "repro tune: n (8) must be a multiple of nprocs (3)\n"
         assert "Traceback" not in out + err
 
+    @pytest.mark.parametrize("value", ["bogus", "proc"])
+    def test_unknown_backend_env_is_a_message_and_exit_2(
+            self, value, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_BACKEND", value)
+        assert main(["run", "--app", "jacobi", "--nprocs", "4"]) == 2
+        out, err = capsys.readouterr()
+        assert err == (f"repro run: REPRO_BACKEND='{value}' is not a backend "
+                       "(choose from msg, shmem)\n")
+        assert out == ""
+        # An explicit --backend does not consult the variable.
+        assert main(["run", "--app", "jacobi", "--nprocs", "4",
+                     "--backend", "msg"]) == 0
+
     def test_findings_still_exit_1(self, tmp_path, capsys):
         # A communication *finding* is a verdict, not bad input.
         p = tmp_path / "unowned.xdp"
