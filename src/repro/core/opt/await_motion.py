@@ -14,6 +14,17 @@ Pattern handled::
 legal when every reference to the awaited array inside the body uses
 exactly ``v`` in the dimensions being narrowed, so iteration ``v`` only
 needs its own slice to be accessible.
+
+It sinks a loop-invariant await, such as the paper's
+``await(A[*,mypid,*])`` once compute-rule elimination has dropped Loop 4's
+loop, and declines (``declined — <reason>``) a matched await when
+
+* a subscript of it reads an enclosing loop's variable
+  (``do k: await(A[*,*,k])``): that loop already paces the await one plane
+  at a time, so one await per pencil buys no overlap, only more awaits;
+* the loop's compile-time iterations do not cover, on every processor,
+  the awaited extent of the narrowed dimensions: a statement after the
+  loop could then read an element no await waited for.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from ..ir.nodes import (
     VarRef,
 )
 from ..ir.printer import print_ref
-from ..ir.visitor import array_refs
+from ..ir.visitor import array_refs, subscript_exprs
 from .common import OrderedRewriter
 
 __all__ = ["AwaitSinking"]
@@ -42,7 +53,11 @@ class _Rewriter(OrderedRewriter):
         match stmt:
             case Guarded(Await(ref), Block((DoLoop() as loop,))):
                 narrowed = self._narrow(ref, loop)
-                if narrowed is not None:
+                reason = narrowed and (self._paced(ref, loops)
+                                       or self._uncovered(ref, narrowed, loop))
+                if reason:
+                    self.ctx.decline(AwaitSinking.name, reason)
+                elif narrowed is not None:
                     self.ctx.note(
                         f"{AwaitSinking.name}: moved await({print_ref(ref)}) "
                         f"into the loop over {loop.var} as "
@@ -86,3 +101,25 @@ class _Rewriter(OrderedRewriter):
             for d, sub in enumerate(ref.subs)
         )
         return ArrayRef(ref.var, new_subs)
+
+    def _paced(self, ref: ArrayRef, loops: list[DoLoop]) -> str | None:
+        """Why an enclosing loop already advances the await, if one does."""
+        for outer in reversed(loops):
+            if any(VarRef(outer.var) in subscript_exprs(sub) for sub in ref.subs):
+                return (f"await({print_ref(ref)}) already advances with the "
+                        f"loop over {outer.var}")
+        return None
+
+    def _uncovered(self, ref: ArrayRef, narrowed: ArrayRef,
+                   loop: DoLoop) -> str | None:
+        """Why the loop's iterations may miss part of the awaited extent."""
+        dims = [d for d, sub in enumerate(narrowed.subs) if sub != ref.subs[d]]
+        for pid in range(self.ctx.nprocs):
+            env = self.ctx.consts.at_pid(pid + 1)
+            vals = self.analysis.iteration_values(loop, env)
+            sec = self.analysis.resolve(ref, env)
+            if vals is None or sec is None or not all(
+                    set(sec.dims[d]) <= set(vals) for d in dims):
+                return (f"the loop over {loop.var} does not provably cover "
+                        f"await({print_ref(ref)})")
+        return None

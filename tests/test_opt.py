@@ -1,10 +1,14 @@
 """Unit tests for the optimization passes (paper sections 2.2, 3.2, 4)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro import Interpreter
 from repro.apps.jacobi import _reference, jacobi_source
+from repro.core.analysis.verify_comm import verify_communication
+from repro.core.codegen.lower import lower
 from repro.core.ir.nodes import (
     Assign, BinOp, DoLoop, Guarded, Iown, Mylb, Mypid, RecvStmt, SendStmt,
 )
@@ -19,6 +23,7 @@ from repro.core.opt import (
 from repro.core.translate import translate
 from repro.machine import MachineModel
 
+LEDGER = Path(__file__).resolve().parent.parent / "benchmarks" / "e2e" / "programs"
 FAST = MachineModel(o_send=1, o_recv=1, alpha=10, per_byte=0.0)
 
 
@@ -510,6 +515,81 @@ await(A[*,mypid]) : {
             src, 4, [AwaitSinking()], init={"A": np.zeros((4, 4))}
         )
         assert np.array_equal(it0.read_global("A"), it1.read_global("A"))
+
+    def test_declines_an_await_an_enclosing_loop_paces(self):
+        src = """
+array A[1:4,1:4,1:4] dist (*, *, BLOCK) seg (4,4,1)
+
+do k = mylb(A[*,*,*], 3), myub(A[*,*,*], 3)
+  await(A[*,*,k]) : {
+    do i = 1, 4
+      call fft1D(A[i,*,k])
+    enddo
+  }
+enddo
+"""
+        prog = parse_program(src)
+        res = PassManager([AwaitSinking()]).run(prog, 4)
+        assert res.reports == [
+            "await-sinking: declined — await(A[*,*,k]) already advances "
+            "with the loop over k"]
+        assert print_program(res.program) == print_program(prog)
+
+    def test_paper_top_level_await_still_sinks(self):
+        src = """
+array A[1:4,1:4,1:4] dist (*, BLOCK, *) seg (4,1,4)
+
+await(A[*,mypid,*]) : {
+  do i = 1, 4
+    call fft1D(A[i,mypid,*])
+  enddo
+}
+"""
+        res = PassManager([AwaitSinking()]).run(parse_program(src), 4)
+        assert res.reports == [
+            "await-sinking: moved await(A[*,mypid,*]) into the loop over i "
+            "as await(A[i,mypid,*])"]
+
+    #: The i loop reads A[1:2,1] under the await; the statement after it
+    #: reads A[4,1], which only the unsunk await(A[*,1]) waits for.
+    PARTIAL_LOOP = """
+array A[1:4,1:2] dist (*, BLOCK) seg (2,1)
+array B[1:4,1:4] dist (*, BLOCK) seg (4,1)
+
+mypid == 1 : {
+  do i = 1, 4
+    A[i,1] = i * 3
+  enddo
+  A[1:2,1] -=> {2}
+  A[3:4,1] -=> {2}
+}
+mypid == 2 : {
+  A[1:2,1] <=-
+  A[3:4,1] <=-
+  await(A[*,1]) : {
+    do i = 1, 2
+      B[i,3] = A[i,1]
+    enddo
+  }
+  B[4,3] = A[4,1]
+}
+"""
+
+    def test_declines_a_loop_that_misses_part_of_the_awaited_extent(self):
+        res, ((it0, _), (it1, _)) = run_pipeline(
+            self.PARTIAL_LOOP, 2, [AwaitSinking()])
+        assert it0.read_global("B")[3, 2] == it1.read_global("B")[3, 2] == 12
+        assert verify_communication(res.program, 2).ok
+        assert res.reports == [
+            "await-sinking: declined — the loop over i does not provably "
+            "cover await(A[*,1])"]
+
+    @pytest.mark.parametrize("backend", ["msg", "shmem"])
+    def test_frozen_cyclic_fft_o2_is_as_fast_as_o0(self, backend):
+        src = (LEDGER / "fft3d_cyclic.xdp").read_text()
+        spans = [lower(optimize(parse_program(src), 4, level=lvl).program, 4,
+                       backend=backend).run().makespan for lvl in (0, 2)]
+        assert spans[1] == spans[0]
 
 
 class TestGuardHoisting:

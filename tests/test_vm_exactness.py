@@ -11,7 +11,11 @@ ownership began to flow across statements were re-recorded then: each
 makespan fell or stayed, with the same result bytes.  So were the
 ``jacobi-naive`` O2 entries when communication sets replaced transfer
 elimination and message vectorization: makespan 8152 -> 638 on msg and
-4590 -> 492.5 on shmem, 180 -> 12 messages, A and B equal.)
+4590 -> 492.5 on shmem, 180 -> 12 messages, A and B equal.  And the O2
+entries of ``fft3d_cyclic``, ``fft3d-s3`` and ``tune_fft3d_s0`` when await
+sinking began to decline an await that an enclosing loop already paces:
+makespan 68403 -> 66167, 1113 -> 1098 and 6703 -> 6634 on msg, with the
+same messages and result bytes.)
 
 The same file is the O2-never-worse gate: O2 computes what O0 computes,
 and is no slower except on a pinned set of known losers.
@@ -111,13 +115,6 @@ O2_LOSERS = {
        "fused into Loop 2, the await sunk into the k loop): at n = P = 4 "
        "the per-iteration awaits cost more than the overlap buys; keeping "
        "or reverting the trade needs a static clock (ROADMAP item 5(c))"
-       for b in ("msg", "shmem")},
-    **{f"fft3d-s3/{b}": "await sinking is O2's only change: the rounds' "
-       "await epilogues have already made each slab accessible, so one "
-       "await per i-pencil is pure overhead; the same static-clock trade"
-       for b in ("msg", "shmem")},
-    **{f"fft3d_cyclic/{b}": "await sinking into both CYCLIC phases' inner "
-       "loops after a bulk exchange; the same static-clock trade"
        for b in ("msg", "shmem")},
     "jacobi-halo-overlap/msg": "loop-to-section under symbolic bounds "
     "loses below ~38 iterations per processor (EXPERIMENTS.md C2); here "
