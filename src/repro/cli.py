@@ -91,7 +91,7 @@ from pathlib import Path
 import numpy as np
 
 from .core.codegen import lower
-from .core.errors import ParseError, VerificationError
+from .core.errors import CompilationError, ParseError, VerificationError
 from .core.ir.nodes import CollectiveStmt, Guarded, RecvStmt, SendStmt
 from .core.ir.parser import parse_program
 from .core.ir.printer import print_program
@@ -266,8 +266,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 1
     model = _MODELS[args.model]()
     trace = args.trace or bool(args.trace_json)
-    runner = lower(program, args.nprocs, model=model, binding=args.binding,
-                   trace=trace, backend=args.backend)
+    try:
+        runner = lower(program, args.nprocs, model=model, binding=args.binding,
+                       trace=trace, backend=args.backend)
+    except CompilationError as exc:
+        print(f"{args.file}: {exc}", file=sys.stderr)
+        return 2
     for spec in args.init or ():
         name, _, kind = spec.partition("=")
         decl = program.decl(name)
@@ -368,7 +372,7 @@ def _cmd_redist(args: argparse.Namespace) -> int:
     from .core.collectives.planner import (
         dist_from_spec, plan_bounded_redistribution,
     )
-    from .core.errors import CompilationError, DistributionError
+    from .core.errors import DistributionError
     from .distributions import ProcessorGrid
 
     try:

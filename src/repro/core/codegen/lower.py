@@ -68,7 +68,7 @@ from ..ir.nodes import (
     Mypid, Myub, NumProcs, Program, Range, RecvStmt, SendStmt, Stmt, UnaryOp,
     VarRef, XferOp,
 )
-from ..ir.visitor import walk_exprs
+from ..ir.visitor import subscript_exprs, walk_exprs
 from ..kernels import KernelRegistry, default_registry
 from ..sections import Section, Triplet
 
@@ -203,6 +203,21 @@ class _CallI:
 
 
 @dataclass
+class _PencilI:
+    """After the ``_LoopInit`` of ``do v: call K(A[.., v, ..])``: run the
+    loop as one call of ``fn`` over its footprint and jump to
+    ``exit_target``, or fall through to the per-pencil code."""
+
+    var: str
+    limit_slot: str
+    array: str
+    sec: Callable[[_VMEnv], Section]  # the call's section at v's value
+    dim: int                          # the dimension v subscripts
+    fn: Callable[..., int]
+    exit_target: int
+
+
+@dataclass
 class _CollI:
     """A collective statement, executed natively by the schedule engine.
 
@@ -219,7 +234,8 @@ class _CollI:
     style: str  # "flat" or "staged"
 
 
-_Instr = _Exec | _Branch | _Jump | _LoopInit | _LoopTest | _LoopInc | _SendI | _RecvI | _Wait | _CallI | _CollI
+_Instr = (_Exec | _Branch | _Jump | _LoopInit | _LoopTest | _LoopInc | _SendI
+          | _RecvI | _Wait | _CallI | _PencilI | _CollI)
 
 
 class CompiledProgram:
@@ -424,6 +440,15 @@ class CompiledProgram:
                         yield Compute(float(env.flops), flops=env.flops)
                         env.flops = 0
                     pc += 1
+                elif tp is _PencilI:
+                    flops = _run_pencils(ins, env)
+                    if flops is None:
+                        pc += 1
+                    else:
+                        flops += env.flops
+                        yield Compute(float(flops), flops=flops)
+                        env.flops = 0
+                        pc = ins.exit_target
                 elif tp is _CollI:
                     yield from _run_collective(ins, env)
                     pc += 1
@@ -458,6 +483,38 @@ def run_program(
     )
     compiled = CompiledProgram(program, nprocs, **kw)
     return compiled, compiled.run()
+
+
+def _run_pencils(ins: _PencilI, env: _VMEnv) -> int | None:
+    """Run a pencil loop as one kernel call over its footprint and return
+    the flops its iterations would have charged; ``None``, with nothing
+    run, unless it has two or more trips, a pencil has one non-unit extent
+    and the footprint is accessible — so no receive completes into it
+    while the per-pencil code would run (docs/ENGINE.md "Pencil loops")."""
+    scalars = env.scalars
+    lo = scalars[ins.var]
+    hi, step = scalars[ins.limit_slot]
+    trip = (hi - lo) // step + 1
+    if trip < 2:
+        return None
+    before = env.flops
+    pencil = ins.sec(env)
+    sub_flops = env.flops - before
+    env.flops = before
+    axes = [d for d, extent in enumerate(pencil.shape) if extent > 1]
+    if len(axes) != 1:
+        return None
+    dims = list(pencil.dims)
+    dims[ins.dim] = Triplet(lo, lo + (trip - 1) * step, step)
+    footprint = Section(tuple(dims))
+    symtab = env.ctx.symtab
+    if not symtab.accessible(ins.array, footprint):
+        return None
+    buf = symtab.read(ins.array, footprint)
+    kernel_flops = int(ins.fn(buf, axis=axes[0]))
+    symtab.write(ins.array, footprint, buf)
+    scalars[ins.var] = lo + trip * step
+    return trip * (ITER_FLOPS + sub_flops + CALL_BASE_FLOPS) + kernel_flops
 
 
 _MISSING = object()
@@ -816,11 +873,16 @@ class _Lowerer:
                     _as_int_nonzero(_compile_expr_static(step, self)),
                     slot,
                 ))
+                pencils = self._pencil_loop(var, slot, body)
+                if pencils is not None:
+                    self._emit(pencils)
                 test_at = self._emit(_LoopTest(var, slot, exit_target=-1))
                 for st in body:
                     self.lower_stmt(st)
                 self._emit(_LoopInc(var, slot, back_target=test_at))
                 self.code[test_at].exit_target = len(self.code)
+                if pencils is not None:
+                    pencils.exit_target = len(self.code)
             case IfStmt(cond, then, orelse):
                 otherwise: list[tuple[int, str]] = []
                 self._lower_test(cond, False, otherwise, otherwise)
@@ -847,6 +909,31 @@ class _Lowerer:
                 self._lower_collective(s)
             case _:
                 raise CompilationError(f"cannot lower statement {type(s).__name__}")
+
+    def _pencil_loop(self, var: str, slot: str, body: Block) -> _PencilI | None:
+        """The one-call form of a pencil loop, or ``None``: the body is one
+        ``call`` of a kernel that batches along an axis, on one exclusive
+        section subscripted by ``var`` alone in exactly one dimension, whose
+        other subscripts read neither ``var`` nor table state."""
+        call = body.stmts[0] if len(body) == 1 else None
+        if (not isinstance(call, CallStmt) or len(call.args) != 1
+                or call.name not in self.compiled.kernels):
+            return None
+        ref, fn = call.args[0], self.compiled.kernels.get(call.name).fn
+        decl = self._decls.get(getattr(ref, "var", None))
+        if (not isinstance(ref, ArrayRef) or ref.is_element()
+                or not getattr(fn, "batches_along_axis", False)
+                or not isinstance(decl, ArrayDecl) or decl.universal
+                or len(ref.subs) != decl.rank):
+            return None
+        dims = [d for d, sub in enumerate(ref.subs) if sub == Index(VarRef(var))]
+        others = [x for d, sub in enumerate(ref.subs) if d not in dims
+                  for x in subscript_exprs(sub)]
+        if len(dims) != 1 or any(isinstance(x, ArrayRef) or x == VarRef(var)
+                                 for x in others):
+            return None
+        return _PencilI(var, slot, ref.var, _compile_section(ref, self),
+                        dims[0], fn, exit_target=-1)
 
     def _lower_guarded(self, rule: Expr, body: Block) -> None:
         """Compile ``rule : { body }``: one test per top-level conjunct,
@@ -933,7 +1020,10 @@ class _Lowerer:
         ))
 
     def _lower_call(self, s: CallStmt) -> None:
-        kernel = self.compiled.kernels.get(s.name)
+        try:
+            kernel = self.compiled.kernels.get(s.name)
+        except KeyError as exc:
+            raise CompilationError(f"call of {exc.args[0]}") from None
         arg_plans: list[tuple[str, Any]] = []
         for a in s.args:
             if isinstance(a, ArrayRef) and not a.is_element():

@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import XDPError
+
 __all__ = ["Kernel", "KernelRegistry", "default_registry"]
 
 
@@ -54,17 +56,31 @@ class KernelRegistry:
         return name in self._kernels
 
 
-def _fft1d(arr: np.ndarray) -> int:
+def _fft1d(arr: np.ndarray, *, axis: int | None = None) -> int:
     """In-place 1-D FFT of a section with exactly one non-unit extent.
 
     The section shape may be e.g. ``(1, 4, 1)`` for ``A[i, *, k]``; the FFT
     runs along the non-unit axis.  Flops follow the standard radix-2
-    estimate ``5 n log2 n``.
+    estimate ``5 n log2 n``.  Two or more non-unit extents are an error.
+
+    ``axis`` (keyword-only, so no IL ``call`` passes it) transforms every
+    line along that axis — a pencil loop run as one call — and returns the
+    flops of the per-line calls; numpy transforms each line as it would a
+    lone one, so the values are bit-identical.
     """
-    n = arr.size
-    flat = arr.reshape(n)
-    flat[...] = np.fft.fft(flat)
-    return max(1, int(5 * n * math.log2(n))) if n > 1 else 1
+    if axis is None:
+        if sum(extent > 1 for extent in arr.shape) > 1:
+            raise XDPError(f"fft1D: section of shape {arr.shape} has more "
+                           "than one non-unit extent")
+        axis = arr.shape.index(max(arr.shape))
+    n = arr.shape[axis]
+    arr[...] = np.fft.fft(arr, axis=axis)
+    return arr.size // n * (max(1, int(5 * n * math.log2(n))) if n > 1 else 1)
+
+
+#: The VM may run a loop of this kernel's per-line calls as one ``axis=``
+#: call (docs/ENGINE.md "Pencil loops").
+_fft1d.batches_along_axis = True
 
 
 def _work(units: float = 1.0) -> int:

@@ -111,6 +111,16 @@ class TestBadInput:
         assert capsys.readouterr().err == (
             f"{p}: duplicate declaration of 'A'\n")
 
+    def test_unregistered_kernel_is_a_message_and_exit_2(self, tmp_path, capsys):
+        # It used to escape from lowering as a KeyError traceback, exit 1.
+        p = tmp_path / "nokernel.xdp"
+        p.write_text("call nosuch(1)\n")
+        assert main(["run", str(p), "--nprocs", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"{p}: call of unknown kernel 'nosuch'; registered: [")
+        assert "'fft1D'" in err
+        assert "Traceback" not in out + err
+
     def test_tune_error_is_a_message(self, program_file, capsys):
         # A TuneError (nothing to tune) is a message, not a traceback.
         assert main(["tune", "--file", program_file, "--nprocs", "2"]) == 2

@@ -4,7 +4,7 @@ executed on the simulated machine, checked against the paper's semantics."""
 import numpy as np
 import pytest
 
-from repro.core.errors import OwnershipError, XDPError
+from repro.core.errors import CompilationError, OwnershipError, XDPError
 from repro import Interpreter, run_program
 from repro.core.ir.parser import parse_program
 from repro.machine import MachineModel
@@ -226,7 +226,8 @@ iown(F[1:8]) : { call fft1D(F[1:8]) }
         assert stats.procs[0].compute_time >= 1000
 
     def test_unknown_kernel(self):
-        with pytest.raises(KeyError):
+        # Lowering rejects the call, naming the kernel and the registry.
+        with pytest.raises(CompilationError, match="'nosuch'; registered: .*'fft1D'"):
             run("call nosuch(1)\n", 1)
 
 
