@@ -38,17 +38,6 @@ Commands
 ``fft``
     Run the section-4 3-D FFT at a chosen stage/size and report.
 
-``bench``
-    Run the engine-scaling benchmark (workqueue + FFT-pipeline node
-    programs over a processor sweep, measured live against the seed
-    reference engine) and record/diff ``BENCH_engine.json``.
-
-``chaos``
-    Replay the workqueue and FFT-pipeline programs under seeded fault
-    schedules (loss, duplication, jitter, stalls) through the reliable
-    transport, asserting that results match the fault-free run and that
-    same-seed replays are bit-identical.  Exits 1 on any mismatch.
-
 ``serve``
     Run a compile/check/run(/tune) job session against a crash-safe
     on-disk artifact store: supervised worker processes, per-job
@@ -73,9 +62,6 @@ Examples
         --to "(*, BLOCK, *)" --nprocs 4 --max-temp-frac 0.25
     python -m repro figures all
     python -m repro fft --n 8 --nprocs 4 --stage 2
-    python -m repro bench --nprocs 8,64,256 --out BENCH_engine.json
-    python -m repro bench --nprocs 8,64 --diff BENCH_engine.json
-    python -m repro chaos --seed 7 --procs 8
     python -m repro serve --store .xdp-store --rounds 2
     python -m repro serve --chaos --seed 7
 """
@@ -83,7 +69,6 @@ Examples
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from pathlib import Path
@@ -210,9 +195,10 @@ def _run_app(args: argparse.Namespace) -> int:
         from .apps.matmul import run_matmul
 
         n = 2 * nprocs
-        r = run_matmul(n, nprocs, args.variant, model=model,
+        variant = args.variant or "summa"
+        r = run_matmul(n, nprocs, variant, model=model,
                        backend=args.backend, collectives=args.collectives)
-        label, ok, arr = f"matmul/{args.variant} n={n}", r.correct, r.result
+        label, ok, arr = f"matmul/{variant} n={n}", r.correct, r.result
         stats = r.stats
     elif args.app == "workqueue":
         # The static-IL rendition of the section-2.7 pool: its round-robin
@@ -241,8 +227,30 @@ def _run_app(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+def _bad_run_option(args: argparse.Namespace) -> str | None:
+    """Why ``run`` rejects an option that its FILE or ``--app`` would
+    ignore or could not use, or None when every option applies."""
+    from .apps.matmul import VARIANTS
+
+    if args.variant is not None:
+        if args.app != "matmul":
+            return "--variant applies only to --app matmul"
+        if args.variant not in VARIANTS:
+            return (f"--variant: unknown matmul variant {args.variant!r} "
+                    f"(choose from {', '.join(VARIANTS)})")
+    if args.app:
+        for flag, value in (("--init", args.init), ("--show", args.show)):
+            if value:
+                return f"{flag} applies only to a FILE run, not to --app"
+    return None
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     if _bad_nprocs("run", args.nprocs):
+        return 2
+    reason = _bad_run_option(args)
+    if reason is not None:
+        print(f"repro run: {reason}", file=sys.stderr)
         return 2
     if args.app:
         if args.file:
@@ -568,75 +576,6 @@ def _cmd_fft(args: argparse.Namespace) -> int:
     return 0 if r.correct else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .apps.enginebench import diff_bench, format_bench, run_engine_bench
-
-    nprocs = tuple(int(x) for x in args.nprocs.split(","))
-    programs = tuple(args.programs.split(","))
-    results = run_engine_bench(
-        nprocs,
-        programs,
-        jobs_per_proc=args.jobs_per_proc,
-        classify=not args.no_classify,
-    )
-    print(format_bench(results))
-    if args.diff:
-        old = json.loads(Path(args.diff).read_text())
-        print(f"\nvs {args.diff}:")
-        print(diff_bench(old, results))
-        return 0
-    from .report.record import write_json_atomic
-
-    write_json_atomic(args.out, results)
-    print(f"wrote {args.out}")
-    return 0
-
-
-def _chaos_args(args: argparse.Namespace) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """``--programs`` and ``--procs`` as tuples; a bad item is a
-    ``ValueError`` naming it."""
-    programs = tuple(args.programs.split(","))
-    for name in programs:
-        if name not in ("workqueue", "fft"):
-            raise ValueError(
-                f"--programs: unknown program {name!r} (pick from workqueue, fft)")
-    procs = []
-    for item in args.procs.split(","):
-        try:
-            procs.append(int(item))
-        except ValueError:
-            raise ValueError(f"--procs: {item!r} is not an integer") from None
-        if procs[-1] < 2:
-            raise ValueError(
-                f"--procs: {procs[-1]} is below 2 (one master and one worker)")
-    return programs, tuple(procs)
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from .apps.chaos import format_chaos, run_chaos
-
-    try:
-        programs, procs = _chaos_args(args)
-    except ValueError as exc:
-        print(f"repro chaos: {exc}", file=sys.stderr)
-        return 2
-    report = run_chaos(
-        programs=programs,
-        nprocs_list=procs,
-        seed=args.seed,
-        jobs_per_proc=args.jobs_per_proc,
-        include_crash=args.crash,
-        backend=args.backend,
-    )
-    print(format_chaos(report))
-    if args.json:
-        from .report.record import write_json_atomic
-
-        write_json_atomic(args.json, report)
-        print(f"wrote {args.json}")
-    return 0 if report["ok"] else 1
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .report.record import write_json_atomic
 
@@ -744,8 +683,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run a shipped application instead of FILE and "
                         "print a sha256 digest of its result array "
                         "(identical across --backend choices)")
-    r.add_argument("--variant", default="summa",
-                   help="app variant (matmul: cannon, summa, gather, outer)")
+    r.add_argument("--variant",
+                   help="matmul app variant: cannon, summa (default), "
+                        "gather or outer")
     r.add_argument("--collectives", default="native",
                    choices=("native", "p2p"),
                    help="lower coll statements natively or desugar to "
@@ -833,38 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--print-source", action="store_true")
     backend_arg(t)
     t.set_defaults(fn=_cmd_fft)
-
-    b = sub.add_parser("bench", help="run the engine scaling benchmark")
-    b.add_argument("--nprocs", default="8,64,256",
-                   help="comma-separated processor counts")
-    b.add_argument("--programs", default="workqueue,fft",
-                   help="comma-separated bench programs (workqueue, fft)")
-    b.add_argument("--jobs-per-proc", type=int, default=16,
-                   help="workqueue jobs per processor")
-    b.add_argument("--no-classify", action="store_true",
-                   help="skip the profiled bottleneck classification")
-    b.add_argument("--out", default="BENCH_engine.json",
-                   help="where to record results")
-    b.add_argument("--diff", metavar="FILE",
-                   help="compare against a recorded results file "
-                        "instead of writing")
-    b.set_defaults(fn=_cmd_bench)
-
-    x = sub.add_parser("chaos", help="fault-injection battery on the engine")
-    x.add_argument("--seed", type=int, default=7,
-                   help="fault-schedule seed (fixed seed => bit-identical run)")
-    x.add_argument("--procs", default="8",
-                   help="comma-separated processor counts")
-    x.add_argument("--programs", default="workqueue,fft",
-                   help="comma-separated programs (workqueue, fft)")
-    x.add_argument("--jobs-per-proc", type=int, default=8,
-                   help="workqueue jobs per processor")
-    x.add_argument("--crash", action="store_true",
-                   help="also demonstrate fail-stop degraded runs")
-    x.add_argument("--json", metavar="FILE",
-                   help="also write the full report as JSON")
-    backend_arg(x)
-    x.set_defaults(fn=_cmd_chaos)
 
     v = sub.add_parser(
         "serve",

@@ -101,8 +101,13 @@ def const_eval(e: Expr, env: ConstEnv) -> int | float | bool | None:
                 case "<=": return l <= r
                 case ">": return l > r
                 case ">=": return l >= r
-                case "min": return min(l, r)
-                case "max": return max(l, r)
+                case "min" | "max":
+                    v = (min if op == "min" else max)(l, r)
+                    # Promote an int winner over a float, as the VM does.
+                    if isinstance(v, int) and (
+                            isinstance(l, float) or isinstance(r, float)):
+                        return float(v)
+                    return v
             return None
         case _:
             # Intrinsics (iown/await/...) are never compile-time constants

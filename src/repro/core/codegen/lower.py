@@ -656,7 +656,16 @@ def _compile_binop(op: str, lhs: Expr, rhs: Expr, lw: "_Lowerer") -> Callable[[_
             l, r = l_fn(env), r_fn(env)
             size = _pair_size(l, r)
             env.flops += size
-            return py(l, r) if size == 1 else npf(l, r)
+            if size != 1:
+                return npf(l, r)
+            v = py(l, r)
+            # Python's min/max return the winner with its own type; promote
+            # an int winner over a float as numpy (the section form) does,
+            # so that a following "/" divides as a float.
+            if isinstance(v, (int, np.integer)) and (
+                    isinstance(l, float) or isinstance(r, float)):
+                return float(v)
+            return v
         return mm
     fn = table[op]
     def bin_run(env):

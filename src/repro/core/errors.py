@@ -15,8 +15,6 @@ __all__ = [
     "ProtocolError",
     "DeadlockError",
     "BudgetExhaustedError",
-    "TransportError",
-    "DegradedRunError",
     "DistributionError",
     "CompilationError",
     "ServeError",
@@ -90,62 +88,6 @@ class BudgetExhaustedError(DeadlockError):
     subclasses :class:`DeadlockError` for backward compatibility with
     callers that caught the budget case under that name.
     """
-
-
-class TransportError(XDPError):
-    """Raised by the reliable-delivery layer when a message exhausts its
-    retransmit budget without a single copy arriving.
-
-    The paper assumes a perfect transport (section 2.7 only defines
-    *mismatched* sends/receives as errors); under an injected fault model
-    a transfer can fail outright, and the engine surfaces that as this
-    error instead of silently losing data.
-
-    Attributes: ``name`` (the message tag), ``src``/``dst`` (0-based pids,
-    ``dst`` may be None for unspecified-recipient sends) and ``attempts``
-    (transmissions tried, original plus retransmits).
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        name: object = None,
-        src: int | None = None,
-        dst: int | None = None,
-        attempts: int = 0,
-    ):
-        self.name = name
-        self.src = src
-        self.dst = dst
-        self.attempts = attempts
-        super().__init__(message)
-
-
-class DegradedRunError(XDPError):
-    """Raised by the engine when a run finishes (or can make no further
-    progress) after one or more processors fail-stopped.
-
-    Graceful degradation instead of a hang: the error carries the partial
-    :class:`~repro.machine.stats.RunStats` of the run (``stats``), the
-    0-based pids that crashed (``crashed``) and a checkpoint of the
-    *surviving* processors' run-time symbol tables (``checkpoint``, a
-    ``{pid: RuntimeSymbolTable}`` dict) so callers can inspect or resume
-    from what completed.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        stats: object = None,
-        crashed: tuple[int, ...] = (),
-        checkpoint: dict | None = None,
-    ):
-        self.stats = stats
-        self.crashed = tuple(crashed)
-        self.checkpoint = dict(checkpoint or {})
-        super().__init__(message)
 
 
 class ServeError(XDPError):

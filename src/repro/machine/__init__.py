@@ -11,18 +11,14 @@ from .engine import (
 )
 from .scheduler import Scheduler
 from .transport import (
-    FaultInjection,
     MessagePassingTransport,
-    ReliableDelivery,
     SharedAddressTransport,
     Transport,
     make_transport,
 )
 from ..runtime.memory import LocalMemory
-from .faults import Crash, FaultModel, FaultSpec, Stall
 from .message import Message, MessageName, MessagePool, TransferKind
 from .model import MachineModel
-from .reliable import Delivery, ReliableTransport
 from .stats import ProcStats, RunStats, TraceEvent
 
 __all__ = [
@@ -41,21 +37,13 @@ __all__ = [
     "Transport",
     "MessagePassingTransport",
     "SharedAddressTransport",
-    "FaultInjection",
-    "ReliableDelivery",
     "make_transport",
     "LocalMemory",
-    "Crash",
-    "FaultModel",
-    "FaultSpec",
-    "Stall",
     "Message",
     "MessageName",
     "MessagePool",
     "TransferKind",
     "MachineModel",
-    "Delivery",
-    "ReliableTransport",
     "ProcStats",
     "RunStats",
     "TraceEvent",

@@ -28,11 +28,9 @@ engine:
 
 * :class:`~repro.machine.scheduler.Scheduler` — the backend-agnostic
   core: min-``(clock, pid)`` heap loop, completion application (one code
-  path), processor faults, quiescence/deadlock detection, stats;
+  path), quiescence/deadlock detection, stats;
 * :mod:`~repro.machine.transport` — the backends
-  (:class:`MessagePassingTransport`, :class:`SharedAddressTransport`)
-  and the fault-injection / reliable-delivery middleware that wraps
-  either one.
+  (:class:`MessagePassingTransport`, :class:`SharedAddressTransport`).
 
 **Multicast model**: a send with several destinations is *serialized
 injection* — the sender pays the per-copy occupancy on its own clock
@@ -42,35 +40,21 @@ back-to-back).  This is intentional and pinned by tests.
 
 **Reuse**: an :class:`Engine` may run several programs in sequence; every
 ``run()`` starts from fresh transport state, trace, logs, and seq numbers
-— including after a run that *raised* (deadlock, exhausted budget, failed
-transport, degraded run).  Symbol tables (declared variables, their
+— including after a run that *raised* (deadlock, exhausted budget,
+protocol error).  Symbol tables (declared variables, their
 ownership and data) deliberately persist across runs so programs can be
 chained over the same arrays.
 
-**Faults** (see docs/FAULTS.md): an optional
-:class:`~repro.machine.faults.FaultModel` makes the transport lossy
-(drop/duplicate/jitter per tag) and the processors mortal (stalls,
-fail-stop crashes); an optional
-:class:`~repro.machine.reliable.ReliableTransport` restores
-perfect-transport semantics over the lossy network via ack/timeout/
-retransmit so node programs run unchanged.  All stochastic behavior draws
-from one ``random.Random(seed)`` reset at the start of every run, so a
-run is bit-reproducible from its seed (recorded in ``RunStats.seed``).
+The machine is the paper's: the network never loses or duplicates a
+message, and no processor fails.  Nothing in a run is random,
+so the same program on the same engine always yields the same run.
 """
 
 from __future__ import annotations
 
-from .faults import FaultModel
 from .model import MachineModel
-from .reliable import ReliableTransport
 from .scheduler import NodeProgram, ProcessorContext, Scheduler
-from .transport import (
-    BACKENDS,
-    FaultInjection,
-    ReliableDelivery,
-    Transport,
-    make_transport,
-)
+from .transport import BACKENDS, make_transport
 from .transport.msg import HEADER_BYTES  # noqa: F401  (re-export)
 
 __all__ = [
@@ -87,14 +71,9 @@ class Engine(Scheduler):
 
     ``backend`` selects the transport binding (``"msg"`` or ``"shmem"``;
     default: the ``REPRO_BACKEND`` environment variable, else ``msg``).
-    A pre-built :class:`~repro.machine.transport.Transport` may be passed
-    instead via ``transport`` (contract tests use this to hand-assemble
-    middleware stacks).  ``faults``/``reliable`` wrap the chosen backend
-    in the corresponding middleware exactly as the monolithic engine
-    behaved: reliable delivery *replaces* the raw lossy path.
 
     There is one execution core — the scheduler's min-``(clock, pid)``
-    loop — whatever the transport, middleware, fault model or tracing.
+    loop — whatever the transport or tracing.
     """
 
     def __init__(
@@ -105,33 +84,15 @@ class Engine(Scheduler):
         strict: bool = False,
         trace: bool = False,
         max_effects: int = 10_000_000,
-        seed: int = 0,
-        faults: FaultModel | None = None,
-        reliable: ReliableTransport | None = None,
         backend: str | None = None,
-        transport: Transport | None = None,
     ):
-        if transport is None:
-            transport = make_transport(backend)
-        elif backend is not None and backend != transport.name:
-            raise ValueError(
-                f"backend={backend!r} contradicts the supplied "
-                f"{transport.name!r} transport"
-            )
-        if reliable is not None:
-            transport = ReliableDelivery(transport, reliable)
-        elif faults is not None:
-            transport = FaultInjection(transport, faults)
         super().__init__(
             nprocs,
             model,
-            transport=transport,
+            transport=make_transport(backend),
             strict=strict,
             trace=trace,
             max_effects=max_effects,
-            seed=seed,
-            faults=faults,
-            reliable=reliable,
         )
 
     @property

@@ -92,9 +92,6 @@ class Message:
     send_time: float
     arrive_time: float
     claimed: bool = False
-    #: 0 for an untouched transmission; >0 records how many transmissions
-    #: the reliable layer needed (or flags a raw-transport duplicate).
-    attempt: int = 0
 
     @property
     def nbytes(self) -> int:
@@ -102,11 +99,9 @@ class Message:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         to = "?" if self.dst is None else f"P{self.dst + 1}"
-        tail = f" (attempt {self.attempt})" if self.attempt else ""
         return (
             f"msg#{self.seq} {self.kind.value} {self.name} "
             f"P{self.src + 1}->{to} @{self.send_time:.1f}->{self.arrive_time:.1f}"
-            f"{tail}"
         )
 
 

@@ -40,8 +40,6 @@ class MachineModel:
     per_byte: float = 0.25
     flop_time: float = 1.0
     elem_bytes: int = 8
-    #: Size of a reliable-layer acknowledgement (header-only return leg).
-    ack_bytes: int = 16
     # -- shared-address binding constants (the paper's KSR1-style target;
     # used only by the shmem transport backend, see docs/BACKENDS.md) --
     #: Cache-line / transfer-unit granularity of the global address space.
@@ -86,10 +84,6 @@ class MachineModel:
     def elems_cost(self, nelems: int) -> float:
         """Wire delay of ``nelems`` array elements."""
         return self.message_cost(nelems * self.elem_bytes)
-
-    def ack_cost(self) -> float:
-        """Return-leg delay of a reliable-delivery acknowledgement."""
-        return self.message_cost(self.ack_bytes)
 
     # ------------------------------------------------------------------ #
     # presets

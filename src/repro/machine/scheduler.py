@@ -10,16 +10,15 @@ depend on how data moves between processors:
   (:meth:`Scheduler.complete` builds the closure,
   :meth:`Scheduler._apply_completion` applies it), shared by eager
   wake-ups, ``WaitAccessible`` drains and end-of-run flushing;
-* processor faults (stalls and fail-stop crashes), quiescence detection,
-  degraded-run handling, and the deadlock report;
+* quiescence detection and the deadlock report;
 * stats collection and the trace/log streams.
 
 Everything transport-specific — how a ``Send`` effect becomes traffic,
 how a ``RecvInit`` posts an obligation, how the two rendezvous, and what
 the unmatched state looks like in diagnostics — lives behind the
 :class:`~repro.machine.transport.Transport` protocol.  The scheduler
-calls ``transport.send`` / ``transport.recv_init`` / ``transport.on_crash``
-and the transport calls back :meth:`Scheduler.complete` when a transfer's
+calls ``transport.send`` / ``transport.recv_init`` and the transport
+calls back :meth:`Scheduler.complete` when a transfer's
 completion time is known.  See docs/ENGINE.md for the architecture
 diagram and docs/BACKENDS.md for the two shipped backends.
 """
@@ -28,8 +27,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import random
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Generator
 
@@ -38,19 +35,15 @@ import numpy as np
 from ..core.errors import (
     BudgetExhaustedError,
     DeadlockError,
-    DegradedRunError,
     OwnershipError,
     ProtocolError,
 )
 from ..core.sections import Section
-from ..core.states import SegmentState
 from ..runtime.memory import LocalMemory
 from ..runtime.symtab import RuntimeSymbolTable
 from .effects import Compute, Effect, Log, RecvInit, Send, WaitAccessible
-from .faults import FaultModel
 from .message import Message, TransferKind
 from .model import MachineModel
-from .reliable import ReliableTransport
 from .stats import ProcStats, RunStats, TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -58,8 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["NodeProgram", "ProcessorContext", "Scheduler"]
 
-# Verdicts of the per-processor fault check at scheduling time.
-_STEP, _REQUEUE, _CRASHED = "step", "requeue", "crashed"
 
 @dataclass
 class _Completion:
@@ -90,8 +81,8 @@ NodeProgram = Callable[[ProcessorContext], Generator[Effect, object, None]]
 
 class _Proc:
     __slots__ = (
-        "pid", "ctx", "gen", "clock", "blocked_on", "done", "crashed",
-        "completions", "stats", "send_value", "nqueued",
+        "pid", "ctx", "gen", "clock", "blocked_on", "done", "completions",
+        "stats", "send_value", "nqueued",
     )
 
     def __init__(self, pid: int, ctx: ProcessorContext, gen: Generator):
@@ -101,7 +92,6 @@ class _Proc:
         self.clock = 0.0
         self.blocked_on: tuple[str, Section] | None = None
         self.done = False
-        self.crashed = False
         self.completions: list[_Completion] = []  # heap
         self.stats = ProcStats(pid)
         self.send_value: object = None  # value sent into the generator on resume
@@ -109,7 +99,7 @@ class _Proc:
 
     @property
     def runnable(self) -> bool:
-        return not self.done and not self.crashed and self.blocked_on is None
+        return not self.done and self.blocked_on is None
 
 
 class Scheduler:
@@ -125,23 +115,12 @@ class Scheduler:
         strict: bool = False,
         trace: bool = False,
         max_effects: int = 10_000_000,
-        seed: int = 0,
-        faults: FaultModel | None = None,
-        reliable: ReliableTransport | None = None,
     ):
         self.nprocs = nprocs
         self.model = model if model is not None else MachineModel()
         self.strict = strict
         self.trace_enabled = trace
         self.max_effects = max_effects
-        #: One seed governs every stochastic behavior of a run (fault
-        #: schedules included); the run rng is rebuilt from it each run.
-        self.seed = seed
-        self.faults = faults
-        self.reliable = reliable
-        if reliable is not None and faults is None:
-            # Reliable layer over a perfect network: inert but exercised.
-            self.faults = FaultModel.none()
         self.transport = transport
         transport.bind(self)
         self.symtabs = [
@@ -154,32 +133,16 @@ class Scheduler:
         """Fresh per-run state, so an engine instance is safe to reuse.
 
         A second ``run()`` must not observe the previous run's unclaimed
-        traffic, pending receives or fences, trace, or logs — nor any of
-        its fault state — even when that run raised (symbol tables persist
-        by design; see :mod:`repro.machine.engine`'s reuse rule).  The
-        transport drops all of its private per-run state here too.
+        traffic, pending receives or fences, trace, or logs — even when
+        that run raised (symbol tables persist by design; see
+        :mod:`repro.machine.engine`'s reuse rule).  The transport drops
+        all of its private per-run state here too.
         """
         self._seq = itertools.count()
         self._trace: list[TraceEvent] = []
         self._logs: list[tuple[float, int, str]] = []
         self._effects = 0
         self._runq: list[tuple[float, int]] = []
-        self._rng = random.Random(self.seed)
-        self._crashed: list[int] = []
-        self._dropped = 0
-        self._duplicated = 0
-        self._retransmits = 0
-        self._acks = 0
-        self._dups_suppressed = 0
-        # Per-pid schedules of the not-yet-fired processor faults.
-        self._stall_sched: dict[int, deque] = {}
-        self._crash_sched: dict[int, float] = {}
-        if self.faults is not None:
-            for s in sorted(self.faults.stalls, key=lambda s: s.at):
-                self._stall_sched.setdefault(s.pid, deque()).append(s)
-            for c in self.faults.crashes:
-                at = self._crash_sched.get(c.pid)
-                self._crash_sched[c.pid] = c.at if at is None else min(at, c.at)
         self.transport.reset()
 
     # ------------------------------------------------------------------ #
@@ -216,10 +179,8 @@ class Scheduler:
     def run(self, program: NodeProgram) -> RunStats:
         """Load ``program`` onto every processor and run to completion.
 
-        Raises :class:`DegradedRunError` — carrying the partial stats and
-        a checkpoint of surviving symbol tables — when the fault model
-        crashed any processor.  After *any* raising run the engine remains
-        reusable: the next ``run()`` starts from clean per-run state.
+        After a raising run the engine remains reusable: the next
+        ``run()`` starts from clean per-run state.
         """
         self._reset_run_state()
         procs = []
@@ -239,21 +200,6 @@ class Scheduler:
             # never accumulates the sections of programs it has finished.
             for st in self.symtabs:
                 st.forget_resolutions()
-        if self._crashed:
-            self._close_generators(procs)
-            crashed = tuple(self._crashed)
-            raise DegradedRunError(
-                "degraded run: processor(s) "
-                + ", ".join(f"P{p + 1}" for p in crashed)
-                + f" fail-stopped; {self.nprocs - len(crashed)} of "
-                f"{self.nprocs} survive (partial stats and surviving "
-                "symbol-table checkpoint attached)",
-                stats=stats,
-                crashed=crashed,
-                checkpoint={
-                    p.pid: self.symtabs[p.pid] for p in procs if not p.crashed
-                },
-            )
         return stats
 
     def _run_loop(self, procs: list[_Proc]) -> None:
@@ -265,31 +211,16 @@ class Scheduler:
         for p in procs:
             p.nqueued = 1
 
-        proc_faults = self.faults is not None and self.faults.has_proc_faults
         budget = self.max_effects
         while True:
             proc = self._next_runnable()
             if proc is None:
-                if all(p.done or p.crashed for p in procs):
+                if all(p.done for p in procs):
                     break
-                blocked = [
-                    p for p in procs if not p.crashed and p.blocked_on is not None
-                ]
+                blocked = [p for p in procs if p.blocked_on is not None]
                 if self._try_unblock(blocked):
                     continue
-                # Quiescence: virtual time has passed every event that
-                # could wake the blocked processors, so any crash still
-                # scheduled for them fires now (claim-time consult).
-                if proc_faults and self._crash_stragglers(blocked):
-                    continue
-                if self._crashed:
-                    break  # survivors can make no progress: degrade
-                self._report_deadlock(blocked)
-                continue
-            if proc_faults:
-                verdict = self._apply_proc_faults(proc)
-                if verdict is not _STEP:
-                    continue  # crashed, or stalled and re-queued
+                raise self._deadlock_error(blocked)
             budget -= 1
             if budget < 0:
                 raise BudgetExhaustedError(
@@ -352,68 +283,6 @@ class Scheduler:
     def _push_runnable(self, proc: _Proc) -> None:
         proc.nqueued += 1
         heapq.heappush(self._runq, (proc.clock, proc.pid))
-
-    # ------------------------------------------------------------------ #
-    # processor faults (stalls, fail-stop crashes)
-    # ------------------------------------------------------------------ #
-
-    def _apply_proc_faults(self, proc: _Proc) -> str:
-        """Consult the fault model for ``proc`` before stepping it.
-
-        Fail-stop granularity is the effect boundary: a crash scheduled at
-        virtual time ``at`` fires the first time the processor is picked
-        with ``clock >= at``.  A stall advances the clock and *re-queues*
-        the processor instead of stepping it, so the min-(clock, pid)
-        schedule stays correct after the jump.
-        """
-        crash_at = self._crash_sched.get(proc.pid)
-        if crash_at is not None and crash_at <= proc.clock:
-            self._crash(proc)
-            return _CRASHED
-        stalls = self._stall_sched.get(proc.pid)
-        if stalls and stalls[0].at <= proc.clock:
-            stall = stalls.popleft()
-            proc.clock += stall.duration
-            proc.stats.stall_time += stall.duration
-            self._emit(
-                proc.clock, proc.pid, "stall",
-                f"+{stall.duration:.2f} (scheduled at t={stall.at:.2f})",
-            )
-            self._push_runnable(proc)
-            return _REQUEUE
-        return _STEP
-
-    def _crash(self, proc: _Proc) -> None:
-        """Fail-stop ``proc``: it never executes again, its undelivered
-        completions are lost, its pending receives/fences are withdrawn by
-        the transport (so a dead node cannot swallow pooled traffic meant
-        for the living), and its data degrades to *transitional* —
-        unpredictable in the paper's terms, which ``strict`` mode turns
-        into :class:`OwnershipError` on read."""
-        proc.crashed = True
-        proc.blocked_on = None
-        proc.completions = []
-        proc.stats.finish_time = proc.clock
-        self._crashed.append(proc.pid)
-        del self._crash_sched[proc.pid]
-        try:
-            proc.gen.close()
-        except Exception:  # pragma: no cover - defensive
-            pass
-        for entry in proc.ctx.symtab.variables():
-            for d in entry.segdescs:
-                d.state = SegmentState.TRANSITIONAL
-        self.transport.on_crash(proc)
-        self._emit(proc.clock, proc.pid, "crash", f"fail-stop at t={proc.clock:.2f}")
-
-    def _crash_stragglers(self, blocked: list[_Proc]) -> bool:
-        """At quiescence, fire pending crashes of blocked processors."""
-        crashed = False
-        for proc in blocked:
-            if proc.pid in self._crash_sched:
-                self._crash(proc)
-                crashed = True
-        return crashed
 
     # ------------------------------------------------------------------ #
     # core stepping
@@ -569,12 +438,11 @@ class Scheduler:
                     break
         return woke
 
-    def _report_deadlock(self, blocked: list[_Proc]) -> None:
-        """Raise a :class:`DeadlockError` whose text alone diagnoses the
+    def _deadlock_error(self, blocked: list[_Proc]) -> DeadlockError:
+        """A :class:`DeadlockError` whose text alone diagnoses the
         cycle: per-pid awaited sections *and* the transport's pending
         obligations (receive tags or fences), plus the full unclaimed
-        traffic listing — under faults a deadlock is usually a dropped
-        message, and its absence from the pool listing is the tell."""
+        traffic listing."""
         transport = self.transport
         pending_by_pid = transport.pending_by_pid()
         # Sort every listing (pids, and tags by post time then text) so the
@@ -604,12 +472,7 @@ class Scheduler:
         if n_unclaimed:
             lines.append(f"  {transport.pool_header}")
             lines.extend(f"    {m}" for m in transport.unclaimed_listing())
-        if self._dropped:
-            lines.append(
-                f"  note: the fault model dropped {self._dropped} message(s) "
-                "this run (raw transport, no reliable layer)"
-            )
-        raise DeadlockError("\n".join(lines))
+        return DeadlockError("\n".join(lines))
 
     # ------------------------------------------------------------------ #
     # bookkeeping
@@ -621,12 +484,8 @@ class Scheduler:
 
     def _collect_stats(self, procs: list[_Proc]) -> RunStats:
         # Apply any leftover completions (non-blocking receives the program
-        # never awaited) so final data is as-delivered.  A crashed
-        # processor's queued completions are lost with it.
+        # never awaited) so final data is as-delivered.
         for p in procs:
-            if p.crashed:
-                p.completions = []
-                continue
             while p.completions:
                 c = heapq.heappop(p.completions)
                 self._apply_completion(p, c)
@@ -639,21 +498,10 @@ class Scheduler:
             unclaimed_messages=self.transport.unclaimed_count(),
             unmatched_receives=self.transport.unmatched_count(),
             effects_processed=self._effects,
-            seed=self.seed,
-            msgs_dropped=self._dropped,
-            msgs_duplicated=self._duplicated,
-            retransmits=self._retransmits,
-            acks=self._acks,
-            dups_suppressed=self._dups_suppressed,
-            crashed=tuple(self._crashed),
             logs=self._logs,
             trace=self._trace,
         )
-        # A degraded run reports through DegradedRunError; unmatched
-        # traffic is then expected, not a protocol violation.
-        if self.strict and not self._crashed and (
-            stats.unclaimed_messages or stats.unmatched_receives
-        ):
+        if self.strict and (stats.unclaimed_messages or stats.unmatched_receives):
             raise ProtocolError(
                 f"program ended with {stats.unclaimed_messages} unclaimed "
                 f"messages and {stats.unmatched_receives} unmatched receives "

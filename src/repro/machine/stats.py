@@ -21,8 +21,6 @@ class ProcStats:
     send_overhead: float = 0.0
     recv_overhead: float = 0.0
     idle_time: float = 0.0
-    #: Virtual time lost to injected processor stalls (fault model).
-    stall_time: float = 0.0
     msgs_sent: int = 0
     msgs_received: int = 0
     bytes_sent: int = 0
@@ -61,16 +59,6 @@ class RunStats:
     #: Number of effects the engine scheduled — the discrete-event "work"
     #: of the run, and the numerator of the bench harness's effects/sec.
     effects_processed: int = 0
-    #: Seed of the engine's run rng — every stochastic behavior of the run
-    #: (fault schedules included) is reproducible from this one number.
-    seed: int = 0
-    # Fault/transport accounting (all zero on a fault-free run).
-    msgs_dropped: int = 0          #: copies lost by the raw lossy transport
-    msgs_duplicated: int = 0       #: extra copies the raw transport delivered
-    retransmits: int = 0           #: reliable-layer retransmissions
-    acks: int = 0                  #: reliable-layer acknowledgements received
-    dups_suppressed: int = 0       #: duplicate deliveries the reliable layer hid
-    crashed: tuple[int, ...] = ()  #: 0-based pids that fail-stopped
     logs: list[tuple[float, int, str]] = field(default_factory=list)
     trace: list[TraceEvent] = field(default_factory=list)
 
@@ -86,16 +74,11 @@ class RunStats:
     def total_overhead(self) -> float:
         return sum(p.send_overhead + p.recv_overhead for p in self.procs)
 
-    @property
-    def total_stall_time(self) -> float:
-        return sum(p.stall_time for p in self.procs)
-
     def summary(self) -> str:
         """Compact human-readable table of the run."""
         lines = [
             f"makespan: {self.makespan:.2f}  messages: {self.total_messages}"
-            f"  bytes: {self.total_bytes}  effects: {self.effects_processed}"
-            f"  seed: {self.seed}",
+            f"  bytes: {self.total_bytes}  effects: {self.effects_processed}",
             " pid   compute      send      recv      idle    finish  msgs(out/in)",
         ]
         for p in self.procs:
@@ -103,18 +86,6 @@ class RunStats:
                 f"  P{p.pid + 1}  {p.compute_time:8.2f}  {p.send_overhead:8.2f}"
                 f"  {p.recv_overhead:8.2f}  {p.idle_time:8.2f}  {p.finish_time:8.2f}"
                 f"   {p.msgs_sent}/{p.msgs_received}"
-            )
-        if (
-            self.msgs_dropped or self.msgs_duplicated or self.retransmits
-            or self.dups_suppressed or self.crashed or self.total_stall_time
-        ):
-            crashed = ",".join(f"P{p + 1}" for p in self.crashed) or "-"
-            lines.append(
-                f"  faults: dropped={self.msgs_dropped} "
-                f"duplicated={self.msgs_duplicated} "
-                f"retransmits={self.retransmits} acks={self.acks} "
-                f"dups_suppressed={self.dups_suppressed} "
-                f"stall_time={self.total_stall_time:.2f} crashed={crashed}"
             )
         if self.unclaimed_messages or self.unmatched_receives:
             lines.append(

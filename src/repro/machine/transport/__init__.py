@@ -12,10 +12,7 @@ that binding point at run time:
   global unclaimed pool;
 * :class:`SharedAddressTransport` (``shmem``) — sends become non-blocking
   ``poststore`` operations into a global address space, receives become
-  ``prefetch`` operations, and ``await`` binds to a completion *fence*;
-* :class:`FaultInjection` / :class:`ReliableDelivery` — middleware that
-  wraps any backend to make the network lossy or to restore exact
-  delivery over a lossy network.
+  ``prefetch`` operations, and ``await`` binds to a completion *fence*.
 
 Both backends realize the *same* abstract rendezvous relation (FIFO by
 sequence number per ``(kind, name)`` tag — see
@@ -29,22 +26,18 @@ from __future__ import annotations
 import os
 
 from .base import PendingRecv, RecvIndex, TagTransport, Transport
-from .middleware import FaultInjection, ReliableDelivery, TransportMiddleware
 from .msg import HEADER_BYTES, MessagePassingTransport
 from .shmem import SharedAddressTransport
 
 __all__ = [
     "BACKENDS",
     "HEADER_BYTES",
-    "FaultInjection",
     "MessagePassingTransport",
     "PendingRecv",
     "RecvIndex",
-    "ReliableDelivery",
     "SharedAddressTransport",
     "TagTransport",
     "Transport",
-    "TransportMiddleware",
     "default_backend",
     "make_transport",
 ]

@@ -2,12 +2,10 @@
 
 A transport is the engine's binding of XDP transfer effects to concrete
 communication primitives (paper section 5).  The scheduler core calls
-``send`` / ``recv_init`` / ``on_crash`` / ``reset`` and asks for
-diagnostics; the transport calls back
+``send`` / ``recv_init`` / ``reset`` and asks for diagnostics; the
+transport calls back
 :meth:`~repro.machine.scheduler.Scheduler.complete` once a transfer's
-completion time is bound.  Injection of each transmitted copy goes
-through ``self.injector.inject(msg, nbytes)`` so middleware (fault
-injection, reliable delivery) can interpose on any backend.
+completion time is bound.
 
 :class:`TagTransport` implements the rendezvous relation both shipped
 backends share — FIFO-by-seq matching per ``(kind, name)`` tag, with
@@ -107,11 +105,8 @@ class RecvIndex:
 class Transport:
     """Interface between the scheduler core and a communication backend.
 
-    Subclasses (or middleware) must provide the traffic operations; the
-    class attributes name the backend's primitives in traces and
-    diagnostics.  ``injector`` is the entry point of the middleware chain
-    for each transmitted copy — it is ``self`` for a bare transport and
-    the outermost middleware once wrapped.
+    Subclasses must provide the traffic operations; the class attributes
+    name the backend's primitives in traces and diagnostics.
     """
 
     #: Backend name as used by ``--backend`` and ``RunStats`` consumers.
@@ -126,10 +121,9 @@ class Transport:
 
     def __init__(self) -> None:
         self.core: "Scheduler | None" = None
-        self.injector: "Transport" = self
 
     def bind(self, core: "Scheduler") -> None:
-        """Attach to the scheduler core (seq numbers, rng, model, emit)."""
+        """Attach to the scheduler core (seq numbers, model, emit)."""
         self.core = core
 
     # -- per-run lifecycle --------------------------------------------- #
@@ -146,20 +140,8 @@ class Transport:
     def recv_init(self, proc: "_Proc", eff: RecvInit) -> None:
         raise NotImplementedError
 
-    def inject(self, msg: Message, nbytes: int) -> None:
-        """Put one transmitted copy on the network (middleware seam)."""
-        self.route(msg)
-
     def route(self, msg: Message) -> None:
         """Deliver one arrived copy: match a pending receive or queue it."""
-        raise NotImplementedError
-
-    def transit(self, nbytes: int) -> float:
-        """Departure-to-arrival delay of one copy (used by middleware)."""
-        raise NotImplementedError
-
-    def on_crash(self, proc: "_Proc") -> None:
-        """Withdraw the crashed processor's pending obligations."""
         raise NotImplementedError
 
     # -- diagnostics ---------------------------------------------------- #
@@ -213,6 +195,9 @@ class TagTransport(Transport):
     def recv_occupancy(self) -> float:
         raise NotImplementedError
 
+    def transit(self, nbytes: int) -> float:
+        raise NotImplementedError
+
     def completion_time(self, msg: Message, recv: PendingRecv) -> float:
         return max(recv.init_time, msg.arrive_time)
 
@@ -256,7 +241,7 @@ class TagTransport(Transport):
         stats = proc.stats
         trace = core.trace_enabled
         seq = core._seq
-        inject = self.injector.inject
+        route = self.route
         pbytes = 0 if payload is None else payload.nbytes
         costs = self._costmemo.get(pbytes)
         if costs is None:
@@ -282,7 +267,7 @@ class TagTransport(Transport):
             stats.bytes_sent += nbytes
             if trace:
                 core._emit(clock, pid, self.send_event, str(msg))
-            inject(msg, nbytes)
+            route(msg)
 
     def recv_init(self, proc: "_Proc", eff: RecvInit) -> None:
         core = self.core
@@ -357,18 +342,6 @@ class TagTransport(Transport):
 
     def _match(self, msg: Message, recv: PendingRecv) -> None:
         self.core.complete(msg, recv, self.completion_time(msg, recv))
-
-    def on_crash(self, proc: "_Proc") -> None:
-        for key in list(self._pending):
-            index = self._pending[key]
-            if index.__class__ is not RecvIndex:
-                if index.pid == proc.pid:
-                    del self._pending[key]
-                continue
-            while index.claim_for(proc.pid) is not None:
-                pass
-            if not index.live:
-                del self._pending[key]
 
     # -- diagnostics ---------------------------------------------------- #
 

@@ -1,7 +1,7 @@
 """Service-layer chaos battery: the durability contract, demonstrated.
 
-Extends the engine chaos harness (:mod:`repro.apps.chaos`) one layer up:
-instead of dropping virtual messages, this battery SIGKILLs real worker
+The simulated machine never loses a message; this battery exercises the
+faults of the real service around it instead.  It SIGKILLs real worker
 processes mid-job, truncates and bit-flips real cache files, stalls jobs
 past their timeout, and floods the bounded queue — and asserts the
 service's promise:

@@ -339,6 +339,11 @@ class ArtifactStore:
             return f"unknown format {record.get('format')!r}"
         if record.get("digest") != digest:
             return "digest mismatch (record addressed under wrong key)"
+        try:
+            if ArtifactKey(**record.get("key")).digest != digest:
+                return "key mismatch (key document does not hash to the digest)"
+        except TypeError:
+            return "malformed key document"
         payload = record.get("payload")
         want = record.get("payload_sha256")
         got = hashlib.sha256(_canon(payload).encode()).hexdigest()

@@ -156,13 +156,6 @@ class TestBadInput:
          "nprocs (0) must be positive"),
         (["serve", "--store", "STORE", "--timeout", "-1"],
          "--timeout (-1.0) must be positive"),
-        (["chaos", "--procs", "0"],
-         "--procs: 0 is below 2 (one master and one worker)"),
-        (["chaos", "--procs", "1"],
-         "--procs: 1 is below 2 (one master and one worker)"),
-        (["chaos", "--procs", "x"], "--procs: 'x' is not an integer"),
-        (["chaos", "--programs", "bogus"],
-         "--programs: unknown program 'bogus' (pick from workqueue, fft)"),
     ])
     def test_serve_and_chaos_bad_option_is_a_message_and_exit_2(
             self, argv, reason, tmp_path, capsys):
@@ -174,6 +167,36 @@ class TestBadInput:
         assert err == f"repro {argv[0]}: {reason}\n"
         assert out == ""
         assert not (tmp_path / "store").exists()
+
+    @pytest.mark.parametrize("argv,reason", [
+        (["--app", "matmul", "--variant", "bogus"],
+         "--variant: unknown matmul variant 'bogus' "
+         "(choose from cannon, summa, gather, outer)"),
+        (["--app", "jacobi", "--variant", "cannon"],
+         "--variant applies only to --app matmul"),
+        (["--app", "fft3d", "--variant", "summa"],
+         "--variant applies only to --app matmul"),
+        (["--app", "workqueue", "--variant", "outer"],
+         "--variant applies only to --app matmul"),
+        (["--app", "jacobi", "--init", "A=ones"],
+         "--init applies only to a FILE run, not to --app"),
+        (["--app", "matmul", "--show", "C"],
+         "--show applies only to a FILE run, not to --app"),
+    ])
+    def test_run_option_the_app_cannot_use_is_a_message_and_exit_2(
+            self, argv, reason, capsys):
+        # A bogus matmul variant used to die with a ValueError traceback
+        # (exit 1); the other options were silently ignored.
+        assert main(["run", "--nprocs", "4", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"repro run: {reason}\n"
+        assert out == ""
+
+    def test_run_variant_with_a_file_is_a_message_and_exit_2(
+            self, program_file, capsys):
+        assert main(["run", program_file, "--variant", "cannon"]) == 2
+        assert capsys.readouterr().err == (
+            "repro run: --variant applies only to --app matmul\n")
 
     @pytest.mark.parametrize("flag", [["--shards", "2"], ["--serial"]])
     def test_tune_has_one_evaluation_path(self, flag, capsys):
@@ -276,64 +299,6 @@ class TestFFT:
         assert main(["fft", "--print-source", "--stage", "0"]) == 0
         out = capsys.readouterr().out
         assert "Loop3: redistribute" in out
-
-
-class TestBench:
-    @pytest.mark.msg_timing
-    def test_bench_writes_json(self, tmp_path, capsys):
-        import json
-
-        out_file = tmp_path / "bench.json"
-        assert main([
-            "bench", "--nprocs", "2,4", "--programs", "workqueue",
-            "--jobs-per-proc", "2", "--out", str(out_file),
-        ]) == 0
-        out = capsys.readouterr().out
-        data = json.loads(out_file.read_text())
-        assert data["schema"] == 3
-        assert [(c["nprocs"], c["engine"]) for c in data["cases"]] == [
-            (2, "indexed"), (4, "indexed"),
-        ]
-        assert "speedups" not in data and "batched_speedups" not in data
-        assert [e["nprocs"] for e in data["classifier"]] == [4]
-        assert "overhead_inert_pct" in data["faults_off"]
-        assert "bottleneck workqueue@4" in out
-
-    def test_bench_diff_mode(self, tmp_path, capsys):
-        import json
-
-        out_file = tmp_path / "bench.json"
-        bench = ["bench", "--nprocs", "2", "--programs", "workqueue",
-                 "--jobs-per-proc", "2"]
-        assert main([*bench, "--out", str(out_file)]) == 0
-        capsys.readouterr()
-        assert main([*bench, "--diff", str(out_file)]) == 0
-        out = capsys.readouterr().out
-        assert f"vs {out_file}" in out
-        assert "old eff/s" in out and "x" in out
-        # A schema-2 base also holds seed-reference and batched rows and
-        # speedup tables; only the rows both schemas share are compared.
-        base = json.loads(out_file.read_text())
-        row = base["cases"][0]
-        base.update(
-            schema=2, speedups={"workqueue@2": 1.0},
-            cases=[row, {**row, "engine": "batched"},
-                   {**row, "engine": "seed-reference"}],
-        )
-        out_file.write_text(json.dumps(base))
-        assert main([*bench, "--diff", str(out_file)]) == 0
-        diffed = capsys.readouterr().out.split(f"vs {out_file}")[1]
-        assert "workqueue@2 (indexed)" in diffed
-        assert "batched" not in diffed and "seed-reference" not in diffed
-
-    @pytest.mark.msg_timing
-    def test_bench_fft_program(self, tmp_path, capsys):
-        out_file = tmp_path / "bench.json"
-        assert main([
-            "bench", "--nprocs", "4", "--programs", "fft",
-            "--out", str(out_file),
-        ]) == 0
-        assert "fft" in capsys.readouterr().out
 
 
 class TestMatmulApp:

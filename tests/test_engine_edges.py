@@ -2,19 +2,21 @@
 strict modes, exotic dtypes/bounds/distributions, run-queue and
 completion-order laws of the scheduler loop."""
 
-import json
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.enginebench import _run_case
-from repro.core.errors import DeadlockError, OwnershipError, ProtocolError
+from repro.apps.workqueue import make_job_costs, run_workqueue
+from repro.core.errors import (
+    BudgetExhaustedError,
+    DeadlockError,
+    OwnershipError,
+    ProtocolError,
+)
 from repro import Interpreter
 from repro.core.ir.parser import parse_program
-from repro.core.sections import section
+from repro.core.sections import section, unit_sections_1d
 from repro.distributions import Block, Distribution, ProcessorGrid, Segmentation
 from repro.machine import (
     Compute,
@@ -34,10 +36,61 @@ def linear(extent, nprocs, seg=1):
     return Segmentation(dist, (seg,))
 
 
-#: The committed ``repro bench`` record: its virtual results are goldens.
-BENCH_RECORD = json.loads(
-    (Path(__file__).resolve().parent.parent / "BENCH_engine.json").read_text()
-)
+#: Model of the pinned run-queue programs below.
+PINNED_MODEL = MachineModel(o_send=1.0, o_recv=1.0, alpha=10.0, per_byte=0.0)
+
+
+def run_workqueue_case(nprocs, jobs_per_proc=16):
+    """The section-2.7 dynamic pool: every job shares one message name, so
+    it stresses FIFO matching on a single hot tag plus the scheduler."""
+    njobs = jobs_per_proc * nprocs
+    costs = make_job_costs(njobs, skew=4.0, seed=7)
+    return run_workqueue(
+        njobs, nprocs, scheme="dynamic", costs=costs, model=PINNED_MODEL,
+    ).stats
+
+
+def run_fft_pipeline(nprocs, col_cost=10.0, consume_cost=5.0):
+    """Pipelined all-to-all transpose modeled on the section-4 FFT stage 2.
+
+    Processor ``p`` owns the ``p``-th block of ``A`` and ``B`` (extent
+    ``P*P``, one element per segment).  It computes each of its ``P``
+    columns in turn and at once sends the finished column to its
+    transpose owner, then awaits and consumes the ``P - 1`` slabs
+    addressed to it.  Every receive is posted up front, so transfer
+    latency overlaps the remaining compute.  Every transfer has its own
+    name.
+    """
+    engine = Engine(nprocs, PINNED_MODEL)
+    extent = nprocs * nprocs
+    engine.declare("A", linear(extent, nprocs))
+    engine.declare("B", linear(extent, nprocs))
+    secs = unit_sections_1d(1, extent)
+    col_fx = Compute(col_cost, flops=int(col_cost))
+    consume_fx = Compute(consume_cost, flops=int(consume_cost))
+
+    def prog(ctx):
+        P, pid = ctx.nprocs, ctx.pid
+        base = pid * P
+        for src in range(P):
+            if src != pid:
+                yield RecvInit(
+                    TransferKind.VALUE, "A", secs[src * P + pid],
+                    into_var="B", into_sec=secs[base + src],
+                )
+        for j in range(P):
+            yield col_fx
+            if j == pid:
+                continue  # the diagonal column stays local
+            elem = secs[base + j]
+            ctx.symtab.write("A", elem, float(base + j))
+            yield Send(TransferKind.VALUE, "A", elem, dests=(j,))
+        for src in range(P):
+            if src != pid:
+                yield WaitAccessible("B", secs[base + src])
+                yield consume_fx
+
+    return engine.run(prog)
 
 
 def delivery_program(send_gaps, recv_gaps):
@@ -76,25 +129,28 @@ class TestRunqInvalidation:
     """The scheduling loop leaves invalidated ``(clock, pid)`` heap entries
     behind and discards them lazily on pop (``nqueued`` tracking).  A bug
     there double-steps or skips a processor, which changes the number of
-    effects processed before it changes the makespan — so the bench
-    programs' virtual results are pinned exactly to the committed record
-    (which the deleted seed-reference engine used to cross-check live)."""
+    effects processed before it changes the makespan — so two effect
+    programs' virtual results are pinned exactly.  The figures are the
+    ones the retired engine-scaling record held, which a seed-reference
+    engine once cross-checked live."""
+
+    #: (makespan, messages, effects) per (program, nprocs).
+    PINNED = {
+        ("workqueue", 8): (13118.988033086574, 135, 541),
+        ("workqueue", 64): (12083.88150637648, 1087, 4349),
+        ("fft", 8): (139.0, 56, 296),
+        ("fft", 64): (1091.0, 4032, 20288),
+    }
 
     @pytest.mark.msg_timing
     @pytest.mark.parametrize("program,nprocs", [
         ("workqueue", 8), ("workqueue", 64), ("fft", 8), ("fft", 64),
     ])
     def test_bench_virtual_results_pinned(self, program, nprocs):
-        want = next(
-            c for c in BENCH_RECORD["cases"]
-            if (c["program"], c["nprocs"], c["engine"]) == (program, nprocs, "indexed")
-        )
-        got = _run_case(
-            program, nprocs,
-            jobs_per_proc=BENCH_RECORD["config"]["jobs_per_proc"],
-        )
-        assert (got.makespan, got.messages, got.effects) == (
-            want["makespan"], want["messages"], want["effects"]
+        run = run_workqueue_case if program == "workqueue" else run_fft_pipeline
+        got = run(nprocs)
+        assert (got.makespan, got.total_messages, got.effects_processed) == (
+            self.PINNED[program, nprocs]
         )
 
     def test_rerun_same_engine_same_counts(self):
@@ -437,3 +493,85 @@ enddo
         it.run()
         A = it.read_global("A")
         assert A[0, 0, 0] == 111 and A[1, 1, 1] == 222
+
+
+class TestEngineReuseAfterRaise:
+    """A run that raises must leave the engine reusable (regression)."""
+
+    def deadlock_prog(self, ctx):
+        if ctx.pid == 1:
+            yield RecvInit(
+                TransferKind.VALUE, "X", section(1),
+                into_var="X", into_sec=section(2),
+            )
+            yield WaitAccessible("X", section(2))
+
+    def good_prog(self, ctx):
+        if ctx.pid == 0:
+            ctx.symtab.write("Y", section(1), 9.0)
+            yield Send(TransferKind.VALUE, "Y", section(1), dests=(1,))
+        else:
+            yield RecvInit(
+                TransferKind.VALUE, "Y", section(1),
+                into_var="Y", into_sec=section(2),
+            )
+            yield WaitAccessible("Y", section(2))
+
+    def make_two_var_engine(self, **kw):
+        eng = Engine(2, FAST, **kw)
+        eng.declare("X", linear(2, 2))
+        eng.declare("Y", linear(2, 2))
+        return eng
+
+    def assert_clean_second_run(self, eng):
+        stats = eng.run(self.good_prog)
+        assert eng.symtabs[1].read("Y", section(2))[0] == 9.0
+        assert stats.unclaimed_messages == 0
+        assert stats.unmatched_receives == 0
+
+    def test_reusable_after_deadlock(self):
+        eng = self.make_two_var_engine()
+        with pytest.raises(DeadlockError):
+            eng.run(self.deadlock_prog)
+        self.assert_clean_second_run(eng)
+
+    def test_reusable_after_budget_exhaustion(self):
+        eng = self.make_two_var_engine(max_effects=3)
+
+        def runaway(ctx):
+            while True:
+                yield Compute(1.0)
+
+        with pytest.raises(BudgetExhaustedError):
+            eng.run(runaway)
+        eng.max_effects = 10_000
+        self.assert_clean_second_run(eng)
+
+
+class TestDeadlockReport:
+    @pytest.mark.msg_timing
+    def test_report_lists_pending_tags_and_pool(self):
+        eng = Engine(2, FAST)
+        eng.declare("X", linear(4, 2))
+
+        def prog(ctx):
+            if ctx.pid == 0:
+                # Sends a tag nobody receives...
+                ctx.symtab.write("X", section(1), 1.0)
+                yield Send(TransferKind.VALUE, "X", section(1), dests=(1,))
+            else:
+                # ...while waiting on a tag nobody sends.
+                yield RecvInit(
+                    TransferKind.VALUE, "X", section(2),
+                    into_var="X", into_sec=section(3),
+                )
+                yield WaitAccessible("X", section(3))
+
+        with pytest.raises(DeadlockError) as exc:
+            eng.run(prog)
+        text = str(exc.value)
+        assert "P2 at t=" in text and "awaiting X[3]" in text
+        assert "pending receive: value X[2] (into X[3]" in text
+        assert "unclaimed message pool:" in text
+        assert "msg#" in text and "value X[1]" in text
+        assert "1 unclaimed messages, 1 unmatched receives" in text

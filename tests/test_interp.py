@@ -196,6 +196,19 @@ iown(A[mypid]) : { A[mypid] = W[mypid] }
         it, _ = run(src, 4)
         assert np.array_equal(it.read_global("A"), [11, 22, 33, 44])
 
+    def test_min_of_a_float_element_and_an_int_scalar_divides_as_float(self):
+        # min(4.0, 3) used to keep the int 3, so "/ 2" divided as integers
+        # (1.0) while the same statement over a section gave 1.5.
+        src = """
+array X[1:4] dist (BLOCK) seg (1)
+scalar s = 3
+
+iown(X[1]) : { X[1] = min(X[1], s) / 2 }
+iown(X[2:4]) : { X[2:4] = max(s, X[2:4]) / 2 }
+"""
+        it, _ = run(src, 1, init={"X": [4.0, 2.0, 5.0, 7.0]})
+        assert np.array_equal(it.read_global("X"), [1.5, 1.5, 2.5, 3.5])
+
     def test_universal_transfer_rejected(self):
         src = """
 array W[1:4] universal

@@ -152,6 +152,16 @@ class TestCorruption:
         assert store.get(key) is None
         assert store.stats.quarantined == 1
 
+    def test_key_tamper_detected(self, tmp_path):
+        # A flipped bit inside the key document used to verify: only the
+        # payload was hashed, so the record was served.
+        store, key, path = self._entry(tmp_path)
+        record = json.loads(path.read_text())
+        record["key"]["backend"] = "shmem"
+        path.write_text(json.dumps(record))
+        assert store.get(key) is None
+        assert store.stats.quarantined == 1
+
     def test_record_under_wrong_address_detected(self, tmp_path):
         store, key, path = self._entry(tmp_path)
         other = make_key(kind="compile")

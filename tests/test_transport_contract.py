@@ -1,32 +1,25 @@
-"""Transport contract tests (both backends, with and without middleware).
+"""Transport contract tests (both backends).
 
 Every transport backend must honor the engine's rendezvous semantics —
 FIFO-by-initiation matching per (kind, name) tag, serialized multicast
-injection, crash draining — whatever primitives it binds the transfers
-to, and whatever fault/reliable middleware is stacked on top.  This is
-the paper's section-5 result-transparency claim made executable: the
-message-passing and shared-address bindings of the *same* program must
-produce bit-identical result arrays (timing may differ; answers may
-not).
+injection, the anyone-may-claim pool — whatever primitives it binds the
+transfers to.  This is the paper's section-5 result-transparency claim
+made executable: the message-passing and shared-address bindings of the
+*same* program must produce bit-identical result arrays (timing may
+differ; answers may not).
 
 Also covers the engine-reuse guarantee per backend: a second ``run()``
-on the same instance — including after a :class:`DegradedRunError` —
-starts from fresh transport state (no stale pool contents, no pending
-fences, rng rewound to the seed).
+on the same instance starts from fresh transport state (no stale pool
+contents, no pending fences).
 """
 
-import random
-
-import numpy as np
 import pytest
 
-from repro.core.errors import DegradedRunError
 from repro.core.ir.parser import parse_program
 from repro.core.codegen import lower
 from repro.core.sections import section
 from repro.distributions import Block, Distribution, ProcessorGrid, Segmentation
 from repro.machine import (
-    Compute,
     Engine,
     MachineModel,
     RecvInit,
@@ -34,27 +27,9 @@ from repro.machine import (
     TransferKind,
     WaitAccessible,
 )
-from repro.machine.faults import Crash, FaultModel
-from repro.machine.reliable import ReliableTransport
-from repro.machine.transport import (
-    BACKENDS,
-    MessagePassingTransport,
-    SharedAddressTransport,
-    make_transport,
-)
-from repro.machine.transport.middleware import FaultInjection, ReliableDelivery
+from repro.machine.transport import BACKENDS
 
 MODEL = MachineModel(o_send=1, o_recv=1, alpha=10, per_byte=0.0)
-
-#: Middleware stacks every contract test runs under.  ``lossless`` fault
-#: injection and the reliable layer must both be behavior-transparent.
-STACKS = {
-    "bare": lambda: {},
-    "faults-inert": lambda: {"faults": FaultModel.none()},
-    "reliable": lambda: {
-        "reliable": ReliableTransport(rto=200.0, backoff=2.0, max_retries=8)
-    },
-}
 
 
 def linear_seg(extent: int, nprocs: int) -> Segmentation:
@@ -64,26 +39,17 @@ def linear_seg(extent: int, nprocs: int) -> Segmentation:
     return Segmentation(dist, (1,))
 
 
-def make_engine(backend, stack="bare", nprocs=2, extent=None, **kw):
-    eng = Engine(nprocs, MODEL, backend=backend, **STACKS[stack](), **kw)
+def make_engine(backend, nprocs=2, extent=None):
+    eng = Engine(nprocs, MODEL, backend=backend)
     eng.declare("X", linear_seg(extent or 3 * nprocs, nprocs))
     return eng
 
 
-def base_transport(eng):
-    """The innermost (backend) transport under any middleware."""
-    t = eng.transport
-    while hasattr(t, "inner"):
-        t = t.inner
-    return t
-
-
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("stack", sorted(STACKS))
 class TestContract:
-    def test_fifo_ordering(self, backend, stack):
+    def test_fifo_ordering(self, backend):
         """Three same-tag sends land in initiation order, not timing order."""
-        eng = make_engine(backend, stack)
+        eng = make_engine(backend)
 
         def prog(ctx):
             if ctx.pid == 0:
@@ -103,8 +69,8 @@ class TestContract:
         got = [eng.symtabs[1].read("X", section(s))[0] for s in (4, 5, 6)]
         assert got == [7.0, 8.0, 9.0]
 
-    def test_multicast_reaches_every_destination(self, backend, stack):
-        eng = make_engine(backend, stack, nprocs=3)
+    def test_multicast_reaches_every_destination(self, backend):
+        eng = make_engine(backend, nprocs=3)
 
         def prog(ctx):
             if ctx.pid == 0:
@@ -123,9 +89,9 @@ class TestContract:
         assert eng.symtabs[2].read("X", section(7))[0] == 5.0
         assert stats.total_messages == 2
 
-    def test_unspecified_recipient_pool(self, backend, stack):
+    def test_unspecified_recipient_pool(self, backend):
         """The section-2.7 anyone-may-claim pool works on every binding."""
-        eng = make_engine(backend, stack, nprocs=3)
+        eng = make_engine(backend, nprocs=3)
 
         def prog(ctx):
             if ctx.pid == 0:
@@ -146,67 +112,6 @@ class TestContract:
         }
         assert claimed == {1.0, 2.0}
         assert stats.unclaimed_messages == 0
-
-    def test_crash_during_flight_degrades(self, backend, stack):
-        """A receiver crashing with a message in flight must degrade the
-        run, not hang it — on every backend and under every stack."""
-        kw = STACKS[stack]()
-        crash = FaultModel(crashes=(Crash(pid=1, at=5.0),))
-        if "faults" in kw or not kw:
-            kw["faults"] = crash
-        else:  # reliable stack: crashes ride the fault model alongside it
-            kw["faults"] = crash
-        eng = Engine(2, MODEL, backend=backend, **kw)
-        eng.declare("X", linear_seg(6, 2))
-
-        def prog(ctx):
-            if ctx.pid == 0:
-                ctx.symtab.write("X", section(1), 1.0)
-                yield Send(TransferKind.VALUE, "X", section(1), dests=(1,))
-                yield Compute(100.0)
-            else:
-                yield RecvInit(
-                    TransferKind.VALUE, "X", section(1),
-                    into_var="X", into_sec=section(4),
-                )
-                yield Compute(50.0)
-                yield WaitAccessible("X", section(4))
-
-        with pytest.raises(DegradedRunError) as ei:
-            eng.run(prog)
-        assert ei.value.crashed == (1,)
-        assert 0 in ei.value.checkpoint
-
-
-class TestMiddlewareWiring:
-    """The injection seam: middleware must sit between the scheduler's
-    send path and the backend's route, whatever the backend."""
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_fault_layer_wraps_backend(self, backend):
-        eng = Engine(2, MODEL, backend=backend, faults=FaultModel.lossy(drop=0.5))
-        assert isinstance(eng.transport, FaultInjection)
-        inner = eng.transport.inner
-        expected = {
-            "msg": MessagePassingTransport,
-            "shmem": SharedAddressTransport,
-        }[backend]
-        assert type(inner) is expected
-        # The base transport injects through the outermost middleware.
-        assert inner.injector is eng.transport
-        assert eng.backend == backend
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_reliable_layer_wraps_backend(self, backend):
-        eng = Engine(2, MODEL, backend=backend,
-                     reliable=ReliableTransport(rto=100.0))
-        assert isinstance(eng.transport, ReliableDelivery)
-        assert eng.transport.base.injector is eng.transport
-        assert eng.backend == backend
-
-    def test_explicit_transport_conflicts_with_backend(self):
-        with pytest.raises(ValueError):
-            Engine(2, MODEL, transport=make_transport("msg"), backend="shmem")
 
 
 class TestEngineReusePerBackend:
@@ -241,38 +146,12 @@ class TestEngineReusePerBackend:
     def test_reset_clears_transport_private_state(self, backend):
         eng = make_engine(backend, extent=6)
         eng.run(self.prog)
-        base = base_transport(eng)
+        base = eng.transport
         assert sum(len(p) for p in base._unclaimed.values()) == 1
         eng._reset_run_state()
-        # Pool contents and pending fences/receives are gone...
+        # Pool contents and pending fences/receives are gone.
         assert sum(len(p) for p in base._unclaimed.values()) == 0
         assert all(q.live == 0 for q in base._pending.values())
-        # ...and the rng is rewound to the seed.
-        assert eng._rng.getstate() == random.Random(eng.seed).getstate()
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_reuse_after_degraded_run(self, backend):
-        eng = Engine(
-            2, MODEL, backend=backend, seed=11,
-            faults=FaultModel(
-                default=FaultModel.lossy(drop=0.2).default,
-                crashes=(Crash(pid=1, at=5.0),),
-            ),
-        )
-        eng.declare("X", linear_seg(6, 2))
-        with pytest.raises(DegradedRunError) as e1:
-            eng.run(self.prog)
-        # The replay must be bit-identical: same crash, same partial
-        # stats — proving the reset rewound the rng and drained the
-        # transport rather than replaying against leftover state.
-        with pytest.raises(DegradedRunError) as e2:
-            eng.run(self.prog)
-        assert e1.value.crashed == e2.value.crashed == (1,)
-        assert e1.value.stats.makespan == e2.value.stats.makespan
-        base = base_transport(eng)
-        eng._reset_run_state()
-        assert sum(len(p) for p in base._unclaimed.values()) == 0
-        assert eng._rng.getstate() == random.Random(11).getstate()
 
 
 class TestResultTransparency:
@@ -405,39 +284,3 @@ class TestEngineModeEquivalence:
         unset, exported = self._per_mode(monkeypatch, deadlocked)
         assert unset == exported
         assert "pending" in unset
-
-
-class TestHandStackedMiddleware:
-    def test_stacked_run_matches_constructor_arguments(self):
-        """A hand-assembled ``ReliableDelivery(FaultInjection(...))`` stack
-        runs on the same loop as the ``faults=``/``reliable=`` constructor
-        arguments (which build the reliable layer alone): over a lossless
-        fault model the two agree bit for bit."""
-        from repro.apps.workqueue import make_job_costs, run_workqueue
-        from repro.machine import Scheduler
-
-        fm = FaultModel.none()
-        costs = make_job_costs(8, skew=2.0, seed=7)
-
-        def stacked(nprocs, model):
-            return Scheduler(
-                nprocs, model, faults=fm, reliable=ReliableTransport(),
-                transport=ReliableDelivery(
-                    FaultInjection(make_transport("msg"), fm),
-                    ReliableTransport(),
-                ),
-            )
-
-        def by_arguments(nprocs, model):
-            return Engine(nprocs, model, backend="msg", faults=fm,
-                          reliable=ReliableTransport())
-
-        a, b = (
-            run_workqueue(8, 4, scheme="dynamic", costs=costs, model=MODEL,
-                          engine_cls=cls)
-            for cls in (stacked, by_arguments)
-        )
-        assert a.makespan == b.makespan
-        assert a.stats.effects_processed == b.stats.effects_processed
-        assert a.stats.acks == b.stats.acks
-        assert a.jobs_per_worker == b.jobs_per_worker
