@@ -17,6 +17,8 @@ Commands
     and ``--backend shmem`` must print the same digest (result
     transparency, paper section 5), and for ``matmul`` the digest is also
     identical across ``--collectives native`` and ``--collectives p2p``.
+    An option the run would ignore is ``repro run: <reason>`` on stderr
+    and exit status 2.
 
 ``check FILE|APP``
     Statically verify communication safety (tag/cardinality mismatches,
@@ -196,8 +198,8 @@ def _run_app(args: argparse.Namespace) -> int:
 
         n = 2 * nprocs
         variant = args.variant or "summa"
-        r = run_matmul(n, nprocs, variant, model=model,
-                       backend=args.backend, collectives=args.collectives)
+        r = run_matmul(n, nprocs, variant, model=model, backend=args.backend,
+                       collectives=args.collectives or "native")
         label, ok, arr = f"matmul/{variant} n={n}", r.correct, r.result
         stats = r.stats
     elif args.app == "workqueue":
@@ -227,21 +229,51 @@ def _run_app(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+#: What ``run --init ARRAY=KIND`` writes into an array of a given shape.
+_INIT_KINDS = {
+    "iota": lambda shape: np.arange(1.0, np.prod(shape) + 1).reshape(shape),
+    "ones": np.ones,
+    "zeros": np.zeros,
+    "rand": lambda shape: np.random.default_rng(0).standard_normal(shape),
+}
+_INIT_KINDS[""] = _INIT_KINDS["iota"]
+
+#: Defaults of the ``run`` options only a FILE run reads.  The parser leaves
+#: them None, so that ``--app`` can tell a given option from a default.
+_RUN_FILE_DEFAULTS = {"opt_level": 2, "strategy": "owner-computes",
+                      "binding": "nonblocking"}
+
+
 def _bad_run_option(args: argparse.Namespace) -> str | None:
-    """Why ``run`` rejects an option that its FILE or ``--app`` would
-    ignore or could not use, or None when every option applies."""
+    """Why ``run`` rejects its arguments (an option that its FILE or
+    ``--app`` would ignore or could not use), or None when they apply."""
     from .apps.matmul import VARIANTS
 
+    if args.app and args.file:
+        return "give either FILE or --app, not both"
+    if not args.app and not args.file:
+        return "need a FILE to run (or --app)"
     if args.variant is not None:
         if args.app != "matmul":
             return "--variant applies only to --app matmul"
         if args.variant not in VARIANTS:
             return (f"--variant: unknown matmul variant {args.variant!r} "
                     f"(choose from {', '.join(VARIANTS)})")
+    if args.collectives is not None and args.app != "matmul":
+        return "--collectives applies only to --app matmul"
     if args.app:
-        for flag, value in (("--init", args.init), ("--show", args.show)):
-            if value:
+        for flag, value in (
+            ("--init", args.init), ("--show", args.show),
+            ("--trace", args.trace), ("--trace-json", args.trace_json),
+            ("--binding", args.binding), ("--verify-comm", args.verify_comm),
+            ("-O/--opt-level", args.opt_level), ("--strategy", args.strategy),
+        ):
+            if value is not None and value is not False:
                 return f"{flag} applies only to a FILE run, not to --app"
+    for spec in args.init or ():
+        kind = spec.partition("=")[2]
+        if kind not in _INIT_KINDS:
+            return f"unknown init kind {kind!r} (iota/ones/zeros/rand)"
     return None
 
 
@@ -253,11 +285,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"repro run: {reason}", file=sys.stderr)
         return 2
     if args.app:
-        if args.file:
-            raise SystemExit("give either FILE or --app, not both")
         return _run_app(args)
-    if not args.file:
-        raise SystemExit("need a FILE to run (or --app)")
+    for name, default in _RUN_FILE_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     program = _load(args.file)
     if _is_sequential(program):
         program = translate(program, args.nprocs, strategy=args.strategy)
@@ -282,19 +313,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     for spec in args.init or ():
         name, _, kind = spec.partition("=")
-        decl = program.decl(name)
-        shape = decl.shape
-        if kind in ("iota", ""):
-            values = np.arange(1.0, np.prod(shape) + 1).reshape(shape)
-        elif kind == "ones":
-            values = np.ones(shape)
-        elif kind == "zeros":
-            values = np.zeros(shape)
-        elif kind == "rand":
-            values = np.random.default_rng(0).standard_normal(shape)
-        else:
-            raise SystemExit(f"unknown init kind {kind!r} (iota/ones/zeros/rand)")
-        runner.write_global(name, values)
+        runner.write_global(name, _INIT_KINDS[kind](program.decl(name).shape))
     stats = runner.run()
     print(stats.summary())
     for name in args.show or ():
@@ -686,16 +705,15 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--variant",
                    help="matmul app variant: cannon, summa (default), "
                         "gather or outer")
-    r.add_argument("--collectives", default="native",
-                   choices=("native", "p2p"),
-                   help="lower coll statements natively or desugar to "
-                        "point-to-point transfers (digests must match)")
+    r.add_argument("--collectives", choices=("native", "p2p"),
+                   help="--app matmul: lower coll statements natively "
+                        "(default) or desugar to point-to-point transfers "
+                        "(digests must match)")
     r.add_argument("--verify-comm", action="store_true",
                    help="statically verify communication safety before "
                         "running; exit 1 on errors")
     r.add_argument("--model", default="default", choices=sorted(_MODELS))
-    r.add_argument("--binding", default="nonblocking",
-                   choices=("nonblocking", "blocking"))
+    r.add_argument("--binding", choices=("nonblocking", "blocking"))
     r.add_argument("--trace", action="store_true")
     r.add_argument("--show", action="append", metavar="ARRAY",
                    help="print the final global value of an array")
@@ -704,7 +722,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--trace-json", metavar="PATH",
                    help="write the event trace as Chrome trace-event JSON "
                         "(viewable in Perfetto); implies tracing")
-    r.set_defaults(fn=_cmd_run)
+    # -O and --strategy (from common()) default to None here too.
+    r.set_defaults(fn=_cmd_run, **dict.fromkeys(_RUN_FILE_DEFAULTS))
 
     d = sub.add_parser(
         "redist",

@@ -1,31 +1,32 @@
 """Lexer for the textual IL+XDP syntax.
 
 Tokenises the paper's notation, including the multi-character transfer
-operators.  Longest-match ordering matters: ``-=>`` before ``->`` and
-``-``; ``<=-`` before ``<=`` before ``<-`` and ``<``.  Comments run from
-``//`` or ``#`` to end of line.  Newlines are significant (statements are
-line-oriented) and are emitted as NEWLINE tokens; consecutive newlines are
-collapsed.
+operators, with one compiled master regex matched in a loop.  Longest-match
+ordering lives in the regex alternation, which tries operators in order:
+``-=>`` before ``->`` and ``-``; ``<=-`` before ``<=`` before ``<-`` and
+``<``.  Comments run from ``//`` or ``#`` to end of line.  Newlines are
+significant (statements are line-oriented) and are emitted as NEWLINE
+tokens; consecutive newlines are collapsed.  A token's column counts
+characters from the start of its line (a tab is one column); the closing
+NEWLINE and EOF of a text that ends in a comment sit where the comment
+starts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from ..errors import ParseError
 
 __all__ = ["Token", "tokenize"]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str       # NAME, INT, FLOAT, OP, NEWLINE, EOF
     text: str
     line: int
     col: int
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Token({self.kind},{self.text!r},{self.line}:{self.col})"
 
 
 _OPERATORS = [
@@ -34,75 +35,63 @@ _OPERATORS = [
     "<", ">", "=",
 ]
 
+_EXPONENT = r"[eE](?:[+-]\d*|\d+)"
+# Alternatives are tried in order, the frequent ones first.  Blanks are
+# folded into the token after them, and a comment into the newline that ends
+# it (whose column is then the comment's); '/' is an operator only when no
+# second '/' opens a comment.  A comment that ends the text (COMMENT), an
+# unmatched character (ERROR) or the end of the text (no group) ends the
+# loop.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:"
+    r"(?P<OP>" + "|".join(
+        "/(?!/)" if op == "/" else re.escape(op) for op in _OPERATORS
+    ) + ")"
+    r"|(?P<NAME>[^\W\d]\w*)"
+    r"|(?P<NEWLINE>(?:(?://|#)[^\n]*)?\n)"
+    r"|(?P<COMMENT>(?://|#)[^\n]*)"
+    rf"|(?P<FLOAT>(?:\d+\.\d*|\.\d+)(?:{_EXPONENT})?|\d+{_EXPONENT})"
+    r"|(?P<INT>\d+)"
+    r"|(?P<ERROR>.)"
+    r")?"
+)
+_new_token = tuple.__new__  # Token(...) without NamedTuple's Python __new__
+
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
+    append = tokens.append
     line = 1
-    col = 1
-    i = 0
-    n = len(text)
-
-    def emit(kind: str, s: str) -> None:
-        tokens.append(Token(kind, s, line, col))
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            if tokens and tokens[-1].kind not in ("NEWLINE",):
-                emit("NEWLINE", "\n")
-            i += 1
+    line_start = 0  # offset of the first character of the current line
+    after_newline = True  # no NEWLINE token before the first other token
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:  # only blanks were left
+            col = m.end() - line_start + 1
+            break
+        if kind == "NEWLINE":
+            if not after_newline:
+                append(_new_token(Token, (
+                    "NEWLINE", "\n", line, m.start(kind) - line_start + 1)))
+                after_newline = True
             line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i) or c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            seen_exp = False
-            while j < n:
-                ch = text[j]
-                if ch.isdigit():
-                    j += 1
-                elif ch == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    j += 1
-                elif ch in "eE" and not seen_exp and j > i and (
-                    j + 1 < n and (text[j + 1].isdigit() or text[j + 1] in "+-")
-                ):
-                    seen_exp = True
-                    j += 2 if text[j + 1] in "+-" else 1
-                else:
-                    break
-            s = text[i:j]
-            emit("FLOAT" if (seen_dot or seen_exp) else "INT", s)
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            emit("NAME", text[i:j])
-            col += j - i
-            i = j
-            continue
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                emit("OP", op)
-                i += len(op)
-                col += len(op)
-                break
+            line_start = m.end()
+        elif kind == "COMMENT":
+            col = m.start(kind) - line_start + 1
+            break
         else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
+            s = m.group(kind)
+            # [^\W\d] also admits numeric characters such as '½'; a name
+            # starts with a letter or '_'.
+            if kind == "ERROR" or (
+                kind == "NAME" and s[0] > "\x7f" and not s[0].isalpha()
+            ):
+                raise ParseError(f"unexpected character {s[0]!r}",
+                                 line, m.start(kind) - line_start + 1)
+            append(_new_token(Token, (kind, s, line, m.start(kind) - line_start + 1)))
+            after_newline = False
 
-    if tokens and tokens[-1].kind != "NEWLINE":
-        tokens.append(Token("NEWLINE", "\n", line, col))
-    tokens.append(Token("EOF", "", line, col))
+    if not after_newline:
+        append(Token("NEWLINE", "\n", line, col))
+    append(Token("EOF", "", line, col))
     return tokens

@@ -47,6 +47,13 @@ _KEYWORDS = {
     "min", "max", "coll",
 } | _INTRINSIC_NAMES
 
+# Names that are a whole expression, and how to build each.
+_NULLARY = {
+    "mypid": Mypid, "nprocs": NumProcs, "MAXINT": MaxIntConst,
+    "MININT": MinIntConst, "true": lambda: BoolConst(True),
+    "false": lambda: BoolConst(False),
+}
+
 # Words with contextual meaning inside a ``coll`` statement only ("in",
 # "into", "via", "root", "op" and the op names stay usable as identifiers).
 _COLL_OPS = {m.value: m for m in CollOp}
@@ -55,7 +62,8 @@ _REDUCE_OPS = ("+", "min", "max")
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        # A second EOF: a lookahead at the first needs no bounds check.
+        self.tokens = tokens + tokens[-1:]
         self.pos = 0
 
     # ------------------------------------------------------------------ #
@@ -63,7 +71,7 @@ class _Parser:
     # ------------------------------------------------------------------ #
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> Token:
         t = self.tokens[self.pos]
@@ -72,20 +80,24 @@ class _Parser:
         return t
 
     def at(self, kind: str, text: str | None = None, ahead: int = 0) -> bool:
-        t = self.peek(ahead)
+        t = self.tokens[self.pos + ahead]
         return t.kind == kind and (text is None or t.text == text)
 
     def accept(self, kind: str, text: str | None = None) -> Token | None:
-        if self.at(kind, text):
-            return self.next()
+        # ``kind`` is never EOF, so a match is never the last token.
+        t = self.tokens[self.pos]
+        if t.kind == kind and (text is None or t.text == text):
+            self.pos += 1
+            return t
         return None
 
     def expect(self, kind: str, text: str | None = None) -> Token:
-        t = self.peek()
-        if not self.at(kind, text):
+        t = self.tokens[self.pos]
+        if t.kind != kind or (text is not None and t.text != text):
             want = text if text is not None else kind
             raise ParseError(f"expected {want!r}, found {t.text!r}", t.line, t.col)
-        return self.next()
+        self.pos += 1
+        return t
 
     def skip_newlines(self) -> None:
         while self.accept("NEWLINE"):
@@ -448,60 +460,61 @@ class _Parser:
     # expressions (precedence climbing)
     # ------------------------------------------------------------------ #
 
+    # A token's text alone tells its kind: only a NAME spells "or", only an
+    # OP spells "-".
+
     def expression(self) -> Expr:
         return self._or()
 
     def _or(self) -> Expr:
         e = self._and()
-        while self.accept("NAME", "or"):
+        while self.tokens[self.pos].text == "or":
+            self.pos += 1
             e = BinOp("or", e, self._and())
         return e
 
     def _and(self) -> Expr:
         e = self._not()
-        while self.accept("NAME", "and"):
+        while self.tokens[self.pos].text == "and":
+            self.pos += 1
             e = BinOp("and", e, self._not())
         return e
 
     def _not(self) -> Expr:
-        if self.accept("NAME", "not"):
+        if self.tokens[self.pos].text == "not":
+            self.pos += 1
             return UnaryOp("not", self._not())
         return self._comparison()
 
     def _comparison(self) -> Expr:
         e = self._additive()
-        t = self.peek()
+        t = self.tokens[self.pos]
         if t.kind == "OP" and t.text in ("==", "!=", "<", ">", ">=", "<="):
-            self.next()
+            self.pos += 1
             return BinOp(t.text, e, self._additive())
         if t.kind == "OP" and t.text == "<=-":
             # Re-split: 'a <=- b' in expression context is 'a <= -b'.
-            self.next()
+            self.pos += 1
             return BinOp("<=", e, UnaryOp("-", self._unary()))
         return e
 
     def _additive(self) -> Expr:
         e = self._multiplicative()
-        while True:
-            t = self.peek()
-            if t.kind == "OP" and t.text in ("+", "-"):
-                self.next()
-                e = BinOp(t.text, e, self._multiplicative())
-            else:
-                return e
+        while (t := self.tokens[self.pos]).text in ("+", "-"):
+            self.pos += 1
+            e = BinOp(t.text, e, self._multiplicative())
+        return e
 
     def _multiplicative(self) -> Expr:
         e = self._unary()
-        while True:
-            t = self.peek()
-            if t.kind == "OP" and t.text in ("*", "/", "%"):
-                self.next()
-                e = BinOp(t.text, e, self._unary())
-            else:
-                return e
+        while (t := self.tokens[self.pos]).text in ("*", "/", "%"):
+            self.pos += 1
+            e = BinOp(t.text, e, self._unary())
+        return e
 
     def _unary(self) -> Expr:
-        if self.accept("OP", "-"):
+        if self.tokens[self.pos].text == "-":
+            self.pos += 1
             inner = self._unary()
             # Fold negated literals so '-1' round-trips as IntConst(-1).
             if isinstance(inner, IntConst):
@@ -512,40 +525,26 @@ class _Parser:
         return self._atom()
 
     def _atom(self) -> Expr:
-        t = self.peek()
+        t = self.tokens[self.pos]
         if t.kind == "INT":
-            self.next()
+            self.pos += 1
             return IntConst(int(t.text))
         if t.kind == "FLOAT":
-            self.next()
+            self.pos += 1
             return FloatConst(float(t.text))
         if t.kind == "OP" and t.text == "(":
-            self.next()
+            self.pos += 1
             e = self.expression()
             self.expect("OP", ")")
             return e
         if t.kind == "NAME":
             name = t.text
-            if name == "mypid":
-                self.next()
-                return Mypid()
-            if name == "nprocs":
-                self.next()
-                return NumProcs()
-            if name == "MAXINT":
-                self.next()
-                return MaxIntConst()
-            if name == "MININT":
-                self.next()
-                return MinIntConst()
-            if name == "true":
-                self.next()
-                return BoolConst(True)
-            if name == "false":
-                self.next()
-                return BoolConst(False)
+            make = _NULLARY.get(name)
+            if make is not None:
+                self.pos += 1
+                return make()
             if name in ("min", "max"):
-                self.next()
+                self.pos += 1
                 self.expect("OP", "(")
                 a = self.expression()
                 self.expect("OP", ",")
@@ -556,7 +555,7 @@ class _Parser:
                 return self._intrinsic()
             if name in _KEYWORDS:
                 raise ParseError(f"unexpected keyword {name!r}", t.line, t.col)
-            self.next()
+            self.pos += 1
             if self.at("OP", "["):
                 return self._array_ref_after_name(name)
             return VarRef(name)

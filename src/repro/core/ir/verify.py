@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from ..errors import VerificationError
 from .nodes import (
-    ArrayDecl, ArrayRef, Assign, Await, BinOp, Block, CallStmt, CollOp,
-    CollectiveStmt, DoLoop, Expr, ExprStmt, Full, Guarded, IfStmt, Index,
-    Mypid, Program, Range, RecvStmt, ScalarDecl, SendStmt, Stmt, UnaryOp,
-    VarRef, XferOp,
+    Accessible, ArrayDecl, ArrayRef, Assign, Await, BinOp, CallStmt, CollOp,
+    CollectiveStmt, DoLoop, Expr, ExprStmt, Guarded, IfStmt, Iown, Mylb, Myub,
+    Mypid, Program, RecvStmt, ScalarDecl, SendStmt, Stmt, UnaryOp, VarRef,
+    XferOp,
 )
 from .printer import print_stmt
-from .visitor import _stmt_exprs, array_refs, free_scalars, walk_exprs, walk_stmts
+from .visitor import _stmt_exprs, array_refs, free_scalars, walk_exprs
 
 __all__ = ["verify_program"]
 
@@ -78,12 +78,11 @@ def verify_program(program: Program) -> None:
     loop_vars: list[str] = []
 
     def visit(s: Stmt) -> None:
-        for ref in array_refs(s):
-            check_ref(ref, type(s).__name__)
         _check_await_positions(s)
         match s:
             case Guarded(rule, body):
-                _check_rule_pure(rule)
+                # Rules 'may not have side effects' (section 2.4): every
+                # Expr node is side-effect-free by construction.
                 for ref in _intrinsic_refs(rule):
                     check_exclusive(ref, "compute rule intrinsic")
                 for st in body:
@@ -123,6 +122,10 @@ def verify_program(program: Program) -> None:
                 raise VerificationError(f"unknown statement {type(s).__name__}")
 
     for s in program.body:
+        # One walk per top-level statement checks every reference below it,
+        # named after that statement; nested statements do not re-walk.
+        for ref in array_refs(s):
+            check_ref(ref, type(s).__name__)
         visit(s)
 
     # Scalars referenced anywhere must be declared or bound by a loop.
@@ -245,7 +248,7 @@ def _check_await_positions(s: Stmt) -> None:
                 mark(operand)
 
     if isinstance(s, (Guarded, IfStmt, ExprStmt)):
-        mark(next(_stmt_exprs(s)))
+        mark(_stmt_exprs(s)[0])
     for e in _stmt_exprs(s):
         for sub in walk_exprs(e):
             if isinstance(sub, Await) and id(sub) not in guards:
@@ -256,18 +259,7 @@ def _check_await_positions(s: Stmt) -> None:
                 )
 
 
-def _check_rule_pure(rule: Expr) -> None:
-    """Compute rules 'may not have side effects, so in particular they may
-    not include send or receive statements' (section 2.4).  Expressions are
-    side-effect-free by construction; this guards future extensions."""
-    # All Expr nodes are pure; nothing further to check structurally.
-    return
-
-
 def _intrinsic_refs(e: Expr):
-    from .nodes import Accessible, Await, Iown, Mylb, Myub
-    from .visitor import walk_exprs
-
     for sub in walk_exprs(e):
         match sub:
             case Iown(ref) | Accessible(ref) | Await(ref):

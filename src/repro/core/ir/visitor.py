@@ -189,23 +189,36 @@ def substitute_stmt(s: Stmt, bindings: dict[str, Expr]) -> Stmt:
 # ---------------------------------------------------------------------- #
 
 
+def _walk(stack: list) -> Iterator[Expr]:
+    """Pre-order over the expressions on ``stack`` (the next one last) and
+    all their sub-expressions, with an explicit stack rather than one
+    generator per node."""
+    pop, push = stack.pop, stack.append
+    while stack:
+        e = pop()
+        yield e
+        t = type(e)
+        if t is ArrayRef:
+            for sub in reversed(e.subs):
+                if type(sub) is Index:
+                    push(sub.expr)
+                elif type(sub) is Range:
+                    stack += [p for p in (sub.step, sub.hi, sub.lo) if p is not None]
+        elif t is BinOp:
+            push(e.rhs)
+            push(e.lhs)
+        elif t is UnaryOp:
+            push(e.operand)
+        elif t is Iown or t is Accessible or t is Await:
+            push(e.ref)
+        elif t is Mylb or t is Myub:
+            push(e.dim)
+            push(e.ref)
+
+
 def walk_exprs(e: Expr) -> Iterator[Expr]:
     """Yield ``e`` and all sub-expressions (pre-order)."""
-    yield e
-    match e:
-        case BinOp(_, lhs, rhs):
-            yield from walk_exprs(lhs)
-            yield from walk_exprs(rhs)
-        case UnaryOp(_, operand):
-            yield from walk_exprs(operand)
-        case ArrayRef(_, subs):
-            for s in subs:
-                yield from subscript_exprs(s)
-        case Iown(ref) | Accessible(ref) | Await(ref):
-            yield from walk_exprs(ref)
-        case Mylb(ref, dim) | Myub(ref, dim):
-            yield from walk_exprs(ref)
-            yield from walk_exprs(dim)
+    return _walk([e])
 
 
 def subscript_parts(sub: Subscript) -> list[Expr]:
@@ -220,72 +233,58 @@ def subscript_parts(sub: Subscript) -> list[Expr]:
 
 def subscript_exprs(sub: Subscript) -> Iterator[Expr]:
     """Every expression inside one subscript (pre-order)."""
-    for part in subscript_parts(sub):
-        yield from walk_exprs(part)
+    return _walk(subscript_parts(sub)[::-1])
 
 
-def _stmt_exprs(s: Stmt) -> Iterator[Expr]:
-    match s:
-        case Guarded(rule, _):
-            yield rule
-        case Assign(target, expr):
-            if isinstance(target, ArrayRef):
-                yield target
-            yield expr
-        case SendStmt(ref, _, dests):
-            yield ref
-            if dests is not None:
-                yield from dests
-        case RecvStmt(into, _, source):
-            yield into
-            if source is not None:
-                yield source
-        case DoLoop(_, lo, hi, step, _):
-            yield lo
-            yield hi
-            yield step
-        case IfStmt(cond, _, _):
-            yield cond
-        case CallStmt(_, args):
-            yield from args
-        case ExprStmt(expr):
-            yield expr
-        case CollectiveStmt(_, _, (lo, hi, step), src, dst, root, _, scratch):
-            yield lo
-            yield hi
-            if step is not None:
-                yield step
-            yield src
-            yield dst
-            if root is not None:
-                yield root
-            if scratch is not None:
-                yield scratch
+def _stmt_exprs(s: Stmt) -> list[Expr]:
+    """The expressions written in ``s`` itself, in source order; those of
+    its nested statements belong to them."""
+    t = type(s)
+    if t is Assign:
+        if isinstance(s.target, ArrayRef):
+            return [s.target, s.expr]
+        return [s.expr]
+    if t is Guarded:
+        return [s.rule]
+    if t is SendStmt:
+        return [s.ref] if s.dests is None else [s.ref, *s.dests]
+    if t is RecvStmt:
+        return [s.into] if s.source is None else [s.into, s.source]
+    if t is DoLoop:
+        return [s.lo, s.hi, s.step]
+    if t is IfStmt:
+        return [s.cond]
+    if t is CallStmt:
+        return list(s.args)
+    if t is ExprStmt:
+        return [s.expr]
+    if t is CollectiveStmt:
+        return [e for e in (*s.group, s.src, s.dst, s.root, s.scratch)
+                if e is not None]
+    return []
 
 
 def walk_stmts(s: Stmt | Block) -> Iterator[Stmt]:
     """Yield all statements in a subtree (pre-order)."""
-    if isinstance(s, Block):
-        for st in s:
-            yield from walk_stmts(st)
-        return
-    yield s
-    match s:
-        case Guarded(_, body):
-            yield from walk_stmts(body)
-        case DoLoop(_, _, _, _, body):
-            yield from walk_stmts(body)
-        case IfStmt(_, then, orelse):
-            yield from walk_stmts(then)
-            yield from walk_stmts(orelse)
+    stack = [s]
+    while stack:
+        s = stack.pop()
+        t = type(s)
+        if t is Block:
+            stack += reversed(s.stmts)
+            continue
+        yield s
+        if t is Guarded or t is DoLoop:
+            stack.append(s.body)
+        elif t is IfStmt:
+            stack += (s.orelse, s.then)
 
 
 def all_exprs(node: Stmt | Block | Expr) -> Iterator[Expr]:
     """Every expression and sub-expression in a subtree."""
     if isinstance(node, Block) or _is_stmt(node):
         for st in walk_stmts(node):
-            for e in _stmt_exprs(st):
-                yield from walk_exprs(e)
+            yield from _walk(_stmt_exprs(st)[::-1])
     else:
         yield from walk_exprs(node)
 

@@ -78,9 +78,12 @@ class TestRun:
         out = capsys.readouterr().out
         assert "send" in out
 
-    def test_bad_init_kind(self, program_file):
-        with pytest.raises(SystemExit):
-            main(["run", program_file, "--init", "A=bogus"])
+    def test_bad_init_kind(self, program_file, capsys):
+        # It used to raise SystemExit(str): no prefix and exit status 1,
+        # after compiling the program.
+        assert main(["run", program_file, "--init", "A=bogus"]) == 2
+        assert capsys.readouterr() == (
+            "", "repro run: unknown init kind 'bogus' (iota/ones/zeros/rand)\n")
 
 
 class TestBadInput:
@@ -188,6 +191,49 @@ class TestBadInput:
         # A bogus matmul variant used to die with a ValueError traceback
         # (exit 1); the other options were silently ignored.
         assert main(["run", "--nprocs", "4", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"repro run: {reason}\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("app,argv,flag", [
+        ("jacobi", ["--trace"], "--trace"),
+        ("fft3d", ["--trace-json", "TRACE"], "--trace-json"),
+        ("jacobi", ["--binding", "blocking"], "--binding"),
+        ("workqueue", ["--verify-comm"], "--verify-comm"),
+        ("jacobi", ["-O", "0"], "-O/--opt-level"),
+        ("matmul", ["--opt-level", "2"], "-O/--opt-level"),
+        ("fft3d", ["--strategy", "migrate"], "--strategy"),
+    ])
+    def test_run_file_only_option_with_app_is_a_message_and_exit_2(
+            self, app, argv, flag, tmp_path, capsys):
+        # Each used to be ignored: the app ran and exited 0 (--trace printed
+        # no event, --trace-json wrote no file).
+        trace = tmp_path / "trace.json"
+        argv = [str(trace) if a == "TRACE" else a for a in argv]
+        assert main(["run", "--app", app, "--nprocs", "4", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"repro run: {flag} applies only to a FILE run, not to --app\n"
+        assert out == ""
+        assert not trace.exists()
+
+    @pytest.mark.parametrize("target", [["--app", "jacobi"], ["FILE"]])
+    def test_run_collectives_outside_matmul_is_a_message_and_exit_2(
+            self, target, program_file, capsys):
+        target = [program_file if a == "FILE" else a for a in target]
+        assert main(["run", *target, "--collectives", "p2p"]) == 2
+        out, err = capsys.readouterr()
+        assert err == "repro run: --collectives applies only to --app matmul\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("argv,reason", [
+        (["FILE", "--app", "jacobi"], "give either FILE or --app, not both"),
+        ([], "need a FILE to run (or --app)"),
+    ])
+    def test_run_bad_input_is_a_message_and_exit_2(
+            self, argv, reason, program_file, capsys):
+        # These used to raise SystemExit(str): no prefix and exit status 1.
+        argv = [program_file if a == "FILE" else a for a in argv]
+        assert main(["run", *argv]) == 2
         out, err = capsys.readouterr()
         assert err == f"repro run: {reason}\n"
         assert out == ""
