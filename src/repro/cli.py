@@ -40,15 +40,6 @@ Commands
 ``fft``
     Run the section-4 3-D FFT at a chosen stage/size and report.
 
-``serve``
-    Run a compile/check/run(/tune) job session against a crash-safe
-    on-disk artifact store: supervised worker processes, per-job
-    timeouts, seeded backoff retries, poison quarantine, and degraded
-    tune fallback.  Re-running with the same ``--store`` directory
-    serves repeats from cache.  ``--chaos`` runs the service-layer
-    chaos battery (worker SIGKILLs, cache corruption, stalls, overload)
-    instead.
-
 Examples
 --------
 
@@ -64,8 +55,6 @@ Examples
         --to "(*, BLOCK, *)" --nprocs 4 --max-temp-frac 0.25
     python -m repro figures all
     python -m repro fft --n 8 --nprocs 4 --stage 2
-    python -m repro serve --store .xdp-store --rounds 2
-    python -m repro serve --chaos --seed 7
 """
 
 from __future__ import annotations
@@ -476,6 +465,7 @@ def _parse_knobs(spec: str):
 
 def _cmd_tune(args: argparse.Namespace) -> int:
     from .tune import TuneError, tune
+    from .tune.store import ArtifactStore
 
     try:
         if args.top_k < 1:
@@ -491,8 +481,13 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
             program = fft3d_source(args.n, args.nprocs, args.stage)
             what = f"fft3d n={args.n} stage={args.stage}"
+        store = None if args.store is None else ArtifactStore(args.store)
     except ValueError as exc:
         print(f"repro tune: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"repro tune: --store {args.store}: {exc.strerror or exc}",
+              file=sys.stderr)
         return 2
     model = _MODELS[args.model]()
     try:
@@ -505,7 +500,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             budget_s=args.budget,
             seed=args.seed,
             backend=args.backend or default_backend(),
-            store=args.store,
+            store=store,
         )
     except TuneError as exc:
         print(f"repro tune: {exc}", file=sys.stderr)
@@ -593,53 +588,6 @@ def _cmd_fft(args: argparse.Namespace) -> int:
     )
     print(r.stats.summary())
     return 0 if r.correct else 1
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from .report.record import write_json_atomic
-
-    if _bad_nprocs("serve", args.nprocs):
-        return 2
-    for flag, value in (("--workers", args.workers), ("--timeout", args.timeout)):
-        if not value > 0:
-            print(f"repro serve: {flag} ({value}) must be positive", file=sys.stderr)
-            return 2
-    if args.chaos:
-        from .serve import format_serve_chaos, run_serve_chaos
-
-        report = run_serve_chaos(seed=args.seed, nprocs=args.nprocs,
-                                 store_root=args.store)
-        print(format_serve_chaos(report))
-        if args.json:
-            write_json_atomic(args.json, report)
-            print(f"wrote {args.json}")
-        return 0 if report["ok"] else 1
-    if not args.store:
-        raise SystemExit("serve needs --store DIR (or --chaos)")
-    from .serve import format_serve, run_serve
-
-    report = run_serve(
-        store_root=args.store,
-        nprocs=args.nprocs,
-        rounds=args.rounds,
-        workers=args.workers,
-        backend=args.backend or default_backend(),
-        seed=args.seed,
-        include_tune=args.tune,
-        timeout_s=args.timeout,
-    )
-    print(format_serve(report))
-    ok = report["ok"]
-    if args.min_hit_rate is not None:
-        rate = report["summary"]["cache_hit_rate"]
-        if rate < args.min_hit_rate:
-            print(f"cache hit rate {rate:.1%} below required "
-                  f"{args.min_hit_rate:.1%}")
-            ok = False
-    if args.json:
-        write_json_atomic(args.json, report)
-        print(f"wrote {args.json}")
-    return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -792,36 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--print-source", action="store_true")
     backend_arg(t)
     t.set_defaults(fn=_cmd_fft)
-
-    v = sub.add_parser(
-        "serve",
-        help="run jobs against the crash-safe artifact store service",
-    )
-    v.add_argument("--store", metavar="DIR",
-                   help="artifact store directory (created if missing; "
-                        "reuse it across runs for warm-cache service)")
-    v.add_argument("--nprocs", type=int, default=4)
-    v.add_argument("--rounds", type=int, default=2,
-                   help="how many times to issue the demo workload "
-                        "(round 2+ replays round 1 warm)")
-    v.add_argument("--workers", type=int, default=2,
-                   help="supervised worker processes")
-    v.add_argument("--seed", type=int, default=7)
-    v.add_argument("--timeout", type=float, default=120.0,
-                   help="per-job timeout in seconds")
-    v.add_argument("--tune", action="store_true",
-                   help="include a tune job in each round")
-    v.add_argument("--min-hit-rate", type=float, metavar="FRAC",
-                   help="exit 1 unless the session cache hit rate "
-                        "reaches FRAC (e.g. 0.9)")
-    v.add_argument("--chaos", action="store_true",
-                   help="run the service-layer chaos battery instead "
-                        "(worker kills, cache corruption, stalls, "
-                        "overload, poison jobs)")
-    v.add_argument("--json", metavar="FILE",
-                   help="also write the full report as JSON")
-    backend_arg(v)
-    v.set_defaults(fn=_cmd_serve)
 
     return parser
 

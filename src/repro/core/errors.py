@@ -17,10 +17,6 @@ __all__ = [
     "BudgetExhaustedError",
     "DistributionError",
     "CompilationError",
-    "ServeError",
-    "ServiceOverloadError",
-    "JobTimeoutError",
-    "PoisonJobError",
     "ArtifactIntegrityError",
 ]
 
@@ -90,29 +86,7 @@ class BudgetExhaustedError(DeadlockError):
     """
 
 
-class ServeError(XDPError):
-    """Base class for failures of the ``repro serve`` job service."""
-
-
-class ServiceOverloadError(ServeError):
-    """Raised when a job is submitted to a supervisor whose bounded queue
-    is full.  Load shedding instead of unbounded buffering: the caller
-    gets an immediate typed rejection (and may convert it into a ``shed``
-    outcome) rather than a silently growing backlog."""
-
-
-class JobTimeoutError(ServeError):
-    """A job exceeded its per-attempt execution timeout.  Recorded as the
-    failure cause of the attempt; the supervisor kills the hung worker and
-    either retries the job or takes its degraded fallback path."""
-
-
-class PoisonJobError(ServeError):
-    """A job failed (crash/timeout) on every one of its allowed attempts
-    and was quarantined as poison rather than retried forever."""
-
-
-class ArtifactIntegrityError(ServeError):
+class ArtifactIntegrityError(XDPError):
     """A content-addressed artifact failed sha256 verification on read.
 
     In normal operation the store quarantines the corrupt file and

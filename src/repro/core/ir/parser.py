@@ -530,8 +530,16 @@ class _Parser:
             self.pos += 1
             return IntConst(int(t.text))
         if t.kind == "FLOAT":
+            # The lexer takes an exponent without digits ("1e+") as part
+            # of the literal, so float() can still refuse it.
+            try:
+                value = float(t.text)
+            except ValueError:
+                raise ParseError(
+                    f"malformed float literal {t.text!r}", t.line, t.col
+                ) from None
             self.pos += 1
-            return FloatConst(float(t.text))
+            return FloatConst(value)
         if t.kind == "OP" and t.text == "(":
             self.pos += 1
             e = self.expression()

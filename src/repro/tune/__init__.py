@@ -18,6 +18,9 @@ four-stage pipeline:
   on the real :class:`~repro.machine.engine.Engine`, in-process and
   serially, memoized in memory and through the content-addressed artifact
   store;
+* :mod:`~repro.tune.store` — the crash-safe on-disk artifact store that
+  carries that memo across processes and runs (``tune(store=...)``,
+  ``repro tune --store DIR``);
 * :mod:`~repro.tune.search` — **search**: budgeted successive halving over
   the ranked shortlist with a baseline-fallback safety net;
 * :mod:`~repro.tune.rewrite` — phase detection and regeneration of the

@@ -8,11 +8,11 @@ candidates by running them on the real machine (the VM pipeline feeding
 machine model, seed, backend), so identical candidates across tuning
 calls never re-simulate.
 
-Passing ``store`` (an :class:`~repro.serve.store.ArtifactStore` or a
+Passing ``store`` (an :class:`~repro.tune.store.ArtifactStore` or a
 directory path) extends the memo across *processes and runs*: results
 are looked up in the crash-safe on-disk store before simulating and
-published after, so a re-tune in a fresh process — or a tune job under
-``repro serve`` — pays one engine run per distinct candidate total.
+published after, so a re-tune in a fresh process pays one engine run
+per distinct candidate total.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from ..core.ir.nodes import Program
 from ..core.ir.parser import parse_program
 from ..core.ir.printer import print_program
 from ..machine.model import MachineModel
+from .store import ArtifactKey, ArtifactStore
 
 __all__ = [
     "EvalCache",
@@ -165,15 +166,9 @@ def seed_arrays(program: Program, seed: int) -> dict[str, np.ndarray]:
 
 
 def _as_store(store):
-    """Coerce ``store`` (ArtifactStore | path | None) to a store or None.
-
-    Imported lazily: serve depends on tune for its job bodies, so the
-    module-level import would be circular.
-    """
+    """Coerce ``store`` (ArtifactStore | path | None) to a store or None."""
     if store is None:
         return None
-    from ..serve.store import ArtifactStore
-
     if isinstance(store, ArtifactStore):
         return store
     return ArtifactStore(store)
@@ -186,8 +181,6 @@ def _store_key(task: EvalTask):
     the store's canonical key form (program source, pass config, backend,
     machine model), so every tune sharing a store shares its entries.
     """
-    from ..serve.store import ArtifactKey
-
     src = task.source_text()
     config = {
         "kind": "candidate",
@@ -253,7 +246,7 @@ def evaluate_candidates(
 
     Results come back in task order.  Each task is looked up in the
     in-memory ``cache`` first, then in ``store`` (an
-    :class:`~repro.serve.store.ArtifactStore` or a path: the
+    :class:`~repro.tune.store.ArtifactStore` or a path: the
     cross-process memo level), and only then runs on the engine; fresh
     results are published to both.  Memo hits are marked ``from_cache``.
     """

@@ -1,10 +1,11 @@
 """Crash-safe content-addressed artifact store.
 
-The tuner's in-memory memoized oracle (:mod:`repro.tune.evaluate`)
-generalized into a persistent store shared across runs and processes:
-every compile/check/tune/run artifact is addressed by an
-:class:`ArtifactKey` — (IL sha256, pass config, backend, machine model) —
-and stored as one JSON record on disk.
+The second level of the tuner's memoized oracle
+(:mod:`repro.tune.evaluate`): each engine evaluation of a candidate is
+addressed by an :class:`ArtifactKey` — (IL sha256, pass config, backend,
+machine model) — and stored as one JSON record on disk, so a re-tune in
+a fresh process, sharing the store directory, replays it instead of
+re-simulating.
 
 Durability contract
 -------------------
@@ -188,15 +189,6 @@ class StoreStats:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def as_doc(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "writes": self.writes,
-            "quarantined": self.quarantined,
-            "hit_rate": round(self.hit_rate, 4),
-        }
 
 
 class ArtifactStore:

@@ -102,6 +102,18 @@ class TestBadInput:
         assert err == f"{p}:3:10: unexpected token '='\n"
         assert "Traceback" not in out + err
 
+    def test_malformed_float_literal_has_location_and_exit_2(
+            self, tmp_path, capsys):
+        # It used to print a ValueError traceback from float('1e+').
+        p = tmp_path / "float.xdp"
+        p.write_text("scalar x = 1e+\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(p), "--nprocs", "2"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert err == f"{p}:1:12: malformed float literal '1e+'\n"
+        assert "Traceback" not in out + err
+
     @pytest.mark.parametrize("cmd", ["check", "run", "compile"])
     def test_verify_program_error_names_file_and_exits_2(
             self, cmd, tmp_path, capsys):
@@ -142,34 +154,22 @@ class TestBadInput:
         (["--top-k", "0"], "--top-k (0) must be positive"),
         (["--top-k", "-2"], "--top-k (-2) must be positive"),
         (["--budget", "-1"], "--budget (-1.0) must be >= 0"),
+        (["--store", "AFILE"], "--store AFILE: Not a directory"),
     ])
     def test_tune_bad_option_is_a_message_and_exit_2(
-            self, argv, reason, capsys):
+            self, argv, reason, tmp_path, capsys):
         # These used to print a ValueError/DistributionError traceback
-        # (exit 1), or run silently (top-k, budget, empty knobs).
+        # (exit 1), or run silently (top-k, budget, empty knobs).  A
+        # --store that is a regular file raised NotADirectoryError from
+        # inside the search.
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        argv = [str(afile) if a == "AFILE" else a for a in argv]
+        reason = reason.replace("AFILE", str(afile))
         assert main(["tune", "--n", "8", "--nprocs", "4", *argv]) == 2
         out, err = capsys.readouterr()
         assert err == f"repro tune: {reason}\n"
         assert out == ""
-
-    @pytest.mark.parametrize("argv,reason", [
-        (["serve", "--store", "STORE", "--workers", "0"],
-         "--workers (0) must be positive"),
-        (["serve", "--store", "STORE", "--nprocs", "0"],
-         "nprocs (0) must be positive"),
-        (["serve", "--store", "STORE", "--timeout", "-1"],
-         "--timeout (-1.0) must be positive"),
-    ])
-    def test_serve_and_chaos_bad_option_is_a_message_and_exit_2(
-            self, argv, reason, tmp_path, capsys):
-        # These used to hang (--workers 0), print a ZeroDivisionError or
-        # ValueError traceback, or run and report FAIL (--timeout -1).
-        argv = [str(tmp_path / "store") if a == "STORE" else a for a in argv]
-        assert main(argv) == 2
-        out, err = capsys.readouterr()
-        assert err == f"repro {argv[0]}: {reason}\n"
-        assert out == ""
-        assert not (tmp_path / "store").exists()
 
     @pytest.mark.parametrize("argv,reason", [
         (["--app", "matmul", "--variant", "bogus"],
@@ -420,38 +420,3 @@ class TestRedist:
         out, err = capsys.readouterr()
         assert err == f"repro redist: {message}\n"
         assert "Traceback" not in out + err
-
-
-class TestServe:
-    def test_serve_session_then_warm_replay(self, tmp_path, capsys):
-        store = str(tmp_path / "store")
-        assert main(["serve", "--store", store, "--rounds", "1",
-                     "--nprocs", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "serve: OK" in out
-        # Same store, fresh session: everything cached, hit-rate bar met.
-        assert main(["serve", "--store", store, "--rounds", "1",
-                     "--nprocs", "3", "--min-hit-rate", "0.9"]) == 0
-        out = capsys.readouterr().out
-        assert "hit rate 100.0%" in out
-
-    def test_serve_min_hit_rate_fails_cold(self, tmp_path, capsys):
-        store = str(tmp_path / "store")
-        assert main(["serve", "--store", store, "--rounds", "1",
-                     "--nprocs", "3", "--min-hit-rate", "0.9"]) == 1
-        assert "below required" in capsys.readouterr().out
-
-    def test_serve_requires_store(self):
-        with pytest.raises(SystemExit):
-            main(["serve"])
-
-    def test_serve_json_report(self, tmp_path, capsys):
-        store = str(tmp_path / "store")
-        out_file = tmp_path / "serve.json"
-        assert main(["serve", "--store", store, "--rounds", "1",
-                     "--nprocs", "3", "--json", str(out_file)]) == 0
-        import json
-
-        report = json.loads(out_file.read_text())
-        assert report["ok"]
-        assert report["summary"]["jobs"] == 6

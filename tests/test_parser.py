@@ -91,6 +91,15 @@ class TestExpressionParsing:
         with pytest.raises(ParseError):
             parse_expression("do + 1")
 
+    @pytest.mark.parametrize("text", ["1e+", "1e-", "2.5E+"])
+    def test_malformed_float_literal_has_location(self, text):
+        # The lexer reads an exponent without digits into the FLOAT token;
+        # the parser used to pass it to float() and raise ValueError.
+        with pytest.raises(ParseError) as exc:
+            parse_program(f"scalar y = 1\nscalar x = {text}\n")
+        assert exc.value.message == f"malformed float literal {text!r}"
+        assert (exc.value.line, exc.value.col) == (2, 12)
+
 
 class TestStatementParsing:
     def test_all_transfer_forms(self):

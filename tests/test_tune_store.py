@@ -1,6 +1,6 @@
 """Crash-safe artifact store: durability contract and concurrency.
 
-The store promises (docs/SERVE.md) that a reader sees either nothing or
+The store promises (docs/TUNING.md) that a reader sees either nothing or
 a complete, verified record — never a partial or corrupt one — no matter
 how writers crash or race.  This file pins each clause: atomic
 publication, sha256 verification on every read, quarantine-and-miss on
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import ArtifactIntegrityError
-from repro.serve.store import (
+from repro.tune.store import (
     ArtifactKey,
     ArtifactStore,
     decode_payload,
@@ -231,7 +231,7 @@ class TestConcurrentAccess:
         assert seen, "reader never observed a published record"
 
     def test_concurrent_distinct_keys(self, tmp_path):
-        """Writers on distinct keys (the common serve pattern) coexist."""
+        """Writers on distinct keys coexist."""
         ctx = mp.get_context(
             "fork" if "fork" in mp.get_all_start_methods() else None
         )
