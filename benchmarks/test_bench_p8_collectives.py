@@ -9,11 +9,12 @@ Two artifacts from the collectives work are recorded here:
   array size in transit.  The artifact records peak temp bytes vs the
   naive single-round plan across a frac sweep; the acceptance bar is
   peak <= 50% of naive at ``max_temp_frac=0.25``.
-* **Distributed matmul suite.**  Cannon and SUMMA (the two variants
-  that exercise broadcast, allgather, all-to-all and reduce_scatter
-  between them) at P in {4, 16, 64} on both transport backends, with
-  bit-identical digests asserted and the native-vs-p2p lowering
-  makespans compared at P=4.
+* **Distributed matmul suite.**  Cannon and SUMMA at P in {4, 16, 64}
+  on both transport backends, with bit-identical digests asserted.
+* **Broadcast rule.**  SUMMA's makespan on msg with every broadcast
+  forced to the binomial tree, forced flat, and as the rule
+  (``schedule.tree_pays``) picks, at P in {4, 16, 32, 64}; the pick must
+  be the faster one.
 
 Results are recorded to ``BENCH_collectives.json`` at the repo root.
 """
@@ -24,10 +25,12 @@ from pathlib import Path
 from conftest import emit
 
 from repro.apps.matmul import run_matmul
+from repro.core.collectives import schedule
 from repro.core.collectives.planner import (
     dist_from_spec, plan_bounded_redistribution,
 )
 from repro.distributions import ProcessorGrid
+from repro.machine.model import MachineModel
 from repro.machine.transport import BACKENDS
 from repro.report.record import write_json_atomic
 
@@ -35,6 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH_FILE = ROOT / "BENCH_collectives.json"
 
 NPROCS = (4, 16, 64)
+RULE_NPROCS = (4, 16, 32, 64)
 VARIANTS = ("cannon", "summa")
 FFT_SHAPE = (8, 8, 8)
 FRACS = (0.125, 0.25, 0.5, 1.0)
@@ -64,20 +68,17 @@ def run_planner_bench() -> dict:
     }
 
 
-def _run_case(variant: str, nprocs: int, backend: str,
-              collectives: str = "native") -> dict:
+def _run_case(variant: str, nprocs: int, backend: str) -> dict:
     n = 2 * nprocs
     t0 = time.perf_counter()
-    r = run_matmul(n, nprocs, variant, backend=backend,
-                   collectives=collectives)
+    r = run_matmul(n, nprocs, variant, backend=backend)
     wall = time.perf_counter() - t0
-    assert r.correct, (variant, nprocs, backend, collectives)
+    assert r.correct, (variant, nprocs, backend)
     return {
         "variant": variant,
         "n": n,
         "nprocs": nprocs,
         "backend": backend,
-        "collectives": collectives,
         "wall_s": round(wall, 4),
         "makespan": r.stats.makespan,
         "messages": r.stats.total_messages,
@@ -99,26 +100,54 @@ def run_matmul_bench(nprocs_list=NPROCS) -> dict:
         f"{v}@{p}": per["msg"]["result_sha256"] == per["shmem"]["result_sha256"]
         for (v, p), per in by_key.items()
     }
-    # Native collective schedules vs the flat p2p lowering, msg backend.
-    lowering = {}
-    for v in VARIANTS:
-        native = by_key[(v, nprocs_list[0])]["msg"]
-        p2p = _run_case(v, nprocs_list[0], "msg", collectives="p2p")
-        assert p2p["result_sha256"] == native["result_sha256"], v
-        lowering[v] = {
-            "nprocs": nprocs_list[0],
-            "native_makespan": native["makespan"],
-            "p2p_makespan": p2p["makespan"],
-            "ratio_native_over_p2p": round(
-                native["makespan"] / p2p["makespan"], 3),
-        }
     return {
         "variants": list(VARIANTS),
         "nprocs": list(nprocs_list),
         "cases": cases,
         "result_transparent": transparency,
-        "lowering_makespan": lowering,
     }
+
+
+def _summa_msg(nprocs: int, tree: bool | None):
+    """SUMMA at n = 2P on msg, every broadcast forced to the tree (True)
+    or flat (False), or as the rule picks (None)."""
+    rule = schedule.tree_pays
+    if tree is not None:
+        schedule.tree_pays = lambda *args: tree
+    try:
+        r = run_matmul(2 * nprocs, nprocs, "summa", backend="msg")
+    finally:
+        schedule.tree_pays = rule
+    assert r.correct, (nprocs, tree)
+    return r
+
+
+def run_broadcast_rule_bench(nprocs_list=RULE_NPROCS) -> dict:
+    rows = []
+    for p in nprocs_list:
+        tree, flat, rule = (_summa_msg(p, t) for t in (True, False, None))
+        assert tree.digest == flat.digest == rule.digest, p
+        assert tree.messages == flat.messages, p
+        # summa broadcasts one b x n block-row, b = n / P = 2
+        pick = schedule.tree_pays(p, 2 * 2 * p * 8, MachineModel())
+        rows.append({
+            "n": 2 * p,
+            "nprocs": p,
+            "tree_makespan": tree.makespan,
+            "flat_makespan": flat.makespan,
+            "pick": "tree" if pick else "flat",
+            "rule_makespan": rule.makespan,
+            "tree_over_flat": round(tree.makespan / flat.makespan, 3),
+        })
+    return {"variant": "summa", "backend": "msg", "rows": rows}
+
+
+def _rule_picks_the_minimum(rule: dict) -> bool:
+    return all(
+        r["rule_makespan"] == r[f"{r['pick']}_makespan"]
+        == min(r["tree_makespan"], r["flat_makespan"])
+        for r in rule["rows"]
+    )
 
 
 def _emit_results(results: dict) -> None:
@@ -137,6 +166,14 @@ def _emit_results(results: dict) -> None:
           f"{c['makespan']:.0f}", c["messages"], c["result_sha256"][:12]]
          for c in results["matmul"]["cases"]],
     )
+    emit(
+        "P8 — broadcast rule (summa n=2P, msg)",
+        ["P", "tree", "flat", "tree/flat", "pick"],
+        [[r["nprocs"], f"{r['tree_makespan']:.0f}",
+          f"{r['flat_makespan']:.0f}", f"{r['tree_over_flat']:.3f}",
+          r["pick"]]
+         for r in results["broadcast_rule"]["rows"]],
+    )
 
 
 def _planner_bar_holds(planner: dict) -> bool:
@@ -150,10 +187,12 @@ def test_p8_smoke(benchmark):
     results = {
         "planner": run_planner_bench(),
         "matmul": run_matmul_bench(nprocs_list=(4,)),
+        "broadcast_rule": run_broadcast_rule_bench(nprocs_list=(4, 16)),
     }
     _emit_results(results)
     assert _planner_bar_holds(results["planner"]), results["planner"]
     assert all(results["matmul"]["result_transparent"].values()), results
+    assert _rule_picks_the_minimum(results["broadcast_rule"]), results
     benchmark.pedantic(
         lambda: run_matmul(8, 4, "summa", backend="msg"),
         rounds=1, iterations=1,
@@ -166,6 +205,7 @@ def test_p8_collectives_full(benchmark):
         "schema": 1,
         "planner": run_planner_bench(),
         "matmul": run_matmul_bench(),
+        "broadcast_rule": run_broadcast_rule_bench(),
     }
     _emit_results(results)
 
@@ -178,15 +218,16 @@ def test_p8_collectives_full(benchmark):
     assert all(results["matmul"]["result_transparent"].values()), (
         results["matmul"]["result_transparent"]
     )
+    assert _rule_picks_the_minimum(results["broadcast_rule"]), (
+        results["broadcast_rule"]
+    )
 
     write_json_atomic(BENCH_FILE, results)
     benchmark.extra_info["planner_peak_vs_naive"] = {
         str(s["max_temp_frac"]): s["peak_vs_naive"]
         for s in results["planner"]["sweep"]
     }
-    benchmark.extra_info["lowering_makespan"] = (
-        results["matmul"]["lowering_makespan"]
-    )
+    benchmark.extra_info["broadcast_rule"] = results["broadcast_rule"]
     benchmark.extra_info["bench_file"] = str(BENCH_FILE)
     benchmark.pedantic(
         lambda: run_matmul_bench(nprocs_list=(4,)), rounds=1, iterations=1,

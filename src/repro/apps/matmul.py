@@ -23,10 +23,10 @@ path they coexist with:
   owners.
 
 All variants produce bit-identical results across the ``msg``/``shmem``
-backends and across ``collectives="native"``/``"p2p"`` lowering: the
-schedule families resolve the same chunks and the reduction order is
-canonical (cyclic group order, own contribution last), so even float
-summation associates identically.
+backends, whichever broadcast schedule (flat or binomial tree) the group
+size picks: every schedule resolves the same chunks and the reduction
+order is canonical (cyclic group order, own contribution last), so even
+float summation associates identically.
 """
 
 from __future__ import annotations
@@ -136,8 +136,8 @@ class MatmulResult:
     nprocs: int
     stats: RunStats
     correct: bool
-    #: sha256 of the result bytes — the cross-backend/cross-lowering
-    #: bit-identity witness.
+    #: sha256 of the result bytes — the cross-backend bit-identity
+    #: witness.
     digest: str
     result: np.ndarray | None = None
 
@@ -158,7 +158,6 @@ def run_matmul(
     model: MachineModel | None = None,
     seed: int = 11,
     backend: str | None = None,
-    collectives: str = "native",
 ) -> MatmulResult:
     """Run one variant end-to-end and validate against ``a0 @ b0``."""
     src = matmul_source(n, nprocs, variant)
@@ -166,10 +165,7 @@ def run_matmul(
     rng = np.random.default_rng(seed)
     a0 = rng.standard_normal((n, n))
     b0 = rng.standard_normal((n, n))
-    runner = lower(
-        program, nprocs, model=model, backend=backend,
-        collectives=collectives,
-    )
+    runner = lower(program, nprocs, model=model, backend=backend)
     bsz = n // nprocs
     if variant == "cannon":
         runner.write_global("A", a0)

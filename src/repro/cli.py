@@ -15,8 +15,7 @@ Commands
     application is run end-to-end instead and a sha256 digest of its
     result array is printed — the same program run with ``--backend msg``
     and ``--backend shmem`` must print the same digest (result
-    transparency, paper section 5), and for ``matmul`` the digest is also
-    identical across ``--collectives native`` and ``--collectives p2p``.
+    transparency, paper section 5).
     An option the run would ignore is ``repro run: <reason>`` on stderr
     and exit status 2.
 
@@ -33,6 +32,13 @@ Commands
     and report the schedule's per-round peak temporary memory against the
     naive all-at-once materialisation (``--max-temp-frac`` sets the
     budget).
+
+``tune``
+    Search data placements for a phased program (the section-4 FFT demo,
+    or ``--file FILE``): rank every (distribution, segmentation, pass
+    knob) choice per phase statically, run the shortlist on the simulated
+    machine and print the winner.  ``--store DIR`` keeps the engine
+    evaluations on disk for later runs.
 
 ``figures [N|all]``
     Regenerate the paper's figures as text.
@@ -53,6 +59,7 @@ Examples
     python -m repro run --app matmul --variant cannon --backend shmem
     python -m repro redist --shape 8,8,8 --from "(*, *, BLOCK)" \\
         --to "(*, BLOCK, *)" --nprocs 4 --max-temp-frac 0.25
+    python -m repro tune --n 8 --nprocs 4 --explain
     python -m repro figures all
     python -m repro fft --n 8 --nprocs 4 --stage 2
 """
@@ -187,8 +194,7 @@ def _run_app(args: argparse.Namespace) -> int:
 
         n = 2 * nprocs
         variant = args.variant or "summa"
-        r = run_matmul(n, nprocs, variant, model=model, backend=args.backend,
-                       collectives=args.collectives or "native")
+        r = run_matmul(n, nprocs, variant, model=model, backend=args.backend)
         label, ok, arr = f"matmul/{variant} n={n}", r.correct, r.result
         stats = r.stats
     elif args.app == "workqueue":
@@ -248,8 +254,6 @@ def _bad_run_option(args: argparse.Namespace) -> str | None:
         if args.variant not in VARIANTS:
             return (f"--variant: unknown matmul variant {args.variant!r} "
                     f"(choose from {', '.join(VARIANTS)})")
-    if args.collectives is not None and args.app != "matmul":
-        return "--collectives applies only to --app matmul"
     if args.app:
         for flag, value in (
             ("--init", args.init), ("--show", args.show),
@@ -653,10 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--variant",
                    help="matmul app variant: cannon, summa (default), "
                         "gather or outer")
-    r.add_argument("--collectives", choices=("native", "p2p"),
-                   help="--app matmul: lower coll statements natively "
-                        "(default) or desugar to point-to-point transfers "
-                        "(digests must match)")
     r.add_argument("--verify-comm", action="store_true",
                    help="statically verify communication safety before "
                         "running; exit 1 on errors")

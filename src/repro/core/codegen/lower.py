@@ -231,7 +231,9 @@ class _CollI:
     step: Callable[[_VMEnv], Any] | None
     root: Callable[[_VMEnv], Any] | None
     sec_fns: dict[int, tuple[str, Callable[[_VMEnv], Section]]]
-    style: str  # "flat" or "staged"
+    #: The engine's cost model on the message backend, None on shmem
+    #: (see :func:`~repro.core.collectives.schedule.collective_ops`).
+    model: MachineModel | None
 
 
 _Instr = (_Exec | _Branch | _Jump | _LoopInit | _LoopTest | _LoopInc | _SendI
@@ -259,7 +261,8 @@ class CompiledProgram:
         Propagated to engine/symtabs: turn "unpredictable" situations
         (transitional reads, unmatched traffic) into errors.
     collectives:
-        ``"native"`` (per-backend schedules) or ``"p2p"`` (flat everywhere).
+        Ignored; ``"native"`` and ``"p2p"`` are accepted.  A collective's
+        schedule follows from its group, its payload and the transport.
     """
 
     def __init__(
@@ -279,17 +282,18 @@ class CompiledProgram:
         if backend == "proc":
             # The retired real-process backend runs as msg only because the
             # frozen ledger (``benchmarks/e2e/worker.py::alt_runs``) still
-            # lowers fft3d-cyclic with ``backend="proc"``; ROADMAP item 7's
+            # lowers fft3d-cyclic with ``backend="proc"``; ROADMAP item 4's
             # harness change drops that row and this alias with it.
             backend = "msg"
         if binding not in ("nonblocking", "blocking"):
             raise CompilationError(f"unknown communication binding {binding!r}")
+        # The frozen benchmarks/e2e/workloads.py::matmul_coll still passes
+        # collectives=; ROADMAP item 4(c) drops it.
         if collectives not in ("native", "p2p"):
             raise CompilationError(
                 f"unknown collective lowering {collectives!r} "
                 "(expected 'native' or 'p2p')"
             )
-        self.collectives = collectives
         self.program = program
         self.nprocs = nprocs
         self.grid = grid if grid is not None else ProcessorGrid((nprocs,))
@@ -548,7 +552,7 @@ def _run_collective(ins: _CollI, env: _VMEnv) -> Generator[Effect, Any, None]:
     inst = CollInstance(ins.stmt, members, root, resolve)
     if env.pid1 not in members:
         return
-    yield from execute_ops(collective_ops(inst, env.pid1, ins.style), env)
+    yield from execute_ops(collective_ops(inst, env.pid1, ins.model), env)
 
 
 # ---------------------------------------------------------------------- #
@@ -996,13 +1000,12 @@ class _Lowerer:
     def _lower_collective(self, s: CollectiveStmt) -> None:
         """Compile a collective to a :class:`_CollI` instruction.
 
-        ``collectives="native"`` picks the per-backend schedule family —
-        staged (tree/ring/round) on the message backend, flat bulk
-        prefetch/poststore on shared-address.  ``collectives="p2p"`` forces
-        the flat family everywhere: the same transfers, in the same order,
-        as the legacy guarded point-to-point expansion
-        (:func:`repro.core.collectives.desugar.desugar_collective`), so the
-        two lowerings are bit-identical by construction."""
+        At run time :func:`~repro.core.collectives.schedule.collective_ops`
+        picks the schedule from the resolved group, its payload and the
+        transport: the flat family — the same transfers, in the same order,
+        as the point-to-point expansion of
+        :func:`repro.core.collectives.desugar.desugar_collective` — or, for
+        a broadcast on ``msg`` that ``tree_pays``, the binomial tree."""
         refs = [s.src, s.dst] + ([s.scratch] if s.scratch is not None else [])
         for ref in refs:
             if self.decl(ref.var).universal:
@@ -1012,10 +1015,6 @@ class _Lowerer:
                     "between)"
                 )
         lo, hi, step = s.group
-        if self.compiled.collectives == "native":
-            style = "staged" if self.compiled.engine.backend == "msg" else "flat"
-        else:
-            style = "flat"
         self._emit(_CollI(
             stmt=s,
             lo=_compile_expr_static(lo, self),
@@ -1025,7 +1024,8 @@ class _Lowerer:
             sec_fns={
                 id(ref): (ref.var, _compile_section(ref, self)) for ref in refs
             },
-            style=style,
+            model=(self.compiled.model
+                   if self.compiled.engine.backend == "msg" else None),
         ))
 
     def _lower_call(self, s: CallStmt) -> None:

@@ -4,16 +4,14 @@ First-class collective transfer primitives (``broadcast``, ``allgather``,
 ``all_to_all``, ``reduce_scatter``) and the memory-bounded redistribution
 planner built on them.  The pieces:
 
-* :mod:`~repro.core.collectives.schedule` — the backend schedules: a
-  *flat* family (bulk poststore/prefetch with fences — the shared-address
-  native form and the point-to-point reference semantics) and a *staged*
-  family (binomial-tree broadcast, ring allgather, pipelined-ring
-  reduce-scatter, round-staged all-to-all) for the message backend.
-  Every schedule produces bit-identical results: values travel verbatim
-  and reductions combine in one canonical order.
+* :mod:`~repro.core.collectives.schedule` — the one lowering: every
+  collective runs the *flat* schedule (bulk poststore/prefetch with
+  fences), except that a broadcast on the message backend runs as a
+  binomial tree where a cost rule favours it (large group, small payload).  Both produce bit-identical results:
+  values travel verbatim and reductions combine in one canonical order.
 * :mod:`~repro.core.collectives.desugar` — expansion of a
   :class:`~repro.core.ir.nodes.CollectiveStmt` into the equivalent flat
-  point-to-point IL (the legacy lowering, kept for differential checks).
+  point-to-point IL, kept only as the tests' oracle.
 * :mod:`~repro.core.collectives.planner` — decomposition of an array
   redistribution into bounded rounds so peak per-processor temporary
   memory stays under a ``max_temp_frac`` budget.

@@ -1,12 +1,12 @@
 """Desugar collective statements into flat point-to-point IL.
 
-This is the *legacy lowering*: every collective expands into the guarded
+This is the tests' oracle: every collective expands into the guarded
 ``mypid == m : { … }`` send/receive/await blocks the compiler would have
 emitted before collectives were first-class.  The expansion mirrors the
 ``flat`` schedule of :mod:`.schedule` statement-for-statement — the same
 transfers in the same per-processor order and the same canonical
 reduction order — so running the desugared program produces bit-identical
-array contents (the differential check behind ``collectives="p2p"``).
+array contents.
 
 Desugaring happens at compile time, so the group and root must be static
 (integer literals, ``nprocs``, and arithmetic over them)."""

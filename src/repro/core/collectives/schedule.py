@@ -4,25 +4,18 @@ A :class:`~repro.core.ir.nodes.CollectiveStmt` is resolved (group, root
 and every chunk section evaluated) into a :class:`CollInstance`, then
 expanded per-processor into a stream of primitive *chunk ops*
 (:class:`LocalCopy` / :class:`LocalReduce` / :class:`SendChunk` /
-:class:`RecvChunk` / :class:`Fence`) by one of two schedule families:
+:class:`RecvChunk` / :class:`Fence`) by the *flat* schedule: contributors
+send every chunk up-front (poststore), receivers claim and fence them in
+group order (prefetch + fence).  This is also the semantics of the
+point-to-point expansion in :mod:`.desugar`, kept as the test oracle.
+The one other realization is the binomial-tree broadcast, which
+:func:`collective_ops` picks on the message backend when :func:`tree_pays`.
 
-``flat``
-    Bulk exchange: contributors send every chunk up-front (poststore),
-    receivers claim and fence them in group order (prefetch + fence).
-    This is the native shared-address schedule and also the semantics of
-    the legacy point-to-point lowering (:mod:`.desugar`).
-
-``staged``
-    Message-backend schedules that bound in-flight chunks per step:
-    binomial-tree ``broadcast``, ring ``allgather``, pipelined-ring
-    ``reduce_scatter`` and round-staged ``all_to_all``.
-
-Both families complete synchronously (every landing section fenced) and
-produce **bit-identical** values: payloads travel verbatim, and
+Every schedule completes synchronously (every landing section fenced)
+and produces **bit-identical** values: payloads travel verbatim, and
 ``reduce_scatter`` combines partial values in a single canonical order —
 contributors in cyclic group order starting after the destination, the
-destination's own contribution last, always left-associated — which the
-ring pipeline realises naturally and the flat schedule reproduces.
+destination's own contribution last, always left-associated.
 """
 
 from __future__ import annotations
@@ -34,18 +27,19 @@ import numpy as np
 
 from ...machine.effects import Compute, Effect, Send, RecvInit, WaitAccessible
 from ...machine.message import TransferKind
+from ...machine.model import MachineModel
 from ..errors import ProtocolError, XDPError
 from ..ir.nodes import ArrayRef, CollOp, CollectiveStmt
 from ..sections import Section
 
 __all__ = [
     "LocalCopy", "LocalReduce", "SendChunk", "RecvChunk", "Fence", "ChunkOp",
-    "CollInstance", "collective_ops", "execute_ops",
+    "CollInstance", "collective_ops", "execute_ops", "tree_pays",
     "reduce_order", "group_members",
 ]
 
 #: Flop charges mirroring what the desugared point-to-point IL pays, so
-#: native and legacy lowerings stay cost-comparable (results are
+#: the schedules and the desugar oracle stay cost-comparable (results are
 #: bit-identical either way; virtual time is merely close).
 _COPY_FLOPS_PER_ELEM = 2     # read + write
 _REDUCE_FLOPS_PER_ELEM = 4   # two reads + combine + write
@@ -213,7 +207,7 @@ def reduce_order(members: tuple[int, ...], d: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------- #
-# flat schedules (shared-address native / point-to-point reference)
+# flat schedules (every op; the point-to-point reference semantics)
 # ---------------------------------------------------------------------- #
 
 
@@ -284,11 +278,6 @@ def _flat_reduce_scatter(inst: CollInstance, me: int) -> Iterator[ChunkOp]:
     yield LocalReduce(*dst, *inst.src(g=me, d=me), op)
 
 
-# ---------------------------------------------------------------------- #
-# staged schedules (message backend)
-# ---------------------------------------------------------------------- #
-
-
 def _tree_broadcast(inst: CollInstance, me: int) -> Iterator[ChunkOp]:
     """Binomial tree: rank k receives from ``k - 2^t`` (``2^t`` the top
     bit of ``k``), then forwards to ``k + 2^t`` for growing ``t``."""
@@ -321,106 +310,45 @@ def _tree_broadcast(inst: CollInstance, me: int) -> Iterator[ChunkOp]:
         t <<= 1
 
 
-def _ring_allgather(inst: CollInstance, me: int) -> Iterator[ChunkOp]:
-    members = inst.members
-    n = len(members)
-    pos = members.index(me)
-    succ = members[(pos + 1) % n]
-    pred = members[(pos - 1) % n]
-    yield LocalCopy(*inst.src(g=me), *inst.dst(g=me, d=me))
-    for s in range(1, n):
-        c_out = members[(pos - s + 1) % n]
-        c_in = members[(pos - s) % n]
-        if s > 1:
-            yield Fence(*inst.dst(g=c_out, d=me))
-        yield SendChunk(*inst.dst(g=c_out, d=me), (succ - 1,))
-        yield RecvChunk(*inst.dst(g=c_in, d=pred), *inst.dst(g=c_in, d=me))
-    if n > 1:
-        yield Fence(*inst.dst(g=succ, d=me))
-
-
-def _staged_all_to_all(inst: CollInstance, me: int) -> Iterator[ChunkOp]:
-    """Round ``r``: send to the ``+r`` neighbour, fence the chunk from the
-    ``-r`` neighbour — one in-flight chunk per processor per round."""
-    members = inst.members
-    n = len(members)
-    pos = members.index(me)
-    yield LocalCopy(*inst.src(g=me, d=me), *inst.dst(g=me, d=me))
-    for r in range(1, n):
-        d = members[(pos + r) % n]
-        g = members[(pos - r) % n]
-        yield SendChunk(*inst.src(g=me, d=d), (d - 1,))
-        yield RecvChunk(*inst.src(g=g, d=me), *inst.dst(g=g, d=me))
-        yield Fence(*inst.dst(g=g, d=me))
-
-
-def _ring_reduce_scatter(inst: CollInstance, me: int) -> Iterator[ChunkOp]:
-    """Pipelined ring: the partial for chunk ``d`` travels
-    ``succ(d) → succ²(d) → … → d``, each hop adding its own contribution
-    — the same left-associated order as the flat schedule."""
-    op = inst.reduce_op
-    assert op is not None
-    members = inst.members
-    n = len(members)
-    pos = members.index(me)
-    dst = inst.dst(d=me)
-    if n == 1:
-        yield LocalCopy(*inst.src(g=me, d=me), *dst)
-        return
-    succ = members[(pos + 1) % n]
-    pred = members[(pos - 1) % n]
-    scratch = inst.scratch(d=me)
-    pred_scratch = inst.scratch(d=pred)
-    for s in range(1, n):
-        chunk_out = members[(pos - s) % n]
-        if s == 1:
-            yield SendChunk(*inst.src(g=me, d=chunk_out), (succ - 1,))
-        else:
-            yield Fence(*scratch)
-            yield LocalReduce(*scratch, *inst.src(g=me, d=chunk_out), op)
-            yield SendChunk(*scratch, (succ - 1,))
-        # The matching message from pred: its step-s payload.
-        if s == 1:
-            pred_chunk = members[(pos - 2) % n]
-            yield RecvChunk(*inst.src(g=pred, d=pred_chunk), *scratch)
-        else:
-            yield RecvChunk(*pred_scratch, *scratch)
-    yield Fence(*scratch)
-    yield LocalCopy(*scratch, *dst)
-    yield LocalReduce(*dst, *inst.src(g=me, d=me), op)
-
-
 _FLAT = {
     CollOp.BROADCAST: _flat_broadcast,
     CollOp.ALLGATHER: _flat_allgather,
     CollOp.ALL_TO_ALL: _flat_all_to_all,
     CollOp.REDUCE_SCATTER: _flat_reduce_scatter,
 }
-_STAGED = {
-    CollOp.BROADCAST: _tree_broadcast,
-    CollOp.ALLGATHER: _ring_allgather,
-    CollOp.ALL_TO_ALL: _staged_all_to_all,
-    CollOp.REDUCE_SCATTER: _ring_reduce_scatter,
-}
+
+
+def tree_pays(members: int, nbytes: int, model: MachineModel) -> bool:
+    """Whether a broadcast of ``nbytes`` over ``members`` processors is
+    faster as the binomial tree than flat on the message backend.
+
+    Modelled on a loop of ``P`` broadcasts, one from each member in turn
+    (SUMMA's): flat waits ``P(P-1)/2 + P - 1`` injections in all, the tree
+    ``P * d`` (``d`` its depth) plus ``d - 1`` extra hops for its deepest
+    leaf.  docs/COLLECTIVES.md derives it and checks it on the simulator."""
+    depth = (members - 1).bit_length()
+    flat_sends = members * (members - 1) / 2 + members - 1
+    hop = model.message_cost(nbytes) + model.o_recv
+    return (depth - 1) * hop < (flat_sends - members * depth) * model.o_send
 
 
 def collective_ops(
-    inst: CollInstance, me: int, style: str = "flat"
+    inst: CollInstance, me: int, model: MachineModel | None = None
 ) -> Iterator[ChunkOp]:
     """Per-processor chunk-op stream for group member ``me`` (1-based).
 
-    In-place collectives (source and destination in the same array) run
-    the flat schedule even when ``staged`` is requested: the staged
-    families interleave sends of source chunks with receives into
-    destination chunks round by round, so aliasing storage could clobber
-    a chunk before its send round — e.g. an in-place all-to-all transpose
-    receives into the slot it must forward at round ``n - r``.  The flat
-    schedule dispatches every outgoing payload before any receive can
-    land, so it tolerates aliasing (and both produce identical values)."""
-    if style == "staged" and inst.stmt.src.var == inst.stmt.dst.var:
-        style = "flat"
-    table = {"flat": _FLAT, "staged": _STAGED}[style]
-    return table[inst.op](inst, me)
+    Every collective runs flat, except a broadcast that :func:`tree_pays`
+    under ``model`` — the cost model of a message-passing binding, None on
+    the shared-address one — runs as the binomial tree.  An in-place
+    broadcast (source and destination in one array) stays flat: tree
+    members forward from landing slots that aliasing storage may overlap
+    with a section still to be sent.  Both produce identical values."""
+    if (inst.op is CollOp.BROADCAST and model is not None
+            and inst.stmt.src.var != inst.stmt.dst.var
+            and tree_pays(len(inst.members),
+                          inst.src()[1].size * model.elem_bytes, model)):
+        return _tree_broadcast(inst, me)
+    return _FLAT[inst.op](inst, me)
 
 
 # ---------------------------------------------------------------------- #

@@ -1,9 +1,10 @@
 """Tests for the collective communication subsystem (ISSUE 8).
 
-Covers the IL surface (parse/print/verify), the backend schedule
-families and their bit-identity guarantee (native vs the point-to-point
-desugaring, msg vs shmem), the memory-bounded
-redistribution planner, and the analytic cost model's collective terms.
+Covers the IL surface (parse/print/verify), the schedules and their
+bit-identity guarantee (msg vs shmem, flat vs the binomial-tree
+broadcast, both vs the point-to-point desugaring), the broadcast rule's
+pick against the simulator, and the memory-bounded redistribution
+planner.
 """
 
 from __future__ import annotations
@@ -18,14 +19,16 @@ from repro.core.collectives.desugar import desugar_program, static_eval
 from repro.core.collectives.planner import (
     dist_from_spec, plan_bounded_redistribution,
 )
+from repro.core.collectives import schedule
 from repro.core.collectives.schedule import (
-    CollInstance, Fence, LocalCopy, LocalReduce, RecvChunk, SendChunk,
-    collective_ops, group_members, reduce_order,
+    CollInstance, Fence, LocalCopy, LocalReduce, RecvChunk,
+    collective_ops, group_members, reduce_order, tree_pays,
 )
 from repro.core.errors import (
     DistributionError, ProtocolError, VerificationError, XDPError,
 )
 from repro import Interpreter
+from repro.apps.matmul import run_matmul
 from repro.core.ir.nodes import CollectiveStmt, Full, Index, Range
 from repro.core.ir.parser import parse_program
 from repro.core.ir.printer import print_program
@@ -68,15 +71,13 @@ true : {
 
 #: The arrays whose final bytes the bit-identity guarantee covers: every
 #: collective source and destination.  SCR is deliberately absent — a
-#: reduce_scatter's scratch holds schedule-dependent residue (the staged
-#: ring and the flat gather stage different partials through it).
+#: reduce_scatter's scratch is staging space, and what it holds at the
+#: end is up to the schedule.
 ARRAYS = ("A", "W", "D", "T", "V", "S")
 
 
-def _run_all_arrays(src: str, nprocs: int, *, backend=None,
-                    collectives="native"):
-    runner = lower(parse_program(src), nprocs, backend=backend,
-                   collectives=collectives)
+def _run_all_arrays(src: str, nprocs: int, *, backend=None):
+    runner = lower(parse_program(src), nprocs, backend=backend)
     runner.run()
     return {name: runner.read_global(name) for name in ARRAYS}
 
@@ -147,31 +148,26 @@ class TestScheduleUnits:
         root = None if stmt.root is None else static_eval(stmt.root, 4)
         return CollInstance(stmt, members, root, resolve)
 
-    def test_staged_allgather_is_a_ring(self):
+    def test_in_place_collective_falls_back_to_flat(self, monkeypatch):
+        monkeypatch.setattr(schedule, "tree_pays", lambda *args: True)
+        model = MachineModel()
         inst = self._instance(
             "array A[1:4] dist (BLOCK) seg (1)\n"
             "array W[1:16] dist (BLOCK) seg (4)\n\n"
-            "coll allgather(g, d in 1:4) A[g] into W[(d-1)*4+g]\n"
+            "coll broadcast(d in 1:4, root 1) A[1] into W[(d-1)*4+1]\n"
         )
-        ops = list(collective_ops(inst, 2, "staged"))
-        sends = [o for o in ops if isinstance(o, SendChunk)]
-        recvs = [o for o in ops if isinstance(o, RecvChunk)]
-        # ring: P-1 hops, each a single-destination send + one receive
-        assert len(sends) == 3 and len(recvs) == 3
-        assert all(len(s.dests) == 1 for s in sends)
-        flat_sends = [o for o in collective_ops(inst, 2, "flat")
-                      if isinstance(o, SendChunk)]
-        # flat: one bulk send to everyone else
-        assert len(flat_sends) == 1 and len(flat_sends[0].dests) == 3
-
-    def test_in_place_collective_falls_back_to_flat(self):
+        # tree rank 1 receives from the root and forwards to rank 3; a
+        # flat receiver only receives
+        assert list(collective_ops(inst, 2, model)) != list(
+            collective_ops(inst, 2))
         inst = self._instance(
             "array A[1:16] dist (BLOCK) seg (4)\n\n"
             "coll broadcast(d in 1:4, root 1) A[1:4] into A[(d-1)*4+1:d*4]\n"
         )
-        staged = list(collective_ops(inst, 2, "staged"))
-        flat = list(collective_ops(inst, 2, "flat"))
-        assert staged == flat  # src var == dst var forces the flat family
+        for me in (1, 2, 3, 4):
+            # src var == dst var keeps the flat schedule
+            assert list(collective_ops(inst, me, model)) == list(
+                collective_ops(inst, me))
 
     def test_every_member_ends_with_fences(self):
         inst = self._instance(
@@ -180,9 +176,29 @@ class TestScheduleUnits:
             "coll allgather(g, d in 1:4) A[g] into W[(d-1)*4+g]\n"
         )
         for me in (1, 2, 3, 4):
-            for style in ("flat", "staged"):
-                ops = list(collective_ops(inst, me, style))
-                assert any(isinstance(o, Fence) for o in ops)
+            ops = list(collective_ops(inst, me))
+            assert any(isinstance(o, Fence) for o in ops)
+
+
+class TestBroadcastRule:
+    """The tree-or-flat broadcast rule picks the faster schedule of
+    SUMMA's loop of broadcasts in the simulator (msg, default model)."""
+
+    @pytest.mark.parametrize("n,nprocs,tree", [
+        (8, 4, False), (32, 16, True), (64, 32, True),
+    ])
+    def test_rule_picks_the_faster_schedule(self, n, nprocs, tree,
+                                             monkeypatch):
+        runs = {None: run_matmul(n, nprocs, "summa", backend="msg")}
+        for pick in (True, False):
+            with monkeypatch.context() as m:
+                m.setattr(schedule, "tree_pays", lambda *args: pick)
+                runs[pick] = run_matmul(n, nprocs, "summa", backend="msg")
+        assert runs[True].digest == runs[False].digest
+        assert runs[True].messages == runs[False].messages
+        faster = min(runs[True].makespan, runs[False].makespan)
+        assert runs[None].makespan == faster
+        assert runs[None].makespan == runs[tree].makespan
 
 
 # --------------------------------------------------------------------- #
@@ -237,17 +253,39 @@ class TestParsePrintVerify:
 class TestBitIdentity:
     def test_all_paths_bit_identical(self):
         reference = _run_all_arrays(COLL_SRC, 4, backend="msg")
-        paths = [
-            dict(backend="msg", collectives="p2p"),
-            dict(backend="shmem", collectives="native"),
-            dict(backend="shmem", collectives="p2p"),
-        ]
-        for kw in paths:
-            got = _run_all_arrays(COLL_SRC, 4, **kw)
-            for name in ARRAYS:
-                assert got[name].tobytes() == reference[name].tobytes(), (
-                    kw, name
-                )
+        got = _run_all_arrays(COLL_SRC, 4, backend="shmem")
+        for name in ARRAYS:
+            assert got[name].tobytes() == reference[name].tobytes(), name
+
+    def test_tree_broadcast_matches_the_oracle_on_both_backends(self):
+        # At P=32 a small broadcast runs as the tree on msg and flat on
+        # shmem; the desugared program is the flat point-to-point oracle.
+        src = (
+            "array A[1:64] dist (BLOCK) seg (2)\n"
+            "array W[1:32, 1:2] dist (BLOCK, *) seg (1, 2)\n\n"
+            "true : {\n"
+            "  A[2*mypid-1] = mypid\n"
+            "  A[2*mypid] = mypid * 7\n"
+            "  W[mypid, 1] = 0\n"
+            "  W[mypid, 2] = 0\n"
+            + "".join(
+                f"  coll broadcast(d in 1:32, root {k}) A[{2*k-1}:{2*k}] "
+                "into W[d, 1:2]\n"
+                "  A[2*mypid] = A[2*mypid] + W[mypid, 2]\n"
+                for k in (1, 6, 17, 32)
+            )
+            + "}\n"
+        )
+        program = parse_program(src)
+        assert tree_pays(32, 2 * 8, MachineModel())
+        oracle = Interpreter(desugar_program(program, 32), 32)
+        oracle.run()
+        for backend in ("msg", "shmem"):
+            runner = lower(program, 32, backend=backend)
+            runner.run()
+            for name in ("A", "W"):
+                assert (runner.read_global(name).tobytes()
+                        == oracle.read_global(name).tobytes()), (backend, name)
 
     def test_reference_values(self):
         got = _run_all_arrays(COLL_SRC, 4)

@@ -15,7 +15,11 @@ elimination and message vectorization: makespan 8152 -> 638 on msg and
 entries of ``fft3d_cyclic``, ``fft3d-s3`` and ``tune_fft3d_s0`` when await
 sinking began to decline an await that an enclosing loop already paces:
 makespan 68403 -> 66167, 1113 -> 1098 and 6703 -> 6634 on msg, with the
-same messages and result bytes.)
+same messages and result bytes.  And the msg entries of the ``matmul``
+gather, outer and summa cases when ``coll`` began to lower one way, flat
+but for a broadcast over a large group: each makespan fell, with the same
+messages and bytes; the outer digests moved only through the ``SCR``
+scratch array's schedule-dependent residue.)
 
 The same file is the O2-never-worse gate: O2 computes what O0 computes,
 and is no slower except on a pinned set of known losers.
