@@ -17,7 +17,8 @@ Commands
     and ``--backend shmem`` must print the same digest (result
     transparency, paper section 5).
     An option the run would ignore is ``repro run: <reason>`` on stderr
-    and exit status 2.
+    and exit status 2; the program's own run-time error (e.g. a write to
+    unowned data) is ``FILE: <message>`` and exit status 1.
 
 ``check FILE|APP``
     Statically verify communication safety (tag/cardinality mismatches,
@@ -74,7 +75,7 @@ from pathlib import Path
 import numpy as np
 
 from .core.codegen import lower
-from .core.errors import CompilationError, ParseError, VerificationError
+from .core.errors import CompilationError, ParseError, VerificationError, XDPError
 from .core.ir.nodes import CollectiveStmt, Guarded, RecvStmt, SendStmt
 from .core.ir.parser import parse_program
 from .core.ir.printer import print_program
@@ -307,7 +308,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for spec in args.init or ():
         name, _, kind = spec.partition("=")
         runner.write_global(name, _INIT_KINDS[kind](program.decl(name).shape))
-    stats = runner.run()
+    try:
+        stats = runner.run()
+    except XDPError as exc:  # the program's run-time error, not ours
+        print(f"{args.file}: {exc}", file=sys.stderr)
+        return 1
     print(stats.summary())
     for name in args.show or ():
         try:

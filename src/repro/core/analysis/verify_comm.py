@@ -4,10 +4,10 @@ XDP's premise is that explicit data placement lets the *compiler* reason
 about movement — yet a mismatched ``->``/``<-`` pair, a read of
 TRANSITIONAL data or an ownership-transfer race is only caught at run time
 by the engine.  :func:`verify_communication` closes that gap: it runs every
-processor through an *abstract* machine — a walker of its own over the IL
-tree, separate from the lowered VM of :mod:`repro.core.codegen.lower`, with
-data values erased and virtual time removed — and reports, with IL
-locations and severities:
+processor through an *abstract* machine — data values erased, virtual time
+removed; each IL expression compiled once per call into a closure over a
+processor's state, a generator only where an ``await`` can block — and
+reports, with IL locations and severities:
 
 * **tag / cardinality mismatches** — a receive whose destination section
   size differs from its message tag's, sends that no receive ever claims,
@@ -40,8 +40,10 @@ failure must land on an error *or* a waiver warning.  See docs/VERIFIER.md.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
+from inspect import CO_GENERATOR
 
 from ...distributions import ProcessorGrid
 from ..errors import VerificationError
@@ -49,11 +51,11 @@ from ..ir.nodes import (
     Accessible, ArrayDecl, ArrayRef, Assign, Await, BinOp, Block, BoolConst,
     CallStmt, CollOp, CollectiveStmt, DoLoop, Expr, ExprStmt, FloatConst,
     Full, Guarded, IfStmt, Index, IntConst, Iown, MaxIntConst, MinIntConst,
-    Mylb, Mypid, Myub, NumProcs, Program, Range, RecvStmt, ScalarDecl,
+    Mylb, Mypid, Myub, NumProcs, Program, RecvStmt, ScalarDecl,
     SendStmt, Stmt, UnaryOp, VarRef, XferOp,
 )
 from ..ir.printer import print_stmt
-from ..ir.visitor import walk_exprs
+from ..ir.visitor import walk_exprs, walk_stmts
 from ..sections import Section, Triplet, section_difference
 from ..segtable import SegmentTable
 from ..states import SegmentState
@@ -185,43 +187,39 @@ class CommVerificationError(VerificationError):
 # ---------------------------------------------------------------------- #
 
 
+@dataclass(eq=False, slots=True)
 class _PendRecv:
     """A posted receive: transitional marker until matched *and* awaited."""
 
-    __slots__ = ("seq", "pid1", "kind", "var", "sec", "into_var", "into_sec",
-                 "matched", "loc")
-
-    def __init__(self, seq, pid1, kind, var, sec, into_var, into_sec, loc):
-        self.seq = seq
-        self.pid1 = pid1
-        self.kind = kind          # "value" | "ownership" | "own_value"
-        self.var = var            # tag variable
-        self.sec = sec            # tag section
-        self.into_var = into_var
-        self.into_sec = into_sec
-        self.matched = False
-        self.loc = loc
+    seq: int
+    pid1: int
+    kind: str                 # "value" | "ownership" | "own_value"
+    var: str                  # tag variable
+    sec: Section              # tag section
+    into_var: str
+    into_sec: Section
+    loc: tuple
+    matched: bool = False
 
     @property
     def tag(self) -> str:
         return f"{self.kind} {self.var}{self.sec}"
 
 
+@dataclass(eq=False, slots=True)
 class _Msg:
     """An in-flight abstract message."""
 
-    __slots__ = ("kind", "var", "sec", "src1", "dst1", "claimed", "loc")
-
-    def __init__(self, kind, var, sec, src1, dst1, loc):
-        self.kind = kind
-        self.var = var
-        self.sec = sec
-        self.src1 = src1
-        self.dst1 = dst1          # 1-based or None (unspecified recipient)
-        self.claimed = False
-        self.loc = loc
+    kind: str
+    var: str
+    sec: Section
+    src1: int
+    dst1: int | None          # 1-based or None (unspecified recipient)
+    loc: tuple
+    claimed: bool = False
 
 
+@dataclass(eq=False, slots=True)
 class _ASeg:
     """One owned segment — a :class:`SegmentTable` descriptor: a section
     plus its outstanding receives.
@@ -231,67 +229,55 @@ class _ASeg:
     ``await`` has covered this segment since), empty ⇒ ACCESSIBLE.
     """
 
-    __slots__ = ("segment", "pending")
-
-    def __init__(self, segment: Section):
-        self.segment = segment
-        self.pending: list[_PendRecv] = []
+    segment: Section
+    pending: list[_PendRecv] = field(default_factory=list)
 
 
+@dataclass(eq=False, slots=True)
 class _Wait:
     """A blocking point: WaitAccessible(var, sec) from an await, an owner
     send, or a value receive's destination gate."""
 
-    __slots__ = ("var", "sec", "reason", "loc")
-
-    def __init__(self, var, sec, reason, loc):
-        self.var = var
-        self.sec = sec
-        self.reason = reason      # "await" | "release" | "recv-into"
-        self.loc = loc
+    var: str
+    sec: Section
+    reason: str               # "await" | "release" | "recv-into"
+    loc: tuple
 
 
+@dataclass(eq=False, slots=True)
 class _CollBarrier:
     """One dynamic instance of a collective site: the ``occ``-th execution
     of a given statement.  Members must all arrive with the same resolved
     signature (group, root, chunk sections) before any may proceed."""
 
-    __slots__ = ("stmt", "members", "signature", "first_pid1", "arrived")
-
-    def __init__(self, stmt, members, signature, first_pid1):
-        self.stmt = stmt
-        self.members = members
-        self.signature = signature
-        self.first_pid1 = first_pid1
-        self.arrived: set[int] = set()
+    stmt: CollectiveStmt
+    members: tuple[int, ...]
+    signature: tuple
+    first_pid1: int
+    arrived: set[int] = field(default_factory=set)
 
 
+@dataclass(eq=False, slots=True)
 class _CollWait:
     """A processor parked inside a collective: released when every member
     has arrived and the processor's landing sections are fence-able."""
 
-    __slots__ = ("barrier", "landings", "vars", "loc")
-
-    def __init__(self, barrier, landings, vars, loc):
-        self.barrier = barrier
-        self.landings = landings  # tuple[(var, Section), ...] owned by me
-        self.vars = vars          # involved array names (for waiver demotion)
-        self.loc = loc
+    barrier: _CollBarrier
+    landings: tuple           # ((var, Section), ...) owned by me
+    vars: tuple[str, ...]     # involved array names (for waiver demotion)
+    loc: tuple
 
 
+@dataclass(eq=False, slots=True)
 class _AProc:
-    __slots__ = ("pid1", "gen", "wait", "done", "doomed", "scalars", "stack",
-                 "decided")
-
-    def __init__(self, pid1, gen):
-        self.pid1 = pid1
-        self.gen = gen
-        self.wait: _Wait | None = None
-        self.done = False
-        self.doomed = False
-        self.scalars: dict = {}
-        self.stack: list[Stmt] = []   # enclosing guards/branches/loops
-        self.decided: dict[int, object] = {}  # id(condition) -> _decided()
+    pid1: int
+    gen: object
+    wait: _Wait | _CollWait | None = None
+    done: bool = False
+    doomed: bool = False
+    scalars: dict = field(default_factory=dict)
+    stack: list[Stmt] = field(default_factory=list)  # enclosing guards/branches/loops
+    decided: dict[int, object] = field(default_factory=dict)  # id(cond) -> _decided()
 
 
 class _RuleUnowned(Exception):
@@ -304,15 +290,6 @@ class _RuleUnknown(Exception):
 
 class _Budget(Exception):
     """Abstract step budget exhausted."""
-
-
-def _drain(gen):
-    """The value of an evaluation generator that never yields."""
-    try:
-        next(gen)
-    except StopIteration as done:
-        return done.value
-    raise AssertionError("evaluation yielded")  # pragma: no cover
 
 
 def _element_refs(loop: DoLoop):
@@ -379,6 +356,60 @@ def _head(node: Stmt | Expr, limit: int = 64) -> str:
     return text if len(text) <= limit else text[: limit - 1] + "…"
 
 
+def _blocks(fn) -> bool:
+    """Whether a compiled closure can park its processor (a generator)."""
+    return bool(fn.__code__.co_flags & CO_GENERATOR)
+
+
+def _kleene(is_or: bool, l_fn, r_fn):
+    """Kleene ``and`` / ``or`` (``is_or``): a known left side short-circuits
+    as in the VM; after an unknown one the right side decides by absorption
+    only, not by rule-falsifying exceptions (the engine may not evaluate it)."""
+    l_waits, r_waits = _blocks(l_fn), _blocks(r_fn)
+    if l_waits or r_waits:
+        def kleene_waits(p):
+            l = (yield from l_fn(p)) if l_waits else l_fn(p)
+            if l is not _UNKNOWN:
+                if bool(l) is is_or:
+                    return is_or
+                r = (yield from r_fn(p)) if r_waits else r_fn(p)
+                return r if r is _UNKNOWN else bool(r)
+            try:
+                r = (yield from r_fn(p)) if r_waits else r_fn(p)
+            except (_RuleUnowned, _RuleUnknown):
+                return _UNKNOWN
+            return is_or if r is not _UNKNOWN and bool(r) is is_or else _UNKNOWN
+        return kleene_waits
+
+    def kleene(p):
+        l = l_fn(p)
+        if l is not _UNKNOWN:
+            if bool(l) is is_or:
+                return is_or
+            r = r_fn(p)
+            return r if r is _UNKNOWN else bool(r)
+        try:
+            r = r_fn(p)
+        except (_RuleUnowned, _RuleUnknown):
+            return _UNKNOWN
+        return is_or if r is not _UNKNOWN and bool(r) is is_or else _UNKNOWN
+    return kleene
+
+
+def _div(l, r):
+    if isinstance(l, int) and isinstance(r, int):
+        return l // r if r != 0 else 0
+    return l / r if r != 0 else _UNKNOWN
+
+
+#: Value operators on known operands (⊤ for a divisor of 0 but ``int / 0``).
+_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div,
+    "%": lambda l, r: l % r if r != 0 else _UNKNOWN,
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "min": min, "max": max,
+}
 #: Expression nodes whose value depends on table state, not scalars alone.
 _TABLE_READS = (ArrayRef, Iown, Accessible, Await, Mylb, Myub)
 #: Expression nodes whose value is fixed per processor: no scalar (it may
@@ -409,7 +440,6 @@ class _Machine:
         # undischarged obligation manifests differs: on msg it is an
         # unreceived message / unsatisfied receive, on shmem a store that
         # is never fenced / a fence no store reaches.
-        self.backend = backend
         self.shmem = backend == "shmem"
         self.events = 0
         self.complete = True
@@ -442,12 +472,17 @@ class _Machine:
         self._order: list[tuple] = []
         self._flags = 0                          # flag() calls so far
         # Per-run memos; all die with this instance.
-        self._ref_facts: dict[int, tuple] = {}   # id(ArrayRef) -> _env facts
-        self._sections: dict[tuple, Section] = {}  # _env key -> resolution
+        self._sections: dict[tuple, Section] = {}  # env key -> resolution
         self._interned: dict[Section, Section] = {}
         self._coll_maps: dict[tuple, tuple] = {}  # rendezvous -> chunk map
-        self._loop_shapes: dict[int, tuple] = {}  # id(DoLoop) -> _element_refs
-        self._pid_only: dict[int, tuple] = {}     # id(condition) -> pid-only?
+        # Compiled once per run: id(node) -> closures (see _compile_stmt).
+        self._fns: dict[tuple[int, bool], object] = {}  # (id, rule mode)
+        self._env_keys: dict[int, object] = {}          # ArrayRef -> key fn
+        self._deciders: dict[int, object] = {}          # condition -> fn
+        self._plans = {id(s): self._compile_stmt(s)
+                       for s in walk_stmts(program.body)}
+        self._inits = [(d.name, d.init and self._fn(d.init))
+                       for d in program.scalar_decls()]
 
     # -------------------------------------------------------------- #
     # findings
@@ -478,25 +513,18 @@ class _Machine:
 
     def waive_block(self, block: Block) -> None:
         """Record every transfer variable under an unanalyzable region."""
-        for s in block:
+        for s in walk_stmts(block):
             match s:
                 case SendStmt(ref, _, _):
                     self.waived.add(ref.var)
                 case RecvStmt():
                     self.waived.add(s.into.var)
                     self.waived.add(s.message_ref().var)
-                case Guarded(_, body) | DoLoop(_, _, _, _, body):
-                    self.waive_block(body)
-                case IfStmt(_, then, orelse):
-                    self.waive_block(then)
-                    self.waive_block(orelse)
                 case CollectiveStmt():
                     self.waived.add(s.src.var)
                     self.waived.add(s.dst.var)
                     if s.scratch is not None:
                         self.waived.add(s.scratch.var)
-                case _:
-                    pass
 
     def demoted(self, *vars: str) -> bool:
         return any(v in self.waived for v in vars)
@@ -653,12 +681,8 @@ class _Machine:
     # -------------------------------------------------------------- #
 
     def boot(self, p: _AProc):
-        for d in self.program.scalar_decls():
-            if d.init is not None:
-                v = yield from self._eval(d.init, p, rule=False)
-                p.scalars[d.name] = v
-            else:
-                p.scalars[d.name] = 0
+        for name, init in self._inits:
+            p.scalars[name] = 0 if init is None else init(p)
         yield from self._exec_block(self.program.body, p)
 
     def _tick(self) -> None:
@@ -667,73 +691,53 @@ class _Machine:
             raise _Budget()
 
     def _exec_block(self, block: Block, p: _AProc):
-        decided = p.decided
+        """One event per statement; a generator its executor returns is stepped."""
+        decided, plans = p.decided, self._plans
         for stmt in block:
+            self._tick()
             if type(stmt) is Guarded and decided.get(id(stmt.rule)) is False:
-                self._tick()  # another processor's block: one event, no walk
-                continue
-            yield from self._exec(stmt, p)
+                continue  # another processor's block: no walk
+            run, plan = plans[id(stmt)]
+            parked = run(stmt, plan, p)
+            if parked is not None:
+                yield from parked
 
-    def _exec(self, stmt: Stmt, p: _AProc):
-        self._tick()
-        match stmt:
-            case Guarded(rule, body):
-                ok = self._decided(rule, p)
-                if ok is None:
-                    ok = yield from self._eval_rule(rule, p, stmt)
-                if ok is _UNKNOWN:
-                    self.flag(
-                        "warning", "data-dependent-rule",
-                        "compute rule depends on run-time data; body skipped "
-                        "and its transfers waived", self.loc(p, stmt), p.pid1,
-                    )
-                    self.waive_block(body)
-                elif ok:
-                    p.stack.append(stmt)
-                    try:
-                        yield from self._exec_block(body, p)
-                    finally:
-                        p.stack.pop()
-            case Assign(target, expr):
-                yield from self._exec_assign(target, expr, p, stmt)
-            case SendStmt():
-                yield from self._exec_send(stmt, p)
-            case RecvStmt():
-                yield from self._exec_recv(stmt, p)
-            case DoLoop():
-                yield from self._exec_loop(stmt, p)
-            case IfStmt(cond, then, orelse):
-                c = self._decided(cond, p)
-                if c is None:
-                    c = yield from self._eval(cond, p, rule=False)
-                if c is _UNKNOWN:
-                    self.flag(
-                        "warning", "data-dependent-branch",
-                        "branch condition depends on run-time data; both "
-                        "arms skipped and their transfers waived",
-                        self.loc(p, stmt), p.pid1,
-                    )
-                    self.waive_block(then)
-                    self.waive_block(orelse)
-                else:
-                    p.stack.append(stmt)
-                    try:
-                        yield from self._exec_block(then if c else orelse, p)
-                    finally:
-                        p.stack.pop()
-            case CallStmt():
-                yield from self._exec_call(stmt, p)
-            case CollectiveStmt():
-                yield from self._exec_collective(stmt, p)
-            case ExprStmt(expr):
-                yield from self._eval(expr, p, rule=False)
-            case _:  # pragma: no cover - exhaustive over Stmt
-                raise TypeError(f"cannot verify statement {stmt!r}")
+    def _exec_branch(self, stmt: Guarded | IfStmt, plan: tuple, p: _AProc):
+        """A compute rule or an ``if``: its value decided or evaluated; ⊤
+        skips the body (both arms) and waives their transfers."""
+        rule = type(stmt) is Guarded
+        c = self._decided(stmt.rule if rule else stmt.cond, p)
+        if c is None:
+            c = yield from self._guard_value(*plan, p)
+        if c is _UNKNOWN:
+            if rule:
+                self.flag("warning", "data-dependent-rule",
+                          "compute rule depends on run-time data; body skipped "
+                          "and its transfers waived", self.loc(p, stmt), p.pid1)
+                self.waive_block(stmt.body)
+            else:
+                self.flag("warning", "data-dependent-branch",
+                          "branch condition depends on run-time data; both "
+                          "arms skipped and their transfers waived",
+                          self.loc(p, stmt), p.pid1)
+                self.waive_block(stmt.then)
+                self.waive_block(stmt.orelse)
+        elif c or not rule:
+            p.stack.append(stmt)
+            try:
+                yield from self._exec_block(
+                    stmt.body if rule else stmt.then if c else stmt.orelse, p)
+            finally:
+                p.stack.pop()
 
-    def _exec_loop(self, stmt: DoLoop, p: _AProc):
-        lo = yield from self._eval(stmt.lo, p, rule=False)
-        hi = yield from self._eval(stmt.hi, p, rule=False)
-        step = yield from self._eval(stmt.step, p, rule=False)
+    def _exec_call(self, stmt: CallStmt, plan: list, p: _AProc) -> None:
+        # Kernels read and write their section arguments through the
+        # run-time table: same checks as a read.
+        for fn in plan:
+            fn(p)
+
+    def _exec_loop(self, stmt: DoLoop, plan: tuple, p: _AProc):
+        lo, hi, step = (fn(p) for fn in plan[:3])
         if _UNKNOWN in (lo, hi, step):
             self.flag(
                 "warning", "symbolic-loop",
@@ -775,10 +779,7 @@ class _Machine:
         trip = (hi - lo) // step + 1
         if trip <= 0 or self.events + trip * len(loop.body) > self.max_events:
             return False
-        if id(loop) not in self._loop_shapes:
-            # ``loop`` is held so its id() stays unique.
-            self._loop_shapes[id(loop)] = (_element_refs(loop), loop)
-        shape = self._loop_shapes[id(loop)][0]
+        shape = self._plans[id(loop)][1][3]
         if shape is None:
             return False
         refs, names = shape
@@ -814,17 +815,11 @@ class _Machine:
             ends = []
             for v in (first, last):
                 p.scalars[var] = v
-                ends.append(self._int_value(sub.expr, p))
-            if None in ends:
+                ends.append(self._fn(sub.expr)(p))
+            if not all(type(v) is int for v in ends):
                 return None
             dims.append(Triplet(min(ends), max(ends), step))
         return Section(tuple(dims))
-
-    def _int_value(self, e: Expr, p: _AProc) -> int | None:
-        """The value of a scalar expression that cannot yield or flag (its
-        scalars are bound), when it is an int."""
-        v = _drain(self._eval(e, p, rule=False))
-        return v if type(v) is int else None
 
     def _decided(self, cond: Expr, p: _AProc):
         """``cond``'s value on ``p`` (a bool or ⊤) when it reads only
@@ -833,24 +828,33 @@ class _Machine:
         it raises no finding, so it is evaluated once per (condition,
         processor)."""
         key = id(cond)
-        if key not in p.decided:
-            if key not in self._pid_only:
-                self._pid_only[key] = (
-                    all(isinstance(e, _PID_ONLY) for e in walk_exprs(cond)), cond)
-            v = None
-            if self._pid_only[key][0]:
-                v = _drain(self._eval(cond, p, rule=False))
-                v = v if v is _UNKNOWN else bool(v)
-            p.decided[key] = v
-        return p.decided[key]
+        v = p.decided.get(key, _ABSENT)
+        if v is _ABSENT:
+            fn = self._deciders[key]
+            v = None if fn is None else fn(p)
+            p.decided[key] = v = v if v is None or v is _UNKNOWN else bool(v)
+        return v
 
-    def _exec_assign(self, target, expr, p: _AProc, stmt: Stmt):
-        value = yield from self._eval(expr, p, rule=False)
+    def _guard_value(self, fn, waits: bool, p: _AProc):
+        """The truth value of a rule, condition or expression statement: a
+        rule is false on an unowned read, ⊤ where undecidable."""
+        try:
+            v = (yield from fn(p)) if waits else fn(p)
+        except _RuleUnowned:
+            return False
+        except _RuleUnknown:
+            return _UNKNOWN
+        return v if v is _UNKNOWN else bool(v)
+
+    def _exec_assign(self, stmt: Assign, plan: tuple, p: _AProc) -> None:
+        target = stmt.target
+        value_fn, decl, resolve = plan
+        value = value_fn(p)
         if isinstance(target, VarRef):
             p.scalars[target.name] = value
             return
-        decl, sec = yield from self._resolve(target, p, stmt)
-        if decl is None or (isinstance(decl, ArrayDecl) and decl.universal):
+        sec = resolve(p)
+        if decl is None or decl.universal:
             return
         if sec is None:
             self.flag("warning", "unresolved-write",
@@ -869,12 +873,13 @@ class _Machine:
                       "the arriving message may overwrite it",
                       self.loc(p, stmt), p.pid1)
 
-    def _exec_send(self, stmt: SendStmt, p: _AProc):
+    def _exec_send(self, stmt: SendStmt, plan: tuple, p: _AProc):
         loc = self.loc(p, stmt)
-        decl, sec = yield from self._resolve(stmt.ref, p, stmt)
+        decl, resolve, dest_fns = plan
+        sec = resolve(p)
         if decl is None:
             return
-        if isinstance(decl, ArrayDecl) and decl.universal:
+        if decl.universal:
             self.flag("error", "send-universal",
                       f"transfer of universal section {stmt.ref.var}", loc,
                       p.pid1)
@@ -886,10 +891,10 @@ class _Machine:
             self.waived.add(stmt.ref.var)
             return
         dests: list[int] | None = None
-        if stmt.dests is not None:
+        if dest_fns is not None:
             dests = []
-            for e in stmt.dests:
-                v = yield from self._eval(e, p, rule=False)
+            for fn in dest_fns:
+                v = fn(p)
                 if v is _UNKNOWN:
                     self.flag("warning", "unresolved-destination",
                               f"cannot resolve a destination of "
@@ -932,12 +937,13 @@ class _Machine:
         for dst1 in (dests if dests is not None else [None]):
             self.route(_Msg(kind, stmt.ref.var, sec, p.pid1, dst1, loc))
 
-    def _exec_recv(self, stmt: RecvStmt, p: _AProc):
+    def _exec_recv(self, stmt: RecvStmt, plan: tuple, p: _AProc):
         loc = self.loc(p, stmt)
-        decl, into_sec = yield from self._resolve(stmt.into, p, stmt)
+        decl, resolve, src_decl, src_resolve = plan
+        into_sec = resolve(p)
         if decl is None:
             return
-        if isinstance(decl, ArrayDecl) and decl.universal:
+        if decl.universal:
             self.flag("error", "recv-universal",
                       f"receive into universal section {stmt.into.var}", loc,
                       p.pid1)
@@ -951,7 +957,7 @@ class _Machine:
             return
         kind = _KIND[stmt.op]
         if stmt.op is XferOp.RECV_VALUE:
-            src_decl, src_sec = yield from self._resolve(stmt.source, p, stmt)
+            src_sec = src_resolve(p)
             if src_decl is None:
                 return
             if src_sec is None:
@@ -1001,7 +1007,7 @@ class _Machine:
             table.invalidate_index()
             self.post_recv(recv)
 
-    def _exec_collective(self, stmt: CollectiveStmt, p: _AProc):
+    def _exec_collective(self, stmt: CollectiveStmt, plan: tuple, p: _AProc):
         """A collective is a typed rendezvous of the whole group: every
         member must reach the same dynamic instance of the site with the
         same resolution (group, root, chunk sections).  Arrival order is
@@ -1022,14 +1028,8 @@ class _Machine:
                       "waived", loc, p.pid1)
             self.waived.update(coll_vars)
 
-        lo, hi, step = stmt.group
-        lo_v = yield from self._eval(lo, p, rule=False)
-        hi_v = yield from self._eval(hi, p, rule=False)
-        st_v = 1 if step is None else (
-            yield from self._eval(step, p, rule=False))
-        root_v = None
-        if stmt.root is not None:
-            root_v = yield from self._eval(stmt.root, p, rule=False)
+        lo_v, hi_v, st_v = (fn(p) for fn in plan[:3])
+        root_v = None if plan[3] is None else plan[3](p)
         if _UNKNOWN in (lo_v, hi_v, st_v) or root_v is _UNKNOWN:
             waive("collective group/root depends on run-time data")
             return
@@ -1063,13 +1063,12 @@ class _Machine:
         # One chunk map per rendezvous, not per member: members whose
         # environments agree share it; one that differs resolves its own and
         # the signature comparison below still decides the mismatch.
-        envs = [self._env(ref, p) for ref in (stmt.src, stmt.dst, stmt.scratch)
-                if ref is not None]
+        envs = [op[2] and op[2](p) for op in plan[4] if op is not None]
         key = None if None in envs else (members, root_v, *envs)
         cmap = self._coll_maps.get(key)
         if cmap is None:
             flags = self._flags
-            cmap = yield from self._coll_map(stmt, members, root_v, p)
+            cmap = self._coll_map(stmt, members, root_v, p)
             if cmap == "universal":
                 self.flag("error", "collective-universal",
                           "collective over a universal array: only "
@@ -1151,24 +1150,26 @@ class _Machine:
         reads by contributor, landings by destination)``, or the string
         ``"universal"`` / ``"unresolved"``."""
         gb, db = stmt.g_binder, stmt.d_binder
+        src, dst, scratch = self._plans[id(stmt)][1][4]
         unresolved = universal = False
 
-        def sec_of(ref: ArrayRef, g=None, d=None):
+        def sec_of(operand: tuple, g=None, d=None):
             """Resolve an operand with the binder values in scope."""
             nonlocal unresolved, universal
+            decl, resolve, _ = operand
             bindings = {k: v for k, v in ((gb, g), (db, d))
                         if k is not None and v is not None}
             saved = {k: p.scalars.get(k, _ABSENT) for k in bindings}
             p.scalars.update(bindings)
             try:
-                decl, sec = yield from self._resolve(ref, p, stmt)
+                sec = resolve(p)
             finally:
                 for k, v in saved.items():
                     if v is _ABSENT:
                         p.scalars.pop(k, None)
                     else:
                         p.scalars[k] = v
-            if isinstance(decl, ArrayDecl) and decl.universal:
+            if decl is not None and decl.universal:
                 universal = True
                 return None
             unresolved = unresolved or sec is None
@@ -1178,37 +1179,37 @@ class _Machine:
         transfers: list[tuple[int, int, Section, Section]] = []
         scratches: dict[int, Section] = {}
         if op is CollOp.BROADCAST:
-            ssec = yield from sec_of(stmt.src)
+            ssec = sec_of(src)
             for d in members:
-                dsec = yield from sec_of(stmt.dst, d=d)
+                dsec = sec_of(dst, d=d)
                 if ssec is not None and dsec is not None:
                     transfers.append((root_v, d, ssec, dsec))
         elif op is CollOp.ALLGATHER:
             srcs: dict[int, Section | None] = {}
             for g in members:
-                srcs[g] = yield from sec_of(stmt.src, g)
+                srcs[g] = sec_of(src, g)
             for g in members:
                 for d in members:
-                    dsec = yield from sec_of(stmt.dst, g, d)
+                    dsec = sec_of(dst, g, d)
                     if srcs[g] is not None and dsec is not None:
                         transfers.append((g, d, srcs[g], dsec))
         elif op is CollOp.ALL_TO_ALL:
             for g in members:
                 for d in members:
-                    ssec = yield from sec_of(stmt.src, g, d)
-                    dsec = yield from sec_of(stmt.dst, g, d)
+                    ssec = sec_of(src, g, d)
+                    dsec = sec_of(dst, g, d)
                     if ssec is not None and dsec is not None:
                         transfers.append((g, d, ssec, dsec))
         else:  # REDUCE_SCATTER
             dsts: dict[int, Section | None] = {}
             for d in members:
-                dsts[d] = yield from sec_of(stmt.dst, d=d)
-                sc = yield from sec_of(stmt.scratch, d=d)
+                dsts[d] = sec_of(dst, d=d)
+                sc = sec_of(scratch, d=d)
                 if sc is not None:
                     scratches[d] = sc
             for g in members:
                 for d in members:
-                    ssec = yield from sec_of(stmt.src, g, d)
+                    ssec = sec_of(src, g, d)
                     if ssec is not None and dsts[d] is not None:
                         transfers.append((g, d, ssec, dsts[d]))
         if universal:
@@ -1236,273 +1237,287 @@ class _Machine:
                 lands.setdefault(d, {})[(stmt.scratch.var, sc)] = None
         return transfers, scratches, sigtail, reads, lands
 
-    def _exec_call(self, stmt: CallStmt, p: _AProc):
-        # Kernels read and write their section arguments through the
-        # run-time table: same checks as a read.
-        for a in stmt.args:
-            if isinstance(a, ArrayRef) and not a.is_element():
-                yield from self._read(a, p, stmt, rule=False)
-            else:
-                yield from self._eval(a, p, rule=False)
-
     # -------------------------------------------------------------- #
-    # expressions
+    # compilation: each expression once, to a closure over a processor
     # -------------------------------------------------------------- #
 
-    def _eval_rule(self, rule: Expr, p: _AProc, stmt: Stmt):
-        try:
-            v = yield from self._eval(rule, p, rule=True)
-        except _RuleUnowned:
-            return False
-        except _RuleUnknown:
-            return _UNKNOWN
-        if v is _UNKNOWN:
-            return _UNKNOWN
-        return bool(v)
+    def _compile_stmt(self, stmt: Stmt) -> tuple:
+        """(the executor, the closures it calls) of ``stmt``."""
+        fn, ref = self._fn, self._compile_ref
+        match stmt:
+            case Guarded(e) | IfStmt(e) | ExprStmt(e):
+                pid_only = all(isinstance(x, _PID_ONLY) for x in walk_exprs(e))
+                self._deciders[id(e)] = fn(e) if pid_only else None
+                # Rule mode matters only where a rule reads an array.
+                e_fn = fn(e, type(stmt) is Guarded and any(
+                    isinstance(x, ArrayRef) for x in walk_exprs(e)), guard=True)
+                run = self._exec_branch if type(stmt) is not ExprStmt else (
+                    lambda _, plan, p: self._guard_value(*plan, p))
+                return run, (e_fn, _blocks(e_fn))
+            case Assign(target, expr):
+                return self._exec_assign, (fn(expr), *(
+                    ref(target, stmt) if isinstance(target, ArrayRef) else (None, None)))
+            case SendStmt(r, _, dests):
+                return self._exec_send, (*ref(r, stmt), dests and [fn(d) for d in dests])
+            case RecvStmt(into, _, source):
+                return self._exec_recv, (*ref(into, stmt),
+                                         *(source and ref(source, stmt) or (None, None)))
+            case DoLoop(_, lo, hi, step):
+                return self._exec_loop, (fn(lo), fn(hi), fn(step), _element_refs(stmt))
+            case CallStmt(_, args):
+                return self._exec_call, [
+                    self._compile_read(a, stmt, False)
+                    if isinstance(a, ArrayRef) and not a.is_element() else fn(a)
+                    for a in args]
+            case CollectiveStmt(group=(lo, hi, step), root=root):
+                return self._exec_collective, (
+                    fn(lo), fn(hi), step and fn(step) or (lambda p: 1), root and fn(root),
+                    [r and (*ref(r, stmt), self._env_key(r))
+                     for r in (stmt.src, stmt.dst, stmt.scratch)])
+        raise TypeError(f"cannot verify statement {stmt!r}")  # pragma: no cover
 
-    def _read(self, ref: ArrayRef, p: _AProc, stmt: Stmt, *, rule: bool):
-        decl, sec = yield from self._resolve(ref, p, stmt)
-        if decl is None:
-            return _UNKNOWN
-        if isinstance(decl, ArrayDecl) and decl.universal:
-            return _UNKNOWN
-        if sec is None:
-            if not rule:
-                self.flag("warning", "unresolved-read",
-                          f"cannot resolve read section of {ref.var}; "
-                          "ownership of the read is unchecked",
-                          self.loc(p, stmt), p.pid1)
-                return _UNKNOWN
-            raise _RuleUnknown()
-        state = self.state_of(p.pid1, ref.var, sec)
-        if state is _UNOWNED:
-            if rule:
-                # §2.4: an unowned reference makes the rule false.
-                raise _RuleUnowned()
-            self.flag("error", "unowned-read",
-                      f"read of unowned section {ref.var}{sec}",
-                      self.loc(p, stmt), p.pid1)
-            return _UNKNOWN
-        if state is _TRANSITIONAL:
-            if rule:
-                # Whether the message has arrived is timing-dependent: the
-                # strict engine makes the rule false, a non-strict run reads
-                # whatever was delivered.
-                self.flag("warning", "rule-reads-transitional",
-                          f"compute rule reads {ref.var}{sec} with a receive "
-                          "in flight; its value is schedule-dependent",
-                          self.loc(p, stmt), p.pid1)
-                raise _RuleUnknown()
-            self.flag("error", "stale-read",
-                      f"read of {ref.var}{sec} with a receive initiated and "
-                      "no await since", self.loc(p, stmt), p.pid1)
-        return _UNKNOWN
+    def _fn(self, e: Expr, rule: bool = False, guard: bool = False):
+        """``e``'s closure ``fn(p)`` → its value on ``p``, compiled once; only a
+        ``guard`` position admits an ``await`` (a generator function)."""
+        fn = self._fns.get((id(e), rule))
+        if fn is None:
+            fn = self._fns[id(e), rule] = self._compile(e, rule)
+        if not guard and _blocks(fn):
+            raise VerificationError(f"'{_head(e)}': await() is a guard, not a value")
+        return fn
 
-    def _env(self, ref: ArrayRef, p: _AProc) -> tuple | None:
-        """What resolving ``ref`` depends on in ``p``'s environment, as a
-        key: the values of the scalars its subscripts mention, and ``mypid``
-        only if they mention it.  ``None`` — never shared — when a subscript
-        reads table state or a value is neither an int nor absent (``/``
-        floors ints only; a binder is absent until its collective binds it)."""
-        facts = self._ref_facts.get(id(ref))
-        if facts is None:
-            subs = [e for e in walk_exprs(ref) if e is not ref]
-            names = tuple(sorted({e.name for e in subs if isinstance(e, VarRef)}))
-            # (serial number, ...); ``ref`` is held so its id() stays unique.
-            facts = self._ref_facts[id(ref)] = (
-                None if any(isinstance(e, _TABLE_READS) for e in subs)
-                else len(self._ref_facts),
-                any(isinstance(e, Mypid) for e in subs), names, ref)
-        serial, mypid, names, _ = facts
-        vals = tuple(map(p.scalars.get, names))
-        if serial is None or not all(map(_KEYABLE.__contains__, map(type, vals))):
-            return None
-        return (serial, mypid and p.pid1, *vals)
-
-    def _resolve(self, ref: ArrayRef, p: _AProc, stmt: Stmt):
-        """→ (decl, Section | None); (None, None) for undeclared names.
-        Memoized per :meth:`_env` unless unresolved or a finding was raised."""
-        key = self._env(ref, p)
-        sec = self._sections.get(key)
-        if sec is not None:
-            return self.decls[ref.var], sec
-        flags = self._flags
-        res = yield from self._resolve_fresh(ref, p, stmt)
-        if key is not None and res[1] is not None and self._flags == flags:
-            sec = self._interned.setdefault(res[1], res[1])  # one per value
-            self._sections[key] = sec
-            return res[0], sec
-        return res
-
-    def _resolve_fresh(self, ref: ArrayRef, p: _AProc, stmt: Stmt):
-        decl = self.decls.get(ref.var)
-        if decl is None or isinstance(decl, ScalarDecl):
-            self.flag("error", "unknown-variable",
-                      f"{ref.var!r} is not a declared array",
-                      self.loc(p, stmt), p.pid1)
-            return None, None
-        if len(ref.subs) != decl.rank:
-            self.flag("error", "rank-mismatch",
-                      f"{ref.var} has rank {decl.rank}, reference has "
-                      f"{len(ref.subs)} subscripts", self.loc(p, stmt), p.pid1)
-            return None, None
-        dims: list[Triplet] = []
-        for sub, (lo_b, hi_b) in zip(ref.subs, decl.bounds):
-            match sub:
-                case Full():
-                    dims.append(Triplet(lo_b, hi_b, 1))
-                case Index(expr):
-                    v = yield from self._eval(expr, p, rule=False)
-                    if v is _UNKNOWN:
-                        return decl, None
-                    dims.append(Triplet(int(v), int(v), 1))
-                case Range(lo, hi, step):
-                    parts: list[int] = []
-                    for part, default in ((lo, lo_b), (hi, hi_b), (step, 1)):
-                        if part is None:
-                            parts.append(default)
-                            continue
-                        v = yield from self._eval(part, p, rule=False)
-                        if v is _UNKNOWN:
-                            return decl, None
-                        parts.append(int(v))
-                    try:
-                        dims.append(Triplet(*parts))
-                    except ValueError:
-                        self.flag("error", "empty-section",
-                                  f"empty triplet {parts[0]}:{parts[1]}:"
-                                  f"{parts[2]} in reference to {ref.var}",
-                                  self.loc(p, stmt), p.pid1)
-                        return decl, None
-        return decl, Section(tuple(dims))
-
-    def _intrinsic_ref(self, ref: ArrayRef, p: _AProc, stmt: Stmt):
-        """Resolve an intrinsic's first argument (name position)."""
-        decl, sec = yield from self._resolve(ref, p, stmt)
-        if decl is None:
-            return None
-        if isinstance(decl, ArrayDecl) and decl.universal:
-            self.flag("error", "intrinsic-universal",
-                      f"intrinsic on universal array {ref.var}: only "
-                      "exclusive variables are tabulated",
-                      self.loc(p, stmt), p.pid1)
-            return None
-        return sec
-
-    def _eval(self, e: Expr, p: _AProc, *, rule: bool):
+    def _compile(self, e: Expr, rule: bool):
+        """One node (operands through :meth:`_fn`), evaluated in IL order with
+        its findings, ⊤ operands included; in a compute rule (``rule``) an
+        unowned read raises :class:`_RuleUnowned`, an undecidable one
+        :class:`_RuleUnknown`."""
         match e:
             case IntConst(v) | FloatConst(v) | BoolConst(v):
-                return v
-            case VarRef(name):
-                if name in p.scalars:
-                    return p.scalars[name]
-                if name in self.decls:   # array name used as a value
-                    self.flag("error", "unknown-variable",
-                              f"array {name!r} used without subscripts",
-                              self.loc(p), p.pid1)
-                    return _UNKNOWN
-                self.flag("error", "undefined-scalar",
-                          f"undefined scalar {name!r}", self.loc(p), p.pid1)
-                return _UNKNOWN
+                return lambda p: v
+            case MaxIntConst() | MinIntConst():
+                v = MAXINT if type(e) is MaxIntConst else MININT
+                return lambda p: v
             case Mypid():
-                return p.pid1
+                return lambda p: p.pid1
             case NumProcs():
-                return self.nprocs
-            case MaxIntConst():
-                return MAXINT
-            case MinIntConst():
-                return MININT
-            case UnaryOp(op, operand):
-                v = yield from self._eval(operand, p, rule=rule)
-                if v is _UNKNOWN:
-                    return _UNKNOWN
-                return (not v) if op == "not" else (-v)
-            case BinOp(op, lhs, rhs):
-                return (yield from self._eval_binop(op, lhs, rhs, p, rule))
-            case ArrayRef():
-                return (yield from self._read(e, p, e, rule=rule))
-            case Iown(ref):
-                sec = yield from self._intrinsic_ref(ref, p, e)
-                if sec is None:
-                    return _UNKNOWN
-                return self.iown(p.pid1, ref.var, sec)
-            case Accessible(ref):
-                sec = yield from self._intrinsic_ref(ref, p, e)
-                if sec is None:
-                    return _UNKNOWN
-                state = self.state_of(p.pid1, ref.var, sec)
-                if state is _TRANSITIONAL:
-                    # Arrival timing decides; never a constant.
-                    return _UNKNOWN
-                return state is not _UNOWNED
-            case Await(ref):
-                sec = yield from self._intrinsic_ref(ref, p, e)
-                if sec is None:
-                    return _UNKNOWN
-                if not self.iown(p.pid1, ref.var, sec):
-                    return False
-                yield _Wait(ref.var, sec, "await", self.loc(p, e))
-                return True
-            case Mylb(ref, dim) | Myub(ref, dim):
-                sec = yield from self._intrinsic_ref(ref, p, e)
-                d = yield from self._eval(dim, p, rule=rule)
-                if sec is None or d is _UNKNOWN:
-                    return _UNKNOWN
-                k = int(d) - 1
-                owned = [seg.segment.dims[k].intersect(sec.dims[k])
-                         for seg in self.overlapping(p.pid1, ref.var, sec)]
-                if isinstance(e, Mylb):
-                    return min((t.lo for t in owned), default=MAXINT)
-                return max((t.hi for t in owned), default=MININT)
-            case _:  # pragma: no cover - exhaustive over Expr
-                raise TypeError(f"cannot evaluate {e!r}")
+                return lambda p: self.nprocs
+            case VarRef(name):
+                if name in self.decls:
+                    code, text = "unknown-variable", f"array {name!r} used without subscripts"
+                else:
+                    code, text = "undefined-scalar", f"undefined scalar {name!r}"
 
-    def _eval_binop(self, op: str, lhs: Expr, rhs: Expr, p: _AProc, rule: bool):
-        if op in ("and", "or"):
-            l = yield from self._eval(lhs, p, rule=rule)
-            if l is not _UNKNOWN:
-                if op == "and" and not l:
-                    return False
-                if op == "or" and l:
+                def var(p):
+                    try:
+                        return p.scalars[name]
+                    except KeyError:
+                        self.flag("error", code, text, self.loc(p), p.pid1)
+                        return _UNKNOWN
+                return var
+            case UnaryOp(op, operand):
+                inner, neg = self._fn(operand, rule, op == "not"), op != "not"
+                if _blocks(inner):
+                    def not_(p):
+                        v = yield from inner(p)
+                        return v if v is _UNKNOWN else not v
+                    return not_
+                return lambda p: (v if (v := inner(p)) is _UNKNOWN
+                                  else -v if neg else not v)
+            case BinOp("and" | "or" as op, lhs, rhs):
+                return _kleene(op == "or", self._fn(lhs, rule, True),
+                               self._fn(rhs, rule, True))
+            case BinOp(op, lhs, rhs):
+                op, l_fn = _OPS[op], self._fn(lhs, rule)
+                if isinstance(rhs, (IntConst, FloatConst)):
+                    c = rhs.value
+                    return lambda p: l if (l := l_fn(p)) is _UNKNOWN else op(l, c)
+                r_fn = self._fn(rhs, rule)
+
+                def binop(p):
+                    l, r = l_fn(p), r_fn(p)
+                    if l is _UNKNOWN or r is _UNKNOWN:
+                        return _UNKNOWN
+                    return op(l, r)
+                return binop
+            case ArrayRef():
+                return self._compile_read(e, e, rule)
+        # An intrinsic: its first argument names a section of an exclusive
+        # array (a universal one is not tabulated).
+        var = e.ref.var
+        decl, sec_of = self._compile_ref(e.ref, e)
+        if decl is not None and decl.universal:
+            def sec_of(p, resolve=sec_of):
+                resolve(p)
+                self.flag("error", "intrinsic-universal",
+                          f"intrinsic on universal array {var}: only "
+                          "exclusive variables are tabulated", self.loc(p, e), p.pid1)
+        match e:
+            case Iown():
+                return lambda p: (_UNKNOWN if (sec := sec_of(p)) is None
+                                  else self.iown(p.pid1, var, sec))
+            case Accessible():
+                def accessible(p):
+                    if (sec := sec_of(p)) is None:
+                        return _UNKNOWN
+                    state = self.state_of(p.pid1, var, sec)
+                    if state is _TRANSITIONAL:
+                        return _UNKNOWN  # arrival timing decides
+                    return state is not _UNOWNED
+                return accessible
+            case Mylb(_, dim) | Myub(_, dim):
+                dim_fn = self._fn(dim, rule)
+
+                def bound(p):
+                    sec, d = sec_of(p), dim_fn(p)
+                    if sec is None or d is _UNKNOWN:
+                        return _UNKNOWN
+                    k = int(d) - 1
+                    owned = [seg.segment.dims[k].intersect(sec.dims[k])
+                             for seg in self.overlapping(p.pid1, var, sec)]
+                    if isinstance(e, Mylb):
+                        return min((t.lo for t in owned), default=MAXINT)
+                    return max((t.hi for t in owned), default=MININT)
+                return bound
+            case Await():
+                def await_(p):
+                    if (sec := sec_of(p)) is None:
+                        return _UNKNOWN
+                    if not self.iown(p.pid1, var, sec):
+                        return False
+                    yield _Wait(var, sec, "await", self.loc(p, e))
                     return True
-                r = yield from self._eval(rhs, p, rule=rule)
-                return r if r is _UNKNOWN else bool(r)
-            # Unknown left side: the engine may or may not evaluate the
-            # right side, so its rule-falsifying exceptions must not decide.
+                return await_
+        raise TypeError(f"cannot evaluate {e!r}")  # pragma: no cover
+
+    def _compile_read(self, ref: ArrayRef, at: Stmt | Expr, rule: bool):
+        """A read of ``ref``, findings located at ``at``: ⊤, after the
+        ownership checks of its section."""
+        decl, resolve = self._compile_ref(ref, at)
+        if decl is None or decl.universal:
+            return lambda p: (resolve(p), _UNKNOWN)[1]
+        var = ref.var
+
+        def read(p):
+            sec = resolve(p)
+            if sec is None:
+                if rule:
+                    raise _RuleUnknown()
+                self.flag("warning", "unresolved-read",
+                          f"cannot resolve read section of {var}; "
+                          "ownership of the read is unchecked",
+                          self.loc(p, at), p.pid1)
+                return _UNKNOWN
+            state = self.state_of(p.pid1, var, sec)
+            if state is _UNOWNED:
+                if rule:
+                    # §2.4: an unowned reference makes the rule false.
+                    raise _RuleUnowned()
+                self.flag("error", "unowned-read",
+                          f"read of unowned section {var}{sec}",
+                          self.loc(p, at), p.pid1)
+            elif state is _TRANSITIONAL:
+                if rule:
+                    # Whether the message has arrived is timing-dependent:
+                    # the strict engine makes the rule false, a non-strict
+                    # run reads whatever was delivered.
+                    self.flag("warning", "rule-reads-transitional",
+                              f"compute rule reads {var}{sec} with a receive "
+                              "in flight; its value is schedule-dependent",
+                              self.loc(p, at), p.pid1)
+                    raise _RuleUnknown()
+                self.flag("error", "stale-read",
+                          f"read of {var}{sec} with a receive initiated and "
+                          "no await since", self.loc(p, at), p.pid1)
+            return _UNKNOWN
+        return read
+
+    def _compile_ref(self, ref: ArrayRef, at: Stmt | Expr):
+        """→ (declaration, ``resolve``): ``resolve(p)`` is the section ``ref``
+        names on ``p``, or None (a ⊤ subscript; an empty triplet, flagged at
+        ``at``).  No declaration, and a finding per call, for an undeclared
+        name or a rank mismatch.  Memoized per :meth:`_env_key`, interned."""
+        decl = self.decls.get(ref.var)
+        if decl is None or isinstance(decl, ScalarDecl):
+            code, text = "unknown-variable", f"{ref.var!r} is not a declared array"
+        elif len(ref.subs) != decl.rank:
+            code, text = "rank-mismatch", (f"{ref.var} has rank {decl.rank}, "
+                                           f"reference has {len(ref.subs)} subscripts")
+        else:
+            code = None
+        if code is not None:
+            return None, lambda p: self.flag("error", code, text, self.loc(p, at), p.pid1)
+        dims = [self._compile_subscript(sub, bounds, ref.var, at)
+                for sub, bounds in zip(ref.subs, decl.bounds)]
+
+        def fresh(p):
+            out = []
+            for d in dims:
+                if (t := d(p)) is None:
+                    return None
+                out.append(t)
+            return Section(tuple(out))
+        env_key = self._env_key(ref)
+        if env_key is None:
+            return decl, fresh
+
+        def resolve(p):
+            key = env_key(p)
+            sec = self._sections.get(key)
+            if sec is None:
+                flags = self._flags
+                sec = fresh(p)
+                if key is not None and sec is not None and self._flags == flags:
+                    sec = self._sections[key] = self._interned.setdefault(sec, sec)
+            return sec
+        return decl, resolve
+
+    def _compile_subscript(self, sub, bounds: tuple[int, int], var: str,
+                           at: Stmt | Expr):
+        """→ ``fn(p)``: the subscript's Triplet, or None (a ⊤ part: the later
+        subscripts are not evaluated; or an empty triplet, flagged)."""
+        match sub:
+            case Full():
+                t = Triplet(*bounds, 1)
+                return lambda p: t
+            case Index(expr):
+                fn = self._fn(expr)
+                return lambda p: (None if (v := fn(p)) is _UNKNOWN
+                                  else Triplet(int(v), int(v), 1))
+        lo_fn, hi_fn, step_fn = (
+            (lambda p, v=default: v) if e is None else self._fn(e)
+            for e, default in ((sub.lo, bounds[0]), (sub.hi, bounds[1]), (sub.step, 1)))
+
+        def triplet(p):
+            if ((lo := lo_fn(p)) is _UNKNOWN or (hi := hi_fn(p)) is _UNKNOWN
+                    or (step := step_fn(p)) is _UNKNOWN):
+                return None
+            lo, hi, step = int(lo), int(hi), int(step)
             try:
-                r = yield from self._eval(rhs, p, rule=rule)
-            except (_RuleUnowned, _RuleUnknown):
-                return _UNKNOWN
-            if r is _UNKNOWN:
-                return _UNKNOWN
-            # Kleene absorption: X and False = False, X or True = True.
-            if op == "and" and not r:
-                return False
-            if op == "or" and r:
-                return True
-            return _UNKNOWN
-        l = yield from self._eval(lhs, p, rule=rule)
-        r = yield from self._eval(rhs, p, rule=rule)
-        if l is _UNKNOWN or r is _UNKNOWN:
-            return _UNKNOWN
-        match op:
-            case "+": return l + r
-            case "-": return l - r
-            case "*": return l * r
-            case "/":
-                if isinstance(l, int) and isinstance(r, int):
-                    return l // r if r != 0 else 0
-                return l / r if r != 0 else _UNKNOWN
-            case "%": return l % r if r != 0 else _UNKNOWN
-            case "==": return l == r
-            case "!=": return l != r
-            case "<": return l < r
-            case "<=": return l <= r
-            case ">": return l > r
-            case ">=": return l >= r
-            case "min": return min(l, r)
-            case "max": return max(l, r)
-        raise TypeError(f"unknown operator {op!r}")  # pragma: no cover
+                return Triplet(lo, hi, step)
+            except ValueError:
+                self.flag("error", "empty-section",
+                          f"empty triplet {lo}:{hi}:{step} in reference to "
+                          f"{var}", self.loc(p, at), p.pid1)
+        return triplet
+
+    def _env_key(self, ref: ArrayRef):
+        """``key(p)``: what resolving ``ref`` depends on — the scalars its
+        subscripts read, ``mypid`` if read; None (never shared) for a value
+        neither int nor absent.  No function if a subscript reads a table."""
+        if id(ref) not in self._env_keys:
+            subs = [e for e in walk_exprs(ref) if e is not ref]
+            serial = len(self._env_keys)
+            mypid = any(isinstance(e, Mypid) for e in subs)
+            names = tuple(sorted({e.name for e in subs if isinstance(e, VarRef)}))
+
+            def key(p):
+                vals = tuple(map(p.scalars.get, names))
+                if _KEYABLE.issuperset(map(type, vals)):
+                    return (serial, mypid and p.pid1, *vals)
+                return None
+            self._env_keys[id(ref)] = (
+                None if any(isinstance(e, _TABLE_READS) for e in subs) else key)
+        return self._env_keys[id(ref)]
 
     # -------------------------------------------------------------- #
     # the scheduler
@@ -1526,13 +1541,15 @@ class _Machine:
         self._mode_warnings()
         findings = [self._findings[k] for k in self._order]
         findings.sort(key=lambda f: f.severity != "error")  # stable: errors first
-        return CommReport(
+        report = CommReport(
             nprocs=self.nprocs,
             findings=findings,
             events=self.events,
             complete=self.complete,
             waived=tuple(sorted(self.waived)),
         )
+        vars(self).clear()  # the compiled closures hold it: free it now, not by gc
+        return report
 
     def _drive(self, procs: list[_AProc]) -> None:
         while True:

@@ -44,6 +44,7 @@ Delayed communication binding appears as the ``binding`` parameter:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Generator
 
@@ -57,7 +58,9 @@ from ...machine.model import MachineModel
 from ...machine.stats import RunStats
 from ...runtime.symtab import MAXINT, MININT
 from ..analysis.layouts import build_layouts
-from ..errors import CompilationError, OwnershipError, XDPError
+from ..errors import (
+    CompilationError, EmptySectionError, OwnershipError, XDPError,
+)
 from ..collectives.schedule import (
     CollInstance, collective_ops, execute_ops, group_members,
 )
@@ -68,6 +71,7 @@ from ..ir.nodes import (
     Mypid, Myub, NumProcs, Program, Range, RecvStmt, SendStmt, Stmt, UnaryOp,
     VarRef, XferOp,
 )
+from ..ir.printer import print_ref
 from ..ir.visitor import subscript_exprs, walk_exprs
 from ..kernels import KernelRegistry, default_registry
 from ..sections import Section, Triplet
@@ -590,36 +594,21 @@ def _compile_expr_static(e: Expr, lw: "_Lowerer") -> Callable[[_VMEnv], Any]:
             return _compile_binop(op, lhs, rhs, lw)
         case ArrayRef():
             return _compile_array_read(e, lw)
-        case Iown(ref):
-            sec_fn = _compile_section(ref, lw)
+        case Iown(ref) | Accessible(ref):
+            # The symbol-table query of the same name, looked up per call.
+            sec_fn, query = _compile_section(ref, lw), type(e).__name__.lower()
             var = ref.var
-            def iown_fn(env, var=var, sec_fn=sec_fn):
+            def query_fn(env):
                 env.flops += INTRINSIC_FLOPS
-                return env.ctx.symtab.iown(var, sec_fn(env))
-            return iown_fn
-        case Accessible(ref):
-            sec_fn = _compile_section(ref, lw)
-            var = ref.var
-            def acc_fn(env, var=var, sec_fn=sec_fn):
+                return getattr(env.ctx.symtab, query)(var, sec_fn(env))
+            return query_fn
+        case Mylb(ref, dim) | Myub(ref, dim):
+            sec_fn, query = _compile_section(ref, lw), type(e).__name__.lower()
+            var, dim_fn = ref.var, _compile_expr_static(dim, lw)
+            def bound_fn(env):
                 env.flops += INTRINSIC_FLOPS
-                return env.ctx.symtab.accessible(var, sec_fn(env))
-            return acc_fn
-        case Mylb(ref, dim):
-            sec_fn = _compile_section(ref, lw)
-            dim_fn = _compile_expr_static(dim, lw)
-            var = ref.var
-            def mylb_fn(env, var=var, sec_fn=sec_fn, dim_fn=dim_fn):
-                env.flops += INTRINSIC_FLOPS
-                return env.ctx.symtab.mylb(var, int(dim_fn(env)), sec_fn(env))
-            return mylb_fn
-        case Myub(ref, dim):
-            sec_fn = _compile_section(ref, lw)
-            dim_fn = _compile_expr_static(dim, lw)
-            var = ref.var
-            def myub_fn(env, var=var, sec_fn=sec_fn, dim_fn=dim_fn):
-                env.flops += INTRINSIC_FLOPS
-                return env.ctx.symtab.myub(var, int(dim_fn(env)), sec_fn(env))
-            return myub_fn
+                return getattr(env.ctx.symtab, query)(var, int(dim_fn(env)), sec_fn(env))
+            return bound_fn
         case Await(_):
             raise CompilationError(
                 "await() is a guard, not a value: it may appear only in a "
@@ -630,6 +619,13 @@ def _compile_expr_static(e: Expr, lw: "_Lowerer") -> Callable[[_VMEnv], Any]:
             raise CompilationError(f"cannot lower expression {e!r}")
 
 
+_BINOPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "%": operator.mod,
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+    ">": operator.gt, ">=": operator.ge,
+}
+
+
 def _compile_binop(op: str, lhs: Expr, rhs: Expr, lw: "_Lowerer") -> Callable[[_VMEnv], Any]:
     l_fn = _compile_expr_static(lhs, lw)
     r_fn = _compile_expr_static(rhs, lw)
@@ -637,14 +633,6 @@ def _compile_binop(op: str, lhs: Expr, rhs: Expr, lw: "_Lowerer") -> Callable[[_
         return lambda env: bool(l_fn(env)) and bool(r_fn(env))
     if op == "or":
         return lambda env: bool(l_fn(env)) or bool(r_fn(env))
-
-    import operator as _op
-
-    table = {
-        "+": _op.add, "-": _op.sub, "*": _op.mul, "%": _op.mod,
-        "==": _op.eq, "!=": _op.ne, "<": _op.lt, "<=": _op.le,
-        ">": _op.gt, ">=": _op.ge,
-    }
     if op == "/":
         def div(env):
             l, r = l_fn(env), r_fn(env)
@@ -671,7 +659,7 @@ def _compile_binop(op: str, lhs: Expr, rhs: Expr, lw: "_Lowerer") -> Callable[[_
                 return float(v)
             return v
         return mm
-    fn = table[op]
+    fn = _BINOPS[op]
     def bin_run(env):
         l, r = l_fn(env), r_fn(env)
         env.flops += _pair_size(l, r)
@@ -687,7 +675,8 @@ def _pair_size(l: Any, r: Any) -> int:
     return size
 
 
-def _compile_subscript(sub, bounds: tuple[int, int], lw: "_Lowerer"):
+def _compile_subscript(sub, bounds: tuple[int, int], ref: ArrayRef,
+                       lw: "_Lowerer"):
     lo_b, hi_b = bounds
     match sub:
         case Full():
@@ -695,17 +684,19 @@ def _compile_subscript(sub, bounds: tuple[int, int], lw: "_Lowerer"):
             return lambda env: t
         case Index(expr):
             fn = _compile_expr_static(expr, lw)
-            return lambda env: (lambda v: Triplet(v, v, 1))(int(fn(env)))
+            return lambda env: Triplet(v := int(fn(env)), v, 1)
         case Range(lo, hi, step):
-            lo_fn = _compile_expr_static(lo, lw) if lo is not None else None
-            hi_fn = _compile_expr_static(hi, lw) if hi is not None else None
-            st_fn = _compile_expr_static(step, lw) if step is not None else None
+            lo_fn, hi_fn, st_fn = (
+                (lambda env, v=v: v) if e is None else _compile_expr_static(e, lw)
+                for e, v in ((lo, lo_b), (hi, hi_b), (step, 1)))
             def run(env):
-                return Triplet(
-                    lo_b if lo_fn is None else int(lo_fn(env)),
-                    hi_b if hi_fn is None else int(hi_fn(env)),
-                    1 if st_fn is None else int(st_fn(env)),
-                )
+                lo, hi, st = int(lo_fn(env)), int(hi_fn(env)), int(st_fn(env))
+                try:
+                    return Triplet(lo, hi, st)
+                except ValueError:
+                    raise EmptySectionError(
+                        f"P{env.pid1}: {print_ref(ref)} names no element "
+                        f"(triplet {lo}:{hi}:{st})") from None
             return run
     raise CompilationError(f"cannot lower subscript {sub!r}")
 
@@ -717,11 +708,9 @@ def _compile_section(ref: ArrayRef, lw: "_Lowerer") -> Callable[[_VMEnv], Sectio
             f"{ref.var} has rank {decl.rank}, reference has {len(ref.subs)} subscripts"
         )
     sub_fns = [
-        _compile_subscript(s, b, lw) for s, b in zip(ref.subs, decl.bounds)
+        _compile_subscript(s, b, ref, lw) for s, b in zip(ref.subs, decl.bounds)
     ]
-    def run(env):
-        return Section(tuple(fn(env) for fn in sub_fns))
-    return run
+    return lambda env: Section(tuple([fn(env) for fn in sub_fns]))
 
 
 def _compile_array_read(ref: ArrayRef, lw: "_Lowerer") -> Callable[[_VMEnv], Any]:

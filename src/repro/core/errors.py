@@ -17,6 +17,7 @@ __all__ = [
     "BudgetExhaustedError",
     "DistributionError",
     "CompilationError",
+    "EmptySectionError",
     "ArtifactIntegrityError",
 ]
 
@@ -102,3 +103,7 @@ class DistributionError(XDPError):
 
 class CompilationError(XDPError):
     """Raised by translation/optimization passes on unsupported input."""
+
+
+class EmptySectionError(XDPError):
+    """Raised at run time for a triplet naming no element (empty, or step 0)."""

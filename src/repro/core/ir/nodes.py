@@ -335,10 +335,6 @@ class CollOp(enum.Enum):
 
     __hash__ = object.__hash__
 
-    @property
-    def is_reduction(self) -> bool:
-        return self is CollOp.REDUCE_SCATTER
-
 
 @dataclass(frozen=True)
 class CollectiveStmt:

@@ -18,12 +18,17 @@ Sections denote *sets* of elements; iteration order is irrelevant for
 ownership, so triplets are normalised to ascending form (``step >= 1`` and
 ``hi`` equal to the last member).  Bounds are inclusive on both ends,
 matching Fortran conventions used throughout the paper (e.g. ``A[1:4,1:8]``).
+
+Both are plain ``__slots__`` classes, not frozen dataclasses: the verifier
+and the VM build one section per reference they evaluate, and a frozen
+dataclass's ``__post_init__`` round trip cost three times this constructor.
+They stay immutable, with the dataclass ``repr``, equality, hashes and pickles.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -39,8 +44,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Triplet:
+class _Frozen:
+    """No assignment or deletion after construction."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class Triplet(_Frozen):
     """A normalised, non-empty arithmetic progression ``lo:hi:step``.
 
     Invariants established by the constructor:
@@ -52,30 +67,50 @@ class Triplet:
       ``None`` at the API level (e.g. the result of :meth:`intersect`).
     """
 
-    lo: int
-    hi: int
-    step: int = 1
+    __slots__ = ("lo", "hi", "step")
 
-    def __post_init__(self) -> None:
-        if self.step == 0:
+    def __init__(self, lo: int, hi: int, step: int = 1) -> None:
+        if type(step) is int and step == 1 and type(lo) is int and type(hi) is int:
+            # The common case: nothing to mirror, snap or canonicalise.
+            if lo > hi:
+                raise ValueError(f"empty triplet {lo}:{hi}:1")
+            _set_lo(self, lo)
+            _set_hi(self, hi)
+            _set_step(self, 1)
+            return
+        if step == 0:
             raise ValueError("triplet step must be nonzero")
-        lo, hi, step = self.lo, self.hi, self.step
+        given = (lo, hi, step)
         if step < 0:
             # A negative-stride triplet names the same element set as its
             # ascending mirror; normalise (sections are sets, not orders).
             lo, hi, step = hi, lo, -step
-            object.__setattr__(self, "step", step)
         if lo > hi:
-            raise ValueError(f"empty triplet {self.lo}:{self.hi}:{self.step}")
+            raise ValueError("empty triplet {}:{}:{}".format(*given))
         # Snap hi down to the last actual member.
         hi = lo + ((hi - lo) // step) * step
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        if step > hi - lo:
-            # Single-element progressions get a canonical step of 1 so that
-            # structural equality matches set equality.
-            if lo == hi:
-                object.__setattr__(self, "step", 1)
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+        # Single-element progressions get a canonical step of 1 so that
+        # structural equality matches set equality.
+        _set_step(self, 1 if lo == hi else step)
+
+    def __eq__(self, other):
+        if other.__class__ is Triplet:
+            return (self.lo, self.hi, self.step) == (other.lo, other.hi, other.step)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi, self.step))
+
+    def __repr__(self) -> str:
+        return f"Triplet(lo={self.lo!r}, hi={self.hi!r}, step={self.step!r})"
+
+    def __getstate__(self):
+        return [self.lo, self.hi, self.step]
+
+    def __setstate__(self, state) -> None:
+        self.__init__(*state)
 
     # ------------------------------------------------------------------ #
     # basic queries
@@ -120,11 +155,7 @@ class Triplet:
             hi = a.hi if a.hi <= b.hi else b.hi
             if lo > hi:
                 return None
-            t = object.__new__(Triplet)
-            object.__setattr__(t, "lo", lo)
-            object.__setattr__(t, "hi", hi)
-            object.__setattr__(t, "step", 1)
-            return t
+            return Triplet(lo, hi, 1)
         g = math.gcd(a.step, b.step)
         if (b.lo - a.lo) % g != 0:
             return None  # the two residue classes never meet
@@ -164,6 +195,12 @@ class Triplet:
         return f"{self.lo}:{self.hi}:{self.step}"
 
 
+# The constructor's own writes: slot stores that bypass the assignment guard.
+_set_lo = Triplet.__dict__["lo"].__set__
+_set_hi = Triplet.__dict__["hi"].__set__
+_set_step = Triplet.__dict__["step"].__set__
+
+
 def triplet(lo: int, hi: int | None = None, step: int = 1) -> Triplet:
     """Convenience constructor; ``triplet(k)`` is the scalar index ``k``."""
     if hi is None:
@@ -171,8 +208,7 @@ def triplet(lo: int, hi: int | None = None, step: int = 1) -> Triplet:
     return Triplet(lo, hi, step)
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(_Frozen):
     """A concrete rank-``r`` section: the Cartesian product of ``r`` triplets.
 
     ``Section`` is purely geometric — it does not know which variable it
@@ -187,37 +223,39 @@ class Section:
 
     __slots__ = ("dims", "_hash", "_size", "_shape")
 
-    dims: tuple[Triplet, ...]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.dims, tuple):
-            object.__setattr__(self, "dims", tuple(self.dims))
-        if not self.dims:
+    def __init__(self, dims: tuple[Triplet, ...]) -> None:
+        if not isinstance(dims, tuple):
+            dims = tuple(dims)
+        if not dims:
             raise ValueError("a section must have rank >= 1")
+        _set_dims(self, dims)
         # Eager sentinels: a None check on access is ~10x cheaper than
         # catching AttributeError on single-use sections (intersections).
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_size", None)
-        object.__setattr__(self, "_shape", None)
+        _set_hash(self, None)
+        _set_size(self, None)
+        _set_shape(self, None)
+
+    def __eq__(self, other):
+        if other.__class__ is Section:
+            return self.dims == other.dims
+        return NotImplemented
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
             h = hash(self.dims)
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
-    # Manual __slots__ (rather than ``slots=True``) leaves room for the
-    # memo slots; restate the state protocol the dataclass machinery
-    # would otherwise synthesize, skipping the memos.
+    def __repr__(self) -> str:
+        return f"Section(dims={self.dims!r})"
+
+    # The state is the field alone; the memos are rebuilt on demand.
     def __getstate__(self):
         return (self.dims,)
 
     def __setstate__(self, state) -> None:
-        object.__setattr__(self, "dims", state[0])
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_size", None)
-        object.__setattr__(self, "_shape", None)
+        self.__init__(*state)
 
     # ------------------------------------------------------------------ #
     # basic queries
@@ -235,7 +273,7 @@ class Section:
             n = 1
             for t in self.dims:
                 n *= t.size
-            object.__setattr__(self, "_size", n)
+            _set_size(self, n)
         return n
 
     @property
@@ -243,7 +281,7 @@ class Section:
         s = self._shape
         if s is None:
             s = tuple(t.size for t in self.dims)
-            object.__setattr__(self, "_shape", s)
+            _set_shape(self, s)
         return s
 
     def __contains__(self, point: Sequence[int]) -> bool:
@@ -253,15 +291,7 @@ class Section:
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         """Iterate elements in row-major (last dimension fastest) order."""
-
-        def rec(d: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-            if d == self.rank:
-                yield prefix
-                return
-            for idx in self.dims[d]:
-                yield from rec(d + 1, prefix + (idx,))
-
-        return rec(0, ())
+        return itertools.product(*self.dims)
 
     def is_contiguous(self) -> bool:
         return all(t.is_contiguous() for t in self.dims)
@@ -302,30 +332,18 @@ class Section:
         return "[" + ",".join(str(t) for t in self.dims) + "]"
 
 
-def unit_sections_1d(lo: int, hi: int, step: int = 1) -> list[Section]:
-    """One single-member rank-1 section per member of ``lo:hi:step``.
+_set_dims = Section.__dict__["dims"].__set__
+_set_hash = Section.__dict__["_hash"].__set__
+_set_size = Section.__dict__["_size"].__set__
+_set_shape = Section.__dict__["_shape"].__set__
 
-    The bulk twin of ``[section(v) for v in range(lo, hi + 1, step)]``:
-    segment tables with unit segment shape hold one such section per owned
-    element, and at scale the validating constructors dominate declaration
-    time, so the (trivially valid) objects are built directly.
-    """
-    out: list[Section] = []
-    append = out.append
-    new = object.__new__
-    setattr_ = object.__setattr__
-    for v in range(lo, hi + 1, step):
-        t = new(Triplet)
-        setattr_(t, "lo", v)
-        setattr_(t, "hi", v)
-        setattr_(t, "step", 1)
-        sec = new(Section)
-        setattr_(sec, "dims", (t,))
-        setattr_(sec, "_hash", None)
-        setattr_(sec, "_size", 1)
-        setattr_(sec, "_shape", (1,))
-        append(sec)
-    return out
+
+def unit_sections_1d(lo: int, hi: int, step: int = 1) -> list[Section]:
+    """One single-member rank-1 section per member of ``lo:hi:step``:
+    ``[section(v) for v in range(lo, hi + 1, step)]``, without the
+    argument dispatch of :func:`section` (segment tables with unit segment
+    shape hold one such section per owned element)."""
+    return [Section((Triplet(v, v, 1),)) for v in range(lo, hi + 1, step)]
 
 
 def section(*dims: Triplet | int | tuple[int, int] | tuple[int, int, int]) -> Section:

@@ -71,18 +71,6 @@ class LocalMemory:
             self.peak_bytes = self.live_bytes
         return range(first, h)
 
-    def adopt(self, data: np.ndarray) -> tuple[int, np.ndarray]:
-        """Account for a chunk whose contents arrived from another processor."""
-        arr = np.ascontiguousarray(data)
-        handle = self._next_id
-        self._next_id += 1
-        self._chunks[handle] = arr
-        self.live_bytes += arr.nbytes
-        self.total_allocated_bytes += arr.nbytes
-        self.allocations += 1
-        self.peak_bytes = max(self.peak_bytes, self.live_bytes)
-        return handle, arr
-
     def free(self, handle: int) -> None:
         """Release a chunk (ownership left this processor)."""
         arr = self._chunks.pop(handle)

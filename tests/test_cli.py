@@ -136,6 +136,23 @@ class TestBadInput:
         assert "'fft1D'" in err
         assert "Traceback" not in out + err
 
+    @pytest.mark.parametrize("body,message", [
+        ("mypid == 2 : { A[1] = 1.0 }",
+         "P2 writes A[1] but owns only 0 of 1 elements"),
+        ("scalar k = 5\niown(A[k:1]) : { A[k:1] = 1.0 }",
+         "P1: A[k:1] names no element (triplet 5:1:1)"),
+    ])
+    def test_run_time_program_error_is_a_message_and_exit_1(
+            self, body, message, tmp_path, capsys):
+        # Both used to escape from the engine as a traceback (an
+        # OwnershipError, and a bare ValueError from the Triplet class).
+        p = tmp_path / "bad.xdp"
+        p.write_text(f"array A[1:8] dist (BLOCK) seg (2)\n{body}\n")
+        assert main(["run", str(p), "--nprocs", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert err == f"{p}: {message}\n"
+        assert "Traceback" not in out + err
+
     def test_tune_error_is_a_message(self, program_file, capsys):
         # A TuneError (nothing to tune) is a message, not a traceback.
         assert main(["tune", "--file", program_file, "--nprocs", "2"]) == 2

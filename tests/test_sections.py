@@ -1,6 +1,12 @@
 """Unit tests for the F90 triplet section algebra (paper section 2.1, 3.1)."""
 
+import copy
+import pickle
+import re
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.sections import (
     Section,
@@ -8,6 +14,7 @@ from repro.core.sections import (
     disjoint_cover_equal,
     section,
     triplet,
+    unit_sections_1d,
 )
 
 
@@ -45,6 +52,11 @@ class TestTripletConstruction:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Triplet(5, 1, 1)
+
+    def test_empty_negative_step_is_named_as_written(self):
+        # It used to read "empty triplet 1:5:1", a triplet that is not empty.
+        with pytest.raises(ValueError, match="^empty triplet 1:5:-1$"):
+            Triplet(1, 5, -1)
 
     def test_singleton_step_canonical(self):
         assert Triplet(4, 4, 3) == Triplet(4, 4, 1)
@@ -203,3 +215,77 @@ class TestCoverage:
         query = section((1, 9, 2))  # {1,3,5,7,9}
         parts = [section((1, 5)), section((6, 10))]
         assert disjoint_cover_equal(query, parts)
+
+
+# --------------------------------------------------------------------- #
+# the slot classes keep the dataclass behaviour they replaced
+# --------------------------------------------------------------------- #
+
+
+def _reference(lo, hi, step):
+    """The normalisation of the dataclass ``Triplet.__post_init__`` these
+    classes replaced, copied (its empty-triplet message now names the
+    triplet as given): → (lo, hi, step), or raises ValueError."""
+    if step == 0:
+        raise ValueError("triplet step must be nonzero")
+    given_ = (lo, hi, step)
+    if step < 0:
+        lo, hi, step = hi, lo, -step
+    if lo > hi:
+        raise ValueError("empty triplet {}:{}:{}".format(*given_))
+    hi = lo + ((hi - lo) // step) * step
+    if step > hi - lo:
+        if lo == hi:
+            step = 1
+    return lo, hi, step
+
+
+def _reference_str(lo, hi, step):
+    if lo == hi:
+        return str(lo)
+    return f"{lo}:{hi}" if step == 1 else f"{lo}:{hi}:{step}"
+
+
+#: ``pickle.dumps(Section((Triplet(1, 7, 2), Triplet(3, 3))), protocol=4)``
+#: as the dataclass form wrote it.
+DATACLASS_PICKLE = bytes.fromhex(
+    "80049557000000000000008c13726570726f2e636f72652e73656374696f6e73948c07"
+    "53656374696f6e94939429819468008c07547269706c65749493942981945d94284b01"
+    "4b074b02656268052981945d94284b034b034b01656286948594622e")
+
+_ints = st.integers(-20, 20)
+
+
+class TestSlotClasses:
+    @given(_ints, _ints, _ints)
+    def test_triplet_matches_the_dataclass_it_replaced(self, lo, hi, step):
+        try:
+            want = _reference(lo, hi, step)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                Triplet(lo, hi, step)
+            return
+        t = Triplet(lo, hi, step)
+        assert (t.lo, t.hi, t.step) == want
+        assert repr(t) == "Triplet(lo={}, hi={}, step={})".format(*want)
+        assert str(t) == _reference_str(*want)
+        assert hash(t) == hash(want)
+        assert t == Triplet(*want) and t != want
+        for twin in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+            assert type(twin) is Triplet and twin == t and hash(twin) == hash(t)
+        sec = Section((t, t))
+        assert repr(sec) == f"Section(dims=({t!r}, {t!r}))"
+        assert hash(sec) == hash((t, t))
+        for twin in (pickle.loads(pickle.dumps(sec)), copy.deepcopy(sec)):
+            assert twin == sec and twin.size == sec.size == t.size ** 2
+        for obj, field in ((t, "lo"), (t, "step"), (sec, "dims"), (sec, "_hash")):
+            with pytest.raises(AttributeError):
+                setattr(obj, field, 0)
+        if step > 0:
+            assert unit_sections_1d(lo, hi, step) == [
+                section(v) for v in range(lo, hi + 1, step)]
+
+    def test_pickles_are_the_dataclass_bytes(self):
+        sec = Section((Triplet(1, 7, 2), Triplet(3, 3)))
+        assert pickle.dumps(sec, protocol=4) == DATACLASS_PICKLE
+        assert pickle.loads(DATACLASS_PICKLE) == sec

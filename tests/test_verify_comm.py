@@ -600,9 +600,9 @@ class TestCollectiveChunkMapSharing:
         resolved = []
         inner = vc._Machine._coll_map
 
-        def spy(self, stmt, members, root_v, p):
+        def spy(self, site, members, root_v, p):
             resolved.append(p.pid1)
-            return (yield from inner(self, stmt, members, root_v, p))
+            return inner(self, site, members, root_v, p)
 
         monkeypatch.setattr(vc._Machine, "_coll_map", spy)
         return resolved
@@ -668,6 +668,23 @@ class TestWorkGuard:
 
         n = self.intersects_during(monkeypatch, fft3d_source(16, 16, 2), 16)
         assert n <= 11_136
+
+    def test_each_expression_is_compiled_once(self, monkeypatch):
+        from repro.core.analysis import verify_comm as vc
+
+        compiled = Counter()
+        inner = vc._Machine._compile
+
+        def counting(self, e, rule):
+            compiled[id(e)] += 1
+            return inner(self, e, rule)
+
+        monkeypatch.setattr(vc._Machine, "_compile", counting)
+        text, nprocs = _pinned_programs()["matmul-summa"]
+        program = parse_program(text)
+        assert verify_communication(program, nprocs).clean
+        # None twice, though 16 processors evaluate most of them many times.
+        assert len(compiled) > 50 and max(compiled.values()) == 1
 
 
 # --------------------------------------------------------------------- #
@@ -767,14 +784,19 @@ class TestPerProcessorWork:
                  if isinstance(s, Guarded)
                  and all(isinstance(e, vc._PID_ONLY) for e in walk_exprs(s.rule))}
         evaluated = Counter()
-        inner = vc._Machine._eval
+        inner = vc._Machine._compile
 
-        def spy(self, e, p, *, rule):
-            if id(e) in rules:
+        def spy(self, e, rule):
+            fn = inner(self, e, rule)
+            if id(e) not in rules:
+                return fn
+
+            def counted(p):
                 evaluated[id(e), p.pid1] += 1
-            return (yield from inner(self, e, p, rule=rule))
+                return fn(p)
+            return counted
 
-        monkeypatch.setattr(vc._Machine, "_eval", spy)
+        monkeypatch.setattr(vc._Machine, "_compile", spy)
         assert verify_communication(program, 64).clean
         # 380 `mypid == k` rules, each reached twice by every processor.
         assert len(rules) == 380 and len(evaluated) == 380 * 64

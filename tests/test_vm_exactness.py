@@ -118,7 +118,7 @@ O2_LOSERS = {
     **{f"fft3d-s1/{b}": "O2 turns the stage-1 listing into stage 2 (sends "
        "fused into Loop 2, the await sunk into the k loop): at n = P = 4 "
        "the per-iteration awaits cost more than the overlap buys; keeping "
-       "or reverting the trade needs a static clock (ROADMAP item 5(c))"
+       "or reverting the trade needs a static clock (ROADMAP item 8(c))"
        for b in ("msg", "shmem")},
     "jacobi-halo-overlap/msg": "loop-to-section under symbolic bounds "
     "loses below ~38 iterations per processor (EXPERIMENTS.md C2); here "
