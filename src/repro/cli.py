@@ -284,6 +284,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if getattr(args, name) is None:
             setattr(args, name, default)
     program = _load(args.file)
+    for opt, name in [*(("--init", s.partition("=")[0]) for s in args.init or ()),
+                      *(("--show", n) for n in args.show or ())]:
+        if name not in {d.name for d in program.array_decls()}:
+            print(f"repro run: {opt} {name}: no array named {name!r}", file=sys.stderr)
+            return 2
     if _is_sequential(program):
         program = translate(program, args.nprocs, strategy=args.strategy)
     backend = args.backend or default_backend()

@@ -55,7 +55,7 @@ from ..ir.nodes import (
     SendStmt, Stmt, UnaryOp, VarRef, XferOp,
 )
 from ..ir.printer import print_stmt
-from ..ir.visitor import walk_exprs, walk_stmts
+from ..ir.visitor import UNKEYED, env_key, walk_exprs, walk_stmts
 from ..sections import Section, Triplet, section_difference
 from ..segtable import SegmentTable
 from ..states import SegmentState
@@ -410,14 +410,10 @@ _OPS = {
     "<=": operator.le, ">": operator.gt, ">=": operator.ge,
     "min": min, "max": max,
 }
-#: Expression nodes whose value depends on table state, not scalars alone.
-_TABLE_READS = (ArrayRef, Iown, Accessible, Await, Mylb, Myub)
 #: Expression nodes whose value is fixed per processor: no scalar (it may
 #: change), no table state.
 _PID_ONLY = (IntConst, FloatConst, BoolConst, MaxIntConst, MinIntConst,
              Mypid, NumProcs, UnaryOp, BinOp)
-#: Scalar value types an environment key may hold (None: no binding).
-_KEYABLE = frozenset({int, type(None)})
 
 
 # ---------------------------------------------------------------------- #
@@ -472,12 +468,11 @@ class _Machine:
         self._order: list[tuple] = []
         self._flags = 0                          # flag() calls so far
         # Per-run memos; all die with this instance.
-        self._sections: dict[tuple, Section] = {}  # env key -> resolution
+        self._sections: dict[int, dict] = {}  # ArrayRef -> env key -> resolution
         self._interned: dict[Section, Section] = {}
         self._coll_maps: dict[tuple, tuple] = {}  # rendezvous -> chunk map
         # Compiled once per run: id(node) -> closures (see _compile_stmt).
         self._fns: dict[tuple[int, bool], object] = {}  # (id, rule mode)
-        self._env_keys: dict[int, object] = {}          # ArrayRef -> key fn
         self._deciders: dict[int, object] = {}          # condition -> fn
         self._plans = {id(s): self._compile_stmt(s)
                        for s in walk_stmts(program.body)}
@@ -1063,8 +1058,8 @@ class _Machine:
         # One chunk map per rendezvous, not per member: members whose
         # environments agree share it; one that differs resolves its own and
         # the signature comparison below still decides the mismatch.
-        envs = [op[2] and op[2](p) for op in plan[4] if op is not None]
-        key = None if None in envs else (members, root_v, *envs)
+        envs = [op[2](p) if op[2] else UNKEYED for op in plan[4] if op is not None]
+        key = None if UNKEYED in envs else (id(stmt), members, root_v, *envs)
         cmap = self._coll_maps.get(key)
         if cmap is None:
             flags = self._flags
@@ -1435,7 +1430,7 @@ class _Machine:
         """→ (declaration, ``resolve``): ``resolve(p)`` is the section ``ref``
         names on ``p``, or None (a ⊤ subscript; an empty triplet, flagged at
         ``at``).  No declaration, and a finding per call, for an undeclared
-        name or a rank mismatch.  Memoized per :meth:`_env_key`, interned."""
+        name or a rank mismatch.  Memoized per environment key, interned."""
         decl = self.decls.get(ref.var)
         if decl is None or isinstance(decl, ScalarDecl):
             code, text = "unknown-variable", f"{ref.var!r} is not a declared array"
@@ -1459,15 +1454,16 @@ class _Machine:
         env_key = self._env_key(ref)
         if env_key is None:
             return decl, fresh
+        memo = self._sections.setdefault(id(ref), {})
 
         def resolve(p):
             key = env_key(p)
-            sec = self._sections.get(key)
+            sec = memo.get(key)
             if sec is None:
                 flags = self._flags
                 sec = fresh(p)
-                if key is not None and sec is not None and self._flags == flags:
-                    sec = self._sections[key] = self._interned.setdefault(sec, sec)
+                if key is not UNKEYED and sec is not None and self._flags == flags:
+                    sec = memo[key] = self._interned.setdefault(sec, sec)
             return sec
         return decl, resolve
 
@@ -1501,23 +1497,9 @@ class _Machine:
         return triplet
 
     def _env_key(self, ref: ArrayRef):
-        """``key(p)``: what resolving ``ref`` depends on — the scalars its
-        subscripts read, ``mypid`` if read; None (never shared) for a value
-        neither int nor absent.  No function if a subscript reads a table."""
-        if id(ref) not in self._env_keys:
-            subs = [e for e in walk_exprs(ref) if e is not ref]
-            serial = len(self._env_keys)
-            mypid = any(isinstance(e, Mypid) for e in subs)
-            names = tuple(sorted({e.name for e in subs if isinstance(e, VarRef)}))
-
-            def key(p):
-                vals = tuple(map(p.scalars.get, names))
-                if _KEYABLE.issuperset(map(type, vals)):
-                    return (serial, mypid and p.pid1, *vals)
-                return None
-            self._env_keys[id(ref)] = (
-                None if any(isinstance(e, _TABLE_READS) for e in subs) else key)
-        return self._env_keys[id(ref)]
+        """``key(p)`` of :func:`env_key`; None if a subscript reads a table."""
+        deps = env_key(ref)
+        return deps and deps[2]
 
     # -------------------------------------------------------------- #
     # the scheduler

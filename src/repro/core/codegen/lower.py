@@ -31,6 +31,11 @@ in IL+XDP programs; the engine's internal pids are 0-based.
 Virtual time charges the per-construct flop constants below, so the
 benefit of optimizations like compute-rule elimination is measurable.
 
+A section closure that repeats (in a do loop, or as a collective operand)
+resolves once per :func:`~repro.core.ir.visitor.env_key`, for all
+processors, and a hit charges the flops the evaluation did; the memos are
+emptied when ``run()`` ends (docs/ENGINE.md "Section closures").
+
 Delayed communication binding appears as the ``binding`` parameter:
 
 * ``"nonblocking"`` (default) — receives initiate and complete
@@ -46,6 +51,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Any, Callable, Generator
 
 import numpy as np
@@ -71,8 +77,10 @@ from ..ir.nodes import (
     Mypid, Myub, NumProcs, Program, Range, RecvStmt, SendStmt, Stmt, UnaryOp,
     VarRef, XferOp,
 )
-from ..ir.printer import print_ref
-from ..ir.visitor import subscript_exprs, walk_exprs
+from ..ir.printer import print_expr, print_ref
+from ..ir.visitor import (
+    UNKEYED, env_key, subscript_exprs, walk_exprs, walk_stmts,
+)
 from ..kernels import KernelRegistry, default_registry
 from ..sections import Section, Triplet
 
@@ -318,6 +326,7 @@ class CompiledProgram:
                     d.name, self.segmentations[d.name], dtype=np.dtype(d.dtype)
                 )
         self._universal_init: dict[str, np.ndarray] = {}
+        self._memos: list[dict] = []  # the section closures' (one run each)
         lowerer = _Lowerer(self)
         self.code: list[_Instr] = lowerer.lower_body()
         self.scalar_inits = lowerer.scalar_inits
@@ -466,7 +475,11 @@ class CompiledProgram:
                 yield Compute(float(env.flops), flops=env.flops)
                 env.flops = 0
 
-        return self.engine.run(node)
+        try:
+            return self.engine.run(node)
+        finally:
+            for memo in self._memos:
+                memo.clear()
 
 
 #: The public name of the executor (the paper's "IL+XDP interpreter").
@@ -619,10 +632,17 @@ def _compile_expr_static(e: Expr, lw: "_Lowerer") -> Callable[[_VMEnv], Any]:
             raise CompilationError(f"cannot lower expression {e!r}")
 
 
+def _div(l: Any, r: Any) -> Any:
+    """IL ``/``: ints floor (``int / 0`` is 0), anything else divides."""
+    if isinstance(l, (int, np.integer)) and isinstance(r, (int, np.integer)):
+        return int(l) // int(r) if r != 0 else 0
+    return l / r
+
+
 _BINOPS = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul, "%": operator.mod,
-    "==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
-    ">": operator.gt, ">=": operator.ge,
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div,
+    "%": operator.mod, "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
 }
 
 
@@ -633,20 +653,13 @@ def _compile_binop(op: str, lhs: Expr, rhs: Expr, lw: "_Lowerer") -> Callable[[_
         return lambda env: bool(l_fn(env)) and bool(r_fn(env))
     if op == "or":
         return lambda env: bool(l_fn(env)) or bool(r_fn(env))
-    if op == "/":
-        def div(env):
-            l, r = l_fn(env), r_fn(env)
-            env.flops += _pair_size(l, r)
-            if isinstance(l, (int, np.integer)) and isinstance(r, (int, np.integer)):
-                return int(l) // int(r) if r != 0 else 0
-            return l / r
-        return div
     if op in ("min", "max"):
         py = min if op == "min" else max
         npf = np.minimum if op == "min" else np.maximum
         def mm(env):
             l, r = l_fn(env), r_fn(env)
-            size = _pair_size(l, r)
+            nd = isinstance(l, np.ndarray) or isinstance(r, np.ndarray)
+            size = _pair_size(l, r) if nd else 1
             env.flops += size
             if size != 1:
                 return npf(l, r)
@@ -662,8 +675,13 @@ def _compile_binop(op: str, lhs: Expr, rhs: Expr, lw: "_Lowerer") -> Callable[[_
     fn = _BINOPS[op]
     def bin_run(env):
         l, r = l_fn(env), r_fn(env)
-        env.flops += _pair_size(l, r)
-        return fn(l, r)
+        nd = isinstance(l, np.ndarray) or isinstance(r, np.ndarray)
+        env.flops += _pair_size(l, r) if nd else 1
+        try:
+            return fn(l, r)
+        except ZeroDivisionError:  # a scalar `/` of floats or `%`
+            raise XDPError(f"P{env.pid1}: division by zero in "
+                           f"{print_expr(BinOp(op, lhs, rhs))}") from None
     return bin_run
 
 
@@ -701,7 +719,10 @@ def _compile_subscript(sub, bounds: tuple[int, int], ref: ArrayRef,
     raise CompilationError(f"cannot lower subscript {sub!r}")
 
 
-def _compile_section(ref: ArrayRef, lw: "_Lowerer") -> Callable[[_VMEnv], Section]:
+def _compile_section(ref: ArrayRef, lw: "_Lowerer",
+                     binders: bool = False) -> Callable[[_VMEnv], Section]:
+    """``ref``'s section closure, memoized where it repeats: in a do loop or
+    per binder value of a collective (docs/ENGINE.md "Section closures")."""
     decl = lw.decl(ref.var)
     if len(ref.subs) != decl.rank:
         raise CompilationError(
@@ -710,7 +731,41 @@ def _compile_section(ref: ArrayRef, lw: "_Lowerer") -> Callable[[_VMEnv], Sectio
     sub_fns = [
         _compile_subscript(s, b, ref, lw) for s, b in zip(ref.subs, decl.bounds)
     ]
-    return lambda env: Section(tuple([fn(env) for fn in sub_fns]))
+
+    def fresh(env):
+        return Section(tuple([fn(env) for fn in sub_fns]))
+    deps = (lw._loops or binders) and env_key(ref)
+    if not deps:  # once per processor, or a subscript reads table state
+        return fresh
+    names, mypid, key = deps
+    if not (names or mypid):  # fold now; an error raises again at run time
+        stub = SimpleNamespace(scalars={}, flops=0, nprocs=lw.compiled.nprocs)
+        try:
+            sec, flops = fresh(stub), stub.flops
+        except Exception:
+            return fresh
+
+        def folded(env):
+            env.flops += flops
+            return sec
+        return folded
+    if mypid and not any(w.isdisjoint(names) for w in lw._loops):
+        return fresh  # once per processor per loop trip: it would only miss
+    memo: dict = {}
+    lw.compiled._memos.append(memo)
+
+    def memoized(env):
+        k = key(env)
+        hit = memo.get(k)
+        if hit is None:
+            before = env.flops
+            sec = fresh(env)  # an error is never stored
+            if k is not UNKEYED:
+                memo[k] = (sec, env.flops - before)
+            return sec
+        env.flops += hit[1]
+        return hit[0]
+    return memoized
 
 
 def _compile_array_read(ref: ArrayRef, lw: "_Lowerer") -> Callable[[_VMEnv], Any]:
@@ -751,6 +806,8 @@ class _Lowerer:
         #: an initializer sees only the scalars declared before it.
         self.scalar_inits: list[tuple[str, Callable[[_VMEnv], Any]]] = []
         self._loop_counter = 0
+        #: The scalars each enclosing do loop writes, innermost last.
+        self._loops: list[frozenset[str]] = []
         # name -> its first declaration, array or scalar.
         self._decls = {d.name: d for d in reversed(self.program.decls)}
 
@@ -875,6 +932,10 @@ class _Lowerer:
                     _as_int_nonzero(_compile_expr_static(step, self)),
                     slot,
                 ))
+                self._loops.append(frozenset([var, *(  # the scalars it writes
+                    x.var if type(x) is DoLoop else x.target.name
+                    for x in walk_stmts(body) if type(x) is DoLoop
+                    or type(x) is Assign and type(x.target) is VarRef)]))
                 pencils = self._pencil_loop(var, slot, body)
                 if pencils is not None:
                     self._emit(pencils)
@@ -882,6 +943,7 @@ class _Lowerer:
                 for st in body:
                     self.lower_stmt(st)
                 self._emit(_LoopInc(var, slot, back_target=test_at))
+                self._loops.pop()
                 self.code[test_at].exit_target = len(self.code)
                 if pencils is not None:
                     pencils.exit_target = len(self.code)
@@ -1011,7 +1073,8 @@ class _Lowerer:
             step=None if step is None else _compile_expr_static(step, self),
             root=None if s.root is None else _compile_expr_static(s.root, self),
             sec_fns={
-                id(ref): (ref.var, _compile_section(ref, self)) for ref in refs
+                id(ref): (ref.var, _compile_section(ref, self, binders=True))
+                for ref in refs
             },
             model=(self.compiled.model
                    if self.compiled.engine.backend == "msg" else None),

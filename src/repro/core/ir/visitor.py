@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 from .nodes import (
     Accessible, ArrayRef, Assign, Await, BinOp, Block, CallStmt,
     CollectiveStmt, DoLoop, Expr, ExprStmt, Full, Guarded, IfStmt, Index,
-    Iown, Mylb, Myub, Range, RecvStmt, SendStmt, Stmt, Subscript, UnaryOp,
+    Iown, Mylb, Mypid, Myub, Range, RecvStmt, SendStmt, Stmt, Subscript, UnaryOp,
     VarRef,
 )
 
@@ -27,7 +27,7 @@ __all__ = [
     "map_expr", "map_stmt", "map_block", "substitute", "substitute_stmt",
     "walk_exprs", "subscript_parts", "subscript_exprs", "walk_stmts", "all_exprs",
     "array_refs",
-    "free_scalars", "loop_depth",
+    "free_scalars", "env_key", "UNKEYED", "loop_depth",
 ]
 
 
@@ -348,6 +348,40 @@ def free_scalars(node: Stmt | Block | Expr) -> set[str]:
     else:
         visit_expr(node, frozenset())
     return out
+
+
+#: What an :func:`env_key` key returns for a value that may not key a memo.
+UNKEYED = object()
+_TABLE_READS = frozenset({ArrayRef, Iown, Accessible, Await, Mylb, Myub})
+
+
+def env_key(ref: ArrayRef):
+    """What the section ``ref`` names depends on, for the section memos of
+    both executors: ``(names, mypid, key)`` — the scalars its subscripts
+    read, whether one reads ``mypid``, and ``key(env)`` over an
+    environment's ``scalars`` and 1-based ``pid1``; None if a subscript
+    reads table state.  A key is the bare value of one name, else a tuple;
+    :data:`UNKEYED` for a value neither an int nor absent, since ``3 ==
+    3.0`` as dict keys while IL ``/`` floors ints and not floats."""
+    subs = list(walk_exprs(ref))[1:]
+    if any(type(e) in _TABLE_READS for e in subs):
+        return None
+    names = tuple(sorted({e.name for e in subs if type(e) is VarRef}))
+    mypid = any(type(e) is Mypid for e in subs)
+    if len(names) == 1 and not mypid:
+        name = names[0]
+
+        def key(env):
+            v = env.scalars.get(name)
+            return v if type(v) is int or v is None else UNKEYED
+    else:
+        def key(env):
+            vals = tuple(map(env.scalars.get, names))
+            for v in vals:
+                if type(v) is not int and v is not None:
+                    return UNKEYED
+            return (env.pid1, *vals) if mypid else vals
+    return names, mypid, key
 
 
 def loop_depth(b: Block) -> int:

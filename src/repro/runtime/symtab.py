@@ -139,7 +139,8 @@ class RuntimeSymbolTable:
         read or write that needs it (:meth:`_plan`).
 
         Memoized per entry by the section's value (a compiled program
-        builds a fresh, equal ``Section`` per evaluation).  A record
+        hands back a repeating reference's ``Section`` by identity, which
+        the probe tests first, and builds a fresh, equal one otherwise).  A record
         describes geometry only: ``invalidate_index`` drops it, state-only
         transitions keep it, and the engine empties the memo when ``run()``
         returns (:meth:`forget_resolutions`), so it never outgrows the

@@ -141,6 +141,11 @@ class TestBadInput:
          "P2 writes A[1] but owns only 0 of 1 elements"),
         ("scalar k = 5\niown(A[k:1]) : { A[k:1] = 1.0 }",
          "P1: A[k:1] names no element (triplet 5:1:1)"),
+        # These two were a ZeroDivisionError traceback (int / 0 is 0).
+        ("scalar x = 1.5\nscalar y = 0\nx = x / y",
+         "P1: division by zero in x / y"),
+        ("scalar x = 7\nscalar y = 0\nx = x % y",
+         "P1: division by zero in x % y"),
     ])
     def test_run_time_program_error_is_a_message_and_exit_1(
             self, body, message, tmp_path, capsys):
@@ -255,6 +260,22 @@ class TestBadInput:
         # These used to raise SystemExit(str): no prefix and exit status 1.
         argv = [program_file if a == "FILE" else a for a in argv]
         assert main(["run", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"repro run: {reason}\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("argv,reason", [
+        (["--init", "B=iota"], "--init B: no array named 'B'"),
+        (["--init", "x"], "--init x: no array named 'x'"),
+        (["--show", "A", "--show", "B"], "--show B: no array named 'B'"),
+    ])
+    def test_run_unknown_array_name_is_a_message_and_exit_2(
+            self, argv, reason, tmp_path, capsys):
+        # A KeyError and an AttributeError traceback, and for --show a full
+        # run that printed "B: <unreadable: ...>" and exited 0.
+        p = tmp_path / "names.xdp"
+        p.write_text("array A[1:4] dist (BLOCK) seg (1)\nscalar x = 0\n")
+        assert main(["run", str(p), "--nprocs", "2", *argv]) == 2
         out, err = capsys.readouterr()
         assert err == f"repro run: {reason}\n"
         assert out == ""
