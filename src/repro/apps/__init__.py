@@ -4,7 +4,6 @@ a Jacobi relaxation, section 2.7's dynamic load balancing, and section
 
 from .fft3d import (
     FFTResult,
-    fft3d_redistribution_schedule,
     fft3d_source,
     run_fft3d,
 )
@@ -14,7 +13,6 @@ from .workqueue import WorkQueueResult, make_job_costs, run_workqueue
 
 __all__ = [
     "fft3d_source",
-    "fft3d_redistribution_schedule",
     "run_fft3d",
     "FFTResult",
     "jacobi_source",

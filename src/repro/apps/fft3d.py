@@ -4,7 +4,7 @@ A complex cube ``A[1:n,1:n,1:n]`` starts distributed ``(*,*,BLOCK)`` over a
 linear array of processors: processor ``p`` owns whole ``k``-planes.  The
 3-D FFT applies a 1-D FFT along ``j``, then ``i`` (both local), then must
 redistribute to ``(*,BLOCK,*)`` so the ``k``-direction FFTs are local too.
-The paper walks this program through optimization stages:
+The paper walks this program through three optimization stages:
 
 * **stage 0 — naive**: every loop guarded by ``iown``/``await`` compute
   rules, the redistribution a separate loop of ``-=>``/``<=-`` ownership
@@ -13,10 +13,7 @@ The paper walks this program through optimization stages:
   the iterations each processor owns (second listing);
 * **stage 2 — pipelined**: the sends fused into the ``i``-direction loop
   and the final ``await`` sunk into the ``k``-direction loop, overlapping
-  redistribution with computation (third listing);
-* **stage 3 — memory-bounded**: the exchange in rounds fenced by
-  ``await`` epilogues (:mod:`repro.core.collectives.planner`), capping each
-  receiver's temp memory at a third of the all-at-once peak.
+  redistribution with computation (third listing).
 
 For ``n == nprocs`` stage 0 is the paper's first listing and stages 1 and 2
 are what the optimizer makes of it at -O1 and -O2: the paper's second and
@@ -26,8 +23,8 @@ listings as goldens, and ``tests/test_paper_listings.py`` diffs them).  For
 Loop3 is :mod:`repro.core.redistgen`'s closed-form output for the
 compile-time :class:`~repro.distributions.RedistributionPlan` (the paper's
 "auxiliary data structure … that links the ``-=>`` and ``<=-``
-statements"), and stages 1, 2 and 3 are the tuner's ``bulk``,
-``pipelined`` and ``planner`` programs for ``PAPER_LAYOUTS``.
+statements"), and stages 1 and 2 are the tuner's ``bulk`` and
+``pipelined`` programs for ``PAPER_LAYOUTS``.
 """
 
 from __future__ import annotations
@@ -43,21 +40,15 @@ from ..machine.stats import RunStats
 
 __all__ = [
     "fft3d_source",
-    "fft3d_redistribution_schedule",
     "run_fft3d",
     "FFTResult",
     "STAGES",
 ]
 
-STAGES = (0, 1, 2, 3)
+STAGES = (0, 1, 2)
 
 #: The tuner realization of each generated stage.
-_REALIZATION = {1: "bulk", 2: "pipelined", 3: "planner"}
-
-#: Stage 3's per-round temp-memory budget, as a fraction of the largest
-#: per-processor footprint.  0.25 packs the FFT repartition into rounds
-#: whose receive windows peak at one third of the all-at-once exchange.
-STAGE3_TEMP_FRAC = 0.25
+_REALIZATION = {1: "bulk", 2: "pipelined"}
 
 
 #: The section-4 placement of each phase (the j-, i- and k-direction
@@ -87,8 +78,12 @@ do p = 1, {n}
 enddo"""
     from ..core.redistgen import plan_transfers
     from ..distributions import plan_redistribution
+    from ..tune.space import LayoutCandidate, candidate_segmentation
 
-    plan = plan_redistribution(*_fft_distributions(n, nprocs))
+    (decl,) = parse_program(_decl(n)).array_decls()
+    plan = plan_redistribution(*(
+        candidate_segmentation(decl, LayoutCandidate(spec), nprocs).distribution
+        for spec in PAPER_LAYOUTS[1:]))
     return "\n".join(
         ["// Loop3: redistribute A as (*,BLOCK,*) (compiler-generated)"]
         + plan_transfers("A", plan).text())
@@ -136,8 +131,8 @@ def _derived_stage(n: int, stage: int) -> str:
 
 
 def _tuned_stage(n: int, nprocs: int, stage: int) -> str:
-    """The tuner's ``bulk``, ``pipelined`` or ``planner`` program (stage
-    1, 2 or 3) for the section-4 placements."""
+    """The tuner's ``bulk`` or ``pipelined`` program (stage 1 or 2) for
+    the section-4 placements."""
     from ..tune.rewrite import detect_phases, generate_phased_program
     from ..tune.space import LayoutCandidate
 
@@ -145,29 +140,7 @@ def _tuned_stage(n: int, nprocs: int, stage: int) -> str:
     return generate_phased_program(
         naive, detect_phases(naive),
         [LayoutCandidate(spec) for spec in PAPER_LAYOUTS], nprocs,
-        realization=_REALIZATION[stage], max_temp_frac=STAGE3_TEMP_FRAC,
-    )
-
-
-def _fft_distributions(n: int, nprocs: int):
-    """Source and target distribution of the §4 repartition."""
-    from ..core.collectives.planner import dist_from_spec
-    from ..distributions import ProcessorGrid
-
-    grid = ProcessorGrid((nprocs,))
-    return tuple(dist_from_spec(spec, ((1, n),) * 3, grid)
-                 for spec in PAPER_LAYOUTS[1:])
-
-
-def fft3d_redistribution_schedule(
-    n: int, nprocs: int, *, max_temp_frac: float = STAGE3_TEMP_FRAC
-):
-    """Stage 3's bounded repartition schedule (for memory accounting)."""
-    from ..core.collectives.planner import plan_bounded_redistribution
-
-    return plan_bounded_redistribution(
-        *_fft_distributions(n, nprocs), max_temp_frac=max_temp_frac,
-        elem_bytes=np.dtype("complex128").itemsize,
+        realization=_REALIZATION[stage],
     )
 
 
@@ -178,9 +151,8 @@ def fft3d_source(n: int, nprocs: int, stage: int) -> str:
     optimizer derives its stage-1 and stage-2 listings from it (-O1 and
     -O2); otherwise ``n`` must be a multiple of ``nprocs``.  The generalized
     stage 0 is the naive program with Loop3 emitted from the compile-time
-    plan; stages 1, 2 and 3 (stage 3 at every size) are the tuner's
-    ``bulk``, ``pipelined`` and ``planner`` programs for the section-4
-    placements, generated from stage 0.
+    plan; stages 1 and 2 are the tuner's ``bulk`` and ``pipelined``
+    programs for the section-4 placements, generated from stage 0.
     """
     if stage not in STAGES:
         raise ValueError(f"stage must be one of {STAGES}")
@@ -190,7 +162,7 @@ def fft3d_source(n: int, nprocs: int, stage: int) -> str:
         raise ValueError(f"n ({n}) must be a multiple of nprocs ({nprocs})")
     if stage == 0:
         return _stage0(n, nprocs)
-    if n == nprocs and stage < 3:
+    if n == nprocs:
         return _derived_stage(n, stage)
     return _tuned_stage(n, nprocs, stage)
 

@@ -28,12 +28,6 @@ Commands
     ``matmul`` to check every shipped variant of that app.  Exits 1 if
     the verifier reports any error.
 
-``redist``
-    Plan a memory-bounded redistribution between two distribution specs
-    and report the schedule's per-round peak temporary memory against the
-    naive all-at-once materialisation (``--max-temp-frac`` sets the
-    budget).
-
 ``tune``
     Search data placements for a phased program (the section-4 FFT demo,
     or ``--file FILE``): rank every (distribution, segmentation, pass
@@ -58,8 +52,6 @@ Examples
     python -m repro check examples/simple.xdp --nprocs 4
     python -m repro check jacobi fft3d workqueue matmul
     python -m repro run --app matmul --variant cannon --backend shmem
-    python -m repro redist --shape 8,8,8 --from "(*, *, BLOCK)" \\
-        --to "(*, BLOCK, *)" --nprocs 4 --max-temp-frac 0.25
     python -m repro tune --n 8 --nprocs 4 --explain
     python -m repro figures all
     python -m repro fft --n 8 --nprocs 4 --stage 2
@@ -68,7 +60,6 @@ Examples
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from pathlib import Path
 
@@ -284,10 +275,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if getattr(args, name) is None:
             setattr(args, name, default)
     program = _load(args.file)
+    decls = {d.name: d for d in program.array_decls()}
     for opt, name in [*(("--init", s.partition("=")[0]) for s in args.init or ()),
                       *(("--show", n) for n in args.show or ())]:
-        if name not in {d.name for d in program.array_decls()}:
+        if name not in decls:
             print(f"repro run: {opt} {name}: no array named {name!r}", file=sys.stderr)
+            return 2
+        if opt == "--show" and decls[name].universal:
+            print(f"repro run: --show {name}: {name} is universal; copies "
+                  f"differ per processor", file=sys.stderr)
             return 2
     if _is_sequential(program):
         program = translate(program, args.nprocs, strategy=args.strategy)
@@ -398,83 +394,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _cmd_redist(args: argparse.Namespace) -> int:
-    from .core.collectives.planner import (
-        dist_from_spec, plan_bounded_redistribution,
-    )
-    from .core.errors import DistributionError
-    from .distributions import ProcessorGrid
-
-    try:
-        if not re.fullmatch(r"[1-9]\d*(,[1-9]\d*)*", args.shape):
-            raise ValueError(f"--shape {args.shape!r} is not a comma-separated "
-                             f"list of positive extents")
-        shape = tuple(int(x) for x in args.shape.split(","))
-        bounds = tuple((1, n) for n in shape)
-        grid = ProcessorGrid((args.nprocs,))
-        src = dist_from_spec(args.src_spec, bounds, grid)
-        dst = dist_from_spec(args.dst_spec, bounds, grid)
-        sched = plan_bounded_redistribution(
-            src, dst, max_temp_frac=args.max_temp_frac,
-            elem_bytes=args.elem_bytes,
-        )
-    except (ValueError, CompilationError, DistributionError) as exc:
-        print(f"repro redist: {exc}", file=sys.stderr)
-        return 2
-    doc = sched.summary()
-    shape_str = "x".join(str(n) for n in shape)
-    print(f"redistribute {shape_str} over P={args.nprocs}: "
-          f"{doc['source']} -> {doc['target']}")
-    print(f"  budget      {doc['budget_bytes']} bytes/proc/round "
-          f"(max_temp_frac={doc['max_temp_frac']})")
-    print(f"  schedule    {doc['rounds']} rounds, {doc['moves']} moves")
-    print(f"  peak temp   {doc['peak_temp_bytes']} bytes/proc "
-          f"(naive all-at-once: {doc['naive_peak_bytes']})")
-    print(f"  peak/naive  {doc['peak_vs_naive']:.3f}")
-    if args.json:
-        from .report.record import write_json_atomic
-
-        write_json_atomic(args.json, doc)
-        print(f"wrote {args.json}")
-    return 0
-
-
 def _parse_knobs(spec: str):
-    """Parse a ``--knobs`` spec like ``bulk,pipelined,planner@0.25`` into a
-    :class:`~repro.tune.space.KnobSpec` (``planner@F`` adds F to the
-    planner's temp-memory fractions; bare ``planner`` keeps the defaults).
-    A spec naming no realization, or a fraction that is not a number in
-    (0, 1], is a ``ValueError`` with a one-line reason."""
+    """Parse a ``--knobs`` spec like ``bulk,pipelined`` into a
+    :class:`~repro.tune.space.KnobSpec`.  A spec naming no realization is
+    a ``ValueError`` with a one-line reason; an unknown name is the
+    tuner's ``TuneError``."""
     from .tune import KnobSpec
 
-    reals: list[str] = []
-    fracs: list[float] = []
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if part.startswith("planner@"):
-            text = part.split("@", 1)[1]
-            try:
-                frac = float(text)
-            except ValueError:
-                raise ValueError(
-                    f"--knobs: planner fraction {text!r} is not a number"
-                ) from None
-            if not 0.0 < frac <= 1.0:
-                raise ValueError(
-                    f"--knobs: planner fraction {text} must be in (0, 1]"
-                )
-            fracs.append(frac)
-            part = "planner"
-        if part not in reals:
-            reals.append(part)
+    reals = tuple(dict.fromkeys(p.strip() for p in spec.split(",") if p.strip()))
     if not reals:
         raise ValueError(f"--knobs {spec!r} names no realizations")
-    return KnobSpec(
-        realizations=tuple(reals),
-        max_temp_fracs=tuple(fracs) if fracs else (0.25, 0.5),
-    )
+    return KnobSpec(realizations=reals)
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
@@ -683,26 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
     # -O and --strategy (from common()) default to None here too.
     r.set_defaults(fn=_cmd_run, **dict.fromkeys(_RUN_FILE_DEFAULTS))
 
-    d = sub.add_parser(
-        "redist",
-        help="plan a memory-bounded redistribution and report its "
-             "peak-temp profile",
-    )
-    d.add_argument("--shape", default="8,8,8",
-                   help="comma-separated array extents (1-based bounds)")
-    d.add_argument("--from", dest="src_spec", default="(*, *, BLOCK)",
-                   metavar="SPEC", help="source HPF-style distribution spec")
-    d.add_argument("--to", dest="dst_spec", default="(*, BLOCK, *)",
-                   metavar="SPEC", help="target HPF-style distribution spec")
-    d.add_argument("--nprocs", type=int, default=4)
-    d.add_argument("--max-temp-frac", type=float, default=0.5,
-                   help="per-round temp-memory budget as a fraction of the "
-                        "largest per-processor array footprint")
-    d.add_argument("--elem-bytes", type=int, default=8)
-    d.add_argument("--json", metavar="FILE",
-                   help="also write the schedule summary as JSON")
-    d.set_defaults(fn=_cmd_redist)
-
     u = sub.add_parser(
         "tune", help="search data placements for a phased program"
     )
@@ -710,14 +620,14 @@ def build_parser() -> argparse.ArgumentParser:
                                   "(default: the section-4 FFT demo)")
     u.add_argument("--n", type=int, default=8, help="FFT demo cube size")
     u.add_argument("--nprocs", type=int, default=4)
-    u.add_argument("--stage", type=int, default=0, choices=(0, 1, 2, 3),
+    u.add_argument("--stage", type=int, default=0, choices=(0, 1, 2),
                    help="FFT demo input stage (0 = naive)")
     u.add_argument("--model", default="default", choices=sorted(_MODELS))
     u.add_argument("--top-k", type=int, default=4,
                    help="first engine wave size (waves then halve)")
     u.add_argument("--knobs", default=None, metavar="SPEC",
-                   help="pass-level knob space, e.g. "
-                        "'bulk,pipelined,planner@0.25,planner@0.5'")
+                   help="redistribution realizations to search, "
+                        "e.g. 'bulk,pipelined'")
     u.add_argument("--budget", type=float, default=60.0, metavar="SECONDS",
                    help="wall-clock budget checked between engine waves")
     u.add_argument("--explain", action="store_true",
@@ -745,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("fft", help="run the section-4 3-D FFT")
     t.add_argument("--n", type=int, default=4)
     t.add_argument("--nprocs", type=int, default=4)
-    t.add_argument("--stage", type=int, default=2, choices=(0, 1, 2, 3))
+    t.add_argument("--stage", type=int, default=2, choices=(0, 1, 2))
     t.add_argument("--model", default="default", choices=sorted(_MODELS))
     t.add_argument("--print-source", action="store_true")
     backend_arg(t)

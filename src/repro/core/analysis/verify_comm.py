@@ -54,7 +54,7 @@ from ..ir.nodes import (
     Mylb, Mypid, Myub, NumProcs, Program, RecvStmt, ScalarDecl,
     SendStmt, Stmt, UnaryOp, VarRef, XferOp,
 )
-from ..ir.printer import print_stmt
+from ..ir.printer import print_expr, print_stmt
 from ..ir.visitor import UNKEYED, env_key, walk_exprs, walk_stmts
 from ..sections import Section, Triplet, section_difference
 from ..segtable import SegmentTable
@@ -402,7 +402,8 @@ def _div(l, r):
     return l / r if r != 0 else _UNKNOWN
 
 
-#: Value operators on known operands (⊤ for a divisor of 0 but ``int / 0``).
+#: Value operators on known operands (⊤ for a divisor of 0 but ``int / 0``:
+#: the zero divisors the VM raises on).
 _OPS = {
     "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div,
     "%": lambda l, r: l % r if r != 0 else _UNKNOWN,
@@ -1322,17 +1323,30 @@ class _Machine:
                 return _kleene(op == "or", self._fn(lhs, rule, True),
                                self._fn(rhs, rule, True))
             case BinOp(op, lhs, rhs):
-                op, l_fn = _OPS[op], self._fn(lhs, rule)
-                if isinstance(rhs, (IntConst, FloatConst)):
+                fn, l_fn = _OPS[op], self._fn(lhs, rule)
+                divides = op in ("/", "%")
+                if isinstance(rhs, (IntConst, FloatConst)) and not (
+                        divides and rhs.value == 0):
                     c = rhs.value
-                    return lambda p: l if (l := l_fn(p)) is _UNKNOWN else op(l, c)
+                    return lambda p: l if (l := l_fn(p)) is _UNKNOWN else fn(l, c)
                 r_fn = self._fn(rhs, rule)
+                if divides:
+                    def divide(p):
+                        l, r = l_fn(p), r_fn(p)
+                        if l is _UNKNOWN or r is _UNKNOWN:
+                            return _UNKNOWN
+                        if (v := fn(l, r)) is _UNKNOWN:  # the VM raises
+                            self.flag("error", "division-by-zero",
+                                      f"division by zero in {print_expr(e)}",
+                                      self.loc(p), p.pid1)
+                        return v
+                    return divide
 
                 def binop(p):
                     l, r = l_fn(p), r_fn(p)
                     if l is _UNKNOWN or r is _UNKNOWN:
                         return _UNKNOWN
-                    return op(l, r)
+                    return fn(l, r)
                 return binop
             case ArrayRef():
                 return self._compile_read(e, e, rule)

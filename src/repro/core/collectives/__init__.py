@@ -1,8 +1,7 @@
 """Collective communication subsystem.
 
 First-class collective transfer primitives (``broadcast``, ``allgather``,
-``all_to_all``, ``reduce_scatter``) and the memory-bounded redistribution
-planner built on them.  The pieces:
+``all_to_all``, ``reduce_scatter``).  The pieces:
 
 * :mod:`~repro.core.collectives.schedule` — the one lowering: every
   collective runs the *flat* schedule (bulk poststore/prefetch with
@@ -12,20 +11,14 @@ planner built on them.  The pieces:
 * :mod:`~repro.core.collectives.desugar` — expansion of a
   :class:`~repro.core.ir.nodes.CollectiveStmt` into the equivalent flat
   point-to-point IL, kept only as the tests' oracle.
-* :mod:`~repro.core.collectives.planner` — decomposition of an array
-  redistribution into bounded rounds so peak per-processor temporary
-  memory stays under a ``max_temp_frac`` budget.
 """
 
-from .planner import RedistSchedule, plan_bounded_redistribution
 from .schedule import CollInstance, collective_ops, execute_ops
 
 __all__ = [
     "CollInstance",
-    "RedistSchedule",
     "collective_ops",
     "execute_ops",
-    "plan_bounded_redistribution",
 ]
 
 

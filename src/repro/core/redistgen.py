@@ -4,9 +4,8 @@ The paper (section 4) links each ``-=>`` to its ``<=-`` through "an
 auxiliary data structure created by the compiler"; that structure is
 :class:`~repro.distributions.RedistributionPlan`, and this module is the
 only code that turns its moves into destination-bound statements, in
-three shapes: all at once (:func:`plan_transfers`), memory-bounded rounds
-each fenced by its awaits (:func:`schedule_transfers`), and fragments
-split along a producing loop's axis, the sends fused into that loop
+two shapes: all at once (:func:`plan_transfers`), and fragments split
+along a producing loop's axis, the sends fused into that loop
 (``plan_transfers(..., fuse=...)``).  The same moves can carry values
 instead of ownership (``plan_transfers(..., value_of=...)``): the
 communication sets of :mod:`repro.core.opt.comm_sets`, which always take
@@ -45,7 +44,7 @@ from .ir.printer import print_stmt
 from .sections import Section, Triplet
 
 __all__ = [
-    "Transfers", "plan_transfers", "schedule_transfers", "section_to_subscripts",
+    "Transfers", "plan_transfers", "section_to_subscripts",
 ]
 
 _Pair = tuple[int, int]
@@ -54,8 +53,8 @@ _Dims = tuple[Triplet, ...]
 
 @dataclass(frozen=True)
 class Transfers:
-    """The statements realising one plan (or one round of a schedule);
-    ``note`` says why they are per-processor guards, if they are."""
+    """The statements realising one plan; ``note`` says why they are
+    per-processor guards, if they are."""
 
     sends: tuple[Stmt, ...]
     recvs: tuple[Stmt, ...]
@@ -349,17 +348,3 @@ def plan_transfers(
         Block(tuple(RecvStmt(r, recv_op) for r in refs(s, me, k))),
     )]))
 
-
-def schedule_transfers(var: str, schedule) -> list[Transfers]:
-    """One all-at-once :class:`Transfers` per round of a
-    :class:`~repro.core.collectives.planner.RedistSchedule`, each closed
-    by its ``await`` epilogue: a processor fences its round-``r`` receives
-    before program order reaches round ``r+1``, which is what bounds its
-    temp memory."""
-    return [
-        plan_transfers(
-            var, RedistributionPlan(schedule.source, schedule.target, r.moves),
-            awaits=True,
-        )
-        for r in schedule.rounds
-    ]

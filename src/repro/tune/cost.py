@@ -37,7 +37,7 @@ __all__ = [
 
 class EstimateError(Exception):
     """The request is outside the closed forms (an unknown kernel or
-    backend, a planner edge without its schedule)."""
+    backend)."""
 
 
 # ---------------------------------------------------------------------- #
@@ -164,7 +164,6 @@ def redistribution_cost(
     realization: str = "bulk",
     outer_axis: int | None = None,
     backend: str | None = None,
-    schedule=None,
 ) -> float:
     """Exposed (non-overlapped) cost of realising a redistribution plan.
 
@@ -179,41 +178,8 @@ def redistribution_cost(
     fragment's latency hide behind the remaining computation, leaving the
     receiver occupancy, one fragment's wire time, and the per-fragment
     synchronisation (an ``await`` intrinsic each) exposed.
-
-    ``realization="planner"`` executes the bounded-round
-    :class:`~repro.core.collectives.planner.RedistSchedule` passed as
-    ``schedule``: each round is a bulk exchange closed by its ``await``
-    epilogue, and rounds serialize — the cost is the sum of per-round
-    bulk critical paths plus the busiest receiver's per-round
-    synchronisation.  Memory is bounded at the price of latency; the
-    tuner treats that trade as a knob.
     """
     tc = transport_costs(backend)
-    if realization == "planner":
-        if schedule is None:
-            raise EstimateError(
-                "planner realization needs the bounded RedistSchedule"
-            )
-        total = 0.0
-        for rnd in schedule.rounds:
-            moves = [m for m in rnd.moves if m.src != m.dst]
-            if not moves:
-                continue
-            sends_r: Counter[int] = Counter()
-            recvs_r: Counter[int] = Counter()
-            max_b = 0
-            for m in moves:
-                sends_r[m.src] += 1
-                recvs_r[m.dst] += 1
-                max_b = max(max_b, tc.wire_bytes(m.section.size * itemsize))
-            busiest_recv = max(recvs_r.values())
-            total += (
-                tc.send_occupancy(model, max_b) * max(sends_r.values())
-                + tc.transit(model, max_b)
-                + tc.recv_occupancy(model) * busiest_recv
-                + INTRINSIC_FLOPS * busiest_recv * model.flop_time
-            )
-        return total
     sends: Counter[int] = Counter()
     recvs: Counter[int] = Counter()
     max_bytes = 0

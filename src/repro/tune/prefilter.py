@@ -41,7 +41,6 @@ from ..core.analysis.verify_comm import verify_communication
 from ..core.ir.nodes import Program
 from ..core.ir.parser import parse_program
 from ..core.ir.printer import print_program
-from ..core.collectives.planner import plan_bounded_redistribution
 from ..distributions import Distribution, plan_redistribution
 from ..machine.model import MachineModel
 from .cost import phase_compute_cost, redistribution_cost
@@ -91,9 +90,9 @@ class PrefilterResult:
 class _EdgeCosts:
     """Memoized analytic redistribution costs between distributions.
 
-    One ``plan_redistribution`` per (source, target), one bounded
-    schedule per planner budget on it, one ``redistribution_cost`` per
-    realization of it — however many ranked paths cross the edge.
+    One ``plan_redistribution`` per (source, target), one
+    ``redistribution_cost`` per realization of it — however many ranked
+    paths cross the edge.
     """
 
     def __init__(self, model: MachineModel, itemsize: int, backend: str):
@@ -101,7 +100,6 @@ class _EdgeCosts:
         self.itemsize = itemsize
         self.backend = backend
         self.plans: dict = {}
-        self.schedules: dict = {}
         self.costs: dict = {}
 
     def price(
@@ -123,25 +121,13 @@ class _EdgeCosts:
         )
         if real is None:
             return None, 0.0
-        frac = knob.max_temp_frac
-        key = (edge, real, frac)
+        key = (edge, real)
         hit = self.costs.get(key)
         if hit is not None:
             return real, hit
-        schedule = None
-        if real == "planner":
-            skey = (edge, frac)
-            schedule = self.schedules.get(skey)
-            if schedule is None:
-                schedule = plan_bounded_redistribution(
-                    source, target,
-                    max_temp_frac=frac if frac is not None else 0.5,
-                    elem_bytes=self.itemsize, plan=plan,
-                )
-                self.schedules[skey] = schedule
         out = redistribution_cost(
             plan, self.model, itemsize=self.itemsize, realization=real,
-            outer_axis=src_axis, backend=self.backend, schedule=schedule,
+            outer_axis=src_axis, backend=self.backend,
         )
         self.costs[key] = out
         return real, out
@@ -218,8 +204,7 @@ class LayeredRanking:
             score += cost
             reals.append(real)
             prev = n.dist
-        return score, (tuple(reals),
-                       knob.max_temp_frac if "planner" in reals else None)
+        return score, tuple(reals)
 
     def _stream(self, ki: int) -> Iterator[RankedCandidate]:
         """Knob ``ki``'s paths in ``sort_key`` order, minus those a
@@ -333,8 +318,6 @@ def prefilter(
         src = generate_phased_program(
             program, phases, rc.layouts, space.nprocs,
             realization=rc.knob.realization,
-            max_temp_frac=(rc.knob.max_temp_frac
-                           if rc.knob.max_temp_frac is not None else 0.5),
         )
         parsed = parse_program(src)
         # The emission key is a conservative prediction; the generated

@@ -12,15 +12,13 @@ redistribution between phases.
 Generated code uses the idioms of the paper's hand stages: compute loops
 localized with ``mylb``/``myub`` over the layout's distributed axis and
 slab-guarded with ``iown`` (exact for ``BLOCK``, a filter for ``CYCLIC``),
-and one of three redistribution realizations per phase edge:
+and one of two redistribution realizations per phase edge:
 
 * ``bulk`` — the element-exact plan all at once after the producing
   phase, the consumer guarded by hoisted per-slab ``await`` (stage 1);
 * ``pipelined`` — each move split along the producing loop's axis, the
   sends at the end of that loop's body so transfer overlaps the remaining
-  slabs, the consuming ``await`` sunk per pencil (stage 2);
-* ``planner`` — the moves packed into rounds under a ``max_temp_frac``
-  temp-memory budget, each closed by its ``await`` epilogue (stage 3).
+  slabs, the consuming ``await`` sunk per pencil (stage 2).
 
 The transfer statements come from :mod:`repro.core.redistgen`: in closed
 form in ``mypid`` whenever the plan has one, else one guarded block per
@@ -32,16 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from ..core.analysis.layouts import build_segmentation
-from ..core.collectives.planner import plan_bounded_redistribution
 from ..core.ir.nodes import (
     ArrayDecl, ArrayRef, Block, CallStmt, DoLoop, Full, Guarded, IfStmt,
     Program, Stmt,
 )
 from ..core.ir.printer import print_program, print_stmt
-from ..core.redistgen import plan_transfers, schedule_transfers
+from ..core.redistgen import plan_transfers
 from ..distributions import (
     Distribution, ProcessorGrid, RedistributionPlan, plan_redistribution,
 )
@@ -56,7 +51,7 @@ __all__ = [
     "generate_phased_program",
 ]
 
-REALIZATIONS = ("bulk", "pipelined", "planner")
+REALIZATIONS = ("bulk", "pipelined")
 
 _VARS = "ijklmnpqr"
 
@@ -227,17 +222,14 @@ def generate_phased_program(
     nprocs: int,
     *,
     realization: str = "bulk",
-    max_temp_frac: float = 0.5,
 ) -> str:
     """Re-emit ``program`` as its phase sequence under chosen placements.
 
     ``layouts[p]`` is the placement for ``phases[p]``; the initial
     placement is the declaration's.  Redistribution between differing
     placements is planned element-exactly and emitted by
-    :mod:`repro.core.redistgen` after the producing phase (``bulk``),
-    fused into it per outer slab (``pipelined``), or packed into
-    temp-memory-bounded rounds (``planner``, budgeted by ``max_temp_frac``
-    of the largest per-processor footprint).
+    :mod:`repro.core.redistgen` after the producing phase (``bulk``) or
+    fused into it per outer slab (``pipelined``).
     """
     if realization not in REALIZATIONS:
         raise TuneError(
@@ -271,21 +263,7 @@ def generate_phased_program(
         )
         lines: list[str] = []
         guard = "iown" if real is None else "await"
-        if real == "planner":
-            schedule = plan_bounded_redistribution(
-                current, target,
-                max_temp_frac=max_temp_frac,
-                elem_bytes=np.dtype(decl.dtype).itemsize,
-                plan=plan,
-            )
-            for r, t in enumerate(schedule_transfers(var, schedule), 1):
-                lines.append(
-                    f"// redistribution round {r}/{schedule.round_count} "
-                    f"(peak temp {schedule.peak_temp_bytes} B "
-                    f"of naive {schedule.naive_peak_bytes} B)"
-                )
-                lines += t.text()
-        elif real == "pipelined":
+        if real == "pipelined":
             t = plan_transfers(var, plan, fuse=(src_axis, _VARS[src_axis]))
             fused[idx - 1] = t.sends
             lines = t.text(t.recvs)

@@ -222,9 +222,9 @@ def tune(
     passes ``parallel=False``.
 
     ``knobs`` is the :class:`~repro.tune.space.KnobSpec` the layout paths
-    are crossed with (default: every realization and planner budget).  If
-    no generated candidate beats the input program on the engine, the result
-    keeps the original placement (``realization == "baseline"``, speedup
+    are crossed with (default: both realizations).  If no generated
+    candidate beats the input program on the engine, the result keeps the
+    original placement (``realization == "baseline"``, speedup
     1.0) — tuning never returns something worse than its input.
     """
     t_start = time.perf_counter()

@@ -24,9 +24,9 @@ there is nothing to stream — what is never built is the *product* of the
 layers.
 
 :class:`SpaceSpec` bundles the per-phase layers (each enumerated once,
-cached) with the pass-level knob axes (:class:`KnobSpec`: redistribution
-realization ``bulk`` / ``pipelined`` / ``planner`` with its
-``max_temp_frac`` budget) and counts or describes the full search space;
+cached) with the pass-level knob axis (:class:`KnobSpec`: redistribution
+realization ``bulk`` / ``pipelined``) and counts or describes the full
+search space;
 :mod:`~repro.tune.prefilter` ranks it as a layered graph without walking
 the cross product.
 
@@ -291,22 +291,14 @@ def phase_layouts(
 
 @dataclass(frozen=True)
 class KnobPoint:
-    """One assignment of the pass-level knobs.
-
-    ``realization`` picks how inter-phase redistribution is emitted
-    (``bulk`` / ``pipelined`` / ``planner``); ``max_temp_frac`` is the
-    bounded planner's per-round temp-memory budget (planner only).
-    """
+    """One assignment of the pass-level knobs: ``realization`` picks how
+    inter-phase redistribution is emitted (``bulk`` / ``pipelined``)."""
 
     realization: str
-    max_temp_frac: float | None = None
 
     @property
     def key(self) -> str:
-        out = self.realization
-        if self.max_temp_frac is not None:
-            out += f"@{self.max_temp_frac:g}"
-        return out
+        return self.realization
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.key
@@ -314,22 +306,14 @@ class KnobPoint:
 
 @dataclass(frozen=True)
 class KnobSpec:
-    """The knob *axes*: which realizations and planner budgets the space
-    crosses the layout paths with."""
+    """The knob axis: which realizations the space crosses the layout
+    paths with."""
 
-    realizations: tuple[str, ...] = ("bulk", "pipelined", "planner")
-    max_temp_fracs: tuple[float, ...] = (0.25, 0.5)
+    realizations: tuple[str, ...] = ("bulk", "pipelined")
 
     def points(self) -> tuple[KnobPoint, ...]:
-        """Every legal knob assignment, in canonical order (the planner
-        realization crosses with its budget axis)."""
-        out: list[KnobPoint] = []
-        for real in self.realizations:
-            fracs: tuple[float | None, ...] = (
-                tuple(self.max_temp_fracs) if real == "planner" else (None,)
-            )
-            out.extend(KnobPoint(real, frac) for frac in fracs)
-        return tuple(out)
+        """Every knob assignment, in canonical order."""
+        return tuple(KnobPoint(real) for real in self.realizations)
 
 
 @dataclass

@@ -91,6 +91,9 @@ def pinned_programs() -> list[tuple[str, str]]:
     for n, p in ((4, 4), (8, 4), (16, 4), (16, 16)):
         for stage in STAGES:
             texts.append((f"fft3d/n{n}-p{p}-s{stage}", fft3d_source(n, p, stage)))
+        # The retired memory-bounded stage 3, as fft3d_source last made it.
+        texts.append((f"fft3d/n{n}-p{p}-s3", (
+            REPO / "tests" / "data" / f"fft3d_s3_rounds_n{n}_p{p}.xdp").read_text()))
     for n, p in ((8, 4), (16, 4), (64, 16)):
         for variant in MATMUL_VARIANTS:
             texts.append((f"matmul/n{n}-p{p}-{variant}",

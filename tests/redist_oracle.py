@@ -2,6 +2,7 @@
 before it emitted closed SPMD form, kept as the differential oracle for
 ``tests/test_redistgen.py``: one ``mypid == k`` guard per transfer, sends
 first, then the matching receives, then optionally one ``await`` each.
+Also :func:`dist_from_spec`, the tests' shorthand for a distribution.
 """
 
 from __future__ import annotations
@@ -10,8 +11,18 @@ from repro.core.ir.nodes import (
     ArrayRef, Await, BinOp, Block, ExprStmt, Guarded, IntConst, Mypid,
     RecvStmt, SendStmt, Stmt, XferOp,
 )
+from repro.core.analysis.layouts import split_dist_spec
 from repro.core.redistgen import section_to_subscripts
-from repro.distributions import RedistributionPlan
+from repro.core.sections import Section, Triplet
+from repro.distributions import Distribution, RedistributionPlan, parse_dist_spec
+
+
+def dist_from_spec(spec: str, bounds, grid) -> Distribution:
+    """A :class:`Distribution` from an HPF spec string like
+    ``"(*, BLOCK)"`` over ``bounds`` (inclusive ``(lo, hi)`` pairs)."""
+    specs = tuple(parse_dist_spec(s) for s in split_dist_spec(spec))
+    space = Section(tuple(Triplet(lo, hi, 1) for lo, hi in bounds))
+    return Distribution(space, specs, grid)
 
 
 def _on_pid(pid0: int, stmt: Stmt) -> Guarded:

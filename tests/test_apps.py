@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.apps import (
-    fft3d_redistribution_schedule,
     fft3d_source,
     make_job_costs,
     run_fft3d,
@@ -86,7 +85,7 @@ class TestFFT3D:
 
     def test_sources_verify(self):
         for n, P in [(4, 4), (8, 4)]:
-            for stage in (0, 1, 2, 3):
+            for stage in STAGES:
                 verify_program(parse_program(fft3d_source(n, P, stage)))
 
     def test_invalid_sizes(self):
@@ -98,38 +97,6 @@ class TestFFT3D:
             fft3d_source(0, 4, 2)
         with pytest.raises(ValueError, match="must be positive"):
             fft3d_source(4, 0, 2)
-
-
-class TestFFT3DStage3:
-    """Stage 3: the repartition routed through the bounded planner."""
-
-    def test_correct(self):
-        r = run_fft3d(8, 4, 3, model=FAST)
-        assert r.correct
-        assert r.stats.unclaimed_messages == 0
-
-    def test_peak_temp_memory_is_one_third_of_naive(self):
-        # The §4 repartition at the default budget runs in 3 rounds whose
-        # receive windows peak at exactly 1/3 of the all-at-once exchange:
-        # 512 B/proc instead of 1536 B (complex128, n=8, P=4).
-        sched = fft3d_redistribution_schedule(8, 4)
-        assert sched.round_count == 3
-        assert sched.naive_peak_bytes == 1536
-        assert sched.peak_temp_bytes == 512
-        assert sched.peak_temp_bytes * 3 == sched.naive_peak_bytes
-
-    @pytest.mark.msg_timing
-    def test_planner_trades_latency_for_memory(self):
-        # The fences serialize rounds, so stage 3 may be slower than the
-        # unbounded stage 1 — but it must still beat the naive program.
-        s0 = run_fft3d(8, 4, 0, model=FAST)
-        s3 = run_fft3d(8, 4, 3, model=FAST)
-        assert s3.makespan < s0.makespan
-
-    def test_matches_other_stages_bitwise(self):
-        base = run_fft3d(8, 4, 1, model=FAST)
-        s3 = run_fft3d(8, 4, 3, model=FAST)
-        np.testing.assert_allclose(s3.result, base.result, atol=1e-12)
 
 
 class TestJacobi:

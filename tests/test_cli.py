@@ -166,12 +166,13 @@ class TestBadInput:
         assert "Traceback" not in out + err
 
     @pytest.mark.parametrize("argv,reason", [
-        (["--knobs", "planner@abc"],
-         "--knobs: planner fraction 'abc' is not a number"),
-        (["--knobs", "planner@0"],
-         "--knobs: planner fraction 0 must be in (0, 1]"),
-        (["--knobs", "planner@2"],
-         "--knobs: planner fraction 2 must be in (0, 1]"),
+        (["--knobs", "planner"],
+         "unknown realization 'planner' (choose from ('bulk', 'pipelined'))"),
+        (["--knobs", "planner@0.25"],
+         "unknown realization 'planner@0.25' "
+         "(choose from ('bulk', 'pipelined'))"),
+        (["--knobs", "bulk,planner"],
+         "unknown realization 'planner' (choose from ('bulk', 'pipelined'))"),
         (["--knobs", ""], "--knobs '' names no realizations"),
         (["--top-k", "0"], "--top-k (0) must be positive"),
         (["--top-k", "-2"], "--top-k (-2) must be positive"),
@@ -183,7 +184,8 @@ class TestBadInput:
         # These used to print a ValueError/DistributionError traceback
         # (exit 1), or run silently (top-k, budget, empty knobs).  A
         # --store that is a regular file raised NotADirectoryError from
-        # inside the search.
+        # inside the search.  The memory-bounded realization is gone, in
+        # both its spellings.
         afile = tmp_path / "afile"
         afile.write_text("")
         argv = [str(afile) if a == "AFILE" else a for a in argv]
@@ -278,6 +280,18 @@ class TestBadInput:
         assert main(["run", str(p), "--nprocs", "2", *argv]) == 2
         out, err = capsys.readouterr()
         assert err == f"repro run: {reason}\n"
+        assert out == ""
+
+    def test_run_show_universal_array_is_a_message_and_exit_2(
+            self, tmp_path, capsys):
+        # It used to run the whole program, print "U: <unreadable: ...>"
+        # and exit 0: a universal array has one copy per processor.
+        p = tmp_path / "universal.xdp"
+        p.write_text("array U[1:4] universal\nU[1] = mypid\n")
+        assert main(["run", str(p), "--nprocs", "2", "--show", "U"]) == 2
+        out, err = capsys.readouterr()
+        assert err == ("repro run: --show U: U is universal; copies differ "
+                       "per processor\n")
         assert out == ""
 
     def test_run_variant_with_a_file_is_a_message_and_exit_2(
@@ -422,46 +436,6 @@ class TestMatmulApp:
         out = capsys.readouterr().out
         for variant in ("cannon", "summa", "gather", "outer"):
             assert f"matmul/{variant}" in out
-
-
-class TestRedist:
-    def test_redist_reports_bounded_schedule(self, capsys):
-        assert main(["redist", "--max-temp-frac", "0.25"]) == 0
-        out = capsys.readouterr().out
-        assert "(*, *, BLOCK) -> (*, BLOCK, *)" in out
-        assert "3 rounds" in out
-        assert "peak/naive  0.333" in out
-
-    def test_redist_json_summary(self, tmp_path, capsys):
-        import json
-
-        out_file = tmp_path / "redist.json"
-        assert main(["redist", "--max-temp-frac", "0.25",
-                     "--json", str(out_file)]) == 0
-        data = json.loads(out_file.read_text())
-        assert data["rounds"] == 3
-        assert data["peak_temp_bytes"] <= data["budget_bytes"]
-        assert data["peak_temp_bytes"] / data["naive_peak_bytes"] <= 0.5
-
-    def test_redist_rejects_bad_frac(self, capsys):
-        assert main(["redist", "--max-temp-frac", "0"]) == 2
-        assert capsys.readouterr().err == (
-            "repro redist: max_temp_frac must be in (0, 1], got 0.0\n")
-
-    @pytest.mark.parametrize("argv,message", [
-        (["--shape", "8,x"], "--shape '8,x' is not a comma-separated list "
-                             "of positive extents"),
-        (["--shape", "0,8"], "--shape '0,8' is not a comma-separated list "
-                             "of positive extents"),
-        (["--from", "BOGUS"], "distribution spec 'BOGUS' must be parenthesised"),
-        (["--to", "(*, FOO, *)"], "unknown distribution spec 'FOO'"),
-        (["--nprocs", "0"], "invalid grid shape (0,)"),
-    ])
-    def test_redist_bad_input_is_a_message_and_exit_2(self, argv, message, capsys):
-        assert main(["redist", *argv]) == 2
-        out, err = capsys.readouterr()
-        assert err == f"repro redist: {message}\n"
-        assert "Traceback" not in out + err
 
 
 class TestModuleDoc:

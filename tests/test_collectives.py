@@ -2,31 +2,23 @@
 
 Covers the IL surface (parse/print/verify), the schedules and their
 bit-identity guarantee (msg vs shmem, flat vs the binomial-tree
-broadcast, both vs the point-to-point desugaring), the broadcast rule's
-pick against the simulator, and the memory-bounded redistribution
-planner.
+broadcast, both vs the point-to-point desugaring), and the broadcast
+rule's pick against the simulator.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.codegen import lower
 from repro.core.collectives.desugar import desugar_program, static_eval
-from repro.core.collectives.planner import (
-    dist_from_spec, plan_bounded_redistribution,
-)
 from repro.core.collectives import schedule
 from repro.core.collectives.schedule import (
     CollInstance, Fence, LocalCopy, LocalReduce, RecvChunk,
     collective_ops, group_members, reduce_order, tree_pays,
 )
-from repro.core.errors import (
-    DistributionError, ProtocolError, VerificationError, XDPError,
-)
+from repro.core.errors import ProtocolError, VerificationError, XDPError
 from repro import Interpreter
 from repro.apps.matmul import run_matmul
 from repro.core.ir.nodes import CollectiveStmt, Full, Index, Range
@@ -35,7 +27,6 @@ from repro.core.ir.printer import print_program
 from repro.core.ir.verify import verify_program
 from repro.core.ir.visitor import walk_stmts
 from repro.core.sections import Section, Triplet, section
-from repro.distributions import ProcessorGrid, plan_redistribution
 from repro.machine import MachineModel
 
 # One program exercising every collective op at P=4; every array ends up
@@ -333,137 +324,3 @@ class TestBitIdentity:
             runner = lower(parse_program(src), 4, backend=backend)
             runner.run()
             assert np.array_equal(runner.read_global("A"), want), backend
-
-
-# --------------------------------------------------------------------- #
-# the memory-bounded redistribution planner
-# --------------------------------------------------------------------- #
-
-
-def _fft_pair(n=8, nprocs=4):
-    bounds = ((1, n), (1, n), (1, n))
-    grid = ProcessorGrid((nprocs,))
-    return (
-        dist_from_spec("(*, *, BLOCK)", bounds, grid),
-        dist_from_spec("(*, BLOCK, *)", bounds, grid),
-    )
-
-
-class TestPlanner:
-    def test_fft_repartition_meets_the_50pct_bar(self):
-        src, dst = _fft_pair()
-        sched = plan_bounded_redistribution(src, dst, max_temp_frac=0.25)
-        s = sched.summary()
-        assert s["peak_temp_bytes"] <= s["budget_bytes"]
-        assert s["peak_vs_naive"] <= 0.5  # the ISSUE acceptance bar
-        assert s["rounds"] >= 2
-
-    def test_rounds_partition_the_direct_plan(self):
-        src, dst = _fft_pair()
-        sched = plan_bounded_redistribution(src, dst, max_temp_frac=0.25)
-        direct = plan_redistribution(src, dst)
-
-        def cover(moves):
-            out = set()
-            for m in moves:
-                for idx in m.section:
-                    out.add((m.src, m.dst, idx))
-            return out
-
-        assert cover(sched.all_moves()) == cover(
-            m for m in direct.moves if m.src != m.dst
-        )
-
-    def test_frac_validation(self):
-        src, dst = _fft_pair()
-        for bad in (0.0, -0.5, 1.5):
-            with pytest.raises(DistributionError):
-                plan_bounded_redistribution(src, dst, max_temp_frac=bad)
-
-    def test_identity_redistribution_is_empty(self):
-        src, _ = _fft_pair()
-        sched = plan_bounded_redistribution(src, src, max_temp_frac=0.5)
-        assert sched.round_count == 0
-        assert sched.peak_temp_bytes == 0
-
-    def test_schedule_statements_execute_to_the_same_array(self):
-        n, nprocs = 8, 4
-        grid = ProcessorGrid((nprocs,))
-        bounds = ((1, n), (1, n))
-        src = dist_from_spec("(BLOCK, *)", bounds, grid)
-        dst = dist_from_spec("(*, BLOCK)", bounds, grid)
-        sched = plan_bounded_redistribution(src, dst, max_temp_frac=0.25)
-        from repro.core.ir.nodes import ArrayDecl, Block as IRBlock, Program
-        from repro.core.redistgen import schedule_transfers
-
-        decl = ArrayDecl("A", ((1, n), (1, n)), dist="(BLOCK, *)",
-                         segment_shape=(n // nprocs, n))
-        stmts = [s for t in schedule_transfers("A", sched) for s in t.statements]
-        prog = Program((decl,), IRBlock(tuple(stmts)))
-        it = Interpreter(prog, nprocs, model=MachineModel())
-        a0 = np.arange(64.0).reshape(n, n)
-        it.write_global("A", a0)
-        it.run()
-        assert np.array_equal(it.read_global("A"), a0)
-        for pid in range(nprocs):
-            for sec in dst.owned_sections(pid):
-                assert it.engine.symtabs[pid].iown("A", sec)
-
-
-SPECS_1D = ("(BLOCK)", "(CYCLIC)")
-SPECS_2D = ("(BLOCK, *)", "(*, BLOCK)", "(CYCLIC, *)", "(*, CYCLIC)")
-
-
-class TestPlannerProperties:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        nprocs=st.integers(2, 4),
-        mult=st.integers(1, 3),
-        src_spec=st.sampled_from(SPECS_2D),
-        dst_spec=st.sampled_from(SPECS_2D),
-        frac=st.floats(0.05, 1.0),
-    )
-    def test_peak_never_exceeds_budget(self, nprocs, mult, src_spec,
-                                       dst_spec, frac):
-        n = nprocs * mult
-        bounds = ((1, n), (1, n))
-        grid = ProcessorGrid((nprocs,))
-        src = dist_from_spec(src_spec, bounds, grid)
-        dst = dist_from_spec(dst_spec, bounds, grid)
-        sched = plan_bounded_redistribution(src, dst, max_temp_frac=frac)
-        assert sched.peak_temp_bytes <= sched.budget_bytes
-        for r in sched.rounds:
-            for v in r.incoming_bytes(sched.elem_bytes).values():
-                assert v <= sched.budget_bytes
-            for v in r.outgoing_bytes(sched.elem_bytes).values():
-                assert v <= sched.budget_bytes
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        nprocs=st.integers(2, 4),
-        mult=st.integers(1, 4),
-        src_spec=st.sampled_from(SPECS_1D),
-        dst_spec=st.sampled_from(SPECS_1D),
-        frac=st.floats(0.05, 1.0),
-    )
-    def test_rounds_compose_to_direct_redistribution(self, nprocs, mult,
-                                                     src_spec, dst_spec,
-                                                     frac):
-        n = nprocs * mult
-        grid = ProcessorGrid((nprocs,))
-        src = dist_from_spec(src_spec, ((1, n),), grid)
-        dst = dist_from_spec(dst_spec, ((1, n),), grid)
-        sched = plan_bounded_redistribution(src, dst, max_temp_frac=frac)
-        direct = plan_redistribution(src, dst)
-
-        def cover(moves):
-            out = {}
-            for m in moves:
-                for idx in m.section:
-                    key = (m.src, m.dst, idx)
-                    out[key] = out.get(key, 0) + 1
-            return out
-
-        got = cover(sched.all_moves())
-        want = cover(m for m in direct.moves if m.src != m.dst)
-        assert got == want  # every element moved exactly once, same edges

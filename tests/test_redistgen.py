@@ -8,9 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.analysis.layouts import build_segmentation
-from repro.core.collectives.planner import (
-    dist_from_spec, plan_bounded_redistribution,
-)
 from repro.core.ir.nodes import (
     ArrayDecl, Block, DoLoop, ExprStmt, Guarded, Program, RecvStmt, SendStmt,
     VarRef, XferOp,
@@ -18,9 +15,7 @@ from repro.core.ir.nodes import (
 from repro.core.ir.printer import print_stmt
 from repro.core.ir.verify import verify_program
 from repro import Interpreter, lower
-from repro.core.redistgen import (
-    plan_transfers, schedule_transfers, section_to_subscripts,
-)
+from repro.core.redistgen import plan_transfers, section_to_subscripts
 from repro.core.sections import section
 from repro.distributions import (
     Block as BlockSpec,
@@ -34,6 +29,7 @@ from repro.distributions import (
 from repro.distributions.redistribute import Move
 from repro.machine import MachineModel
 
+from .redist_oracle import dist_from_spec
 from .redist_oracle import redistribution_statements as oracle_statements
 
 FAST = MachineModel(o_send=1, o_recv=1, alpha=10, per_byte=0.0)
@@ -150,8 +146,7 @@ class TestExecution:
 
 class TestSelfAndDuplicateMoves:
     """Regression: plans that carry ``src == dst`` or repeated moves — e.g.
-    hand-assembled round plans from the bounded-redistribution planner —
-    must not emit self-sends (a processor messaging itself deadlocks) or
+    hand-assembled plans — must not emit self-sends (a processor messaging itself deadlocks) or
     duplicate transfer pairs."""
 
     def test_self_moves_emit_no_statements(self):
@@ -277,17 +272,19 @@ class TestClosedForm:
         assert t.note == ("redistgen: one guarded block per processor "
                           "(a move does not span its source's slabs along axis 3)")
         assert text(t.sends)[0] == "mypid == 1 and k == 1 : {"
-        # A bounded round pairs only some processors.
-        sched = plan_bounded_redistribution(
-            *(dist_from_spec(s, ((1, 8),) * 3, ProcessorGrid((4,)))
-              for s in ("(*, *, BLOCK)", "(*, BLOCK, *)")),
-            max_temp_frac=0.25, elem_bytes=16)
-        rounds = schedule_transfers("A", sched)
-        assert len(rounds) == 3
-        assert {r.note for r in rounds} == {
-            "redistgen: one guarded block per processor "
-            "(moves pair 4 of the 12 ordered processor pairs)"}
-        assert all(len(r.waits) == 4 for r in rounds)
+        # A plan that pairs only some processors: BLOCK -> CYCLIC(3) at
+        # n=6, P=4 moves A[3] from P2 to P1 and A[5:6] from P3 to P2.
+        grid = ProcessorGrid((4,))
+        t = plan_transfers("A", plan_redistribution(
+            *(dist_from_spec(s, ((1, 6),), grid)
+              for s in ("(BLOCK)", "(CYCLIC(3))"))), awaits=True)
+        assert t.note == ("redistgen: one guarded block per processor "
+                          "(moves pair 2 of the 12 ordered processor pairs)")
+        assert text(t.sends) == [
+            "mypid == 2 : {", "  A[3] -=> {1}", "}",
+            "mypid == 3 : {", "  A[5:6] -=> {2}", "}",
+        ]
+        assert len(t.waits) == 2
 
 
 # --------------------------------------------------------------------- #
@@ -308,8 +305,7 @@ def layouts(draw):
         return "(" + ", ".join(kind if a == axis else "*"
                                for a in range(rank)) + ")"
 
-    return shape, spec(), spec(), draw(st.integers(2, 6)), draw(
-        st.sampled_from([None, 0.25, 0.5]))
+    return shape, spec(), spec(), draw(st.integers(2, 6))
 
 
 def _run(decl, stmts, nprocs, backend, a0):
@@ -324,24 +320,14 @@ class TestOracleDifferential:
     @settings(max_examples=40, deadline=None)
     @given(layouts())
     def test_emitted_programs_match_the_per_pid_oracle(self, case):
-        shape, src_spec, dst_spec, nprocs, frac = case
+        shape, src_spec, dst_spec, nprocs = case
         grid = ProcessorGrid((nprocs,))
         decl = ArrayDecl("A", tuple((1, n) for n in shape), dist=src_spec)
         source = build_segmentation(decl, grid).distribution
         target = dist_from_spec(dst_spec, decl.bounds, grid)
         plan = plan_redistribution(source, target)
-        if frac is None:
-            plans = [plan]
-            emitted = plan_transfers("A", plan, awaits=True).statements
-        else:
-            sched = plan_bounded_redistribution(
-                source, target, max_temp_frac=frac, plan=plan)
-            plans = [RedistributionPlan(source, target, r.moves)
-                     for r in sched.rounds]
-            emitted = [s for t in schedule_transfers("A", sched)
-                       for s in t.statements]
-        oracle = [s for p in plans
-                  for s in oracle_statements("A", p, awaits=True)]
+        emitted = plan_transfers("A", plan, awaits=True).statements
+        oracle = oracle_statements("A", plan, awaits=True)
         a0 = np.arange(float(np.prod(shape))).reshape(shape)
         for backend in ("msg", "shmem"):
             got = _run(decl, emitted, nprocs, backend, a0)

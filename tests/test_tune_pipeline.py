@@ -124,10 +124,7 @@ def ranking_cases(draw, models):
         decl, nprocs, tuple(p.axis for p in phases),
         specs=draw(_ordered_subset(PHASE_SPECS)),
         seg_choices=draw(_ordered_subset(PHASE_SEGS)),
-        knobs=KnobSpec(
-            draw(_ordered_subset(("bulk", "pipelined", "planner"))),
-            draw(_ordered_subset((0.125, 0.25, 0.5, 1.0))),
-        ),
+        knobs=KnobSpec(draw(_ordered_subset(("bulk", "pipelined")))),
     )
     # The oracle prices every point: keep it to a second or two.
     assume(0 < space.size() <= 60_000)
@@ -207,7 +204,7 @@ class TestRankingMatchesSweep:
         swept = tune(src, nprocs, **kw).canonical_doc()
         assert json.dumps(lazy, sort_keys=True) == \
             json.dumps(swept, sort_keys=True)
-        assert lazy["candidates_considered"] == lazy["space_size"] == 23328
+        assert lazy["candidates_considered"] == lazy["space_size"] == 11664
 
 
 class TestRankingWork:
@@ -215,7 +212,7 @@ class TestRankingWork:
 
     def test_six_phases_rank_without_the_product(self):
         program, phases, space, kw = _fft_case(repeat=2)
-        assert space.size() == 136_048_896
+        assert space.size() == 68_024_448  # 18**6 paths x 2 realizations
         pf = prefilter(program, phases, space, budget=8, **kw)
         assert pf.space_size == space.size() and pf.expanded <= 4096
         assert len(pf.shortlist) == 8 and not pf.demoted

@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.collectives.planner import plan_bounded_redistribution
 from repro.core.ir.nodes import ArrayDecl, Program
 from repro.distributions import Distribution, plan_redistribution
 from repro.machine.model import MachineModel
@@ -40,7 +39,6 @@ class _EdgeCosts:
         self.itemsize = itemsize
         self.backend = backend
         self.plans: dict = {}
-        self.schedules: dict = {}
         self.costs: dict = {}
         self.dists: dict[LayoutCandidate, Distribution] = {}
 
@@ -73,25 +71,13 @@ class _EdgeCosts:
         )
         if real is None:
             return None, 0.0
-        frac = knob.max_temp_frac
-        key = (source, cand, real, frac)
+        key = (source, cand, real)
         hit = self.costs.get(key)
         if hit is not None:
             return real, hit
-        schedule = None
-        if real == "planner":
-            skey = (source, cand, frac)
-            schedule = self.schedules.get(skey)
-            if schedule is None:
-                schedule = plan_bounded_redistribution(
-                    source, self.dist(cand),
-                    max_temp_frac=frac if frac is not None else 0.5,
-                    elem_bytes=self.itemsize, plan=plan,
-                )
-                self.schedules[skey] = schedule
         out = redistribution_cost(
             plan, self.model, itemsize=self.itemsize, realization=real,
-            outer_axis=src_axis, backend=self.backend, schedule=schedule,
+            outer_axis=src_axis, backend=self.backend,
         )
         self.costs[key] = out
         return real, out
@@ -147,7 +133,6 @@ def ranking_oracle(
             emission = (
                 tuple((c.dist, c.grid_shape) for c in path),
                 tuple(reals),
-                knob.max_temp_frac if "planner" in reals else None,
             )
             old = best.get(emission)
             if old is None or rc.sort_key < old.sort_key:
