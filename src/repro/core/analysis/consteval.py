@@ -7,8 +7,8 @@ evaluation.  This module evaluates expressions under a partial environment;
 ``None`` means *not a compile-time constant* and makes the analyses above
 it conservative (keep the communication, skip the optimization).
 
-``mypid`` evaluates only when the environment pins a processor — the
-ownership analysis enumerates processors explicitly.
+``mypid`` evaluates only when the environment pins a processor, or a run
+of processors as a :class:`~repro.core.pidaffine.PidAffine`.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from ..ir.nodes import (
     IntConst, MaxIntConst, MinIntConst, Mypid, NumProcs, Program, Range,
     ScalarDecl, UnaryOp, VarRef,
 )
+from ..pidaffine import PidAffine
 from ..sections import Section, Triplet
 
 __all__ = ["ConstEnv", "const_eval", "resolve_section_const", "program_constants"]
@@ -38,14 +39,14 @@ class ConstEnv:
 
     nprocs: int
     scalars: dict[str, int | float | bool] = field(default_factory=dict)
-    pid1: int | None = None
+    pid1: int | PidAffine | None = None
 
     def bind(self, **scalars: int | float | bool) -> "ConstEnv":
         merged = dict(self.scalars)
         merged.update(scalars)
         return ConstEnv(self.nprocs, merged, self.pid1)
 
-    def at_pid(self, pid1: int) -> "ConstEnv":
+    def at_pid(self, pid1: int | PidAffine) -> "ConstEnv":
         return ConstEnv(self.nprocs, self.scalars, pid1)
 
     def without(self, name: str) -> "ConstEnv":
@@ -133,7 +134,8 @@ def resolve_section_const(
                 v = const_eval(expr, env)
                 if v is None:
                     return None
-                dims.append(Triplet(int(v), int(v), 1))
+                v = _index(v)
+                dims.append(Triplet(v, v, 1))
             case Range(lo, hi, step):
                 parts: list[int] = []
                 for part, default in ((lo, lo_b), (hi, hi_b), (step, 1)):
@@ -143,12 +145,16 @@ def resolve_section_const(
                         v = const_eval(part, env)
                         if v is None:
                             return None
-                        parts.append(int(v))
+                        parts.append(_index(v))
                 try:
                     dims.append(Triplet(*parts))
                 except ValueError:
                     return None  # empty section under these constants
     return Section(tuple(dims))
+
+
+def _index(v):
+    return v if isinstance(v, PidAffine) else int(v)
 
 
 def program_constants(program: Program, nprocs: int) -> ConstEnv:

@@ -19,10 +19,8 @@ from dataclasses import dataclass, field
 
 from ...distributions import ProcessorGrid, Segmentation
 from ..errors import CompilationError
-from ..ir.nodes import (
-    ArrayDecl, ArrayRef, DoLoop, Full, Index, Program, ScalarDecl, VarRef,
-)
-from ..sections import Section, Triplet
+from ..ir.nodes import ArrayDecl, ArrayRef, DoLoop, Program
+from ..sections import Section
 from .consteval import ConstEnv, const_eval, program_constants, resolve_section_const
 from .layouts import build_layouts
 
@@ -115,38 +113,3 @@ class OwnershipAnalysis:
         if count > ITERATION_CAP:
             return None
         return list(range(lo_i, hi_i + (1 if step_i > 0 else -1), step_i))
-
-    def guard_true_iterations(
-        self, loop: DoLoop, guard_ref: ArrayRef, env: ConstEnv, pid: int,
-        pieces: tuple[tuple[Triplet, ...], ...] | None = None,
-    ) -> list[int] | None:
-        """Iteration values of ``loop``, in order, at which
-        ``iown(guard_ref)`` holds on ``pid`` when it owns the product of
-        per-dimension ``pieces`` (by default its *initial* ownership), or
-        ``None`` if unresolvable.  Closed form: the owned region is a
-        product of per-dimension triplets, so a dimension subscripted by
-        the bare loop variable admits the iterations inside its owned
-        triplets and every other dimension is owned or not for the whole
-        loop.  The variable must not occur in ``guard_ref`` otherwise."""
-        vals = self.iteration_values(loop, env)
-        if not vals:
-            return vals  # symbolic (None) or zero-trip ([])
-        on_var = [sub == Index(VarRef(loop.var)) for sub in guard_ref.subs]
-        rest = self.resolve(
-            ArrayRef(guard_ref.var, tuple(
-                Full() if v else sub for v, sub in zip(on_var, guard_ref.subs))),
-            env.at_pid(pid + 1))
-        if rest is None:
-            return None
-        step = vals[1] - vals[0] if len(vals) > 1 else 1
-        runs = [Triplet(vals[0], vals[-1], step)]
-        if pieces is None:
-            pieces = self.ctx.layouts[guard_ref.var].distribution.owned_pieces(pid)
-        for v, t, owned in zip(on_var, rest.dims, pieces):
-            if v:
-                runs = [m for r in runs for o in owned
-                        if (m := r.intersect(o)) is not None]
-            elif t.size != sum(
-                    m.size for o in owned if (m := t.intersect(o)) is not None):
-                return []
-        return sorted((i for r in runs for i in r), reverse=step < 0)

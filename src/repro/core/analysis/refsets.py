@@ -19,21 +19,21 @@ reference sets ``unknown`` and forces clients to be conservative.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
 
 from ..ir.nodes import (
     Accessible, ArrayRef, Assign, Await, BinOp, Block, CallStmt, DoLoop, Expr,
     ExprStmt, Full, Guarded, IfStmt, Index, Iown, MaxIntConst, MinIntConst, Mylb,
-    Mypid, Myub, Range, RecvStmt, SendStmt, Stmt, UnaryOp, VarRef, XferOp,
+    Myub, Range, RecvStmt, SendStmt, Stmt, UnaryOp, VarRef, XferOp,
 )
-from ..ir.visitor import all_exprs, subscript_exprs, subscript_parts, walk_exprs
+from ..ir.visitor import subscript_exprs, subscript_parts, walk_exprs
+from ..pidaffine import PidAffine
 from ..sections import Section
 from .consteval import ConstEnv, const_eval
 from .layouts import decl_index_space
 from .ownership import CompilerContext, OwnershipAnalysis
 
 __all__ = [
-    "RefSets", "LoopSection", "loop_offset", "stmt_refsets", "refsets_by_class",
+    "RefSets", "LoopSection", "loop_offset", "stmt_refsets",
 ]
 
 
@@ -103,7 +103,7 @@ def loop_offset(e: Expr, var: str, env: ConstEnv) -> int | None:
             # var + c, c + var, var - c; not c - var
             for sym, const in [(lhs, rhs)] + [(rhs, lhs)] * (op == "+"):
                 off, c = loop_offset(sym, var, env), const_eval(const, env)
-                if off is not None and isinstance(c, int):
+                if off is not None and isinstance(c, (int, PidAffine)):
                     return off + c if op == "+" else off - c
     return None
 
@@ -230,21 +230,3 @@ def stmt_refsets(
     collector = _Collector(ctx, loop_var)
     collector.stmt(stmt, env)
     return collector.out
-
-
-def refsets_by_class(
-    stmts: Sequence[tuple[Stmt | Block, str]], ctx: CompilerContext
-) -> Iterator[list[RefSets]]:
-    """The loop-symbolic reference sets of each ``(statement, loop
-    variable)`` on every processor, once per class of processors whose
-    ``mypid``-dependent subscripts resolve alike."""
-    seen = set()
-    on_pid = any(isinstance(e, Mypid) for s, _ in stmts for e in all_exprs(s))
-    for pid in range(ctx.nprocs if on_pid else 1):
-        penv = ctx.consts.at_pid(pid + 1)
-        sets = [stmt_refsets(s, ctx, penv, var) for s, var in stmts]
-        key = tuple((r.unknown, *map(tuple, (
-            r.reads, r.writes, r.released, r.acquired, r.queried))) for r in sets)
-        if key not in seen:
-            seen.add(key)
-            yield sets

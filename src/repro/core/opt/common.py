@@ -1,25 +1,33 @@
 """Shared machinery for the optimization passes.
 
 * **Ownership flow** — Eijkhout's owned set α as something statements
-  consume and produce.  :class:`OwnershipFlow` holds, at one point of a
-  program-order walk, each processor's owned sections of each array as a
-  coalesced list of disjoint sections.  One helper, :class:`_Mover`,
-  carries a processor's lists through statements: a ``-=>``/``=>``
-  subtracts, a ``<=-``/``<=`` adds (a transitional section is owned,
-  Figure 1), and ``iown``/``await``/``mypid`` rules met on the way are
-  decided on the lists.  :class:`OrderedRewriter` advances the flow past
-  each statement lazily (a pass that asks nothing pays nothing); inside a
-  loop or guard, what that statement moves is unknown.
+  consume and produce, as a function of the processor.  :class:`OwnershipFlow`
+  holds, at one point of a program-order walk, what processors own of each
+  array as coalesced lists of disjoint sections whose bounds are affine in
+  ``mypid`` (:mod:`repro.core.pidaffine`): one list for all processors, or
+  one per run of processors where no single formula fits.  One helper,
+  :class:`_Mover`, carries the lists through statements for a run of
+  processors at once: a ``-=>``/``=>`` subtracts, a ``<=-``/``<=`` adds (a
+  transitional section is owned, Figure 1), ``iown``/``await``/``mypid``
+  rules met on the way are decided on the lists, a guarded loop goes from
+  one true iteration to the next in closed form, and a loop over the other
+  processors (redistgen's ``do d = 1, mypid - 1``) moves its union at once.
+  Where the processors' answers differ, the same mover runs again on each
+  run of processors that share one, down to single processors.
+  :class:`OrderedRewriter` advances the flow past each statement lazily (a
+  pass that asks nothing pays nothing); inside a loop or guard, what that
+  statement moves is unknown.
 
-* **Dynamic guard simulation** — :func:`dynamic_guard_true_iterations`
-  runs the mover over a guarded loop whose body moves ownership (the FFT
+* **Guard decisions** — :func:`dynamic_guard_true_iterations` runs the
+  mover over a guarded loop whose body may move ownership (the FFT
   redistribution loop, paper section 4), recording where the guard held;
-  over an owned region that is one product of triplets, a body that
-  leaves the guard's array alone gets the closed form of
-  :meth:`OwnershipAnalysis.guard_true_iterations`.
+  :meth:`OrderedRewriter.decide` asks it of every processor at once, and
+  a pass reports a decision it could only make per processor.
 """
 
 from __future__ import annotations
+
+import math
 
 from ..analysis.consteval import ConstEnv, const_eval
 from ..analysis.ownership import (
@@ -27,11 +35,12 @@ from ..analysis.ownership import (
 )
 from ..analysis.refsets import RefSets, stmt_refsets
 from ..ir.nodes import (
-    ArrayRef, Await, Block, DoLoop, Expr, Guarded, IfStmt, Index, Iown,
-    Program, RecvStmt, SendStmt, Stmt, VarRef,
+    ArrayRef, Await, BinOp, Block, DoLoop, Expr, Full, Guarded, IfStmt, Index,
+    Iown, Program, RecvStmt, SendStmt, Stmt, UnaryOp, VarRef,
 )
 from ..ir.printer import print_expr
-from ..ir.visitor import subscript_exprs, walk_stmts
+from ..ir.visitor import subscript_exprs, subscript_parts, walk_exprs, walk_stmts
+from ..pidaffine import NoClosedForm, PidAffine, per_run
 from ..sections import Section, Triplet, disjoint_cover_equal, section_difference
 
 __all__ = [
@@ -111,8 +120,8 @@ def _coalesce(owned: list[Section], pieces: list[Section]) -> list[Section]:
             merged = False
             for k, o in enumerate(out):
                 diff = [d for d in range(o.rank) if o.dims[d] != piece.dims[d]]
-                if len(diff) == 1 and (
-                        t := _union(o.dims[diff[0]], piece.dims[diff[0]])):
+                if len(diff) == 1 and (t := _union(
+                        o.dims[diff[0]], piece.dims[diff[0]])) is not None:
                     piece = Section(piece.dims[:diff[0]] + (t,)
                                     + piece.dims[diff[0] + 1:])
                     del out[k]
@@ -135,18 +144,21 @@ def _covers(owned: list[Section], sec: Section) -> bool:
 
 
 class OwnershipFlow:
-    """Each processor's owned sections of each array at one point of a
-    program-order walk.  An array no statement has moved is its initial
-    distribution; one whose moves could not be resolved is unknown
-    (``None``).  :meth:`after` queues a statement; the queue is applied
-    when something is asked."""
+    """What each processor owns of each array at one point of a
+    program-order walk, as section lists whose bounds are affine in
+    ``mypid``: per array, one list for each run of processors on which one
+    list fits (one run for all of them where the moves are affine).  An
+    array no statement has moved is its initial distribution; one whose
+    moves could not be resolved is unknown (``None``).  :meth:`after`
+    queues a statement; the queue is applied when something is asked."""
 
     def __init__(self, ctx: CompilerContext, parent: "OwnershipFlow | None" = None,
                  hidden: frozenset[str] = frozenset()):
         self.ctx = ctx
         self.parent = parent
         self.hidden = hidden
-        self.moved: dict[str, list[list[Section]] | None] = {}
+        self.moved: dict[str, list[tuple[int, int, list[Section]]] | None] = {}
+        self.why: dict[str, str] = {}
         self.pending: list[Stmt] = []
 
     def inside(self, stmt: Stmt) -> "OwnershipFlow":
@@ -159,8 +171,9 @@ class OwnershipFlow:
         if self.parent is None:
             self.pending.append(stmt)
 
-    def sections(self, var: str, pid: int) -> list[Section] | None:
-        """What (0-based) ``pid`` owns of ``var`` here, or ``None``."""
+    def sections(self, var: str, pid) -> list[Section] | None:
+        """What (0-based) ``pid`` owns of ``var`` here, or ``None``; a
+        :class:`PidAffine` ``pid`` asks for a run of processors at once."""
         if self.parent is not None:
             return None if var in self.hidden else self.parent.sections(var, pid)
         while self.pending:
@@ -176,51 +189,108 @@ class OwnershipFlow:
             return var not in self.hidden and self.parent.initial(var)
         return self.known(var) and var not in self.moved
 
-    def pieces(self, var: str, pid: int) -> tuple[tuple[Triplet, ...], ...] | None:
-        """The owned region as per-dimension progressions, when it is one
-        product (the closed form of ``guard_true_iterations``)."""
-        if self.initial(var):
-            return self.ctx.layouts[var].distribution.owned_pieces(pid)
-        owned = self.sections(var, pid)
-        if owned is None or len(owned) > 1:
-            return None
-        return tuple((t,) for t in owned[0].dims) if owned else (
-            ((),) * self.ctx.array_decl(var).rank)
-
-    def owns(self, ref: ArrayRef, env: ConstEnv, pid: int) -> bool | None:
+    def owns(self, ref: ArrayRef, env: ConstEnv, pid) -> bool | None:
         """``iown(ref)`` on ``pid`` here, or ``None`` if undecidable."""
         return _Mover(self.sections, pid, self.ctx).holds(Iown(ref), env.at_pid(pid + 1))
 
-    def _current(self, var: str, pid: int) -> list[Section] | None:
-        if var in self.moved:
-            lists = self.moved[var]
-            return None if lists is None else lists[pid]
-        layout = self.ctx.layouts.get(var)  # universal data is never owned
-        return None if layout is None else layout.distribution.owned_sections(pid)
+    def _current(self, var: str, pid) -> list[Section] | None:
+        if var not in self.moved:
+            layout = self.ctx.layouts.get(var)  # universal data is never owned
+            return None if layout is None else layout.distribution.owned_sections(pid)
+        runs = self.moved[var]
+        if runs is None:
+            return None
+        lo, hi = (pid.lo, pid.hi) if isinstance(pid, PidAffine) else (pid + 1, pid + 1)
+        for a, b, owned in runs:
+            if a <= lo and hi <= b:
+                return owned if (a, b) == (lo, hi) else _restrict(owned, lo, hi)
+        raise NoClosedForm(f"no formula in mypid gives what every processor owns of "
+                           f"{var} ({self.why[var]})",
+                           tuple(a for a, _, _ in runs))
 
     def _apply(self, stmt: Stmt) -> None:
         names = {v for v in ownership_ops(stmt)
                  if self.moved.get(v, ()) is not None}
         if not names:
             return
-        after: list[_Mover] = []
-        for pid in range(self.ctx.nprocs):
+
+        def walk(pid) -> dict[str, list[Section] | None]:
             mover = _Mover(self._current, pid, self.ctx)
             mover.run(stmt, self.ctx.consts.at_pid(pid + 1))
-            after.append(mover)
+            return {v: mover.owned[v] if v in mover.owned else self._current(v, pid)
+                    for v in names}
+
+        split = [v for v in names if v in self.why]
+        runs, why = per_run(self.ctx.nprocs, walk,
+                            [a for v in split for a, _, _ in self.moved[v]])
+        why = why or (self.why[split[0]] if split else None)
         for v in names:
-            lists = [mover.owned.get(v, self._current(v, pid))
-                     for pid, mover in enumerate(after)]
-            self.moved[v] = None if any(o is None for o in lists) else lists
+            unknown = any(owned[v] is None for _, _, owned in runs)
+            self.moved[v] = None if unknown else _merged([(a, b, owned[v]) for a, b, owned in runs])
+            if not self.moved[v] or len(self.moved[v]) == 1:
+                self.why.pop(v, None)
+            else:  # the first cause, not a later statement's look-up of its runs
+                self.why.setdefault(v, why)
+
+
+def _restrict(owned: list[Section], lo: int, hi: int) -> list[Section]:
+    """A run's list on the processors ``lo..hi``."""
+    def on(x):
+        return PidAffine.make(x.a, x.b, lo, hi) if isinstance(x, PidAffine) else x
+    return [Section(tuple(Triplet(on(t.lo), on(t.hi), t.step) for t in sec.dims))
+            for sec in owned]
+
+
+def _merged(runs: list[tuple[int, int, list[Section]]]) -> list[tuple[int, int, list[Section]]]:
+    """Adjacent runs whose lists are one formula in ``mypid`` — the wider
+    run's — as one run (redistgen's partner loops leave processors 1 and P
+    a run each)."""
+    out = runs[:1]
+    for c, d, y in runs[1:]:
+        a, b, x = out[-1]
+        if len(x) != len(y) or a == b and c == d and set(x) != set(y):
+            out.append((c, d, y))
+            continue
+        try:
+            whole = _restrict(x if b - a >= d - c else y, a, d)
+            if set(_restrict(whole, a, b)) == set(x) and set(_restrict(whole, c, d)) == set(y):
+                out[-1] = (a, d, whole)
+                continue
+        except (NoClosedForm, ValueError):  # a triplet empties or differs
+            pass
+        out.append((c, d, y))
+    return out
+
+
+def _affine(e: Expr, var: str) -> bool:
+    """Is ``e`` written affine in ``var``?"""
+    match e:
+        case BinOp("+" | "-", lhs, rhs):
+            return _affine(lhs, var) and _affine(rhs, var)
+        case BinOp("*", lhs, rhs):
+            return any(_affine(x, var) and VarRef(var) not in walk_exprs(y)
+                       for x, y in ((lhs, rhs), (rhs, lhs)))
+        case UnaryOp("-", operand):
+            return _affine(operand, var)
+    return e == VarRef(var) or VarRef(var) not in walk_exprs(e)
+
+
+def _pieces(owned: list[Section], rank: int) -> tuple[tuple[Triplet, ...], ...] | None:
+    """The owned region as per-dimension progressions, when it is one
+    product of them."""
+    dims = [tuple(dict.fromkeys(sec.dims[d] for sec in owned)) for d in range(rank)]
+    return tuple(dims) if math.prod(map(len, dims)) == len(owned) else None
 
 
 class _Mover:
-    """One processor's walk over statements that move ownership: the one
-    place a section list is subtracted from or added to."""
+    """A walk over statements that move ownership, for one processor or a
+    run of them at once (``pid`` a :class:`PidAffine`): the one place a
+    section list is subtracted from or added to."""
 
-    def __init__(self, lookup, pid: int, ctx: CompilerContext):
+    def __init__(self, lookup, pid, ctx: CompilerContext):
         self.lookup = lookup  # (var, pid) -> the list before the walk
         self.pid = pid
+        self.ctx = ctx
         self.analysis = OwnershipAnalysis(ctx)
         self.owned: dict[str, list[Section] | None] = {}
 
@@ -263,7 +333,14 @@ class _Mover:
                     self.apply(RefSets(released=[(ref.var, sec)]))
                 else:
                     self.apply(RefSets(acquired=[(ref.var, sec)]))
+            case DoLoop(var, _, _, _, Block((Guarded(Iown(ref) | Await(ref), body),))) \
+                    if ownership_ops(body):
+                if self.true_iterations(
+                        stmt, ref, env, lambda env_v: self.run(body, env_v) or True) is None:
+                    self._forget(stmt)
             case DoLoop(var, _, _, _, body) if ownership_ops(body):
+                if (swept := self._swept(stmt, env)) is not None:
+                    return self.apply(swept)
                 vals = self.analysis.iteration_values(stmt, env)
                 if vals is None:
                     self._forget(stmt)
@@ -277,6 +354,98 @@ class _Mover:
                     self.run(body, env)
             case IfStmt():
                 self._forget(stmt)
+
+    def _swept(self, loop: DoLoop, env: ConstEnv) -> RefSets | None:
+        """All the moves of a loop whose bounds depend on ``mypid``
+        (redistgen's ``do d = 1, mypid - 1``) at once: its body only sends
+        or only receives, each section sweeping at most one dimension in
+        abutting blocks, affine in the loop variable."""
+        lo, hi, step = (const_eval(e, env) for e in (loop.lo, loop.hi, loop.step))
+        if PidAffine not in (type(lo), type(hi)) or step != 1:
+            return None
+        if lo > hi:
+            return RefSets()
+        swept = []
+        for s in loop.body:
+            match s:
+                case SendStmt(ref, op, _) | RecvStmt(ref, op, _) if (
+                        op.moves_ownership and type(s) is type(loop.body.stmts[0])):
+                    pass
+                case _:
+                    return None
+            dims = [d for d, sub in enumerate(ref.subs)
+                    if VarRef(loop.var) in subscript_exprs(sub)]
+            if len(dims) > 1 or not all(
+                    _affine(e, loop.var) for d in dims for e in subscript_parts(ref.subs[d])):
+                return None
+            sec, nxt = (self.analysis.resolve(ref, env.bind(**{loop.var: lo + k}))
+                        for k in (0, 1))
+            if sec is None or nxt is None:
+                return None
+            for d in dims:
+                t = sec.dims[d]
+                if t.step != 1 or nxt.dims[d].lo - t.lo != t.size:
+                    return None
+                sec = Section(sec.dims[:d] + (Triplet(t.lo, t.hi + t.size * (hi - lo)),)
+                              + sec.dims[d + 1:])
+            swept.append((ref.var, sec))
+        return RefSets(released=swept) if isinstance(s, SendStmt) else RefSets(acquired=swept)
+
+    def true_iterations(self, loop: DoLoop, ref: ArrayRef, env: ConstEnv,
+                        apply) -> list | None:
+        """The iterations of ``loop``, in order, at which ``iown(ref)``
+        holds here, after calling ``apply(env)`` at each one (its moves
+        count from the next; ``False`` means they are unknown), or
+        ``None`` when undecidable."""
+        vals = self.analysis.iteration_values(loop, env)
+        env = env.at_pid(self.pid + 1)
+        moves_guard = ref.var in ownership_ops(loop.body)
+        true: list = []
+        ahead = vals and self._guard(loop, ref, env, vals, moves_guard)
+        while ahead:
+            true.append(v := ahead.pop(0))
+            if not apply(env.bind(**{loop.var: v})):
+                return None
+            if moves_guard:
+                ahead = self._guard(loop, ref, env, vals, True, after=v)
+        return None if ahead is None else true
+
+    def _guard(self, loop: DoLoop, ref: ArrayRef, env: ConstEnv, vals: list[int],
+               first_only: bool, after=None) -> list | None:
+        """The iterations after ``after`` at which ``iown(ref)`` holds on
+        what is owned now.  In closed form when that is one product of
+        per-dimension triplets: a dimension subscripted by the bare loop
+        variable admits the iterations inside its owned triplets, and any
+        other is owned or not for the whole loop.  Else one iteration at a
+        time (to the first that holds, if ``first_only``)."""
+        owned, dims = self._list(ref.var), loop_var_dims(ref, loop.var)
+        pieces = owned is not None and dims is not None and _pieces(owned, len(ref.subs))
+        up = len(vals) < 2 or vals[1] > vals[0]
+        found = []
+        if pieces:
+            rest = self.analysis.resolve(ArrayRef(ref.var, tuple(
+                Full() if d in dims else sub for d, sub in enumerate(ref.subs))), env)
+            if rest is None:
+                return None
+            runs = [Triplet(vals[0], vals[-1], vals[1] - vals[0] if len(vals) > 1 else 1)]
+            for d, (t, mine) in enumerate(zip(rest.dims, pieces)):
+                if d in dims:
+                    runs = [m for r in runs for o in mine if (m := r.intersect(o)) is not None]
+                elif t.size != sum(m.size for o in mine if (m := t.intersect(o)) is not None):
+                    runs = []
+            found = sorted((r.lo + k * r.step for r in runs for k in range(r.size)),
+                           reverse=not up)
+        else:
+            for v in vals:
+                if after is None or (v > after if up else v < after):
+                    held = self.holds(Iown(ref), env.bind(**{loop.var: v}))
+                    if held is None:
+                        return None
+                    if held:
+                        found.append(v)
+                        if first_only:
+                            break
+        return found if after is None else [v for v in found if (v > after if up else v < after)]
 
     def _forget(self, stmt: Stmt | Block) -> None:
         for var in ownership_ops(stmt):
@@ -333,6 +502,28 @@ class OrderedRewriter:
             "decidable at compile time (symbolic bounds or subscripts, or "
             f"more than {ITERATION_CAP} iterations)")
 
+    def decide(self, pass_name: str, loop: DoLoop, rule: Expr, question
+               ) -> tuple[list | None, str | None]:
+        """``question(pid)`` of every processor: asked once for all of them
+        where the answer is one formula in ``mypid``, else once per run of
+        processors that share one.  The answers and why they needed more
+        than one run, or ``(None, None)`` — the guard declined — if any
+        answer is ``None``."""
+        runs, why = per_run(self.ctx.nprocs, question)
+        answers = [answer for _, _, answer in runs]
+        if any(answer is None for answer in answers):
+            self.decline_guard(pass_name, loop, rule)
+            return None, None
+        where = ("per processor" if len(runs) == self.ctx.nprocs
+                 else f"on {len(runs)} runs of processors")
+        return answers, why and f"{where}, not in closed form — {why}"
+
+    def note_split(self, pass_name: str, loop: DoLoop, rule: Expr, why: str | None) -> None:
+        """Say that a decision was made per run of processors, and why."""
+        if why:
+            self.ctx.note(f"{pass_name}: decided {print_expr(rule)} in the loop "
+                          f"over {loop.var} {why}")
+
     def recurse(self, stmt: Stmt, loops: list[DoLoop]) -> Stmt:
         match stmt:
             case Guarded(rule, body):
@@ -355,40 +546,29 @@ def dynamic_guard_true_iterations(
     guard_ref: ArrayRef,
     ctx: CompilerContext,
     env: ConstEnv,
-    pid: int,
+    pid,
     flow: OwnershipFlow | None = None,
-) -> list[int] | None:
-    """Iterations of ``loop`` at which ``iown(guard_ref)`` holds on ``pid``,
-    starting from the ownership ``flow`` holds (the initial distribution
-    by default) and carrying the moves the guarded body makes in earlier
-    iterations.
+) -> list | None:
+    """Iterations of ``loop`` at which ``iown(guard_ref)`` holds on ``pid``
+    (a :class:`PidAffine` for a run of processors), starting from the
+    ownership ``flow`` holds (the initial distribution by default) and
+    carrying the moves the guarded body makes in earlier iterations.
 
     Returns ``None`` when anything is unresolvable (symbolic bounds,
     unresolvable sections, unknown ownership) — callers must then keep
     the guard."""
-    flow = flow if flow is not None else OwnershipFlow(ctx)
-    analysis = OwnershipAnalysis(ctx)
-    if guard_ref.var not in ownership_ops(loop.body):
-        pieces = flow.pieces(guard_ref.var, pid)
-        if pieces is not None:
-            return analysis.guard_true_iterations(loop, guard_ref, env, pid, pieces)
-    vals = analysis.iteration_values(loop, env)
-    if vals is None:
-        return None
-    mover = _Mover(flow.sections, pid, ctx)
-    true_iters: list[int] = []
-    for v in vals:
-        env_v = env.at_pid(pid + 1).bind(**{loop.var: v})
-        held = mover.holds(Iown(guard_ref), env_v)
-        if held is None:
-            return None
-        if held:
-            true_iters.append(v)
-            # Each body statement's moves at once (releases, then
-            # acquisitions), as the point-set reference simulation does.
-            for s in loop.body:
-                moves = stmt_refsets(s, ctx, env_v)
-                if moves.unknown:
-                    return None
-                mover.apply(moves)
-    return true_iters
+    mover = _Mover((flow or OwnershipFlow(ctx)).sections, pid, ctx)
+
+    def apply(env_v: ConstEnv) -> bool:
+        # Each body statement's moves at once (releases, then
+        # acquisitions), as the point-set reference simulation does.
+        for s in loop.body:
+            moves = stmt_refsets(s, ctx, env_v)
+            if moves.unknown:
+                return False
+            mover.apply(moves)
+        return True
+
+    moves_guard = guard_ref.var in ownership_ops(loop.body)
+    return mover.true_iterations(loop, guard_ref, env,
+                                 apply if moves_guard else lambda _: True)

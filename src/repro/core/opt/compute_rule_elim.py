@@ -31,13 +31,17 @@ itself stays, because it is what waits for the data (stage 0's
 Both rewrites are validated exactly at compile time by intersecting
 sections with the owned sections (never by listing array elements),
 carrying the ownership across iterations when the guarded body itself
-transfers it (the FFT redistribution loop does).  If anything is symbolic
-the guard is kept — correct, just unoptimized — and the pass report says
-so; where the flow could not resolve an earlier transfer of the array, the
-pass leaves the loop alone.
+transfers it (the FFT redistribution loop does) — for all processors at
+once, on bounds affine in ``mypid``; where no formula in ``mypid`` fits,
+per processor, and the report says so.  If anything is symbolic the guard
+is kept — correct, just unoptimized — and the pass report says so; where
+the flow could not resolve an earlier transfer of the array, the pass
+leaves the loop alone.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 from ..analysis.consteval import const_eval
 from ..analysis.ownership import CompilerContext
@@ -47,6 +51,7 @@ from ..ir.nodes import (
 )
 from ..ir.printer import print_expr, print_ref
 from ..ir.visitor import substitute_stmt
+from ..pidaffine import pmax, pmin
 from .common import (
     OrderedRewriter, dynamic_guard_true_iterations, loop_var_dims,
 )
@@ -88,45 +93,63 @@ class _Rewriter(OrderedRewriter):
             return None
 
         env = self.ctx.consts
-        true_sets: list[list[int]] = []
-        for pid in range(self.ctx.nprocs):
-            t = dynamic_guard_true_iterations(
-                loop, ref, self.ctx, env, pid, self.flow)
-            if t is None:
-                self.decline_guard(ComputeRuleElimination.name, loop, guarded.rule)
-                return None
-            true_sets.append(t)
-        # An await guard stays (it waits for the data); with every
-        # iteration true everywhere there is nothing to drop.
         waits = isinstance(guarded.rule, Await)
-        rule = print_expr(guarded.rule)
-        if waits and all(t == self.analysis.iteration_values(loop, env)
-                         for t in true_sets):
-            return None
-
-        # Case 1: exactly one iteration per processor, equal to its pid.
-        if all(t == [pid + 1] for pid, t in enumerate(true_sets)):
-            self.ctx.note(
-                f"{ComputeRuleElimination.name}: removed loop over {loop.var} "
-                f"guarded by {rule}; replaced {loop.var} by mypid"
-                + (", kept the await" if waits else "")
-            )
-            kept = [guarded] if waits else guarded.body
-            return [substitute_stmt(s, {loop.var: Mypid()}) for s in kept]
-
-        # Case 2: contiguous per-processor runs matching mylb/myub bounds.
+        vals = self.analysis.iteration_values(loop, env)
+        if vals is None:  # undecidable on every processor
+            return self.decline_guard(ComputeRuleElimination.name, loop, guarded.rule)
         star_ref = ArrayRef(
             ref.var,
             tuple(
                 Full() if i == dim else s for i, s in enumerate(ref.subs)
             ),
         )
-        if not self._runs_match_static_bounds(loop, star_ref, dim, true_sets, env):
+
+        def verdict(pid, bounds_only: bool = False) -> str | None:
+            """Which case ``pid``'s true iterations fit: the whole loop of
+            an await ("all"), case 1 ("mypid"), case 2 ("bounds")."""
+            t = dynamic_guard_true_iterations(loop, ref, self.ctx, env, pid, self.flow)
+            if t is None:
+                return None
+            if not bounds_only and waits and t == vals:
+                return "all"
+            if not bounds_only and t == [pid + 1]:
+                return "mypid"
+            return ("bounds" if self._run_matches_static_bounds(loop, star_ref, dim, t, pid)
+                    else "other")
+
+        name = ComputeRuleElimination.name
+        verdicts, why = self.decide(name, loop, guarded.rule, verdict)
+        kinds = set(verdicts or ())
+        # An await guard stays (it waits for the data); with every
+        # iteration true everywhere there is nothing to drop.
+        if verdicts is None or kinds == {"all"}:
+            return self.note_split(name, loop, guarded.rule, why)
+        rule = print_expr(guarded.rule)
+
+        # Case 1: exactly one iteration per processor, equal to its pid.
+        if kinds == {"mypid"}:
+            self.note_split(name, loop, guarded.rule, why)
+            self.ctx.note(
+                f"{name}: removed loop over {loop.var} "
+                f"guarded by {rule}; replaced {loop.var} by mypid"
+                + (", kept the await" if waits else "")
+            )
+            kept = [guarded] if waits else guarded.body
+            return [substitute_stmt(s, {loop.var: Mypid()}) for s in kept]
+
+        # Case 2: contiguous per-processor runs matching mylb/myub bounds
+        # (asked again where only case 1 was).
+        if not kinds <= {"bounds", "other"}:
+            verdicts, again = self.decide(
+                name, loop, guarded.rule, lambda pid: verdict(pid, bounds_only=True))
+            why = why or again
+        self.note_split(name, loop, guarded.rule, why)
+        if not verdicts or set(verdicts) != {"bounds"}:
             return None
         lo = BinOp("max", loop.lo, Mylb(star_ref, IntConst(dim + 1)))
         hi = BinOp("min", loop.hi, Myub(star_ref, IntConst(dim + 1)))
         self.ctx.note(
-            f"{ComputeRuleElimination.name}: localized loop over {loop.var} "
+            f"{name}: localized loop over {loop.var} "
             f"to owned bounds of {print_ref(star_ref)} and "
             + ("kept the await guard" if waits else "removed the iown guard")
         )
@@ -134,30 +157,21 @@ class _Rewriter(OrderedRewriter):
                            loop.body if waits else guarded.body)
         return self.recurse(localized, loops)
 
-    def _runs_match_static_bounds(
-        self, loop: DoLoop, star_ref: ArrayRef, dim: int, true_sets, env
-    ) -> bool:
+    def _run_matches_static_bounds(self, loop: DoLoop, star_ref: ArrayRef, dim: int,
+                                   t: list | None, pid) -> bool:
+        """Is ``t`` on ``pid`` the contiguous run ``max(lo, mylb) ..
+        min(hi, myub)``?"""
+        env = self.ctx.consts
         lo = const_eval(loop.lo, env)
         hi = const_eval(loop.hi, env)
-        if lo is None or hi is None:
+        sec = self.analysis.resolve(star_ref, env.at_pid(pid + 1))
+        if t is None or lo is None or hi is None or sec is None or any(
+                b - a != 1 for a, b in zip(t, t[1:])):
             return False
-        for pid, t in enumerate(true_sets):
-            if t and t != list(range(t[0], t[-1] + 1)):
-                return False  # non-contiguous true set
-            sec = self.analysis.resolve(star_ref, env.at_pid(pid + 1))
-            if sec is None:
-                return False
-            mylb_v, myub_v = None, None
-            for owned in self.flow.sections(star_ref.var, pid):
-                inter = owned.intersect(sec)
-                if inter is not None:
-                    d = inter.dims[dim]
-                    mylb_v = d.lo if mylb_v is None else min(mylb_v, d.lo)
-                    myub_v = d.hi if myub_v is None else max(myub_v, d.hi)
-            if mylb_v is None:
-                run: list[int] = []
-            else:
-                run = list(range(max(int(lo), mylb_v), min(int(hi), myub_v) + 1))
-            if run != t:
-                return False
-        return True
+        owned = [inter.dims[dim] for o in self.flow.sections(star_ref.var, pid)
+                 if (inter := o.intersect(sec)) is not None]
+        if not owned:
+            return t == []
+        first = pmax(int(lo), reduce(pmin, (d.lo for d in owned)))
+        last = pmin(int(hi), reduce(pmax, (d.hi for d in owned)))
+        return t == [] if first > last else t != [] and t[0] == first and t[-1] == last

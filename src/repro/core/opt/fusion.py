@@ -30,9 +30,10 @@ from __future__ import annotations
 from ..analysis.ownership import (
     ITERATION_CAP, CompilerContext, OwnershipAnalysis,
 )
-from ..analysis.refsets import LoopSection, refsets_by_class
+from ..analysis.refsets import LoopSection, stmt_refsets
 from ..ir.nodes import Block, DoLoop, Program, RecvStmt, SendStmt, Stmt, VarRef
 from ..ir.visitor import free_scalars, substitute_stmt, walk_stmts
+from ..pidaffine import per_run
 from ..sections import Triplet
 from .common import OrderedRewriter
 
@@ -90,14 +91,18 @@ def can_fuse(a: DoLoop, b: DoLoop, ctx: CompilerContext) -> bool:
     def meet(sb: LoopSection, sa: LoopSection) -> bool:
         return _meets_later(sb, sa, run, down)
 
-    for ra, rb in refsets_by_class([(a.body, a.var), (b.body, b.var)], ctx):
-        if ra.unknown or rb.unknown:
+    def legal(pid) -> bool | None:
+        env = ctx.consts.at_pid(pid + 1)
+        ra, rb = (stmt_refsets(x.body, ctx, env, x.var) for x in (a, b))
+        return None if ra.unknown or rb.unknown else not rb.conflicts_with(ra, meet)
+
+    for *_, ok in per_run(ctx.nprocs, legal)[0]:
+        if ok is None:
             ctx.decline(
                 LoopFusion.name,
                 f"the bodies of the loops over {a.var} and {b.var} hold a "
                 "collective or an inner loop with symbolic bounds")
-            return False
-        if rb.conflicts_with(ra, meet):
+        if not ok:
             return False
     return True
 

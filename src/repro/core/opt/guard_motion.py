@@ -59,18 +59,22 @@ class _Rewriter(OrderedRewriter):
         )
         env = self.ctx.consts
         vals = self.analysis.iteration_values(loop, env)
+        if vals is None:  # undecidable on every processor
+            return self.decline_guard(GuardHoisting.name, loop, Iown(ref))
         if vals == []:
             return None
-        # All-or-nothing on every processor, agreeing with the widened guard.
-        for pid in range(self.ctx.nprocs):
-            true = dynamic_guard_true_iterations(
-                loop, ref, self.ctx, env, pid, self.flow)
+        def uniform(pid) -> bool | None:
+            """All or nothing on ``pid``, agreeing with the widened guard?"""
+            true = dynamic_guard_true_iterations(loop, ref, self.ctx, env, pid, self.flow)
             widened_owned = self.flow.owns(widened, env, pid)
             if true is None or widened_owned is None:
-                self.decline_guard(GuardHoisting.name, loop, Iown(ref))
                 return None
-            if true != (vals if widened_owned else []):
-                return None
+            return true == (vals if widened_owned else [])
+
+        answers, why = self.decide(GuardHoisting.name, loop, Iown(ref), uniform)
+        self.note_split(GuardHoisting.name, loop, Iown(ref), why)
+        if not answers or not all(answers):
+            return None
         self.ctx.note(
             f"{GuardHoisting.name}: hoisted iown({print_ref(ref)}) out of the "
             f"loop over {loop.var} as iown({print_ref(widened)})"

@@ -34,7 +34,7 @@ from __future__ import annotations
 from ...runtime.symtab import MAXINT, MININT
 from ..analysis.consteval import const_eval
 from ..analysis.ownership import CompilerContext
-from ..analysis.refsets import RefSets, loop_offset, refsets_by_class
+from ..analysis.refsets import RefSets, loop_offset, stmt_refsets
 from ..ir.nodes import (
     Accessible, ArrayRef, Assign, Await, BinOp, Block, DoLoop, Expr,
     FloatConst, Guarded, Index, IntConst, Iown, Mylb, Mypid, Myub, NumProcs,
@@ -42,6 +42,7 @@ from ..ir.nodes import (
 )
 from ..ir.printer import print_expr, print_ref, print_stmt
 from ..ir.visitor import map_block, subscript_exprs, subscript_parts, walk_exprs
+from ..pidaffine import per_run
 from ..sections import Triplet
 from .fusion import _meets_later
 
@@ -193,16 +194,20 @@ def _rewrite(loop: DoLoop, ctx: CompilerContext) -> tuple[Expr | None, list[Stmt
     def meet(mine, theirs) -> bool:
         return _meets_later(mine, theirs, run, step < 0)
 
-    for sets in refsets_by_class([(s, var) for s in loop.body], ctx):
+    def refusal(pid) -> str | None:
+        sets = [stmt_refsets(s, ctx, ctx.consts.at_pid(pid + 1), var) for s in loop.body]
         for k, refs in enumerate(sets):
             target = print_ref(loop.body.stmts[k].target)
             # The gather precedes the scatter, so within one statement only
             # a write reaching a later iteration's operand or target counts.
             if RefSets(writes=refs.writes).conflicts_with(refs, meet):
-                raise _Refused(
-                    f"carries a flow or output dependence through {target}")
+                return f"carries a flow or output dependence through {target}"
             if any(refs.conflicts_with(earlier, meet) for earlier in sets[:k]):
-                raise _Refused(
-                    f"cannot be distributed: the statement assigning {target} "
-                    "conflicts with an earlier one's later iteration")
+                return (f"cannot be distributed: the statement assigning {target} "
+                        "conflicts with an earlier one's later iteration")
+        return None
+
+    for *_, why in per_run(ctx.nprocs, refusal)[0]:
+        if why:
+            raise _Refused(why)
     return guard, out

@@ -19,6 +19,7 @@ from __future__ import annotations
 from ..analysis.ownership import CompilerContext
 from ..analysis.refsets import stmt_refsets
 from ..ir.nodes import Block, Guarded, Program, RecvStmt, Stmt
+from ..pidaffine import per_run
 from .common import OrderedRewriter
 
 __all__ = ["ReceiveHoisting"]
@@ -70,14 +71,12 @@ class _Rewriter(OrderedRewriter):
             # can deadlock — the paper's section-3.2 caution.  Sends also
             # belong as early as possible for overlap.
             return False
-        env = self.ctx.consts
-        for pid in range(self.ctx.nprocs):
-            penv = env.at_pid(pid + 1)
-            a = stmt_refsets(before, self.ctx, penv)
-            b = stmt_refsets(recv, self.ctx, penv)
-            if a.unknown or b.unknown or a.conflicts_with(b):
-                return False
-        return True
+
+        def apart(pid) -> bool:
+            env = self.ctx.consts.at_pid(pid + 1)
+            return not stmt_refsets(before, self.ctx, env).conflicts_with(
+                stmt_refsets(recv, self.ctx, env))
+        return all(ok for *_, ok in per_run(self.ctx.nprocs, apart)[0])
 
     @staticmethod
     def _contains_send(stmt: Stmt) -> bool:

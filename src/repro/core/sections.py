@@ -31,6 +31,8 @@ import itertools
 import math
 from typing import Iterable, Iterator, Sequence
 
+from .pidaffine import NoClosedForm, pmax, pmin
+
 __all__ = [
     "Triplet",
     "Section",
@@ -151,8 +153,11 @@ class Triplet(_Frozen):
             # Unit-stride fast path (the overwhelmingly common case on
             # the engine hot path): interval overlap, no number theory —
             # and no re-validation, the bounds are already canonical.
-            lo = a.lo if a.lo >= b.lo else b.lo
-            hi = a.hi if a.hi <= b.hi else b.hi
+            try:
+                lo = a.lo if a.lo >= b.lo else b.lo
+                hi = a.hi if a.hi <= b.hi else b.hi
+            except NoClosedForm:  # processor-affine bounds that meet
+                lo, hi = pmax(a.lo, b.lo), pmin(a.hi, b.hi)
             if lo > hi:
                 return None
             return Triplet(lo, hi, 1)
@@ -432,7 +437,8 @@ def triplet_difference(t: Triplet, cut: Triplet) -> list[Triplet]:
         return [t]
     stride = inter.step if inter.size > 1 else t.step
     out: list[Triplet] = []
-    for first in range(t.lo, min(t.hi, t.lo + stride - t.step) + 1, t.step):
+    for k in range(min(stride // t.step, t.size)):
+        first = t.lo + k * t.step
         if (inter.lo - first) % stride:
             out.append(Triplet(first, t.hi, stride))
             continue

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..core.errors import DistributionError
+from ..core.pidaffine import pmin
 from ..core.sections import Section, Triplet
 from .grid import ProcessorGrid
 
@@ -92,7 +93,7 @@ class Block(DimSpec):
     def owned(self, q: int, lo: int, hi: int, nprocs: int) -> tuple[Triplet, ...]:
         bs = self._bs(lo, hi, nprocs)
         start = lo + q * bs
-        stop = min(hi, start + bs - 1)
+        stop = pmin(hi, start + bs - 1)
         if start > stop:
             return ()
         return (Triplet(start, stop, 1),)

@@ -48,7 +48,7 @@ from ..machine.model import MachineModel
 from ..machine.transport import default_backend
 from .evaluate import EvalCache, EvalResult, EvalTask, evaluate_candidates
 from .prefilter import PrefilterResult, RankedCandidate, prefilter
-from .rewrite import PhaseSpec, TuneError, detect_phases
+from .rewrite import REALIZATIONS, PhaseSpec, TuneError, detect_phases
 from .space import KnobSpec, LayoutCandidate, SpaceSpec
 
 __all__ = ["TuneError", "TuneResult", "tune"]
@@ -228,13 +228,18 @@ def tune(
     1.0) — tuning never returns something worse than its input.
     """
     t_start = time.perf_counter()
+    if knobs is None:
+        knobs = KnobSpec()
+    for real in knobs.realizations:
+        # before ranking: the prefilter would price every point first
+        if real not in REALIZATIONS:
+            raise TuneError(
+                f"unknown realization {real!r} (choose from {REALIZATIONS})")
     if isinstance(program, str):
         program = parse_program(program)
     model = model if model is not None else MachineModel()
     cache = cache if cache is not None else EvalCache()
     backend = backend if backend is not None else default_backend()
-    if knobs is None:
-        knobs = KnobSpec()
 
     phases = detect_phases(program)
     names = {p.var for p in phases}

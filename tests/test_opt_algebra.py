@@ -5,8 +5,11 @@
   kept in ``tests/opt_oracles.py``;
 * pins: the optimized stage-0 FFT is byte-identical to what the
   enumerating optimizer produced;
-* scale, without wall-clock: no element is ever enumerated, and sizes past
-  the old silent caps are optimized rather than quietly skipped.
+* scale, without wall-clock: no element is ever enumerated, sizes past
+  the old silent caps are optimized rather than quietly skipped, and at
+  n = P the stage-0 FFT is decided for all processors at once;
+* runs of processors: what the optimizer decides for a run of processors
+  at once (bounds affine in ``mypid``) is what each of them gets alone.
 """
 
 import hashlib
@@ -26,12 +29,16 @@ from repro.core.ir.printer import print_program
 from repro.core.ir.visitor import walk_exprs, walk_stmts
 from repro.core.opt import ComputeRuleElimination, LoopFusion, PassManager, optimize
 from repro.core.ir.parser import parse_expression
+from repro.core.opt import common
 from repro.core.opt.common import OwnershipFlow, dynamic_guard_true_iterations
 from repro.core.opt.fusion import can_fuse
+from repro.core.pidaffine import PidAffine, per_run
 from repro.core.sections import Section, section
 from repro.distributions import ProcessorGrid
 
 from . import opt_oracles
+
+LEDGER = Path(__file__).resolve().parent.parent / "benchmarks" / "e2e" / "programs"
 
 SETTINGS = settings(
     max_examples=150, deadline=None,
@@ -126,6 +133,41 @@ class TestGuardDifferential:
             got = dynamic_guard_true_iterations(
                 loop, guard_ref, ctx, ctx.consts, pid)
             assert got == want, (src, pid)
+
+
+    @SETTINGS
+    @given(cases())
+    def test_runs_of_processors_agree_with_point_sets(self, case):
+        decls, src, nprocs, grid = case
+        program, ctx = context(decls, src, nprocs, grid)
+        loop = program.body.stmts[0]
+        guard_ref = loop.body.stmts[0].rule.ref
+        runs, _ = per_run(nprocs, lambda pid: dynamic_guard_true_iterations(
+            loop, guard_ref, ctx, ctx.consts, pid))
+        for lo, hi, got in runs:
+            for pid1 in range(lo, hi + 1):
+                want = opt_oracles.dynamic_guard_true_iterations(
+                    loop, guard_ref, ctx, ctx.consts, pid1 - 1)
+                on = [v.at(pid1) if isinstance(v, PidAffine) else v for v in got or ()]
+                assert want == (got and on), (src, pid1)
+
+
+def assert_flow_is_the_run(src, nprocs):
+    """Every element's ``iown`` on every processor, from the flow after the
+    whole program, equals what the executed program's symbol tables hold."""
+    program = parse_program(src)
+    flow = OwnershipFlow(CompilerContext.create(program, nprocs))
+    for s in program.body:
+        flow.after(s)
+    vm = lower(program, nprocs)
+    vm.run()
+    space = flow.ctx.layouts["A"].distribution.index_space
+    for pid in range(nprocs):
+        for point in space:
+            ref = parse_expression(f"A[{','.join(map(str, point))}]")
+            assert flow.owns(ref, flow.ctx.consts, pid) == vm.engine.symtabs[pid].iown(
+                "A", section(*point)), (pid, point)
+    return flow
 
 
 class TestFlowDifferential:
@@ -272,6 +314,44 @@ def iown_guards(program):
         for e in walk_exprs(s.rule) if isinstance(e, Iown)]
 
 
+class TestRunsOfProcessors:
+    """The flow and compute-rule elimination for all processors at once."""
+
+    @pytest.mark.parametrize("nprocs", [2, 3, 5])
+    def test_shift_by_a_rule_in_mypid(self, nprocs):
+        # Each processor passes two thirds of its block on; the rules split
+        # the processors into runs, which the flow keeps apart.
+        src = (f"array A[1:{3 * nprocs}] dist (BLOCK) seg (1)\n"
+               f"mypid < {nprocs} : {{ A[3*mypid-2:3*mypid-1] -=> {{mypid + 1}} }}\n"
+               "mypid > 1 : { A[3*mypid-5:3*mypid-4] <=- }\n")
+        assert_flow_is_the_run(src, nprocs)
+
+    @pytest.mark.parametrize("n,nprocs", [(6, 3), (8, 4), (12, 6)])
+    def test_redistgen_partner_loops_leave_one_formula(self, n, nprocs):
+        flow = assert_flow_is_the_run(fft3d_source(n, nprocs, 0), nprocs)
+        assert [(lo, hi) for lo, hi, _ in flow.moved["A"]] == [(1, nprocs)]
+
+    def test_per_processor_blocks_are_decided_and_reported(self):
+        # The tuner's fused redistribution guards every fragment with
+        # ``mypid == p``: what each processor owns along the way is no one
+        # formula in mypid, so Loop4 is decided per processor — still
+        # localized — and the report says so.
+        src = (LEDGER / "tune_fft3d_s0.xdp").read_text()
+        assert_flow_is_the_run(src, 4)
+        reports = optimize(parse_program(src), 4, level=2).reports
+        assert reports[4:6] == [
+            "compute-rule-elimination: decided await(A[*,j,*]) in the loop over j "
+            "per processor, not in closed form — no formula in mypid gives what "
+            "every processor owns of A (mypid == 1 holds on processor 1 only)",
+            "compute-rule-elimination: localized loop over j to owned bounds of "
+            "A[*,*,*] and kept the await guard"]
+
+    @pytest.mark.parametrize("n,nprocs", [(16, 16), (16, 4), (64, 16)])
+    def test_closed_form_adds_no_report_line(self, n, nprocs):
+        reports = optimize(parse_program(fft3d_source(n, nprocs, 0)), nprocs).reports
+        assert not any("not in closed form" in r for r in reports)
+
+
 class TestScale:
     @pytest.fixture
     def no_enumeration(self, monkeypatch):
@@ -306,6 +386,22 @@ class TestScale:
         vm.write_global("A", a0)
         vm.run()
         assert np.allclose(vm.read_global("A"), np.fft.fftn(a0), atol=1e-9 * n**3)
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_stage0_fft_walks_no_single_processor_at_n_eq_p(self, n, monkeypatch):
+        # 1,600 / 6,272 / 24,832 walks of one processor each while every
+        # processor was walked; all of them now walk as one run.
+        walks = {"one": 0, "run": 0}
+        run = common._Mover.run
+
+        def counting(self, *args):
+            walks["run" if isinstance(self.pid, PidAffine) else "one"] += 1
+            return run(self, *args)
+
+        monkeypatch.setattr(common._Mover, "run", counting)
+        result = optimize(parse_program(fft3d_source(n, n, 0)), n, level=2)
+        assert walks["one"] == 0 and 0 < walks["run"] <= 5 * n
+        assert sum("by mypid" in r for r in result.reports) == 4
 
     def test_ownership_moving_loop_past_the_old_element_cap(self, no_enumeration):
         # n = P = 48: Loop 3 transfers ownership inside its own guard, and

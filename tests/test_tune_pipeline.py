@@ -35,7 +35,7 @@ from repro.distributions import ProcessorGrid, plan_redistribution
 from repro.machine.model import MachineModel
 from repro.tune import (
     EvalCache, KnobSpec, PhaseSpec, SpaceSpec, enumerate_layouts,
-    phase_compute_cost, prefilter, redistribution_cost, tune,
+    TuneError, phase_compute_cost, prefilter, redistribution_cost, tune,
 )
 from repro.tune.cost import KERNEL_FLOPS
 from repro.tune.prefilter import LayeredRanking
@@ -46,6 +46,7 @@ from .tune_oracles import ranking_oracle
 
 # ``repro.tune.prefilter`` the attribute is the function, not the module.
 prefilter_mod = sys.modules["repro.tune.prefilter"]
+search_mod = sys.modules["repro.tune.search"]
 
 N, P = 8, 4
 
@@ -259,6 +260,15 @@ class TestRankingWork:
 
 
 class TestPrefilter:
+    def test_unknown_realization_is_rejected_before_ranking(self, monkeypatch):
+        # It used to rank the whole 11,664-point space first (~1.2 s).
+        def refuse(*args, **kwargs):
+            raise AssertionError("ranked a space with an unknown realization")
+
+        monkeypatch.setattr(search_mod, "prefilter", refuse)
+        with pytest.raises(TuneError, match="unknown realization 'bogus'"):
+            tune(fft3d_source(8, 4, 0), 4, knobs=KnobSpec(("bulk", "bogus")))
+
     def test_shortlist_has_no_clones(self):
         # At n=8/P=4 CYCLIC(2) *is* BLOCK: the generated programs differ
         # only in the layout name inside a comment and must collapse.
