@@ -40,7 +40,7 @@ from ..ir.nodes import (
 )
 from ..ir.printer import print_expr
 from ..ir.visitor import subscript_exprs, subscript_parts, walk_exprs, walk_stmts
-from ..pidaffine import NoClosedForm, PidAffine, per_run
+from ..pidaffine import NoClosedForm, PidAffine, per_run, pmax, pmin
 from ..sections import Section, Triplet, disjoint_cover_equal, section_difference
 
 __all__ = [
@@ -49,6 +49,7 @@ __all__ = [
     "ownership_ops",
     "loop_var_dims",
     "dynamic_guard_true_iterations",
+    "meet",
 ]
 
 
@@ -69,7 +70,7 @@ def ownership_ops(stmt: Stmt | Block) -> set[str]:
 def loop_var_dims(ref: ArrayRef, var: str) -> list[int] | None:
     """Dimensions of ``ref`` subscripted by exactly ``var``, or ``None`` if
     the variable occurs in any other form — the guard shape that
-    :meth:`OwnershipAnalysis.guard_true_iterations` decides."""
+    :meth:`_Mover._guard` decides in closed form."""
     dims = [d for d, sub in enumerate(ref.subs) if sub == Index(VarRef(var))]
     if any(VarRef(var) in subscript_exprs(sub)
            for d, sub in enumerate(ref.subs) if d not in dims):
@@ -80,6 +81,18 @@ def loop_var_dims(ref: ArrayRef, var: str) -> list[int] | None:
 # ---------------------------------------------------------------------- #
 # coalesced section lists
 # ---------------------------------------------------------------------- #
+
+
+def meet(x: Triplet, y: Triplet) -> Triplet | None:
+    """``x.intersect(y)``, also where unit-stride bounds affine in ``mypid``
+    meet at one end of the run (``1..n`` and ``mypid..mypid``)."""
+    try:
+        return x.intersect(y)
+    except NoClosedForm:
+        if x.step != 1 or y.step != 1:
+            raise
+        lo, hi = pmax(x.lo, y.lo), pmin(x.hi, y.hi)
+        return None if lo > hi else Triplet(lo, hi, 1)
 
 
 def _apart(a: Section, b: Section) -> bool:
@@ -384,7 +397,8 @@ class _Mover:
                 return None
             for d in dims:
                 t = sec.dims[d]
-                if t.step != 1 or nxt.dims[d].lo - t.lo != t.size:
+                # Affine subscripts: two equal abutting blocks make them all so.
+                if t.step != 1 or nxt.dims[d] != Triplet(t.lo + t.size, t.hi + t.size):
                     return None
                 sec = Section(sec.dims[:d] + (Triplet(t.lo, t.hi + t.size * (hi - lo)),)
                               + sec.dims[d + 1:])
@@ -430,8 +444,8 @@ class _Mover:
             runs = [Triplet(vals[0], vals[-1], vals[1] - vals[0] if len(vals) > 1 else 1)]
             for d, (t, mine) in enumerate(zip(rest.dims, pieces)):
                 if d in dims:
-                    runs = [m for r in runs for o in mine if (m := r.intersect(o)) is not None]
-                elif t.size != sum(m.size for o in mine if (m := t.intersect(o)) is not None):
+                    runs = [m for r in runs for o in mine if (m := meet(r, o)) is not None]
+                elif t.size != sum(m.size for o in mine if (m := meet(t, o)) is not None):
                     runs = []
             found = sorted((r.lo + k * r.step for r in runs for k in range(r.size)),
                            reverse=not up)

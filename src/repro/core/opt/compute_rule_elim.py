@@ -104,31 +104,28 @@ class _Rewriter(OrderedRewriter):
             ),
         )
 
-        def verdict(pid, bounds_only: bool = False) -> str | None:
-            """Which case ``pid``'s true iterations fit: the whole loop of
+        def verdict(pid) -> frozenset[str] | None:
+            """Every case ``pid``'s true iterations fit: the whole loop of
             an await ("all"), case 1 ("mypid"), case 2 ("bounds")."""
             t = dynamic_guard_true_iterations(loop, ref, self.ctx, env, pid, self.flow)
             if t is None:
                 return None
-            if not bounds_only and waits and t == vals:
-                return "all"
-            if not bounds_only and t == [pid + 1]:
-                return "mypid"
-            return ("bounds" if self._run_matches_static_bounds(loop, star_ref, dim, t, pid)
-                    else "other")
+            return frozenset(case for case, fits in (
+                ("all", waits and t == vals), ("mypid", t == [pid + 1]),
+                ("bounds", self._run_matches_static_bounds(loop, star_ref, dim, t, pid)),
+            ) if fits)
 
         name = ComputeRuleElimination.name
         verdicts, why = self.decide(name, loop, guarded.rule, verdict)
-        kinds = set(verdicts or ())
+        self.note_split(name, loop, guarded.rule, why)
         # An await guard stays (it waits for the data); with every
         # iteration true everywhere there is nothing to drop.
-        if verdicts is None or kinds == {"all"}:
-            return self.note_split(name, loop, guarded.rule, why)
+        if verdicts is None or all("all" in v for v in verdicts):
+            return None
         rule = print_expr(guarded.rule)
 
         # Case 1: exactly one iteration per processor, equal to its pid.
-        if kinds == {"mypid"}:
-            self.note_split(name, loop, guarded.rule, why)
+        if all("mypid" in v for v in verdicts):
             self.ctx.note(
                 f"{name}: removed loop over {loop.var} "
                 f"guarded by {rule}; replaced {loop.var} by mypid"
@@ -137,14 +134,8 @@ class _Rewriter(OrderedRewriter):
             kept = [guarded] if waits else guarded.body
             return [substitute_stmt(s, {loop.var: Mypid()}) for s in kept]
 
-        # Case 2: contiguous per-processor runs matching mylb/myub bounds
-        # (asked again where only case 1 was).
-        if not kinds <= {"bounds", "other"}:
-            verdicts, again = self.decide(
-                name, loop, guarded.rule, lambda pid: verdict(pid, bounds_only=True))
-            why = why or again
-        self.note_split(name, loop, guarded.rule, why)
-        if not verdicts or set(verdicts) != {"bounds"}:
+        # Case 2: contiguous per-processor runs matching mylb/myub bounds.
+        if not all("bounds" in v for v in verdicts):
             return None
         lo = BinOp("max", loop.lo, Mylb(star_ref, IntConst(dim + 1)))
         hi = BinOp("min", loop.hi, Myub(star_ref, IntConst(dim + 1)))
@@ -158,14 +149,14 @@ class _Rewriter(OrderedRewriter):
         return self.recurse(localized, loops)
 
     def _run_matches_static_bounds(self, loop: DoLoop, star_ref: ArrayRef, dim: int,
-                                   t: list | None, pid) -> bool:
+                                   t: list, pid) -> bool:
         """Is ``t`` on ``pid`` the contiguous run ``max(lo, mylb) ..
         min(hi, myub)``?"""
         env = self.ctx.consts
         lo = const_eval(loop.lo, env)
         hi = const_eval(loop.hi, env)
         sec = self.analysis.resolve(star_ref, env.at_pid(pid + 1))
-        if t is None or lo is None or hi is None or sec is None or any(
+        if lo is None or hi is None or sec is None or any(
                 b - a != 1 for a, b in zip(t, t[1:])):
             return False
         owned = [inter.dims[dim] for o in self.flow.sections(star_ref.var, pid)

@@ -35,7 +35,7 @@ from ..ir.nodes import Block, DoLoop, Program, RecvStmt, SendStmt, Stmt, VarRef
 from ..ir.visitor import free_scalars, substitute_stmt, walk_stmts
 from ..pidaffine import per_run
 from ..sections import Triplet
-from .common import OrderedRewriter
+from .common import OrderedRewriter, meet
 
 __all__ = ["LoopFusion", "can_fuse"]
 
@@ -50,12 +50,12 @@ def _meets_later(b: LoopSection, a: LoopSection, run: Triplet, down: bool) -> bo
     gap = None
     for tb, ob, ta, oa in zip(b.sec.dims, b.offsets, a.sec.dims, a.offsets):
         if ob is None and oa is None:
-            if tb.intersect(ta) is None:
+            if meet(tb, ta) is None:
                 return False
         elif oa is None:  # i + ob in ta
-            i_set = i_set.intersect(Triplet(ta.lo - ob, ta.hi - ob, ta.step))
+            i_set = meet(i_set, Triplet(ta.lo - ob, ta.hi - ob, ta.step))
         elif ob is None:  # j + oa in tb
-            j_set = j_set.intersect(Triplet(tb.lo - oa, tb.hi - oa, tb.step))
+            j_set = meet(j_set, Triplet(tb.lo - oa, tb.hi - oa, tb.step))
         elif gap not in (None, ob - oa):
             return False
         else:  # i + ob == j + oa
@@ -66,8 +66,7 @@ def _meets_later(b: LoopSection, a: LoopSection, run: Triplet, down: bool) -> bo
         return i_set.hi > j_set.lo if down else i_set.lo < j_set.hi
     if gap == 0 or (gap < 0) != down:
         return False  # the same iteration, or an earlier one
-    return i_set.intersect(
-        Triplet(j_set.lo - gap, j_set.hi - gap, j_set.step)) is not None
+    return meet(i_set, Triplet(j_set.lo - gap, j_set.hi - gap, j_set.step)) is not None
 
 
 def can_fuse(a: DoLoop, b: DoLoop, ctx: CompilerContext) -> bool:

@@ -16,9 +16,13 @@ on which it does have one (an affine comparison changes its answer at
 most once, an equality holds at most at one processor).  A value that is
 not affine (``mypid * mypid``, a trip count ``mypid - 1`` needed as a
 Python ``int``) has no cuts: it differs from processor to processor.
-:func:`per_run` drives a computation over the processors, splitting the
-run until every piece has an answer; a run of one processor is plain
-integers, so the last resort is the per-processor computation itself.
+Two bounds that meet at one end of the run (``1`` and ``mypid``) have no
+one order but one minimum, :func:`pmin` (and :func:`pmax`); the
+optimizer's ``meet`` intersects triplets with them where the section
+algebra's own comparison has no answer.  :func:`per_run` drives a
+computation over the processors, splitting the run until every piece has
+an answer; a run of one processor is plain integers, so the last resort
+is the per-processor computation itself.
 """
 
 from __future__ import annotations

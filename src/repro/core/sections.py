@@ -31,8 +31,6 @@ import itertools
 import math
 from typing import Iterable, Iterator, Sequence
 
-from .pidaffine import NoClosedForm, pmax, pmin
-
 __all__ = [
     "Triplet",
     "Section",
@@ -153,11 +151,8 @@ class Triplet(_Frozen):
             # Unit-stride fast path (the overwhelmingly common case on
             # the engine hot path): interval overlap, no number theory —
             # and no re-validation, the bounds are already canonical.
-            try:
-                lo = a.lo if a.lo >= b.lo else b.lo
-                hi = a.hi if a.hi <= b.hi else b.hi
-            except NoClosedForm:  # processor-affine bounds that meet
-                lo, hi = pmax(a.lo, b.lo), pmin(a.hi, b.hi)
+            lo = a.lo if a.lo >= b.lo else b.lo
+            hi = a.hi if a.hi <= b.hi else b.hi
             if lo > hi:
                 return None
             return Triplet(lo, hi, 1)

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..core.errors import DistributionError
-from ..core.pidaffine import pmin
 from ..core.sections import Section, Triplet
 from .grid import ProcessorGrid
 
@@ -93,7 +92,9 @@ class Block(DimSpec):
     def owned(self, q: int, lo: int, hi: int, nprocs: int) -> tuple[Triplet, ...]:
         bs = self._bs(lo, hi, nprocs)
         start = lo + q * bs
-        stop = pmin(hi, start + bs - 1)
+        stop = start + bs - 1
+        if stop > hi:
+            stop = hi
         if start > stop:
             return ()
         return (Triplet(start, stop, 1),)

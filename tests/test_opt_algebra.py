@@ -326,6 +326,39 @@ class TestRunsOfProcessors:
                "mypid > 1 : { A[3*mypid-5:3*mypid-4] <=- }\n")
         assert_flow_is_the_run(src, nprocs)
 
+    def test_shrinking_partner_blocks_move_only_what_they_name(self):
+        # Processor 1 collects every row and hands blocks of it back; the
+        # receivers 2..4 walk ``do d`` as one run.  The blocks shrink (3, 2,
+        # 1 elements, with gaps), so the loop is no one swept section.
+        src = ("array A[1:4, 0:8] dist (BLOCK, *) seg (1, 9)\n"
+               "mypid > 1 : { A[mypid, *] -=> {1} }\n"
+               "mypid == 1 : {\n  do q = 2, 4\n    A[q, *] <=-\n"
+               "    do d = 0, q - 2\n      A[q, 3*d:2*d+2] -=> {q}\n    enddo\n  enddo\n}\n"
+               "mypid > 1 : {\n  do d = 0, mypid - 2\n    A[mypid, 3*d:2*d+2] <=-\n  enddo\n}\n")
+        assert_flow_is_the_run(src, 4)
+
+    def test_growing_partner_blocks_move_what_each_processor_moves(self, monkeypatch):
+        # Growing affine blocks overlap from the third iteration on, so no
+        # run of the program could check them; the flow for the run 2..4 at
+        # once must still equal the flow of each processor alone.
+        program = parse_program(
+            "array A[1:4, 0:8] dist (BLOCK, *) seg (1, 9)\n"
+            "mypid > 1 : { A[mypid, *] -=> {1} }\n"
+            "mypid > 1 : {\n  do d = 0, mypid - 1\n    A[mypid, d:2*d] <=-\n  enddo\n}\n")
+
+        def flow():
+            flow = OwnershipFlow(CompilerContext.create(program, 4))
+            for s in program.body:
+                flow.after(s)
+            return [flow.sections("A", pid) for pid in range(4)]
+
+        at_once = flow()
+        monkeypatch.setattr(common, "per_run", lambda nprocs, question, cuts=(): (
+            [(p, p, question(p - 1)) for p in range(1, nprocs + 1)], None))
+        alone = flow()
+        assert alone[3] == [section(4, (0, 6))]
+        assert [set(x) for x in at_once] == [set(x) for x in alone]
+
     @pytest.mark.parametrize("n,nprocs", [(6, 3), (8, 4), (12, 6)])
     def test_redistgen_partner_loops_leave_one_formula(self, n, nprocs):
         flow = assert_flow_is_the_run(fft3d_source(n, nprocs, 0), nprocs)
