@@ -516,27 +516,23 @@ class OrderedRewriter:
             "decidable at compile time (symbolic bounds or subscripts, or "
             f"more than {ITERATION_CAP} iterations)")
 
-    def decide(self, pass_name: str, loop: DoLoop, rule: Expr, question
-               ) -> tuple[list | None, str | None]:
+    def decide(self, pass_name: str, loop: DoLoop, rule: Expr, question) -> list | None:
         """``question(pid)`` of every processor: asked once for all of them
         where the answer is one formula in ``mypid``, else once per run of
-        processors that share one.  The answers and why they needed more
-        than one run, or ``(None, None)`` — the guard declined — if any
-        answer is ``None``."""
+        processors that share one, which the report says, and why.  The
+        answers, or ``None`` — the guard declined — if any answer is
+        ``None``."""
         runs, why = per_run(self.ctx.nprocs, question)
         answers = [answer for _, _, answer in runs]
         if any(answer is None for answer in answers):
             self.decline_guard(pass_name, loop, rule)
-            return None, None
-        where = ("per processor" if len(runs) == self.ctx.nprocs
-                 else f"on {len(runs)} runs of processors")
-        return answers, why and f"{where}, not in closed form — {why}"
-
-    def note_split(self, pass_name: str, loop: DoLoop, rule: Expr, why: str | None) -> None:
-        """Say that a decision was made per run of processors, and why."""
+            return None
         if why:
+            where = ("per processor" if len(runs) == self.ctx.nprocs
+                     else f"on {len(runs)} runs of processors")
             self.ctx.note(f"{pass_name}: decided {print_expr(rule)} in the loop "
-                          f"over {loop.var} {why}")
+                          f"over {loop.var} {where}, not in closed form — {why}")
+        return answers
 
     def recurse(self, stmt: Stmt, loops: list[DoLoop]) -> Stmt:
         match stmt:

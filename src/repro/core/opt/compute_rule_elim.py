@@ -116,8 +116,7 @@ class _Rewriter(OrderedRewriter):
             ) if fits)
 
         name = ComputeRuleElimination.name
-        verdicts, why = self.decide(name, loop, guarded.rule, verdict)
-        self.note_split(name, loop, guarded.rule, why)
+        verdicts = self.decide(name, loop, guarded.rule, verdict)
         # An await guard stays (it waits for the data); with every
         # iteration true everywhere there is nothing to drop.
         if verdicts is None or all("all" in v for v in verdicts):

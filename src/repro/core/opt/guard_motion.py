@@ -63,6 +63,7 @@ class _Rewriter(OrderedRewriter):
             return self.decline_guard(GuardHoisting.name, loop, Iown(ref))
         if vals == []:
             return None
+
         def uniform(pid) -> bool | None:
             """All or nothing on ``pid``, agreeing with the widened guard?"""
             true = dynamic_guard_true_iterations(loop, ref, self.ctx, env, pid, self.flow)
@@ -71,8 +72,7 @@ class _Rewriter(OrderedRewriter):
                 return None
             return true == (vals if widened_owned else [])
 
-        answers, why = self.decide(GuardHoisting.name, loop, Iown(ref), uniform)
-        self.note_split(GuardHoisting.name, loop, Iown(ref), why)
+        answers = self.decide(GuardHoisting.name, loop, Iown(ref), uniform)
         if not answers or not all(answers):
             return None
         self.ctx.note(
