@@ -20,18 +20,19 @@ message per reference and iteration:
 In Eijkhout's terms (PAPERS.md) processor p owns α_p; the iterations
 I_p whose ``L`` it owns need β_p = R_j(I_p); and it must receive exactly
 β_p ∖ α_p.  With every subscript ``i + c`` or a constant, all three are
-sections, so this pass computes them per processor by triplet algebra on
-the iteration space, never listing an element:
+sections, so this pass computes them by triplet algebra on the iteration
+space, never listing an element, as functions of p: bounds affine in
+``mypid``, once per run of processors and offset δ to the owner ``p + δ``
+(a run splits where no one formula fits, and the report says why):
 
 * **β∖α empty on every processor** — ``R_j`` is read in place and its
   transfers are deleted (the paper's *transfer elimination*);
-* **otherwise** — the β∖α pieces form a
-  :class:`~repro.distributions.RedistributionPlan` into a buffer ``_V``
-  distributed like ``L``, emitted before the loop by
-  :func:`~repro.core.redistgen.plan_transfers` (one message per processor
-  pair and piece: *message vectorization*); each processor copies its
-  β∩α part into the buffer locally, awaits the rest, and the loop reads
-  ``_V[L's subscripts]``.
+* **otherwise** — :func:`~repro.core.redistgen.value_transfers` emits
+  before the loop one send and receive per run, δ ≠ 0 and piece into a
+  buffer ``_V`` distributed like ``L`` (one message per processor pair
+  and piece: *message vectorization*); each processor copies its β∩α
+  part into it locally, awaits the rest, and the loop reads ``_V[L's
+  subscripts]``.  The listing does not grow with the number of processors.
 
 It declines on symbolic bounds or subscripts, on ownership that moved
 before the loop, and on a loop that writes an array it also reads at
@@ -40,22 +41,21 @@ another index (hoisting that read would change the result).
 
 from __future__ import annotations
 
-from ...distributions import RedistributionPlan
-from ...distributions.redistribute import Move
 from ..analysis.consteval import ConstEnv, const_eval
 from ..analysis.layouts import build_segmentation
 from ..analysis.ownership import CompilerContext
 from ..analysis.refsets import loop_offset
 from ..ir.nodes import (
-    ArrayDecl, ArrayRef, Assign, Await, BinOp, Block, DoLoop, ExprStmt,
-    Guarded, Index, IntConst, Iown, Mypid, Program, RecvStmt, SendStmt, Stmt,
+    ArrayDecl, ArrayRef, Assign, Await, BinOp, Block, DoLoop, ExprStmt, Guarded,
+    Index, IntConst, Iown, Mypid, Program, RecvStmt, ScalarDecl, SendStmt, Stmt,
     VarRef, XferOp,
 )
 from ..ir.printer import print_ref
-from ..ir.visitor import map_expr, subscript_exprs
-from ..redistgen import plan_transfers, section_to_subscripts
+from ..ir.visitor import free_scalars, map_expr, subscript_exprs, walk_stmts
+from ..pidaffine import per_run
+from ..redistgen import value_transfers
 from ..sections import Section, Triplet
-from .common import OrderedRewriter
+from .common import OrderedRewriter, meet, merged
 
 __all__ = ["CommunicationSets"]
 
@@ -102,6 +102,15 @@ def _match(loop: DoLoop):
     return reads, lhs, temps, assign
 
 
+def _assignments(loop: DoLoop) -> int | None:
+    """How many owner-computes assignments (``iown(L) : { ... L = ... }``)
+    a body with the translator's ``_T[mypid]`` receives holds, or ``None``."""
+    blocks = [g for g in loop.body if isinstance(g, Guarded) and isinstance(g.rule, Iown)]
+    if any(isinstance(x, RecvStmt) and x.into.subs == (Index(Mypid()),)
+           for g in blocks for x in g.body):
+        return sum(isinstance(x, Assign) and x.target == g.rule.ref for g in blocks for x in g.body)
+
+
 def _shape(ref: ArrayRef, var: str, env: ConstEnv) -> _Shape | None:
     """``ref``'s subscripts as ``i + c`` or constants, ``i`` in at most one
     dimension, or ``None``."""
@@ -127,7 +136,7 @@ def _preimage(shape: _Shape, sec: Section, iters: Triplet) -> Triplet | None:
         if off is None:
             if k not in t:
                 return None
-        elif (iters := iters.intersect(Triplet(t.lo - off, t.hi - off, t.step))) is None:
+        elif (iters := meet(iters, Triplet(t.lo - off, t.hi - off, t.step))) is None:
             return None
     return iters
 
@@ -142,13 +151,17 @@ def _image(shape: _Shape, iters: Triplet) -> Section:
 class _Rewriter(OrderedRewriter):
     def __init__(self, ctx: CompilerContext):
         super().__init__(ctx)
-        self.new_decls: list[ArrayDecl] = []
+        self.new_decls: list[ArrayDecl | ScalarDecl] = []
+        self.scaled: dict[int, VarRef] = {}
 
     def visit(self, stmt: Stmt, loops) -> Stmt | list[Stmt] | None:
         if isinstance(stmt, DoLoop) and (idiom := _match(stmt)) is not None:
             replaced = self._rewrite(stmt, *idiom)
             if replaced is not None:
                 return replaced
+        elif isinstance(stmt, DoLoop) and (k := _assignments(stmt)) not in (None, 1):
+            self._decline(f"the loop over {stmt.var} holds {k} owner-computes "
+                          "assignments; only a loop of one is matched")
         return self.recurse(stmt, loops)
 
     def _decline(self, reason: str) -> None:
@@ -181,41 +194,49 @@ class _Rewriter(OrderedRewriter):
                     f"the loop over {var} writes {lhs.var} and reads "
                     f"{print_ref(r)}; hoisting that read would change the result")
 
-        nprocs, layouts = ctx.nprocs, ctx.layouts
-        # I_p: the iterations whose left-hand side p owns.
-        mine = [[x for it in iters
-                 for sec in layouts[lhs.var].distribution.owned_sections(p)
-                 if (x := _preimage(shapes[lhs], sec, it)) is not None]
-                for p in range(nprocs)]
+        nprocs, lhs_dist = ctx.nprocs, ctx.layouts[lhs.var].distribution
+
+        def mine(pid):
+            """The iterations whose left-hand side ``pid`` owns."""
+            return [x for it in iters for sec in lhs_dist.owned_sections(pid)
+                    if (x := _preimage(shapes[lhs], sec, it)) is not None]
+
+        # Every element is owned once: each iteration inside L's bounds.
+        need = sum(x.size for it in iters if (
+            x := _preimage(shapes[lhs], lhs_dist.index_space, it)) is not None)
         sets = []
         for r in reads:
-            dist = layouts[r.var].distribution
-            # parts[s, p]: the iterations of p whose R_j element s owns, so
-            # β_p ∩ α_s = R_j(parts[s, p]) and β_p ∖ α_p is the rest.
-            parts = {(s, p): [x for it in mine[p] for sec in dist.owned_sections(s)
-                              if (x := _preimage(shapes[r], sec, it)) is not None]
-                     for p in range(nprocs) for s in range(nprocs)}
-            if any(sum(x.size for s in range(nprocs) for x in parts[s, p])
-                   != sum(x.size for x in mine[p]) for p in range(nprocs)):
+            dist, moves, why, got = ctx.layouts[r.var].distribution, [], None, 0
+            # β_p ∩ α_(p+δ) for δ = 0, ±1, ±2, ... until every iteration's
+            # read is placed: one computation per run of processors.
+            for delta in (d for k in range(nprocs) for d in ((k, -k) if k else (0,))):
+                if got == need:
+                    break
+                runs, split = per_run(nprocs, lambda pid: [
+                    y for x in mine(pid) for sec in dist.owned_sections(pid + delta)
+                    if (y := _preimage(shapes[r], sec, x)) is not None
+                ] if 0 <= pid + delta < nprocs else [])
+                why = why or split
+                for lo, hi, parts in runs:
+                    moves += [(lo, hi, [_image(shapes[lhs], x), _image(shapes[r], x)], delta)
+                              for x in parts]
+                    got += sum(_total(x.size, lo, hi) for x in parts)
+            if got != need:
                 return self._decline(
                     f"{print_ref(r)} leaves the bounds of {r.var} in the "
                     f"loop over {var}")
-            moves = [Move(s, p, _image(shapes[lhs], x))
-                     for (s, p), xs in parts.items() if s != p for x in xs]
-            shift = _shift(shapes[lhs], shapes[r])
-            if moves and shift is None:
+            if any(m[3] for m in moves) and [off is None for off, _ in shapes[lhs]] != [
+                    off is None for off, _ in shapes[r]]:
                 return self._decline(
                     f"{print_ref(r)} and {print_ref(lhs)} do not run along the "
                     f"same dimension in the loop over {var}")
-            sets.append((dist, parts, moves, shift))
+            sets.append((moves, why))
 
         subst: dict[ArrayRef, ArrayRef] = {}
-        sends: list[Stmt] = []
-        recvs: list[Stmt] = []
-        copies: list[Stmt] = []
-        waits: list[Stmt] = []
-        for r, temp, (dist, parts, moves, shift) in zip(reads, temps, sets):
-            if not moves:
+        values = []
+        for r, temp, (moves, why) in zip(reads, temps, sets):
+            remote = [(lo, hi, x) for lo, hi, (x, _), delta in moves if delta]
+            if not remote:
                 subst[temp] = r
                 ctx.note(
                     f"{CommunicationSets.name}: {print_ref(r)} is owned where "
@@ -224,36 +245,40 @@ class _Rewriter(OrderedRewriter):
                 continue
             buf = self._buffer(lhs.var, r.var)
             subst[temp] = ArrayRef(buf, lhs.subs)
-            xfer = plan_transfers(
-                buf, RedistributionPlan(dist, layouts[lhs.var].distribution,
-                                        tuple(moves)),
-                awaits=True, value_of=(r.var, shift))
-            sends += xfer.sends
-            recvs += xfer.recvs
-            waits += xfer.waits
-            for p in range(nprocs):
-                if local := [Assign(ArrayRef(buf, section_to_subscripts(
-                        _image(shapes[lhs], x))), ArrayRef(r.var, section_to_subscripts(
-                            _image(shapes[r], x)))) for x in parts[p, p]]:
-                    copies.append(Guarded(BinOp("==", Mypid(), IntConst(p + 1)),
-                                          Block(tuple(local))))
-            note = f"; {xfer.note}" if xfer.note else ""
+            values += [(lo, hi, delta, (buf, into), (r.var, source))
+                       for lo, hi, (into, source), delta in merged(moves)]
+            split = "" if why is None else f"; runs of processors split where {why}"
             ctx.note(
                 f"{CommunicationSets.name}: moved the transfers of "
                 f"{print_ref(r)} out of the loop over {var}: β∖α is "
-                f"{sum(m.elements for m in moves)} element(s) in {len(moves)} "
-                f"message(s) into {buf}{note}")
+                f"{sum(_total(x.size, lo, hi) for lo, hi, x in remote)} element(s) in "
+                f"{sum(hi - lo + 1 for lo, hi, _ in remote)} message(s) into {buf}{split}")
 
         expr = map_expr(assign.expr, lambda e: subst.get(e, e)
                         if isinstance(e, ArrayRef) else e)
         compute = DoLoop(var, loop.lo, loop.hi, loop.step, Block((
             Guarded(Iown(lhs), Block((Assign(lhs, expr),))),)))
-        return [*sends, *recvs, *copies, *waits, compute] if sends else compute
+        return [*value_transfers(values, nprocs, self._scaled), compute] if values else compute
+
+    def _fresh(self, prefix: str) -> str:
+        """A name no declaration, scalar or loop variable uses."""
+        body = self.ctx.program.body
+        taken = {d.name for d in (*self.ctx.program.decls, *self.new_decls)} | free_scalars(
+            body) | {s.var for s in walk_stmts(body) if isinstance(s, DoLoop)}
+        return next(f"{prefix}{k}" for k in range(1, len(taken) + 2)
+                    if f"{prefix}{k}" not in taken)
+
+    def _scaled(self, b: int) -> VarRef:
+        """A scalar holding ``b * mypid``, computed once per processor (not
+        once per use and pass of the loops around it)."""
+        if b not in self.scaled:
+            self.scaled[b] = VarRef(self._fresh("_W"))
+            self.new_decls.append(ScalarDecl(self.scaled[b].name, BinOp("*", IntConst(b), Mypid())))
+        return self.scaled[b]
 
     def _buffer(self, lhs: str, src: str) -> str:
         """A fresh ``_V`` over ``lhs``'s index space, distributed like it."""
-        taken = {d.name for d in (*self.ctx.program.decls, *self.new_decls)}
-        name = next(f"_V{k}" for k in range(1, len(taken) + 2) if f"_V{k}" not in taken)
+        name = self._fresh("_V")
         like = self.ctx.array_decl(lhs)
         # Element segments: a receive into one slot must not make sibling
         # slots transitional, or later receive initiations (which block
@@ -266,12 +291,7 @@ class _Rewriter(OrderedRewriter):
         return name
 
 
-def _shift(lhs: _Shape, r: _Shape) -> tuple[int, ...] | None:
-    """Per dimension, what to add to a buffer index (``lhs``'s index
-    space) to get the ``r`` index read there, or ``None`` when the two do
-    not line up dimension by dimension."""
-    if len(lhs) != len(r) or any((a is None) != (b is None)
-                                 for (a, _), (b, _) in zip(lhs, r)):
-        return None
-    return tuple(b - a if a is not None else kb - ka
-                 for (a, ka), (b, kb) in zip(lhs, r))
+def _total(size, lo: int, hi: int) -> int:
+    """``size`` (affine in ``mypid``) summed over processors ``lo..hi``."""
+    first, last = (size if isinstance(size, int) else size.at(p) for p in (lo, hi))
+    return (first + last) * (hi - lo + 1) // 2

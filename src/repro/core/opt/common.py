@@ -33,7 +33,6 @@ from ..analysis.consteval import ConstEnv, const_eval
 from ..analysis.ownership import (
     ITERATION_CAP, CompilerContext, OwnershipAnalysis,
 )
-from ..analysis.refsets import RefSets, stmt_refsets
 from ..ir.nodes import (
     ArrayRef, Await, BinOp, Block, DoLoop, Expr, Full, Guarded, IfStmt, Index,
     Iown, Program, RecvStmt, SendStmt, Stmt, UnaryOp, VarRef,
@@ -50,6 +49,7 @@ __all__ = [
     "loop_var_dims",
     "dynamic_guard_true_iterations",
     "meet",
+    "merged",
 ]
 
 
@@ -239,7 +239,7 @@ class OwnershipFlow:
         why = why or (self.why[split[0]] if split else None)
         for v in names:
             unknown = any(owned[v] is None for _, _, owned in runs)
-            self.moved[v] = None if unknown else _merged([(a, b, owned[v]) for a, b, owned in runs])
+            self.moved[v] = None if unknown else merged([(a, b, owned[v]) for a, b, owned in runs])
             if not self.moved[v] or len(self.moved[v]) == 1:
                 self.why.pop(v, None)
             else:  # the first cause, not a later statement's look-up of its runs
@@ -254,24 +254,26 @@ def _restrict(owned: list[Section], lo: int, hi: int) -> list[Section]:
             for sec in owned]
 
 
-def _merged(runs: list[tuple[int, int, list[Section]]]) -> list[tuple[int, int, list[Section]]]:
-    """Adjacent runs whose lists are one formula in ``mypid`` — the wider
-    run's — as one run (redistgen's partner loops leave processors 1 and P
-    a run each)."""
-    out = runs[:1]
-    for c, d, y in runs[1:]:
-        a, b, x = out[-1]
-        if len(x) != len(y) or a == b and c == d and set(x) != set(y):
-            out.append((c, d, y))
-            continue
-        try:
-            whole = _restrict(x if b - a >= d - c else y, a, d)
-            if set(_restrict(whole, a, b)) == set(x) and set(_restrict(whole, c, d)) == set(y):
-                out[-1] = (a, d, whole)
+def merged(runs: list[tuple]) -> list[tuple]:
+    """``(lo, hi, sections, *key)`` items in order of their runs of
+    processors, each merged into an earlier one of the adjacent run and the
+    same key where one formula in ``mypid`` — the wider run's — gives both
+    (redistgen's partner loops leave processors 1 and P a run each)."""
+    out: list[tuple] = []
+    for c, d, y, *key in runs:
+        for k, (a, b, x, *key_x) in enumerate(out):
+            if key_x != key or b + 1 != c or len(x) != len(y) or (
+                    a == b and c == d and set(x) != set(y)):
                 continue
-        except (NoClosedForm, ValueError):  # a triplet empties or differs
-            pass
-        out.append((c, d, y))
+            try:
+                whole = _restrict(x if b - a >= d - c else y, a, d)
+                if set(_restrict(whole, a, b)) == set(x) and set(_restrict(whole, c, d)) == set(y):
+                    out[k] = (a, d, whole, *key)
+                    break
+            except (NoClosedForm, ValueError):  # a triplet empties or differs
+                pass
+        else:
+            out.append((c, d, y, *key))
     return out
 
 
@@ -322,14 +324,11 @@ class _Mover:
         value = const_eval(rule, env)
         return value if isinstance(value, bool) else None
 
-    def apply(self, moves: RefSets) -> None:
-        """Subtract what ``moves`` releases, then add what it acquires."""
-        for var, sec in moves.released:
-            if (owned := self._list(var)) is not None:
-                self.owned[var] = _coalesce([], _minus(owned, sec))
-        for var, sec in moves.acquired:
-            if (owned := self._list(var)) is not None:
-                self.owned[var] = _coalesce(owned, _new_part(owned, sec))
+    def _move(self, var: str, sec: Section, release: bool) -> None:
+        """Subtract ``sec`` from what ``var`` owns here, or add it."""
+        if (owned := self._list(var)) is not None:
+            self.owned[var] = (_coalesce([], _minus(owned, sec)) if release
+                               else _coalesce(owned, _new_part(owned, sec)))
 
     def run(self, stmt: Stmt | Block, env: ConstEnv) -> None:
         """Apply ``stmt``'s ownership moves; what cannot be resolved makes
@@ -339,21 +338,19 @@ class _Mover:
                 for s in stmts:
                     self.run(s, env)
             case SendStmt(ref, op, _) | RecvStmt(ref, op, _) if op.moves_ownership:
-                sec = self.analysis.resolve(ref, env)
-                if sec is None:
+                if (sec := self.analysis.resolve(ref, env)) is None:
                     self.owned[ref.var] = None
-                elif isinstance(stmt, SendStmt):
-                    self.apply(RefSets(released=[(ref.var, sec)]))
                 else:
-                    self.apply(RefSets(acquired=[(ref.var, sec)]))
+                    self._move(ref.var, sec, isinstance(stmt, SendStmt))
             case DoLoop(var, _, _, _, Block((Guarded(Iown(ref) | Await(ref), body),))) \
                     if ownership_ops(body):
-                if self.true_iterations(
-                        stmt, ref, env, lambda env_v: self.run(body, env_v) or True) is None:
+                if self.true_iterations(stmt, ref, env) is None:
                     self._forget(stmt)
             case DoLoop(var, _, _, _, body) if ownership_ops(body):
                 if (swept := self._swept(stmt, env)) is not None:
-                    return self.apply(swept)
+                    for v, sec in swept:
+                        self._move(v, sec, isinstance(body.stmts[0], SendStmt))
+                    return
                 vals = self.analysis.iteration_values(stmt, env)
                 if vals is None:
                     self._forget(stmt)
@@ -368,7 +365,7 @@ class _Mover:
             case IfStmt():
                 self._forget(stmt)
 
-    def _swept(self, loop: DoLoop, env: ConstEnv) -> RefSets | None:
+    def _swept(self, loop: DoLoop, env: ConstEnv) -> list[tuple[str, Section]] | None:
         """All the moves of a loop whose bounds depend on ``mypid``
         (redistgen's ``do d = 1, mypid - 1``) at once: its body only sends
         or only receives, each section sweeping at most one dimension in
@@ -377,7 +374,7 @@ class _Mover:
         if PidAffine not in (type(lo), type(hi)) or step != 1:
             return None
         if lo > hi:
-            return RefSets()
+            return []
         swept = []
         for s in loop.body:
             match s:
@@ -403,23 +400,23 @@ class _Mover:
                 sec = Section(sec.dims[:d] + (Triplet(t.lo, t.hi + t.size * (hi - lo)),)
                               + sec.dims[d + 1:])
             swept.append((ref.var, sec))
-        return RefSets(released=swept) if isinstance(s, SendStmt) else RefSets(acquired=swept)
+        return swept
 
-    def true_iterations(self, loop: DoLoop, ref: ArrayRef, env: ConstEnv,
-                        apply) -> list | None:
-        """The iterations of ``loop``, in order, at which ``iown(ref)``
-        holds here, after calling ``apply(env)`` at each one (its moves
-        count from the next; ``False`` means they are unknown), or
-        ``None`` when undecidable."""
+    def true_iterations(self, loop: DoLoop, ref: ArrayRef, env: ConstEnv) -> list | None:
+        """The iterations of ``loop`` (one guarded body), in order, at
+        which ``iown(ref)`` holds here, running the body at each one (its
+        moves count from the next), or ``None`` when undecidable."""
+        (guarded,) = loop.body
         vals = self.analysis.iteration_values(loop, env)
         env = env.at_pid(self.pid + 1)
-        moves_guard = ref.var in ownership_ops(loop.body)
+        moves = ownership_ops(guarded.body)
+        moves_guard = ref.var in moves
         true: list = []
         ahead = vals and self._guard(loop, ref, env, vals, moves_guard)
         while ahead:
             true.append(v := ahead.pop(0))
-            if not apply(env.bind(**{loop.var: v})):
-                return None
+            if moves:
+                self.run(guarded.body, env.bind(**{loop.var: v}))
             if moves_guard:
                 ahead = self._guard(loop, ref, env, vals, True, after=v)
         return None if ahead is None else true
@@ -562,23 +559,11 @@ def dynamic_guard_true_iterations(
     """Iterations of ``loop`` at which ``iown(guard_ref)`` holds on ``pid``
     (a :class:`PidAffine` for a run of processors), starting from the
     ownership ``flow`` holds (the initial distribution by default) and
-    carrying the moves the guarded body makes in earlier iterations.
+    carrying the moves the guarded body makes in earlier iterations, as
+    the flow itself carries them.
 
     Returns ``None`` when anything is unresolvable (symbolic bounds,
-    unresolvable sections, unknown ownership) — callers must then keep
-    the guard."""
-    mover = _Mover((flow or OwnershipFlow(ctx)).sections, pid, ctx)
-
-    def apply(env_v: ConstEnv) -> bool:
-        # Each body statement's moves at once (releases, then
-        # acquisitions), as the point-set reference simulation does.
-        for s in loop.body:
-            moves = stmt_refsets(s, ctx, env_v)
-            if moves.unknown:
-                return False
-            mover.apply(moves)
-        return True
-
-    moves_guard = guard_ref.var in ownership_ops(loop.body)
-    return mover.true_iterations(loop, guard_ref, env,
-                                 apply if moves_guard else lambda _: True)
+    unresolvable sections, unknown ownership of the guard's array) —
+    callers must then keep the guard."""
+    return _Mover((flow or OwnershipFlow(ctx)).sections, pid, ctx).true_iterations(
+        loop, guard_ref, env)

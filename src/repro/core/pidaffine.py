@@ -110,7 +110,10 @@ class PidAffine:
     __truediv__ = __floordiv__
 
     def __mod__(self, other):
-        return self - other * (self // other)
+        # The same residues from the least coefficients, whose quotient is
+        # the same on the longest runs of processors.
+        x = self._like(self.a % other, self.b % other) if other.__class__ is int and other else self
+        return x - other * (x // other)
 
     def __rfloordiv__(self, other):
         raise NoClosedForm(f"{other} / ({self}) is not affine in mypid")

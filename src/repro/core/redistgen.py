@@ -6,10 +6,11 @@ auxiliary data structure created by the compiler"; that structure is
 only code that turns its moves into destination-bound statements, in
 two shapes: all at once (:func:`plan_transfers`), and fragments split
 along a producing loop's axis, the sends fused into that loop
-(``plan_transfers(..., fuse=...)``).  The same moves can carry values
-instead of ownership (``plan_transfers(..., value_of=...)``): the
-communication sets of :mod:`repro.core.opt.comm_sets`, which always take
-the per-processor form below (see :func:`plan_transfers`).
+(``plan_transfers(..., fuse=...)``).  The value moves of the
+communication sets (:mod:`repro.core.opt.comm_sets`) come computed per run
+of receiving processors, bounds affine in ``mypid``; :func:`value_transfers`
+writes each as one statement under a ``mypid`` range guard, a run of one
+processor as plain integers under ``mypid == k``.
 
 Every triplet bound of every move is fitted as an integer-affine function
 of the 1-based (source, destination) pair, re-expanded for every pair
@@ -36,15 +37,16 @@ from typing import Callable, Iterable
 
 from ..distributions import RedistributionPlan
 from .ir.nodes import (
-    ArrayRef, Await, BinOp, Block, DoLoop, Expr, ExprStmt, Full, Guarded,
-    Index, IntConst, Iown, Mypid, Range, RecvStmt, SendStmt, Stmt, Subscript,
-    UnaryOp, VarRef, XferOp,
+    ArrayRef, Assign, Await, BinOp, Block, DoLoop, Expr, ExprStmt, Full,
+    Guarded, Index, IntConst, Iown, Mypid, Range, RecvStmt, SendStmt, Stmt,
+    Subscript, UnaryOp, VarRef, XferOp,
 )
 from .ir.printer import print_stmt
+from .pidaffine import PidAffine
 from .sections import Section, Triplet
 
 __all__ = [
-    "Transfers", "plan_transfers", "section_to_subscripts",
+    "Transfers", "plan_transfers", "section_to_subscripts", "value_transfers",
 ]
 
 _Pair = tuple[int, int]
@@ -58,12 +60,11 @@ class Transfers:
 
     sends: tuple[Stmt, ...]
     recvs: tuple[Stmt, ...]
-    waits: tuple[Stmt, ...] = ()
     note: str | None = None
 
     @property
     def statements(self) -> list[Stmt]:
-        return [*self.sends, *self.recvs, *self.waits]
+        return [*self.sends, *self.recvs]
 
     def text(self, stmts: Iterable[Stmt] | None = None) -> list[str]:
         """``stmts`` (all of them by default) as IL lines, after the note
@@ -73,16 +74,30 @@ class Transfers:
             line for st in body for line in print_stmt(st)]
 
 
-def _triplet_sub(t: Triplet) -> Subscript:
-    if t.size == 1:
-        return Index(IntConst(t.lo))
+#: ``scaled(b)`` is an expression for ``b * mypid`` (``b > 1``).
+_Scaled = Callable[[int], Expr]
+
+
+def _bound(v: int | PidAffine, scaled: _Scaled | None = None) -> Expr:
+    if isinstance(v, int):
+        return IntConst(v)
+    if scaled is None or abs(v.b) == 1:
+        return _Affine(v.a, v.b, 0).expr(Mypid(), Mypid())
+    return _Affine(v.a, 1 if v.b > 0 else -1, 0).expr(scaled(abs(v.b)), Mypid())
+
+
+def _triplet_sub(t: Triplet, scaled: _Scaled | None) -> Subscript:
+    if (width := t.hi - t.lo).__class__ is int and width == 0:
+        return Index(_bound(t.lo, scaled))
     step = None if t.step == 1 else IntConst(t.step)
-    return Range(IntConst(t.lo), IntConst(t.hi), step)
+    return Range(_bound(t.lo, scaled), _bound(t.hi, scaled), step)
 
 
-def section_to_subscripts(sec: Section) -> tuple[Subscript, ...]:
-    """Constant IL subscripts denoting a concrete section."""
-    return tuple(_triplet_sub(t) for t in sec.dims)
+def section_to_subscripts(sec: Section, scaled: _Scaled | None = None
+                          ) -> tuple[Subscript, ...]:
+    """IL subscripts denoting a section, its bounds integers or affine in
+    ``mypid``, written with ``scaled(b)`` for ``b * mypid`` if given."""
+    return tuple(_triplet_sub(t, scaled) for t in sec.dims)
 
 
 # ---------------------------------------------------------------------- #
@@ -200,15 +215,18 @@ def _on(pid: int) -> Expr:
     return BinOp("==", Mypid(), IntConst(pid + 1))
 
 
-def _blocks(items: Iterable[tuple[Expr, Stmt]]) -> tuple[Stmt, ...]:
-    """One guarded block per run of statements under the same rule."""
-    return tuple(Guarded(rule, Block(tuple(stmt for _, stmt in run)))
-                 for rule, run in groupby(items, key=lambda item: item[0]))
+def _blocks(items: Iterable[tuple[Expr | None, Stmt]]) -> tuple[Stmt, ...]:
+    """One guarded block per run of statements under the same rule (none
+    for the rule ``None``: every processor)."""
+    out: list[Stmt] = []
+    for rule, run in groupby(items, key=lambda item: item[0]):
+        stmts = tuple(stmt for _, stmt in run)
+        out += stmts if rule is None else [Guarded(rule, Block(stmts))]
+    return tuple(out)
 
 
 def _per_pid(var: str, pieces: dict[_Pair, list[_Dims]], ops, reason: str,
-             awaits: bool, axis: int | None, loop_var: str,
-             value_of: tuple[str, tuple[int, ...]] | None) -> Transfers:
+             axis: int | None, loop_var: str) -> Transfers:
     """The fallback: one guarded block per processor, and for sends split
     along ``axis`` one per processor and loop coordinate."""
     send_op, recv_op = ops
@@ -223,31 +241,17 @@ def _per_pid(var: str, pieces: dict[_Pair, list[_Dims]], ops, reason: str,
     def ref(dims: _Dims) -> ArrayRef:
         return ArrayRef(var, section_to_subscripts(Section(dims)))
 
-    def sent(dims: _Dims) -> ArrayRef:
-        if value_of is None:
-            return ref(dims)
-        src, shift = value_of
-        return ArrayRef(src, section_to_subscripts(Section(tuple(
-            Triplet(t.lo + c, t.hi + c, t.step) for t, c in zip(dims, shift)))))
-
     def send_rule(s: int, dims: _Dims) -> Expr:
         return _on(s) if axis is None else BinOp(
             "and", _on(s), BinOp("==", VarRef(loop_var), IntConst(dims[axis].lo)))
 
-    # sends by source then coordinate, receives by receiver then source;
-    # awaits by when the receiver's last piece is sent, so the processor
-    # whose data leaves last tests no guard after it arrives
+    # sends by source then coordinate, receives by receiver then source
     by_src = sorted(items, key=lambda i: (i[0], *at(i[2]), i[1], _dims_key(i[2])))
     by_dst = sorted(items, key=lambda i: (i[1], i[0], *at(i[2]), _dims_key(i[2])))
-    last_sent = {d: k for k, (_, d, _) in enumerate(by_src)}
-    by_arrival = sorted(by_dst, key=lambda i: last_sent[i[1]])
     return Transfers(
-        _blocks((send_rule(s, dims), SendStmt(sent(dims), send_op, (IntConst(d + 1),)))
+        _blocks((send_rule(s, dims), SendStmt(ref(dims), send_op, (IntConst(d + 1),)))
                 for s, d, dims in by_src),
-        _blocks((_on(d), RecvStmt(ref(dims), recv_op, sent(dims) if value_of else None))
-                for _, d, dims in by_dst),
-        _blocks((_on(d), ExprStmt(Await(ref(dims)))) for _, d, dims in by_arrival)
-        if awaits else (),
+        _blocks((_on(d), RecvStmt(ref(dims), recv_op)) for _, d, dims in by_dst),
         f"redistgen: one guarded block per processor ({reason})",
     )
 
@@ -262,22 +266,12 @@ def plan_transfers(
     plan: RedistributionPlan,
     *,
     with_value: bool = True,
-    awaits: bool = False,
     fuse: tuple[int, str] | None = None,
-    value_of: tuple[str, tuple[int, ...]] | None = None,
 ) -> Transfers:
     """Statements realising ``plan`` for array ``var``.
 
     All at once by default.  ``with_value=False`` emits pure ownership
-    moves (``=>`` / ``<=``); ``awaits=True`` adds one ``await`` per
-    received section, so following statements may rely on accessibility.
-    ``value_of=(src, shift)`` moves values and no ownership: for each
-    planned section ``sec`` of ``var`` the sender sends
-    ``src[sec + shift]`` (``->``) and the receiver receives it into
-    ``var[sec]`` (``<-``).  Value moves are re-sent on every pass of the
-    loop around them, so they always take the per-processor form: there a
-    processor pays one comparison per guard, where the partner loops pay
-    an iteration and the affine subscripts for every partner.
+    moves (``=>`` / ``<=``).
 
     ``fuse=(axis, loop_var)`` splits every move into one fragment per
     coordinate along ``axis`` (0-based).  The sends then go at the end of
@@ -287,8 +281,7 @@ def plan_transfers(
     receives follow the loop, by source, then coordinate.
     """
     send_op, recv_op = ops = (
-        (XferOp.SEND_VALUE, XferOp.RECV_VALUE) if value_of
-        else (XferOp.SEND_OWNER_VALUE, XferOp.RECV_OWNER_VALUE) if with_value
+        (XferOp.SEND_OWNER_VALUE, XferOp.RECV_OWNER_VALUE) if with_value
         else (XferOp.SEND_OWNER, XferOp.RECV_OWNER))
     pieces = _pieces(plan)
     if not pieces:
@@ -297,13 +290,12 @@ def plan_transfers(
     axis, loop_var = fuse or (None, "")
     owned = [{c for sec in plan.source.owned_sections(p) for c in sec.dims[axis]}
              for p in range(nprocs)] if fuse else []
-    fits = ("values are cheaper per processor unrolled" if value_of
-            else _fit_pieces(pieces, nprocs))
+    fits = _fit_pieces(pieces, nprocs)
     if fuse and not isinstance(fits, str) and any(
             set(dims[axis]) != owned[s] for (s, _), v in pieces.items() for dims in v):
         fits = f"a move does not span its source's slabs along axis {axis + 1}"
     if isinstance(fits, str):
-        return _per_pid(var, pieces, ops, fits, awaits, axis, loop_var, value_of)
+        return _per_pid(var, pieces, ops, fits, axis, loop_var)
 
     def refs(s: Expr, d: Expr, at: Expr | None = None) -> list[ArrayRef]:
         return [ArrayRef(var, tuple(Index(at) if ax == axis else f.subscript(s, d)
@@ -326,8 +318,6 @@ def plan_transfers(
             sends,
             _around(sn, partners, lambda s: [
                 RecvStmt(r, recv_op) for r in refs(s, me)]),
-            _around(sn, partners, lambda s: [
-                ExprStmt(Await(r)) for r in refs(s, me)]) if awaits else (),
         )
     span = fits[0][axis]
     lo, hi = span.lo, span.hi
@@ -348,3 +338,43 @@ def plan_transfers(
         Block(tuple(RecvStmt(r, recv_op) for r in refs(s, me, k))),
     )]))
 
+
+# ---------------------------------------------------------------------- #
+# value moves, one statement per run of receivers
+# ---------------------------------------------------------------------- #
+
+
+def _run_rule(lo: int, hi: int, nprocs: int) -> Expr | None:
+    """True on the 1-based processors ``lo..hi`` (``None``: on all)."""
+    ends = [BinOp(op, Mypid(), IntConst(k)) for op, k, cut in (
+        ("==", lo, lo == hi), (">=", lo, 1 < lo < hi), ("<=", hi, lo < hi < nprocs)) if cut]
+    return BinOp("and", *ends) if len(ends) == 2 else ends[0] if ends else None
+
+
+def value_transfers(moves, nprocs: int, scaled: _Scaled) -> list[Stmt]:
+    """Statements realising value ``moves``, each ``(lo, hi, offset, (var,
+    into), (src, source))``: every 1-based receiver ``mypid`` in ``lo..hi``
+    gets ``src[source]`` into ``var[into]`` from processor ``mypid +
+    offset`` (a local copy at offset 0), the sections' bounds affine in the
+    receiver's ``mypid`` and written with ``scaled(b)`` for ``b * mypid``.
+    The sends, then the receives, copies and awaits, one statement per move
+    and side under a ``mypid`` range guard."""
+    sends, recvs, copies, waits = [], [], [], []
+    for lo, hi, offset, (var, into), (src, source) in moves:
+        buf, value = (ArrayRef(v, section_to_subscripts(sec, scaled))
+                      for v, sec in ((var, into), (src, source)))
+        if offset == 0:
+            copies.append(((lo, hi), Assign(buf, value)))
+            continue
+
+        def sender(v):  # the receiver's ``v`` in its sender's ``mypid``
+            return v if isinstance(v, int) else PidAffine.make(
+                v.a - v.b * offset, v.b, lo + offset, hi + offset)
+        sent = Section(tuple(Triplet(sender(t.lo), sender(t.hi), t.step) for t in source.dims))
+        sends.append(((lo + offset, hi + offset), SendStmt(
+            ArrayRef(src, section_to_subscripts(sent, scaled)), XferOp.SEND_VALUE,
+            (_bound(sender(PidAffine.make(0, 1, lo, hi))),))))
+        recvs.append(((lo, hi), RecvStmt(buf, XferOp.RECV_VALUE, value)))
+        waits.append(((lo, hi), ExprStmt(Await(buf))))
+    return list(_blocks((_run_rule(*run, nprocs), stmt)
+                        for run, stmt in (*sends, *recvs, *copies, *waits)))

@@ -1,9 +1,12 @@
-"""The optimizer's former point-enumerating analyses, kept verbatim as
-reference implementations for ``tests/test_opt_algebra.py``.
+"""The optimizer's former point-enumerating analyses, kept as reference
+implementations for ``tests/test_opt_algebra.py``.
 
 ``dynamic_guard_true_iterations`` materialises every owned array element
-as a Python set (via ``Section.__iter__``); ``can_fuse`` builds one
-``RefSets`` per processor and iteration and tests every iteration pair.
+as a Python set (via ``Section.__iter__``) and runs the guarded body's
+ownership moves in program order, as the optimizer's flow does (a move it
+cannot resolve, or one under a rule, makes ownership unknown);
+``can_fuse`` builds one ``RefSets`` per processor and iteration and tests
+every iteration pair.
 Both carry the silent caps they had in ``src/`` — ``None`` / ``False``
 past them — so a differential test must stay under the caps.
 """
@@ -13,7 +16,10 @@ from __future__ import annotations
 from repro.core.analysis.consteval import ConstEnv
 from repro.core.analysis.ownership import CompilerContext, OwnershipAnalysis
 from repro.core.analysis.refsets import stmt_refsets
-from repro.core.ir.nodes import ArrayRef, Block, BoolConst, DoLoop, IfStmt, Stmt
+from repro.core.ir.visitor import walk_stmts
+from repro.core.ir.nodes import (
+    ArrayRef, Block, BoolConst, DoLoop, IfStmt, RecvStmt, SendStmt, Stmt,
+)
 
 ELEMENT_SIM_CAP = 65536
 _PAIR_CAP = 4096
@@ -31,6 +37,13 @@ def _owned_points(
     return out
 
 
+def _moves(stmt: Stmt, var: str) -> bool:
+    """Does ``stmt`` move ownership of ``var``?"""
+    return any(isinstance(s, (SendStmt, RecvStmt)) and s.op.moves_ownership
+               and (s.ref if isinstance(s, SendStmt) else s.into).var == var
+               for s in walk_stmts(stmt))
+
+
 def dynamic_guard_true_iterations(
     loop: DoLoop,
     guard_ref: ArrayRef,
@@ -45,42 +58,44 @@ def dynamic_guard_true_iterations(
     owned = _owned_points(ctx, guard_ref.var, pid)
     if owned is None:
         return None
-    # Other arrays' ownership the body might move, tracked lazily.
-    other_owned: dict[str, set[tuple[int, ...]]] = {guard_ref.var: owned}
+    (guarded,) = loop.body
 
-    def points_of(name: str) -> set[tuple[int, ...]] | None:
-        if name not in other_owned:
-            pts = _owned_points(ctx, name, pid)
-            if pts is None:
-                return None
-            other_owned[name] = pts
-        return other_owned[name]
+    def apply(stmt: Stmt | Block, env_v: ConstEnv) -> None:
+        """This iteration's moves of the guard's array, in program order;
+        one that cannot be resolved makes its ownership unknown."""
+        nonlocal owned
+        match stmt:
+            case Block(stmts):
+                for s in stmts:
+                    apply(s, env_v)
+            case SendStmt(ref, op, _) | RecvStmt(ref, op, _) if (
+                    op.moves_ownership and ref.var == guard_ref.var and owned is not None):
+                sec = analysis.resolve(ref, env_v)
+                if sec is None:
+                    owned = None
+                elif isinstance(stmt, SendStmt):
+                    owned -= set(sec)
+                else:
+                    owned |= set(sec)
+            case DoLoop() as inner if _moves(inner, guard_ref.var):
+                inner_vals = analysis.iteration_values(inner, env_v)
+                if inner_vals is None:
+                    owned = None
+                for v in inner_vals or ():
+                    apply(inner.body, env_v.bind(**{inner.var: v}))
+            case _ if _moves(stmt, guard_ref.var):  # a move under a rule
+                owned = None
 
     true_iters: list[int] = []
     for v in vals:
         env_v = env.at_pid(pid + 1).bind(**{loop.var: v})
         sec = analysis.resolve(guard_ref, env_v)
-        if sec is None:
+        if sec is None or owned is None:
             return None
-        guard_pts = set(sec)
-        if guard_pts <= other_owned[guard_ref.var]:
+        if set(sec) <= owned:
             true_iters.append(v)
-            # Apply this iteration's ownership effects before testing the
-            # next one.
-            for s in loop.body:
-                rs = stmt_refsets(s, ctx, env_v)
-                if rs.unknown:
-                    return None
-                for name, rsec in rs.released:
-                    pts = points_of(name)
-                    if pts is None:
-                        return None
-                    pts.difference_update(rsec)
-                for name, asec in rs.acquired:
-                    pts = points_of(name)
-                    if pts is None:
-                        return None
-                    pts.update(asec)
+            # Its ownership effects count from the next iteration.
+            apply(guarded.body, env_v)
     return true_iters
 
 

@@ -1,15 +1,15 @@
 """The per-processor redistribution emitter ``repro.core.redistgen`` used
 before it emitted closed SPMD form, kept as the differential oracle for
 ``tests/test_redistgen.py``: one ``mypid == k`` guard per transfer, sends
-first, then the matching receives, then optionally one ``await`` each.
+first, then the matching receives.
 Also :func:`dist_from_spec`, the tests' shorthand for a distribution.
 """
 
 from __future__ import annotations
 
 from repro.core.ir.nodes import (
-    ArrayRef, Await, BinOp, Block, ExprStmt, Guarded, IntConst, Mypid,
-    RecvStmt, SendStmt, Stmt, XferOp,
+    ArrayRef, BinOp, Block, Guarded, IntConst, Mypid, RecvStmt, SendStmt,
+    Stmt, XferOp,
 )
 from repro.core.analysis.layouts import split_dist_spec
 from repro.core.redistgen import section_to_subscripts
@@ -34,13 +34,11 @@ def redistribution_statements(
     plan: RedistributionPlan,
     *,
     with_value: bool = True,
-    awaits: bool = False,
 ) -> list[Stmt]:
     send_op = XferOp.SEND_OWNER_VALUE if with_value else XferOp.SEND_OWNER
     recv_op = XferOp.RECV_OWNER_VALUE if with_value else XferOp.RECV_OWNER
     sends: list[Stmt] = []
     recvs: list[Stmt] = []
-    waits: list[Stmt] = []
     emitted: set[tuple[int, int, object]] = set()
     for m in plan.moves:
         if m.src == m.dst:
@@ -54,6 +52,4 @@ def redistribution_statements(
             _on_pid(m.src, SendStmt(ref, send_op, (IntConst(m.dst + 1),)))
         )
         recvs.append(_on_pid(m.dst, RecvStmt(ref, recv_op)))
-        if awaits:
-            waits.append(_on_pid(m.dst, ExprStmt(Await(ref))))
-    return sends + recvs + waits
+    return sends + recvs

@@ -78,6 +78,24 @@ enddo
                         "over i is not subscripted by i + c or compile-time "
                         "constants"]
 
+    def test_comm_sets_says_why_two_assignments_in_one_body_are_skipped(self):
+        src = """
+array A[1:64] dist (BLOCK) seg (1)
+array B[1:64] dist (BLOCK) seg (1)
+array C[1:64] dist (BLOCK) seg (1)
+
+do i = 1, 63
+  A[i] = B[i+1] * 2
+  C[i] = B[i+1] + 1
+enddo
+"""
+        # The translator's receives, two owner-computes blocks: said, not
+        # "no opportunities".
+        reps = reports_of(src, [CommunicationSets()], translate_first=True)
+        assert reps == ["communication-sets: declined — the loop over i holds "
+                        "2 owner-computes assignments; only a loop of one is "
+                        "matched"]
+
     def test_fusion_skips_different_trip_counts(self):
         src = """
 array A[1:8] dist (BLOCK) seg (1)

@@ -215,18 +215,18 @@ enddo
             # One message per ordered processor pair, not per element.
             assert stats.total_messages == (16 if label == "naive" else 12)
 
-    def test_pair_moves_are_per_processor_at_any_n(self):
-        # Value moves take redistgen's per-processor form (cheaper on every
-        # processor than partner loops): one send, one receive and one
-        # await per ordered pair, the same statements at n=16 and 256.
+    def test_pair_moves_are_one_statement_per_run_at_any_n(self):
+        # Value moves take one statement per run of receivers and offset,
+        # bounds affine in mypid (no partner loop): 16 sends and receives
+        # where the 12 ordered pairs took 24, and the same text at n=16
+        # and 256.
         results = [self.variant(n)[1] for n in (16, 256)]
         listings = [print_program(res.program) for res in results]
         for res, text in zip(results, listings):
-            assert any("redistgen: one guarded block" in r for r in res.reports)
-            assert "do d =" not in text
+            assert "do d =" not in text and "-> {mypid + 1}" in text
             xfers = [s for s in walk_stmts(parse_program(text).body)
                      if isinstance(s, (SendStmt, RecvStmt))]
-            assert len(xfers) == 24
+            assert len(xfers) == 16
         assert len(listings[0].splitlines()) == len(listings[1].splitlines())
 
     def test_buffer_distributed_like_lhs(self):
@@ -354,7 +354,7 @@ class TestNaiveJacobi:
         assert isinstance(sweep, DoLoop) and sweep.var == "t"
         xfers = [s for s in walk_stmts(sweep.body)
                  if isinstance(s, (SendStmt, RecvStmt))]
-        assert len(xfers) == 12  # 3 sends and 3 receives per neighbour side
+        assert len(xfers) == 4  # a send and a receive per neighbour side
         for loop in (s for s in walk_stmts(sweep.body) if isinstance(s, DoLoop)):
             assert not any(isinstance(s, (SendStmt, RecvStmt))
                            for s in walk_stmts(loop.body))

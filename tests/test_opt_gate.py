@@ -16,6 +16,7 @@ from repro.core.analysis.verify_comm import verify_communication
 from repro.core.codegen.lower import lower
 from repro.core.ir.parser import parse_program
 from repro.core.opt import optimize
+from repro.core.translate import translate
 
 from .fuzz.gen_programs import translated_family
 
@@ -57,3 +58,35 @@ def test_o2_equals_o0_verifies_and_is_no_slower(backend):
             failures.append(f"#{k}: {report.format()}")
     assert not failures, "\n".join(failures)
     assert fired == 96  # every owner-computes program
+
+
+#: A stencil whose user names are the ones a partner loop (``do d``/``do
+#: s``) or the value moves' ``b * mypid`` scalar (``_W1``) would take.
+HYGIENE = """array A[1:32] dist (BLOCK) seg (1)
+array B[1:32] dist (BLOCK) seg (1)
+scalar d = 2
+scalar s = 3
+scalar _W1 = 5
+
+do d = 1, 2
+  do i = 2, 31
+    B[i] = (A[i-1] + A[i+1]) / s + _W1
+  enddo
+  do i = 2, 31
+    A[i] = B[i] + d
+  enddo
+enddo
+"""
+
+
+@pytest.mark.parametrize("backend", ["msg", "shmem"])
+def test_user_names_d_s_and_w1_do_not_capture_the_value_moves(backend):
+    program = translate(parse_program(HYGIENE), 4)
+    inputs = {"A": np.random.default_rng(5).standard_normal(32), "B": np.zeros(32)}
+    o0 = optimize(program, 4, level=0, backend=backend).program
+    o2 = optimize(program, 4, level=2, backend=backend)
+    assert any(r.startswith("communication-sets: moved") for r in o2.reports)
+    (_, r0), (_, r2) = (_run(p, 4, backend, inputs) for p in (o0, o2.program))
+    assert r2 == r0
+    report = verify_communication(o2.program, 4, backend=backend)
+    assert report.ok and not report.findings, report.format()

@@ -1,6 +1,7 @@
 """Tests for compiler-generated redistribution code (paper section 4's
-linked -=>/<=- structure): the one emitter, its closed SPMD form, and a
-differential against the per-processor emitter it replaced."""
+linked -=>/<=- structure): the one emitter, its closed SPMD form, the
+value moves of the communication sets, and a differential against the
+per-processor emitter it replaced."""
 
 import numpy as np
 import pytest
@@ -9,14 +10,15 @@ from hypothesis import strategies as st
 
 from repro.core.analysis.layouts import build_segmentation
 from repro.core.ir.nodes import (
-    ArrayDecl, Block, DoLoop, ExprStmt, Guarded, Program, RecvStmt, SendStmt,
-    VarRef, XferOp,
+    ArrayDecl, Block, DoLoop, Guarded, Program, RecvStmt, SendStmt, VarRef,
+    XferOp,
 )
 from repro.core.ir.printer import print_stmt
 from repro.core.ir.verify import verify_program
 from repro import Interpreter, lower
-from repro.core.redistgen import plan_transfers, section_to_subscripts
-from repro.core.sections import section
+from repro.core.pidaffine import PidAffine
+from repro.core.redistgen import plan_transfers, section_to_subscripts, value_transfers
+from repro.core.sections import Section, Triplet, section
 from repro.distributions import (
     Block as BlockSpec,
     Cyclic,
@@ -87,14 +89,6 @@ class TestGeneration:
         assert {s.op for s in leaves(t.sends, SendStmt)} == {XferOp.SEND_OWNER}
         assert {r.op for r in leaves(t.recvs, RecvStmt)} == {XferOp.RECV_OWNER}
 
-    def test_awaits_appended(self):
-        _, _, plan = make_plan()
-        assert plan_transfers("A", plan).waits == ()
-        t = plan_transfers("A", plan, awaits=True)
-        assert len(t.waits) == 2
-        assert t.statements == [*t.sends, *t.recvs, *t.waits]
-        assert len(list(leaves(t.waits, ExprStmt))) == 2
-
     def test_section_to_subscripts_roundtrip(self):
         from repro.core.ir.printer import print_ref
         from repro.core.ir.nodes import ArrayRef
@@ -109,8 +103,7 @@ class TestExecution:
     def test_redistribution_runs(self, with_value):
         n, nprocs = 16, 4
         src, dst, plan = make_plan(n, nprocs)
-        stmts = plan_transfers("A", plan, with_value=with_value,
-                               awaits=True).statements
+        stmts = plan_transfers("A", plan, with_value=with_value).statements
         prog = build_program(n, nprocs, stmts, (1,))
         verify_program(prog)
         it = Interpreter(prog, nprocs, model=FAST)
@@ -128,7 +121,7 @@ class TestExecution:
     def test_segment_granularity_execution(self):
         n, nprocs = 16, 4
         src, dst, plan = make_plan(n, nprocs, seg=2)
-        stmts = plan_transfers("A", plan, awaits=True).statements
+        stmts = plan_transfers("A", plan).statements
         prog = build_program(n, nprocs, stmts, (2,))
         it = Interpreter(prog, nprocs, model=FAST)
         a0 = np.arange(1.0, n + 1)
@@ -182,7 +175,7 @@ class TestSelfAndDuplicateMoves:
         n, nprocs = 16, 4
         src, dst, plan = make_plan(n, nprocs)
         assert plan.message_count == 12
-        stmts = plan_transfers("A", plan, awaits=True).statements
+        stmts = plan_transfers("A", plan).statements
         prog = build_program(n, nprocs, stmts, (1,))
         it = Interpreter(prog, nprocs, model=FAST)
         a0 = np.arange(1.0, n + 1)
@@ -209,8 +202,7 @@ class TestClosedForm:
     ])
     def test_all_at_once_size_is_independent_of_n_and_p(self, specs):
         sizes = {
-            len(text(plan_transfers("A", fft_plan(n, p, *specs),
-                                    awaits=True).statements))
+            len(text(plan_transfers("A", fft_plan(n, p, *specs)).statements))
             for n, p in [(8, 4), (16, 4), (16, 16), (32, 16)]
         }
         assert len(sizes) == 1
@@ -248,20 +240,22 @@ class TestClosedForm:
             "enddo",
         ]
 
-    def test_value_moves_take_the_per_processor_form(self):
-        # The same all-pairs plan: ownership in closed form, values one
-        # block per processor (cheaper per processor than partner loops),
-        # awaits in the order each receiver's last piece is sent.
-        _, _, plan = make_plan()
-        assert plan_transfers("A", plan).note is None
-        t = plan_transfers("V", plan, awaits=True, value_of=("B", (1,)))
-        assert t.note == ("redistgen: one guarded block per processor "
-                          "(values are cheaper per processor unrolled)")
-        assert text(t.sends)[:4] == [
-            "mypid == 1 : {", "  B[3] -> {2}", "  B[4] -> {3}", "  B[5] -> {4}"]
-        assert text(t.recvs)[:2] == ["mypid == 1 : {", "  V[5] <- B[6]"]
-        assert [text([g])[0] for g in t.waits] == [
-            f"mypid == {p} : {{" for p in (4, 1, 2, 3)]
+    def test_value_moves_take_one_statement_per_run(self):
+        # Receivers 2..4 of 4 get their left neighbour's last element (the
+        # sender's run is 1..3), P1 copies its own part; a run of one
+        # processor is plain integers; ``_W64`` names 64 * mypid.
+        m = PidAffine.make(0, 1, 2, 4)
+        moves = [
+            (2, 4, -1, ("V", Section((Triplet(64 * m - 63, 64 * m - 63),))),
+             ("A", Section((Triplet(64 * m - 64, 64 * m - 64),)))),
+            (1, 1, 0, ("V", section((2, 64))), ("A", section((1, 63)))),
+        ]
+        assert text(value_transfers(moves, 4, lambda b: VarRef(f"_W{b}"))) == [
+            "mypid <= 3 : {", "  A[_W64] -> {mypid + 1}", "}",
+            "mypid >= 2 : {", "  V[_W64 - 63] <- A[_W64 - 64]", "}",
+            "mypid == 1 : {", "  V[2:64] = A[1:63]", "}",
+            "mypid >= 2 : {", "  await(V[_W64 - 63])", "}",
+        ]
 
     def test_no_closed_form_falls_back_with_a_note(self):
         # CYCLIC(2) owns two slab runs per processor: fragments have no
@@ -277,14 +271,13 @@ class TestClosedForm:
         grid = ProcessorGrid((4,))
         t = plan_transfers("A", plan_redistribution(
             *(dist_from_spec(s, ((1, 6),), grid)
-              for s in ("(BLOCK)", "(CYCLIC(3))"))), awaits=True)
+              for s in ("(BLOCK)", "(CYCLIC(3))"))))
         assert t.note == ("redistgen: one guarded block per processor "
                           "(moves pair 2 of the 12 ordered processor pairs)")
         assert text(t.sends) == [
             "mypid == 2 : {", "  A[3] -=> {1}", "}",
             "mypid == 3 : {", "  A[5:6] -=> {2}", "}",
         ]
-        assert len(t.waits) == 2
 
 
 # --------------------------------------------------------------------- #
@@ -326,8 +319,8 @@ class TestOracleDifferential:
         source = build_segmentation(decl, grid).distribution
         target = dist_from_spec(dst_spec, decl.bounds, grid)
         plan = plan_redistribution(source, target)
-        emitted = plan_transfers("A", plan, awaits=True).statements
-        oracle = oracle_statements("A", plan, awaits=True)
+        emitted = plan_transfers("A", plan).statements
+        oracle = oracle_statements("A", plan)
         a0 = np.arange(float(np.prod(shape))).reshape(shape)
         for backend in ("msg", "shmem"):
             got = _run(decl, emitted, nprocs, backend, a0)
